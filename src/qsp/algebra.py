@@ -346,16 +346,3 @@ class TensorElement:
     def __rmul__(self, scalar):
         return TensorElement(self.datum,
                              {wp: complex(scalar) * c for wp, c in self.terms.items()})
-
-    def legs(self):
-        """Iterate (AlgebraElement-word1, word2, coeff)."""
-        return iter(self.terms.items())
-
-    def map_first_leg(self, fn):
-        """Apply an AlgebraElement -> AlgebraElement map to first legs."""
-        out = TensorElement.zero(self.datum)
-        for (w1, w2), c in self.terms.items():
-            img = fn(AlgebraElement(self.datum, {w1: 1.0}))
-            for w1b, cb in img.terms.items():
-                out._add((w1b, w2), c * cb)
-        return out

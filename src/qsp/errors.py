@@ -26,7 +26,8 @@ class NumericalDegeneracyError(QspError):
 
 
 class ConsistencyError(QspError):
-    """An internal cross-check failed (e.g. no R-matrix convention variant fits)."""
+    """An internal cross-check failed (e.g. a built R-matrix misses its
+    extremal normalization or does not intertwine the coproducts)."""
 
 
 class NoKMatrixError(QspError):

@@ -51,6 +51,9 @@ from .vogan10 import (
 
 TOL_ALG = 1e-9
 TOL_ODE = 1e-7
+# the Vogan component scalars leave out the top three ladder levels, and the
+# rank-one probe needs the bottom block and one two-dimensional block below
+RANK_ONE_MIN_LEVELS = 5
 
 
 @dataclass
@@ -392,6 +395,9 @@ def run_kz_suite(q, lams=(0.0, 1.0)):
 
 def run_rank_one(q, r, levels=14):
     """The equivalence probe joining the three constructions."""
+    if levels < RANK_ONE_MIN_LEVELS:
+        raise InputError(f"the rank-one probe needs at least "
+                         f"{RANK_ONE_MIN_LEVELS} levels, got {levels}")
     start = time.time()
     qp = QParams(q)
     residuals = {}

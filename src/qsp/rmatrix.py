@@ -1,15 +1,20 @@
 """R-matrices on pairs of weight modules.
 
-Primary route: Cartan factor q^{-(wt ox wt)} composed with the quasi factor
-built as an ordered product over positive roots,
+Construction: the quasi factor, an ordered product over positive roots,
 
     Qt = prod_k  sum_n  (q_b^{-1}-q_b)^n q_b^{-n(n-1)/2} / [n]_{q_b}!
                  (E_{beta_k})^n ox (F_{beta_k})^n,
 
-root vectors coming from the braid operators along the canonical reduced
-word of w_0.  The final convention (element vs. its flip vs. inverses) is
-pinned at build time by the action on (E-singular) ox (F-singular) vectors,
-which the quasi factor fixes, and the generator intertwining.
+composed with the Cartan factor q^{-(wt ox wt)}.  The root vectors are
+computed on the module itself along the canonical reduced word
+r_1 ... r_N of w_0: with T = T_{r_1} ... T_{r_{k-1}} the product of the
+module braid operators, E_{beta_k} = T E_{r_k} T^{-1} and
+F_{beta_k} = T F_{r_k} T^{-1}.
+
+One convention is built and pinned by two checks on the result: it acts by
+q^{-(wt xi, wt eta)} on (E-singular) ox (F-singular) vectors, which the
+quasi factor fixes, and it intertwines the coproduct with its opposite on
+every generator.
 
 Independent oracle: solve the intertwining linear system directly and pin
 the isotypic-block scalars by the same normalization.
@@ -21,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, TensorElement
 from .errors import ConsistencyError, UnsupportedOracleError
-from .lusztig import braid_word_on_algebra
+from .lusztig import braid_on_module
 from .rootsys import beta_sequence, longest_element
-from .uqrep import decompose, ribbon_diag, tensor
+from .uqrep import act_tensor, decompose, ribbon_diag, tensor
 
 _PIN_TOL = 1e-9
 
@@ -39,21 +44,23 @@ def _cartan_factor(m, n, sign=-1):
 
 
 def _root_vector_mats(module):
-    """E_beta, F_beta matrices along the canonical w_0 word, cached on the
-    module object."""
-    cache = getattr(module, "_root_vec_cache", None)
-    if cache is not None:
-        return cache
-    datum, qp = module.datum, module.qp
+    """(beta_k, E_beta_k, F_beta_k) along the canonical w_0 word, kept in
+    the module's cache."""
+    cached = module.cache.get("root_vectors")
+    if cached is not None:
+        return cached
+    datum = module.datum
     word = longest_element(datum, datum.vertices)
     betas = beta_sequence(datum, word)
+    braids = {r: braid_on_module(module, r) for r in set(word.letters[:-1])}
+    t = np.eye(module.dim, dtype=complex)
     out = []
-    for k, r in enumerate(word.letters):
-        prefix = word.letters[:k]
-        e_alg = braid_word_on_algebra(datum, qp, prefix, AlgebraElement.e(datum, r))
-        f_alg = braid_word_on_algebra(datum, qp, prefix, AlgebraElement.f(datum, r))
-        out.append((betas[k], module.act(e_alg), module.act(f_alg)))
-    module._root_vec_cache = out
+    for k, (beta, r) in enumerate(zip(betas, word.letters)):
+        if k:
+            t = t @ braids[word.letters[k - 1]]
+        t_inv = np.linalg.inv(t)
+        out.append((beta, t @ module.E[r] @ t_inv, t @ module.F[r] @ t_inv))
+    module.cache["root_vectors"] = out
     return out
 
 
@@ -105,7 +112,7 @@ def _intertwining_residual(mat, m, n):
         gens = [AlgebraElement.e(datum, r), AlgebraElement.f(datum, r),
                 AlgebraElement.k_alpha(datum, r)]
         for g in gens:
-            d = _act_tensor(m, n, g.coproduct())
+            d = act_tensor(m, n, g.coproduct())
             dop = _act_tensor_op(m, n, g.coproduct())
             lhs = mat @ d
             rhs = dop @ mat
@@ -114,23 +121,10 @@ def _intertwining_residual(mat, m, n):
     return worst
 
 
-def _act_tensor(m, n, tensor_element):
-    from .uqrep import act_tensor
-    return act_tensor(m, n, tensor_element)
-
-
 def _act_tensor_op(m, n, tensor_element):
     """Evaluate the flipped element (Delta^op)."""
-    out = np.zeros((m.dim * n.dim,) * 2, dtype=complex)
-    for (w1, w2), coeff in tensor_element.terms.items():
-        a = np.eye(m.dim, dtype=complex)
-        for sym in w2:
-            a = a @ m.symbol_matrix(sym)
-        b = np.eye(n.dim, dtype=complex)
-        for sym in w1:
-            b = b @ n.symbol_matrix(sym)
-        out += coeff * np.kron(a, b)
-    return out
+    flipped = {(w2, w1): c for (w1, w2), c in tensor_element.terms.items()}
+    return act_tensor(m, n, TensorElement(tensor_element.datum, flipped))
 
 
 def _singular_indices(module):
@@ -168,23 +162,17 @@ def _normalization_residual(mat, m, n):
 
 
 def rmat(m, n):
-    """R-matrix on m ox n: quasi factor times Cartan factor, convention
-    pinned by the extremal normalization and generator intertwining."""
-    base = _quasi_factor(m, n) @ np.diag(_cartan_factor(m, n))
-    flip = _flip_matrix(m.dim, n.dim)
-    base_nm = _quasi_factor(n, m) @ np.diag(_cartan_factor(n, m))
-    candidates = [
-        ("R", base),
-        ("R21", flip.T @ base_nm @ flip),
-        ("Rinv", np.linalg.inv(base)),
-        ("R21inv", flip.T @ np.linalg.inv(base_nm) @ flip),
-    ]
-    for tag, mat in candidates:
-        if _normalization_residual(mat, m, n) < _PIN_TOL \
-                and _intertwining_residual(mat, m, n) < _PIN_TOL:
-            return RMatrix(mat, (m.label, n.label), tag)
-    raise ConsistencyError("no R-matrix convention variant matches the "
-                           "extremal normalization")
+    """R-matrix on m ox n: quasi factor times Cartan factor, checked
+    against the extremal normalization and the generator intertwining."""
+    mat = _quasi_factor(m, n) * _cartan_factor(m, n)
+    norm = _normalization_residual(mat, m, n)
+    inter = _intertwining_residual(mat, m, n)
+    if not (norm < _PIN_TOL and inter < _PIN_TOL):
+        raise ConsistencyError(
+            f"R-matrix on {m.label} ox {n.label} fails its checks: "
+            f"normalization residual {norm:.3g}, intertwining residual "
+            f"{inter:.3g} (tolerance {_PIN_TOL:g})")
+    return RMatrix(mat, (m.label, n.label), "R")
 
 
 def _flip_matrix(d1, d2):
@@ -208,7 +196,7 @@ def rmat_oracle(m, n):
     for r in datum.vertices:
         for g in [AlgebraElement.e(datum, r), AlgebraElement.f(datum, r),
                   AlgebraElement.k_alpha(datum, r)]:
-            d = _act_tensor(m, n, g.coproduct())
+            d = act_tensor(m, n, g.coproduct())
             dop = _act_tensor_op(m, n, g.coproduct())
             # T d - dop T = 0 as linear operator on T (vectorized)
             rows.append(np.kron(np.eye(dim), d.T) - np.kron(dop, np.eye(dim)))

@@ -178,19 +178,6 @@ class RootDatum:
             raise InputError("weight coordinate length != rank")
         return Weight(self, coords)
 
-    def component_of(self, r):
-        """(type, rank, offset) of the simple component containing vertex r."""
-        off = 0
-        for typ, rk in self.components:
-            if off < r <= off + rk:
-                return typ, rk, off
-            off += rk
-        raise InputError(f"vertex {r} out of range")
-
-    def neighbors(self, r):
-        return tuple(s for s in self.vertices
-                     if s != r and self.a(r, s) != 0)
-
     def to_json(self):
         return {
             "components": [[t, r] for t, r in self.components],
@@ -310,10 +297,6 @@ class Weight:
                    for i in range(self.datum.rank)
                    for j in range(self.datum.rank)
                    if self.coords[i] and other.coords[j])
-
-    def cartan_pairing(self, r):
-        """(mu, alpha_r^vee) -- the r-th fundamental coordinate."""
-        return self.coords[r - 1]
 
     def reflect(self, r):
         """s_r(mu) = mu - (mu, alpha_r^vee) alpha_r."""

@@ -57,7 +57,9 @@ class WeightModule:
     """Orthonormal weight basis plus generator matrices.
 
     ``weights[i]`` is the weight of basis vector i; E[r], F[r] are dense
-    complex matrices; K_omega is the diagonal q^{(omega, wt_i)}.
+    complex matrices; K_omega is the diagonal q^{(omega, wt_i)}.  A module
+    is not mutated after construction: ``cache`` keeps data derived from it
+    (K diagonals per omega, root vectors).
     """
 
     datum: object
@@ -68,19 +70,26 @@ class WeightModule:
     highest: object = None  # highest weight, when built as an irrep
     label: str = ""
     gram_diagnostics: dict = field(default_factory=dict)
+    cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self):
         return len(self.weights)
 
     def k_matrix(self, omega):
-        diag = np.array([self.qp.qpow(omega.pairing(w)) for w in self.weights],
-                        dtype=complex)
-        return np.diag(diag)
+        return np.diag(self.k_diag(omega).astype(complex))
 
     def k_diag(self, omega):
-        return np.array([self.qp.qpow(omega.pairing(w)) for w in self.weights],
-                        dtype=complex)
+        """Read-only float diagonal of K_omega, from the exact pairings once
+        per omega."""
+        key = ("K", omega.coords)
+        diag = self.cache.get(key)
+        if diag is None:
+            diag = np.array([self.qp.qpow(omega.pairing(w))
+                             for w in self.weights])
+            diag.flags.writeable = False
+            self.cache[key] = diag
+        return diag
 
     def weight_spaces(self):
         spaces = {}
@@ -110,10 +119,6 @@ class WeightModule:
                 m = m @ self.symbol_matrix(sym)
             out += coeff * m
         return out
-
-
-def act(module, element):
-    return module.act(element)
 
 
 def act_tensor(m1, m2, tensor_element):

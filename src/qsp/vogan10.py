@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 
 def _phi(n, r, q):
     """F-ladder coefficient: F e_n = phi_n e_{n-1}."""
@@ -74,7 +74,12 @@ def build_Mr(r, qp, cap):
     h = np.array([-r + 2.0 * n for n in range(cap)])
     f = np.zeros((cap, cap), dtype=complex)
     for n in range(1, cap):
-        f[n - 1, n] = _phi(n, r, q)
+        try:
+            f[n - 1, n] = _phi(n, r, q)
+        except OverflowError:
+            raise ResourceError(
+                f"ladder coefficient at level {n} overflows double "
+                f"precision (q = {q}, {cap} levels)") from None
     return TruncatedModule(r, qp, cap, k, f, h, label=f"M[{r}]")
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import qsp
 from qsp.cli import main
 
 
@@ -65,6 +69,19 @@ def test_rmatrix_cmd(runner):
     assert payload["convention"] == "R"
     q = 0.7
     assert payload["matrix"][0][0][0] == pytest.approx(q ** 0.5 / q)
+
+
+def test_rmatrix_cmd_g2_finishes():
+    # a subprocess, so that the timeout also bounds a hang
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qsp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsp.cli", "rmatrix", "--algebra", "G2",
+         "--v", "1,0", "--w", "1,0", "--q", "0.7"],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert '"convention": "R"' in proc.stdout
+    assert len(json.loads(proc.stdout)["matrix"]) == 49
 
 
 def test_coideal_validate(runner, su2_diagram):
@@ -134,6 +151,33 @@ def test_verify_rank_one(runner, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["pass"]
     assert payload["info"]["matching_hypotheses"] == ["r+1"]
+
+
+@pytest.mark.parametrize("levels", [3, 4])
+def test_verify_rank_one_too_few_levels(runner, levels):
+    res = runner.invoke(main, ["verify", "rank-one", "--q", "0.7",
+                               "--r", "0.25", "--levels", str(levels)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("input error:")
+    assert len(res.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("levels", [5, 20, 60, 80])
+def test_verify_rank_one_accepts_levels(runner, levels):
+    # the level bound passes these through to the probe, whose verdict is
+    # its own (JSON, exit 0 or 1)
+    res = runner.invoke(main, ["verify", "rank-one", "--q", "0.95",
+                               "--r", "0.1", "--levels", str(levels)])
+    assert res.exit_code in (0, 1), res.stderr
+    assert json.loads(res.stdout)["parameters"]["levels"] == levels
+
+
+def test_vogan_e_matrix_overflow_is_resource_error(runner):
+    res = runner.invoke(main, ["vogan", "e-matrix", "--r", "0.25",
+                               "--q", "0.7", "--levels", "1000"])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("resource error:")
+    assert len(res.stderr.strip().splitlines()) == 1
 
 
 def test_verify_appendix_b(runner, aiii_diagram):

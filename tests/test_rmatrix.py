@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from qsp.algebra import AlgebraElement
 from qsp.errors import UnsupportedOracleError
+from qsp.lusztig import braid_word_on_algebra
 from qsp.rmatrix import (
+    _root_vector_mats,
     hexagon_residuals,
     naturality_residual,
     op_on_legs,
@@ -11,7 +14,7 @@ from qsp.rmatrix import (
     rmat_oracle,
     ybe_residual,
 )
-from qsp.rootsys import build_root_datum
+from qsp.rootsys import beta_sequence, build_root_datum, longest_element
 from qsp.uqrep import QParams, build_irrep, decompose, tensor, trivial_module
 
 A1 = build_root_datum([("A", 1)])
@@ -138,3 +141,41 @@ def test_op_on_legs_consistency():
     bt = b.reshape(2, 2, 2, 2)
     want = np.einsum("acbd,bed->aec", bt, t).reshape(-1)
     np.testing.assert_allclose(m02 @ v, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("typ, coords", [
+    ("A2", [1, 1]),
+    ("B2", [0, 1]),
+    ("B2", [1, 0]),
+    ("C2", [1, 0]),
+    ("C2", [0, 1]),
+], ids=["A2-adjoint", "B2-spinor", "B2-vector", "C2-vector", "C2-second"])
+def test_root_vectors_match_formal_braid_images(typ, coords):
+    # the formal braid-group images T_{r_1} ... T_{r_{k-1}}(E_r), evaluated
+    # on the module, are the reference for E_beta = T E_r T^{-1}
+    datum = build_root_datum([(typ[0], int(typ[1]))])
+    m = V(datum, coords)
+    word = longest_element(datum, datum.vertices)
+    roots = _root_vector_mats(m)
+    assert [beta for beta, _, _ in roots] == beta_sequence(datum, word)
+    for k, r in enumerate(word.letters):
+        prefix = word.letters[:k]
+        _, e_beta, f_beta = roots[k]
+        for mat, gen in ((e_beta, AlgebraElement.e), (f_beta, AlgebraElement.f)):
+            want = m.act(braid_word_on_algebra(datum, m.qp, prefix,
+                                               gen(datum, r)))
+            assert np.max(np.abs(mat - want)) < 1e-12
+
+
+@pytest.mark.parametrize("typ, rank, coords", [
+    ("G", 2, [1, 0]),
+    ("B", 3, [1, 0, 0]),
+    ("B", 3, [0, 0, 1]),
+    ("C", 3, [1, 0, 0]),
+], ids=["G2-seven", "B3-vector", "B3-spinor", "C3-vector"])
+def test_braid_identities_high_rank(typ, rank, coords):
+    m = V(build_root_datum([(typ, rank)]), coords)
+    assert ybe_residual(m) < 1e-10
+    r1, r2 = hexagon_residuals(m, m, m)
+    assert r1 < 1e-10 and r2 < 1e-10
+    assert ribbon_residual(m, m) < 1e-10
