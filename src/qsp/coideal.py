@@ -22,6 +22,7 @@ diagrams.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,8 +38,9 @@ from .errors import (
     NoKMatrixError,
 )
 from .lusztig import braid_word_on_algebra
+from .rmatrix import op_on_legs, r21, rmat
 from .rootsys import _alpha_coefficients, positive_roots_closure
-from .uqrep import act_tensor, decompose, tensor, twist_module
+from .uqrep import act_tensor, build_irrep, decompose, tensor, twist_module
 
 SPAN_DEGREE_CAP = 6
 
@@ -93,10 +95,15 @@ def theta_q(diag, qp, element):
 
 @dataclass(frozen=True)
 class CoidealParams:
-    """Parameters (c, s) over the white vertices."""
+    """Parameters (c, s) over the white vertices; hashed by the sorted
+    items of c and s."""
 
     c: dict
     s: dict
+
+    def __hash__(self):
+        return hash((tuple(sorted(self.c.items())),
+                     tuple(sorted(self.s.items()))))
 
     def replace(self, **upd):
         c = dict(self.c)
@@ -307,19 +314,7 @@ def star_membership(diag, params, qp, modules, degree_cap=SPAN_DEGREE_CAP):
     direct sum of the given modules.  Returns {r: relative residual}."""
     window = direct_sum_module(modules) if len(modules) > 1 else modules[0]
     gens = [window.act(g) for g in coideal_generator_elements(diag, params, qp)]
-    span = _IncrementalSpan(window.dim)
-    span.add(np.eye(window.dim, dtype=complex))
-    frontier = [np.eye(window.dim, dtype=complex)]
-    for _ in range(degree_cap):
-        new_frontier = []
-        for mat in frontier:
-            for g in gens:
-                cand = mat @ g
-                if span.add(cand):
-                    new_frontier.append(cand)
-        if not new_frontier:
-            break
-        frontier = new_frontier
+    span = _monomial_span(gens, window.dim, degree_cap)
     bmats = {r: window.act(b) for r, b in
              b_generators(diag, params, qp).items()}
     out = {}
@@ -335,22 +330,8 @@ def coideal_law_residual(diag, params, qp, m1, m2, degree_cap=SPAN_DEGREE_CAP):
     of Delta(b) on m1 ox m2, reorganized as a map (second-leg entry pairs)
     -> (first-leg entry pairs), has its range inside the span of evaluated
     coideal monomials on m1.  Returns the worst relative residual."""
-    gens = [window_mat for window_mat in
-            (m1.act(g) for g in coideal_generator_elements(diag, params, qp))]
-    span = _IncrementalSpan(m1.dim)
-    span.add(np.eye(m1.dim, dtype=complex))
-    frontier = [np.eye(m1.dim, dtype=complex)]
-    for _ in range(degree_cap):
-        new_frontier = []
-        for mat in frontier:
-            for g in gens:
-                cand = mat @ g
-                if span.add(cand):
-                    new_frontier.append(cand)
-        if not new_frontier:
-            break
-        frontier = new_frontier
-
+    gens = [m1.act(g) for g in coideal_generator_elements(diag, params, qp)]
+    span = _monomial_span(gens, m1.dim, degree_cap)
     datum = diag.datum
     elements = list(b_generators(diag, params, qp).values())
     for s in diag.X:
@@ -369,6 +350,26 @@ def coideal_law_residual(diag, params, qp, m1, m2, degree_cap=SPAN_DEGREE_CAP):
             dist += np.linalg.norm(v) ** 2
         worst = max(worst, math.sqrt(dist) / max(np.linalg.norm(mat), 1e-30))
     return worst
+
+
+def _monomial_span(gens, dim, degree_cap):
+    """Span of the products of at most ``degree_cap`` of the dim x dim
+    matrices ``gens`` (the identity included), grown degree by degree from
+    the products that enlarged it."""
+    span = _IncrementalSpan(dim)
+    span.add(np.eye(dim, dtype=complex))
+    frontier = [np.eye(dim, dtype=complex)]
+    for _ in range(degree_cap):
+        new_frontier = []
+        for mat in frontier:
+            for g in gens:
+                cand = mat @ g
+                if span.add(cand):
+                    new_frontier.append(cand)
+        if not new_frontier:
+            break
+        frontier = new_frontier
+    return span
 
 
 class _IncrementalSpan:
@@ -482,6 +483,7 @@ def gamma_twist_residual(diag, qp, module):
 # coideal coproduct structure
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def coideal_coproduct_parts(diag, params, qp, r):
     """Split Delta(B_r) = B_r ox K_r^{-1} + 1 ox F_r + tail.
 
@@ -489,7 +491,8 @@ def coideal_coproduct_parts(diag, params, qp, r):
     written with different Cartan placements cancel.  The tail's first legs
     are validated to contain only X-colored raising symbols and Cartan
     symbols (the structural coideal property); a violation raises
-    ConsistencyError.
+    ConsistencyError.  Memoised for the life of the process; callers must
+    not mutate the returned elements.
     """
     from .algebra import push_k_right, push_k_right_tensor
     datum = diag.datum
@@ -778,8 +781,10 @@ def character_module(diag, params, qp, chi, label="chi"):
     return CoidealModule(diag, params, qp, chi, None, label=label)
 
 
+@functools.cache
 def tau_tau0_perm(diag):
-    """The composite diagram automorphism tau tau_0."""
+    """The composite diagram automorphism tau tau_0 (memoised per diagram;
+    callers must not mutate the returned map)."""
     from .rootsys import tau0
     t0 = tau0(diag.datum)
     return {r: diag.tau_of(t0[r]) for r in diag.datum.vertices}
@@ -796,11 +801,11 @@ def kmatrix_solve(diag, params, qp, x0, u, gauge="entry", fuse_from=None):
     isotypic component of u ox u and vanish between components.
 
     When the solution space is larger than two-dimensional the direct sieve
-    does not apply; if ``fuse_from`` names a generating module whose braid
-    is directly solvable, the braid at u is derived through the ribbon
-    composite and an isometric embedding of u into a tensor power, then
-    validated against the intertwining system.  Otherwise the ambiguity is
-    reported, never silently resolved.
+    does not apply; if ``fuse_from`` names an irreducible generating module
+    whose braid is directly solvable, the braid at u is derived by fusion
+    over irreducibles (``_derived_braid``), then validated against the
+    intertwining system.  Otherwise the ambiguity is reported, never
+    silently resolved.
     """
     sigma = tau_tau0_perm(diag)
     utw = twist_module(u, sigma, label_suffix="^sigma")
@@ -826,13 +831,10 @@ def kmatrix_solve(diag, params, qp, x0, u, gauge="entry", fuse_from=None):
                 f"derived braid fails the intertwining system ({resid:.2e})")
         return eta
 
-    r32, rtw23 = _octagon_factors(x0, u, sigma)
-    lift13 = _lift_eta_13(x0, u)
-    lift12 = _lift_eta_12(x0, u)
     p0 = _trivial_projector(x0, u)
 
     def composite(x, y):
-        return r32 @ lift13(x) @ rtw23 @ lift12(y)
+        return ribbon_compose(diag, qp, x0, y, u, x, u)
 
     candidates = _ribbon_unit_solutions(basis, composite, p0)
     if not candidates:
@@ -848,46 +850,45 @@ def kmatrix_solve(diag, params, qp, x0, u, gauge="entry", fuse_from=None):
 def ribbon_compose(diag, qp, x0, eta_a, a_mod, eta_b, b_mod):
     """Braid at X0 (.) (A ox B) from the braids at A and B:
     R32 eta^B_13 Rtw23 eta^A_12 on X0 ox A ox B."""
-    from .rmatrix import _flip_matrix, op_on_legs, rmat
     sigma = tau_tau0_perm(diag)
     dims = [x0.dim, a_mod.dim, b_mod.dim]
-    flip = _flip_matrix(a_mod.dim, b_mod.dim)
-    r32 = op_on_legs(flip.T @ rmat(b_mod, a_mod).matrix @ flip, dims, (1, 2))
+    r32 = op_on_legs(r21(a_mod, b_mod), dims, (1, 2))
     rtw = rmat(a_mod, twist_module(b_mod, sigma)).matrix
     rtw23 = op_on_legs(rtw, dims, (1, 2))
-    eta13 = op_on_legs(eta_b, [x0.dim, a_mod.dim, b_mod.dim], (0, 2))
-    eta12 = op_on_legs(eta_a, [x0.dim, a_mod.dim, b_mod.dim], (0, 1))
+    eta13 = op_on_legs(eta_b, dims, (0, 2))
+    eta12 = op_on_legs(eta_a, dims, (0, 1))
     return r32 @ eta13 @ rtw23 @ eta12
 
 
 def _derived_braid(diag, params, qp, x0, u, generator, gauge):
-    """Braid at u from the braid at a generating module, via the ribbon
-    composite on tensor powers and naturality through an isometric
-    embedding of u."""
-    if u.highest is None:
-        raise AmbiguityError("derived braids need an irreducible target")
+    """Braid at u from the braid at an irreducible generating module g, by
+    fusion over irreducibles: each round composes the ribbon composite on
+    X0 (.) (V_mu ox g) once per irreducible V_mu reached in the last round
+    and restricts it through the embeddings of ``decompose(V_mu ox g)`` to
+    each component not yet in the table of braids by highest weight.  By
+    naturality this equals the restriction from the tensor power of g,
+    which is never built.  Gives up after 8 rounds."""
+    if u.highest is None or generator.highest is None:
+        raise AmbiguityError("derived braids need irreducible modules")
     eta_g = kmatrix_solve(diag, params, qp, x0, generator, gauge=gauge)
-    power = generator
-    eta_power = eta_g
+    braids = {generator.highest.coords: eta_g}
+    frontier = [(generator, eta_g)]
     for _ in range(8):
-        emb = _embedding_of(power, u)
-        if emb is not None:
-            lifted = np.kron(np.eye(x0.dim), emb)
-            return lifted.conj().T @ eta_power @ lifted
-        eta_power = ribbon_compose(diag, qp, x0, eta_power, power,
-                                   eta_g, generator)
-        power = tensor(power, generator)
+        if u.highest.coords in braids:
+            return braids[u.highest.coords]
+        reached = []
+        for mod, eta in frontier:
+            composite = ribbon_compose(diag, qp, x0, eta, mod, eta_g,
+                                       generator)
+            for wt, _, embs in decompose(tensor(mod, generator)):
+                if wt.coords in braids:
+                    continue
+                lifted = np.kron(np.eye(x0.dim), embs[0])
+                braids[wt.coords] = lifted.conj().T @ composite @ lifted
+                reached.append((build_irrep(diag.datum, wt, qp),
+                                braids[wt.coords]))
+        frontier = reached
     raise NoKMatrixError("target module not reached from the generator")
-
-
-def _embedding_of(big, target):
-    if big.highest is not None:
-        return np.eye(big.dim) if big.highest.coords == target.highest.coords \
-            else None
-    for wt, _, embs in decompose(big):
-        if wt.coords == target.highest.coords:
-            return embs[0]
-    return None
 
 
 def _nullspace(system, dim, tol_rel=1e-8):
@@ -994,29 +995,3 @@ def _fix_gauge(eta, gauge):
 def _sylvester_rows(plain, twisted, dim):
     """Rows of eta @ twisted - plain @ eta = 0, row-major vec(eta)."""
     return np.kron(np.eye(dim), twisted.T) - np.kron(plain, np.eye(dim))
-
-
-def _octagon_factors(x0, u, sigma):
-    from .rmatrix import _flip_matrix, op_on_legs, rmat
-    utw = twist_module(u, sigma)
-    dims3 = [x0.dim, u.dim, u.dim]
-    flip = _flip_matrix(u.dim, u.dim)
-    r32 = op_on_legs(flip.T @ rmat(u, u).matrix @ flip, dims3, (1, 2))
-    rtw23 = op_on_legs(rmat(u, utw).matrix, dims3, (1, 2))
-    return r32, rtw23
-
-
-def _lift_eta_13(x0, u):
-    from .rmatrix import op_on_legs
-
-    def fn(eta):
-        return op_on_legs(eta, [x0.dim, u.dim, u.dim], (0, 2))
-    return fn
-
-
-def _lift_eta_12(x0, u):
-    from .rmatrix import op_on_legs
-
-    def fn(eta):
-        return op_on_legs(eta, [x0.dim, u.dim, u.dim], (0, 1))
-    return fn

@@ -29,15 +29,16 @@ from .coideal import (
     character_module,
     counit_module,
     kmatrix_solve,
+    ribbon_compose,
 )
 from .diagrams import satake
 from .errors import InputError
 from .kzmono import kz_braid, split_tensors, verify_eg, verify_octagon_kz
 from .kzmono import flatness_residuals as kz_flatness
 from .kzmono import kz_coeffs
-from .rmatrix import _flip_matrix, op_on_legs, rmat
+from .rmatrix import flip, op_on_legs, r21, rmat
 from .rootsys import build_root_datum
-from .uqrep import QParams, build_irrep, decompose, tensor, twist_module
+from .uqrep import QParams, build_irrep, decompose, tensor
 from .vogan10 import (
     build_Mr,
     coaction_tensor,
@@ -189,15 +190,10 @@ def _component_match_residual(candidate, comps, x0_dim):
 def check_octagon_coideal(fam, m1, m2):
     """(Delta ox id)(K) = R32 K13 Rtw23: the composite must decompose into
     the solved component braids of the fused object X0 (.) m1."""
-    eta_v = fam.braid(m2)
-    sigma = {1: 1}  # tau tau_0 is trivial in rank one
-    dims = [fam.x0.dim, m1.dim, m2.dim]
-    flip = _flip_matrix(m1.dim, m2.dim)
-    r32 = op_on_legs(flip.T @ rmat(m2, m1).matrix @ flip, dims, (1, 2))
-    rtw = rmat(m1, twist_module(m2, sigma)).matrix
-    rtw23 = op_on_legs(rtw, dims, (1, 2))
-    eta13 = op_on_legs(eta_v, [fam.x0.dim, m1.dim, m2.dim], (0, 2))
-    composite = r32 @ eta13 @ rtw23
+    # the ribbon composite with the identity in place of K12
+    composite = ribbon_compose(fam.diag, fam.qp, fam.x0,
+                               np.eye(fam.x0.dim * m1.dim), m1,
+                               fam.braid(m2), m2)
 
     # character components of X0 (.) m1 and their solved braids against m2
     x0u = fam.x0.fuse(m1)
@@ -219,7 +215,6 @@ def check_octagon_coideal(fam, m1, m2):
 
 def check_ribbon_coideal(fam, m1, m2):
     """(id ox Delta)(K) = R32 K13 Rtw23 K12 against the component lifts."""
-    from .coideal import ribbon_compose
     eta_1 = fam.braid(m1)
     eta_2 = fam.braid(m2)
     composite = ribbon_compose(fam.diag, fam.qp, fam.x0,
@@ -247,7 +242,7 @@ def check_cylinder_coideal(fam, m1, m2):
 
 def _beta(ma, mb):
     """Braiding matrix A ox B -> B ox A: flip after the R-matrix."""
-    return _flip_matrix(ma.dim, mb.dim) @ rmat(ma, mb).matrix
+    return flip(rmat(ma, mb).matrix, ma.dim, mb.dim)
 
 
 def _cylinder_rhs1(theta_u, theta_v, m1, m2, x0d, twist):
@@ -283,8 +278,7 @@ def check_octagon_vogan(module, m1, m2, qp, margin=4):
     """(alpha ox id)(E) = R32 E13 (id ox nu)(R)23 on M ox U ox V."""
     lhs = e_matrix(coaction_tensor(module, m1), m2, qp)
     dims = [module.dim, m1.dim, m2.dim]
-    flip = _flip_matrix(m1.dim, m2.dim)
-    r32 = op_on_legs(flip.T @ rmat(m2, m1).matrix @ flip, dims, (1, 2))
+    r32 = op_on_legs(r21(m1, m2), dims, (1, 2))
     e13 = op_on_legs(e_matrix(module, m2, qp), dims, (0, 2))
     rtw23 = op_on_legs(rmat(m1, _nu_module(m2)).matrix, dims, (1, 2))
     rhs = r32 @ e13 @ rtw23

@@ -14,7 +14,10 @@ F_{beta_k} = T F_{r_k} T^{-1}.
 One convention is built and pinned by two checks on the result: it acts by
 q^{-(wt xi, wt eta)} on (E-singular) ox (F-singular) vectors, which the
 quasi factor fixes, and it intertwines the coproduct with its opposite on
-every generator.
+every generator.  ``rmat(m, n)`` keeps its result, with a read-only matrix,
+in ``m.cache`` per n: a cached R-matrix is one that passed both checks.
+Tensor legs are moved by reshape and transpose, never by a permutation
+matrix.
 
 Independent oracle: solve the intertwining linear system directly and pin
 the isotypic-block scalars by the same normalization.
@@ -30,7 +33,8 @@ from .algebra import AlgebraElement, TensorElement
 from .errors import ConsistencyError, UnsupportedOracleError
 from .lusztig import braid_on_module
 from .rootsys import beta_sequence, longest_element
-from .uqrep import act_tensor, decompose, ribbon_diag, tensor
+from .uqrep import (act_tensor, decompose, read_only, ribbon_diag, tensor,
+                    word_matrix)
 
 _PIN_TOL = 1e-9
 
@@ -105,17 +109,30 @@ class RMatrix:
 
 
 def _intertwining_residual(mat, m, n):
-    """max over generators of ||R Delta(x) - Delta^op(x) R|| (relative)."""
+    """max over generators of ||R Delta(x) - Delta^op(x) R|| (relative).
+
+    Each coproduct term a ox b is applied to the legs of R in turn, never
+    formed as a dense Kronecker product."""
     datum = m.datum
+    dm, dn = m.dim, n.dim
+    size = dm * dn
     worst = 0.0
     for r in datum.vertices:
         gens = [AlgebraElement.e(datum, r), AlgebraElement.f(datum, r),
                 AlgebraElement.k_alpha(datum, r)]
         for g in gens:
-            d = act_tensor(m, n, g.coproduct())
-            dop = _act_tensor_op(m, n, g.coproduct())
-            lhs = mat @ d
-            rhs = dop @ mat
+            lhs = np.zeros((size, size), dtype=complex)
+            rhs = np.zeros((size, size), dtype=complex)
+            for (w1, w2), coeff in g.coproduct().terms.items():
+                # R (a ox b), a = w1 on m, b = w2 on n
+                t = mat.reshape(size, dm, dn) @ word_matrix(n, w2)
+                t = (t.transpose(0, 2, 1) @ word_matrix(m, w1)) \
+                    .transpose(0, 2, 1)
+                lhs += coeff * t.reshape(size, size)
+                # (a' ox b') R for the flipped term, a' = w2 on m, b' = w1 on n
+                u = word_matrix(m, w2) @ mat.reshape(dm, dn * size)
+                u = word_matrix(n, w1) @ u.reshape(dm, dn, size)
+                rhs += coeff * u.reshape(size, size)
             scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-30)
             worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
     return worst
@@ -164,7 +181,10 @@ def _normalization_residual(mat, m, n):
 def rmat(m, n):
     """R-matrix on m ox n: quasi factor times Cartan factor, checked
     against the extremal normalization and the generator intertwining."""
-    mat = _quasi_factor(m, n) * _cartan_factor(m, n)
+    key = ("rmat", n)
+    if key in m.cache:
+        return m.cache[key]
+    mat = read_only(_quasi_factor(m, n) * _cartan_factor(m, n))
     norm = _normalization_residual(mat, m, n)
     inter = _intertwining_residual(mat, m, n)
     if not (norm < _PIN_TOL and inter < _PIN_TOL):
@@ -172,16 +192,21 @@ def rmat(m, n):
             f"R-matrix on {m.label} ox {n.label} fails its checks: "
             f"normalization residual {norm:.3g}, intertwining residual "
             f"{inter:.3g} (tolerance {_PIN_TOL:g})")
-    return RMatrix(mat, (m.label, n.label), "R")
+    out = m.cache[key] = RMatrix(mat, (m.label, n.label), "R")
+    return out
 
 
-def _flip_matrix(d1, d2):
-    """Permutation matrix P: v ox w -> w ox v, from (d1, d2) to (d2, d1)."""
-    p = np.zeros((d2 * d1, d1 * d2))
-    for i in range(d1):
-        for j in range(d2):
-            p[j * d1 + i, i * d2 + j] = 1.0
-    return p
+def flip(mat, d1, d2):
+    """P @ mat for the flip P: v ox w -> w ox v of a d1 x d2 product: the
+    rows of mat are reordered from d1 ox d2 to d2 ox d1."""
+    return mat.reshape(d1, d2, -1).transpose(1, 0, 2).reshape(d1 * d2, -1)
+
+
+def r21(m, n):
+    """R21 on m ox n: rmat(n, m) conjugated by the flip of the two legs."""
+    dm, dn = m.dim, n.dim
+    return rmat(n, m).matrix.reshape(dn, dm, dn, dm).transpose(1, 0, 3, 2) \
+        .reshape(dm * dn, dm * dn)
 
 
 def rmat_oracle(m, n):
@@ -229,41 +254,16 @@ def rmat_oracle(m, n):
 
 def op_on_legs(mat, dims, legs):
     """Embed an operator acting on the given legs (a subset, in order) of a
-    tensor product with the given leg dimensions."""
+    tensor product with the given leg dimensions: mat ox 1 on the legs in
+    the order ``legs`` + the rest, moved back by a transpose."""
     n_legs = len(dims)
     perm = list(legs) + [i for i in range(n_legs) if i not in legs]
     sizes = [dims[p] for p in perm]
     rest = int(np.prod(sizes[len(legs):], initial=1))
-    big = np.kron(mat, np.eye(rest))
-    # permute back
-    p = _leg_permutation(dims, perm)
-    return p.T @ big @ p
-
-
-def _leg_permutation(dims, perm):
-    """Matrix of v_{i_0...} -> components reordered so that legs appear in
-    ``perm`` order."""
+    big = np.kron(mat, np.eye(rest)).reshape(sizes + sizes)
+    back = [perm.index(i) for i in range(n_legs)]
     n = int(np.prod(dims))
-    p = np.zeros((n, n))
-    strides = _strides(dims)
-    new_dims = [dims[q] for q in perm]
-    new_strides = _strides(new_dims)
-    for flat in range(n):
-        idx = _unflatten(flat, dims, strides)
-        new_flat = sum(idx[q] * new_strides[a] for a, q in enumerate(perm))
-        p[new_flat, flat] = 1.0
-    return p
-
-
-def _strides(dims):
-    out = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        out[i] = out[i + 1] * dims[i + 1]
-    return out
-
-
-def _unflatten(flat, dims, strides):
-    return [(flat // strides[i]) % dims[i] for i in range(len(dims))]
+    return big.transpose(back + [n_legs + a for a in back]).reshape(n, n)
 
 
 def ybe_residual(m):
@@ -299,15 +299,13 @@ def ribbon_residual(m, n):
     from .uqrep import casimir_scalar
     qp = m.qp
     r = rmat(m, n).matrix
-    flip = _flip_matrix(m.dim, n.dim)
-    r21 = flip.T @ rmat(n, m).matrix @ flip
     mn = tensor(m, n)
     delta_v = ribbon_diag(mn)
     if m.highest is None or n.highest is None:
         raise ConsistencyError("ribbon check needs irreducible factors")
     scal = qp.qpow(casimir_scalar(m.datum, m.highest)
                    + casimir_scalar(n.datum, n.highest))
-    lhs = r21 @ r @ delta_v
+    lhs = r21(m, n) @ r @ delta_v
     return np.linalg.norm(lhs - scal * np.eye(mn.dim)) / abs(scal)
 
 

@@ -6,6 +6,12 @@ level; the invariant Hermitian form is accumulated through the adjoint law
 E_r* = F_r K_r, the radical is quotiented by a relative threshold, and the
 surviving vectors are orthonormalized by deterministic Gram-Schmidt in
 (level, lexicographic) order.
+
+``build_irrep`` is memoised on (datum, highest weight, QParams, label) for
+the life of the process; ``tensor``, ``twist_module`` and ``decompose`` keep
+their results in the ``cache`` of their first argument, keyed by the
+partner module, the permutation or the tolerance.  Cached arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -52,14 +58,16 @@ class QParams:
         return self.q ** datum.d[r - 1]
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightModule:
     """Orthonormal weight basis plus generator matrices.
 
     ``weights[i]`` is the weight of basis vector i; E[r], F[r] are dense
     complex matrices; K_omega is the diagonal q^{(omega, wt_i)}.  A module
     is not mutated after construction: ``cache`` keeps data derived from it
-    (K diagonals per omega, root vectors).
+    (K diagonals, root vectors, and the R-matrices, tensor products, twists
+    and decompositions it is the first argument of).  Modules compare and
+    hash by identity, so a partner module is its own cache key.
     """
 
     datum: object
@@ -70,7 +78,7 @@ class WeightModule:
     highest: object = None  # highest weight, when built as an irrep
     label: str = ""
     gram_diagnostics: dict = field(default_factory=dict)
-    cache: dict = field(default_factory=dict, compare=False, repr=False)
+    cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self):
@@ -85,9 +93,8 @@ class WeightModule:
         key = ("K", omega.coords)
         diag = self.cache.get(key)
         if diag is None:
-            diag = np.array([self.qp.qpow(omega.pairing(w))
-                             for w in self.weights])
-            diag.flags.writeable = False
+            diag = read_only(np.array([self.qp.qpow(omega.pairing(w))
+                                       for w in self.weights]))
             self.cache[key] = diag
         return diag
 
@@ -111,14 +118,24 @@ class WeightModule:
         """Evaluate an AlgebraElement."""
         if element.datum != self.datum:
             raise InputError("algebra element over a different datum")
-        n = self.dim
-        out = np.zeros((n, n), dtype=complex)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
         for word, coeff in element.terms.items():
-            m = np.eye(n, dtype=complex)
-            for sym in word:
-                m = m @ self.symbol_matrix(sym)
-            out += coeff * m
+            out += coeff * word_matrix(self, word)
         return out
+
+
+def read_only(arr):
+    """Mark an array that is cached and shared as read-only; returns it."""
+    arr.flags.writeable = False
+    return arr
+
+
+def word_matrix(module, word):
+    """Matrix of a word of generator symbols on a module."""
+    out = np.eye(module.dim, dtype=complex)
+    for sym in word:
+        out = out @ module.symbol_matrix(sym)
+    return out
 
 
 def act_tensor(m1, m2, tensor_element):
@@ -126,14 +143,11 @@ def act_tensor(m1, m2, tensor_element):
     n1, n2 = m1.dim, m2.dim
     out = np.zeros((n1 * n2, n1 * n2), dtype=complex)
     for (w1, w2), coeff in tensor_element.terms.items():
-        a = np.eye(n1, dtype=complex)
-        for sym in w1:
-            a = a @ m1.symbol_matrix(sym)
-        b = np.eye(n2, dtype=complex)
-        for sym in w2:
-            b = b @ m2.symbol_matrix(sym)
-        out += coeff * np.kron(a, b)
+        out += coeff * np.kron(word_matrix(m1, w1), word_matrix(m2, w2))
     return out
+
+
+_IRREPS = {}
 
 
 def build_irrep(datum, varpi, qp, label=""):
@@ -142,8 +156,12 @@ def build_irrep(datum, varpi, qp, label=""):
     Levels are processed in increasing height of varpi - wt; each weight
     space is spanned by F_r on the previous level, the Gram matrix computed
     through previously known E/F matrices, and the radical dropped at
-    RANK_THRESHOLD relative to the largest vector norm.
+    RANK_THRESHOLD relative to the largest vector norm.  The same
+    (datum, varpi, qp, label) returns the same module.
     """
+    key = (datum, varpi, qp, label)
+    if key in _IRREPS:
+        return _IRREPS[key]
     if not (varpi.is_dominant() and varpi.is_integral()):
         raise InputError("highest weight must be dominant integral")
     target_dim = weyl_dimension(datum, varpi)
@@ -242,10 +260,11 @@ def build_irrep(datum, varpi, qp, label=""):
         raise NumericalDegeneracyError(
             f"built dimension {dim} != Weyl dimension {target_dim}",
             {"min_kept": min_kept, "max_dropped": max_drop})
-    mod = WeightModule(datum, qp, weights, E, F, highest=varpi,
-                       label=label or f"V[{varpi}]",
-                       gram_diagnostics={"min_kept": min_kept,
-                                         "max_dropped": max_drop})
+    for mat in [*E.values(), *F.values()]:
+        read_only(mat)
+    mod = _IRREPS[key] = WeightModule(
+        datum, qp, weights, E, F, highest=varpi, label=label or f"V[{varpi}]",
+        gram_diagnostics={"min_kept": min_kept, "max_dropped": max_drop})
     return mod
 
 
@@ -302,6 +321,9 @@ def trivial_module(datum, qp):
 
 def tensor(m1, m2, label=""):
     """Tensor product via the coproduct, product basis i-major."""
+    key = ("tensor", m2, label)
+    if key in m1.cache:
+        return m1.cache[key]
     if m1.datum != m2.datum:
         raise InputError("tensor of modules over different data")
     datum, qp = m1.datum, m1.qp
@@ -311,15 +333,19 @@ def tensor(m1, m2, label=""):
         k1 = np.diag(m1.k_diag(datum.simple_root(r)))
         k2inv = np.diag(m2.k_diag(-1 * datum.simple_root(r)))
         i1, i2 = np.eye(m1.dim), np.eye(m2.dim)
-        E[r] = np.kron(m1.E[r], i2) + np.kron(k1, m2.E[r])
-        F[r] = np.kron(m1.F[r], k2inv) + np.kron(i1, m2.F[r])
-    return WeightModule(datum, qp, weights, E, F,
-                        label=label or f"({m1.label})ox({m2.label})")
+        E[r] = read_only(np.kron(m1.E[r], i2) + np.kron(k1, m2.E[r]))
+        F[r] = read_only(np.kron(m1.F[r], k2inv) + np.kron(i1, m2.F[r]))
+    out = m1.cache[key] = WeightModule(
+        datum, qp, weights, E, F, label=label or f"({m1.label})ox({m2.label})")
+    return out
 
 
 def twist_module(module, perm, label_suffix="^tw"):
     """Precompose the representation with a diagram automorphism:
     pi^tw(E_r) = pi(E_{perm(r)}), weights permuted accordingly."""
+    key = ("twist", tuple(sorted(perm.items())), label_suffix)
+    if key in module.cache:
+        return module.cache[key]
     dat = module.datum
 
     def tw(w):
@@ -328,10 +354,12 @@ def twist_module(module, perm, label_suffix="^tw"):
             coords[perm[r] - 1] = w.coords[r - 1]
         return dat.weight(coords)
 
-    return WeightModule(dat, module.qp, [tw(w) for w in module.weights],
-                        {r: module.E[perm[r]] for r in dat.vertices},
-                        {r: module.F[perm[r]] for r in dat.vertices},
-                        highest=None, label=module.label + label_suffix)
+    out = module.cache[key] = WeightModule(
+        dat, module.qp, [tw(w) for w in module.weights],
+        {r: module.E[perm[r]] for r in dat.vertices},
+        {r: module.F[perm[r]] for r in dat.vertices},
+        highest=None, label=module.label + label_suffix)
+    return out
 
 
 def casimir_scalar(datum, varpi):
@@ -341,14 +369,12 @@ def casimir_scalar(datum, varpi):
     return varpi.pairing(varpi + 2 * datum.rho())
 
 
-def ribbon_diag(module, decomposition=None):
+def ribbon_diag(module):
     """Diagonal action of the ribbon element v = q^{(mu, mu+2rho)} per
     isotypic block, as a dense matrix."""
-    if decomposition is None:
-        decomposition = decompose(module)
     qp = module.qp
     out = np.zeros((module.dim, module.dim), dtype=complex)
-    for varpi, _, embeddings in decomposition:
+    for varpi, _, embeddings in decompose(module):
         scal = qp.qpow(casimir_scalar(module.datum, varpi))
         for emb in embeddings:
             out += scal * (emb @ emb.conj().T)
@@ -356,9 +382,12 @@ def ribbon_diag(module, decomposition=None):
 
 
 def decompose(module, tol=1e-8):
-    """Orthogonal isotypic decomposition: list of (varpi, multiplicity,
-    isometric embedding matrix of shape dim(module) x (mult*dim V_varpi))
-    ... returned per copy: (varpi, mult, [embeddings])."""
+    """Orthogonal isotypic decomposition: a tuple of (varpi, multiplicity,
+    embeddings), one read-only isometric embedding V_varpi -> module of
+    shape dim(module) x dim(V_varpi) per copy."""
+    key = ("decompose", tol)
+    if key in module.cache:
+        return module.cache[key]
     datum, qp = module.datum, module.qp
     spaces = module.weight_spaces()
     out = []
@@ -390,8 +419,7 @@ def decompose(module, tol=1e-8):
         embeddings = []
         for c in range(mult):
             hw = np.zeros(module.dim, dtype=complex)
-            for pos, i in enumerate(idxs):
-                hw[i] = kern[pos, c]
+            hw[idxs] = kern[:, c]
             # orthogonalize against previous copies at the same weight
             for prev in embeddings:
                 hw -= prev[:, 0] * (prev[:, 0].conj() @ hw)
@@ -399,15 +427,16 @@ def decompose(module, tol=1e-8):
             if nrm < math.sqrt(tol):
                 continue
             hw /= nrm
-            emb = _grow_embedding(module, w, hw, qp)
-            embeddings.append(emb)
+            embeddings.append(_grow_embedding(module, w, hw, qp))
         if embeddings:
             sub_dim = embeddings[0].shape[1]
             total += sub_dim * len(embeddings)
-            out.append((w, len(embeddings), embeddings))
+            out.append((w, len(embeddings),
+                        tuple(read_only(emb) for emb in embeddings)))
     if total != module.dim:
         raise NumericalDegeneracyError(
             f"decomposition dimensions {total} != {module.dim}", {})
+    out = module.cache[key] = tuple(out)
     return out
 
 

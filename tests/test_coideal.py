@@ -27,7 +27,7 @@ from qsp.coideal import (
 from qsp.diagrams import satake
 from qsp.errors import AmbiguityError, InputError
 from qsp.rootsys import build_root_datum
-from qsp.uqrep import QParams, build_irrep, tensor, trivial_module
+from qsp.uqrep import QParams, build_irrep, decompose, tensor, trivial_module
 
 A1 = build_root_datum([("A", 1)])
 A2 = build_root_datum([("A", 2)])
@@ -260,6 +260,42 @@ def test_kmatrix_octagon_and_ribbon(v12, v1):
                 got = lifted.conj().T @ comp @ lifted
                 diff = np.max(np.abs(got - eta_m))
                 assert diff < 1e-8, (u_mod.label, tuple(wt.coords), diff)
+
+
+def _tensor_power_braid(x0, u, generator, eta_g, params, qp):
+    """Reference route: the ribbon composite on the tensor powers of the
+    generator, restricted to the first copy of u in the first power that
+    contains it."""
+    power, eta_power = generator, eta_g
+    for _ in range(8):
+        if power.highest is not None:
+            same = power.highest.coords == u.highest.coords
+            emb = np.eye(power.dim) if same else None
+        else:
+            emb = next((embs[0] for wt, _, embs in decompose(power)
+                        if wt.coords == u.highest.coords), None)
+        if emb is not None:
+            lifted = np.kron(np.eye(x0.dim), emb)
+            return lifted.conj().T @ eta_power @ lifted
+        eta_power = ribbon_compose(D_SU2, qp, x0, eta_power, power,
+                                   eta_g, generator)
+        power = tensor(power, generator)
+    raise AssertionError("target not reached")
+
+
+@pytest.mark.parametrize("q, t", [(0.6, 2.0), (0.7, 0.3), (0.9, 0.1)])
+def test_derived_kmatrix_matches_tensor_power_route(q, t):
+    qp = QParams(q)
+    params = CoidealParams({1: q ** -2}, {1: 1j * t})
+    x0 = counit_module(D_SU2, params, qp)
+    v = build_irrep(A1, A1.weight([1]), qp)
+    eta_v = kmatrix_solve(D_SU2, params, qp, x0, v)
+    for twice_spin in range(2, 7):
+        u = build_irrep(A1, A1.weight([twice_spin]), qp)
+        got = kmatrix_solve(D_SU2, params, qp, x0, u, fuse_from=v)
+        want = _tensor_power_braid(x0, u, v, eta_v, params, qp)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), \
+            twice_spin
 
 
 def test_characters_and_relations():

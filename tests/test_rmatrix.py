@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from qsp.errors import UnsupportedOracleError
 from qsp.lusztig import braid_word_on_algebra
 from qsp.rmatrix import (
     _root_vector_mats,
+    flip,
     hexagon_residuals,
     naturality_residual,
     op_on_legs,
+    r21,
     ribbon_residual,
     rmat,
     rmat_oracle,
@@ -141,6 +145,61 @@ def test_op_on_legs_consistency():
     bt = b.reshape(2, 2, 2, 2)
     want = np.einsum("acbd,bed->aec", bt, t).reshape(-1)
     np.testing.assert_allclose(m02 @ v, want, atol=1e-12)
+
+
+def _leg_permutation(dims, perm):
+    """Dense permutation matrix sending the flat index of a tensor with leg
+    dimensions ``dims`` to the flat index with the legs in ``perm`` order."""
+    n = int(np.prod(dims))
+    new_dims = [dims[q] for q in perm]
+    p = np.zeros((n, n))
+    for flat, idx in enumerate(itertools.product(*map(range, dims))):
+        new_idx = [idx[q] for q in perm]
+        p[np.ravel_multi_index(new_idx, new_dims), flat] = 1.0
+    return p
+
+
+def _permutation_op_on_legs(mat, dims, legs):
+    """Reference construction: mat ox 1 conjugated by the leg permutation."""
+    perm = list(legs) + [i for i in range(len(dims)) if i not in legs]
+    rest = int(np.prod([dims[i] for i in perm[len(legs):]], initial=1))
+    p = _leg_permutation(dims, perm)
+    return p.T @ np.kron(mat, np.eye(rest)) @ p
+
+
+def test_op_on_legs_matches_permutation_matrix():
+    rng = np.random.default_rng(1)
+    dims = [3, 4, 5]
+    for k in range(1, len(dims) + 1):
+        for legs in itertools.permutations(range(len(dims)), k):
+            d = int(np.prod([dims[i] for i in legs]))
+            mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            got = op_on_legs(mat, dims, legs)
+            want = _permutation_op_on_legs(mat, dims, legs)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), legs
+
+
+def test_flip_and_r21_match_permutation_matrix():
+    v, w = V(A2, [1, 0]), V(A2, [1, 1])
+    p = _leg_permutation([v.dim, w.dim], [1, 0])   # v ox w -> w ox v
+    r = rmat(v, w).matrix
+    assert np.array_equal(flip(r, v.dim, w.dim), p @ r)
+    assert np.array_equal(r21(v, w), p.T @ rmat(w, v).matrix @ p)
+
+
+def test_rmat_and_decompose_cached_read_only():
+    v, w = V(A2, [1, 0]), V(A2, [0, 1])
+    r = rmat(v, w)
+    assert rmat(v, w) is r
+    with pytest.raises(ValueError):
+        r.matrix[0, 0] = 0.0
+    vw = tensor(v, w)
+    assert tensor(v, w) is vw
+    dec = decompose(vw)
+    assert decompose(vw) is dec
+    with pytest.raises(ValueError):
+        dec[0][2][0][0, 0] = 0.0
 
 
 @pytest.mark.parametrize("typ, coords", [

@@ -111,6 +111,17 @@ def test_tensor_weights_add():
     assert vw.weights[0].coords == (v.weights[0] + w.weights[0]).coords
 
 
+def test_build_irrep_memoised_read_only():
+    v = build_irrep(A2, A2.weight([1, 0]), QP)
+    assert build_irrep(A2, A2.weight([1, 0]), QParams(0.7)) is v
+    assert build_irrep(A2, A2.weight([1, 0]), QP, label="f") is not v
+    assert build_irrep(A2, A2.weight([1, 0]), QParams(0.6)) is not v
+    with pytest.raises(ValueError):
+        v.E[1][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        v.F[2][0, 0] = 1.0
+
+
 def test_decompose_clebsch_gordan():
     # classical Clebsch-Gordan oracle: 1/2 ox 1/2 = 1 + 0
     v = build_irrep(A1, A1.weight([1]), QP)
