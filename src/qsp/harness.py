@@ -45,9 +45,9 @@ from .vogan10 import (
     e_matrix,
     e_matrix_component_scalars,
     fusion_check,
+    interior_indices,
+    nu_module,
     plain_block_eigenvalues,
-    _interior_indices,
-    _nu_module,
 )
 
 TOL_ALG = 1e-9
@@ -147,15 +147,11 @@ class CoidealRankOneFamily:
     def braid_on_tensor(self, m1, m2):
         """eta_{X0, m1 ox m2} by lifting the component braids through the
         isotypic embeddings (naturality)."""
-        uv = tensor(m1, m2)
-        dim = self.x0.dim * uv.dim
+        dim = self.x0.dim * m1.dim * m2.dim
         out = np.zeros((dim, dim), dtype=complex)
-        for wt, _, embs in decompose(uv):
-            model = build_irrep(self.datum, wt, self.qp)
-            eta = self.braid(model)
-            for emb in embs:
-                lift = np.kron(np.eye(self.x0.dim), emb)
-                out += lift @ eta @ lift.conj().T
+        for emb, eta in self.braid_components(m1, m2):
+            lift = np.kron(np.eye(self.x0.dim), emb)
+            out += lift @ eta @ lift.conj().T
         return out
 
     def braid_components(self, m1, m2):
@@ -270,7 +266,7 @@ def _cylinder_rhs2(theta_u, theta_v, m1, m2, x0d, twist):
 # ---------------------------------------------------------------------------
 
 def _mask(mat, module, n_uq_legs_dim, margin):
-    idx = _interior_indices(module, n_uq_legs_dim, margin)
+    idx = interior_indices(module, n_uq_legs_dim, margin)
     return mat[np.ix_(idx, idx)]
 
 
@@ -280,7 +276,7 @@ def check_octagon_vogan(module, m1, m2, qp, margin=4):
     dims = [module.dim, m1.dim, m2.dim]
     r32 = op_on_legs(r21(m1, m2), dims, (1, 2))
     e13 = op_on_legs(e_matrix(module, m2, qp), dims, (0, 2))
-    rtw23 = op_on_legs(rmat(m1, _nu_module(m2)).matrix, dims, (1, 2))
+    rtw23 = op_on_legs(rmat(m1, nu_module(m2)).matrix, dims, (1, 2))
     rhs = r32 @ e13 @ rtw23
     cut_dim = m1.dim * m2.dim
     diff = _mask(lhs - rhs, module, cut_dim, margin)
@@ -303,8 +299,8 @@ def check_cylinder_vogan(module, m1, m2, qp, margin=4):
     theta_u = e_matrix(module, m1, qp)
     theta_v = e_matrix(module, m2, qp)
     theta_uv = e_matrix(module, tensor(m1, m2), qp)
-    rhs1 = _cylinder_rhs1(theta_u, theta_v, m1, m2, module.dim, _nu_module)
-    rhs2 = _cylinder_rhs2(theta_u, theta_v, m1, m2, module.dim, _nu_module)
+    rhs1 = _cylinder_rhs1(theta_u, theta_v, m1, m2, module.dim, nu_module)
+    rhs2 = _cylinder_rhs2(theta_u, theta_v, m1, m2, module.dim, nu_module)
     cut = m1.dim * m2.dim
     scale = max(np.linalg.norm(_mask(theta_uv, module, cut, margin)), 1e-30)
     return {
@@ -434,6 +430,10 @@ def run_rank_one(q, r, levels=14):
     datum = build_root_datum([("A", 1)])
     v = build_irrep(datum, datum.weight([1]), qp)
     scal, defect = e_matrix_component_scalars(m, v, qp)
+    # the max below skips NaN scalars; say how many there are
+    info["vogan-nonfinite-scalars"] = sum(
+        1 for pair in scal.values() for x in pair
+        if x is not None and not np.isfinite(x))
     residuals["vogan-scalars"] = max(
         max(abs(mu - q ** (-r - 1.5)) for mu, _ in scal.values()),
         max(abs(lam_s - q ** (r + 0.5)) for _, lam_s in scal.values()

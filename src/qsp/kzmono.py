@@ -210,19 +210,22 @@ def _orthonormalize(vecs):
 # coefficient assembly
 # ---------------------------------------------------------------------------
 
+def leg_coeff(tensors, lam, j2):
+    """2 t^k_0 + C^k on chi_lam ox V_j2, as a matrix on V_j2."""
+    chi = tensors.character_values(lam)
+    tk0 = np.zeros((j2 + 1, j2 + 1), dtype=complex)
+    for val, vec in zip(chi, tensors.plus_basis):
+        # t^k_0 = sum_i chi(X_i^*) pi(X_i); express X_i^* in the basis
+        c = _herm_form(_star_coeffs(vec), tensors.plus_basis[0])
+        tk0 += (c * val) * tensors.vec_matrix(vec, j2)
+    return 2 * tk0 + tensors.casimir_k(j2)
+
+
 def kz_coeffs(tensors, lam, j2a, j2b, hbar):
     """(a, b_+, b_-) on chi_lam ox V_a ox V_b."""
     if abs(np.real(hbar)) > 1e-14:
         raise InputError("hbar must be purely imaginary")
-    chi = tensors.character_values(lam)
-    da, db = j2a + 1, j2b + 1
-    tk01 = np.zeros((da, da), dtype=complex)
-    for val, vec in zip(chi, tensors.plus_basis):
-        # t^k_01 = sum_i chi(X_i^*) pi(X_i); express X_i^* in the basis
-        c = _herm_form(_star_coeffs(vec), tensors.plus_basis[0])
-        tk01 += (c * val) * tensors.vec_matrix(vec, j2a)
-    a = hbar * (2 * np.kron(tk01, np.eye(db))
-                + np.kron(tensors.casimir_k(j2a), np.eye(db)))
+    a = hbar * np.kron(leg_coeff(tensors, lam, j2a), np.eye(j2b + 1))
     b_plus = hbar * tensors.t_full(j2a, j2b)
     b_minus = hbar * (tensors.t_k(j2a, j2b) - tensors.t_m(j2a, j2b))
     return a, b_plus, b_minus
@@ -230,15 +233,7 @@ def kz_coeffs(tensors, lam, j2a, j2b, hbar):
 
 def a02_coeff(tensors, lam, j2a, j2b, hbar):
     """hbar (2 t^k_02 + C^k_2) on chi ox V_a ox V_b."""
-    chi = tensors.character_values(lam)
-    da, db = j2a + 1, j2b + 1
-    tk02 = np.zeros((db, db), dtype=complex)
-    for val, vec in zip(chi, tensors.plus_basis):
-        coeffs = _star_coeffs(vec)
-        c = _herm_form(coeffs, tensors.plus_basis[0])
-        tk02 += (c * val) * tensors.vec_matrix(vec, j2b)
-    return hbar * (2 * np.kron(np.eye(da), tk02)
-                   + np.kron(np.eye(da), tensors.casimir_k(j2b)))
+    return hbar * np.kron(np.eye(j2a + 1), leg_coeff(tensors, lam, j2b))
 
 
 def d_coeff(tensors, lam, j2a, j2b, hbar):
@@ -464,17 +459,13 @@ def mkz_consistency(problem, z_target=0.81):
 # identity suites
 # ---------------------------------------------------------------------------
 
-def _mk_problem(a, bp, bm, **kw):
-    return MonodromyProblem(a, bp, bm, **kw)
-
-
 def verify_eg(a, b_plus, b_minus, **kw):
     """Residual of the eight-factor identity with c = -a - b_+ - b_-."""
     c = -a - b_plus - b_minus
-    psi_a = psi(_mk_problem(a, b_plus, b_minus, **kw)).psi
-    psi_c = psi(_mk_problem(c, b_plus, b_minus, **kw)).psi
-    psi_c_swap = psi(_mk_problem(c, b_minus, b_plus, **kw)).psi
-    psi_a_swap = psi(_mk_problem(a, b_minus, b_plus, **kw)).psi
+    psi_a = psi(MonodromyProblem(a, b_plus, b_minus, **kw)).psi
+    psi_c = psi(MonodromyProblem(c, b_plus, b_minus, **kw)).psi
+    psi_c_swap = psi(MonodromyProblem(c, b_minus, b_plus, **kw)).psi
+    psi_a_swap = psi(MonodromyProblem(a, b_minus, b_plus, **kw)).psi
     prod = np.linalg.inv(psi_a) @ expm(1j * math.pi * b_plus) @ psi_c \
         @ expm(1j * math.pi * c) @ np.linalg.inv(psi_c_swap) \
         @ expm(1j * math.pi * b_minus) @ psi_a_swap @ expm(1j * math.pi * a)
@@ -489,10 +480,10 @@ def verify_octagon_kz(tensors, lam, j2a, j2b, hbar, **kw):
     a02 = a02_coeff(tensors, lam, j2a, j2b, hbar)
     d = d_coeff(tensors, lam, j2a, j2b, hbar)
 
-    psi_a = psi(_mk_problem(a, bp, bm, **kw)).psi
-    psi_021 = psi(_mk_problem(a02, bp, bm, **kw)).psi
-    psi_a_sw = psi(_mk_problem(a, bm, bp, **kw)).psi
-    psi_021_sw = psi(_mk_problem(a02, bm, bp, **kw)).psi
+    psi_a = psi(MonodromyProblem(a, bp, bm, **kw)).psi
+    psi_021 = psi(MonodromyProblem(a02, bp, bm, **kw)).psi
+    psi_a_sw = psi(MonodromyProblem(a, bm, bp, **kw)).psi
+    psi_021_sw = psi(MonodromyProblem(a02, bm, bp, **kw)).psi
 
     epi = lambda m: expm(1j * math.pi * m)  # noqa: E731
     emi = lambda m: expm(-1j * math.pi * m)  # noqa: E731
@@ -527,29 +518,21 @@ def flatness_residuals(tensors, lam, spins, hbar):
     [tau_ij, tau_ik + tau_jk] and [mu_ik, tau_ij + mu_jk]."""
     n = len(spins)
     dims = [1] + [j2 + 1 for j2 in spins]
-    chi = tensors.character_values(lam)
 
-    def place_pair(mat, i, j):
+    def place(mat, *legs):
         from .rmatrix import op_on_legs
-        return op_on_legs(mat, dims, (i, j))
+        return op_on_legs(mat, dims, legs)
 
     def tau(i, j):
-        return place_pair(tensors.t_full(spins[i - 1], spins[j - 1]), i, j)
+        return place(tensors.t_full(spins[i - 1], spins[j - 1]), i, j)
 
     def mu(i, j):
         m = tensors.t_k(spins[i - 1], spins[j - 1]) \
             - tensors.t_m(spins[i - 1], spins[j - 1])
-        return place_pair(m, i, j)
+        return place(m, i, j)
 
     def nu(i):
-        j2 = spins[i - 1]
-        tk0 = np.zeros((j2 + 1, j2 + 1), dtype=complex)
-        for val, vec in zip(chi, tensors.plus_basis):
-            c = _herm_form(_star_coeffs(vec), tensors.plus_basis[0])
-            tk0 += (c * val) * tensors.vec_matrix(vec, j2)
-        from .rmatrix import op_on_legs
-        mat = 2 * tk0 + tensors.casimir_k(j2)
-        return op_on_legs(mat, dims, (i,))
+        return place(leg_coeff(tensors, lam, spins[i - 1]), i)
 
     out = {}
 
@@ -572,13 +555,7 @@ def flatness_residuals(tensors, lam, spins, hbar):
 
 def kz_braid(tensors, lam, j2, hbar):
     """The braid e^{-pi i hbar (2 t^k_01 + C^k_1)} on chi_lam ox V."""
-    chi = tensors.character_values(lam)
-    tk0 = np.zeros((j2 + 1, j2 + 1), dtype=complex)
-    for val, vec in zip(chi, tensors.plus_basis):
-        c = _herm_form(_star_coeffs(vec), tensors.plus_basis[0])
-        tk0 += (c * val) * tensors.vec_matrix(vec, j2)
-    mat = 2 * tk0 + tensors.casimir_k(j2)
-    return expm(-1j * math.pi * hbar * mat)
+    return expm(-1j * math.pi * hbar * leg_coeff(tensors, lam, j2))
 
 
 def kz_braid_commutes_with_k(tensors, lam, j2, hbar):

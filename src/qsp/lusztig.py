@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .errors import InputError
-from .rootsys import beta_sequence, restrict_datum, weyl_act
+from .rootsys import beta_sequence, qfact, qint, restrict_datum, weyl_act
 from .uqrep import QParams, build_irrep
 
 
@@ -60,13 +60,6 @@ class BraidContext:
         return out
 
 
-def _qf(n, q):
-    out = 1.0
-    for k in range(2, n + 1):
-        out *= sum(q ** (k - 1 - 2 * j) for j in range(k))
-    return out
-
-
 def braid_on_algebra(datum, qp, r, element):
     """Apply T_r to an AlgebraElement."""
     qr = qp.q_r(datum, r)
@@ -88,12 +81,12 @@ def braid_on_algebra(datum, qp, r, element):
         for m in range(-a + 1):
             n = -a - m
             if kind == "E":
-                coeff = (-qr) ** (-m) / (_qf(m, qr) * _qf(n, qr))
+                coeff = (-qr) ** (-m) / (qfact(m, qr) * qfact(n, qr))
                 term = (_pow(AlgebraElement.e(datum, r), n)
                         * AlgebraElement.e(datum, s)
                         * _pow(AlgebraElement.e(datum, r), m))
             else:
-                coeff = (-qr) ** m / (_qf(m, qr) * _qf(n, qr))
+                coeff = (-qr) ** m / (qfact(m, qr) * qfact(n, qr))
                 term = (_pow(AlgebraElement.f(datum, r), m)
                         * AlgebraElement.f(datum, s)
                         * _pow(AlgebraElement.f(datum, r), n))
@@ -150,7 +143,7 @@ def braid_on_module(module, r):
             # divided-power string: w_k = F^{(k)} w_0 = F w_{k-1} / [k]
             string = [hw]
             for k in range(1, n + 1):
-                string.append(fr @ string[k - 1] / _q_int(k, qr))
+                string.append(fr @ string[k - 1] / qint(k, qr))
             for k in range(n + 1):
                 t_k = (-1) ** (n + k) * qr ** (n + k * n - k * k - k)
                 columns.append(string[k])
@@ -160,10 +153,6 @@ def braid_on_module(module, r):
     if w_mat.shape[1] != dim:
         raise InputError("r-string decomposition does not span the module")
     return img_mat @ np.linalg.inv(w_mat)
-
-
-def _q_int(k, q):
-    return sum(q ** (k - 1 - 2 * j) for j in range(k))
 
 
 def braid_word_on_module(module, letters):
@@ -193,7 +182,7 @@ def e_d_constants(ctx, varpi):
     exps = ctx.exponents(varpi)
     val = 1.0
     for m, r in zip(exps, ctx.word.letters):
-        val *= _qf(m, qp.q_r(datum, r)) ** 2
+        val *= qfact(m, qp.q_r(datum, r)) ** 2
     return val, val
 
 
@@ -243,7 +232,7 @@ def verify_appB(ctx, varpi_sub_coords):
     qfacts = 1.0
     signs = 1.0
     for m, r in zip(exps, letters):
-        qfacts *= _qf(m, qp_sub.q_r(sub, r))
+        qfacts *= qfact(m, qp_sub.q_r(sub, r))
         signs *= (-1.0) ** m
     # q^{2 (varpi, rho_X)} in ambient normalization = q_sub^{2 (varpi, rho)_sub}
     pref = qp_sub.qpow(2 * varpi.pairing(sub.rho()))

@@ -32,7 +32,7 @@ import numpy as np
 from .algebra import AlgebraElement, TensorElement
 from .errors import ConsistencyError, UnsupportedOracleError
 from .lusztig import braid_on_module
-from .rootsys import beta_sequence, longest_element
+from .rootsys import beta_sequence, longest_element, qint
 from .uqrep import (act_tensor, decompose, read_only, ribbon_diag, tensor,
                     word_matrix)
 
@@ -87,14 +87,10 @@ def _quasi_factor(m, n):
             f_pow = f_pow @ f_n
             if np.linalg.norm(e_pow) < 1e-300 or np.linalg.norm(f_pow) < 1e-300:
                 break
-            coeff *= (1.0 / qb - qb) * qb ** (-(k - 1)) / _qint(k, qb)
+            coeff *= (1.0 / qb - qb) * qb ** (-(k - 1)) / qint(k, qb)
             acc = acc + coeff * np.kron(e_pow, f_pow)
         total = total @ acc
     return total
-
-
-def _qint(k, q):
-    return sum(q ** (k - 1 - 2 * j) for j in range(k))
 
 
 @dataclass

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceError
+from .rootsys import qfact
 
 def _phi(n, r, q):
     """F-ladder coefficient: F e_n = phi_n e_{n-1}."""
@@ -38,14 +39,16 @@ def _phi(n, r, q):
 
 @dataclass
 class TruncatedModule:
-    """Level-capped lowest-weight module: K diagonal, F lowering, F^* its
-    adjoint (invalid on the top boundary)."""
+    """Level-capped lowest-weight module: K diagonal, F lowering, F^* the
+    adjoint of F on M_r and the coaction of F^* on a product (invalid on
+    the top boundary either way)."""
 
     r: float
     qp: object
     cap: int
     k_diag: np.ndarray
     f_mat: np.ndarray
+    fstar: np.ndarray
     h_diag: np.ndarray
     label: str = ""
 
@@ -53,13 +56,11 @@ class TruncatedModule:
     def dim(self):
         return len(self.k_diag)
 
-    @property
-    def fstar(self):
-        return self.f_mat.conj().T
 
-    def interior(self, margin=1):
-        """Indices of levels at least ``margin`` below the cap."""
-        return np.arange(self.dim - margin)
+def interior_indices(module, dv, margin):
+    """Indices of module ox V (dim V = dv) on levels at least ``margin``
+    below the cap."""
+    return np.arange((module.dim - margin) * dv)
 
 
 def build_Mr(r, qp, cap):
@@ -80,7 +81,7 @@ def build_Mr(r, qp, cap):
             raise ResourceError(
                 f"ladder coefficient at level {n} overflows double "
                 f"precision (q = {q}, {cap} levels)") from None
-    return TruncatedModule(r, qp, cap, k, f, h, label=f"M[{r}]")
+    return TruncatedModule(r, qp, cap, k, f, f.conj().T, h, label=f"M[{r}]")
 
 
 def relations_residual(module, margin=2):
@@ -89,7 +90,7 @@ def relations_residual(module, margin=2):
     k = np.diag(module.k_diag)
     f = module.f_mat
     fs = module.fstar
-    idx = module.interior(margin)
+    idx = interior_indices(module, 1, margin)
     out = {}
 
     def cut(m):
@@ -105,34 +106,34 @@ def relations_residual(module, margin=2):
     return out
 
 
+def _h_vector(v):
+    """H-eigenvalues of the basis of V."""
+    return np.array([float(w.coords[0]) for w in v.weights])
+
+
+def _total_h(module, v):
+    """H-eigenvalues of the basis of module ox V."""
+    return (module.h_diag[:, None] + _h_vector(v)[None, :]).reshape(-1)
+
+
 def coaction_tensor(module, v):
-    """Action matrices on M ox V through the coaction: returns a
-    TruncatedModule-like object over the product space."""
+    """Action matrices on M ox V through the coaction, as a
+    TruncatedModule over the product space."""
     kv = v.k_diag(v.datum.simple_root(1))
     kv_inv = 1 / kv
-    ev = v.E[1]
-    fv = v.F[1]
     eye_m = np.eye(module.dim)
-    k = np.kron(np.diag(module.k_diag), np.diag(kv))
-    f = np.kron(module.f_mat, np.diag(kv_inv)) + np.kron(eye_m, fv)
+    f = np.kron(module.f_mat, np.diag(kv_inv)) + np.kron(eye_m, v.F[1])
     # F^* viewed abstractly: F*_M ox K^{-1} + 1 ox K^{-1} E
     fstar = np.kron(module.fstar, np.diag(kv_inv)) \
-        + np.kron(eye_m, np.diag(kv_inv) @ ev)
-    h_v = np.array([float(w.coords[0]) for w in v.weights])
-    h = (module.h_diag[:, None] + h_v[None, :]).reshape(-1)
-    out = TruncatedModule(module.r, module.qp, module.cap,
-                          np.diag(k).copy(), f, h,
-                          label=f"{module.label}(.)V")
-    out._fstar_coaction = fstar
-    return out
+        + np.kron(eye_m, kv_inv[:, None] * v.E[1])
+    return TruncatedModule(module.r, module.qp, module.cap,
+                           np.kron(module.k_diag, kv), f, fstar,
+                           _total_h(module, v), label=f"{module.label}(.)V")
 
 
 def su2_series_coeff(n, q):
     """c_n = (q^{-1}-q)^n q^{-n(n-1)/2} / [n]_q!."""
-    fact = 1.0
-    for k in range(2, n + 1):
-        fact *= sum(q ** (k - 1 - 2 * j) for j in range(k))
-    return (1 / q - q) ** n * q ** (-n * (n - 1) / 2) / fact
+    return (1 / q - q) ** n * q ** (-n * (n - 1) / 2) / qfact(n, q)
 
 
 def e_matrix(module, v, qp):
@@ -145,14 +146,11 @@ def e_matrix(module, v, qp):
     q = qp.q
     dv = v.dim
     dm = module.dim
-    fs = getattr(module, "_fstar_coaction", module.fstar)
-    kfs = np.diag(module.k_diag) @ fs
+    kfs = module.k_diag[:, None] * module.fstar
     ev = v.E[1]
     fv = v.F[1]
-    h_v = np.array([float(w.coords[0]) for w in v.weights])
-
-    cartan = np.exp(np.log(q) * (-np.outer(module.h_diag, h_v) / 2)).reshape(-1)
-    cartan = np.diag(cartan.astype(complex))
+    cartan = np.exp(np.log(q) * (-np.outer(module.h_diag, _h_vector(v)) / 2))
+    cartan = cartan.reshape(-1).astype(complex)
 
     a_series = np.eye(dm * dv, dtype=complex)
     b_series = np.eye(dm * dv, dtype=complex)
@@ -171,32 +169,34 @@ def e_matrix(module, v, qp):
 
     from .uqrep import ribbon_diag
     v_inv = np.linalg.inv(ribbon_diag(v))
-    return a_series @ cartan @ b_series @ cartan @ np.kron(np.eye(dm), v_inv)
+    out = ((a_series * cartan) @ b_series) * cartan
+    # 1 ox v^{-1}: v^{-1} on the V leg of every column index
+    return (out.reshape(-1, dv) @ v_inv).reshape(dm * dv, dm * dv)
+
+
+def _masked_commutator(braid, pairs, idx):
+    """Worst ||braid @ right - left @ braid|| on the index set idx, relative
+    to ||left||, over the (left, right) pairs."""
+    worst = 0.0
+    for left, right in pairs:
+        diff = braid @ right - left @ braid
+        worst = max(worst, np.linalg.norm(diff[np.ix_(idx, idx)])
+                    / max(np.linalg.norm(left), 1e-30))
+    return worst
 
 
 def nu_twist_residual(module, v, qp, margin=3):
     """|| E (id ox nu) alpha(x) - alpha(x) E || on the truncation interior,
     for the generators x in {K, F, F^*}."""
-    braid = e_matrix(module, v, qp)
     prod = coaction_tensor(module, v)
-    nu_v = _nu_module(v)
-    prod_tw = coaction_tensor(module, nu_v)
-    dv = v.dim
-    idx = _interior_indices(module, dv, margin)
-    worst = 0.0
-    pairs = [
-        (np.diag(prod.k_diag), np.diag(prod_tw.k_diag)),
-        (prod.f_mat, prod_tw.f_mat),
-        (prod._fstar_coaction, prod_tw._fstar_coaction),
-    ]
-    for plain, twisted in pairs:
-        diff = braid @ twisted - plain @ braid
-        worst = max(worst, np.linalg.norm(diff[np.ix_(idx, idx)])
-                    / max(np.linalg.norm(plain), 1e-30))
-    return worst
+    prod_tw = coaction_tensor(module, nu_module(v))
+    pairs = [(np.diag(prod.k_diag), np.diag(prod_tw.k_diag)),
+             (prod.f_mat, prod_tw.f_mat), (prod.fstar, prod_tw.fstar)]
+    return _masked_commutator(e_matrix(module, v, qp), pairs,
+                              interior_indices(module, v.dim, margin))
 
 
-def _nu_module(v):
+def nu_module(v):
     """The Vogan involution on su2 modules: E -> -E, F -> -F, K -> K."""
     from .uqrep import WeightModule
     return WeightModule(v.datum, v.qp, list(v.weights),
@@ -204,21 +204,11 @@ def _nu_module(v):
                         highest=v.highest, label=v.label + "^nu")
 
 
-def _interior_indices(module, dv, margin):
-    keep = []
-    for n in range(module.dim):
-        if n < module.dim - margin:
-            keep.extend(range(n * dv, (n + 1) * dv))
-    return np.array(keep)
-
-
 def twist_to_plain(braid, v):
     """Compose with 1 ox K_chi^{-1}, K_chi acting by i^H: converts the
     nu-twisted braid into a plain module map."""
-    h_v = np.array([float(w.coords[0]) for w in v.weights])
-    kchi_inv = np.diag((1j ** h_v) ** -1)
-    dm = braid.shape[0] // v.dim
-    return braid @ np.kron(np.eye(dm), kchi_inv)
+    kchi_inv = (1j ** _h_vector(v)) ** -1
+    return braid * np.tile(kchi_inv, braid.shape[0] // v.dim)
 
 
 def plain_commutation_residual(module, v, qp, margin=3):
@@ -226,21 +216,16 @@ def plain_commutation_residual(module, v, qp, margin=3):
     interior."""
     plain = twist_to_plain(e_matrix(module, v, qp), v)
     prod = coaction_tensor(module, v)
-    idx = _interior_indices(module, v.dim, margin)
-    worst = 0.0
-    for mat in (np.diag(prod.k_diag), prod.f_mat, prod._fstar_coaction):
-        diff = plain @ mat - mat @ plain
-        worst = max(worst, np.linalg.norm(diff[np.ix_(idx, idx)])
-                    / max(np.linalg.norm(mat), 1e-30))
-    return worst
+    mats = (np.diag(prod.k_diag), prod.f_mat, prod.fstar)
+    return _masked_commutator(plain, [(mat, mat) for mat in mats],
+                              interior_indices(module, v.dim, margin))
 
 
 def weight_blocks(module, v):
     """Total-weight spaces of module ox V as index lists, keyed by the
     H-eigenvalue."""
-    prod = coaction_tensor(module, v)
     blocks = {}
-    for i, hval in enumerate(prod.h_diag):
+    for i, hval in enumerate(_total_h(module, v)):
         blocks.setdefault(round(float(hval), 9), []).append(i)
     return blocks
 
@@ -268,14 +253,14 @@ def e_matrix_component_scalars(module, v, qp, margin=3):
     worst parallelism defect, as ({...}, defect)."""
     braid = e_matrix(module, v, qp)
     prod = coaction_tensor(module, v)
-    prod_tw = coaction_tensor(module, _nu_module(v))
+    prod_tw = coaction_tensor(module, nu_module(v))
     dim = module.dim * v.dim
     bottom = np.zeros(dim, dtype=complex)
     bottom[v.dim - 1] = 1.0   # e_0 ox e_-: lowest for both actions
     top = np.zeros(dim, dtype=complex)
     top[0] = 1.0              # e_0 ox e_+: generates the quotient classes
     blocks = weight_blocks(module, v)
-    interior = set(_interior_indices(module, v.dim, margin).tolist())
+    n_interior = len(interior_indices(module, v.dim, margin))
     sub_chain, sub_chain_tw = bottom.copy(), bottom.copy()
     quot_chain, quot_chain_tw = top.copy(), top.copy()
     out = {}
@@ -283,27 +268,30 @@ def e_matrix_component_scalars(module, v, qp, margin=3):
     first = True
     for hval in sorted(blocks):
         idx = blocks[hval]
-        if not all(i in interior for i in idx):
+        if idx[-1] >= n_interior:
             continue
-        img = sub_img = braid @ sub_chain_tw
-        nrm2 = (sub_chain.conj() @ sub_chain).real
-        mu = (sub_chain.conj() @ sub_img) / nrm2
-        defect = max(defect,
-                     np.linalg.norm(img - mu * sub_chain) / math.sqrt(nrm2))
-        lam = None
-        if not first:
-            # annihilator of the sub-line, against canonical quotient reps
-            vperp = np.zeros(dim, dtype=complex)
-            i1, i2 = idx[0], idx[1]
-            vperp[i1] = -np.conj(sub_chain[i2])
-            vperp[i2] = np.conj(sub_chain[i1])
-            lam = (vperp.conj() @ (braid @ quot_chain_tw)) \
-                / (vperp.conj() @ quot_chain)
-            quot_chain = prod._fstar_coaction @ quot_chain
-            quot_chain_tw = prod_tw._fstar_coaction @ quot_chain_tw
-        out[hval] = (mu, lam)
-        sub_chain = prod._fstar_coaction @ sub_chain
-        sub_chain_tw = prod_tw._fstar_coaction @ sub_chain_tw
+        # the chains are not normalised: at high levels they overflow and
+        # the scalars come out as NaN, which the caller counts
+        with np.errstate(over="ignore", invalid="ignore"):
+            img = sub_img = braid @ sub_chain_tw
+            nrm2 = (sub_chain.conj() @ sub_chain).real
+            mu = (sub_chain.conj() @ sub_img) / nrm2
+            defect = max(defect, np.linalg.norm(img - mu * sub_chain)
+                         / math.sqrt(nrm2))
+            lam = None
+            if not first:
+                # annihilator of the sub-line, against canonical quotient reps
+                vperp = np.zeros(dim, dtype=complex)
+                i1, i2 = idx[0], idx[1]
+                vperp[i1] = -np.conj(sub_chain[i2])
+                vperp[i2] = np.conj(sub_chain[i1])
+                lam = (vperp.conj() @ (braid @ quot_chain_tw)) \
+                    / (vperp.conj() @ quot_chain)
+                quot_chain = prod.fstar @ quot_chain
+                quot_chain_tw = prod_tw.fstar @ quot_chain_tw
+            out[hval] = (mu, lam)
+            sub_chain = prod.fstar @ sub_chain
+            sub_chain_tw = prod_tw.fstar @ sub_chain_tw
         first = False
     return out, defect
 
@@ -314,17 +302,13 @@ def fusion_check(module, v, qp, margin=2):
     {weight: multiplicity}."""
     if module.cap < 3:
         raise InputError("truncation too small for a fusion check")
-    prod = coaction_tensor(module, v)
-    blocks = weight_blocks(module, v)
-    interior = set(_interior_indices(module, v.dim, margin).tolist())
+    f_mat = coaction_tensor(module, v).f_mat
+    n_interior = len(interior_indices(module, v.dim, margin))
     out = {}
-    for hval, idx in blocks.items():
-        if not all(i in interior for i in idx):
+    for hval, idx in weight_blocks(module, v).items():
+        if idx[-1] >= n_interior:
             continue
-        sub = prod.f_mat[:, idx]
-        if sub.shape[1] == 0:
-            continue
-        _, sv, _ = np.linalg.svd(sub)
+        sv = np.linalg.svd(f_mat[:, idx], compute_uv=False)
         dim_ker = sum(1 for i in range(len(idx))
                       if i >= len(sv) or sv[i] < 1e-9 * max(sv[0], 1.0))
         if dim_ker:

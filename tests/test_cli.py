@@ -172,6 +172,21 @@ def test_verify_rank_one_accepts_levels(runner, levels):
     assert json.loads(res.stdout)["parameters"]["levels"] == levels
 
 
+def test_verify_rank_one_stderr_stays_empty():
+    # at 60 levels the unnormalised Vogan chains overflow; the report counts
+    # the NaN scalars instead of numpy printing warnings (a subprocess, so
+    # that no warning filter of the test run hides them)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qsp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsp.cli", "verify", "rank-one", "--q", "0.7",
+         "--r", "0.25", "--levels", "60"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["info"]["vogan-nonfinite-scalars"] > 0
+
+
 def test_vogan_e_matrix_overflow_is_resource_error(runner):
     res = runner.invoke(main, ["vogan", "e-matrix", "--r", "0.25",
                                "--q", "0.7", "--levels", "1000"])

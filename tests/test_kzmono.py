@@ -6,6 +6,9 @@ import pytest
 from qsp.errors import AccuracyError, InputError, ResonanceError
 from qsp.kzmono import (
     MonodromyProblem,
+    _herm_form,
+    _star_coeffs,
+    a02_coeff,
     d_coeff,
     flatness_residuals,
     kz_braid,
@@ -208,3 +211,31 @@ def test_kz_braid_singular_values(lam):
 def test_kz_braid_commutes_with_k():
     assert kz_braid_commutes_with_k(TS, 0.9, 1, hbar_of(0.7)) < 1e-12
     assert kz_braid_commutes_with_k(TS, 0.9, 2, hbar_of(0.7)) < 1e-12
+
+
+def _leg_reference(lam, j2):
+    """t^k_0 on one spin, assembled independently of kzmono.leg_coeff."""
+    tk0 = np.zeros((j2 + 1, j2 + 1), dtype=complex)
+    for val, vec in zip(TS.character_values(lam), TS.plus_basis):
+        c = _herm_form(_star_coeffs(vec), TS.plus_basis[0])
+        tk0 += (c * val) * TS.vec_matrix(vec, j2)
+    return tk0
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("j2a,j2b", [(1, 1), (1, 2), (2, 3)])
+def test_leg_coefficients_unchanged(lam, j2a, j2b):
+    from scipy.linalg import expm
+    hbar = hbar_of(0.7)
+    da, db = j2a + 1, j2b + 1
+    tk01, tk02 = _leg_reference(lam, j2a), _leg_reference(lam, j2b)
+    a = hbar * (2 * np.kron(tk01, np.eye(db))
+                + np.kron(TS.casimir_k(j2a), np.eye(db)))
+    a02 = hbar * (2 * np.kron(np.eye(da), tk02)
+                  + np.kron(np.eye(da), TS.casimir_k(j2b)))
+    np.testing.assert_array_equal(kz_coeffs(TS, lam, j2a, j2b, hbar)[0], a)
+    np.testing.assert_array_equal(a02_coeff(TS, lam, j2a, j2b, hbar), a02)
+    np.testing.assert_array_equal(d_coeff(TS, lam, j2a, j2b, hbar),
+                                  a + a02 + 2 * (hbar * TS.t_k(j2a, j2b)))
+    braid = expm(-1j * math.pi * hbar * (2 * tk01 + TS.casimir_k(j2a)))
+    np.testing.assert_array_equal(kz_braid(TS, lam, j2a, hbar), braid)

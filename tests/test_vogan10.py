@@ -3,7 +3,7 @@ import pytest
 
 from qsp.errors import InputError
 from qsp.rootsys import build_root_datum
-from qsp.uqrep import QParams, build_irrep
+from qsp.uqrep import QParams, build_irrep, ribbon_diag, tensor
 from qsp.vogan10 import (
     build_Mr,
     coaction_tensor,
@@ -11,10 +11,12 @@ from qsp.vogan10 import (
     e_matrix_block_symbolic,
     e_matrix_component_scalars,
     fusion_check,
+    interior_indices,
     nu_twist_residual,
     plain_block_eigenvalues,
     plain_commutation_residual,
     relations_residual,
+    su2_series_coeff,
     twist_to_plain,
 )
 
@@ -154,3 +156,87 @@ def test_fusion_weights_are_omega_r_pm_1(v):
         for i in idx:
             assert prod.k_diag[i] == pytest.approx(Q ** h)
         assert h in (pytest.approx(-r - 1), pytest.approx(-r + 1))
+
+
+# Dense references: every diagonal operator as a full matrix, every factor
+# applied by a matrix product.  The module code keeps diagonals as vectors
+# and must agree entry for entry.
+
+def _h_ref(v):
+    return np.array([float(w.coords[0]) for w in v.weights])
+
+
+def _coaction_ref(k_m, f_m, fs_m, h_m, v):
+    """(k_diag, F, F^*, h_diag) on M ox V through the coaction."""
+    kv = v.k_diag(v.datum.simple_root(1))
+    kv_inv = 1 / kv
+    eye_m = np.eye(len(k_m))
+    k = np.kron(np.diag(k_m), np.diag(kv))
+    f = np.kron(f_m, np.diag(kv_inv)) + np.kron(eye_m, v.F[1])
+    fs = np.kron(fs_m, np.diag(kv_inv)) \
+        + np.kron(eye_m, np.diag(kv_inv) @ v.E[1])
+    h = (h_m[:, None] + _h_ref(v)[None, :]).reshape(-1)
+    return np.diag(k).copy(), f, fs, h
+
+
+def _e_matrix_ref(k_m, f_m, fs_m, h_m, v, q):
+    dv, dm = v.dim, len(k_m)
+    kfs = np.diag(k_m) @ fs_m
+    cartan = np.exp(np.log(q) * (-np.outer(h_m, _h_ref(v)) / 2)).reshape(-1)
+    cartan = np.diag(cartan.astype(complex))
+    a_series = np.eye(dm * dv, dtype=complex)
+    b_series = np.eye(dm * dv, dtype=complex)
+    f_pow = np.eye(dm, dtype=complex)
+    e_pow = np.eye(dv, dtype=complex)
+    kfs_pow = np.eye(dm, dtype=complex)
+    fv_pow = np.eye(dv, dtype=complex)
+    for n in range(1, dv):
+        f_pow = f_pow @ f_m
+        e_pow = e_pow @ v.E[1]
+        kfs_pow = kfs_pow @ kfs
+        fv_pow = fv_pow @ v.F[1]
+        c = su2_series_coeff(n, q)
+        a_series += c * np.kron(f_pow, e_pow)
+        b_series += c * (-1) ** n * np.kron(kfs_pow, fv_pow)
+    v_inv = np.linalg.inv(ribbon_diag(v))
+    return a_series @ cartan @ b_series @ cartan @ np.kron(np.eye(dm), v_inv)
+
+
+def _twist_to_plain_ref(braid, v):
+    kchi_inv = np.diag((1j ** _h_ref(v)) ** -1)
+    return braid @ np.kron(np.eye(braid.shape[0] // v.dim), kchi_inv)
+
+
+@pytest.mark.parametrize("levels", [12, 80])
+@pytest.mark.parametrize("q", [0.3, 0.7, 0.95])
+def test_vector_diagonals_match_dense_reference(q, levels):
+    qp = QParams(q)
+    vh = build_irrep(A1, A1.weight([1]), qp)
+    v1 = build_irrep(A1, A1.weight([2]), qp)
+    m = build_Mr(0.25, qp, levels)
+    np.testing.assert_array_equal(m.fstar, m.f_mat.conj().T)
+    m_ref = (m.k_diag, m.f_mat, m.f_mat.conj().T, m.h_diag)
+    for v in (vh, v1, tensor(vh, vh)):
+        prod = coaction_tensor(m, v)
+        prod_ref = _coaction_ref(*m_ref, v)
+        for got, want in zip((prod.k_diag, prod.f_mat, prod.fstar,
+                              prod.h_diag), prod_ref):
+            np.testing.assert_array_equal(got, want)
+        braid = e_matrix(m, v, qp)
+        np.testing.assert_array_equal(braid, _e_matrix_ref(*m_ref, v, q))
+        np.testing.assert_array_equal(twist_to_plain(braid, v),
+                                      _twist_to_plain_ref(braid, v))
+    # the braid on a coaction product uses the product's F^*
+    np.testing.assert_array_equal(
+        e_matrix(coaction_tensor(m, vh), vh, qp),
+        _e_matrix_ref(*_coaction_ref(*m_ref, vh), vh, q))
+
+
+@pytest.mark.parametrize("levels,dv,margin",
+                         [(10, 1, 2), (10, 2, 3), (12, 4, 4), (3, 2, 3),
+                          (2, 2, 5)])
+def test_interior_indices_keep_levels_below_margin(levels, dv, margin):
+    m = build_Mr(0.25, QP, levels)
+    want = [i for n in range(m.dim) if n < m.dim - margin
+            for i in range(n * dv, (n + 1) * dv)]
+    assert interior_indices(m, dv, margin).tolist() == want
