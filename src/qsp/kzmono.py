@@ -18,13 +18,16 @@ involution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 from .errors import AccuracyError, InputError, ResonanceError
+
+_EPS = np.finfo(float).eps
+
 
 def spin_matrices(j2):
     """Classical spin-j matrices (j2 = 2j), basis m = j, j-1, ..., -j:
@@ -279,73 +282,86 @@ class MonodromyResult:
 
 
 def resonance_check(mat, tol=1e-6):
-    """Eigenvalue pairs differing by a nonzero integer (within tol)."""
+    """Eigenvalue pairs (i, j, nearest) whose difference lies within tol of
+    a nonzero integer, in row-major order."""
     evals = np.linalg.eigvals(mat)
-    flags = []
-    for i in range(len(evals)):
-        for j in range(len(evals)):
-            diff = evals[i] - evals[j]
-            nearest = round(diff.real)
-            if nearest != 0 and abs(diff - nearest) < tol:
-                flags.append((i, j, nearest))
-    return flags
+    diff = evals[:, None] - evals[None, :]
+    nearest = np.round(diff.real)
+    hits = np.argwhere((nearest != 0) & (np.abs(diff - nearest) < tol))
+    return [(int(i), int(j), int(nearest[i, j])) for i, j in hits]
 
 
-def _sylvester_series(res_mat, rhs_fn, order):
-    """c_m solving m c_m - [res, c_m] = rhs_fn(m, c[0..m-1]), c_0 = 1."""
-    n = res_mat.shape[0]
-    evals, vecs = np.linalg.eig(res_mat)
-    vinv = np.linalg.inv(vecs)
-    cond = np.linalg.cond(vecs)
+def _sylvester_series(res_mat, terms, order):
+    """Frobenius coefficients c_0 = 1, c_1, ..., c_order solving
+
+        m c_m - [res, c_m] = sum over (s, M, r) in terms of s M A_m,
+        A_m = sum_{k<m} r^{m-1-k} c_k,
+
+    in the complex Schur basis res = Z T Z^H.  Each running sum is kept as
+    A_{m+1} = r A_m + c_m, so an order costs one product per term.  With
+    T = D + N, each order divides by m + d_j - d_i and then adds the finite
+    Neumann series of X -> (N X - X N) / (m + d_j - d_i), which is nilpotent;
+    N below roundoff (a normal residue) is dropped.  Returns the
+    coefficients in the Schur basis, and Z."""
+    t, z = schur(res_mat, output="complex")
+    n = t.shape[0]
+    zh = z.conj().T
+    diag = np.diag(t)
+    gap = diag[None, :] - diag[:, None]
+    nil = np.triu(t, 1)
+    if np.linalg.norm(nil) <= n * _EPS * np.linalg.norm(t):
+        nil = None
+    mats = [(s * (zh @ m @ z), r) for s, m, r in terms]
+    sums = [np.zeros((n, n), dtype=complex) for _ in terms]
     coeffs = [np.eye(n, dtype=complex)]
-    denom = np.empty((n, n), dtype=complex)
     for m in range(1, order + 1):
-        rhs = rhs_fn(m, coeffs)
-        rt = vinv @ rhs @ vecs
-        for i in range(n):
-            denom[i, :] = m - evals[i] + evals[None, :]
+        rhs = np.zeros((n, n), dtype=complex)
+        for i, (mat, r) in enumerate(mats):
+            sums[i] = r * sums[i] + coeffs[-1]
+            rhs += mat @ sums[i]
+        denom = m + gap
         if np.min(np.abs(denom)) < 1e-9:
             raise ResonanceError(
                 f"Sylvester denominator ~0 at order {m} (resonance)")
-        coeffs.append(vecs @ (rt / denom) @ vinv)
-    return coeffs, cond
+        x = rhs / denom
+        if nil is not None:
+            corr = x
+            for _ in range(2 * n - 2):
+                corr = (nil @ corr - corr @ nil) / denom
+                x = x + corr
+                if np.linalg.norm(corr) <= _EPS * np.linalg.norm(x):
+                    break
+        coeffs.append(x)
+    return coeffs, z
 
 
 def _series_at_zero(problem):
-    a, bp, bm = problem.a, problem.b_plus, problem.b_minus
-
-    def rhs(m, coeffs):
-        out = np.zeros_like(a)
-        for k in range(m):
-            sign = (-1) ** (m - 1 - k)
-            out += (sign * bm - bp) @ coeffs[k]
-        return out
-
-    return _sylvester_series(a, rhs, problem.series_order)
+    """H_0 = (sum c_m w^m) w^a: the right-hand side is
+    sum_{k<m} ((-1)^{m-1-k} b_- - b_+) c_k."""
+    return _sylvester_series(
+        problem.a, [(1.0, problem.b_minus, -1.0), (-1.0, problem.b_plus, 1.0)],
+        problem.series_order)
 
 
 def _series_at_one(problem):
-    a, bp, bm = problem.a, problem.b_plus, problem.b_minus
-
-    def rhs(m, coeffs):
-        out = np.zeros_like(a)
-        for k in range(m):
-            out += -(a + 2.0 ** (-(m - k)) * bm) @ coeffs[k]
-        return out
-
-    return _sylvester_series(bp, rhs, problem.series_order)
+    """H_1 = (sum c_m (1-w)^m) (1-w)^{b_+}: the right-hand side is
+    -sum_{k<m} (a + 2^{-(m-k)} b_-) c_k."""
+    return _sylvester_series(
+        problem.b_plus, [(-1.0, problem.a, 1.0), (-0.5, problem.b_minus, 0.5)],
+        problem.series_order)
 
 
 def _eval_series(coeffs, x):
-    out = np.zeros_like(coeffs[0])
-    xp = 1.0
-    for c in coeffs:
-        out = out + xp * c
-        xp *= x
+    out = coeffs[-1].copy()
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
     return out
 
 
 def _tail_bound(coeffs, x):
+    """Frobenius-norm tail estimate; unitary changes of basis leave it
+    unchanged."""
     n = len(coeffs) - 1
     return np.linalg.norm(coeffs[n]) * x ** n / (1 - x)
 
@@ -359,33 +375,64 @@ def _choose_delta(coeffs, delta0, target):
     raise AccuracyError("series tail bound not reached; increase the order")
 
 
+def _start(problem, series, residue):
+    """Frobenius start at one endpoint: (delta, H at distance delta from the
+    endpoint, tail bound, condition number of the residue's eigenvectors).
+    The coefficient list does not outlive the call."""
+    coeffs, z = series(problem)
+    delta = _choose_delta(coeffs, problem.delta, problem.tail_target)
+    tail = _tail_bound(coeffs, delta)
+    h = z @ _eval_series(coeffs, delta) @ z.conj().T \
+        @ expm(math.log(delta) * residue)
+    cond = np.linalg.cond(np.linalg.eig(residue)[1])
+    return delta, h, tail, cond
+
+
 def _rhs_ode(problem):
-    a, bp, bm = problem.a, problem.b_plus, problem.b_minus
-    n = a.shape[0]
+    n = problem.a.shape[0]
+    stacked = np.stack([problem.b_minus, problem.a,
+                        problem.b_plus]).reshape(3, n * n)
 
     def fn(w, y):
-        h = y.reshape(n, n)
-        return ((bm / (w + 1) + a / w + bp / (w - 1)) @ h).reshape(-1)
+        coeff = (np.array([1 / (w + 1), 1 / w, 1 / (w - 1)]) @ stacked)
+        return (coeff.reshape(n, n) @ y.reshape(n, n)).reshape(-1)
 
     return fn
 
 
+_PSI_MEMO = {}
+
+
+def _psi_key(problem):
+    """Bytes of the coefficient matrices plus every scalar field."""
+    key = []
+    for f in fields(problem):
+        val = getattr(problem, f.name)
+        if isinstance(val, np.ndarray):
+            key.append((val.shape, val.tobytes()))
+        elif isinstance(val, (list, tuple)):
+            key.append(tuple(val))
+        else:
+            key.append(val)
+    return tuple(key)
+
+
 def psi(problem):
     """Connection matrix Psi = H_1^{-1} H_0 with the spread over the match
-    points reported; raises on resonance or accuracy failure."""
+    points reported; raises on resonance or accuracy failure.  Memoised for
+    the life of the process on ``_psi_key``; the cached Psi is read-only."""
+    key = _psi_key(problem)
+    if key in _PSI_MEMO:
+        return _PSI_MEMO[key]
     res_a = resonance_check(problem.a)
     res_b = resonance_check(problem.b_plus)
     if res_a or res_b:
         raise ResonanceError(
             f"resonant residues: a -> {res_a}, b_+ -> {res_b}")
-    coeffs0, cond0 = _series_at_zero(problem)
-    coeffs1, cond1 = _series_at_one(problem)
-    delta0 = _choose_delta(coeffs0, problem.delta, problem.tail_target)
-    delta1 = _choose_delta(coeffs1, problem.delta, problem.tail_target)
-    tail = max(_tail_bound(coeffs0, delta0), _tail_bound(coeffs1, delta1))
-
-    h0_start = _eval_series(coeffs0, delta0) @ expm(math.log(delta0) * problem.a)
-    h1_start = _eval_series(coeffs1, delta1) @ expm(math.log(delta1) * problem.b_plus)
+    delta0, h0_start, tail0, cond0 = _start(problem, _series_at_zero,
+                                            problem.a)
+    delta1, h1_start, tail1, cond1 = _start(problem, _series_at_one,
+                                            problem.b_plus)
 
     fn = _rhs_ode(problem)
     points = sorted(problem.match_points)
@@ -399,7 +446,11 @@ def psi(problem):
     if spread > 1e-6:
         raise AccuracyError(f"match-point spread {spread:.2e} exceeds 1e-6")
     main = psis[points.index(problem.match_points[0])]
-    return MonodromyResult(main, spread, tail, res_a, res_b, max(cond0, cond1))
+    main.setflags(write=False)
+    result = MonodromyResult(main, spread, max(tail0, tail1), res_a, res_b,
+                             max(cond0, cond1))
+    _PSI_MEMO[key] = result
+    return result
 
 
 def _integrate_chain(fn, start, points, h_start, problem):
@@ -410,7 +461,8 @@ def _integrate_chain(fn, start, points, h_start, problem):
                         rtol=problem.rtol, atol=problem.atol, dense_output=False)
         if not sol.success:
             raise AccuracyError(f"ODE integration failed: {sol.message}")
-        cur_h = sol.y[:, -1].reshape(h_start.shape)
+        # a copy, so the solution history sol.y is freed
+        cur_h = sol.y[:, -1].reshape(h_start.shape).copy()
         cur_w = p
         out[p] = cur_h
     return out
@@ -431,9 +483,7 @@ def mkz_consistency(problem, z_target=0.81):
     from G(delta^2) = H_0(delta) and compare with H_0 at w = sqrt(z_target)."""
     a, bp, bm = problem.a, problem.b_plus, problem.b_minus
     n = a.shape[0]
-    coeffs0, _ = _series_at_zero(problem)
-    delta = _choose_delta(coeffs0, problem.delta, problem.tail_target)
-    h0 = _eval_series(coeffs0, delta) @ expm(math.log(delta) * a)
+    delta, h0, _, _ = _start(problem, _series_at_zero, a)
 
     tk = (bp + bm) / 2
     tm = (bp - bm) / 2

@@ -109,7 +109,10 @@ def test_kz_psi_from_config(runner, tmp_path):
     res = runner.invoke(main, ["kz", "psi", "--config", str(cfg)])
     assert res.exit_code == 0, res.output
     payload = json.loads(res.output)
+    assert set(payload) == {"psi", "spread", "tail_bound", "eig_condition"}
     assert payload["spread"] < 1e-6
+    assert payload["tail_bound"] < 1e-12
+    assert payload["eig_condition"] >= 1.0
 
 
 def test_kz_psi_inline_matrices(runner, tmp_path):

@@ -7,6 +7,8 @@ from qsp.errors import AccuracyError, InputError, ResonanceError
 from qsp.kzmono import (
     MonodromyProblem,
     _herm_form,
+    _series_at_one,
+    _series_at_zero,
     _star_coeffs,
     a02_coeff,
     d_coeff,
@@ -94,6 +96,35 @@ def test_d_commutes(q=0.7):
         assert np.linalg.norm(d @ m - m @ d) < 1e-12
 
 
+def _resonance_loop(mat, tol=1e-6):
+    """The double loop resonance_check replaced, kept as the reference."""
+    evals = np.linalg.eigvals(mat)
+    flags = []
+    for i in range(len(evals)):
+        for j in range(len(evals)):
+            diff = evals[i] - evals[j]
+            nearest = round(diff.real)
+            if nearest != 0 and abs(diff - nearest) < tol:
+                flags.append((i, j, nearest))
+    return flags
+
+
+@pytest.mark.parametrize("spectrum", [
+    [0.3, 1.3, 2.3 + 1e-8, -0.7, 5.0],          # resonant chain
+    [0.5, 0.5, 0.5, 1.5, 1.5],                  # degenerate, resonant
+    [0.5, 0.5, 2.0 + 0.5j, 2.0 + 0.5j],         # degenerate only
+    [0.1, 0.35, 0.6 + 0.2j, -0.9, 2.45],        # distinct
+    [0.0, 0.5, 1.0, 1.5, 2.0, 2.5],             # half-integer ties
+])
+def test_resonance_check_matches_double_loop(spectrum):
+    rng = np.random.default_rng(len(spectrum))
+    basis = rng.normal(size=(len(spectrum),) * 2)
+    mat = basis @ np.diag(spectrum) @ np.linalg.inv(basis)
+    got = resonance_check(mat)
+    assert got == _resonance_loop(mat)
+    assert all(type(x) is int for flag in got for x in flag)
+
+
 def test_resonance_check():
     flags = resonance_check(np.diag([0.3, 1.3]))
     assert (1, 0, 1) in flags and len(flags) == 2  # both orderings reported
@@ -150,6 +181,91 @@ def test_mkz_cross_route():
     assert mkz_consistency(MonodromyProblem(a, bp, bm)) < 1e-8
 
 
+def _eigenbasis_series(res_mat, rhs_fn, order):
+    """The eigenvector-basis Sylvester solver the Schur solve replaced, with
+    the full re-summed right-hand sides, kept as the reference."""
+    n = res_mat.shape[0]
+    evals, vecs = np.linalg.eig(res_mat)
+    vinv = np.linalg.inv(vecs)
+    coeffs = [np.eye(n, dtype=complex)]
+    for m in range(1, order + 1):
+        rt = vinv @ rhs_fn(m, coeffs) @ vecs
+        denom = m - evals[:, None] + evals[None, :]
+        coeffs.append(vecs @ (rt / denom) @ vinv)
+    return coeffs
+
+
+def _reference_series(prob):
+    a, bp, bm = prob.a, prob.b_plus, prob.b_minus
+
+    def rhs0(m, coeffs):
+        return sum(((-1) ** (m - 1 - k) * bm - bp) @ coeffs[k]
+                   for k in range(m))
+
+    def rhs1(m, coeffs):
+        return sum(-(a + 2.0 ** (-(m - k)) * bm) @ coeffs[k]
+                   for k in range(m))
+
+    return (_eigenbasis_series(a, rhs0, prob.series_order),
+            _eigenbasis_series(bp, rhs1, prob.series_order))
+
+
+def _random_nonnormal(rng, n):
+    """Upper-triangular-heavy, non-normal, with a spread-out spectrum so the
+    eigenbasis reference stays well conditioned."""
+    diag = np.diag(rng.uniform(-0.45, 0.45, n) + 1j * rng.uniform(-1, 1, n))
+    upper = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+    lower = np.tril(rng.normal(size=(n, n)), -1)
+    return diag + 0.3 * upper + 0.02 * lower
+
+
+def _problems():
+    for j2a, j2b in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
+        yield f"kz{j2a}x{j2b}", MonodromyProblem(
+            *kz_coeffs(TS, 0.8, j2a, j2b, hbar_of(0.7)), series_order=20)
+    rng = np.random.default_rng(11)
+    for n in (3, 5, 8):
+        yield f"nonnormal{n}", MonodromyProblem(
+            *[_random_nonnormal(rng, n) for _ in range(3)], series_order=20)
+
+
+@pytest.mark.parametrize("name,prob", list(_problems()),
+                         ids=[name for name, _ in _problems()])
+def test_sylvester_series_matches_eigenbasis_reference(name, prob):
+    ref0, ref1 = _reference_series(prob)
+    for series, ref in ((_series_at_zero, ref0), (_series_at_one, ref1)):
+        coeffs, z = series(prob)
+        assert len(coeffs) == len(ref)
+        for got, want in zip(coeffs, ref):
+            back = z @ got @ z.conj().T
+            scale = max(np.linalg.norm(want), 1e-300)
+            assert np.linalg.norm(back - want) <= 1e-12 * scale
+            # the tail bound reads the Frobenius norm in the Schur basis
+            assert np.isclose(np.linalg.norm(got), np.linalg.norm(want),
+                              rtol=1e-12, atol=0)
+
+
+def test_psi_memoised_read_only():
+    a, bp, bm = kz_coeffs(TS, 0.45, 1, 1, hbar_of(0.66))
+    res = psi(MonodromyProblem(a, bp, bm))
+    assert psi(MonodromyProblem(a.copy(), bp.copy(), bm.copy())) is res
+    changed = a.copy()
+    changed[0, 0] += 1e-9j
+    assert psi(MonodromyProblem(changed, bp, bm)) is not res
+    assert psi(MonodromyProblem(a, bp, bm, rtol=1e-11)) is not res
+    assert psi(MonodromyProblem(a, bp, bm, match_points=[0.5, 0.4, 0.6])) \
+        is res
+    with pytest.raises(ValueError):
+        res.psi[0, 0] = 0.0
+
+
+def test_eig_condition_is_residue_eigenvector_condition():
+    a, bp, bm = kz_coeffs(TS, 1.0, 2, 3, hbar_of(0.8))
+    res = psi(MonodromyProblem(a, bp, bm))
+    want = max(np.linalg.cond(np.linalg.eig(m)[1]) for m in (a, bp))
+    assert res.eig_condition == pytest.approx(want, rel=1e-12)
+
+
 def test_tail_control_raises_when_impossible():
     big = 40.0 * np.eye(2)
     z = np.zeros((2, 2))
@@ -168,6 +284,17 @@ def test_eg_identity(q, lam):
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_octagon_suite(q, lam):
     res = verify_octagon_kz(TS, lam, 1, 1, hbar_of(q))
+    assert res["rtkz"] < 1e-7
+    assert res["octagon"] < 1e-7
+    assert res["ribbon"] < 1e-7
+    assert res["sigma_conj"] < 1e-9
+
+
+@pytest.mark.parametrize("q", [0.62, 0.93])
+def test_octagon_suite_outside_grid_band(q):
+    # these q raised "series tail bound not reached" with the eigenvector-
+    # basis series (the residue b_+ on 2 ox 2 is degenerate)
+    res = verify_octagon_kz(TS, 1.0, 2, 2, hbar_of(q))
     assert res["rtkz"] < 1e-7
     assert res["octagon"] < 1e-7
     assert res["ribbon"] < 1e-7
