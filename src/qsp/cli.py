@@ -2,6 +2,7 @@
 
 Exit codes: 0 pass, 1 check failed, 2 invalid input, 3 resource limit.
 All subcommands emit JSON on stdout; --out writes it to a file instead.
+Errors follow the mapping in ``errors.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ def _emit(obj, out):
         click.echo(text)
 
 
-def _run(fn):
+def _run(fn, out):
+    """fn(), or the error contract of ``errors.py``: one stderr line and
+    exit 2 or 3, or a failed JSON report and exit 1."""
     try:
         return fn()
     except InputError as exc:
@@ -59,7 +62,8 @@ def _run(fn):
         click.echo(f"resource error: {exc}", err=True)
         sys.exit(3)
     except QspError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _emit({"pass": False, "error": {"type": type(exc).__name__,
+                                        "message": str(exc)}}, out)
         sys.exit(1)
 
 
@@ -90,7 +94,7 @@ def diagram_check(path, out):
         with open(path, encoding="utf-8") as fh:
             diag = diagram_from_json(fh.read())
         return diag
-    diag = _run(go)
+    diag = _run(go, out)
     _emit({"admissible": True, "diagram": diag.to_json()}, out)
 
 
@@ -102,7 +106,7 @@ def diagram_list(typ, rank, out):
     def go():
         datum = build_root_datum([(typ, rank)])
         return [d.to_json() for d in enumerate_admissible(datum)]
-    _emit(_run(go), out)
+    _emit(_run(go, out), out)
 
 
 @main.group()
@@ -120,7 +124,7 @@ def rep_build(algebra, weight, q, out):
         datum = build_root_datum(parse_type_string(algebra))
         coords = [int(c) for c in weight.replace(",", " ").split()]
         return module_to_json(build_irrep(datum, datum.weight(coords), QParams(q)))
-    _emit(_run(go), out)
+    _emit(_run(go, out), out)
 
 
 @main.command("rmatrix")
@@ -140,7 +144,7 @@ def rmatrix_cmd(algebra, vw, ww, q, out):
         r = rmat(mv, mw)
         return {"convention": r.convention,
                 "matrix": _cmat(r.matrix)}
-    _emit(_run(go), out)
+    _emit(_run(go, out), out)
 
 
 def _cmat(m):
@@ -177,7 +181,7 @@ def coideal_validate(diagram_path, c_str, s_str, q, out):
         return {"star_invariant": ok, "violations": violations,
                 "c": {str(r): [params.c[r].real if hasattr(params.c[r], 'real')
                                else params.c[r], 0.0] for r in diag.white}}
-    payload = _run(go)
+    payload = _run(go, out)
     _emit(payload, out)
     sys.exit(0 if payload["star_invariant"] else 1)
 
@@ -220,7 +224,7 @@ def kmatrix_cmd(diagram_path, t, rep_weight, q, out):
                     float(x) for x in np.linalg.svd(eta, compute_uv=False)),
                 "lambda_from_trace": lam,
                 "residuals": {"twisted_intertwining": resid}}
-    _emit(_run(go), out)
+    _emit(_run(go, out), out)
 
 
 @main.group()
@@ -251,7 +255,7 @@ def kz_psi_cmd(config, out):
         return {"psi": _cmat(res.psi), "spread": res.spread,
                 "tail_bound": res.tail_bound,
                 "eig_condition": res.eig_condition}
-    _emit(_run(go), out)
+    _emit(_run(go, out), out)
 
 
 @kz.command("verify")
@@ -262,7 +266,7 @@ def kz_verify(suite, q, out):
     if suite != "su2":
         click.echo(f"unknown suite {suite!r}", err=True)
         sys.exit(2)
-    rep_ = _run(lambda: run_kz_suite(q))
+    rep_ = _run(lambda: run_kz_suite(q), out)
     _exit_report(rep_, out)
 
 
@@ -296,7 +300,7 @@ def vogan_e_matrix(r, q, levels, out):
             "chain_defect": defect,
             "expected": sorted([q ** (-r - 1.5), q ** (r + 0.5)]),
         }
-    _emit(_run(go), out)
+    _emit(_run(go, out), out)
 
 
 @main.group()
@@ -310,7 +314,7 @@ def verify():
 @click.option("--levels", default=14, type=int)
 @click.option("--out", default=None)
 def verify_rank_one(q, r, levels, out):
-    _exit_report(_run(lambda: run_rank_one(q, r, levels)), out)
+    _exit_report(_run(lambda: run_rank_one(q, r, levels), out), out)
 
 
 @verify.command("axioms")
@@ -321,14 +325,14 @@ def verify_rank_one(q, r, levels, out):
 @click.option("--r", default=0.25, type=float)
 @click.option("--out", default=None)
 def verify_axioms(source, q, t, r, out):
-    _exit_report(_run(lambda: run_axioms(source, q, t=t, r=r)), out)
+    _exit_report(_run(lambda: run_axioms(source, q, t=t, r=r), out), out)
 
 
 @verify.command("kz")
 @click.option("--q", required=True, type=float)
 @click.option("--out", default=None)
 def verify_kz(q, out):
-    _exit_report(_run(lambda: run_kz_suite(q)), out)
+    _exit_report(_run(lambda: run_kz_suite(q), out), out)
 
 
 @verify.command("appendixB")
@@ -351,7 +355,7 @@ def verify_appendix_b(diagram_path, q, out):
                 residuals[f"{key}[{coords}]"] = val
         return Report("appendixB", {"q": q, "X": list(diag.X)},
                       residuals, {k: 1e-8 for k in residuals})
-    _exit_report(_run(go), out)
+    _exit_report(_run(go, out), out)
 
 
 @verify.command("characters")
@@ -370,7 +374,7 @@ def verify_characters(diagram_path, t, q, out):
         residuals = character_relations_residual(diag, params, qp, chi)
         return Report("characters", {"q": q, "t": t},
                       residuals, {k: 1e-10 for k in residuals})
-    _exit_report(_run(go), out)
+    _exit_report(_run(go, out), out)
 
 
 if __name__ == "__main__":

@@ -39,8 +39,9 @@ from .errors import (
 )
 from .lusztig import braid_word_on_algebra
 from .rmatrix import op_on_legs, r21, rmat
-from .rootsys import _alpha_coefficients, positive_roots_closure
-from .uqrep import act_tensor, build_irrep, decompose, tensor, twist_module
+from .rootsys import alpha_coefficients, nullspace_frac, positive_roots_closure
+from .uqrep import (act_tensor, build_irrep, decompose, intertwiners, tensor,
+                    twist_module)
 
 SPAN_DEGREE_CAP = 6
 
@@ -212,7 +213,7 @@ def theta_fixed_basis(diag):
         cols.append([img.coords[i] for i in range(n)])
     # rows of (M - I) x = 0 with M columns = theta images
     mat = [[cols[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    basis = _nullspace_frac(mat)
+    basis = nullspace_frac(mat)
     out = []
     for vec in basis:
         den = 1
@@ -226,38 +227,6 @@ def theta_fixed_basis(diag):
             ints = [x // g for x in ints]
         out.append(datum.weight(ints))
     return out
-
-
-def _nullspace_frac(mat):
-    n = len(mat)
-    m = len(mat[0])
-    a = [[Fraction(x) for x in row] for row in mat]
-    pivots = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * m
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -a[i][fc]
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +277,13 @@ def direct_sum_module(modules):
                         label="+".join(m.label for m in modules))
 
 
-def star_membership(diag, params, qp, modules, degree_cap=SPAN_DEGREE_CAP):
+def star_membership(diag, params, qp, modules):
     """Least-squares distance of each pi(B_r)^dagger from the span of
-    coideal-generator monomials of degree <= degree_cap, evaluated on the
+    coideal-generator monomials of degree <= SPAN_DEGREE_CAP, evaluated on the
     direct sum of the given modules.  Returns {r: relative residual}."""
     window = direct_sum_module(modules) if len(modules) > 1 else modules[0]
     gens = [window.act(g) for g in coideal_generator_elements(diag, params, qp)]
-    span = _monomial_span(gens, window.dim, degree_cap)
+    span = _monomial_span(gens, window.dim)
     bmats = {r: window.act(b) for r, b in
              b_generators(diag, params, qp).items()}
     out = {}
@@ -325,13 +294,13 @@ def star_membership(diag, params, qp, modules, degree_cap=SPAN_DEGREE_CAP):
     return out
 
 
-def coideal_law_residual(diag, params, qp, m1, m2, degree_cap=SPAN_DEGREE_CAP):
+def coideal_law_residual(diag, params, qp, m1, m2):
     """Right-coideal property on modules: for every generator b, the matrix
     of Delta(b) on m1 ox m2, reorganized as a map (second-leg entry pairs)
     -> (first-leg entry pairs), has its range inside the span of evaluated
     coideal monomials on m1.  Returns the worst relative residual."""
     gens = [m1.act(g) for g in coideal_generator_elements(diag, params, qp)]
-    span = _monomial_span(gens, m1.dim, degree_cap)
+    span = _monomial_span(gens, m1.dim)
     datum = diag.datum
     elements = list(b_generators(diag, params, qp).values())
     for s in diag.X:
@@ -352,14 +321,14 @@ def coideal_law_residual(diag, params, qp, m1, m2, degree_cap=SPAN_DEGREE_CAP):
     return worst
 
 
-def _monomial_span(gens, dim, degree_cap):
-    """Span of the products of at most ``degree_cap`` of the dim x dim
+def _monomial_span(gens, dim):
+    """Span of the products of at most SPAN_DEGREE_CAP of the dim x dim
     matrices ``gens`` (the identity included), grown degree by degree from
     the products that enlarged it."""
     span = _IncrementalSpan(dim)
     span.add(np.eye(dim, dtype=complex))
     frontier = [np.eye(dim, dtype=complex)]
-    for _ in range(degree_cap):
+    for _ in range(SPAN_DEGREE_CAP):
         new_frontier = []
         for mat in frontier:
             for g in gens:
@@ -540,7 +509,7 @@ class Character:
     t: float = 0.0
 
     def f_of(self, datum, w):
-        coeffs = _alpha_coefficients(w, datum.vertices)
+        coeffs = alpha_coefficients(w, datum.vertices)
         return sum(self.f_alpha.get(r, 0.0) * float(c)
                    for r, c in coeffs.items())
 
@@ -790,7 +759,7 @@ def tau_tau0_perm(diag):
     return {r: diag.tau_of(t0[r]) for r in diag.datum.vertices}
 
 
-def kmatrix_solve(diag, params, qp, x0, u, gauge="entry", fuse_from=None):
+def kmatrix_solve(diag, params, qp, x0, u, fuse_from=None):
     """Solve for the braid eta on X0 (.) u.
 
     Linear part: the twisted intertwining eta pi^tw(b) = pi(b) eta for all
@@ -805,17 +774,14 @@ def kmatrix_solve(diag, params, qp, x0, u, gauge="entry", fuse_from=None):
     whose braid is directly solvable, the braid at u is derived by fusion
     over irreducibles (``_derived_braid``), then validated against the
     intertwining system.  Otherwise the ambiguity is reported, never
-    silently resolved.
+    silently resolved.  The phase is fixed by making the bottom-left entry
+    positive (or, when it vanishes, the determinant).
     """
     sigma = tau_tau0_perm(diag)
-    utw = twist_module(u, sigma, label_suffix="^sigma")
-    x0u = x0.fuse(u)
-    plain = x0u.generator_matrices()
-    twisted = x0.fuse(utw).generator_matrices()
-    dim = x0u.dim
-    system = np.vstack([_sylvester_rows(plain[k], twisted[k], dim)
-                        for k in plain])
-    basis = _nullspace(system, dim)
+    plain = x0.fuse(u).generator_matrices()
+    twisted = x0.fuse(twist_module(u, sigma)).generator_matrices()
+    pairs = [(twisted[k], plain[k]) for k in plain]
+    basis = intertwiners(pairs, 1e-8)
     if not basis:
         raise NoKMatrixError("twisted intertwining system has no solution")
 
@@ -823,8 +789,9 @@ def kmatrix_solve(diag, params, qp, x0, u, gauge="entry", fuse_from=None):
         if fuse_from is None:
             raise AmbiguityError(
                 f"K-matrix space has dimension {len(basis)}", basis=basis)
-        eta = _derived_braid(diag, params, qp, x0, u, fuse_from, gauge)
-        resid = np.linalg.norm(system @ eta.reshape(-1)) \
+        eta = _derived_braid(diag, params, qp, x0, u, fuse_from)
+        resid = math.sqrt(sum(np.linalg.norm(eta @ a - b @ eta) ** 2
+                              for a, b in pairs)) \
             / max(np.linalg.norm(eta), 1e-30)
         if resid > 1e-7:
             raise ConsistencyError(
@@ -844,7 +811,7 @@ def kmatrix_solve(diag, params, qp, x0, u, gauge="entry", fuse_from=None):
         raise AmbiguityError("several non-scalar ribbon solutions",
                              basis=nonscalar)
     eta = nonscalar[0] if nonscalar else candidates[0]
-    return _fix_gauge(eta, gauge)
+    return _fix_gauge(eta)
 
 
 def ribbon_compose(diag, qp, x0, eta_a, a_mod, eta_b, b_mod):
@@ -860,43 +827,39 @@ def ribbon_compose(diag, qp, x0, eta_a, a_mod, eta_b, b_mod):
     return r32 @ eta13 @ rtw23 @ eta12
 
 
-def _derived_braid(diag, params, qp, x0, u, generator, gauge):
+def _derived_braid(diag, params, qp, x0, u, generator):
     """Braid at u from the braid at an irreducible generating module g, by
     fusion over irreducibles: each round composes the ribbon composite on
-    X0 (.) (V_mu ox g) once per irreducible V_mu reached in the last round
-    and restricts it through the embeddings of ``decompose(V_mu ox g)`` to
+    X0 (.) (V_lam ox g) once per irreducible V_lam reached in the last round
+    and restricts it through the embeddings of ``decompose(V_lam ox g)`` to
     each component not yet in the table of braids by highest weight.  By
     naturality this equals the restriction from the tensor power of g,
-    which is never built.  Gives up after 8 rounds."""
+    which is never built.  Components with (lam, 2 rho) > (mu + g, 2 rho),
+    mu the target, are skipped; there are finitely many below that bound,
+    so the search ends, with the target or with an empty frontier."""
     if u.highest is None or generator.highest is None:
         raise AmbiguityError("derived braids need irreducible modules")
-    eta_g = kmatrix_solve(diag, params, qp, x0, generator, gauge=gauge)
+    two_rho = 2 * diag.datum.rho()
+    bound = (u.highest + generator.highest).pairing(two_rho)
+    eta_g = kmatrix_solve(diag, params, qp, x0, generator)
     braids = {generator.highest.coords: eta_g}
     frontier = [(generator, eta_g)]
-    for _ in range(8):
-        if u.highest.coords in braids:
-            return braids[u.highest.coords]
+    while u.highest.coords not in braids:
+        if not frontier:
+            raise NoKMatrixError("target module not reached from the generator")
         reached = []
         for mod, eta in frontier:
             composite = ribbon_compose(diag, qp, x0, eta, mod, eta_g,
                                        generator)
             for wt, _, embs in decompose(tensor(mod, generator)):
-                if wt.coords in braids:
+                if wt.coords in braids or wt.pairing(two_rho) > bound:
                     continue
                 lifted = np.kron(np.eye(x0.dim), embs[0])
                 braids[wt.coords] = lifted.conj().T @ composite @ lifted
                 reached.append((build_irrep(diag.datum, wt, qp),
                                 braids[wt.coords]))
         frontier = reached
-    raise NoKMatrixError("target module not reached from the generator")
-
-
-def _nullspace(system, dim, tol_rel=1e-8):
-    _, sv, vh = np.linalg.svd(system)
-    tol = tol_rel * max(sv[0], 1.0)
-    null = [i for i in range(len(sv)) if sv[i] < tol] + \
-        list(range(len(sv), vh.shape[0]))
-    return [vh.conj().T[:, i].reshape(dim, dim) for i in null]
+    return braids[u.highest.coords]
 
 
 def _trivial_projector(x0, u):
@@ -982,16 +945,9 @@ def _is_nonscalar(mat, tol=1e-8):
         > tol * max(np.linalg.norm(mat), 1.0)
 
 
-def _fix_gauge(eta, gauge):
-    if gauge == "entry":
-        pivot = eta[-1, 0]
-        if abs(pivot) > 1e-9:
-            return eta * (abs(pivot) / pivot)
-        det = np.linalg.det(eta)
-        return eta * (abs(det) / det) ** (1.0 / eta.shape[0])
-    return eta
-
-
-def _sylvester_rows(plain, twisted, dim):
-    """Rows of eta @ twisted - plain @ eta = 0, row-major vec(eta)."""
-    return np.kron(np.eye(dim), twisted.T) - np.kron(plain, np.eye(dim))
+def _fix_gauge(eta):
+    pivot = eta[-1, 0]
+    if abs(pivot) > 1e-9:
+        return eta * (abs(pivot) / pivot)
+    det = np.linalg.det(eta)
+    return eta * (abs(det) / det) ** (1.0 / eta.shape[0])

@@ -1,7 +1,14 @@
 """Exception hierarchy shared by all qsp modules.
 
-Exit-code mapping used by the CLI: InputError -> 2, ResourceError -> 3,
-everything else that escapes -> 1.
+How the CLI reports each class:
+
+* InputError: one ``input error: ...`` line on stderr, exit 2;
+* ResourceError: one ``resource error: ...`` line on stderr, exit 3;
+* every other QspError (NumericalDegeneracyError, ConsistencyError,
+  NoKMatrixError, AmbiguityError, ResonanceError, AccuracyError,
+  UnsupportedOracleError): the JSON report
+  ``{"pass": false, "error": {"type": <class name>, "message": ...}}`` on
+  stdout (or the --out file), nothing on stderr, exit 1.
 """
 
 

@@ -116,19 +116,14 @@ class CoidealRankOneFamily:
     """Braids eta_{X0, U} of the su2 coideal at a parameter t, anchored at
     the fundamental module and extended canonically by fusion."""
 
-    def __init__(self, q, t, x0_b_value=None):
+    def __init__(self, q, t):
         self.qp = QParams(q)
         self.q = q
         self.t = t
         self.datum = build_root_datum([("A", 1)])
         self.diag = satake(self.datum, ())
         self.params = CoidealParams({1: q ** -2}, {1: 1j * t})
-        if x0_b_value is None:
-            self.x0 = counit_module(self.diag, self.params, self.qp)
-        else:
-            self.x0 = character_module(
-                self.diag, self.params, self.qp,
-                Character({1: x0_b_value}, {1: 0.0}), label="chi")
+        self.x0 = counit_module(self.diag, self.params, self.qp)
         self.v = build_irrep(self.datum, self.datum.weight([1]), self.qp)
         self._braids = {}
 
@@ -265,12 +260,13 @@ def _cylinder_rhs2(theta_u, theta_v, m1, m2, x0d, twist):
 # vogan-side checks (truncated; boundary masked)
 # ---------------------------------------------------------------------------
 
-def _mask(mat, module, n_uq_legs_dim, margin):
-    idx = interior_indices(module, n_uq_legs_dim, margin)
+def _mask(mat, module, n_uq_legs_dim):
+    """Restrict to the interior: levels at least 4 below the truncation."""
+    idx = interior_indices(module, n_uq_legs_dim, 4)
     return mat[np.ix_(idx, idx)]
 
 
-def check_octagon_vogan(module, m1, m2, qp, margin=4):
+def check_octagon_vogan(module, m1, m2, qp):
     """(alpha ox id)(E) = R32 E13 (id ox nu)(R)23 on M ox U ox V."""
     lhs = e_matrix(coaction_tensor(module, m1), m2, qp)
     dims = [module.dim, m1.dim, m2.dim]
@@ -279,34 +275,34 @@ def check_octagon_vogan(module, m1, m2, qp, margin=4):
     rtw23 = op_on_legs(rmat(m1, nu_module(m2)).matrix, dims, (1, 2))
     rhs = r32 @ e13 @ rtw23
     cut_dim = m1.dim * m2.dim
-    diff = _mask(lhs - rhs, module, cut_dim, margin)
-    return np.linalg.norm(diff) / max(np.linalg.norm(_mask(rhs, module, cut_dim, margin)), 1e-30)
+    diff = _mask(lhs - rhs, module, cut_dim)
+    return np.linalg.norm(diff) / max(np.linalg.norm(_mask(rhs, module, cut_dim)), 1e-30)
 
 
-def check_ribbon_vogan(module, m1, m2, qp, margin=4):
+def check_ribbon_vogan(module, m1, m2, qp):
     """(id ox Delta)(E) = (alpha ox id)(E) E12."""
     lhs = e_matrix(module, tensor(m1, m2), qp)
     rhs = e_matrix(coaction_tensor(module, m1), m2, qp) \
         @ op_on_legs(e_matrix(module, m1, qp),
                      [module.dim, m1.dim, m2.dim], (0, 1))
     cut_dim = m1.dim * m2.dim
-    diff = _mask(lhs - rhs, module, cut_dim, margin)
+    diff = _mask(lhs - rhs, module, cut_dim)
     return np.linalg.norm(diff) / max(
-        np.linalg.norm(_mask(rhs, module, cut_dim, margin)), 1e-30)
+        np.linalg.norm(_mask(rhs, module, cut_dim)), 1e-30)
 
 
-def check_cylinder_vogan(module, m1, m2, qp, margin=4):
+def check_cylinder_vogan(module, m1, m2, qp):
     theta_u = e_matrix(module, m1, qp)
     theta_v = e_matrix(module, m2, qp)
     theta_uv = e_matrix(module, tensor(m1, m2), qp)
     rhs1 = _cylinder_rhs1(theta_u, theta_v, m1, m2, module.dim, nu_module)
     rhs2 = _cylinder_rhs2(theta_u, theta_v, m1, m2, module.dim, nu_module)
     cut = m1.dim * m2.dim
-    scale = max(np.linalg.norm(_mask(theta_uv, module, cut, margin)), 1e-30)
+    scale = max(np.linalg.norm(_mask(theta_uv, module, cut)), 1e-30)
     return {
-        "cyl-tw-eq": np.linalg.norm(_mask(theta_uv - rhs1, module, cut, margin)) / scale,
-        "cyl-tw-eq-2": np.linalg.norm(_mask(theta_uv - rhs2, module, cut, margin)) / scale,
-        "cyl-rhs-agree": np.linalg.norm(_mask(rhs1 - rhs2, module, cut, margin)) / scale,
+        "cyl-tw-eq": np.linalg.norm(_mask(theta_uv - rhs1, module, cut)) / scale,
+        "cyl-tw-eq-2": np.linalg.norm(_mask(theta_uv - rhs2, module, cut)) / scale,
+        "cyl-rhs-agree": np.linalg.norm(_mask(rhs1 - rhs2, module, cut)) / scale,
     }
 
 
@@ -362,8 +358,9 @@ def run_axioms(source, q, t=0.0, r=0.25, levels=14):
                   residuals, tols, runtime=time.time() - start)
 
 
-def run_kz_suite(q, lams=(0.0, 1.0)):
+def run_kz_suite(q):
     start = time.time()
+    lams = (0.0, 1.0)
     ts = split_tensors()
     hbar = -1j * math.log(q) / math.pi
     residuals = {}

@@ -25,6 +25,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm, schur
 
 from .errors import AccuracyError, InputError, ResonanceError
+from .uqrep import intertwiners
 
 _EPS = np.finfo(float).eps
 
@@ -88,22 +89,14 @@ class SymPairTensors:
 
     def sigma_matrix(self, j2):
         """Unitary implementing sigma on spin j, normalized to square to 1."""
-        e, f, h = self.rep(j2)
-        dim = j2 + 1
-        rows = []
-        for vec in (np.eye(3)):
-            x = self.vec_matrix(vec, j2)
-            sx = self.vec_matrix(self.sigma_mat @ vec, j2)
-            rows.append(np.kron(np.eye(dim), x.T) - np.kron(sx, np.eye(dim)))
-        _, sv, vh = np.linalg.svd(np.vstack(rows))
-        null = [i for i in range(vh.shape[0])
-                if i >= len(sv) or sv[i] < 1e-9 * sv[0]]
-        if len(null) != 1:
+        pairs = [(self.vec_matrix(vec, j2),
+                  self.vec_matrix(self.sigma_mat @ vec, j2))
+                 for vec in np.eye(3)]
+        basis = intertwiners(pairs, 1e-9)
+        if len(basis) != 1:
             raise InputError("sigma does not integrate uniquely on this spin")
-        s = vh.conj().T[:, null[0]].reshape(dim, dim)
-        s2 = s @ s
-        lam = np.trace(s2) / dim
-        return s / np.sqrt(lam)
+        s = basis[0]
+        return s / np.sqrt(np.trace(s @ s) / (j2 + 1))
 
     def pair_tensor(self, basis, j2a, j2b):
         """sum_i X_i^* ox X_i over a basis, on spin j2a ox spin j2b."""

@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import AlgebraElement
 from .errors import InputError
 from .rootsys import beta_sequence, qfact, qint, restrict_datum, weyl_act
-from .uqrep import QParams, build_irrep
+from .uqrep import QParams, build_irrep, kernel
 
 
 @dataclass(frozen=True)
@@ -128,14 +128,7 @@ def braid_on_module(module, r):
         if n_pair.denominator != 1 or n_pair < 0:
             continue
         n = int(n_pair)
-        block = er[:, idxs]
-        if np.linalg.norm(block) < 1e-12:
-            kern = np.eye(len(idxs), dtype=complex)
-        else:
-            _, s, vh = np.linalg.svd(block)
-            keep = [i for i in range(len(idxs))
-                    if i >= len(s) or s[i] <= 1e-9 * max(s[0], 1.0)]
-            kern = vh.conj().T[:, keep]
+        kern, _ = kernel(er[:, idxs], 1e-9)
         for c in range(kern.shape[1]):
             hw = np.zeros(dim, dtype=complex)
             for pos, i in enumerate(idxs):

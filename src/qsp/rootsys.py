@@ -89,44 +89,51 @@ def _symmetrizers(typ, rank):
     raise InputError(f"unknown type {typ!r}")
 
 
-def _det_int(mat):
-    """Determinant of a small integer matrix, exact."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+def _gauss_jordan(mat, ncols=None):
+    """Exact Gauss-Jordan elimination over the first ``ncols`` columns (all
+    by default); later columns ride along as an augmented block.
+
+    Returns (reduced rows, pivot columns, det): the rows are in reduced row
+    echelon form as Fractions, and det is the determinant of the leading
+    square block (0 when a column has no pivot)."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    n = len(a)
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots, det = [], Fraction(1)
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
         if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+            det = Fraction(0)
+            continue
+        if piv != row:
+            a[row], a[piv] = a[piv], a[row]
             det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return int(det)
-
-
-def _inv_frac(mat):
-    """Inverse of a matrix of Fractions (Gauss-Jordan, exact)."""
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        det *= a[row][col]
+        inv = 1 / a[row][col]
+        a[row] = [x * inv for x in a[row]]
         for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            if r != row and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+    return a, pivots, det
+
+
+def nullspace_frac(mat):
+    """Basis of the rational kernel of a matrix, one vector per free column
+    (that entry 1, the other free entries 0)."""
+    ncols = len(mat[0])
+    red, pivots, _ = _gauss_jordan(mat)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -red[i][fc]
+        basis.append(vec)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -218,13 +225,15 @@ def build_root_datum(type_spec):
             for j in range(rk):
                 cartan[off + i][off + j] = block[i][j]
         d.extend(_symmetrizers(typ, rk))
-        dets.append(_det_int(block))
+        dets.append(int(_gauss_jordan(block)[2]))
         off += rk
 
     d_A = lcm(*dets)
     # Gram matrix of fundamental weights: G = D B^{-1} D with B = diag(d) A.
     b = [[Fraction(d[i] * cartan[i][j]) for j in range(n)] for i in range(n)]
-    binv = _inv_frac(b)
+    eye = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    red, _, _ = _gauss_jordan([row + e for row, e in zip(b, eye)], n)
+    binv = [row[n:] for row in red]
     gram = tuple(tuple(d[i] * binv[i][j] * d[j] for j in range(n)) for i in range(n))
 
     datum = RootDatum(tuple(comps), tuple(map(tuple, cartan)), tuple(d), d_A, gram)
@@ -433,22 +442,21 @@ def _is_negative_on(weight, subset):
     on the subset nonpositive, at least one negative)?  In fundamental
     coordinates a root of the subsystem has support only on subset columns;
     negativity is decided by the alpha-expansion."""
-    coeffs = _alpha_coefficients(weight, subset)
+    coeffs = alpha_coefficients(weight, subset)
     if coeffs is None:
         return False
     return all(c <= 0 for c in coeffs.values()) and any(c < 0 for c in coeffs.values())
 
 
-def _alpha_coefficients(weight, subset):
+def alpha_coefficients(weight, subset):
     """Expand a weight supported on ZZ<alpha_r : r in subset>; None if not."""
     datum = weight.datum
     sub = list(subset)
     # Solve sum_t c_t alpha_t = weight in fundamental coordinates:
     # coords[s] = sum_t c_t a_{s+1, t}; restrict to rows s in subset gives a
     # square invertible system (Cartan matrix of the subsystem).
-    a_sub = [[Fraction(datum.a(s, t)) for t in sub] for s in sub]
-    rhs = [weight.coords[s - 1] for s in sub]
-    coeffs = _solve_frac(a_sub, rhs)
+    aug = [[datum.a(s, t) for t in sub] + [weight.coords[s - 1]] for s in sub]
+    coeffs = [row[-1] for row in _gauss_jordan(aug, len(sub))[0]]
     # check consistency on the rows outside the subset
     for s in datum.vertices:
         if s in subset:
@@ -457,21 +465,6 @@ def _alpha_coefficients(weight, subset):
         if val != weight.coords[s - 1]:
             return None
     return dict(zip(sub, coeffs))
-
-
-def _solve_frac(a, rhs):
-    n = len(a)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def positive_roots_closure(datum, subset):
@@ -494,10 +487,10 @@ def positive_roots_closure(datum, subset):
         frontier = new
     out = []
     for w in seen.values():
-        coeffs = _alpha_coefficients(w, subset)
+        coeffs = alpha_coefficients(w, subset)
         if coeffs is not None and all(c >= 0 for c in coeffs.values()):
             out.append(w)
-    out.sort(key=lambda w: (sum(_alpha_coefficients(w, subset).values()), w.coords))
+    out.sort(key=lambda w: (sum(alpha_coefficients(w, subset).values()), w.coords))
     return out
 
 

@@ -10,8 +10,11 @@ surviving vectors are orthonormalized by deterministic Gram-Schmidt in
 ``build_irrep`` is memoised on (datum, highest weight, QParams, label) for
 the life of the process; ``tensor``, ``twist_module`` and ``decompose`` keep
 their results in the ``cache`` of their first argument, keyed by the
-partner module, the permutation or the tolerance.  Cached arrays are
-read-only.
+partner module or the permutation.  Cached arrays are read-only.
+
+Every SVD kernel the package takes goes through ``kernel`` (and
+``intertwiners``, the kernel of a commutation system), except the one of
+``rmatrix.rmat_oracle``, which stays an independent reference.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, NumericalDegeneracyError, ResourceError
-from .rootsys import weyl_dimension
+from .rootsys import alpha_coefficients, weyl_dimension
 
 DIM_CAP_DEFAULT = 400
 # Relative cut on spanning-vector norms when quotienting the radical of the
@@ -122,6 +125,30 @@ class WeightModule:
         for word, coeff in element.terms.items():
             out += coeff * word_matrix(self, word)
         return out
+
+
+def kernel(mat, rel):
+    """Orthonormal kernel of ``mat`` and its singular values, as (basis, s).
+
+    A singular value counts as zero when it is <= rel * max(s_max, 1); the
+    columns beyond the row count of a wide matrix are always in the kernel.
+    Tall and square matrices take the thin SVD, so the left singular vectors
+    that would be thrown away are never formed."""
+    rows, cols = mat.shape
+    _, s, vh = np.linalg.svd(mat, full_matrices=rows < cols)
+    cut = rel * max(s[0] if len(s) else 0.0, 1.0)
+    keep = [i for i in range(cols) if i >= len(s) or s[i] <= cut]
+    return vh.conj().T[:, keep], s
+
+
+def intertwiners(pairs, rel):
+    """Basis of {X : X A = B X for every (A, B) in pairs}, square X, as a
+    list of matrices orthonormal in the Frobenius inner product."""
+    dim = pairs[0][0].shape[0]
+    eye = np.eye(dim)
+    system = np.vstack([np.kron(eye, a.T) - np.kron(b, eye) for a, b in pairs])
+    basis, _ = kernel(system, rel)
+    return [basis[:, i].reshape(dim, dim) for i in range(basis.shape[1])]
 
 
 def read_only(arr):
@@ -340,10 +367,10 @@ def tensor(m1, m2, label=""):
     return out
 
 
-def twist_module(module, perm, label_suffix="^tw"):
+def twist_module(module, perm):
     """Precompose the representation with a diagram automorphism:
     pi^tw(E_r) = pi(E_{perm(r)}), weights permuted accordingly."""
-    key = ("twist", tuple(sorted(perm.items())), label_suffix)
+    key = ("twist", tuple(sorted(perm.items())))
     if key in module.cache:
         return module.cache[key]
     dat = module.datum
@@ -358,7 +385,7 @@ def twist_module(module, perm, label_suffix="^tw"):
         dat, module.qp, [tw(w) for w in module.weights],
         {r: module.E[perm[r]] for r in dat.vertices},
         {r: module.F[perm[r]] for r in dat.vertices},
-        highest=None, label=module.label + label_suffix)
+        highest=None, label=module.label + "^tw")
     return out
 
 
@@ -381,14 +408,17 @@ def ribbon_diag(module):
     return out
 
 
-def decompose(module, tol=1e-8):
+def decompose(module):
     """Orthogonal isotypic decomposition: a tuple of (varpi, multiplicity,
     embeddings), one read-only isometric embedding V_varpi -> module of
-    shape dim(module) x dim(V_varpi) per copy."""
-    key = ("decompose", tol)
+    shape dim(module) x dim(V_varpi) per copy.  Highest-weight vectors are
+    the kernel of the E_r at relative cut 1e-8; a singular value between
+    that cut and its square root raises NumericalDegeneracyError."""
+    key = ("decompose",)
     if key in module.cache:
         return module.cache[key]
     datum, qp = module.datum, module.qp
+    tol = 1e-8
     spaces = module.weight_spaces()
     out = []
     total = 0
@@ -399,20 +429,12 @@ def decompose(module, tol=1e-8):
         idxs = spaces[wc]
         # kernel of all E_r restricted to this weight space
         stacked = np.vstack([module.E[r][:, idxs] for r in datum.vertices])
-        if stacked.shape[0] == 0:
-            kern = np.eye(len(idxs))
-        else:
-            _, s, vh = np.linalg.svd(stacked)
-            smax = s[0] if len(s) else 0.0
-            ker_dims = [i for i in range(len(idxs))
-                        if i >= len(s) or s[i] <= tol * max(smax, 1.0)]
-            if len(s) and any(
-                    tol * max(smax, 1.0) < s[i] < math.sqrt(tol) * max(smax, 1.0)
-                    for i in range(len(s))):
-                raise NumericalDegeneracyError(
-                    "singular values straddle the rank threshold",
-                    {"weight": wc, "singular_values": s.tolist()})
-            kern = vh.conj().T[:, ker_dims]
+        kern, s = kernel(stacked, tol)
+        scale = max(s[0], 1.0)
+        if any(tol * scale < x < math.sqrt(tol) * scale for x in s):
+            raise NumericalDegeneracyError(
+                "singular values straddle the rank threshold",
+                {"weight": wc, "singular_values": s.tolist()})
         mult = kern.shape[1]
         if mult == 0:
             continue
@@ -454,10 +476,9 @@ def _grow_embedding(module, varpi, hw_vec, qp):
     datum = module.datum
     emb = np.zeros((module.dim, model.dim), dtype=complex)
     emb[:, 0] = hw_vec
-    from .rootsys import _alpha_coefficients
     levels = {}
     for i, w in enumerate(model.weights):
-        ht = sum(_alpha_coefficients(varpi - w, datum.vertices).values())
+        ht = sum(alpha_coefficients(varpi - w, datum.vertices).values())
         levels.setdefault(ht, []).append(i)
     heights = sorted(levels)
     for ha, hb in zip(heights, heights[1:]):

@@ -28,6 +28,8 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .rootsys import qfact
+from .uqrep import WeightModule, kernel, ribbon_diag
+
 
 def _phi(n, r, q):
     """F-ladder coefficient: F e_n = phi_n e_{n-1}."""
@@ -84,13 +86,13 @@ def build_Mr(r, qp, cap):
     return TruncatedModule(r, qp, cap, k, f, f.conj().T, h, label=f"M[{r}]")
 
 
-def relations_residual(module, margin=2):
+def relations_residual(module):
     """Residuals of the three defining relations on the interior."""
     q = module.qp.q
     k = np.diag(module.k_diag)
     f = module.f_mat
     fs = module.fstar
-    idx = interior_indices(module, 1, margin)
+    idx = interior_indices(module, 1, 2)
     out = {}
 
     def cut(m):
@@ -167,7 +169,6 @@ def e_matrix(module, v, qp):
         a_series += c * np.kron(f_pow, e_pow)
         b_series += c * (-1) ** n * np.kron(kfs_pow, fv_pow)
 
-    from .uqrep import ribbon_diag
     v_inv = np.linalg.inv(ribbon_diag(v))
     out = ((a_series * cartan) @ b_series) * cartan
     # 1 ox v^{-1}: v^{-1} on the V leg of every column index
@@ -185,7 +186,7 @@ def _masked_commutator(braid, pairs, idx):
     return worst
 
 
-def nu_twist_residual(module, v, qp, margin=3):
+def nu_twist_residual(module, v, qp):
     """|| E (id ox nu) alpha(x) - alpha(x) E || on the truncation interior,
     for the generators x in {K, F, F^*}."""
     prod = coaction_tensor(module, v)
@@ -193,12 +194,11 @@ def nu_twist_residual(module, v, qp, margin=3):
     pairs = [(np.diag(prod.k_diag), np.diag(prod_tw.k_diag)),
              (prod.f_mat, prod_tw.f_mat), (prod.fstar, prod_tw.fstar)]
     return _masked_commutator(e_matrix(module, v, qp), pairs,
-                              interior_indices(module, v.dim, margin))
+                              interior_indices(module, v.dim, 3))
 
 
 def nu_module(v):
     """The Vogan involution on su2 modules: E -> -E, F -> -F, K -> K."""
-    from .uqrep import WeightModule
     return WeightModule(v.datum, v.qp, list(v.weights),
                         {1: -v.E[1]}, {1: -v.F[1]},
                         highest=v.highest, label=v.label + "^nu")
@@ -211,14 +211,14 @@ def twist_to_plain(braid, v):
     return braid * np.tile(kchi_inv, braid.shape[0] // v.dim)
 
 
-def plain_commutation_residual(module, v, qp, margin=3):
+def plain_commutation_residual(module, v, qp):
     """The plain braid commutes with the untwisted coaction on the
     interior."""
     plain = twist_to_plain(e_matrix(module, v, qp), v)
     prod = coaction_tensor(module, v)
     mats = (np.diag(prod.k_diag), prod.f_mat, prod.fstar)
     return _masked_commutator(plain, [(mat, mat) for mat in mats],
-                              interior_indices(module, v.dim, margin))
+                              interior_indices(module, v.dim, 3))
 
 
 def weight_blocks(module, v):
@@ -242,7 +242,7 @@ def plain_block_eigenvalues(module, v, qp):
     return out
 
 
-def e_matrix_component_scalars(module, v, qp, margin=3):
+def e_matrix_component_scalars(module, v, qp):
     """The braid's scalars on the two fused components, per total-weight
     block of the interior.
 
@@ -260,7 +260,7 @@ def e_matrix_component_scalars(module, v, qp, margin=3):
     top = np.zeros(dim, dtype=complex)
     top[0] = 1.0              # e_0 ox e_+: generates the quotient classes
     blocks = weight_blocks(module, v)
-    n_interior = len(interior_indices(module, v.dim, margin))
+    n_interior = len(interior_indices(module, v.dim, 3))
     sub_chain, sub_chain_tw = bottom.copy(), bottom.copy()
     quot_chain, quot_chain_tw = top.copy(), top.copy()
     out = {}
@@ -296,76 +296,19 @@ def e_matrix_component_scalars(module, v, qp, margin=3):
     return out, defect
 
 
-def fusion_check(module, v, qp, margin=2):
+def fusion_check(module, v, qp):
     """Lowest-weight vectors of module ox V inside the truncation: kernel
     of F within each interior weight block.  Returns
     {weight: multiplicity}."""
     if module.cap < 3:
         raise InputError("truncation too small for a fusion check")
     f_mat = coaction_tensor(module, v).f_mat
-    n_interior = len(interior_indices(module, v.dim, margin))
+    n_interior = len(interior_indices(module, v.dim, 2))
     out = {}
     for hval, idx in weight_blocks(module, v).items():
         if idx[-1] >= n_interior:
             continue
-        sv = np.linalg.svd(f_mat[:, idx], compute_uv=False)
-        dim_ker = sum(1 for i in range(len(idx))
-                      if i >= len(sv) or sv[i] < 1e-9 * max(sv[0], 1.0))
+        dim_ker = kernel(f_mat[:, idx], 1e-9)[0].shape[1]
         if dim_ker:
             out[hval] = dim_ker
     return out
-
-
-def e_matrix_block_symbolic(level):
-    """Symbolic verification of the component scalars at a sample level.
-
-    Over symbols q, u = q^r, builds the 2x2 braid block on
-    {e_n ox e_+, e_{n+1} ox e_-} and the chain vectors of the two fused
-    components, and returns the simplified defects of
-
-        E s'_n = q^{-3/2} u^{-1} s_n        (submodule scalar),
-        quotient scalar = u sqrt(q)          (via the annihilator of s_n),
-
-    both of which must be zero."""
-    import sympy as sp
-
-    q = sp.symbols("q", positive=True)
-    u = sp.symbols("u", positive=True)  # u = q^r
-    n = int(level)
-
-    def phi(k):
-        rad = (1 - q ** (2 * k)) * (1 + u ** 2 * q ** (2 - 2 * k))
-        return q ** (-k) * sp.sqrt(rad) / (sp.sqrt(q) * (1 / q - q))
-
-    def block_at(m):
-        cart = sp.diag(sp.sqrt(u) * q ** (-m), q ** (m + 1) / sp.sqrt(u))
-        c1 = 1 / q - q
-        kfs = u ** -1 * q ** (2 * m + 2) * phi(m + 1)
-        b_fac = sp.Matrix([[1, 0], [-c1 * kfs / sp.sqrt(q), 1]])
-        a_fac = sp.Matrix([[1, c1 * phi(m + 1) * sp.sqrt(q)], [0, 1]])
-        return sp.expand(a_fac * cart * b_fac * cart * q ** sp.Rational(-3, 2))
-
-    def transfer(m, sign):
-        # alpha(F^*) block m-1 -> m in the (u1, u2) coordinates
-        return sp.Matrix([[phi(m) / q if m >= 1 else 0, sign / sp.sqrt(q)],
-                          [0, q * phi(m + 1)]])
-
-    # chains from e_0 ox e_- (submodule) and e_0 ox e_+ (quotient classes)
-    s_vec = sp.Matrix([1 / sp.sqrt(q), q * phi(1)])
-    s_tw = sp.Matrix([-1 / sp.sqrt(q), q * phi(1)])
-    q_vec = sp.Matrix([1, 0])
-    q_tw = sp.Matrix([1, 0])
-    for m in range(1, n + 1):
-        s_vec = transfer(m, 1) * s_vec
-        s_tw = transfer(m, -1) * s_tw
-        q_vec = transfer(m, 1) * q_vec
-        q_tw = transfer(m, -1) * q_tw
-
-    blk = block_at(n)
-    mu = q ** sp.Rational(-3, 2) / u
-    sub_defect = sp.simplify(sp.expand(blk * s_tw - mu * s_vec))
-    vperp = sp.Matrix([[-s_vec[1], s_vec[0]]])
-    lam = u * sp.sqrt(q)
-    quot_defect = sp.simplify(sp.expand(
-        (vperp * blk * q_tw)[0] - lam * (vperp * q_vec)[0]))
-    return sub_defect, quot_defect

@@ -41,10 +41,10 @@ from qsp.uqrep import QParams, build_irrep, relations_residual, star_residual
 from qsp.vogan10 import (
     build_Mr,
     e_matrix,
-    e_matrix_block_symbolic,
     e_matrix_component_scalars,
     fusion_check,
 )
+from test_vogan10 import e_matrix_block_symbolic
 
 A1 = build_root_datum([("A", 1)])
 A2 = build_root_datum([("A", 2)])

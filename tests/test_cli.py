@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import qsp
+import qsp.errors
 from qsp.cli import main
 
 
@@ -101,6 +102,66 @@ def test_kmatrix_cmd(runner, su2_diagram):
     payload = json.loads(res.output)
     assert len(payload["singular_values"]) == 2
     assert payload["lambda_from_trace"] is not None
+
+
+def test_kmatrix_cmd_high_spin(runner, su2_diagram):
+    res = runner.invoke(main, ["kmatrix", "--diagram", su2_diagram,
+                               "--t", "0.3", "--rep", "10", "--q", "0.7"])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.stdout)
+    assert len(payload["singular_values"]) == 11
+    assert payload["residuals"]["twisted_intertwining"] < 1e-7
+
+
+def test_kmatrix_ambiguity_is_a_json_report(runner, aiii_diagram):
+    res = runner.invoke(main, ["kmatrix", "--diagram", aiii_diagram,
+                               "--t", "0", "--rep", "1,0,0", "--q", "0.7"])
+    assert res.exit_code == 1
+    assert res.stderr == ""
+    assert json.loads(res.stdout) == {
+        "pass": False,
+        "error": {"type": "AmbiguityError",
+                  "message": "no trivial component in u ox u to fix the "
+                             "scale"}}
+
+
+def test_kz_psi_resonance_is_a_json_report(runner, tmp_path):
+    cfg = tmp_path / "kz.json"
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    a = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    cfg.write_text(json.dumps({"a": a, "b_plus": zero, "b_minus": zero}))
+    res = runner.invoke(main, ["kz", "psi", "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert res.stderr == ""
+    payload = json.loads(res.stdout)
+    assert payload["pass"] is False
+    assert payload["error"]["type"] == "ResonanceError"
+    assert payload["error"]["message"].startswith("resonant residues")
+
+
+_ERROR_CLASSES = [
+    cls for cls in vars(qsp.errors).values()
+    if isinstance(cls, type) and issubclass(cls, qsp.errors.QspError)
+    and cls is not qsp.errors.QspError]
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_error_contract_per_class(runner, monkeypatch, cls):
+    # the mapping listed in the errors.py docstring
+    def fail(q):
+        raise cls("boom")
+    monkeypatch.setattr("qsp.cli.run_kz_suite", fail)
+    res = runner.invoke(main, ["verify", "kz", "--q", "0.7"])
+    if cls is qsp.errors.InputError:
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "input error: boom\n"
+    elif cls is qsp.errors.ResourceError:
+        assert (res.exit_code, res.stdout) == (3, "")
+        assert res.stderr == "resource error: boom\n"
+    else:
+        assert (res.exit_code, res.stderr) == (1, "")
+        assert json.loads(res.stdout) == {
+            "pass": False, "error": {"type": cls.__name__, "message": "boom"}}
 
 
 def test_kz_psi_from_config(runner, tmp_path):

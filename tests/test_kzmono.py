@@ -366,3 +366,9 @@ def test_leg_coefficients_unchanged(lam, j2a, j2b):
                                   a + a02 + 2 * (hbar * TS.t_k(j2a, j2b)))
     braid = expm(-1j * math.pi * hbar * (2 * tk01 + TS.casimir_k(j2a)))
     np.testing.assert_array_equal(kz_braid(TS, lam, j2a, hbar), braid)
+
+
+def test_sigma_matrix_on_spin_zero():
+    # every generator acts by 0, so the intertwining system is all zero and
+    # its kernel is the whole 1 x 1 space
+    np.testing.assert_array_equal(TS.sigma_matrix(0), [[1.0]])

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import strategies as st
 
 from qsp.errors import InputError
 from qsp.rootsys import (
+    _gauss_jordan,
     beta_sequence,
     build_root_datum,
     diagram_automorphisms,
     longest_element,
+    nullspace_frac,
     positive_roots,
     positive_roots_closure,
     qbinom,
@@ -148,8 +151,8 @@ def test_reduced_word_inverts_length_many_roots():
 
 
 def _is_negative(wt, d):
-    from qsp.rootsys import _alpha_coefficients
-    coeffs = _alpha_coefficients(wt, d.vertices)
+    from qsp.rootsys import alpha_coefficients
+    coeffs = alpha_coefficients(wt, d.vertices)
     return coeffs is not None and all(c <= 0 for c in coeffs.values())
 
 
@@ -258,3 +261,60 @@ def test_json_roundtrip():
     assert d2 == d
     mu = d.weight([F(1, 2), 2, -1])
     assert weight_from_json(d, mu.to_json()).coords == mu.coords
+
+
+def _leibniz_det(mat):
+    n = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= mat[i][perm[i]]
+        total += term
+    return total
+
+
+def _int_matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=cols,
+                             max_size=cols), min_size=rows, max_size=rows)
+
+
+_square = st.integers(1, 4).flatmap(lambda n: _int_matrices(n, n))
+_rect = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: _int_matrices(*shape))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_square)
+def test_gauss_jordan_det_inverse_solve(mat):
+    n = len(mat)
+    _, _, det = _gauss_jordan(mat)
+    assert det == _leibniz_det(mat)
+    if det == 0:
+        return
+    eye = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    red, pivots, _ = _gauss_jordan([row + e for row, e in zip(mat, eye)], n)
+    assert pivots == list(range(n))
+    inv = [row[n:] for row in red]
+    prod = [[sum(mat[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    assert prod == eye
+    want = [Fraction(i + 1, 2) for i in range(n)]
+    rhs = [sum(a * x for a, x in zip(row, want)) for row in mat]
+    red, _, _ = _gauss_jordan([row + [b] for row, b in zip(mat, rhs)], n)
+    assert [row[-1] for row in red] == want
+
+
+@settings(deadline=None, max_examples=150)
+@given(_rect)
+def test_nullspace_frac_dimension_and_kernel(mat):
+    cols = len(mat[0])
+    rank = len(_gauss_jordan(mat)[1])
+    basis = nullspace_frac(mat)
+    assert len(basis) == cols - rank
+    for vec in basis:
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in mat)
+    if basis:
+        assert len(_gauss_jordan(basis)[1]) == len(basis)

@@ -10,6 +10,8 @@ from qsp.uqrep import (
     build_irrep,
     casimir_scalar,
     decompose,
+    intertwiners,
+    kernel,
     relations_residual,
     star_residual,
     tensor,
@@ -231,3 +233,67 @@ def test_antipode_and_star_axioms():
     # star on modules: act(x.star) == act(x)^dagger for a *-rep
     x = e * AlgebraElement.f(A1, 1) + 2j * AlgebraElement.k_alpha(A1, 1)
     np.testing.assert_allclose(v.act(x.star(QP)), v.act(x).conj().T, atol=1e-12)
+
+
+def _complex_normal(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) \
+        + 1j * rng.standard_normal((rows, cols))
+
+
+# tall, square, wide, zero and rank-deficient inputs
+@pytest.mark.parametrize("rows, cols, rank", [
+    (12, 5, 5), (12, 5, 3), (6, 6, 4), (5, 5, 5), (3, 7, 3), (3, 7, 2),
+    (8, 4, 0), (4, 6, 0), (1, 1, 0)])
+def test_kernel_basis_and_cut(rows, cols, rank):
+    rng = np.random.default_rng(100 * rows + 10 * cols + rank)
+    mat = _complex_normal(rng, rows, rank) @ _complex_normal(rng, rank, cols)
+    basis, s = kernel(mat, 1e-10)
+    assert basis.shape == (cols, cols - rank)
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(cols - rank),
+                               atol=1e-12)
+    assert np.linalg.norm(mat @ basis) <= 1e-12 * max(np.linalg.norm(mat), 1.0)
+    # the full SVD makes the same cut and spans the same kernel
+    _, s_full, vh = np.linalg.svd(mat, full_matrices=True)
+    np.testing.assert_allclose(s, s_full, atol=1e-12)
+    cut = 1e-10 * max(s_full[0] if len(s_full) else 0.0, 1.0)
+    ref = vh.conj().T[:, [i for i in range(cols)
+                          if i >= len(s_full) or s_full[i] <= cut]]
+    np.testing.assert_allclose(basis @ basis.conj().T, ref @ ref.conj().T,
+                               atol=1e-10)
+
+
+def test_kernel_cut_is_relative_to_one_at_least():
+    # a tiny matrix is not rescaled to rank one: the cut is rel * max(s, 1)
+    basis, s = kernel(np.array([[1e-12, 0.0], [0.0, 1e-13]]), 1e-9)
+    assert basis.shape == (2, 2) and s.tolist() == [1e-12, 1e-13]
+
+
+def test_intertwiners_generic_pairs():
+    rng = np.random.default_rng(7)
+    x0 = _complex_normal(rng, 4, 4)
+    pairs = []
+    for _ in range(2):
+        a = _complex_normal(rng, 4, 4)
+        pairs.append((a, x0 @ a @ np.linalg.inv(x0)))
+    basis = intertwiners(pairs, 1e-10)
+    assert len(basis) == 1
+    x = basis[0]
+    assert abs(np.linalg.norm(x) - 1.0) < 1e-12
+    for a, b in pairs:
+        assert np.linalg.norm(x @ a - b @ x) < 1e-10
+    # the one solution is x0 up to scale
+    scale = np.vdot(x, x0)
+    assert np.linalg.norm(x0 - scale * x) < 1e-9 * np.linalg.norm(x0)
+
+
+@pytest.mark.parametrize("diag, want", [((1.0, 1.0, 2.0), 5),
+                                        ((0.0, 0.0, 0.0), 9),
+                                        ((1.0, 2.0, 3.0), 3)])
+def test_intertwiners_commutant_dimension(diag, want):
+    a = np.diag(diag).astype(complex)
+    basis = intertwiners([(a, a)], 1e-10)
+    assert len(basis) == want
+    gram = np.array([[np.vdot(x, y) for y in basis] for x in basis])
+    np.testing.assert_allclose(gram, np.eye(want), atol=1e-12)
+    for x in basis:
+        assert np.linalg.norm(x @ a - a @ x) < 1e-12

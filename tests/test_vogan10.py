@@ -8,7 +8,6 @@ from qsp.vogan10 import (
     build_Mr,
     coaction_tensor,
     e_matrix,
-    e_matrix_block_symbolic,
     e_matrix_component_scalars,
     fusion_check,
     interior_indices,
@@ -23,6 +22,61 @@ from qsp.vogan10 import (
 A1 = build_root_datum([("A", 1)])
 QP = QParams(0.7)
 Q = 0.7
+
+
+def e_matrix_block_symbolic(level):
+    """Symbolic verification of the component scalars at a sample level.
+
+    Over symbols q, u = q^r, builds the 2x2 braid block on
+    {e_n ox e_+, e_{n+1} ox e_-} and the chain vectors of the two fused
+    components, and returns the simplified defects of
+
+        E s'_n = q^{-3/2} u^{-1} s_n        (submodule scalar),
+        quotient scalar = u sqrt(q)          (via the annihilator of s_n),
+
+    both of which must be zero."""
+    import sympy as sp
+
+    q = sp.symbols("q", positive=True)
+    u = sp.symbols("u", positive=True)  # u = q^r
+    n = int(level)
+
+    def phi(k):
+        rad = (1 - q ** (2 * k)) * (1 + u ** 2 * q ** (2 - 2 * k))
+        return q ** (-k) * sp.sqrt(rad) / (sp.sqrt(q) * (1 / q - q))
+
+    def block_at(m):
+        cart = sp.diag(sp.sqrt(u) * q ** (-m), q ** (m + 1) / sp.sqrt(u))
+        c1 = 1 / q - q
+        kfs = u ** -1 * q ** (2 * m + 2) * phi(m + 1)
+        b_fac = sp.Matrix([[1, 0], [-c1 * kfs / sp.sqrt(q), 1]])
+        a_fac = sp.Matrix([[1, c1 * phi(m + 1) * sp.sqrt(q)], [0, 1]])
+        return sp.expand(a_fac * cart * b_fac * cart * q ** sp.Rational(-3, 2))
+
+    def transfer(m, sign):
+        # alpha(F^*) block m-1 -> m in the (u1, u2) coordinates
+        return sp.Matrix([[phi(m) / q if m >= 1 else 0, sign / sp.sqrt(q)],
+                          [0, q * phi(m + 1)]])
+
+    # chains from e_0 ox e_- (submodule) and e_0 ox e_+ (quotient classes)
+    s_vec = sp.Matrix([1 / sp.sqrt(q), q * phi(1)])
+    s_tw = sp.Matrix([-1 / sp.sqrt(q), q * phi(1)])
+    q_vec = sp.Matrix([1, 0])
+    q_tw = sp.Matrix([1, 0])
+    for m in range(1, n + 1):
+        s_vec = transfer(m, 1) * s_vec
+        s_tw = transfer(m, -1) * s_tw
+        q_vec = transfer(m, 1) * q_vec
+        q_tw = transfer(m, -1) * q_tw
+
+    blk = block_at(n)
+    mu = q ** sp.Rational(-3, 2) / u
+    sub_defect = sp.simplify(sp.expand(blk * s_tw - mu * s_vec))
+    vperp = sp.Matrix([[-s_vec[1], s_vec[0]]])
+    lam = u * sp.sqrt(q)
+    quot_defect = sp.simplify(sp.expand(
+        (vperp * blk * q_tw)[0] - lam * (vperp * q_vec)[0]))
+    return sub_defect, quot_defect
 
 
 @pytest.fixture(scope="module")
