@@ -16,7 +16,10 @@ The braid is
 with both R-factors given by the rank-one series
 sum_n c_n X^n ox Y^n q^{-H ox H / 2}, c_n = (q^{-1}-q)^n q^{-n(n-1)/2}/[n]_q!,
 where (X, Y) = (F, E) for the flipped factor and (K F^*, F), with the sign
-twist from nu_q(F) = -F, for the twisted one.
+twist from nu_q(F) = -F, for the twisted one.  ``e_matrix`` forms it as a
+dense matrix on any module ox V; on M_r ox V_{1/2} it is block-diagonal in
+total weight, and the spectral data are read from the closed-form 2x2
+blocks of ``spin_half_block``.
 """
 
 from __future__ import annotations
@@ -32,11 +35,15 @@ from .uqrep import WeightModule, kernel, ribbon_diag
 
 
 def _phi(n, r, q):
-    """F-ladder coefficient: F e_n = phi_n e_{n-1}."""
+    """F-ladder coefficient: F e_n = phi_n e_{n-1}; OverflowError when it
+    exceeds double precision."""
     rad = (1 - q ** (2 * n)) * (1 + q ** (2 * r + 2 - 2 * n))
     if rad < 0:
         raise InputError(f"negative radicand at level {n}")
-    return q ** (-n) * math.sqrt(rad) / (q ** 0.5 * (1 / q - q))
+    phi = q ** (-n) * math.sqrt(rad) / (q ** 0.5 * (1 / q - q))
+    if math.isinf(phi):
+        raise OverflowError
+    return phi
 
 
 @dataclass
@@ -221,25 +228,103 @@ def plain_commutation_residual(module, v, qp):
                               interior_indices(module, v.dim, 3))
 
 
+def _weight_key(hval):
+    return round(float(hval), 9)
+
+
 def weight_blocks(module, v):
     """Total-weight spaces of module ox V as index lists, keyed by the
     H-eigenvalue."""
     blocks = {}
     for i, hval in enumerate(_total_h(module, v)):
-        blocks.setdefault(round(float(hval), 9), []).append(i)
+        blocks.setdefault(_weight_key(hval), []).append(i)
     return blocks
+
+
+def _require_spin_half(v, q):
+    """InputError unless V is the spin-1/2 irrep of U_q(sl2) in its basis
+    (e_+, e_-), E e_- = q^{1/2} e_+ and F e_+ = q^{-1/2} e_-: the only V
+    for which the closed-form blocks hold."""
+    e_want = np.array([[0.0, q ** 0.5], [0.0, 0.0]])
+    f_want = np.array([[0.0, 0.0], [q ** -0.5, 0.0]])
+    if not (v.datum.components == (("A", 1),) and v.dim == 2
+            and _h_vector(v).tolist() == [1.0, -1.0]
+            and np.allclose(v.E[1], e_want, rtol=1e-12, atol=0)
+            and np.allclose(v.F[1], f_want, rtol=1e-12, atol=0)):
+        raise InputError("the Vogan block data need V to be the spin-1/2 "
+                         "irrep of U_q(sl2)")
+
+
+def spin_half_block(q, u, w2, g, phi_w2):
+    """The twist braid on the weight block {e_m ox e_+, e_{m+1} ox e_-} of
+    M_r ox V_{1/2}, as (B00, B01, B11) with B10 = -B01, from u = q^r,
+    w2 = q^{2m+2}, g = 1 - w2 and phi_w2 = phi_{m+1} w2.
+
+    This is the product R21_tilde (id ox nu)(R_tilde) (1 ox v^{-1}) on the
+    block with phi_{m+1}^2 replaced by its radicand, which cancels the
+    u q^{-2m} of the Cartan factor against the cross term: every entry is
+    of size 1 at every level.  Only arithmetic, so that it evaluates on
+    arrays and on symbols alike; g comes apart from w2 so that it keeps
+    its digits when w2 is close to 1."""
+    v_inv = q ** -1.5
+    return (v_inv * (u * q * q - g / u), (1 / q - q) * phi_w2 / (u * q),
+            v_inv * w2 / u)
+
+
+def _spin_half_blocks(module, q):
+    """The twist braid on the 2x2 weight blocks m = 0 .. cap-2 of
+    module ox V_{1/2}, stacked as an array of shape (cap-1, 2, 2)."""
+    n = np.arange(1, module.cap)   # m + 1
+    qn = q ** n.astype(float)
+    phi = module.f_mat.diagonal(1).real
+    b00, b01, b11 = spin_half_block(q, q ** module.r, qn * qn,
+                                    -np.expm1(2 * n * math.log(q)),
+                                    phi * qn * qn)
+    return np.stack([np.stack([b00, b01], -1), np.stack([-b01, b11], -1)], -2)
 
 
 def plain_block_eigenvalues(module, v, qp):
     """Eigenvalues of the plain (un-twisted) braid on each total-weight
     block, sorted descending by modulus and keyed by block weight.  The
-    moduli are the invariant spectral data."""
-    braid = twist_to_plain(e_matrix(module, v, qp), v)
-    out = {}
-    for hval, idx in sorted(weight_blocks(module, v).items()):
-        sub = braid[np.ix_(idx, idx)]
-        out[hval] = sorted(np.linalg.eigvals(sub), key=lambda z: -abs(z))
+    moduli are the invariant spectral data.  ``v`` must be V_{1/2}: the
+    blocks are the closed form of ``spin_half_block``, and only the
+    singletons e_0 ox e_- and e_{cap-1} ox e_+ have their own entry."""
+    q = qp.q
+    _require_spin_half(v, q)
+    try:
+        top = q ** (module.r + 0.5 - 2 * module.cap)   # on e_{cap-1} ox e_+
+    except OverflowError:
+        raise ResourceError(
+            f"the braid on the top level overflows double precision "
+            f"(q = {q}, {module.cap} levels)") from None
+    h = _total_h(module, v).reshape(-1, 2)
+    # twist_to_plain on a block: K_chi^{-1} is (-i, i) on (e_+, e_-)
+    evals = np.linalg.eigvals(_spin_half_blocks(module, q)
+                              * np.array([-1j, 1j]))
+    out = {_weight_key(h[0, 1]): [1j * q ** (-module.r - 1.5)]}
+    for m, pair in enumerate(evals):
+        out[_weight_key(h[m, 0])] = sorted(pair, key=lambda z: -abs(z))
+    out[_weight_key(h[-1, 0])] = [-1j * top]
     return out
+
+
+def _transfers(module, q, sign):
+    """alpha(F^*) from block m-1 to block m, for m = 0 .. cap-2, in the
+    block coordinates (e_m ox e_+, e_{m+1} ox e_-): the plain coaction for
+    sign +1, the nu-twisted one for sign -1.  Block -1 is e_0 ox e_-."""
+    phi = np.concatenate(([0.0], module.f_mat.diagonal(1).real))
+    out = np.zeros((module.cap - 1, 2, 2))
+    out[:, 0, 0] = phi[:-1] / q
+    out[:, 0, 1] = sign * q ** -0.5
+    out[:, 1, 1] = q * phi[1:]
+    return out
+
+
+def _normalised(a, b):
+    """a and b divided by one common factor, the largest entry of either,
+    so that their ratio is kept and no squared norm can overflow."""
+    scale = np.abs(np.concatenate((a, b))).max()
+    return a / scale, b / scale
 
 
 def e_matrix_component_scalars(module, v, qp):
@@ -250,49 +335,36 @@ def e_matrix_component_scalars(module, v, qp):
     nu-twisted coaction onto the ladder generated under the plain coaction;
     the scalar mu on these sub-lines and the scalar lam induced on the
     quotient are canonical.  Returns {weight: (mu, lam)} together with the
-    worst parallelism defect, as ({...}, defect)."""
-    braid = e_matrix(module, v, qp)
-    prod = coaction_tensor(module, v)
-    prod_tw = coaction_tensor(module, nu_module(v))
-    dim = module.dim * v.dim
-    bottom = np.zeros(dim, dtype=complex)
-    bottom[v.dim - 1] = 1.0   # e_0 ox e_-: lowest for both actions
-    top = np.zeros(dim, dtype=complex)
-    top[0] = 1.0              # e_0 ox e_+: generates the quotient classes
-    blocks = weight_blocks(module, v)
-    n_interior = len(interior_indices(module, v.dim, 3))
-    sub_chain, sub_chain_tw = bottom.copy(), bottom.copy()
-    quot_chain, quot_chain_tw = top.copy(), top.copy()
-    out = {}
+    worst parallelism defect, as ({...}, defect).
+
+    ``v`` must be V_{1/2}.  The chains run through the closed-form 2x2
+    blocks of ``spin_half_block``, both chains of a pair normalised by one
+    common factor at every step: O(levels), and finite at every level."""
+    q = qp.q
+    _require_spin_half(v, q)
+    if module.cap < 4:
+        return {}, 0.0   # no level lies 3 below the cap
+    h = _total_h(module, v).reshape(-1, 2)
+    blocks = _spin_half_blocks(module, q)
+    plain, twisted = _transfers(module, q, 1), _transfers(module, q, -1)
+    # e_0 ox e_-, lowest for both actions, is its own block (block -1)
+    out = {_weight_key(h[0, 1]): (complex(q ** (-module.r - 1.5)), None)}
+    sub = sub_tw = np.array([0.0, 1.0])
+    # e_0 ox e_+ generates the quotient classes
+    quot = quot_tw = np.array([1.0, 0.0])
     defect = 0.0
-    first = True
-    for hval in sorted(blocks):
-        idx = blocks[hval]
-        if idx[-1] >= n_interior:
-            continue
-        # the chains are not normalised: at high levels they overflow and
-        # the scalars come out as NaN, which the caller counts
-        with np.errstate(over="ignore", invalid="ignore"):
-            img = sub_img = braid @ sub_chain_tw
-            nrm2 = (sub_chain.conj() @ sub_chain).real
-            mu = (sub_chain.conj() @ sub_img) / nrm2
-            defect = max(defect, np.linalg.norm(img - mu * sub_chain)
-                         / math.sqrt(nrm2))
-            lam = None
-            if not first:
-                # annihilator of the sub-line, against canonical quotient reps
-                vperp = np.zeros(dim, dtype=complex)
-                i1, i2 = idx[0], idx[1]
-                vperp[i1] = -np.conj(sub_chain[i2])
-                vperp[i2] = np.conj(sub_chain[i1])
-                lam = (vperp.conj() @ (braid @ quot_chain_tw)) \
-                    / (vperp.conj() @ quot_chain)
-                quot_chain = prod.fstar @ quot_chain
-                quot_chain_tw = prod_tw.fstar @ quot_chain_tw
-            out[hval] = (mu, lam)
-            sub_chain = prod.fstar @ sub_chain
-            sub_chain_tw = prod_tw.fstar @ sub_chain_tw
-        first = False
+    for m in range(module.cap - 4):   # blocks with no level in the top 3
+        sub, sub_tw = _normalised(plain[m] @ sub, twisted[m] @ sub_tw)
+        if m:
+            quot, quot_tw = _normalised(plain[m] @ quot, twisted[m] @ quot_tw)
+        img = blocks[m] @ sub_tw
+        nrm2 = sub @ sub
+        mu = (sub @ img) / nrm2
+        defect = max(defect, np.linalg.norm(img - mu * sub) / math.sqrt(nrm2))
+        # annihilator of the sub-line, against canonical quotient reps
+        vperp = np.array([-sub[1], sub[0]])
+        lam = (vperp @ (blocks[m] @ quot_tw)) / (vperp @ quot)
+        out[_weight_key(h[m, 0])] = (complex(mu), complex(lam))
     return out, defect
 
 

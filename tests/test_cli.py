@@ -237,26 +237,30 @@ def test_verify_rank_one_accepts_levels(runner, levels):
 
 
 def test_verify_rank_one_stderr_stays_empty():
-    # at 60 levels the unnormalised Vogan chains overflow; the report counts
-    # the NaN scalars instead of numpy printing warnings (a subprocess, so
-    # that no warning filter of the test run hides them)
+    # the Vogan chains are normalised at every level, so at 60 and 360 levels
+    # every scalar is finite, the probe passes and numpy prints no warning
+    # (a subprocess, so that no warning filter of the test run hides one)
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(qsp.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qsp.cli", "verify", "rank-one", "--q", "0.7",
-         "--r", "0.25", "--levels", "60"],
-        capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 1
-    assert proc.stderr == ""
-    assert json.loads(proc.stdout)["info"]["vogan-nonfinite-scalars"] > 0
+    for levels in (60, 360):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsp.cli", "verify", "rank-one",
+             "--q", "0.7", "--r", "0.25", "--levels", str(levels)],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["info"]["vogan-nonfinite-scalars"] == 0
 
 
 def test_vogan_e_matrix_overflow_is_resource_error(runner):
-    res = runner.invoke(main, ["vogan", "e-matrix", "--r", "0.25",
-                               "--q", "0.7", "--levels", "1000"])
-    assert res.exit_code == 3
-    assert res.stderr.startswith("resource error:")
-    assert len(res.stderr.strip().splitlines()) == 1
+    # the ladder overflows at 1000 levels for q = 0.7; at q = 0.05 the
+    # ladder fits 119 levels and the braid on the top level does not
+    for r, q, levels in (("0.25", "0.7", "1000"), ("0.1", "0.05", "119")):
+        res = runner.invoke(main, ["vogan", "e-matrix", "--r", r,
+                                   "--q", q, "--levels", levels])
+        assert res.exit_code == 3
+        assert res.stderr.startswith("resource error:")
+        assert len(res.stderr.strip().splitlines()) == 1
 
 
 def test_verify_appendix_b(runner, aiii_diagram):

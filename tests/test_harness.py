@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from qsp.errors import InputError
+from qsp.errors import InputError, ResourceError
 from qsp.harness import (
     CoidealRankOneFamily,
     Report,
@@ -16,6 +18,7 @@ from qsp.harness import (
     run_axioms,
     run_kz_suite,
     run_rank_one,
+    scalar_deviation,
     t_of_lambda,
 )
 from qsp.rootsys import build_root_datum
@@ -118,6 +121,29 @@ def test_rank_one_probe():
     assert rep.info["matching_hypotheses"] == ["r+1"]
     assert rep.info["lambda_of_r"] == pytest.approx(1.25)
     assert rep.info["fusion"] == {"-1.25": 1, "0.75": 1}
+
+
+def test_scalar_deviation_counts_nonfinite_as_inf():
+    scal = {-1.25: (2.0, None), 0.75: (2.5, 0.5), 2.75: (2.0, 0.25)}
+    assert scalar_deviation(scal, 2.0, 0.5) == 0.5
+    for bad in (float("nan"), complex("nan+0j"), float("inf")):
+        assert scalar_deviation({**scal, 4.75: (bad, 0.5)}, 2.0, 0.5) \
+            == math.inf
+        assert scalar_deviation({**scal, 4.75: (2.0, bad)}, 2.0, 0.5) \
+            == math.inf
+
+
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
+def test_rank_one_probe_over_levels(q):
+    for r in (0.1, 0.25, 1.3):
+        for levels in (5, 20, 60, 360):
+            if q <= 0.3 and levels == 360:   # the F ladder overflows
+                with pytest.raises(ResourceError):
+                    run_rank_one(q, r, levels)
+                continue
+            rep = run_rank_one(q, r, levels)
+            assert rep.passed, (r, levels, rep.residuals)
+            assert rep.info["vogan-nonfinite-scalars"] == 0
 
 
 def test_run_all_aggregates():

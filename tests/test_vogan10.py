@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsp.errors import InputError
+from qsp.errors import InputError, ResourceError
 from qsp.rootsys import build_root_datum
 from qsp.uqrep import QParams, build_irrep, ribbon_diag, tensor
 from qsp.vogan10 import (
@@ -11,17 +11,33 @@ from qsp.vogan10 import (
     e_matrix_component_scalars,
     fusion_check,
     interior_indices,
+    nu_module,
     nu_twist_residual,
     plain_block_eigenvalues,
     plain_commutation_residual,
     relations_residual,
+    spin_half_block,
     su2_series_coeff,
     twist_to_plain,
+    weight_blocks,
 )
 
 A1 = build_root_datum([("A", 1)])
 QP = QParams(0.7)
 Q = 0.7
+
+
+def _block_symbolic(q, u, w, phi_next):
+    """a_fac cart b_fac cart q^{-3/2}: the braid on the block
+    {e_m ox e_+, e_{m+1} ox e_-}, with w = q^m and phi_next = phi_{m+1}."""
+    import sympy as sp
+
+    cart = sp.diag(sp.sqrt(u) / w, q * w / sp.sqrt(u))
+    c1 = 1 / q - q
+    kfs = u ** -1 * q ** 2 * w ** 2 * phi_next
+    b_fac = sp.Matrix([[1, 0], [-c1 * kfs / sp.sqrt(q), 1]])
+    a_fac = sp.Matrix([[1, c1 * phi_next * sp.sqrt(q)], [0, 1]])
+    return sp.expand(a_fac * cart * b_fac * cart * q ** sp.Rational(-3, 2))
 
 
 def e_matrix_block_symbolic(level):
@@ -45,14 +61,6 @@ def e_matrix_block_symbolic(level):
         rad = (1 - q ** (2 * k)) * (1 + u ** 2 * q ** (2 - 2 * k))
         return q ** (-k) * sp.sqrt(rad) / (sp.sqrt(q) * (1 / q - q))
 
-    def block_at(m):
-        cart = sp.diag(sp.sqrt(u) * q ** (-m), q ** (m + 1) / sp.sqrt(u))
-        c1 = 1 / q - q
-        kfs = u ** -1 * q ** (2 * m + 2) * phi(m + 1)
-        b_fac = sp.Matrix([[1, 0], [-c1 * kfs / sp.sqrt(q), 1]])
-        a_fac = sp.Matrix([[1, c1 * phi(m + 1) * sp.sqrt(q)], [0, 1]])
-        return sp.expand(a_fac * cart * b_fac * cart * q ** sp.Rational(-3, 2))
-
     def transfer(m, sign):
         # alpha(F^*) block m-1 -> m in the (u1, u2) coordinates
         return sp.Matrix([[phi(m) / q if m >= 1 else 0, sign / sp.sqrt(q)],
@@ -69,7 +77,7 @@ def e_matrix_block_symbolic(level):
         q_vec = transfer(m, 1) * q_vec
         q_tw = transfer(m, -1) * q_tw
 
-    blk = block_at(n)
+    blk = _block_symbolic(q, u, q ** n, phi(n + 1))
     mu = q ** sp.Rational(-3, 2) / u
     sub_defect = sp.simplify(sp.expand(blk * s_tw - mu * s_vec))
     vperp = sp.Matrix([[-s_vec[1], s_vec[0]]])
@@ -141,6 +149,165 @@ def test_plain_block_moduli(r, v):
     for h in interior:
         got = sorted(abs(x) for x in blocks[h])
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+def test_closed_form_block_at_symbolic_level():
+    # spin_half_block against a_fac cart b_fac cart q^{-3/2} at a symbolic
+    # level m: w = q^m, and phi_{m+1}^2 replaced by its radicand
+    import sympy as sp
+
+    q, u, w, phi = sp.symbols("q u w phi", positive=True)
+    w2 = q ** 2 * w ** 2
+    phi_sq = (1 - w2) * (1 + u ** 2 / w ** 2) / (w2 * q * (1 / q - q) ** 2)
+    want = _block_symbolic(q, u, w, phi).xreplace({phi ** 2: phi_sq})
+    b00, b01, b11 = spin_half_block(q, u, w2, 1 - w2, phi * w2)
+    # the code writes v^{-1} = q^{-3/2} with a float exponent
+    got = sp.nsimplify(sp.Matrix([[b00, b01], [-b01, b11]]), rational=True)
+    assert (want - got).applyfunc(sp.cancel) == sp.zeros(2, 2)
+
+
+# the dense product loses digits as q^{-2 level} grows (relative 2e-12 at
+# q = 0.3 and 5 levels): few levels at small q, and 1e-10 relative
+@pytest.mark.parametrize("q,levels", [(0.3, 5), (0.7, 8), (0.95, 12),
+                                      (0.999, 12)])
+def test_plain_block_eigenvalues_match_dense_braid(q, levels):
+    qp = QParams(q)
+    vh = build_irrep(A1, A1.weight([1]), qp)
+    for r in (0.1, 1.3):
+        m = build_Mr(r, qp, levels)
+        plain = twist_to_plain(e_matrix(m, vh, qp), vh)
+        got = plain_block_eigenvalues(m, vh, qp)
+        blocks = weight_blocks(m, vh)
+        assert list(got) == sorted(blocks)
+        for h, idx in blocks.items():
+            want = sorted(np.linalg.eigvals(plain[np.ix_(idx, idx)]),
+                          key=lambda z: -abs(z))
+            np.testing.assert_allclose(got[h], want,
+                                       rtol=1e-10, atol=1e-12)
+
+
+def _component_scalars_dense_ref(module, v, qp):
+    """The dense-chain routine the block chains replaced, kept as the
+    reference: the chains under alpha(F^*) on module ox V, unnormalised, and
+    the braid applied as a (levels * dim V)^2 matrix."""
+    braid = e_matrix(module, v, qp)
+    prod = coaction_tensor(module, v)
+    prod_tw = coaction_tensor(module, nu_module(v))
+    dim = module.dim * v.dim
+    bottom = np.zeros(dim, dtype=complex)
+    bottom[v.dim - 1] = 1.0
+    top = np.zeros(dim, dtype=complex)
+    top[0] = 1.0
+    blocks = weight_blocks(module, v)
+    n_interior = len(interior_indices(module, v.dim, 3))
+    sub_chain, sub_chain_tw = bottom.copy(), bottom.copy()
+    quot_chain, quot_chain_tw = top.copy(), top.copy()
+    out = {}
+    defect = 0.0
+    first = True
+    for hval in sorted(blocks):
+        idx = blocks[hval]
+        if idx[-1] >= n_interior:
+            continue
+        img = braid @ sub_chain_tw
+        nrm2 = (sub_chain.conj() @ sub_chain).real
+        mu = (sub_chain.conj() @ img) / nrm2
+        defect = max(defect, np.linalg.norm(img - mu * sub_chain)
+                     / np.sqrt(nrm2))
+        lam = None
+        if not first:
+            vperp = np.zeros(dim, dtype=complex)
+            i1, i2 = idx[0], idx[1]
+            vperp[i1] = -np.conj(sub_chain[i2])
+            vperp[i2] = np.conj(sub_chain[i1])
+            lam = (vperp.conj() @ (braid @ quot_chain_tw)) \
+                / (vperp.conj() @ quot_chain)
+            quot_chain = prod.fstar @ quot_chain
+            quot_chain_tw = prod_tw.fstar @ quot_chain_tw
+        out[hval] = (mu, lam)
+        sub_chain = prod.fstar @ sub_chain
+        sub_chain_tw = prod_tw.fstar @ sub_chain_tw
+        first = False
+    return out, defect
+
+
+# the dense reference itself drifts from the closed form by 2.2e-12 at
+# q = 0.7 and 16 levels (6.9e-6 at 40 levels), so its range stops below
+@pytest.mark.parametrize("q,levels", [(0.7, 4), (0.7, 5), (0.7, 10),
+                                      (0.7, 14), (0.95, 5), (0.95, 20),
+                                      (0.95, 40)])
+def test_component_scalars_match_dense_chains(q, levels):
+    qp = QParams(q)
+    vh = build_irrep(A1, A1.weight([1]), qp)
+    for r in (0.1, 0.25, 1.3):
+        m = build_Mr(r, qp, levels)
+        got, defect = e_matrix_component_scalars(m, vh, qp)
+        want, defect_ref = _component_scalars_dense_ref(m, vh, qp)
+        assert list(got) == list(want)
+        for h, (mu, lam) in want.items():
+            assert abs(got[h][0] - mu) < 1e-12, h
+            assert (got[h][1] is None) == (lam is None), h
+            if lam is not None:
+                assert abs(got[h][1] - lam) < 1e-12, h
+        assert abs(defect - defect_ref) < 1e-12
+
+
+@pytest.mark.parametrize("q,levels", [
+    *((q, lv) for q in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.999)
+      for lv in (5, 20, 60, 360)),
+    (0.95, 2000), (0.9, 1000)])
+def test_component_scalars_sweep(q, levels):
+    qp = QParams(q)
+    vh = build_irrep(A1, A1.weight([1]), qp)
+    for r in (0.1, 0.25, 1.3):
+        if q <= 0.3 and levels == 360:
+            with pytest.raises(ResourceError):
+                build_Mr(r, qp, levels)
+            continue
+        m = build_Mr(r, qp, levels)
+        scal, defect = e_matrix_component_scalars(m, vh, qp)
+        assert len(scal) == levels - 3
+        for h, (mu, lam) in scal.items():
+            assert np.isfinite(mu) and abs(mu - q ** (-r - 1.5)) < 1e-10, h
+            if lam is not None:
+                assert np.isfinite(lam)
+                assert abs(lam - q ** (r + 0.5)) < 1e-10, h
+        assert defect < 1e-10
+
+
+def test_block_data_need_spin_half(v):
+    m = build_Mr(0.25, QP, 10)
+    for other in (build_irrep(A1, A1.weight([2]), QP), nu_module(v),
+                  tensor(v, v), build_irrep(A1, A1.weight([1]), QParams(0.5))):
+        with pytest.raises(InputError):
+            e_matrix_component_scalars(m, other, QP)
+        with pytest.raises(InputError):
+            plain_block_eigenvalues(m, other, QP)
+
+
+def test_ladder_is_finite_or_resource_error():
+    # near the level where F overflows, a coefficient may be finite in its
+    # radicand and infinite as a product: it must raise, not come out inf
+    qp = QParams(0.05)
+    for levels in range(118, 126):
+        try:
+            m = build_Mr(5.0, qp, levels)
+        except ResourceError:
+            continue
+        assert np.isfinite(m.f_mat).all(), levels
+
+
+def test_top_singleton_overflow_is_resource_error():
+    # 119 levels pass build_Mr at q = 0.05, r = 0.1; the braid on
+    # e_118 ox e_+ is q^{r + 1/2 - 238}, beyond double precision
+    qp = QParams(0.05)
+    vh = build_irrep(A1, A1.weight([1]), qp)
+    m = build_Mr(0.1, qp, 119)
+    with pytest.raises(ResourceError):
+        plain_block_eigenvalues(m, vh, qp)
+    scal, _ = e_matrix_component_scalars(m, vh, qp)
+    assert all(np.isfinite(x) for pair in scal.values() for x in pair
+               if x is not None)
 
 
 def test_symbolic_closed_form():
