@@ -21,6 +21,7 @@ from .coideal import (
     counit_module,
     kmatrix_solve,
     no_parameter,
+    tau_tau0_perm,
     validate_star,
 )
 from .diagrams import diagram_from_json, enumerate_admissible
@@ -37,7 +38,7 @@ from .kzmono import MonodromyProblem, psi as kz_psi, split_tensors, kz_coeffs
 from .lusztig import BraidContext, verify_appB
 from .rmatrix import rmat
 from .rootsys import build_root_datum, parse_type_string, restrict_datum
-from .uqrep import QParams, build_irrep, module_to_json
+from .uqrep import QParams, build_irrep, module_to_json, twist_module
 from .vogan10 import build_Mr, plain_block_eigenvalues, e_matrix_component_scalars
 
 
@@ -210,8 +211,6 @@ def kmatrix_cmd(diagram_path, t, rep_weight, q, out):
         lam = None
         if eta.shape[0] == 2:
             lam = lambda_from_trace(eta, q)[0]
-        from .coideal import tau_tau0_perm
-        from .uqrep import twist_module
         sigma = tau_tau0_perm(diag)
         plain = x0.fuse(target).generator_matrices()
         twisted = x0.fuse(twist_module(target, sigma)).generator_matrices()

@@ -40,8 +40,8 @@ from .errors import (
 from .lusztig import braid_word_on_algebra
 from .rmatrix import op_on_legs, r21, rmat
 from .rootsys import alpha_coefficients, nullspace_frac, positive_roots_closure
-from .uqrep import (act_tensor, build_irrep, decompose, intertwiners, tensor,
-                    twist_module)
+from .uqrep import (act_tensor, build_irrep, decompose, intertwiners,
+                    read_only, tensor, twist_module)
 
 SPAN_DEGREE_CAP = 6
 
@@ -502,11 +502,15 @@ def _leg1_k_weight(datum, word):
 class Character:
     """*-character of the coideal: values on B_r and a linear functional f
     with chi(K_omega) = q^{f(omega)}; f is stored by its values on the
-    simple roots."""
+    simple roots.  Hashed by the sorted items of b_values and f_alpha."""
 
     b_values: dict
     f_alpha: dict
     t: float = 0.0
+
+    def __hash__(self):
+        return hash((tuple(sorted(self.b_values.items())),
+                     tuple(sorted(self.f_alpha.items()))))
 
     def f_of(self, datum, w):
         coeffs = alpha_coefficients(w, datum.vertices)
@@ -776,7 +780,21 @@ def kmatrix_solve(diag, params, qp, x0, u, fuse_from=None):
     intertwining system.  Otherwise the ambiguity is reported, never
     silently resolved.  The phase is fixed by making the bottom-left entry
     positive (or, when it vanishes, the determinant).
+
+    The solve runs once per process: the read-only braid is kept in
+    ``u.cache`` under (diagram, parameters, QParams, character, ``x0.w``,
+    ``fuse_from``), so a repeated input, also one built from fresh but
+    equal objects, is a lookup (``x0.w`` is None on a character module;
+    modules are keys by identity).  Errors are not kept.
     """
+    key = ("kmatrix", diag, params, qp, x0.chi, x0.w, fuse_from)
+    if key not in u.cache:
+        u.cache[key] = read_only(_solve(diag, params, qp, x0, u, fuse_from))
+    return u.cache[key]
+
+
+def _solve(diag, params, qp, x0, u, fuse_from):
+    """The uncached solve behind ``kmatrix_solve``."""
     sigma = tau_tau0_perm(diag)
     plain = x0.fuse(u).generator_matrices()
     twisted = x0.fuse(twist_module(u, sigma)).generator_matrices()
@@ -830,35 +848,60 @@ def ribbon_compose(diag, qp, x0, eta_a, a_mod, eta_b, b_mod):
 def _derived_braid(diag, params, qp, x0, u, generator):
     """Braid at u from the braid at an irreducible generating module g, by
     fusion over irreducibles: each round composes the ribbon composite on
-    X0 (.) (V_lam ox g) once per irreducible V_lam reached in the last round
-    and restricts it through the embeddings of ``decompose(V_lam ox g)`` to
-    each component not yet in the table of braids by highest weight.  By
-    naturality this equals the restriction from the tensor power of g,
-    which is never built.  Components with (lam, 2 rho) > (mu + g, 2 rho),
-    mu the target, are skipped; there are finitely many below that bound,
-    so the search ends, with the target or with an empty frontier."""
+    X0 (.) (V_lam ox g) once per pending irreducible V_lam and restricts it
+    through the embeddings of ``decompose(V_lam ox g)`` to each component
+    not yet in the table of braids by highest weight.  By naturality this
+    equals the restriction from the tensor power of g, which is never built.
+    Components with (lam, 2 rho) > (mu + g, 2 rho), mu the target, are
+    skipped; there are finitely many below that bound, so the search ends,
+    with the target or with no pending module left to expand.
+
+    The table lives in ``generator.cache`` under (diagram, parameters,
+    QParams, character, ``x0.w``), so a later call extends it instead of
+    restarting from g.  It holds the braids by highest weight and a pending
+    list of (module, braid, bound or None): the modules not yet expanded,
+    and those whose components were skipped, with the bound that skipped
+    them.  A later call with a higher bound expands those again, so a lower
+    target asked for first never cuts off a higher one."""
     if u.highest is None or generator.highest is None:
         raise AmbiguityError("derived braids need irreducible modules")
     two_rho = 2 * diag.datum.rho()
     bound = (u.highest + generator.highest).pairing(two_rho)
-    eta_g = kmatrix_solve(diag, params, qp, x0, generator)
-    braids = {generator.highest.coords: eta_g}
-    frontier = [(generator, eta_g)]
+    key = ("braids", diag, params, qp, x0.chi, x0.w)
+    if key not in generator.cache:
+        eta_g = kmatrix_solve(diag, params, qp, x0, generator)
+        generator.cache[key] = {"braids": {generator.highest.coords: eta_g},
+                                "pending": [(generator, eta_g, None)]}
+    table = generator.cache[key]
+    braids = table["braids"]
+    eta_g = braids[generator.highest.coords]
     while u.highest.coords not in braids:
-        if not frontier:
+        stay, todo = [], []
+        for entry in table["pending"]:
+            done = entry[2]
+            (todo if done is None or done < bound else stay).append(entry)
+        if not todo:
             raise NoKMatrixError("target module not reached from the generator")
-        reached = []
-        for mod, eta in frontier:
+        reached = {}
+        for mod, eta, _ in todo:
             composite = ribbon_compose(diag, qp, x0, eta, mod, eta_g,
                                        generator)
+            skipped = False
             for wt, _, embs in decompose(tensor(mod, generator)):
-                if wt.coords in braids or wt.pairing(two_rho) > bound:
+                if wt.coords in braids or wt.coords in reached:
+                    continue
+                if wt.pairing(two_rho) > bound:
+                    skipped = True
                     continue
                 lifted = np.kron(np.eye(x0.dim), embs[0])
-                braids[wt.coords] = lifted.conj().T @ composite @ lifted
-                reached.append((build_irrep(diag.datum, wt, qp),
-                                braids[wt.coords]))
-        frontier = reached
+                reached[wt.coords] = (
+                    build_irrep(diag.datum, wt, qp),
+                    read_only(lifted.conj().T @ composite @ lifted))
+            if skipped:
+                stay.append((mod, eta, bound))
+        braids.update((c, eta) for c, (_, eta) in reached.items())
+        table["pending"] = stay + [(mod, eta, None)
+                                   for mod, eta in reached.values()]
     return braids[u.highest.coords]
 
 

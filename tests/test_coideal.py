@@ -1,7 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import qsp
 
 from qsp.algebra import AlgebraElement
 from qsp.coideal import (
@@ -296,6 +302,74 @@ def test_derived_kmatrix_matches_tensor_power_route(q, t):
         want = _tensor_power_braid(x0, u, v, eta_v, params, qp)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), \
             twice_spin
+
+
+def test_kmatrix_solve_memo_returns_same_read_only_array(v12, v1):
+    # an equal input built from fresh objects is the same key: parameters,
+    # QParams and characters compare and hash by value
+    for u, fuse in ((v12, None), (v1, v12)):
+        x0 = counit_module(D_SU2, su2_params(0.45), QP)
+        first = kmatrix_solve(D_SU2, su2_params(0.45), QP, x0, u,
+                              fuse_from=fuse)
+        x0_again = counit_module(D_SU2, su2_params(0.45), QParams(Q))
+        again = kmatrix_solve(D_SU2, su2_params(0.45), QParams(Q), x0_again,
+                              u, fuse_from=fuse)
+        assert again is first
+        assert not first.flags.writeable
+
+
+_BRAIDS_SCRIPT = """
+import json, sys
+from qsp.coideal import (CoidealParams, _derived_braid, counit_module,
+                         kmatrix_solve)
+from qsp.diagrams import satake
+from qsp.rootsys import build_root_datum
+from qsp.uqrep import QParams, build_irrep
+q, t, spins = json.loads(sys.argv[1])
+a1 = build_root_datum([("A", 1)])
+diag, qp = satake(a1, ()), QParams(q)
+params = CoidealParams({1: q ** -2}, {1: 1j * t})
+x0 = counit_module(diag, params, qp)
+v = build_irrep(a1, a1.weight([1]), qp)
+out = []
+for s in spins:
+    u = build_irrep(a1, a1.weight([s]), qp)
+    # the trivial module is solved directly by kmatrix_solve; only the
+    # table of derived braids reaches it by fusion
+    eta = (_derived_braid(diag, params, qp, x0, u, v) if s == 0
+           else kmatrix_solve(diag, params, qp, x0, u, fuse_from=v))
+    out.append([[[z.real, z.imag] for z in row] for row in eta.tolist()])
+print(json.dumps(out))
+"""
+
+
+def _braids_in_fresh_process(q, t, spins):
+    """Braids at the given twice-spins, solved in this order by a fresh
+    interpreter: every cache starts empty there, which no fresh object
+    achieves here (equal inputs are equal keys)."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qsp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BRAIDS_SCRIPT, json.dumps([q, t, spins])],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return [np.array(m)[..., 0] + 1j * np.array(m)[..., 1]
+            for m in json.loads(proc.stdout)]
+
+
+def test_braid_table_extends_in_any_order():
+    # 0 first: twice-spin 2 lies above the bound of the trivial target, so
+    # the generator stays pending with its bound and a later, higher target
+    # must expand it again
+    q, t = 0.65, 0.8
+    cold = {s: _braids_in_fresh_process(q, t, [s])[0] for s in range(1, 7)}
+    for order in ([1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [2, 6], [0, 2, 6]):
+        got = _braids_in_fresh_process(q, t, order)
+        for s, eta in zip(order, got):
+            if s == 0:
+                continue
+            assert np.linalg.norm(eta - cold[s]) \
+                <= 1e-12 * np.linalg.norm(cold[s]), (order, s)
 
 
 def test_characters_and_relations():

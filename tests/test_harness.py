@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from qsp.coideal import (
+    Character,
+    character_module,
+    kmatrix_solve,
+    ribbon_compose,
+)
 from qsp.errors import InputError, ResourceError
 from qsp.harness import (
+    SNAP_REL,
     CoidealRankOneFamily,
     Report,
     check_cylinder_coideal,
@@ -15,6 +22,8 @@ from qsp.harness import (
     check_ribbon_vogan,
     chi_n_value,
     lambda_from_trace,
+    lambda_of_t,
+    octagon_characters,
     run_axioms,
     run_kz_suite,
     run_rank_one,
@@ -59,6 +68,16 @@ def test_t_lambda_inverse():
     assert t_of_lambda(0.0, Q) == 0.0
 
 
+def test_lambda_of_t_inverts_t_of_lambda():
+    for q in (0.2, 0.7, 0.95):
+        for lam in (-1.3, 0.0, 0.25, 1.0, 2.0, 4.5):
+            assert lambda_of_t(t_of_lambda(lam, q), q) == pytest.approx(
+                lam, rel=1e-12, abs=1e-12)
+        for t in (0.1, 0.8, 2.0):
+            assert t_of_lambda(lambda_of_t(t, q), q) == pytest.approx(
+                t, rel=1e-12)
+
+
 def test_chi_n_value_recursion():
     # chi_0 at lambda equals the ev_{it} value i t
     lam = 0.9
@@ -74,6 +93,64 @@ def test_coideal_octagon(fam):
     v = fam.module(1)
     assert check_octagon_coideal(fam, v, v) < 1e-9
     assert check_octagon_coideal(fam, fam.module(2), v) < 1e-9
+
+
+@pytest.mark.parametrize("q", [0.2, 0.4, 0.6, 0.8, 0.95])
+def test_octagon_characters_lie_at_their_closed_form(q):
+    for t in (0.1, 0.8, 2.0):
+        fam = CoidealRankOneFamily(q, t)
+        lam = lambda_of_t(t, q)
+        for twice_spin in range(1, 9):
+            m = fam.module(twice_spin)
+            closed = [chi_n_value(n, lam, q)
+                      for n in range(-twice_spin, twice_spin + 1, 2)]
+            b_mat = fam.x0.fuse(m).generator_matrices()[("B", 1)]
+            raw = sorted(np.linalg.eigvals(b_mat), key=lambda z: z.imag)
+            for got, want in zip(raw, sorted(closed, key=lambda z: z.imag)):
+                assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+            pairs, dist, unsnapped = octagon_characters(fam, m)
+            assert unsnapped == 0 and dist <= SNAP_REL
+            assert sorted(chi.imag for _, chi in pairs) == \
+                sorted(chi.imag for chi in closed)
+
+
+def _octagon_raw_characters(fam, m1, m2):
+    """The octagon check with the raw eigenvalues of B as characters."""
+    composite = ribbon_compose(fam.diag, fam.qp, fam.x0,
+                               np.eye(fam.x0.dim * m1.dim), m1,
+                               fam.braid(m2), m2)
+    b_mat = fam.x0.fuse(m1).generator_matrices()[("B", 1)]
+    evals, evecs = np.linalg.eig(b_mat)
+    worst = 0.0
+    for c in range(len(evals)):
+        vec = evecs[:, c] / np.linalg.norm(evecs[:, c])
+        chi_mod = character_module(fam.diag, fam.params, fam.qp,
+                                   Character({1: complex(evals[c])}, {1: 0.0}))
+        eta_c = kmatrix_solve(fam.diag, fam.params, fam.qp, chi_mod, m2,
+                              fuse_from=fam.v)
+        lift = np.kron(vec.reshape(-1, 1), np.eye(m2.dim))
+        block = lift.conj().T @ composite @ lift
+        diff = min(np.linalg.norm(block - eta_c), np.linalg.norm(block + eta_c))
+        worst = max(worst, diff / max(np.linalg.norm(eta_c), 1e-30))
+    return worst
+
+
+@pytest.mark.parametrize("q, t", [(0.6, 2.0), (0.9, 0.1)])
+def test_octagon_snapped_matches_raw_characters(q, t):
+    fam = CoidealRankOneFamily(q, t)
+    for a in range(1, 5):
+        for b in range(1, 5):
+            m1, m2 = fam.module(a), fam.module(b)
+            got = check_octagon_coideal(fam, m1, m2)
+            want = _octagon_raw_characters(fam, m1, m2)
+            assert abs(got - want) <= 1e-12, (a, b, got, want)
+
+
+def test_run_axioms_reports_character_snap():
+    rep = run_axioms("coideal", Q, t=0.3)
+    assert 0.0 <= rep.info["octagon-character-snap"] <= SNAP_REL
+    assert rep.info["octagon-characters-unsnapped"] == 0
+    assert rep.passed
 
 
 def test_coideal_ribbon(fam):
