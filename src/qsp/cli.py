@@ -248,8 +248,9 @@ def kz_psi_cmd(config, out):
             mats = kz_coeffs(ts, cfg.get("lambda", 1.0),
                              cfg.get("spin2_1", 1), cfg.get("spin2_2", 1),
                              hbar)
-        prob = MonodromyProblem(*mats,
-                                series_order=cfg.get("series_order", 40))
+        kw = ({"series_order": cfg["series_order"]}
+              if "series_order" in cfg else {})
+        prob = MonodromyProblem(*mats, **kw)
         res = kz_psi(prob)
         return {"psi": _cmat(res.psi), "spread": res.spread,
                 "tail_bound": res.tail_bound,

@@ -186,13 +186,15 @@ def octagon_characters(fam, m1):
     value) pairs from ``np.linalg.eig``, with each eigenvalue snapped to the
     nearest closed form chi_n(lam), n a weight of m1 and lam =
     ``lambda_of_t(fam.t, q)``, when it lies within SNAP_REL max(|chi_n|, 1)
-    of it.  Snapped values are bitwise equal across calls, so their
-    K-matrices are memo hits.  Returns (pairs, largest relative distance to
-    the nearest closed form, number of eigenvalues left unsnapped)."""
+    of it.  chi_0 is the family's own counit value i t, so that component
+    solves the same K-matrix as ``fam.braid``.  Snapped values are bitwise
+    equal across calls, so their K-matrices are memo hits.  Returns (pairs,
+    largest relative distance to the nearest closed form, number of
+    eigenvalues left unsnapped)."""
     b_mat = fam.x0.fuse(m1).generator_matrices()[("B", 1)]
     evals, evecs = np.linalg.eig(b_mat)
     lam = lambda_of_t(fam.t, fam.q)
-    closed = [chi_n_value(n, lam, fam.q)
+    closed = [fam.params.s[1] if n == 0 else chi_n_value(n, lam, fam.q)
               for n in sorted({float(w.coords[0]) for w in m1.weights})]
     pairs, worst, unsnapped = [], 0.0, 0
     for c, value in enumerate(evals):

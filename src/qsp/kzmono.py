@@ -4,8 +4,9 @@ system
     H'(w) = ( b_- / (w+1) + a / w + b_+ / (w-1) ) H(w)
 
 on (0, 1): Frobenius expansions H_0 ~ w^a at 0 and H_1 ~ (1-w)^{b_+} at 1,
-adaptive Runge-Kutta in the middle, and the connection matrix
-Psi = H_1(w)^{-1} H_0(w), checked to be independent of the match point.
+both convergent on all of (0, 1) and evaluated at the match points, and the
+connection matrix Psi = H_1(w)^{-1} H_0(w), checked to be independent of
+the match point.
 
 The coefficient matrices for a symmetric pair are
 
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm, schur
 
 from .errors import AccuracyError, InputError, ResonanceError
@@ -246,10 +246,15 @@ def d_coeff(tensors, lam, j2a, j2b, hbar):
 
 @dataclass
 class MonodromyProblem:
+    """``series_order`` is the ceiling on each Frobenius series, which grows
+    until its tail bound at its farthest match point is below
+    ``tail_target``.  ``delta``, ``rtol`` and ``atol`` feed only
+    ``mkz_consistency``."""
+
     a: np.ndarray
     b_plus: np.ndarray
     b_minus: np.ndarray
-    series_order: int = 40
+    series_order: int = 200
     match_points: tuple = (0.5, 0.4, 0.6)
     delta: float = 0.1
     rtol: float = 1e-10
@@ -262,6 +267,8 @@ class MonodromyProblem:
         self.b_minus = np.asarray(self.b_minus, dtype=complex)
         if not (self.a.shape == self.b_plus.shape == self.b_minus.shape):
             raise InputError("coefficient matrices must share a dimension")
+        if not all(0 < p < 1 for p in self.match_points):
+            raise InputError("match points must lie in (0, 1)")
 
 
 @dataclass
@@ -284,8 +291,8 @@ def resonance_check(mat, tol=1e-6):
     return [(int(i), int(j), int(nearest[i, j])) for i, j in hits]
 
 
-def _sylvester_series(res_mat, terms, order):
-    """Frobenius coefficients c_0 = 1, c_1, ..., c_order solving
+def _sylvester_series(res_mat, terms, order, x=None, target=0.0):
+    """Frobenius coefficients c_0 = 1, c_1, c_2, ... solving
 
         m c_m - [res, c_m] = sum over (s, M, r) in terms of s M A_m,
         A_m = sum_{k<m} r^{m-1-k} c_k,
@@ -294,8 +301,10 @@ def _sylvester_series(res_mat, terms, order):
     A_{m+1} = r A_m + c_m, so an order costs one product per term.  With
     T = D + N, each order divides by m + d_j - d_i and then adds the finite
     Neumann series of X -> (N X - X N) / (m + d_j - d_i), which is nilpotent;
-    N below roundoff (a normal residue) is dropped.  Returns the
-    coefficients in the Schur basis, and Z."""
+    N below roundoff (a normal residue) is dropped.  Without ``x``, runs to
+    c_order; with ``x``, stops once the tail bound at x is below ``target``
+    at two consecutive orders, and raises AccuracyError at order ``order``.
+    Returns the coefficients in the Schur basis, and Z."""
     t, z = schur(res_mat, output="complex")
     n = t.shape[0]
     zh = z.conj().T
@@ -307,6 +316,7 @@ def _sylvester_series(res_mat, terms, order):
     mats = [(s * (zh @ m @ z), r) for s, m, r in terms]
     sums = [np.zeros((n, n), dtype=complex) for _ in terms]
     coeffs = [np.eye(n, dtype=complex)]
+    below = False
     for m in range(1, order + 1):
         rhs = np.zeros((n, n), dtype=complex)
         for i, (mat, r) in enumerate(mats):
@@ -316,32 +326,40 @@ def _sylvester_series(res_mat, terms, order):
         if np.min(np.abs(denom)) < 1e-9:
             raise ResonanceError(
                 f"Sylvester denominator ~0 at order {m} (resonance)")
-        x = rhs / denom
+        c = rhs / denom
         if nil is not None:
-            corr = x
+            corr = c
             for _ in range(2 * n - 2):
                 corr = (nil @ corr - corr @ nil) / denom
-                x = x + corr
-                if np.linalg.norm(corr) <= _EPS * np.linalg.norm(x):
+                c = c + corr
+                if np.linalg.norm(corr) <= _EPS * np.linalg.norm(c):
                     break
-        coeffs.append(x)
+        coeffs.append(c)
+        if x is not None:
+            now = _tail_bound(coeffs, x) < target
+            if below and now:
+                return coeffs, z
+            below = now
+    if x is not None:
+        raise AccuracyError(f"series tail bound not reached at {x} by "
+                            f"order {order}; raise series_order")
     return coeffs, z
 
 
-def _series_at_zero(problem):
+def _series_at_zero(problem, x=None):
     """H_0 = (sum c_m w^m) w^a: the right-hand side is
     sum_{k<m} ((-1)^{m-1-k} b_- - b_+) c_k."""
     return _sylvester_series(
         problem.a, [(1.0, problem.b_minus, -1.0), (-1.0, problem.b_plus, 1.0)],
-        problem.series_order)
+        problem.series_order, x, problem.tail_target)
 
 
-def _series_at_one(problem):
+def _series_at_one(problem, x=None):
     """H_1 = (sum c_m (1-w)^m) (1-w)^{b_+}: the right-hand side is
     -sum_{k<m} (a + 2^{-(m-k)} b_-) c_k."""
     return _sylvester_series(
         problem.b_plus, [(-1.0, problem.a, 1.0), (-0.5, problem.b_minus, 0.5)],
-        problem.series_order)
+        problem.series_order, x, problem.tail_target)
 
 
 def _eval_series(coeffs, x):
@@ -359,26 +377,15 @@ def _tail_bound(coeffs, x):
     return np.linalg.norm(coeffs[n]) * x ** n / (1 - x)
 
 
-def _choose_delta(coeffs, delta0, target):
-    delta = delta0
-    for _ in range(30):
-        if _tail_bound(coeffs, delta) < target:
-            return delta
-        delta *= 0.5
-    raise AccuracyError("series tail bound not reached; increase the order")
-
-
-def _start(problem, series, residue):
-    """Frobenius start at one endpoint: (delta, H at distance delta from the
-    endpoint, tail bound, condition number of the residue's eigenvectors).
-    The coefficient list does not outlive the call."""
-    coeffs, z = series(problem)
-    delta = _choose_delta(coeffs, problem.delta, problem.tail_target)
-    tail = _tail_bound(coeffs, delta)
-    h = z @ _eval_series(coeffs, delta) @ z.conj().T \
-        @ expm(math.log(delta) * residue)
-    cond = np.linalg.cond(np.linalg.eig(residue)[1])
-    return delta, h, tail, cond
+def _frobenius(problem, series, residue, dists):
+    """Z (sum c_m x^m) Z^H x^residue at each distance x in ``dists`` from
+    the series' endpoint, and the tail bound at the farthest x."""
+    far = max(dists)
+    coeffs, z = series(problem, far)
+    zh = z.conj().T
+    vals = [z @ _eval_series(coeffs, x) @ zh @ expm(math.log(x) * residue)
+            for x in dists]
+    return vals, _tail_bound(coeffs, far)
 
 
 def _rhs_ode(problem):
@@ -411,9 +418,10 @@ def _psi_key(problem):
 
 
 def psi(problem):
-    """Connection matrix Psi = H_1^{-1} H_0 with the spread over the match
-    points reported; raises on resonance or accuracy failure.  Memoised for
-    the life of the process on ``_psi_key``; the cached Psi is read-only."""
+    """Connection matrix Psi = H_1(p)^{-1} H_0(p) at the first match point p,
+    with the largest distance to Psi at the others as the spread; raises on
+    resonance or accuracy failure.  Memoised for the life of the process on
+    ``_psi_key``; the cached Psi is read-only."""
     key = _psi_key(problem)
     if key in _PSI_MEMO:
         return _PSI_MEMO[key]
@@ -422,43 +430,22 @@ def psi(problem):
     if res_a or res_b:
         raise ResonanceError(
             f"resonant residues: a -> {res_a}, b_+ -> {res_b}")
-    delta0, h0_start, tail0, cond0 = _start(problem, _series_at_zero,
-                                            problem.a)
-    delta1, h1_start, tail1, cond1 = _start(problem, _series_at_one,
-                                            problem.b_plus)
-
-    fn = _rhs_ode(problem)
-    points = sorted(problem.match_points)
-    h0_vals = _integrate_chain(fn, delta0, points, h0_start, problem)
-    h1_vals = _integrate_chain(fn, 1 - delta1, points[::-1], h1_start, problem)
-
-    psis = []
-    for p in points:
-        psis.append(np.linalg.solve(h1_vals[p], h0_vals[p]))
-    spread = max(np.linalg.norm(x - psis[0]) for x in psis[1:]) if len(psis) > 1 else 0.0
+    points = problem.match_points
+    h0_vals, tail0 = _frobenius(problem, _series_at_zero, problem.a, points)
+    h1_vals, tail1 = _frobenius(problem, _series_at_one, problem.b_plus,
+                                [1 - p for p in points])
+    psis = [np.linalg.solve(h1, h0) for h0, h1 in zip(h0_vals, h1_vals)]
+    main = psis[0]
+    spread = max((np.linalg.norm(x - main) for x in psis[1:]), default=0.0)
     if spread > 1e-6:
         raise AccuracyError(f"match-point spread {spread:.2e} exceeds 1e-6")
-    main = psis[points.index(problem.match_points[0])]
     main.setflags(write=False)
+    cond = max(np.linalg.cond(np.linalg.eig(m)[1])
+               for m in (problem.a, problem.b_plus))
     result = MonodromyResult(main, spread, max(tail0, tail1), res_a, res_b,
-                             max(cond0, cond1))
+                             cond)
     _PSI_MEMO[key] = result
     return result
-
-
-def _integrate_chain(fn, start, points, h_start, problem):
-    out = {}
-    cur_w, cur_h = start, h_start
-    for p in points:
-        sol = solve_ivp(fn, (cur_w, p), cur_h.reshape(-1), method="DOP853",
-                        rtol=problem.rtol, atol=problem.atol, dense_output=False)
-        if not sol.success:
-            raise AccuracyError(f"ODE integration failed: {sol.message}")
-        # a copy, so the solution history sol.y is freed
-        cur_h = sol.y[:, -1].reshape(h_start.shape).copy()
-        cur_w = p
-        out[p] = cur_h
-    return out
 
 
 def psi_commuting_oracle(problem):
@@ -471,12 +458,16 @@ def psi_commuting_oracle(problem):
 
 
 def mkz_consistency(problem, z_target=0.81):
-    """Independent-route check: integrate the square-root substituted form
+    """Independent-route check by adaptive Runge-Kutta: integrate the
+    square-root substituted form
     G'(z) = (a/2 / z + B(z)/(z-1)) G, B(z) = (b_+ + b_-)/2 + (b_+ - b_-)/(2 sqrt z),
-    from G(delta^2) = H_0(delta) and compare with H_0 at w = sqrt(z_target)."""
+    from G(delta^2) = H_0(delta), and the original system from H_0(delta),
+    and compare them at w = sqrt(z_target)."""
+    from scipy.integrate import solve_ivp
     a, bp, bm = problem.a, problem.b_plus, problem.b_minus
     n = a.shape[0]
-    delta, h0, _, _ = _start(problem, _series_at_zero, a)
+    delta = problem.delta
+    (h0,), _ = _frobenius(problem, _series_at_zero, a, [delta])
 
     tk = (bp + bm) / 2
     tm = (bp - bm) / 2
@@ -486,15 +477,15 @@ def mkz_consistency(problem, z_target=0.81):
         bz = tk + tm / math.sqrt(z)
         return ((a / 2 / z + bz / (z - 1)) @ g).reshape(-1)
 
-    sol = solve_ivp(fn, (delta ** 2, z_target), h0.reshape(-1),
-                    method="DOP853", rtol=problem.rtol, atol=problem.atol)
-    if not sol.success:
-        raise AccuracyError(sol.message)
-    g_end = sol.y[:, -1].reshape(n, n)
+    def solve(rhs, span):
+        sol = solve_ivp(rhs, span, h0.reshape(-1), method="DOP853",
+                        rtol=problem.rtol, atol=problem.atol)
+        if not sol.success:
+            raise AccuracyError(f"ODE integration failed: {sol.message}")
+        return sol.y[:, -1].reshape(n, n)
 
-    fnw = _rhs_ode(problem)
-    w_target = math.sqrt(z_target)
-    h_end = _integrate_chain(fnw, delta, [w_target], h0, problem)[w_target]
+    g_end = solve(fn, (delta ** 2, z_target))
+    h_end = solve(_rhs_ode(problem), (delta, math.sqrt(z_target)))
     return np.linalg.norm(g_end - h_end) / max(np.linalg.norm(h_end), 1e-30)
 
 

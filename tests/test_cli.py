@@ -85,6 +85,20 @@ def test_rmatrix_cmd_g2_finishes():
     assert len(json.loads(proc.stdout)["matrix"]) == 49
 
 
+def test_import_leaves_scipy_integrate_out():
+    # only kzmono.mkz_consistency integrates an ODE, and it imports
+    # scipy.integrate when called (a fresh interpreter, so that no other
+    # test's import counts)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qsp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qsp.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_coideal_validate(runner, su2_diagram):
     res = runner.invoke(main, ["coideal", "validate", "--diagram",
                                su2_diagram, "--q", "0.7"])

@@ -110,8 +110,11 @@ def test_octagon_characters_lie_at_their_closed_form(q):
                 assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
             pairs, dist, unsnapped = octagon_characters(fam, m)
             assert unsnapped == 0 and dist <= SNAP_REL
+            # n = 0 snaps to the counit value i t itself
+            snapped = [1j * t if n == 0 else chi for n, chi in
+                       zip(range(-twice_spin, twice_spin + 1, 2), closed)]
             assert sorted(chi.imag for _, chi in pairs) == \
-                sorted(chi.imag for chi in closed)
+                sorted(chi.imag for chi in snapped)
 
 
 def _octagon_raw_characters(fam, m1, m2):
@@ -144,6 +147,26 @@ def test_octagon_snapped_matches_raw_characters(q, t):
             got = check_octagon_coideal(fam, m1, m2)
             want = _octagon_raw_characters(fam, m1, m2)
             assert abs(got - want) <= 1e-12, (a, b, got, want)
+
+
+# the (q, t) grid of the coideal-fusion benchmark workload
+CO_GRID = [(q, t) for q in (0.6, 0.7, 0.8, 0.9)
+           for t in (0.1, 0.3, 0.5, 0.8, 1.4, 2.0)]
+
+
+@pytest.mark.parametrize("q, t", CO_GRID)
+def test_octagon_zero_character_is_the_counit_value(q, t):
+    # chi_n_value(0, lambda_of_t(t, q), q) misses i t by a last bit at most
+    # of these points; the snapped n = 0 value is the family's own i t
+    fam = CoidealRankOneFamily(q, t)
+    for twice_spin in (2, 4):
+        m1 = fam.module(twice_spin)
+        values = [chi for _, chi in octagon_characters(fam, m1)[0]]
+        near = min(values, key=lambda chi: abs(chi - 1j * t))
+        assert near == 1j * t and near == fam.params.s[1]
+        got = check_octagon_coideal(fam, m1, fam.v)
+        want = _octagon_raw_characters(fam, m1, fam.v)
+        assert abs(got - want) <= 1e-12, (twice_spin, got, want)
 
 
 def test_run_axioms_reports_character_snap():

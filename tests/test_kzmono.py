@@ -1,15 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qsp.errors import AccuracyError, InputError, ResonanceError
 from qsp.kzmono import (
     MonodromyProblem,
+    _eval_series,
     _herm_form,
+    _rhs_ode,
     _series_at_one,
     _series_at_zero,
     _star_coeffs,
+    _tail_bound,
     a02_coeff,
     d_coeff,
     flatness_residuals,
@@ -271,6 +276,86 @@ def test_tail_control_raises_when_impossible():
     z = np.zeros((2, 2))
     with pytest.raises((AccuracyError, ResonanceError)):
         psi(MonodromyProblem(z, big, z, series_order=3, tail_target=1e-12))
+
+
+def _ode_psi(problem):
+    """The Runge-Kutta connection matrix the series evaluation replaced,
+    kept as the reference: Frobenius starts at order 40 and distance delta,
+    halved until the tail bound meets the target, then DOP853 from both ends
+    through the sorted match points."""
+    from scipy.integrate import solve_ivp
+
+    fixed = dataclasses.replace(problem, series_order=40)
+    fn = _rhs_ode(problem)
+
+    def start(series, residue):
+        coeffs, z = series(fixed)
+        delta = problem.delta
+        while _tail_bound(coeffs, delta) >= problem.tail_target:
+            delta /= 2
+        return delta, z @ _eval_series(coeffs, delta) @ z.conj().T \
+            @ expm(math.log(delta) * residue)
+
+    def chain(w, h, points):
+        out = {}
+        for p in points:
+            sol = solve_ivp(fn, (w, p), h.reshape(-1), method="DOP853",
+                            rtol=problem.rtol, atol=problem.atol)
+            assert sol.success, sol.message
+            w, h = p, sol.y[:, -1].reshape(h.shape)
+            out[p] = h
+        return out
+
+    delta0, h0 = start(_series_at_zero, problem.a)
+    delta1, h1 = start(_series_at_one, problem.b_plus)
+    points = sorted(problem.match_points)
+    h0s = chain(delta0, h0, points)
+    h1s = chain(1 - delta1, h1, points[::-1])
+    p = problem.match_points[0]
+    return np.linalg.solve(h1s[p], h0s[p])
+
+
+def _psi_cases():
+    for q in (0.5, 0.7, 0.9):
+        for j2 in (1, 2, 3, 4):
+            yield f"kz{j2}x{j2}-q{q}", MonodromyProblem(
+                *kz_coeffs(TS, 1.0, j2, j2, hbar_of(q)))
+    for name, prob in _problems():
+        if name.startswith("nonnormal"):
+            yield name, dataclasses.replace(
+                prob, series_order=MonodromyProblem.series_order)
+
+
+@pytest.mark.parametrize("name,prob", list(_psi_cases()),
+                         ids=[name for name, _ in _psi_cases()])
+def test_series_psi_matches_ode_chain(name, prob):
+    res = psi(prob)
+    ref = _ode_psi(prob)
+    assert np.linalg.norm(res.psi - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert res.tail_bound < prob.tail_target
+    if name.startswith("kz"):
+        assert res.spread < 1e-12
+
+
+def test_series_order_ceiling_too_low_raises():
+    a, bp, bm = kz_coeffs(TS, 1.0, 1, 1, hbar_of(0.7))
+    with pytest.raises(AccuracyError, match="series_order"):
+        psi(MonodromyProblem(a, bp, bm, series_order=20))
+    assert psi(MonodromyProblem(a, bp, bm)).tail_bound < 1e-12
+
+
+def test_match_points_inside_the_interval():
+    z = np.zeros((2, 2))
+    for points in ((0.5, 1.0), (0.0, 0.5), (-0.2,)):
+        with pytest.raises(InputError):
+            MonodromyProblem(z, z, z, match_points=points)
+
+
+@pytest.mark.parametrize("q,lam,j2", [(0.6, 2.0, 3), (0.7, 1.0, 4)])
+def test_octagon_walls_moved_by_series_psi(q, lam, j2):
+    # ribbon read 1.7e-7 and 2.0e-7 here with the Runge-Kutta psi
+    res = verify_octagon_kz(TS, lam, j2, j2, hbar_of(q))
+    assert max(res.values()) < 1e-7, res
 
 
 @pytest.mark.parametrize("q", [0.5, 0.7, 0.9])
