@@ -40,14 +40,17 @@ from .rmatrix import flip, op_on_legs, r21, rmat
 from .rootsys import build_root_datum
 from .uqrep import QParams, build_irrep, decompose, tensor
 from .vogan10 import (
+    braid_blocks,
     build_Mr,
     coaction_tensor,
     e_matrix,
     e_matrix_component_scalars,
     fusion_check,
     interior_indices,
+    leg_blocks,
     nu_module,
     plain_block_eigenvalues,
+    product_blocks,
 )
 
 TOL_ALG = 1e-9
@@ -55,6 +58,8 @@ TOL_ODE = 1e-7
 # the Vogan component scalars leave out the top three ladder levels, and the
 # rank-one probe needs the bottom block and one two-dimensional block below
 RANK_ONE_MIN_LEVELS = 5
+# the Vogan axiom checks mask the top four levels: at least one must remain
+AXIOM_MIN_LEVELS = 5
 # relative distance within which an octagon character is snapped to its
 # closed form (a sweep over q in [0.2, 0.95] and twice-spins 1-8 stays
 # below 1e-13)
@@ -288,50 +293,82 @@ def _cylinder_rhs2(theta_u, theta_v, m1, m2, x0d, twist):
 # vogan-side checks (truncated; boundary masked)
 # ---------------------------------------------------------------------------
 
-def _mask(mat, module, n_uq_legs_dim):
-    """Restrict to the interior: levels at least 4 below the truncation."""
-    idx = interior_indices(module, n_uq_legs_dim, 4)
-    return mat[np.ix_(idx, idx)]
+def _masked_ratio(diff, ref, module, cut_dim):
+    """||diff|| / ||ref|| on the interior, levels at least 4 below the
+    truncation, for two WeightBlocks on module ox (legs of dimension
+    cut_dim)."""
+    n_interior = len(interior_indices(module, cut_dim, 4))
+    return diff.masked_norm(n_interior) / max(ref.masked_norm(n_interior),
+                                              1e-30)
+
+
+def _octagon_vogan(module, m1, m2, qp):
+    """Both sides of the octagon on M ox U ox V, as WeightBlocks."""
+    legs_h, index = product_blocks(module, m1, m2)
+    lhs = braid_blocks(coaction_tensor(module, m1), m2, qp)
+    r32 = leg_blocks(index, legs_h, [((1, 2), r21(m1, m2))])
+    e13 = leg_blocks(index, legs_h, [((0, 2), e_matrix(module, m2, qp))])
+    rtw23 = leg_blocks(index, legs_h,
+                       [((1, 2), rmat(m1, nu_module(m2)).matrix)])
+    return lhs, r32 @ e13 @ rtw23
+
+
+def _ribbon_vogan(module, m1, m2, qp):
+    """Both sides of the ribbon equation on M ox U ox V, as WeightBlocks."""
+    legs_h, index = product_blocks(module, m1, m2)
+    lhs = braid_blocks(module, tensor(m1, m2), qp)
+    e12 = leg_blocks(index, legs_h, [((0, 1), e_matrix(module, m1, qp))])
+    return lhs, braid_blocks(coaction_tensor(module, m1), m2, qp) @ e12
+
+
+def _cylinder_vogan(module, m1, m2, qp):
+    """theta_{U ox V} and the two right sides of the cylinder twist
+    equations (as in ``_cylinder_rhs1`` and ``_cylinder_rhs2``, with nu as
+    the twist), as WeightBlocks.  The right sides pass through
+    M ox V ox U, so U and V must carry the same weights."""
+    legs_h, index = product_blocks(module, m1, m2)
+    if not np.array_equal(legs_h[1], legs_h[2]):
+        raise InputError("the Vogan cylinder check needs two modules with "
+                         "the same weights")
+    theta_u = e_matrix(module, m1, qp)
+    theta_v = e_matrix(module, m2, qp)
+
+    def on_legs(legs, mat):
+        return leg_blocks(index, legs_h, [(legs, mat)])
+
+    tu, tv = nu_module(m1), nu_module(m2)
+    rhs1 = on_legs((1, 2), _beta(m2, m1)) @ on_legs((0, 1), theta_v) \
+        @ on_legs((1, 2), _beta(m1, tv)) @ on_legs((0, 1), theta_u)
+    rhs2 = on_legs((0, 1), theta_u) @ on_legs((1, 2), _beta(m2, tu)) \
+        @ on_legs((0, 1), theta_v) @ on_legs((1, 2), _beta(tu, tv))
+    return braid_blocks(module, tensor(m1, m2), qp), rhs1, rhs2
+
+
+def _cylinder_residuals(theta_uv, rhs1, rhs2, module, cut_dim):
+    return {
+        "cyl-tw-eq": _masked_ratio(theta_uv - rhs1, theta_uv, module,
+                                   cut_dim),
+        "cyl-tw-eq-2": _masked_ratio(theta_uv - rhs2, theta_uv, module,
+                                     cut_dim),
+        "cyl-rhs-agree": _masked_ratio(rhs1 - rhs2, theta_uv, module, cut_dim),
+    }
 
 
 def check_octagon_vogan(module, m1, m2, qp):
     """(alpha ox id)(E) = R32 E13 (id ox nu)(R)23 on M ox U ox V."""
-    lhs = e_matrix(coaction_tensor(module, m1), m2, qp)
-    dims = [module.dim, m1.dim, m2.dim]
-    r32 = op_on_legs(r21(m1, m2), dims, (1, 2))
-    e13 = op_on_legs(e_matrix(module, m2, qp), dims, (0, 2))
-    rtw23 = op_on_legs(rmat(m1, nu_module(m2)).matrix, dims, (1, 2))
-    rhs = r32 @ e13 @ rtw23
-    cut_dim = m1.dim * m2.dim
-    diff = _mask(lhs - rhs, module, cut_dim)
-    return np.linalg.norm(diff) / max(np.linalg.norm(_mask(rhs, module, cut_dim)), 1e-30)
+    lhs, rhs = _octagon_vogan(module, m1, m2, qp)
+    return _masked_ratio(lhs - rhs, rhs, module, m1.dim * m2.dim)
 
 
 def check_ribbon_vogan(module, m1, m2, qp):
     """(id ox Delta)(E) = (alpha ox id)(E) E12."""
-    lhs = e_matrix(module, tensor(m1, m2), qp)
-    rhs = e_matrix(coaction_tensor(module, m1), m2, qp) \
-        @ op_on_legs(e_matrix(module, m1, qp),
-                     [module.dim, m1.dim, m2.dim], (0, 1))
-    cut_dim = m1.dim * m2.dim
-    diff = _mask(lhs - rhs, module, cut_dim)
-    return np.linalg.norm(diff) / max(
-        np.linalg.norm(_mask(rhs, module, cut_dim)), 1e-30)
+    lhs, rhs = _ribbon_vogan(module, m1, m2, qp)
+    return _masked_ratio(lhs - rhs, rhs, module, m1.dim * m2.dim)
 
 
 def check_cylinder_vogan(module, m1, m2, qp):
-    theta_u = e_matrix(module, m1, qp)
-    theta_v = e_matrix(module, m2, qp)
-    theta_uv = e_matrix(module, tensor(m1, m2), qp)
-    rhs1 = _cylinder_rhs1(theta_u, theta_v, m1, m2, module.dim, nu_module)
-    rhs2 = _cylinder_rhs2(theta_u, theta_v, m1, m2, module.dim, nu_module)
-    cut = m1.dim * m2.dim
-    scale = max(np.linalg.norm(_mask(theta_uv, module, cut)), 1e-30)
-    return {
-        "cyl-tw-eq": np.linalg.norm(_mask(theta_uv - rhs1, module, cut)) / scale,
-        "cyl-tw-eq-2": np.linalg.norm(_mask(theta_uv - rhs2, module, cut)) / scale,
-        "cyl-rhs-agree": np.linalg.norm(_mask(rhs1 - rhs2, module, cut)) / scale,
-    }
+    return _cylinder_residuals(*_cylinder_vogan(module, m1, m2, qp), module,
+                               m1.dim * m2.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +411,27 @@ def run_axioms(source, q, t=0.0, r=0.25, levels=14):
         tols = {k: TOL_ODE for k in residuals}
         tols["flatness"] = 1e-10
     elif source == "vogan":
+        if levels < AXIOM_MIN_LEVELS:
+            raise InputError(f"the Vogan axiom checks need at least "
+                             f"{AXIOM_MIN_LEVELS} levels, got {levels}")
         qp = QParams(q)
         datum = build_root_datum([("A", 1)])
         m = build_Mr(r, qp, levels)
         v = build_irrep(datum, datum.weight([1]), qp)
-        residuals["EqOct2"] = check_octagon_vogan(m, v, v, qp)
-        residuals["EqRB2"] = check_ribbon_vogan(m, v, v, qp)
-        for key, val in check_cylinder_vogan(m, v, v, qp).items():
-            residuals[key] = val
+        cut_dim = v.dim * v.dim
+        sides = {"EqOct2": _octagon_vogan(m, v, v, qp),
+                 "EqRB2": _ribbon_vogan(m, v, v, qp)}
+        for key, (lhs, rhs) in sides.items():
+            residuals[key] = _masked_ratio(lhs - rhs, rhs, m, cut_dim)
+        cyl = _cylinder_vogan(m, v, v, qp)
+        residuals.update(_cylinder_residuals(*cyl, m, cut_dim))
         tols = {k: TOL_ALG for k in residuals}
+        composites = [*sides["EqOct2"], *sides["EqRB2"], *cyl]
+        index = composites[0].index
+        info["vogan-weight-blocks"] = sum(len(idx) for idx in index)
+        info["vogan-largest-block"] = int(index[-1].shape[1])
+        # 0.0 shows that no dense factor had an entry between the blocks
+        info["vogan-off-block-max"] = max(op.off_block for op in composites)
     else:
         raise InputError(f"unknown axiom source {source!r}")
     return Report(f"axioms[{source}]",

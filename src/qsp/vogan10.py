@@ -16,22 +16,29 @@ The braid is
 with both R-factors given by the rank-one series
 sum_n c_n X^n ox Y^n q^{-H ox H / 2}, c_n = (q^{-1}-q)^n q^{-n(n-1)/2}/[n]_q!,
 where (X, Y) = (F, E) for the flipped factor and (K F^*, F), with the sign
-twist from nu_q(F) = -F, for the twisted one.  ``e_matrix`` forms it as a
-dense matrix on any module ox V; on M_r ox V_{1/2} it is block-diagonal in
-total weight, and the spectral data are read from the closed-form 2x2
-blocks of ``spin_half_block``.
+twist from nu_q(F) = -F, for the twisted one.  Every factor preserves
+total weight, so the braid on any module ox V is block-diagonal in it.
+``braid_blocks`` builds it block by block (``WeightBlocks``: the blocks of
+one size stacked, every product one batched matmul) and keeps it in the
+module's cache; ``e_matrix`` scatters these blocks into a dense matrix.
+``leg_blocks`` gathers the blocks of an operator acting on some legs of a
+product from its small factors (the axiom checks in ``qsp.harness`` are
+products of such operators on M ox V ox V, blocks of size at most 4), and
+``fusion_check`` takes the kernel of F per block.  On M_r ox V_{1/2} the
+blocks are 2x2, and the spectral data are read from their closed form,
+``spin_half_block``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import ConsistencyError, InputError, ResourceError
 from .rootsys import qfact
-from .uqrep import WeightModule, kernel, ribbon_diag
+from .uqrep import WeightModule, kernel, read_only, ribbon_diag
 
 
 def _phi(n, r, q):
@@ -50,7 +57,8 @@ def _phi(n, r, q):
 class TruncatedModule:
     """Level-capped lowest-weight module: K diagonal, F lowering, F^* the
     adjoint of F on M_r and the coaction of F^* on a product (invalid on
-    the top boundary either way)."""
+    the top boundary either way).  ``cache`` keeps the coaction products
+    and twist braids built from it."""
 
     r: float
     qp: object
@@ -60,6 +68,7 @@ class TruncatedModule:
     fstar: np.ndarray
     h_diag: np.ndarray
     label: str = ""
+    cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self):
@@ -120,14 +129,27 @@ def _h_vector(v):
     return np.array([float(w.coords[0]) for w in v.weights])
 
 
+def _product_h(*legs_h):
+    """H-eigenvalues of the product basis (first leg major) of legs whose
+    bases have the H-eigenvalues legs_h."""
+    out = legs_h[0]
+    for h in legs_h[1:]:
+        out = (out[:, None] + h[None, :]).reshape(-1)
+    return out
+
+
 def _total_h(module, v):
     """H-eigenvalues of the basis of module ox V."""
-    return (module.h_diag[:, None] + _h_vector(v)[None, :]).reshape(-1)
+    return _product_h(module.h_diag, _h_vector(v))
 
 
 def coaction_tensor(module, v):
     """Action matrices on M ox V through the coaction, as a
-    TruncatedModule over the product space."""
+    TruncatedModule over the product space; built once per V and kept
+    read-only in ``module.cache``."""
+    key = ("coaction", v)
+    if key in module.cache:
+        return module.cache[key]
     kv = v.k_diag(v.datum.simple_root(1))
     kv_inv = 1 / kv
     eye_m = np.eye(module.dim)
@@ -135,9 +157,138 @@ def coaction_tensor(module, v):
     # F^* viewed abstractly: F*_M ox K^{-1} + 1 ox K^{-1} E
     fstar = np.kron(module.fstar, np.diag(kv_inv)) \
         + np.kron(eye_m, kv_inv[:, None] * v.E[1])
-    return TruncatedModule(module.r, module.qp, module.cap,
-                           np.kron(module.k_diag, kv), f, fstar,
-                           _total_h(module, v), label=f"{module.label}(.)V")
+    out = module.cache[key] = TruncatedModule(
+        module.r, module.qp, module.cap,
+        *(read_only(arr) for arr in (np.kron(module.k_diag, kv), f, fstar,
+                                     _total_h(module, v))),
+        label=f"{module.label}(.)V")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# operators by total-weight blocks
+# ---------------------------------------------------------------------------
+
+def _weight_key(hval):
+    return round(float(hval), 9)
+
+
+def _weight_groups(h):
+    """Indices of a basis with H-eigenvalues h, grouped by weight (keyed by
+    ``_weight_key``, in order of first appearance)."""
+    groups = {}
+    for i, hval in enumerate(h.tolist()):
+        groups.setdefault(_weight_key(hval), []).append(i)
+    return groups
+
+
+@dataclass(frozen=True, eq=False)
+class WeightBlocks:
+    """An operator on a tensor product that preserves total weight, kept as
+    its weight blocks: ``index[k]`` is an integer array of shape
+    (count, size) whose rows are the basis indices of the blocks of one
+    size, and ``stacks[k]`` holds these blocks, shape (count, size, size).
+    ``off_block`` is the largest entry, outside the blocks, of the dense
+    factors the operator was gathered from: 0.0 when nothing was dropped.
+    Products and differences need the same ``index``."""
+
+    index: tuple
+    stacks: tuple
+    off_block: float = 0.0
+
+    def _pair(self, other):
+        if len(other.index) != len(self.index) or not all(
+                np.array_equal(a, b) for a, b in zip(self.index, other.index)):
+            raise ConsistencyError("operators on different weight blocks")
+        return zip(self.stacks, other.stacks)
+
+    def __matmul__(self, other):
+        stacks = tuple(np.matmul(a, b) for a, b in self._pair(other))
+        return WeightBlocks(self.index, stacks,
+                            max(self.off_block, other.off_block))
+
+    def __sub__(self, other):
+        return WeightBlocks(self.index,
+                            tuple(a - b for a, b in self._pair(other)),
+                            max(self.off_block, other.off_block))
+
+    def masked_norm(self, n_interior):
+        """Frobenius norm of the entries whose row and column indices are
+        both below n_interior."""
+        total = 0.0
+        for idx, blk in zip(self.index, self.stacks):
+            keep = idx < n_interior
+            entries = blk[keep[:, :, None] & keep[:, None, :]]
+            total += np.sum(np.abs(entries) ** 2)
+        return math.sqrt(total)
+
+    def dense(self):
+        """The operator as a dense matrix: the blocks scattered, zero
+        elsewhere."""
+        dim = sum(idx.size for idx in self.index)
+        out = np.zeros((dim, dim), dtype=complex)
+        for idx, blk in zip(self.index, self.stacks):
+            out[idx[:, :, None], idx[:, None, :]] = blk
+        return out
+
+
+def product_blocks(module, *vs):
+    """The legs of module ox vs[0] ox vs[1] ..., as the H-eigenvalues of each
+    leg's basis, and the total-weight blocks of the product, stacked by
+    size (increasing): one read-only integer array of shape (count, size)
+    per block size, each row the indices of one block."""
+    legs_h = [module.h_diag] + [_h_vector(v) for v in vs]
+    by_size = {}
+    for idx in _weight_groups(_product_h(*legs_h)).values():
+        by_size.setdefault(len(idx), []).append(idx)
+    return legs_h, tuple(read_only(np.array(by_size[size]))
+                         for size in sorted(by_size))
+
+
+def _shift_maxima(mat, h):
+    """{weight shift: largest |entry|} over the nonzero entries of mat, an
+    operator on a basis with H-eigenvalues h."""
+    rows, cols = np.nonzero(mat)
+    shifts = np.round(h[rows] - h[cols], 9)
+    vals = np.abs(mat[rows, cols])
+    return {float(s): float(vals[shifts == s].max())
+            for s in np.unique(shifts)}
+
+
+def leg_blocks(index, legs_h, factors):
+    """Weight blocks of the operator that acts by ``mat`` on the legs of
+    each (legs, mat) in ``factors`` (legs in order, as in ``op_on_legs``)
+    and as the identity on every other leg of the product whose legs have
+    the H-eigenvalues legs_h; ``index`` comes from ``product_blocks``.
+
+    No operator on the product is formed: the blocks are gathered from the
+    factors, and ``off_block`` is the largest entry of the product outside
+    the blocks (every combination of factor entries whose weight shifts do
+    not sum to 0), read from the nonzero entries of each factor."""
+    dims = [len(h) for h in legs_h]
+    acted = {leg for legs, _ in factors for leg in legs}
+    stacks = []
+    for idx in index:
+        digits = np.unravel_index(idx, dims)
+        blk = np.ones(idx.shape + idx.shape[-1:], dtype=complex)
+        for legs, mat in factors:
+            sub = np.ravel_multi_index([digits[leg] for leg in legs],
+                                       [dims[leg] for leg in legs])
+            blk = blk * mat[sub[:, :, None], sub[:, None, :]]
+        for leg in set(range(len(dims))) - acted:
+            blk = blk * (digits[leg][:, :, None] == digits[leg][:, None, :])
+        stacks.append(blk)
+    reach = {0.0: 1.0}   # total weight shift -> largest entry
+    for legs, mat in factors:
+        maxima = _shift_maxima(mat, _product_h(*(legs_h[leg] for leg in legs)))
+        nxt = {}
+        for s0, v0 in reach.items():
+            for s1, v1 in maxima.items():
+                key = _weight_key(s0 + s1)
+                nxt[key] = max(nxt.get(key, 0.0), v0 * v1)
+        reach = nxt
+    off = max((val for shift, val in reach.items() if shift != 0), default=0.0)
+    return WeightBlocks(index, tuple(stacks), off)
 
 
 def su2_series_coeff(n, q):
@@ -145,41 +296,61 @@ def su2_series_coeff(n, q):
     return (1 / q - q) ** n * q ** (-n * (n - 1) / 2) / qfact(n, q)
 
 
-def e_matrix(module, v, qp):
-    """The twist braid on module ox V.
+def braid_blocks(module, v, qp):
+    """The twist braid on module ox V as ``WeightBlocks``, built once per
+    (V, qp) and kept read-only in ``module.cache``."""
+    key = ("braid", v, qp)
+    if key not in module.cache:
+        module.cache[key] = _braid_blocks(module, v, qp)
+    return module.cache[key]
 
-    R21_tilde = (sum c_n F^n ox E^n) q^{-H ox H/2} and
+
+def _braid_blocks(module, v, qp):
+    """R21_tilde = (sum c_n F^n ox E^n) q^{-H ox H/2} and
     (id ox nu)(R_tilde) = (sum c_n (-1)^n (K F^*)^n ox F^n) q^{-H ox H/2};
     both series terminate by nilpotency on V.  The last factor is the
-    inverse ribbon scalar on V (blockwise for reducible V)."""
+    inverse ribbon scalar on V (blockwise for reducible V).  Every term
+    F^n ox E^n and (K F^*)^n ox F^n preserves total weight and is gathered
+    per block; the products run on the stacked blocks."""
     q = qp.q
-    dv = v.dim
-    dm = module.dim
+    legs_h, index = product_blocks(module, v)
     kfs = module.k_diag[:, None] * module.fstar
-    ev = v.E[1]
-    fv = v.F[1]
-    cartan = np.exp(np.log(q) * (-np.outer(module.h_diag, _h_vector(v)) / 2))
+    cartan = np.exp(np.log(q) * (-np.outer(*legs_h) / 2))
     cartan = cartan.reshape(-1).astype(complex)
 
-    a_series = np.eye(dm * dv, dtype=complex)
-    b_series = np.eye(dm * dv, dtype=complex)
-    f_pow = np.eye(dm, dtype=complex)
-    e_pow = np.eye(dv, dtype=complex)
-    kfs_pow = np.eye(dm, dtype=complex)
-    fv_pow = np.eye(dv, dtype=complex)
-    for n in range(1, dv):
-        f_pow = f_pow @ module.f_mat
-        e_pow = e_pow @ ev
-        kfs_pow = kfs_pow @ kfs
-        fv_pow = fv_pow @ fv
+    a_series = [np.tile(np.eye(idx.shape[1], dtype=complex), (len(idx), 1, 1))
+                for idx in index]
+    b_series = [blk.copy() for blk in a_series]
+    f_pow, e_pow, kfs_pow, fv_pow = module.f_mat, v.E[1], kfs, v.F[1]
+    off = 0.0
+    for n in range(1, v.dim):
+        if n > 1:
+            f_pow = f_pow @ module.f_mat
+            e_pow = e_pow @ v.E[1]
+            kfs_pow = kfs_pow @ kfs
+            fv_pow = fv_pow @ v.F[1]
         c = su2_series_coeff(n, q)
-        a_series += c * np.kron(f_pow, e_pow)
-        b_series += c * (-1) ** n * np.kron(kfs_pow, fv_pow)
+        term_a = leg_blocks(index, legs_h, [((0,), f_pow), ((1,), e_pow)])
+        term_b = leg_blocks(index, legs_h, [((0,), kfs_pow), ((1,), fv_pow)])
+        for a, b, ta, tb in zip(a_series, b_series, term_a.stacks,
+                                term_b.stacks):
+            a += c * ta
+            b += c * (-1) ** n * tb
+        off = max(off, term_a.off_block, term_b.off_block)
 
-    v_inv = np.linalg.inv(ribbon_diag(v))
-    out = ((a_series * cartan) @ b_series) * cartan
-    # 1 ox v^{-1}: v^{-1} on the V leg of every column index
-    return (out.reshape(-1, dv) @ v_inv).reshape(dm * dv, dm * dv)
+    v_inv = leg_blocks(index, legs_h,
+                       [((1,), np.linalg.inv(ribbon_diag(v)))])
+    stacks = []
+    for idx, a, b, vi in zip(index, a_series, b_series, v_inv.stacks):
+        cart = cartan[idx][:, None, :]
+        stacks.append(read_only(np.matmul(np.matmul(a * cart, b) * cart, vi)))
+    return WeightBlocks(index, tuple(stacks), max(off, v_inv.off_block))
+
+
+def e_matrix(module, v, qp):
+    """The twist braid on module ox V as a dense matrix: the blocks of
+    ``braid_blocks`` scattered, zero between blocks."""
+    return braid_blocks(module, v, qp).dense()
 
 
 def _masked_commutator(braid, pairs, idx):
@@ -205,10 +376,16 @@ def nu_twist_residual(module, v, qp):
 
 
 def nu_module(v):
-    """The Vogan involution on su2 modules: E -> -E, F -> -F, K -> K."""
-    return WeightModule(v.datum, v.qp, list(v.weights),
-                        {1: -v.E[1]}, {1: -v.F[1]},
-                        highest=v.highest, label=v.label + "^nu")
+    """The Vogan involution on su2 modules: E -> -E, F -> -F, K -> K; built
+    once per module and kept in ``v.cache``, so the R-matrices against it
+    are kept too."""
+    key = ("nu",)
+    if key not in v.cache:
+        v.cache[key] = WeightModule(
+            v.datum, v.qp, list(v.weights), {1: read_only(-v.E[1])},
+            {1: read_only(-v.F[1])}, highest=v.highest,
+            label=v.label + "^nu")
+    return v.cache[key]
 
 
 def twist_to_plain(braid, v):
@@ -228,17 +405,10 @@ def plain_commutation_residual(module, v, qp):
                               interior_indices(module, v.dim, 3))
 
 
-def _weight_key(hval):
-    return round(float(hval), 9)
-
-
 def weight_blocks(module, v):
     """Total-weight spaces of module ox V as index lists, keyed by the
     H-eigenvalue."""
-    blocks = {}
-    for i, hval in enumerate(_total_h(module, v)):
-        blocks.setdefault(_weight_key(hval), []).append(i)
-    return blocks
+    return _weight_groups(_total_h(module, v))
 
 
 def _require_spin_half(v, q):
@@ -308,15 +478,24 @@ def plain_block_eigenvalues(module, v, qp):
     return out
 
 
+def spin_half_transfer(q, phi_m, phi_next, sign):
+    """alpha(F^*) from the weight block m-1 of M_r ox V_{1/2} to block m,
+    in the block coordinates (e_m ox e_+, e_{m+1} ox e_-), as
+    (T00, T01, T11) with T10 = 0, from phi_m and phi_next = phi_{m+1}: the
+    plain coaction for sign +1, the nu-twisted one for sign -1.  Only
+    arithmetic, like ``spin_half_block``."""
+    return phi_m / q, sign * q ** -0.5, q * phi_next
+
+
 def _transfers(module, q, sign):
-    """alpha(F^*) from block m-1 to block m, for m = 0 .. cap-2, in the
-    block coordinates (e_m ox e_+, e_{m+1} ox e_-): the plain coaction for
-    sign +1, the nu-twisted one for sign -1.  Block -1 is e_0 ox e_-."""
+    """``spin_half_transfer`` for m = 0 .. cap-2, stacked as an array of
+    shape (cap-1, 2, 2).  Block -1 is e_0 ox e_- (phi_0 = 0)."""
     phi = np.concatenate(([0.0], module.f_mat.diagonal(1).real))
+    t00, t01, t11 = spin_half_transfer(q, phi[:-1], phi[1:], sign)
     out = np.zeros((module.cap - 1, 2, 2))
-    out[:, 0, 0] = phi[:-1] / q
-    out[:, 0, 1] = sign * q ** -0.5
-    out[:, 1, 1] = q * phi[1:]
+    out[:, 0, 0] = t00
+    out[:, 0, 1] = t01
+    out[:, 1, 1] = t11
     return out
 
 
@@ -371,16 +550,35 @@ def e_matrix_component_scalars(module, v, qp):
 def fusion_check(module, v, qp):
     """Lowest-weight vectors of module ox V inside the truncation: kernel
     of F within each interior weight block.  Returns
-    {weight: multiplicity}."""
+    {weight: multiplicity}.
+
+    F = F_M ox K^{-1} + 1 ox F lowers the weight by 2, so on the columns of
+    weight h only the rows of weight h - 2 can be nonzero: each kernel is
+    taken on that block of at most dim V rows, and no coaction matrix on
+    module ox V is formed.  ConsistencyError if F_M or F on V moves a
+    weight by anything but -2."""
     if module.cap < 3:
         raise InputError("truncation too small for a fusion check")
-    f_mat = coaction_tensor(module, v).f_mat
+    f_v = v.F[1]
+    for mat, h in ((module.f_mat, module.h_diag), (f_v, _h_vector(v))):
+        stray = sorted(s for s in _shift_maxima(mat, h) if s != -2.0)
+        if stray:
+            raise ConsistencyError(f"F moves weights by {stray}, not only -2")
+    kv_inv = 1 / v.k_diag(v.datum.simple_root(1))
+    groups = weight_blocks(module, v)
     n_interior = len(interior_indices(module, v.dim, 2))
     out = {}
-    for hval, idx in weight_blocks(module, v).items():
+    for hval, idx in groups.items():
         if idx[-1] >= n_interior:
             continue
-        dim_ker = kernel(f_mat[:, idx], 1e-9)[0].shape[1]
+        x_col, a_col = np.divmod(np.array(idx), v.dim)
+        rows = np.array(groups.get(_weight_key(hval - 2), []), dtype=int)
+        x_row, a_row = np.divmod(rows[:, None], v.dim)
+        # the entries of kron(F_M, diag(K^{-1})) + kron(1, F) there
+        f_blk = module.f_mat[x_row, x_col] \
+            * ((a_row == a_col) * kv_inv[a_col]) \
+            + (x_row == x_col) * f_v[a_row, a_col]
+        dim_ker = kernel(f_blk, 1e-9)[0].shape[1]
         if dim_ker:
             out[hval] = dim_ker
     return out

@@ -10,10 +10,17 @@ from qsp.coideal import (
     ribbon_compose,
 )
 from qsp.errors import InputError, ResourceError
+import qsp.vogan10
 from qsp.harness import (
+    AXIOM_MIN_LEVELS,
     SNAP_REL,
     CoidealRankOneFamily,
     Report,
+    _cylinder_rhs1,
+    _cylinder_rhs2,
+    _cylinder_vogan,
+    _octagon_vogan,
+    _ribbon_vogan,
     check_cylinder_coideal,
     check_cylinder_vogan,
     check_octagon_coideal,
@@ -30,9 +37,16 @@ from qsp.harness import (
     scalar_deviation,
     t_of_lambda,
 )
+from qsp.rmatrix import op_on_legs, r21, rmat
 from qsp.rootsys import build_root_datum
-from qsp.uqrep import QParams, build_irrep
-from qsp.vogan10 import build_Mr
+from qsp.uqrep import QParams, build_irrep, tensor
+from qsp.vogan10 import (
+    build_Mr,
+    coaction_tensor,
+    e_matrix,
+    interior_indices,
+    nu_module,
+)
 
 Q = 0.7
 
@@ -196,6 +210,125 @@ def test_vogan_checks():
     assert check_octagon_vogan(m, v, v, qp) < 1e-9
     assert check_ribbon_vogan(m, v, v, qp) < 1e-9
     assert max(check_cylinder_vogan(m, v, v, qp).values()) < 1e-9
+
+
+# The dense Vogan checks the weight blocks replaced, kept as the reference:
+# every composite a (4 levels)^2 matrix, every factor placed on its legs by
+# op_on_legs and the interior cut out by index.
+
+def _mask_ref(mat, module, n_uq_legs_dim):
+    idx = interior_indices(module, n_uq_legs_dim, 4)
+    return mat[np.ix_(idx, idx)]
+
+
+def _ratio_ref(diff, ref, module, cut_dim):
+    return np.linalg.norm(_mask_ref(diff, module, cut_dim)) / max(
+        np.linalg.norm(_mask_ref(ref, module, cut_dim)), 1e-30)
+
+
+def _octagon_dense(module, m1, m2, qp):
+    lhs = e_matrix(coaction_tensor(module, m1), m2, qp)
+    dims = [module.dim, m1.dim, m2.dim]
+    r32 = op_on_legs(r21(m1, m2), dims, (1, 2))
+    e13 = op_on_legs(e_matrix(module, m2, qp), dims, (0, 2))
+    rtw23 = op_on_legs(rmat(m1, nu_module(m2)).matrix, dims, (1, 2))
+    return lhs, r32 @ e13 @ rtw23
+
+
+def _ribbon_dense(module, m1, m2, qp):
+    lhs = e_matrix(module, tensor(m1, m2), qp)
+    rhs = e_matrix(coaction_tensor(module, m1), m2, qp) \
+        @ op_on_legs(e_matrix(module, m1, qp),
+                     [module.dim, m1.dim, m2.dim], (0, 1))
+    return lhs, rhs
+
+
+def _cylinder_dense(module, m1, m2, qp):
+    theta_u = e_matrix(module, m1, qp)
+    theta_v = e_matrix(module, m2, qp)
+    theta_uv = e_matrix(module, tensor(m1, m2), qp)
+    rhs1 = _cylinder_rhs1(theta_u, theta_v, m1, m2, module.dim, nu_module)
+    rhs2 = _cylinder_rhs2(theta_u, theta_v, m1, m2, module.dim, nu_module)
+    return theta_uv, rhs1, rhs2
+
+
+def _vogan_residuals_dense(module, m1, m2, qp):
+    cut = m1.dim * m2.dim
+    out = {}
+    for key, sides in (("EqOct2", _octagon_dense(module, m1, m2, qp)),
+                       ("EqRB2", _ribbon_dense(module, m1, m2, qp))):
+        lhs, rhs = sides
+        out[key] = _ratio_ref(lhs - rhs, rhs, module, cut)
+    theta_uv, rhs1, rhs2 = _cylinder_dense(module, m1, m2, qp)
+    out["cyl-tw-eq"] = _ratio_ref(theta_uv - rhs1, theta_uv, module, cut)
+    out["cyl-tw-eq-2"] = _ratio_ref(theta_uv - rhs2, theta_uv, module, cut)
+    out["cyl-rhs-agree"] = _ratio_ref(rhs1 - rhs2, theta_uv, module, cut)
+    return out
+
+
+@pytest.mark.parametrize("levels", [5, 14, 60, 80])
+@pytest.mark.parametrize("q", [0.5, 0.7, 0.9, 0.95, 0.97])
+def test_vogan_blocks_match_dense_reference(q, levels):
+    qp = QParams(q)
+    datum = build_root_datum([("A", 1)])
+    v = build_irrep(datum, datum.weight([1]), qp)
+    for r in (0.1, 1.3):
+        m = build_Mr(r, qp, levels)
+        blocks = [*_octagon_vogan(m, v, v, qp), *_ribbon_vogan(m, v, v, qp),
+                  *_cylinder_vogan(m, v, v, qp)]
+        dense = [*_octagon_dense(m, v, v, qp), *_ribbon_dense(m, v, v, qp),
+                 *_cylinder_dense(m, v, v, qp)]
+        for got, want in zip(blocks, dense):
+            assert got.off_block == 0.0
+            assert np.linalg.norm(got.dense() - want) \
+                <= 1e-12 * np.linalg.norm(want), r
+        got = {"EqOct2": check_octagon_vogan(m, v, v, qp),
+               "EqRB2": check_ribbon_vogan(m, v, v, qp),
+               **check_cylinder_vogan(m, v, v, qp)}
+        want = _vogan_residuals_dense(m, v, v, qp)
+        assert list(got) == list(want)
+        for key, val in want.items():
+            assert abs(got[key] - val) <= max(0.01 * val, 1e-15), \
+                (r, key, got[key], val)
+
+
+def test_vogan_axioms_need_an_interior():
+    # the mask drops the top four levels: below five nothing is checked
+    for levels in range(2, AXIOM_MIN_LEVELS):
+        with pytest.raises(InputError):
+            run_axioms("vogan", 0.7, levels=levels)
+    assert run_axioms("vogan", 0.7, levels=AXIOM_MIN_LEVELS).passed
+
+
+def test_vogan_axioms_build_each_braid_once(monkeypatch):
+    built = []
+    build = qsp.vogan10._braid_blocks
+
+    def counting(module, v, qp):
+        built.append((module.dim, v.dim))
+        return build(module, v, qp)
+
+    monkeypatch.setattr(qsp.vogan10, "_braid_blocks", counting)
+    run_axioms("vogan", 0.96, levels=20, r=0.5)
+    # M ox V, (M ox V) ox V and M ox (V ox V)
+    assert sorted(built) == [(20, 2), (20, 4), (40, 2)]
+
+
+def test_vogan_axioms_report_their_blocks():
+    rep = run_axioms("vogan", 0.95, levels=30, r=0.1)
+    # weights -r - 2 .. -r + 2 levels on M ox V ox V, blocks of size 1, 3, 4
+    assert rep.info["vogan-weight-blocks"] == 32
+    assert rep.info["vogan-largest-block"] == 4
+    assert rep.info["vogan-off-block-max"] == 0.0
+
+
+def test_vogan_cylinder_needs_equal_weights():
+    qp = QParams(Q)
+    datum = build_root_datum([("A", 1)])
+    v = build_irrep(datum, datum.weight([1]), qp)
+    with pytest.raises(InputError):
+        check_cylinder_vogan(build_Mr(0.25, qp, 8), v,
+                             build_irrep(datum, datum.weight([2]), qp), qp)
 
 
 def test_axiom_suites_pass():

@@ -1,22 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qsp.errors import InputError, ResourceError
 from qsp.rootsys import build_root_datum
-from qsp.uqrep import QParams, build_irrep, ribbon_diag, tensor
+from qsp.uqrep import QParams, build_irrep, kernel, ribbon_diag, tensor
 from qsp.vogan10 import (
+    braid_blocks,
     build_Mr,
     coaction_tensor,
     e_matrix,
     e_matrix_component_scalars,
     fusion_check,
     interior_indices,
+    leg_blocks,
     nu_module,
     nu_twist_residual,
     plain_block_eigenvalues,
     plain_commutation_residual,
+    product_blocks,
     relations_residual,
     spin_half_block,
+    spin_half_transfer,
     su2_series_coeff,
     twist_to_plain,
     weight_blocks,
@@ -311,10 +317,42 @@ def test_top_singleton_overflow_is_resource_error():
 
 
 def test_symbolic_closed_form():
-    for level in (0, 1, 2):
-        sub_defect, quot_defect = e_matrix_block_symbolic(level)
-        assert all(x == 0 for x in sub_defect)
-        assert quot_defect == 0
+    # base case of the induction: the component scalars on block 0
+    sub_defect, quot_defect = e_matrix_block_symbolic(0)
+    assert all(x == 0 for x in sub_defect)
+    assert quot_defect == 0
+
+
+def test_symbolic_induction_step():
+    # the braid intertwines the two coactions of F^* from block m-1 to
+    # block m: B_m T^tw_m = T^plain_m B_{m-1} at a symbolic level m >= 1,
+    # with w = q^m and phi_m^2, phi_{m+1}^2 replaced by their radicands.
+    # So E s'_m = mu s_m follows from level m-1, and the quotient scalar
+    # with it; with the base case at level 0 this holds at every level.
+    import sympy as sp
+
+    q, u, w, phi_m, phi_n = sp.symbols("q u w phi_m phi_n", positive=True)
+
+    def block(w2, phi):
+        b00, b01, b11 = spin_half_block(q, u, w2, 1 - w2, phi * w2)
+        return sp.Matrix([[b00, b01], [-b01, b11]])
+
+    def transfer(sign):
+        t00, t01, t11 = spin_half_transfer(q, phi_m, phi_n, sign)
+        return sp.Matrix([[t00, t01], [0, t11]])
+
+    scale = q * (1 / q - q) ** 2
+    squares = {
+        phi_m ** 2: (1 - w ** 2) * (1 + u ** 2 * q ** 2 / w ** 2)
+        / (w ** 2 * scale),
+        phi_n ** 2: (1 - q ** 2 * w ** 2) * (1 + u ** 2 / w ** 2)
+        / (q ** 2 * w ** 2 * scale),
+    }
+    step = block(q ** 2 * w ** 2, phi_n) * transfer(-1) \
+        - transfer(1) * block(w ** 2, phi_m)
+    # the code writes q^{-3/2} and q^{-1/2} with float exponents
+    step = sp.expand(sp.nsimplify(step, rational=True))
+    assert step.xreplace(squares).applyfunc(sp.cancel) == sp.zeros(2, 2)
 
 
 def test_truncation_independence(v):
@@ -367,6 +405,91 @@ def test_fusion(v):
         fusion_check(build_Mr(0.25, QP, 2), v, QP)
 
 
+def _fusion_dense_ref(module, v):
+    """The dense route fusion_check replaced: the coaction F on module ox V
+    as one (levels dim V)^2 matrix, its kernel taken on all rows of the
+    columns of each interior weight block."""
+    kv_inv = 1 / v.k_diag(v.datum.simple_root(1))
+    f_mat = np.kron(module.f_mat, np.diag(kv_inv)) \
+        + np.kron(np.eye(module.dim), v.F[1])
+    n_interior = len(interior_indices(module, v.dim, 2))
+    out = {}
+    for hval, idx in weight_blocks(module, v).items():
+        if idx[-1] >= n_interior:
+            continue
+        dim_ker = kernel(f_mat[:, idx], 1e-9)[0].shape[1]
+        if dim_ker:
+            out[hval] = dim_ker
+    return out
+
+
+@pytest.mark.parametrize("levels", [60, 360, 1000])
+def test_fusion_matches_dense_route(levels):
+    qp = QParams(0.95)
+    vh = build_irrep(A1, A1.weight([1]), qp)
+    for r in (0.1, 1.3):
+        m = build_Mr(r, qp, levels)
+        got = fusion_check(m, vh, qp)
+        assert got == _fusion_dense_ref(m, vh)
+        assert got == {round(-r - 1, 9): 1, round(-r + 1, 9): 1}
+
+
+def test_fusion_forms_no_coaction_matrix():
+    # the dense coaction F alone is 64 MB at 1000 levels
+    qp = QParams(0.95)
+    vh = build_irrep(A1, A1.weight([1]), qp)
+    m = build_Mr(0.1, qp, 1000)
+    tracemalloc.start()
+    try:
+        fusion_check(m, vh, qp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
+def test_fusion_rejects_a_stray_weight_shift(v):
+    from qsp.errors import ConsistencyError
+    m = build_Mr(0.25, QP, 10)
+    f_bad = m.f_mat.copy()
+    f_bad[0, 3] = 1e-3   # moves a weight by -6: its row would be dropped
+    bad = type(m)(m.r, m.qp, m.cap, m.k_diag, f_bad, m.fstar, m.h_diag)
+    with pytest.raises(ConsistencyError):
+        fusion_check(bad, v, QP)
+
+
+def test_braid_is_built_once_and_read_only(v):
+    m = build_Mr(0.25, QP, 10)
+    blocks = braid_blocks(m, v, QP)
+    assert braid_blocks(m, v, QP) is blocks
+    prod = coaction_tensor(m, v)
+    assert coaction_tensor(m, v) is prod
+    for arr in (*blocks.index, *blocks.stacks, prod.k_diag, prod.f_mat,
+                prod.fstar, prod.h_diag):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        blocks.stacks[-1][0, 0, 0] = 1.0
+    # the dense braid is a fresh copy of the blocks
+    dense = e_matrix(m, v, QP)
+    dense[0, 0] = 7.0
+    assert e_matrix(m, v, QP)[0, 0] != 7.0
+
+
+def test_leg_blocks_report_entries_between_blocks(v):
+    m = build_Mr(0.25, QP, 6)
+    legs_h, index = product_blocks(m, v, v)
+    # E on the last leg alone raises the total weight: nothing of it lies
+    # in a block, and the largest dropped entry is reported
+    raised = leg_blocks(index, legs_h, [((2,), v.E[1])])
+    assert raised.off_block == pytest.approx(Q ** 0.5)
+    assert all(not blk.any() for blk in raised.stacks)
+    # E ox F on the two V legs keeps it: nothing is dropped
+    kept = leg_blocks(index, legs_h, [((1,), v.E[1]), ((2,), v.F[1])])
+    assert kept.off_block == 0.0
+    np.testing.assert_array_equal(
+        kept.dense(), np.kron(np.eye(m.dim), np.kron(v.E[1], v.F[1])))
+
+
 def test_fusion_weights_are_omega_r_pm_1(v):
     # the lowest weights carry K-eigenvalue q^{-(r+1)} resp. q^{-(r-1)}
     r = 0.25
@@ -401,6 +524,22 @@ def _coaction_ref(k_m, f_m, fs_m, h_m, v):
 
 
 def _e_matrix_ref(k_m, f_m, fs_m, h_m, v, q):
+    out = np.eye(len(k_m) * v.dim)
+    for factor in _e_matrix_factors_ref(k_m, f_m, fs_m, h_m, v, q):
+        out = out @ factor
+    return out
+
+
+def _rounding_scale_ref(k_m, f_m, fs_m, h_m, v, q):
+    """|a_series| |cartan| |b_series| |cartan| |1 ox v^{-1}|: every way of
+    summing the terms of that product rounds within a few eps of it."""
+    out = np.eye(len(k_m) * v.dim)
+    for factor in _e_matrix_factors_ref(k_m, f_m, fs_m, h_m, v, q):
+        out = out @ np.abs(factor)
+    return out
+
+
+def _e_matrix_factors_ref(k_m, f_m, fs_m, h_m, v, q):
     dv, dm = v.dim, len(k_m)
     kfs = np.diag(k_m) @ fs_m
     cartan = np.exp(np.log(q) * (-np.outer(h_m, _h_ref(v)) / 2)).reshape(-1)
@@ -420,7 +559,7 @@ def _e_matrix_ref(k_m, f_m, fs_m, h_m, v, q):
         a_series += c * np.kron(f_pow, e_pow)
         b_series += c * (-1) ** n * np.kron(kfs_pow, fv_pow)
     v_inv = np.linalg.inv(ribbon_diag(v))
-    return a_series @ cartan @ b_series @ cartan @ np.kron(np.eye(dm), v_inv)
+    return a_series, cartan, b_series, cartan, np.kron(np.eye(dm), v_inv)
 
 
 def _twist_to_plain_ref(braid, v):
@@ -444,13 +583,23 @@ def test_vector_diagonals_match_dense_reference(q, levels):
                               prod.h_diag), prod_ref):
             np.testing.assert_array_equal(got, want)
         braid = e_matrix(m, v, qp)
-        np.testing.assert_array_equal(braid, _e_matrix_ref(*m_ref, v, q))
+        _assert_equal_to_rounding(braid, m_ref, v, q)
         np.testing.assert_array_equal(twist_to_plain(braid, v),
                                       _twist_to_plain_ref(braid, v))
     # the braid on a coaction product uses the product's F^*
-    np.testing.assert_array_equal(
-        e_matrix(coaction_tensor(m, vh), vh, qp),
-        _e_matrix_ref(*_coaction_ref(*m_ref, vh), vh, q))
+    _assert_equal_to_rounding(e_matrix(coaction_tensor(m, vh), vh, qp),
+                              _coaction_ref(*m_ref, vh), vh, q)
+
+
+def _assert_equal_to_rounding(braid, m_ref, v, q):
+    """The braid against the dense product of the reference factors.  Its
+    sums run over the weight blocks, the dense product's over whole rows,
+    in an order (and with fused multiply-adds) that depends on the BLAS
+    blocking: the two agree to a few roundings of each sum, and exactly
+    where no sum has terms (0 between the blocks)."""
+    want = _e_matrix_ref(*m_ref, v, q)
+    scale = _rounding_scale_ref(*m_ref, v, q)
+    assert np.all(np.abs(braid - want) <= 4 * np.finfo(float).eps * scale)
 
 
 @pytest.mark.parametrize("levels,dv,margin",
