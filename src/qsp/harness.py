@@ -40,6 +40,7 @@ from .rmatrix import flip, op_on_legs, r21, rmat
 from .rootsys import build_root_datum
 from .uqrep import QParams, build_irrep, decompose, tensor
 from .vogan10 import (
+    blocks_like,
     braid_blocks,
     build_Mr,
     coaction_tensor,
@@ -325,22 +326,33 @@ def _cylinder_vogan(module, m1, m2, qp):
     """theta_{U ox V} and the two right sides of the cylinder twist
     equations (as in ``_cylinder_rhs1`` and ``_cylinder_rhs2``, with nu as
     the twist), as WeightBlocks.  The right sides pass through
-    M ox V ox U, so U and V must carry the same weights."""
+    M ox V ox U, whose blocks the braidings of the last two legs map to
+    and from."""
     legs_h, index = product_blocks(module, m1, m2)
-    if not np.array_equal(legs_h[1], legs_h[2]):
-        raise InputError("the Vogan cylinder check needs two modules with "
-                         "the same weights")
+    swapped_h = [legs_h[0], legs_h[2], legs_h[1]]
+    swapped = (blocks_like(index, legs_h, swapped_h), swapped_h)
     theta_u = e_matrix(module, m1, qp)
     theta_v = e_matrix(module, m2, qp)
 
-    def on_legs(legs, mat):
+    def on_uv(legs, mat):   # on M ox U ox V
         return leg_blocks(index, legs_h, [(legs, mat)])
 
+    def on_vu(legs, mat):   # on M ox V ox U
+        return leg_blocks(*swapped, [(legs, mat)])
+
+    def to_vu(ma, mb):   # M ox U ox V -> M ox V ox U
+        return leg_blocks(*swapped, [((1, 2), _beta(ma, mb))],
+                          source=(index, legs_h))
+
+    def to_uv(ma, mb):   # M ox V ox U -> M ox U ox V
+        return leg_blocks(index, legs_h, [((1, 2), _beta(ma, mb))],
+                          source=swapped)
+
     tu, tv = nu_module(m1), nu_module(m2)
-    rhs1 = on_legs((1, 2), _beta(m2, m1)) @ on_legs((0, 1), theta_v) \
-        @ on_legs((1, 2), _beta(m1, tv)) @ on_legs((0, 1), theta_u)
-    rhs2 = on_legs((0, 1), theta_u) @ on_legs((1, 2), _beta(m2, tu)) \
-        @ on_legs((0, 1), theta_v) @ on_legs((1, 2), _beta(tu, tv))
+    rhs1 = to_uv(m2, m1) @ on_vu((0, 1), theta_v) @ to_vu(m1, tv) \
+        @ on_uv((0, 1), theta_u)
+    rhs2 = on_uv((0, 1), theta_u) @ to_uv(m2, tu) @ on_vu((0, 1), theta_v) \
+        @ to_vu(tu, tv)
     return braid_blocks(module, tensor(m1, m2), qp), rhs1, rhs2
 
 

@@ -322,13 +322,23 @@ def test_vogan_axioms_report_their_blocks():
     assert rep.info["vogan-off-block-max"] == 0.0
 
 
-def test_vogan_cylinder_needs_equal_weights():
-    qp = QParams(Q)
+@pytest.mark.parametrize("spins", [(1, 2), (2, 1), (1, 3)])
+@pytest.mark.parametrize("q", [0.7, 0.95])
+def test_vogan_cylinder_on_unequal_modules_matches_dense_reference(q, spins):
+    # the right sides pass through M ox V ox U, on other weight blocks
+    qp = QParams(q)
     datum = build_root_datum([("A", 1)])
-    v = build_irrep(datum, datum.weight([1]), qp)
-    with pytest.raises(InputError):
-        check_cylinder_vogan(build_Mr(0.25, qp, 8), v,
-                             build_irrep(datum, datum.weight([2]), qp), qp)
+    m1, m2 = (build_irrep(datum, datum.weight([s]), qp) for s in spins)
+    m = build_Mr(0.25, qp, 14)
+    for got, want in zip(_cylinder_vogan(m, m1, m2, qp),
+                         _cylinder_dense(m, m1, m2, qp)):
+        assert got.off_block == 0.0
+        assert np.linalg.norm(got.dense() - want) \
+            <= 1e-12 * np.linalg.norm(want)
+    got = check_cylinder_vogan(m, m1, m2, qp)
+    want = _vogan_residuals_dense(m, m1, m2, qp)
+    for key, val in got.items():
+        assert abs(val - want[key]) <= max(0.01 * want[key], 1e-15), key
 
 
 def test_axiom_suites_pass():

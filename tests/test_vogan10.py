@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qsp.errors import InputError, ResourceError
+from qsp.errors import ConsistencyError, InputError, ResourceError
 from qsp.rootsys import build_root_datum
 from qsp.uqrep import QParams, build_irrep, kernel, ribbon_diag, tensor
 from qsp.vogan10 import (
+    blocks_like,
     braid_blocks,
     build_Mr,
     coaction_tensor,
@@ -449,7 +450,6 @@ def test_fusion_forms_no_coaction_matrix():
 
 
 def test_fusion_rejects_a_stray_weight_shift(v):
-    from qsp.errors import ConsistencyError
     m = build_Mr(0.25, QP, 10)
     f_bad = m.f_mat.copy()
     f_bad[0, 3] = 1e-3   # moves a weight by -6: its row would be dropped
@@ -490,6 +490,39 @@ def test_leg_blocks_report_entries_between_blocks(v):
         kept.dense(), np.kron(np.eye(m.dim), np.kron(v.E[1], v.F[1])))
 
 
+def test_leg_blocks_map_between_products_in_another_leg_order(v):
+    m = build_Mr(0.25, QP, 6)
+    v1 = build_irrep(A1, A1.weight([2]), QP)
+    legs_h, index = product_blocks(m, v, v1)
+    swapped_h = [legs_h[0], legs_h[2], legs_h[1]]
+    swapped = blocks_like(index, legs_h, swapped_h)
+    # block k of M ox V1 ox V has the weight and size of block k of M ox V ox V1
+    h, h_sw = _product_h_ref(legs_h), _product_h_ref(swapped_h)
+    for idx, idx_sw in zip(index, swapped):
+        assert idx.shape == idx_sw.shape
+        np.testing.assert_array_equal(h[idx], h_sw[idx_sw])
+    # the flip V ox V1 -> V1 ox V, and back
+    flip = np.eye(v.dim * v1.dim)[
+        [a * v1.dim + b for b in range(v1.dim) for a in range(v.dim)]]
+    there = leg_blocks(swapped, swapped_h, [((1, 2), flip)],
+                       source=(index, legs_h))
+    back = leg_blocks(index, legs_h, [((1, 2), flip.T)],
+                      source=(swapped, swapped_h))
+    assert there.off_block == back.off_block == 0.0
+    np.testing.assert_array_equal(there.dense(),
+                                  np.kron(np.eye(m.dim), flip))
+    np.testing.assert_array_equal((back @ there).dense(),
+                                  np.eye(m.dim * v.dim * v1.dim))
+    # a product needs the columns of the left factor to be the right's rows
+    with pytest.raises(ConsistencyError):
+        there @ there
+
+
+def _product_h_ref(legs_h):
+    return np.add.outer(np.add.outer(legs_h[0], legs_h[1]),
+                        legs_h[2]).reshape(-1)
+
+
 def test_fusion_weights_are_omega_r_pm_1(v):
     # the lowest weights carry K-eigenvalue q^{-(r+1)} resp. q^{-(r-1)}
     r = 0.25
@@ -524,22 +557,12 @@ def _coaction_ref(k_m, f_m, fs_m, h_m, v):
 
 
 def _e_matrix_ref(k_m, f_m, fs_m, h_m, v, q):
-    out = np.eye(len(k_m) * v.dim)
-    for factor in _e_matrix_factors_ref(k_m, f_m, fs_m, h_m, v, q):
-        out = out @ factor
-    return out
-
-
-def _rounding_scale_ref(k_m, f_m, fs_m, h_m, v, q):
-    """|a_series| |cartan| |b_series| |cartan| |1 ox v^{-1}|: every way of
-    summing the terms of that product rounds within a few eps of it."""
-    out = np.eye(len(k_m) * v.dim)
-    for factor in _e_matrix_factors_ref(k_m, f_m, fs_m, h_m, v, q):
-        out = out @ np.abs(factor)
-    return out
-
-
-def _e_matrix_factors_ref(k_m, f_m, fs_m, h_m, v, q):
+    """The dense factors a_series, cartan, b_series, cartan, 1 ox v^{-1},
+    each checked to be exactly zero between the total-weight blocks, and
+    their product taken block by block in the braid's order,
+    ((a cartan) b cartan) (1 ox v^{-1}): the dense product with each sum
+    over the terms of one block in one fixed order (a dense BLAS product
+    orders its sums by where an entry falls in its own blocking)."""
     dv, dm = v.dim, len(k_m)
     kfs = np.diag(k_m) @ fs_m
     cartan = np.exp(np.log(q) * (-np.outer(h_m, _h_ref(v)) / 2)).reshape(-1)
@@ -558,8 +581,20 @@ def _e_matrix_factors_ref(k_m, f_m, fs_m, h_m, v, q):
         c = su2_series_coeff(n, q)
         a_series += c * np.kron(f_pow, e_pow)
         b_series += c * (-1) ** n * np.kron(kfs_pow, fv_pow)
-    v_inv = np.linalg.inv(ribbon_diag(v))
-    return a_series, cartan, b_series, cartan, np.kron(np.eye(dm), v_inv)
+    v_inv = np.kron(np.eye(dm), np.linalg.inv(ribbon_diag(v)))
+    groups = {}
+    for i, hval in enumerate((h_m[:, None] + _h_ref(v)[None, :]).flat):
+        groups.setdefault(round(float(hval), 9), []).append(i)
+    out = np.zeros_like(a_series)
+    on_blocks = np.zeros(out.shape, dtype=bool)
+    for g in map(np.array, groups.values()):
+        blk = np.ix_(g, g)
+        on_blocks[blk] = True
+        c = cartan[blk].diagonal()
+        out[blk] = ((a_series[blk] * c) @ b_series[blk] * c) @ v_inv[blk]
+    for factor in (a_series, cartan, b_series, v_inv):
+        assert np.all(factor[~on_blocks] == 0)
+    return out
 
 
 def _twist_to_plain_ref(braid, v):
@@ -583,23 +618,13 @@ def test_vector_diagonals_match_dense_reference(q, levels):
                               prod.h_diag), prod_ref):
             np.testing.assert_array_equal(got, want)
         braid = e_matrix(m, v, qp)
-        _assert_equal_to_rounding(braid, m_ref, v, q)
+        np.testing.assert_array_equal(braid, _e_matrix_ref(*m_ref, v, q))
         np.testing.assert_array_equal(twist_to_plain(braid, v),
                                       _twist_to_plain_ref(braid, v))
     # the braid on a coaction product uses the product's F^*
-    _assert_equal_to_rounding(e_matrix(coaction_tensor(m, vh), vh, qp),
-                              _coaction_ref(*m_ref, vh), vh, q)
-
-
-def _assert_equal_to_rounding(braid, m_ref, v, q):
-    """The braid against the dense product of the reference factors.  Its
-    sums run over the weight blocks, the dense product's over whole rows,
-    in an order (and with fused multiply-adds) that depends on the BLAS
-    blocking: the two agree to a few roundings of each sum, and exactly
-    where no sum has terms (0 between the blocks)."""
-    want = _e_matrix_ref(*m_ref, v, q)
-    scale = _rounding_scale_ref(*m_ref, v, q)
-    assert np.all(np.abs(braid - want) <= 4 * np.finfo(float).eps * scale)
+    np.testing.assert_array_equal(
+        e_matrix(coaction_tensor(m, vh), vh, qp),
+        _e_matrix_ref(*_coaction_ref(*m_ref, vh), vh, q))
 
 
 @pytest.mark.parametrize("levels,dv,margin",
