@@ -231,6 +231,16 @@ def kz():
     """Cyclotomic KZ monodromy."""
 
 
+def _parse_cmat(cfg, key):
+    """The complex matrix cfg[key], given as rows of [re, im] pairs."""
+    try:
+        return np.array([[complex(re, im) for re, im in row]
+                         for row in cfg[key]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{key}: a matrix needs rows of [re, im] number "
+                         "pairs") from exc
+
+
 @kz.command("psi")
 @click.option("--config", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None)
@@ -239,12 +249,14 @@ def kz_psi_cmd(config, out):
         with open(config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         if "a" in cfg:
-            mats = [np.array([[complex(re, im) for re, im in row]
-                              for row in cfg[key]])
+            mats = [_parse_cmat(cfg, key)
                     for key in ("a", "b_plus", "b_minus")]
         else:
+            q = cfg.get("q")
+            if not isinstance(q, (int, float)) or not q > 0:
+                raise InputError("q must be a positive number")
             ts = split_tensors()
-            hbar = -1j * math.log(cfg["q"]) / math.pi
+            hbar = -1j * math.log(q) / math.pi
             mats = kz_coeffs(ts, cfg.get("lambda", 1.0),
                              cfg.get("spin2_1", 1), cfg.get("spin2_2", 1),
                              hbar)

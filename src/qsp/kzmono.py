@@ -22,12 +22,79 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import expm, schur
 
 from .errors import AccuracyError, InputError, ResonanceError
 from .uqrep import intertwiners
 
 _EPS = np.finfo(float).eps
+
+# [13/13] Pade coefficients b_0, ..., b_13 of exp, and theta_13: the largest
+# eta of the scaled matrix at which that approximant meets double precision
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _hermitian(mat):
+    """True when mat equals its conjugate transpose to roundoff."""
+    tol = mat.shape[0] * _EPS * np.linalg.norm(mat)
+    return np.linalg.norm(mat - mat.conj().T) <= tol
+
+
+def _expm(a):
+    """e^a by [13/13] Pade scaling and squaring (Al-Mohy and Higham, SIAM
+    J. Matrix Anal. Appl. 31(3), 2009): 2^{-s} a with s from
+    eta = max(|a^6|_1^{1/6}, |a^8|_1^{1/8}) against theta_13.  eta is at
+    most |a|_1 and squares less often; each squaring adds rounding error.  A
+    diagonal a is exponentiated entrywise; the result for a Hermitian a is
+    made exactly Hermitian."""
+    a = np.asarray(a)
+    diag = np.diagonal(a)
+    if np.count_nonzero(a) == np.count_nonzero(diag):
+        return np.diag(np.exp(diag))
+    b = _PADE13
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    eta = max(np.linalg.norm(a6, 1) ** (1 / 6),
+              np.linalg.norm(a4 @ a4, 1) ** (1 / 8))
+    s = max(0, math.ceil(math.log2(eta / _THETA13))) if eta else 0
+    if s:
+        a, a2, a4, a6 = (a / 2 ** s, a2 / 4 ** s, a4 / 16 ** s,
+                         a6 / 64 ** s)
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) \
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    out = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        out = out @ out
+    if _hermitian(a):
+        out = (out + out.conj().T) / 2
+    return out
+
+
+def _schur(res):
+    """Complex Schur form res = Z T Z^H, as (T, Z).
+
+    A residue that is Hermitian or skew-Hermitian to roundoff is normal, so
+    its Schur form is its unitary eigendecomposition, taken from ``eigh``
+    with T diagonal.  Every KZ residue is hbar times a Hermitian matrix with
+    hbar imaginary (``kz_coeffs``) and takes this branch, which keeps
+    scipy.linalg out of every KZ computation.  Only a residue of neither
+    kind (a non-normal one, given directly to ``MonodromyProblem``) needs a
+    general Schur form, which numpy lacks; scipy is imported for it there."""
+    if _hermitian(res):
+        vals, z = np.linalg.eigh(res)
+        return np.diag(vals.astype(complex)), z
+    if _hermitian(1j * res):
+        vals, z = np.linalg.eigh(-1j * res)
+        return np.diag(1j * vals), z
+    from scipy.linalg import schur
+    return schur(res, output="complex")
 
 
 def spin_matrices(j2):
@@ -267,6 +334,11 @@ class MonodromyProblem:
         self.b_minus = np.asarray(self.b_minus, dtype=complex)
         if not (self.a.shape == self.b_plus.shape == self.b_minus.shape):
             raise InputError("coefficient matrices must share a dimension")
+        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
+            raise InputError("coefficient matrices must be square")
+        if not all(np.isfinite(m).all()
+                   for m in (self.a, self.b_plus, self.b_minus)):
+            raise InputError("coefficient matrices must be finite")
         if not all(0 < p < 1 for p in self.match_points):
             raise InputError("match points must lie in (0, 1)")
 
@@ -305,7 +377,7 @@ def _sylvester_series(res_mat, terms, order, x=None, target=0.0):
     c_order; with ``x``, stops once the tail bound at x is below ``target``
     at two consecutive orders, and raises AccuracyError at order ``order``.
     Returns the coefficients in the Schur basis, and Z."""
-    t, z = schur(res_mat, output="complex")
+    t, z = _schur(res_mat)
     n = t.shape[0]
     zh = z.conj().T
     diag = np.diag(t)
@@ -383,7 +455,7 @@ def _frobenius(problem, series, residue, dists):
     far = max(dists)
     coeffs, z = series(problem, far)
     zh = z.conj().T
-    vals = [z @ _eval_series(coeffs, x) @ zh @ expm(math.log(x) * residue)
+    vals = [z @ _eval_series(coeffs, x) @ zh @ _expm(math.log(x) * residue)
             for x in dists]
     return vals, _tail_bound(coeffs, far)
 
@@ -454,7 +526,7 @@ def psi_commuting_oracle(problem):
                  (problem.b_plus, problem.b_minus)):
         if np.linalg.norm(x @ y - y @ x) > 1e-12:
             raise InputError("oracle requires commuting coefficients")
-    return expm(math.log(2.0) * problem.b_minus)
+    return _expm(math.log(2.0) * problem.b_minus)
 
 
 def mkz_consistency(problem, z_target=0.81):
@@ -500,9 +572,9 @@ def verify_eg(a, b_plus, b_minus, **kw):
     psi_c = psi(MonodromyProblem(c, b_plus, b_minus, **kw)).psi
     psi_c_swap = psi(MonodromyProblem(c, b_minus, b_plus, **kw)).psi
     psi_a_swap = psi(MonodromyProblem(a, b_minus, b_plus, **kw)).psi
-    prod = np.linalg.inv(psi_a) @ expm(1j * math.pi * b_plus) @ psi_c \
-        @ expm(1j * math.pi * c) @ np.linalg.inv(psi_c_swap) \
-        @ expm(1j * math.pi * b_minus) @ psi_a_swap @ expm(1j * math.pi * a)
+    prod = np.linalg.inv(psi_a) @ _expm(1j * math.pi * b_plus) @ psi_c \
+        @ _expm(1j * math.pi * c) @ np.linalg.inv(psi_c_swap) \
+        @ _expm(1j * math.pi * b_minus) @ psi_a_swap @ _expm(1j * math.pi * a)
     return np.linalg.norm(prod - np.eye(a.shape[0]))
 
 
@@ -519,8 +591,8 @@ def verify_octagon_kz(tensors, lam, j2a, j2b, hbar, **kw):
     psi_a_sw = psi(MonodromyProblem(a, bm, bp, **kw)).psi
     psi_021_sw = psi(MonodromyProblem(a02, bm, bp, **kw)).psi
 
-    epi = lambda m: expm(1j * math.pi * m)  # noqa: E731
-    emi = lambda m: expm(-1j * math.pi * m)  # noqa: E731
+    epi = lambda m: _expm(1j * math.pi * m)  # noqa: E731
+    emi = lambda m: _expm(-1j * math.pi * m)  # noqa: E731
 
     lhs = np.linalg.inv(psi_a) @ epi(bp) @ psi_021 @ epi(a02) \
         @ np.linalg.inv(psi_021_sw) @ epi(bm) @ psi_a_sw @ epi(a)
@@ -589,15 +661,4 @@ def flatness_residuals(tensors, lam, spins, hbar):
 
 def kz_braid(tensors, lam, j2, hbar):
     """The braid e^{-pi i hbar (2 t^k_01 + C^k_1)} on chi_lam ox V."""
-    return expm(-1j * math.pi * hbar * leg_coeff(tensors, lam, j2))
-
-
-def kz_braid_commutes_with_k(tensors, lam, j2, hbar):
-    """Residual of the braid commuting with the diagonal action of the
-    fixed subalgebra."""
-    braid = kz_braid(tensors, lam, j2, hbar)
-    worst = 0.0
-    for val, vec in zip(tensors.character_values(lam), tensors.plus_basis):
-        diag = val * np.eye(j2 + 1) + tensors.vec_matrix(vec, j2)
-        worst = max(worst, np.linalg.norm(braid @ diag - diag @ braid))
-    return worst
+    return _expm(-1j * math.pi * hbar * leg_coeff(tensors, lam, j2))

@@ -279,8 +279,8 @@ def _shift_maxima(mat, h, h_cols=None):
     rows, cols = np.nonzero(mat)
     shifts = np.round(h[rows] - (h if h_cols is None else h_cols)[cols], 9)
     vals = np.abs(mat[rows, cols])
-    return {float(s): float(vals[shifts == s].max())
-            for s in np.unique(shifts)}
+    return {s: float(vals[shifts == s].max())
+            for s in sorted(set(shifts.tolist()))}
 
 
 def leg_blocks(index, legs_h, factors, source=None):

@@ -85,18 +85,32 @@ def test_rmatrix_cmd_g2_finishes():
     assert len(json.loads(proc.stdout)["matrix"]) == 49
 
 
-def test_import_leaves_scipy_integrate_out():
-    # only kzmono.mkz_consistency integrates an ODE, and it imports
-    # scipy.integrate when called (a fresh interpreter, so that no other
-    # test's import counts)
+def _fresh_python(code):
+    """stdout of ``code`` in a fresh interpreter (so that no other test's
+    import counts)."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(qsp.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qsp.cli; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, timeout=60, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_import_leaves_scipy_integrate_out():
+    # kzmono runs on numpy alone: only a non-normal residue (kzmono._schur)
+    # and kzmono.mkz_consistency import scipy, when called
+    assert _fresh_python(
+        f"import sys, qsp.cli; print({_LOADED_SCIPY})") == "[]"
+
+
+def test_run_all_leaves_scipy_out():
+    assert _fresh_python(
+        "import sys; from qsp import harness; "
+        "assert all(r.passed for r in harness.run_all()); "
+        f"print({_LOADED_SCIPY})") == "[]"
 
 
 def test_coideal_validate(runner, su2_diagram):
@@ -197,6 +211,33 @@ def test_kz_psi_inline_matrices(runner, tmp_path):
     res = runner.invoke(main, ["kz", "psi", "--config", str(cfg)])
     assert res.exit_code == 0
     assert json.loads(res.output)["psi"][0][0] == [pytest.approx(1.0), 0.0]
+
+
+@pytest.mark.parametrize("a", [
+    [[0.0, 0.0], [0.0, 0.0]],                   # numbers, not [re, im] pairs
+    [[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],      # 2 x 3
+     [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]],
+    [[[float("nan"), 0.0], [0.0, 0.0]],         # not finite
+     [[0.0, 0.0], [1.0, 0.0]]],
+], ids=["number-entry", "non-square", "nan-entry"])
+def test_kz_psi_malformed_matrix_is_input_error(runner, tmp_path, a):
+    cfg = tmp_path / "kz.json"
+    cfg.write_text(json.dumps({"a": a, "b_plus": a, "b_minus": a}))
+    res = runner.invoke(main, ["kz", "psi", "--config", str(cfg)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr.startswith("input error:")
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("cfg", [{}, {"q": -0.5}, {"q": 0}, {"q": "0.7"}],
+                         ids=["no-q", "negative", "zero", "string"])
+def test_kz_psi_bad_q_is_input_error(runner, tmp_path, cfg):
+    path = tmp_path / "kz.json"
+    path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["kz", "psi", "--config", str(path)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == "input error: q must be a positive number\n"
 
 
 def test_kz_verify(runner):

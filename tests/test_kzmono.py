@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import expm
 
 from qsp.errors import AccuracyError, InputError, ResonanceError
 from qsp.kzmono import (
     MonodromyProblem,
     _eval_series,
+    _expm,
     _herm_form,
     _rhs_ode,
+    _schur,
     _series_at_one,
     _series_at_zero,
     _star_coeffs,
@@ -19,7 +22,6 @@ from qsp.kzmono import (
     d_coeff,
     flatness_residuals,
     kz_braid,
-    kz_braid_commutes_with_k,
     kz_coeffs,
     mkz_consistency,
     psi,
@@ -420,6 +422,17 @@ def test_kz_braid_singular_values(lam):
     np.testing.assert_allclose(sv, want, atol=1e-10)
 
 
+def kz_braid_commutes_with_k(tensors, lam, j2, hbar):
+    """Residual of the braid commuting with the diagonal action of the
+    fixed subalgebra."""
+    braid = kz_braid(tensors, lam, j2, hbar)
+    worst = 0.0
+    for val, vec in zip(tensors.character_values(lam), tensors.plus_basis):
+        diag = val * np.eye(j2 + 1) + tensors.vec_matrix(vec, j2)
+        worst = max(worst, np.linalg.norm(braid @ diag - diag @ braid))
+    return worst
+
+
 def test_kz_braid_commutes_with_k():
     assert kz_braid_commutes_with_k(TS, 0.9, 1, hbar_of(0.7)) < 1e-12
     assert kz_braid_commutes_with_k(TS, 0.9, 2, hbar_of(0.7)) < 1e-12
@@ -437,7 +450,6 @@ def _leg_reference(lam, j2):
 @pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
 @pytest.mark.parametrize("j2a,j2b", [(1, 1), (1, 2), (2, 3)])
 def test_leg_coefficients_unchanged(lam, j2a, j2b):
-    from scipy.linalg import expm
     hbar = hbar_of(0.7)
     da, db = j2a + 1, j2b + 1
     tk01, tk02 = _leg_reference(lam, j2a), _leg_reference(lam, j2b)
@@ -449,7 +461,7 @@ def test_leg_coefficients_unchanged(lam, j2a, j2b):
     np.testing.assert_array_equal(a02_coeff(TS, lam, j2a, j2b, hbar), a02)
     np.testing.assert_array_equal(d_coeff(TS, lam, j2a, j2b, hbar),
                                   a + a02 + 2 * (hbar * TS.t_k(j2a, j2b)))
-    braid = expm(-1j * math.pi * hbar * (2 * tk01 + TS.casimir_k(j2a)))
+    braid = _expm(-1j * math.pi * hbar * (2 * tk01 + TS.casimir_k(j2a)))
     np.testing.assert_array_equal(kz_braid(TS, lam, j2a, hbar), braid)
 
 
@@ -457,3 +469,89 @@ def test_sigma_matrix_on_spin_zero():
     # every generator acts by 0, so the intertwining system is all zero and
     # its kernel is the whole 1 x 1 space
     np.testing.assert_array_equal(TS.sigma_matrix(0), [[1.0]])
+
+
+def _kz_residues(q):
+    """Every matrix kzmono exponentiates or puts in Schur form at q: the
+    coefficients a, b_+, b_-, a_02, d and -a - b_+ - b_- on each spin pair
+    of the benchmark grid, for three characters."""
+    hbar = hbar_of(q)
+    for lam in (0.5, 1.0, 2.0):
+        for j2a, j2b in ((1, 1), (1, 2), (2, 2), (3, 3)):
+            a, bp, bm = kz_coeffs(TS, lam, j2a, j2b, hbar)
+            yield from (a, bp, bm, a02_coeff(TS, lam, j2a, j2b, hbar),
+                        d_coeff(TS, lam, j2a, j2b, hbar), -a - bp - bm)
+
+
+def _assert_expm_matches_scipy(mat):
+    want = expm(mat)
+    got = _expm(mat)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0])
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_expm_matches_scipy_random(norm, n):
+    rng = np.random.default_rng(n)
+    mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    _assert_expm_matches_scipy(mat * (norm / np.linalg.norm(mat, 1)))
+
+
+@pytest.mark.parametrize("mat", [
+    np.triu(np.random.default_rng(4).normal(size=(6, 6)), 1) * 3,
+    np.triu(np.random.default_rng(5).normal(size=(9, 9)), 1) * 0.7,
+    np.diag([0.5, -2.0 + 1j, 3j]),
+    np.array([[2.0 - 0.5j]]),
+    np.zeros((3, 3), dtype=complex),
+], ids=["upper6", "upper9", "diagonal", "1x1", "zero"])
+def test_expm_matches_scipy_structured(mat):
+    _assert_expm_matches_scipy(mat)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.75, 0.9])
+def test_expm_matches_scipy_on_kz_exponents(q):
+    # e^{+-i pi m} in the identity suites, x^m in the Frobenius solutions
+    for mat in _kz_residues(q):
+        for scale in (1j * math.pi, -1j * math.pi, math.log(0.4),
+                      math.log(0.6)):
+            _assert_expm_matches_scipy(scale * mat)
+
+
+def test_expm_of_hermitian_is_hermitian():
+    a = kz_coeffs(TS, 1.0, 2, 2, hbar_of(0.7))[0]
+    out = _expm(1j * math.pi * a)
+    np.testing.assert_array_equal(out, out.conj().T)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.75, 0.9])
+def test_schur_of_kz_residues_is_eigh(q):
+    for res in _kz_residues(q):
+        t, z = _schur(res)
+        n = res.shape[0]
+        np.testing.assert_array_equal(t, np.diag(np.diag(t)))
+        assert np.linalg.norm(z.conj().T @ z - np.eye(n)) <= 1e-14
+        back = z @ t @ z.conj().T
+        assert np.linalg.norm(back - res) <= 1e-14 * np.linalg.norm(res)
+
+
+def test_schur_of_nonnormal_residues_is_scipy():
+    for name, prob in _problems():
+        if not name.startswith("nonnormal"):
+            continue
+        for res in (prob.a, prob.b_plus, prob.b_minus):
+            t, z = _schur(res)
+            want_t, want_z = scipy.linalg.schur(res, output="complex")
+            np.testing.assert_array_equal(t, want_t)
+            np.testing.assert_array_equal(z, want_z)
+
+
+@pytest.mark.parametrize("mats", [
+    [np.zeros((2, 3))] * 3,
+    [np.zeros(3)] * 3,
+    [np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 2)),
+     np.zeros((2, 2))],
+    [np.zeros((2, 2)), np.zeros((2, 2)), np.full((2, 2), np.inf)],
+], ids=["2x3", "1-D", "nan", "inf"])
+def test_problem_rejects_malformed_coefficients(mats):
+    with pytest.raises(InputError):
+        MonodromyProblem(*mats)
