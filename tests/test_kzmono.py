@@ -3,8 +3,7 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 from qsp.errors import AccuracyError, InputError, ResonanceError
 from qsp.kzmono import (
@@ -540,7 +539,7 @@ def test_schur_of_nonnormal_residues_is_scipy():
             continue
         for res in (prob.a, prob.b_plus, prob.b_minus):
             t, z = _schur(res)
-            want_t, want_z = scipy.linalg.schur(res, output="complex")
+            want_t, want_z = schur(res, output="complex")
             np.testing.assert_array_equal(t, want_t)
             np.testing.assert_array_equal(z, want_z)
 
