@@ -241,6 +241,19 @@ def _parse_cmat(cfg, key):
                          "pairs") from exc
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _config_int(cfg, key, default, least):
+    """cfg[key] (or the default) as an integer of at least ``least``."""
+    val = cfg.get(key, default)
+    if not isinstance(val, int) or isinstance(val, bool) or val < least:
+        kind = "positive" if least == 1 else "nonnegative"
+        raise InputError(f"{key} must be a {kind} integer")
+    return val
+
+
 @kz.command("psi")
 @click.option("--config", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None)
@@ -253,14 +266,17 @@ def kz_psi_cmd(config, out):
                     for key in ("a", "b_plus", "b_minus")]
         else:
             q = cfg.get("q")
-            if not isinstance(q, (int, float)) or not q > 0:
+            if not _is_number(q) or not q > 0:
                 raise InputError("q must be a positive number")
+            lam = cfg.get("lambda", 1.0)
+            if not _is_number(lam) or not math.isfinite(lam):
+                raise InputError("lambda must be a finite number")
+            spins = [_config_int(cfg, key, 1, 0)
+                     for key in ("spin2_1", "spin2_2")]
             ts = split_tensors()
             hbar = -1j * math.log(q) / math.pi
-            mats = kz_coeffs(ts, cfg.get("lambda", 1.0),
-                             cfg.get("spin2_1", 1), cfg.get("spin2_2", 1),
-                             hbar)
-        kw = ({"series_order": cfg["series_order"]}
+            mats = kz_coeffs(ts, lam, *spins, hbar)
+        kw = ({"series_order": _config_int(cfg, "series_order", None, 1)}
               if "series_order" in cfg else {})
         prob = MonodromyProblem(*mats, **kw)
         res = kz_psi(prob)

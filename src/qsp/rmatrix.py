@@ -17,7 +17,10 @@ quasi factor fixes, and it intertwines the coproduct with its opposite on
 every generator.  ``rmat(m, n)`` keeps its result, with a read-only matrix,
 in ``m.cache`` per n: a cached R-matrix is one that passed both checks.
 Tensor legs are moved by reshape and transpose, never by a permutation
-matrix.
+matrix: ``apply_on_legs`` applies an operator on some legs to a block of
+columns, and the YBE and hexagon checks apply R leg by leg to column
+blocks of the identity, so they never hold an N x N operator on a triple
+product beyond the R-matrices they compare against.
 
 Independent oracle: solve the intertwining linear system directly and pin
 the isotypic-block scalars by the same normalization.
@@ -248,45 +251,81 @@ def rmat_oracle(m, n):
     return RMatrix(mat, (m.label, n.label), "oracle")
 
 
+_BLOCK_COLS = 64
+
+
+def apply_on_legs(mat, x, dims, legs):
+    """(mat on the given legs, in order, ox 1 on the rest) @ x for an N x k
+    block x, N = prod(dims): one contraction of mat's input legs with those
+    legs of x, then the output legs moved back into place.  The embedded
+    N x N operator is never formed."""
+    n_legs = len(legs)
+    sizes = [dims[i] for i in legs]
+    t = np.tensordot(mat.reshape(sizes + sizes),
+                     x.reshape(list(dims) + [-1]),
+                     axes=(list(range(n_legs, 2 * n_legs)), list(legs)))
+    return np.moveaxis(t, list(range(n_legs)), list(legs)) \
+        .reshape(x.shape[0], -1)
+
+
 def op_on_legs(mat, dims, legs):
-    """Embed an operator acting on the given legs (a subset, in order) of a
-    tensor product with the given leg dimensions: mat ox 1 on the legs in
-    the order ``legs`` + the rest, moved back by a transpose."""
-    n_legs = len(dims)
-    perm = list(legs) + [i for i in range(n_legs) if i not in legs]
-    sizes = [dims[p] for p in perm]
-    rest = int(np.prod(sizes[len(legs):], initial=1))
-    big = np.kron(mat, np.eye(rest)).reshape(sizes + sizes)
-    back = [perm.index(i) for i in range(n_legs)]
+    """The dense N x N operator mat ox 1 on the given legs (a subset, in
+    order) of a tensor product with the given leg dimensions: apply_on_legs
+    on the identity."""
     n = int(np.prod(dims))
-    return big.transpose(back + [n_legs + a for a in back]).reshape(n, n)
+    return apply_on_legs(
+        mat, np.eye(n, dtype=np.result_type(mat.dtype, np.float64)),
+        dims, legs)
+
+
+def _column_blocks(n):
+    """(column slice, those columns of the n x n identity), in blocks of at
+    most _BLOCK_COLS columns."""
+    for start in range(0, n, _BLOCK_COLS):
+        cols = slice(start, min(start + _BLOCK_COLS, n))
+        block = np.zeros((n, cols.stop - start), dtype=complex)
+        block[cols] = np.eye(cols.stop - start)
+        yield cols, block
+
+
+def _relative(diff_sq, ref_norm):
+    return np.sqrt(diff_sq) / max(ref_norm, 1e-30)
 
 
 def ybe_residual(m):
-    """||R12 R13 R23 - R23 R13 R12|| on m ox m ox m (relative)."""
+    """||R12 R13 R23 - R23 R13 R12|| on m ox m ox m (relative), both sides
+    applied leg by leg to column blocks of the identity."""
     r = rmat(m, m).matrix
     dims = [m.dim] * 3
-    r12 = op_on_legs(r, dims, (0, 1))
-    r13 = op_on_legs(r, dims, (0, 2))
-    r23 = op_on_legs(r, dims, (1, 2))
-    lhs = r12 @ r13 @ r23
-    rhs = r23 @ r13 @ r12
-    return np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-30)
+    diff_sq = ref_sq = 0.0
+    for _, x in _column_blocks(m.dim ** 3):
+        lhs = rhs = x
+        for legs in ((1, 2), (0, 2), (0, 1)):
+            lhs = apply_on_legs(r, lhs, dims, legs)
+        for legs in ((0, 1), (0, 2), (1, 2)):
+            rhs = apply_on_legs(r, rhs, dims, legs)
+        diff_sq += np.linalg.norm(lhs - rhs) ** 2
+        ref_sq += np.linalg.norm(lhs) ** 2
+    return _relative(diff_sq, np.sqrt(ref_sq))
 
 
 def hexagon_residuals(m, n, p):
-    """Residuals of (Delta ox id)(R) = R13 R23 and (id ox Delta)(R) = R13 R12."""
+    """Residuals of (Delta ox id)(R) = R13 R23 and (id ox Delta)(R) = R13 R12,
+    the right sides applied leg by leg to column blocks of the identity."""
     dims = [m.dim, n.dim, p.dim]
-    mn = tensor(m, n)
-    np_mod = tensor(n, p)
-    lhs1 = rmat(mn, p).matrix
-    r13 = op_on_legs(rmat(m, p).matrix, dims, (0, 2))
-    r23 = op_on_legs(rmat(n, p).matrix, dims, (1, 2))
-    res1 = np.linalg.norm(lhs1 - r13 @ r23) / max(np.linalg.norm(lhs1), 1e-30)
-    lhs2 = rmat(m, np_mod).matrix
-    r12 = op_on_legs(rmat(m, n).matrix, dims, (0, 1))
-    res2 = np.linalg.norm(lhs2 - r13 @ r12) / max(np.linalg.norm(lhs2), 1e-30)
-    return res1, res2
+    lhs1 = rmat(tensor(m, n), p).matrix
+    lhs2 = rmat(m, tensor(n, p)).matrix
+    r12, r13, r23 = rmat(m, n).matrix, rmat(m, p).matrix, rmat(n, p).matrix
+    diff1 = diff2 = 0.0
+    for cols, x in _column_blocks(m.dim * n.dim * p.dim):
+        rhs1 = apply_on_legs(r13, apply_on_legs(r23, x, dims, (1, 2)),
+                             dims, (0, 2))
+        rhs2 = apply_on_legs(r13, apply_on_legs(r12, x, dims, (0, 1)),
+                             dims, (0, 2))
+        diff1 += np.linalg.norm(lhs1[:, cols] - rhs1) ** 2
+        diff2 += np.linalg.norm(lhs2[:, cols] - rhs2) ** 2
+    return (_relative(diff1, np.linalg.norm(lhs1)),
+            _relative(diff2, np.linalg.norm(lhs2)))
 
 
 def ribbon_residual(m, n):
@@ -304,9 +343,3 @@ def ribbon_residual(m, n):
     lhs = r21(m, n) @ r @ delta_v
     return np.linalg.norm(lhs - scal * np.eye(mn.dim)) / abs(scal)
 
-
-def naturality_residual(f, m_src, m_dst, n):
-    """|| (f ox 1) R_{m_src, n} - R_{m_dst, n} (f ox 1) ||."""
-    lhs = np.kron(f, np.eye(n.dim)) @ rmat(m_src, n).matrix
-    rhs = rmat(m_dst, n).matrix @ np.kron(f, np.eye(n.dim))
-    return np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-30)

@@ -240,6 +240,19 @@ def test_kz_psi_bad_q_is_input_error(runner, tmp_path, cfg):
     assert res.stderr == "input error: q must be a positive number\n"
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"q": 0.7, "series_order": "20"}, "series_order must be a positive integer"),
+    ({"q": 0.7, "lambda": "1"}, "lambda must be a finite number"),
+    ({"q": 0.7, "spin2_1": "2"}, "spin2_1 must be a nonnegative integer"),
+], ids=["series-order-string", "lambda-string", "spin-string"])
+def test_kz_psi_bad_field_is_input_error(runner, tmp_path, cfg, message):
+    path = tmp_path / "kz.json"
+    path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["kz", "psi", "--config", str(path)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"input error: {message}\n"
+
+
 def test_kz_verify(runner):
     res = runner.invoke(main, ["kz", "verify", "--suite", "su2", "--q", "0.7"])
     assert res.exit_code == 0, res.output

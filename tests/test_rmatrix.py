@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from qsp.errors import UnsupportedOracleError
 from qsp.lusztig import braid_word_on_algebra
 from qsp.rmatrix import (
     _root_vector_mats,
+    apply_on_legs,
     flip,
     hexagon_residuals,
-    naturality_residual,
     op_on_legs,
     r21,
     ribbon_residual,
@@ -107,6 +108,13 @@ def test_ribbon():
     assert ribbon_residual(t, t) < 1e-14
 
 
+def naturality_residual(f, m_src, m_dst, n):
+    """|| (f ox 1) R_{m_src, n} - R_{m_dst, n} (f ox 1) ||."""
+    lhs = np.kron(f, np.eye(n.dim)) @ rmat(m_src, n).matrix
+    rhs = rmat(m_dst, n).matrix @ np.kron(f, np.eye(n.dim))
+    return np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-30)
+
+
 def test_naturality():
     v = V(A1, [1])
     vv = tensor(v, v)
@@ -178,6 +186,82 @@ def test_op_on_legs_matches_permutation_matrix():
             want = _permutation_op_on_legs(mat, dims, legs)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), legs
+
+
+def test_apply_on_legs_matches_permutation_matrix():
+    rng = np.random.default_rng(2)
+    dims = [3, 4, 5]
+    n = int(np.prod(dims))
+    for k in range(1, len(dims) + 1):
+        for legs in itertools.permutations(range(len(dims)), k):
+            d = int(np.prod([dims[i] for i in legs]))
+            mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            want_op = _permutation_op_on_legs(mat, dims, legs)
+            for cols in (1, 7):
+                x = rng.normal(size=(n, cols)) + 1j * rng.normal(size=(n, cols))
+                want = want_op @ x
+                got = apply_on_legs(mat, x, dims, legs)
+                assert got.shape == (n, cols)
+                err = np.linalg.norm(got - want) / np.linalg.norm(want)
+                assert err < 1e-13, (legs, cols, err)
+
+
+def _dense_ybe_residual(m):
+    """Reference: the three embedded operators multiplied densely."""
+    r = rmat(m, m).matrix
+    dims = [m.dim] * 3
+    r12 = op_on_legs(r, dims, (0, 1))
+    r13 = op_on_legs(r, dims, (0, 2))
+    r23 = op_on_legs(r, dims, (1, 2))
+    lhs = r12 @ r13 @ r23
+    rhs = r23 @ r13 @ r12
+    return np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-30)
+
+
+def _dense_hexagon_residuals(m, n, p):
+    """Reference: the embedded operators multiplied densely."""
+    dims = [m.dim, n.dim, p.dim]
+    lhs1 = rmat(tensor(m, n), p).matrix
+    r13 = op_on_legs(rmat(m, p).matrix, dims, (0, 2))
+    r23 = op_on_legs(rmat(n, p).matrix, dims, (1, 2))
+    res1 = np.linalg.norm(lhs1 - r13 @ r23) / max(np.linalg.norm(lhs1), 1e-30)
+    lhs2 = rmat(m, tensor(n, p)).matrix
+    r12 = op_on_legs(rmat(m, n).matrix, dims, (0, 1))
+    res2 = np.linalg.norm(lhs2 - r13 @ r12) / max(np.linalg.norm(lhs2), 1e-30)
+    return res1, res2
+
+
+@pytest.mark.parametrize("q", [0.6, 0.9])
+@pytest.mark.parametrize("typ, coords", [
+    ("A1", [1]),
+    ("A2", [1, 0]),
+    ("A2", [1, 1]),
+    ("B2", [0, 1]),
+    ("B2", [1, 0]),
+    ("C2", [1, 0]),
+], ids=["A1-half", "A2-fund", "A2-adjoint", "B2-spinor", "B2-vector",
+        "C2-c1"])
+def test_braid_checks_match_dense_reference(typ, coords, q):
+    datum = build_root_datum([(typ[0], int(typ[1]))])
+    m = V(datum, coords, QParams(q))
+    assert abs(ybe_residual(m) - _dense_ybe_residual(m)) <= 1e-14
+    got = hexagon_residuals(m, m, m)
+    want = _dense_hexagon_residuals(m, m, m)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
+
+
+def test_ybe_memory_is_column_blocks():
+    # on A2 adjoint ox 3 (N = 512) one dense embedded operator is 4 MB and
+    # the dense products peaked at 24 MB; the column blocks need about 2.5
+    m = V(A2, [1, 1], QParams(0.6))
+    rmat(m, m)
+    tracemalloc.start()
+    try:
+        ybe_residual(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 < 6.0
 
 
 def test_flip_and_r21_match_permutation_matrix():
