@@ -252,7 +252,7 @@ def test_braid_checks_match_dense_reference(typ, coords, q):
 
 def test_ybe_memory_is_column_blocks():
     # on A2 adjoint ox 3 (N = 512) one dense embedded operator is 4 MB and
-    # the dense products peaked at 24 MB; the column blocks need about 2.5
+    # the dense products peaked at 24 MB; the column blocks need about 2.5 MB
     m = V(A2, [1, 1], QParams(0.6))
     rmat(m, m)
     tracemalloc.start()
