@@ -16,7 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceError
+
+# the most terms of a product or a map_symbols image: the tests reach 324,
+# theta_q on B4 with X = {2, 3, 4} passes it in seconds instead of hanging
+MAX_TERMS = 5000
+
 
 def _k_sym(coords):
     return ("K", tuple(Fraction(c) for c in coords))
@@ -49,12 +54,7 @@ class AlgebraElement:
         self.datum = datum
         self.terms = {}
         for word, coeff in (terms or {}).items():
-            w = normalize_word(word)
-            cur = self.terms.get(w, 0.0) + coeff
-            if cur == 0:
-                self.terms.pop(w, None)
-            else:
-                self.terms[w] = cur
+            self._add_term(word, coeff)
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -118,7 +118,7 @@ class AlgebraElement:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 out._add_term(w1 + w2, c1 * c2)
-        return out
+        return out._capped()
 
     def _coerce(self, other):
         if isinstance(other, AlgebraElement):
@@ -138,7 +138,15 @@ class AlgebraElement:
                 acc = acc * fn(sym)
             for w, c in acc.terms.items():
                 out._add_term(w, c)
+            out._capped()
         return out
+
+    def _capped(self):
+        """self, or ResourceError past MAX_TERMS terms."""
+        if len(self.terms) > MAX_TERMS:
+            raise ResourceError(f"a formal algebra element passed "
+                                f"{MAX_TERMS} terms")
+        return self
 
     # -- Hopf structure ----------------------------------------------------
     def coproduct(self):

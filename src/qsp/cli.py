@@ -68,6 +68,21 @@ def _run(fn, out):
         sys.exit(1)
 
 
+def _numbers(text, option, kind=int, count=None):
+    """The comma or space separated values of an option, each read by kind
+    (int or complex); InputError on a malformed value or, given count, on
+    a list of another length."""
+    try:
+        vals = [kind(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        raise InputError(f"--{option}: {text!r} is not a list of "
+                         f"{kind.__name__} values") from None
+    if count is not None and len(vals) != count:
+        raise InputError(f"--{option} needs one value per white vertex "
+                         f"({count}), got {len(vals)}")
+    return vals
+
+
 def _exit_report(reports, out):
     payload = json.loads(reports_to_json(reports)) \
         if isinstance(reports, list) else reports.to_json()
@@ -123,7 +138,7 @@ def rep():
 def rep_build(algebra, weight, q, out):
     def go():
         datum = build_root_datum(parse_type_string(algebra))
-        coords = [int(c) for c in weight.replace(",", " ").split()]
+        coords = _numbers(weight, "weight")
         return module_to_json(build_irrep(datum, datum.weight(coords), QParams(q)))
     _emit(_run(go, out), out)
 
@@ -138,10 +153,8 @@ def rmatrix_cmd(algebra, vw, ww, q, out):
     def go():
         datum = build_root_datum(parse_type_string(algebra))
         qp = QParams(q)
-        mv = build_irrep(datum, datum.weight(
-            [int(c) for c in vw.replace(",", " ").split()]), qp)
-        mw = build_irrep(datum, datum.weight(
-            [int(c) for c in ww.replace(",", " ").split()]), qp)
+        mv = build_irrep(datum, datum.weight(_numbers(vw, "v")), qp)
+        mw = build_irrep(datum, datum.weight(_numbers(ww, "w")), qp)
         r = rmat(mv, mw)
         return {"convention": r.convention,
                 "matrix": _cmat(r.matrix)}
@@ -172,16 +185,18 @@ def coideal_validate(diagram_path, c_str, s_str, q, out):
             diag = diagram_from_json(fh.read())
         qp = QParams(q)
         params = no_parameter(diag, qp)
+        c, s = params.c, params.s
         if c_str:
-            vals = [complex(x) for x in c_str.split(",")]
-            params = CoidealParams(dict(zip(diag.white, vals)), params.s)
+            c = dict(zip(diag.white, _numbers(c_str, "c", complex,
+                                              len(diag.white))))
         if s_str:
-            vals = [complex(x) for x in s_str.split(",")]
-            params = CoidealParams(params.c, dict(zip(diag.white, vals)))
+            s = dict(zip(diag.white, _numbers(s_str, "s", complex,
+                                              len(diag.white))))
+        params = CoidealParams(c, s)
         ok, violations = validate_star(diag, params, qp)
         return {"star_invariant": ok, "violations": violations,
-                "c": {str(r): [params.c[r].real if hasattr(params.c[r], 'real')
-                               else params.c[r], 0.0] for r in diag.white}}
+                "c": {str(r): [complex(c[r]).real, complex(c[r]).imag]
+                      for r in diag.white}}
     payload = _run(go, out)
     _emit(payload, out)
     sys.exit(0 if payload["star_invariant"] else 1)
@@ -204,8 +219,8 @@ def kmatrix_cmd(diagram_path, t, rep_weight, q, out):
         if diag.datum.rank == 1:
             params = CoidealParams({1: q ** -2}, {1: 1j * t})
         x0 = counit_module(diag, params, qp)
-        target = build_irrep(datum, datum.weight(
-            [int(c) for c in rep_weight.replace(",", " ").split()]), qp)
+        target = build_irrep(datum, datum.weight(_numbers(rep_weight, "rep")),
+                             qp)
         fund = build_irrep(datum, datum.fundamental_weight(1), qp)
         eta = kmatrix_solve(diag, params, qp, x0, target, fuse_from=fund)
         lam = None

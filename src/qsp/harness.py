@@ -36,11 +36,10 @@ from .errors import InputError
 from .kzmono import kz_braid, split_tensors, verify_eg, verify_octagon_kz
 from .kzmono import flatness_residuals as kz_flatness
 from .kzmono import kz_coeffs
-from .rmatrix import flip, op_on_legs, r21, rmat
+from .rmatrix import op_on_legs, r21, rmat
 from .rootsys import build_root_datum
 from .uqrep import QParams, build_irrep, decompose, tensor
 from .vogan10 import (
-    blocks_like,
     braid_blocks,
     build_Mr,
     coaction_tensor,
@@ -251,56 +250,56 @@ def check_ribbon_coideal(fam, m1, m2):
 def check_cylinder_coideal(fam, m1, m2):
     """Both cylinder twist equations, with theta_{U ox V} lifted from the
     component braids; also the canonical equality of the two right sides."""
-    theta_u = fam.braid(m1)
-    theta_v = fam.braid(m2)
+    theta_u, theta_v = fam.braid(m1), fam.braid(m2)
     theta_uv = fam.braid_on_tensor(m1, m2)
-    x0d = fam.x0.dim
-    rhs1 = _cylinder_rhs1(theta_u, theta_v, m1, m2, x0d, lambda m: m)
-    rhs2 = _cylinder_rhs2(theta_u, theta_v, m1, m2, x0d, lambda m: m)
-    scale = max(np.linalg.norm(theta_uv), 1e-30)
-    return {
-        "cyl-tw-eq": np.linalg.norm(theta_uv - rhs1) / scale,
-        "cyl-tw-eq-2": np.linalg.norm(theta_uv - rhs2) / scale,
-        "cyl-rhs-agree": np.linalg.norm(rhs1 - rhs2) / scale,
-    }
+    dims = [fam.x0.dim, m1.dim, m2.dim]
+    rhs1, rhs2 = _cylinder_sides(
+        lambda legs, mat: op_on_legs(mat, dims, legs),
+        theta_u, theta_v, m1, m2, lambda m: m)
+    return _cylinder_residuals(
+        theta_uv, rhs1, rhs2,
+        lambda diff, ref: np.linalg.norm(diff) / max(np.linalg.norm(ref),
+                                                     1e-30))
 
 
-def _beta(ma, mb):
-    """Braiding matrix A ox B -> B ox A: flip after the R-matrix."""
-    return flip(rmat(ma, mb).matrix, ma.dim, mb.dim)
+def _cylinder_sides(place, theta_u, theta_v, m1, m2, twist):
+    """The right sides of both cylinder twist equations on X ox U ox V,
+    sU = twist(U), sV = twist(V), each factor put on its legs by
+    ``place(legs, mat)``:
 
+        rhs1 = R21(U, V)_23 theta^V_13 R(U, sV)_23 theta^U_12,
+        rhs2 = theta^U_12 R21(sU, V)_23 theta^V_13 R(sU, sV)_23.
 
-def _cylinder_rhs1(theta_u, theta_v, m1, m2, x0d, twist):
-    """(X . beta_{V,U}) (theta_V ox U) (X . beta_{U,sV}) (theta_U ox sV)."""
-    tv = twist(m2)
-    step1 = np.kron(theta_u, np.eye(m2.dim))
-    b_usv = np.kron(np.eye(x0d), _beta(m1, tv))
-    step3 = op_on_legs(theta_v, [x0d, m2.dim, m1.dim], (0, 1))
-    b_vu = np.kron(np.eye(x0d), _beta(m2, m1))
-    return b_vu @ step3 @ b_usv @ step1
-
-
-def _cylinder_rhs2(theta_u, theta_v, m1, m2, x0d, twist):
-    """(theta_U ox V) (X . beta_{V,sU}) (theta_V ox sU) (X . beta_{sU,sV})."""
+    These equal the braided forms (beta = P R, through X ox V ox U), as
+    P R(V, U) P^{-1} = R21(U, V) and P theta^V_12 P^{-1} = theta^V_13."""
     tu, tv = twist(m1), twist(m2)
-    b_ss = np.kron(np.eye(x0d), _beta(tu, tv))
-    step2 = op_on_legs(theta_v, [x0d, m2.dim, m1.dim], (0, 1))
-    b_vsu = np.kron(np.eye(x0d), _beta(m2, tu))
-    step4 = np.kron(theta_u, np.eye(m2.dim))
-    return step4 @ b_vsu @ step2 @ b_ss
+    th_u, th_v = place((0, 1), theta_u), place((0, 2), theta_v)
+    rhs1 = place((1, 2), r21(m1, m2)) @ th_v \
+        @ place((1, 2), rmat(m1, tv).matrix) @ th_u
+    rhs2 = th_u @ place((1, 2), r21(tu, m2)) @ th_v \
+        @ place((1, 2), rmat(tu, tv).matrix)
+    return rhs1, rhs2
+
+
+def _cylinder_residuals(theta_uv, rhs1, rhs2, ratio):
+    """Both cylinder twist equations and the agreement of their right sides,
+    each difference measured by ratio(diff, theta_uv)."""
+    return {"cyl-tw-eq": ratio(theta_uv - rhs1, theta_uv),
+            "cyl-tw-eq-2": ratio(theta_uv - rhs2, theta_uv),
+            "cyl-rhs-agree": ratio(rhs1 - rhs2, theta_uv)}
 
 
 # ---------------------------------------------------------------------------
 # vogan-side checks (truncated; boundary masked)
 # ---------------------------------------------------------------------------
 
-def _masked_ratio(diff, ref, module, cut_dim):
-    """||diff|| / ||ref|| on the interior, levels at least 4 below the
-    truncation, for two WeightBlocks on module ox (legs of dimension
+def _masked_ratio(module, cut_dim):
+    """(diff, ref) -> ||diff|| / ||ref|| on the interior, levels at least 4
+    below the truncation, for WeightBlocks on module ox (legs of dimension
     cut_dim)."""
     n_interior = len(interior_indices(module, cut_dim, 4))
-    return diff.masked_norm(n_interior) / max(ref.masked_norm(n_interior),
-                                              1e-30)
+    return lambda diff, ref: diff.masked_norm(n_interior) / max(
+        ref.masked_norm(n_interior), 1e-30)
 
 
 def _octagon_vogan(module, m1, m2, qp):
@@ -324,63 +323,31 @@ def _ribbon_vogan(module, m1, m2, qp):
 
 def _cylinder_vogan(module, m1, m2, qp):
     """theta_{U ox V} and the two right sides of the cylinder twist
-    equations (as in ``_cylinder_rhs1`` and ``_cylinder_rhs2``, with nu as
-    the twist), as WeightBlocks.  The right sides pass through
-    M ox V ox U, whose blocks the braidings of the last two legs map to
-    and from."""
+    equations (``_cylinder_sides`` with nu as the twist), as WeightBlocks on
+    M ox U ox V."""
     legs_h, index = product_blocks(module, m1, m2)
-    swapped_h = [legs_h[0], legs_h[2], legs_h[1]]
-    swapped = (blocks_like(index, legs_h, swapped_h), swapped_h)
-    theta_u = e_matrix(module, m1, qp)
-    theta_v = e_matrix(module, m2, qp)
-
-    def on_uv(legs, mat):   # on M ox U ox V
-        return leg_blocks(index, legs_h, [(legs, mat)])
-
-    def on_vu(legs, mat):   # on M ox V ox U
-        return leg_blocks(*swapped, [(legs, mat)])
-
-    def to_vu(ma, mb):   # M ox U ox V -> M ox V ox U
-        return leg_blocks(*swapped, [((1, 2), _beta(ma, mb))],
-                          source=(index, legs_h))
-
-    def to_uv(ma, mb):   # M ox V ox U -> M ox U ox V
-        return leg_blocks(index, legs_h, [((1, 2), _beta(ma, mb))],
-                          source=swapped)
-
-    tu, tv = nu_module(m1), nu_module(m2)
-    rhs1 = to_uv(m2, m1) @ on_vu((0, 1), theta_v) @ to_vu(m1, tv) \
-        @ on_uv((0, 1), theta_u)
-    rhs2 = on_uv((0, 1), theta_u) @ to_uv(m2, tu) @ on_vu((0, 1), theta_v) \
-        @ to_vu(tu, tv)
+    rhs1, rhs2 = _cylinder_sides(
+        lambda legs, mat: leg_blocks(index, legs_h, [(legs, mat)]),
+        e_matrix(module, m1, qp), e_matrix(module, m2, qp), m1, m2,
+        nu_module)
     return braid_blocks(module, tensor(m1, m2), qp), rhs1, rhs2
-
-
-def _cylinder_residuals(theta_uv, rhs1, rhs2, module, cut_dim):
-    return {
-        "cyl-tw-eq": _masked_ratio(theta_uv - rhs1, theta_uv, module,
-                                   cut_dim),
-        "cyl-tw-eq-2": _masked_ratio(theta_uv - rhs2, theta_uv, module,
-                                     cut_dim),
-        "cyl-rhs-agree": _masked_ratio(rhs1 - rhs2, theta_uv, module, cut_dim),
-    }
 
 
 def check_octagon_vogan(module, m1, m2, qp):
     """(alpha ox id)(E) = R32 E13 (id ox nu)(R)23 on M ox U ox V."""
     lhs, rhs = _octagon_vogan(module, m1, m2, qp)
-    return _masked_ratio(lhs - rhs, rhs, module, m1.dim * m2.dim)
+    return _masked_ratio(module, m1.dim * m2.dim)(lhs - rhs, rhs)
 
 
 def check_ribbon_vogan(module, m1, m2, qp):
     """(id ox Delta)(E) = (alpha ox id)(E) E12."""
     lhs, rhs = _ribbon_vogan(module, m1, m2, qp)
-    return _masked_ratio(lhs - rhs, rhs, module, m1.dim * m2.dim)
+    return _masked_ratio(module, m1.dim * m2.dim)(lhs - rhs, rhs)
 
 
 def check_cylinder_vogan(module, m1, m2, qp):
-    return _cylinder_residuals(*_cylinder_vogan(module, m1, m2, qp), module,
-                               m1.dim * m2.dim)
+    return _cylinder_residuals(*_cylinder_vogan(module, m1, m2, qp),
+                               _masked_ratio(module, m1.dim * m2.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +397,13 @@ def run_axioms(source, q, t=0.0, r=0.25, levels=14):
         datum = build_root_datum([("A", 1)])
         m = build_Mr(r, qp, levels)
         v = build_irrep(datum, datum.weight([1]), qp)
-        cut_dim = v.dim * v.dim
+        ratio = _masked_ratio(m, v.dim * v.dim)
         sides = {"EqOct2": _octagon_vogan(m, v, v, qp),
                  "EqRB2": _ribbon_vogan(m, v, v, qp)}
         for key, (lhs, rhs) in sides.items():
-            residuals[key] = _masked_ratio(lhs - rhs, rhs, m, cut_dim)
+            residuals[key] = ratio(lhs - rhs, rhs)
         cyl = _cylinder_vogan(m, v, v, qp)
-        residuals.update(_cylinder_residuals(*cyl, m, cut_dim))
+        residuals.update(_cylinder_residuals(*cyl, ratio))
         tols = {k: TOL_ALG for k in residuals}
         composites = [*sides["EqOct2"], *sides["EqRB2"], *cyl]
         index = composites[0].index

@@ -195,12 +195,6 @@ def rmat(m, n):
     return out
 
 
-def flip(mat, d1, d2):
-    """P @ mat for the flip P: v ox w -> w ox v of a d1 x d2 product: the
-    rows of mat are reordered from d1 ox d2 to d2 ox d1."""
-    return mat.reshape(d1, d2, -1).transpose(1, 0, 2).reshape(d1 * d2, -1)
-
-
 def r21(m, n):
     """R21 on m ox n: rmat(n, m) conjugated by the flip of the two legs."""
     dm, dn = m.dim, n.dim

@@ -22,9 +22,8 @@ total weight, so the braid on any module ox V is block-diagonal in it.
 one size stacked, every product one batched matmul) and keeps it in the
 module's cache; ``e_matrix`` scatters these blocks into a dense matrix.
 ``leg_blocks`` gathers the blocks of an operator acting on some legs of a
-product, or mapping it onto the product of its legs in another order,
-from its small factors (the axiom checks in ``qsp.harness`` are products
-of such operators on M ox U ox V, blocks of size at most 4), and
+product from its small factors (the axiom checks in ``qsp.harness`` are
+products of such operators on M ox U ox V, blocks of size at most 4), and
 ``fusion_check`` takes the kernel of F per block.  On M_r ox V_{1/2} the
 blocks are 2x2, and the spectral data are read from their closed form,
 ``spin_half_block``.
@@ -185,55 +184,39 @@ def _weight_groups(h):
 
 @dataclass(frozen=True, eq=False)
 class WeightBlocks:
-    """An operator between tensor products that preserves total weight, kept
-    as its weight blocks: ``index[k]`` is an integer array of shape
-    (count, size) whose rows are the row indices of the blocks of one size,
-    ``cols[k]`` the column indices of the same blocks (``index`` itself
-    unless the operator maps one product onto another, as a braiding of two
-    legs does), and ``stacks[k]`` holds these blocks, shape
-    (count, size, size).  ``off_block`` is the largest entry, outside the
-    blocks, of the dense factors the operator was gathered from: 0.0 when
-    nothing was dropped.  A product needs the columns of the left factor to
-    be the rows of the right one, a difference the same rows and columns."""
+    """An operator on a tensor product that preserves total weight, kept as
+    its weight blocks: ``index[k]`` is an integer array of shape
+    (count, size) whose rows are the indices of the blocks of one size, and
+    ``stacks[k]`` holds these blocks, shape (count, size, size).
+    ``off_block`` is the largest entry, outside the blocks, of the dense
+    factors the operator was gathered from: 0.0 when nothing was dropped.
+    Products and differences need both operands on the same blocks."""
 
     index: tuple
     stacks: tuple
     off_block: float = 0.0
-    cols: tuple = None
 
-    @property
-    def col_index(self):
-        return self.index if self.cols is None else self.cols
-
-    def _check(self, mine, theirs):
-        if len(mine) != len(theirs) or not all(
-                np.array_equal(a, b) for a, b in zip(mine, theirs)):
+    def _blockwise(self, op, other):
+        if len(self.index) != len(other.index) or not all(
+                np.array_equal(a, b) for a, b in zip(self.index, other.index)):
             raise ConsistencyError("operators on different weight blocks")
+        stacks = tuple(op(a, b) for a, b in zip(self.stacks, other.stacks))
+        return WeightBlocks(self.index, stacks,
+                            max(self.off_block, other.off_block))
 
     def __matmul__(self, other):
-        self._check(self.col_index, other.index)
-        stacks = tuple(np.matmul(a, b)
-                       for a, b in zip(self.stacks, other.stacks))
-        return WeightBlocks(self.index, stacks,
-                            max(self.off_block, other.off_block),
-                            other.col_index)
+        return self._blockwise(np.matmul, other)
 
     def __sub__(self, other):
-        self._check(self.index, other.index)
-        self._check(self.col_index, other.col_index)
-        return WeightBlocks(self.index,
-                            tuple(a - b
-                                  for a, b in zip(self.stacks, other.stacks)),
-                            max(self.off_block, other.off_block), self.cols)
+        return self._blockwise(np.subtract, other)
 
     def masked_norm(self, n_interior):
         """Frobenius norm of the entries whose row and column indices are
         both below n_interior."""
         total = 0.0
-        for rows, cols, blk in zip(self.index, self.col_index, self.stacks):
-            keep = (rows < n_interior)[:, :, None] \
-                & (cols < n_interior)[:, None, :]
-            entries = blk[keep]
+        for idx, blk in zip(self.index, self.stacks):
+            inside = idx < n_interior
+            entries = blk[inside[:, :, None] & inside[:, None, :]]
             total += np.sum(np.abs(entries) ** 2)
         return math.sqrt(total)
 
@@ -242,8 +225,8 @@ class WeightBlocks:
         elsewhere."""
         dim = sum(idx.size for idx in self.index)
         out = np.zeros((dim, dim), dtype=complex)
-        for rows, cols, blk in zip(self.index, self.col_index, self.stacks):
-            out[rows[:, :, None], cols[:, None, :]] = blk
+        for idx, blk in zip(self.index, self.stacks):
+            out[idx[:, :, None], idx[:, None, :]] = blk
         return out
 
 
@@ -260,69 +243,42 @@ def product_blocks(module, *vs):
                          for size in sorted(by_size))
 
 
-def blocks_like(index, legs_h, other_legs_h):
-    """The blocks of the product whose legs have the H-eigenvalues
-    other_legs_h, the legs of legs_h in another order: block k of the
-    result has the total weight of block k of ``index`` (from
-    ``product_blocks``), and the same size."""
-    h = _product_h(*legs_h)
-    groups = _weight_groups(_product_h(*other_legs_h))
-    return tuple(read_only(np.array([groups[_weight_key(h[row[0]])]
-                                     for row in idx]))
-                 for idx in index)
-
-
-def _shift_maxima(mat, h, h_cols=None):
+def _shift_maxima(mat, h):
     """{weight shift: largest |entry|} over the nonzero entries of mat, an
-    operator onto a basis with H-eigenvalues h from one with h_cols
-    (default h)."""
+    operator on a basis with H-eigenvalues h."""
     rows, cols = np.nonzero(mat)
-    shifts = np.round(h[rows] - (h if h_cols is None else h_cols)[cols], 9)
+    shifts = np.round(h[rows] - h[cols], 9)
     vals = np.abs(mat[rows, cols])
     return {s: float(vals[shifts == s].max())
             for s in sorted(set(shifts.tolist()))}
 
 
-def leg_blocks(index, legs_h, factors, source=None):
+def leg_blocks(index, legs_h, factors):
     """Weight blocks of the operator that acts by ``mat`` on the legs of
     each (legs, mat) in ``factors`` (legs in order, as in ``op_on_legs``)
     and as the identity on every other leg of the product whose legs have
     the H-eigenvalues legs_h; ``index`` comes from ``product_blocks``.
-    ``source`` = (index, legs_h) of another product (from ``blocks_like``)
-    makes it a map from that product onto this one: each ``mat`` maps the
-    source's legs onto this product's, and the legs no factor acts on are
-    the same in both.
 
     No operator on the product is formed: the blocks are gathered from the
     factors, and ``off_block`` is the largest entry of the product outside
     the blocks (every combination of factor entries whose weight shifts do
     not sum to 0), read from the nonzero entries of each factor."""
-    col_index, col_legs_h = (index, legs_h) if source is None else source
     dims = [len(h) for h in legs_h]
-    col_dims = [len(h) for h in col_legs_h]
     acted = {leg for legs, _ in factors for leg in legs}
     stacks = []
-    for idx, col_idx in zip(index, col_index):
+    for idx in index:
         digits = np.unravel_index(idx, dims)
-        col_digits = digits if source is None \
-            else np.unravel_index(col_idx, col_dims)
         blk = np.ones(idx.shape + idx.shape[-1:], dtype=complex)
         for legs, mat in factors:
             sub = np.ravel_multi_index([digits[leg] for leg in legs],
                                        [dims[leg] for leg in legs])
-            col_sub = np.ravel_multi_index(
-                [col_digits[leg] for leg in legs],
-                [col_dims[leg] for leg in legs])
-            blk = blk * mat[sub[:, :, None], col_sub[:, None, :]]
+            blk = blk * mat[sub[:, :, None], sub[:, None, :]]
         for leg in set(range(len(dims))) - acted:
-            blk = blk * (digits[leg][:, :, None]
-                         == col_digits[leg][:, None, :])
+            blk = blk * (digits[leg][:, :, None] == digits[leg][:, None, :])
         stacks.append(blk)
     reach = {0.0: 1.0}   # total weight shift -> largest entry
     for legs, mat in factors:
-        maxima = _shift_maxima(
-            mat, _product_h(*(legs_h[leg] for leg in legs)),
-            _product_h(*(col_legs_h[leg] for leg in legs)))
+        maxima = _shift_maxima(mat, _product_h(*[legs_h[i] for i in legs]))
         nxt = {}
         for s0, v0 in reach.items():
             for s1, v1 in maxima.items():
@@ -330,8 +286,7 @@ def leg_blocks(index, legs_h, factors, source=None):
                 nxt[key] = max(nxt.get(key, 0.0), v0 * v1)
         reach = nxt
     off = max((val for shift, val in reach.items() if shift != 0), default=0.0)
-    return WeightBlocks(index, tuple(stacks), off,
-                        None if source is None else col_index)
+    return WeightBlocks(index, tuple(stacks), off)
 
 
 def su2_series_coeff(n, q):
@@ -396,28 +351,6 @@ def e_matrix(module, v, qp):
     return braid_blocks(module, v, qp).dense()
 
 
-def _masked_commutator(braid, pairs, idx):
-    """Worst ||braid @ right - left @ braid|| on the index set idx, relative
-    to ||left||, over the (left, right) pairs."""
-    worst = 0.0
-    for left, right in pairs:
-        diff = braid @ right - left @ braid
-        worst = max(worst, np.linalg.norm(diff[np.ix_(idx, idx)])
-                    / max(np.linalg.norm(left), 1e-30))
-    return worst
-
-
-def nu_twist_residual(module, v, qp):
-    """|| E (id ox nu) alpha(x) - alpha(x) E || on the truncation interior,
-    for the generators x in {K, F, F^*}."""
-    prod = coaction_tensor(module, v)
-    prod_tw = coaction_tensor(module, nu_module(v))
-    pairs = [(np.diag(prod.k_diag), np.diag(prod_tw.k_diag)),
-             (prod.f_mat, prod_tw.f_mat), (prod.fstar, prod_tw.fstar)]
-    return _masked_commutator(e_matrix(module, v, qp), pairs,
-                              interior_indices(module, v.dim, 3))
-
-
 def nu_module(v):
     """The Vogan involution on su2 modules: E -> -E, F -> -F, K -> K; built
     once per module and kept in ``v.cache``, so the R-matrices against it
@@ -429,23 +362,6 @@ def nu_module(v):
             {1: read_only(-v.F[1])}, highest=v.highest,
             label=v.label + "^nu")
     return v.cache[key]
-
-
-def twist_to_plain(braid, v):
-    """Compose with 1 ox K_chi^{-1}, K_chi acting by i^H: converts the
-    nu-twisted braid into a plain module map."""
-    kchi_inv = (1j ** _h_vector(v)) ** -1
-    return braid * np.tile(kchi_inv, braid.shape[0] // v.dim)
-
-
-def plain_commutation_residual(module, v, qp):
-    """The plain braid commutes with the untwisted coaction on the
-    interior."""
-    plain = twist_to_plain(e_matrix(module, v, qp), v)
-    prod = coaction_tensor(module, v)
-    mats = (np.diag(prod.k_diag), prod.f_mat, prod.fstar)
-    return _masked_commutator(plain, [(mat, mat) for mat in mats],
-                              interior_indices(module, v.dim, 3))
 
 
 def weight_blocks(module, v):

@@ -123,6 +123,47 @@ def test_coideal_validate(runner, su2_diagram):
     assert res.exit_code == 1
 
 
+def test_coideal_validate_reports_complex_c(runner, su2_diagram):
+    res = runner.invoke(main, ["coideal", "validate", "--diagram",
+                               su2_diagram, "--q", "0.7", "--c", "1+2j"])
+    assert res.exit_code == 1
+    assert json.loads(res.stdout)["c"] == {"1": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("args", [
+    ["rep", "build", "--algebra", "A1", "--weight", "x", "--q", "0.7"],
+    ["rmatrix", "--algebra", "A1", "--v", "x", "--w", "1", "--q", "0.7"],
+    ["kmatrix", "--diagram", None, "--t", "0.3", "--rep", "abc", "--q", "0.7"],
+    ["coideal", "validate", "--diagram", None, "--c", "abc", "--q", "0.7"],
+    ["coideal", "validate", "--diagram", None, "--c", "1,2,3", "--q", "0.7"],
+    ["coideal", "validate", "--diagram", None, "--s", "0,0", "--q", "0.7"],
+], ids=["rep-weight", "rmatrix-v", "kmatrix-rep", "coideal-c",
+        "coideal-c-length", "coideal-s-length"])
+def test_malformed_value_is_input_error(runner, su2_diagram, args):
+    # None stands for the su2 diagram file
+    res = runner.invoke(main, [su2_diagram if a is None else a for a in args])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr.startswith("input error:")
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in res.stderr
+
+
+def test_kmatrix_b4_stops_at_the_term_cap(tmp_path):
+    # theta_q's braid words on B4 with X = {2, 3, 4} grow past
+    # qsp.algebra.MAX_TERMS; a subprocess, so that the timeout bounds a hang
+    path = tmp_path / "b4.json"
+    path.write_text(json.dumps({"type": "B", "rank": 4, "X": [2, 3, 4]}))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qsp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsp.cli", "kmatrix", "--diagram", str(path),
+         "--t", "0.3", "--rep", "1 0 0 0", "--q", "0.7"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("resource error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_kmatrix_cmd(runner, su2_diagram):
     res = runner.invoke(main, ["kmatrix", "--diagram", su2_diagram,
                                "--t", "0.3", "--rep", "1", "--q", "0.7"])

@@ -16,8 +16,7 @@ from qsp.harness import (
     SNAP_REL,
     CoidealRankOneFamily,
     Report,
-    _cylinder_rhs1,
-    _cylinder_rhs2,
+    _cylinder_sides,
     _cylinder_vogan,
     _octagon_vogan,
     _ribbon_vogan,
@@ -202,6 +201,54 @@ def test_coideal_cylinder(fam):
     assert max(res.values()) < 1e-9
 
 
+# The cylinder right sides in their braided form, kept as the reference:
+# beta = P R maps A ox B onto B ox A, so the middle factors act on X ox V ox U.
+
+def _beta_ref(ma, mb):
+    """P R(A, B): the rows of R reordered from A ox B to B ox A."""
+    return rmat(ma, mb).matrix.reshape(ma.dim, mb.dim, -1) \
+        .transpose(1, 0, 2).reshape(ma.dim * mb.dim, -1)
+
+
+def _cylinder_rhs1_ref(theta_u, theta_v, m1, m2, x0d, twist):
+    """(X . beta_{V,U}) (theta_V ox U) (X . beta_{U,sV}) (theta_U ox sV)."""
+    tv = twist(m2)
+    step1 = np.kron(theta_u, np.eye(m2.dim))
+    b_usv = np.kron(np.eye(x0d), _beta_ref(m1, tv))
+    step3 = op_on_legs(theta_v, [x0d, m2.dim, m1.dim], (0, 1))
+    b_vu = np.kron(np.eye(x0d), _beta_ref(m2, m1))
+    return b_vu @ step3 @ b_usv @ step1
+
+
+def _cylinder_rhs2_ref(theta_u, theta_v, m1, m2, x0d, twist):
+    """(theta_U ox V) (X . beta_{V,sU}) (theta_V ox sU) (X . beta_{sU,sV})."""
+    tu, tv = twist(m1), twist(m2)
+    b_ss = np.kron(np.eye(x0d), _beta_ref(tu, tv))
+    step2 = op_on_legs(theta_v, [x0d, m2.dim, m1.dim], (0, 1))
+    b_vsu = np.kron(np.eye(x0d), _beta_ref(m2, tu))
+    step4 = np.kron(theta_u, np.eye(m2.dim))
+    return step4 @ b_vsu @ step2 @ b_ss
+
+
+@pytest.mark.parametrize("spins", [(1, 1), (1, 2), (2, 1), (1, 3)])
+@pytest.mark.parametrize("q", [0.6, 0.95])
+def test_coideal_cylinder_sides_match_braided_form(q, spins):
+    fam = CoidealRankOneFamily(q, 0.3)
+    m1, m2 = (fam.module(s) for s in spins)
+    theta_u, theta_v = fam.braid(m1), fam.braid(m2)
+    dims = [fam.x0.dim, m1.dim, m2.dim]
+    rhs1, rhs2 = _cylinder_sides(
+        lambda legs, mat: op_on_legs(mat, dims, legs),
+        theta_u, theta_v, m1, m2, lambda m: m)
+    for got, ref in ((rhs1, _cylinder_rhs1_ref), (rhs2, _cylinder_rhs2_ref)):
+        want = ref(theta_u, theta_v, m1, m2, fam.x0.dim, lambda m: m)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # the first side is the ribbon composite of the coideal braids
+    ribbon = ribbon_compose(fam.diag, fam.qp, fam.x0, theta_u, m1,
+                            theta_v, m2)
+    assert np.linalg.norm(rhs1 - ribbon) <= 1e-14 * np.linalg.norm(ribbon)
+
+
 def test_vogan_checks():
     qp = QParams(Q)
     datum = build_root_datum([("A", 1)])
@@ -247,8 +294,8 @@ def _cylinder_dense(module, m1, m2, qp):
     theta_u = e_matrix(module, m1, qp)
     theta_v = e_matrix(module, m2, qp)
     theta_uv = e_matrix(module, tensor(m1, m2), qp)
-    rhs1 = _cylinder_rhs1(theta_u, theta_v, m1, m2, module.dim, nu_module)
-    rhs2 = _cylinder_rhs2(theta_u, theta_v, m1, m2, module.dim, nu_module)
+    rhs1 = _cylinder_rhs1_ref(theta_u, theta_v, m1, m2, module.dim, nu_module)
+    rhs2 = _cylinder_rhs2_ref(theta_u, theta_v, m1, m2, module.dim, nu_module)
     return theta_uv, rhs1, rhs2
 
 
@@ -325,7 +372,8 @@ def test_vogan_axioms_report_their_blocks():
 @pytest.mark.parametrize("spins", [(1, 2), (2, 1), (1, 3)])
 @pytest.mark.parametrize("q", [0.7, 0.95])
 def test_vogan_cylinder_on_unequal_modules_matches_dense_reference(q, spins):
-    # the right sides pass through M ox V ox U, on other weight blocks
+    # the braided reference passes through M ox V ox U, on other weight
+    # blocks; the weight-block sides never leave M ox U ox V
     qp = QParams(q)
     datum = build_root_datum([("A", 1)])
     m1, m2 = (build_irrep(datum, datum.weight([s]), qp) for s in spins)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qsp.algebra import AlgebraElement
+from qsp.algebra import MAX_TERMS, AlgebraElement
 from qsp.diagrams import satake
-from qsp.errors import InputError
+from qsp.errors import InputError, ResourceError
 from qsp.lusztig import (
     BraidContext,
     a_plus,
@@ -200,3 +200,17 @@ def test_verify_appB_a2_subsystem():
     res = verify_appB(ctx, [1, 1])
     for key, val in res.items():
         assert val < 1e-8, (key, val)
+
+
+def test_algebra_elements_stop_at_the_term_cap():
+    datum = build_root_datum([("A", 1)])
+    e = AlgebraElement.e(datum, 1)
+    # MAX_TERMS distinct one-letter words K_{k omega}
+    x = AlgebraElement(datum, {(("K", (k,)),): 1.0
+                               for k in range(1, MAX_TERMS + 1)})
+    assert len((x * AlgebraElement.one(datum)).terms) == MAX_TERMS
+    with pytest.raises(ResourceError):
+        x * (e + 1)
+    # every word's image is small; their sum passes the cap
+    with pytest.raises(ResourceError):
+        x.map_symbols(lambda sym: AlgebraElement(datum, {(sym,): 1.0}) + e)

@@ -10,7 +10,6 @@ from qsp.lusztig import braid_word_on_algebra
 from qsp.rmatrix import (
     _root_vector_mats,
     apply_on_legs,
-    flip,
     hexagon_residuals,
     op_on_legs,
     r21,
@@ -264,11 +263,9 @@ def test_ybe_memory_is_column_blocks():
     assert peak / 2 ** 20 < 6.0
 
 
-def test_flip_and_r21_match_permutation_matrix():
+def test_r21_matches_permutation_matrix():
     v, w = V(A2, [1, 0]), V(A2, [1, 1])
     p = _leg_permutation([v.dim, w.dim], [1, 0])   # v ox w -> w ox v
-    r = rmat(v, w).matrix
-    assert np.array_equal(flip(r, v.dim, w.dim), p @ r)
     assert np.array_equal(r21(v, w), p.T @ rmat(w, v).matrix @ p)
 
 

@@ -7,7 +7,7 @@ from qsp.errors import ConsistencyError, InputError, ResourceError
 from qsp.rootsys import build_root_datum
 from qsp.uqrep import QParams, build_irrep, kernel, ribbon_diag, tensor
 from qsp.vogan10 import (
-    blocks_like,
+    _h_vector,
     braid_blocks,
     build_Mr,
     coaction_tensor,
@@ -17,15 +17,12 @@ from qsp.vogan10 import (
     interior_indices,
     leg_blocks,
     nu_module,
-    nu_twist_residual,
     plain_block_eigenvalues,
-    plain_commutation_residual,
     product_blocks,
     relations_residual,
     spin_half_block,
     spin_half_transfer,
     su2_series_coeff,
-    twist_to_plain,
     weight_blocks,
 )
 
@@ -365,6 +362,48 @@ def test_truncation_independence(v):
     assert np.max(np.abs(b10[:keep, :keep] - b20[:keep, :keep])) < 1e-13
 
 
+# Residuals of the braid against the coaction on the truncation interior,
+# dense: the twisted intertwining and the plain module map it converts to.
+
+def _masked_commutator(braid, pairs, idx):
+    """Worst ||braid @ right - left @ braid|| on the index set idx, relative
+    to ||left||, over the (left, right) pairs."""
+    worst = 0.0
+    for left, right in pairs:
+        diff = braid @ right - left @ braid
+        worst = max(worst, np.linalg.norm(diff[np.ix_(idx, idx)])
+                    / max(np.linalg.norm(left), 1e-30))
+    return worst
+
+
+def nu_twist_residual(module, v, qp):
+    """|| E (id ox nu) alpha(x) - alpha(x) E || on the truncation interior,
+    for the generators x in {K, F, F^*}."""
+    prod = coaction_tensor(module, v)
+    prod_tw = coaction_tensor(module, nu_module(v))
+    pairs = [(np.diag(prod.k_diag), np.diag(prod_tw.k_diag)),
+             (prod.f_mat, prod_tw.f_mat), (prod.fstar, prod_tw.fstar)]
+    return _masked_commutator(e_matrix(module, v, qp), pairs,
+                              interior_indices(module, v.dim, 3))
+
+
+def twist_to_plain(braid, v):
+    """Compose with 1 ox K_chi^{-1}, K_chi acting by i^H: converts the
+    nu-twisted braid into a plain module map."""
+    kchi_inv = (1j ** _h_vector(v)) ** -1
+    return braid * np.tile(kchi_inv, braid.shape[0] // v.dim)
+
+
+def plain_commutation_residual(module, v, qp):
+    """The plain braid commutes with the untwisted coaction on the
+    interior."""
+    plain = twist_to_plain(e_matrix(module, v, qp), v)
+    prod = coaction_tensor(module, v)
+    mats = (np.diag(prod.k_diag), prod.f_mat, prod.fstar)
+    return _masked_commutator(plain, [(mat, mat) for mat in mats],
+                              interior_indices(module, v.dim, 3))
+
+
 def test_twist_intertwining(v):
     m = build_Mr(0.5, QP, 12)
     assert nu_twist_residual(m, v, QP) < 1e-10
@@ -490,37 +529,17 @@ def test_leg_blocks_report_entries_between_blocks(v):
         kept.dense(), np.kron(np.eye(m.dim), np.kron(v.E[1], v.F[1])))
 
 
-def test_leg_blocks_map_between_products_in_another_leg_order(v):
+def test_weight_blocks_need_the_same_blocks(v):
     m = build_Mr(0.25, QP, 6)
     v1 = build_irrep(A1, A1.weight([2]), QP)
+    legs_h, index = product_blocks(m, v, v)
+    on_vv = leg_blocks(index, legs_h, [])
     legs_h, index = product_blocks(m, v, v1)
-    swapped_h = [legs_h[0], legs_h[2], legs_h[1]]
-    swapped = blocks_like(index, legs_h, swapped_h)
-    # block k of M ox V1 ox V has the weight and size of block k of M ox V ox V1
-    h, h_sw = _product_h_ref(legs_h), _product_h_ref(swapped_h)
-    for idx, idx_sw in zip(index, swapped):
-        assert idx.shape == idx_sw.shape
-        np.testing.assert_array_equal(h[idx], h_sw[idx_sw])
-    # the flip V ox V1 -> V1 ox V, and back
-    flip = np.eye(v.dim * v1.dim)[
-        [a * v1.dim + b for b in range(v1.dim) for a in range(v.dim)]]
-    there = leg_blocks(swapped, swapped_h, [((1, 2), flip)],
-                       source=(index, legs_h))
-    back = leg_blocks(index, legs_h, [((1, 2), flip.T)],
-                      source=(swapped, swapped_h))
-    assert there.off_block == back.off_block == 0.0
-    np.testing.assert_array_equal(there.dense(),
-                                  np.kron(np.eye(m.dim), flip))
-    np.testing.assert_array_equal((back @ there).dense(),
-                                  np.eye(m.dim * v.dim * v1.dim))
-    # a product needs the columns of the left factor to be the right's rows
+    on_vv1 = leg_blocks(index, legs_h, [])
     with pytest.raises(ConsistencyError):
-        there @ there
-
-
-def _product_h_ref(legs_h):
-    return np.add.outer(np.add.outer(legs_h[0], legs_h[1]),
-                        legs_h[2]).reshape(-1)
+        on_vv @ on_vv1
+    with pytest.raises(ConsistencyError):
+        on_vv - on_vv1
 
 
 def test_fusion_weights_are_omega_r_pm_1(v):
