@@ -92,7 +92,7 @@ class AlgebraElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = AlgebraElement(self.datum, self.terms)
+        out = AlgebraElement(self.datum)
         out.terms = dict(self.terms)
         for w, c in other.terms.items():
             out._add_term(w, c)
@@ -334,12 +334,14 @@ class TensorElement:
         return self
 
     def __add__(self, other):
-        out = TensorElement(self.datum, self.terms)
+        out = TensorElement(self.datum)
+        out.terms = dict(self.terms)
         out += other
         return out
 
     def __sub__(self, other):
-        out = TensorElement(self.datum, self.terms)
+        out = TensorElement(self.datum)
+        out.terms = dict(self.terms)
         for wp, c in other.terms.items():
             out._add(wp, -c)
         return out

@@ -227,8 +227,8 @@ def kmatrix_cmd(diagram_path, t, rep_weight, q, out):
         if eta.shape[0] == 2:
             lam = lambda_from_trace(eta, q)[0]
         sigma = tau_tau0_perm(diag)
-        plain = x0.fuse(target).generator_matrices()
-        twisted = x0.fuse(twist_module(target, sigma)).generator_matrices()
+        plain = x0.generator_matrices(target)
+        twisted = x0.generator_matrices(twist_module(target, sigma))
         resid = max(
             float(np.linalg.norm(eta @ twisted[k] - plain[k] @ eta))
             / max(float(np.linalg.norm(plain[k])), 1e-30)

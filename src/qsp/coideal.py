@@ -29,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraElement, TensorElement
+from .algebra import (AlgebraElement, TensorElement, push_k_right,
+                      push_k_right_tensor)
 from .diagrams import classify_sets, hermitian_type
 from .errors import (
     AmbiguityError,
@@ -38,10 +39,11 @@ from .errors import (
     NoKMatrixError,
 )
 from .lusztig import braid_word_on_algebra
-from .rmatrix import op_on_legs, r21, rmat
-from .rootsys import alpha_coefficients, nullspace_frac, positive_roots_closure
-from .uqrep import (act_tensor, build_irrep, decompose, intertwiners,
-                    read_only, tensor, twist_module)
+from .rmatrix import r21, rmat
+from .rootsys import (alpha_coefficients, nullspace_frac,
+                      positive_roots_closure, tau0)
+from .uqrep import (WeightModule, act_tensor, build_irrep, decompose,
+                    intertwiners, read_only, tensor, twist_module)
 
 SPAN_DEGREE_CAP = 6
 
@@ -259,7 +261,6 @@ def coideal_generator_elements(diag, params, qp):
 def direct_sum_module(modules):
     """Block-diagonal direct sum of weight modules over the same datum."""
     datum, qp = modules[0].datum, modules[0].qp
-    from .uqrep import WeightModule
     dims = [m.dim for m in modules]
     total = sum(dims)
     weights = [w for m in modules for w in m.weights]
@@ -463,7 +464,6 @@ def coideal_coproduct_parts(diag, params, qp, r):
     ConsistencyError.  Memoised for the life of the process; callers must
     not mutate the returned elements.
     """
-    from .algebra import push_k_right, push_k_right_tensor
     datum = diag.datum
     b = push_k_right(b_generators(diag, params, qp)[r], qp)
     delta = push_k_right_tensor(b.coproduct(), qp)
@@ -549,8 +549,7 @@ def character_relations_residual(diag, params, qp, chi):
     if any(abs(datum.a(r, s)) > 2 for r in datum.vertices
            for s in datum.vertices if r != s):
         raise InputError("relations are only derived for |a_rs| <= 2")
-    i_c, _, _, j_set = classify_sets(diag)
-    del i_c
+    _, _, _, j_set = classify_sets(diag)
     white = diag.white
     res = {}
 
@@ -682,42 +681,21 @@ def pi_t_intertwining_residual(diag, params, qp, t, m1, m2):
 
 @dataclass
 class CoidealModule:
-    """chi (.) W: a character of the coideal tensored with a weight module
-    (W = None is the one-dimensional module itself)."""
+    """The one-dimensional coideal module X0 of a *-character chi (the
+    counit or another character): a K-matrix at X0 (.) W is an operator on
+    W itself."""
 
     diag: object
     params: CoidealParams
     qp: object
     chi: Character
-    w: object = None
     label: str = ""
 
-    @property
-    def dim(self):
-        return 1 if self.w is None else self.w.dim
-
-    def fuse(self, module):
-        w = module if self.w is None else tensor(self.w, module)
-        return CoidealModule(self.diag, self.params, self.qp, self.chi, w,
-                             label=f"{self.label}(.)({module.label})")
-
-    def generator_matrices(self):
+    def generator_matrices(self, wmod):
         """Matrices of B_r (r white), E_s/F_s/K_s (s in X) and the
-        Theta-fixed K's in the chi (.) W realization."""
+        Theta-fixed K's on chi (.) wmod."""
         datum, qp = self.diag.datum, self.qp
         out = {}
-        if self.w is None:
-            one = np.eye(1, dtype=complex)
-            for r in self.diag.white:
-                out[("B", r)] = self.chi.b_values.get(r, 0.0) * one
-            for s in self.diag.X:
-                out[("E", s)] = 0.0 * one
-                out[("F", s)] = 0.0 * one
-                out[("K", s)] = one.copy()
-            for i, w in enumerate(theta_fixed_basis(self.diag)):
-                out[("Ktheta", i)] = self.chi.k_value(datum, qp, w) * one
-            return out
-        wmod = self.w
         for r in self.diag.white:
             out[("B", r)] = self._b_matrix(r, wmod)
         for s in self.diag.X:
@@ -747,24 +725,24 @@ def counit_module(diag, params, qp):
     """The restriction of the counit as a coideal module: chi(B_r) = s_r."""
     chi = Character({r: params.s.get(r, 0.0) for r in diag.white},
                     {r: 0.0 for r in diag.datum.vertices})
-    return CoidealModule(diag, params, qp, chi, None, label="eps")
+    return CoidealModule(diag, params, qp, chi, label="eps")
 
 
 def character_module(diag, params, qp, chi, label="chi"):
-    return CoidealModule(diag, params, qp, chi, None, label=label)
+    return CoidealModule(diag, params, qp, chi, label=label)
 
 
 @functools.cache
 def tau_tau0_perm(diag):
     """The composite diagram automorphism tau tau_0 (memoised per diagram;
     callers must not mutate the returned map)."""
-    from .rootsys import tau0
     t0 = tau0(diag.datum)
     return {r: diag.tau_of(t0[r]) for r in diag.datum.vertices}
 
 
 def kmatrix_solve(diag, params, qp, x0, u, fuse_from=None):
-    """Solve for the braid eta on X0 (.) u.
+    """Solve for the braid eta at X0 (.) u, an operator on u (X0 is a
+    one-dimensional character module).
 
     Linear part: the twisted intertwining eta pi^tw(b) = pi(b) eta for all
     generators b.  The surviving space still contains the scalar braid
@@ -782,12 +760,12 @@ def kmatrix_solve(diag, params, qp, x0, u, fuse_from=None):
     positive (or, when it vanishes, the determinant).
 
     The solve runs once per process: the read-only braid is kept in
-    ``u.cache`` under (diagram, parameters, QParams, character, ``x0.w``,
+    ``u.cache`` under (diagram, parameters, QParams, character,
     ``fuse_from``), so a repeated input, also one built from fresh but
-    equal objects, is a lookup (``x0.w`` is None on a character module;
-    modules are keys by identity).  Errors are not kept.
+    equal objects, is a lookup (modules are keys by identity).  Errors are
+    not kept.
     """
-    key = ("kmatrix", diag, params, qp, x0.chi, x0.w, fuse_from)
+    key = ("kmatrix", diag, params, qp, x0.chi, fuse_from)
     if key not in u.cache:
         u.cache[key] = read_only(_solve(diag, params, qp, x0, u, fuse_from))
     return u.cache[key]
@@ -796,8 +774,8 @@ def kmatrix_solve(diag, params, qp, x0, u, fuse_from=None):
 def _solve(diag, params, qp, x0, u, fuse_from):
     """The uncached solve behind ``kmatrix_solve``."""
     sigma = tau_tau0_perm(diag)
-    plain = x0.fuse(u).generator_matrices()
-    twisted = x0.fuse(twist_module(u, sigma)).generator_matrices()
+    plain = x0.generator_matrices(u)
+    twisted = x0.generator_matrices(twist_module(u, sigma))
     pairs = [(twisted[k], plain[k]) for k in plain]
     basis = intertwiners(pairs, 1e-8)
     if not basis:
@@ -816,10 +794,10 @@ def _solve(diag, params, qp, x0, u, fuse_from):
                 f"derived braid fails the intertwining system ({resid:.2e})")
         return eta
 
-    p0 = _trivial_projector(x0, u)
+    p0 = _trivial_projector(u)
 
     def composite(x, y):
-        return ribbon_compose(diag, qp, x0, y, u, x, u)
+        return ribbon_compose(diag, qp, y, u, x, u)
 
     candidates = _ribbon_unit_solutions(basis, composite, p0)
     if not candidates:
@@ -832,24 +810,20 @@ def _solve(diag, params, qp, x0, u, fuse_from):
     return _fix_gauge(eta)
 
 
-def ribbon_compose(diag, qp, x0, eta_a, a_mod, eta_b, b_mod):
-    """Braid at X0 (.) (A ox B) from the braids at A and B:
-    R32 eta^B_13 Rtw23 eta^A_12 on X0 ox A ox B."""
+def ribbon_compose(diag, qp, eta_a, a_mod, eta_b, b_mod):
+    """Braid at X0 (.) (A ox B) from the braids at A and B, on A ox B:
+    R21(A, B) (1 ox eta^B) Rtw(A, sigma B) (eta^A ox 1)."""
     sigma = tau_tau0_perm(diag)
-    dims = [x0.dim, a_mod.dim, b_mod.dim]
-    r32 = op_on_legs(r21(a_mod, b_mod), dims, (1, 2))
     rtw = rmat(a_mod, twist_module(b_mod, sigma)).matrix
-    rtw23 = op_on_legs(rtw, dims, (1, 2))
-    eta13 = op_on_legs(eta_b, dims, (0, 2))
-    eta12 = op_on_legs(eta_a, dims, (0, 1))
-    return r32 @ eta13 @ rtw23 @ eta12
+    return r21(a_mod, b_mod) @ np.kron(np.eye(a_mod.dim), eta_b) \
+        @ rtw @ np.kron(eta_a, np.eye(b_mod.dim))
 
 
 def _derived_braid(diag, params, qp, x0, u, generator):
     """Braid at u from the braid at an irreducible generating module g, by
     fusion over irreducibles: each round composes the ribbon composite on
-    X0 (.) (V_lam ox g) once per pending irreducible V_lam and restricts it
-    through the embeddings of ``decompose(V_lam ox g)`` to each component
+    V_lam ox g once per pending irreducible V_lam and restricts it through
+    the first embedding of ``decompose(V_lam ox g)`` to each component
     not yet in the table of braids by highest weight.  By naturality this
     equals the restriction from the tensor power of g, which is never built.
     Components with (lam, 2 rho) > (mu + g, 2 rho), mu the target, are
@@ -857,7 +831,7 @@ def _derived_braid(diag, params, qp, x0, u, generator):
     with the target or with no pending module left to expand.
 
     The table lives in ``generator.cache`` under (diagram, parameters,
-    QParams, character, ``x0.w``), so a later call extends it instead of
+    QParams, character), so a later call extends it instead of
     restarting from g.  It holds the braids by highest weight and a pending
     list of (module, braid, bound or None): the modules not yet expanded,
     and those whose components were skipped, with the bound that skipped
@@ -867,7 +841,7 @@ def _derived_braid(diag, params, qp, x0, u, generator):
         raise AmbiguityError("derived braids need irreducible modules")
     two_rho = 2 * diag.datum.rho()
     bound = (u.highest + generator.highest).pairing(two_rho)
-    key = ("braids", diag, params, qp, x0.chi, x0.w)
+    key = ("braids", diag, params, qp, x0.chi)
     if key not in generator.cache:
         eta_g = kmatrix_solve(diag, params, qp, x0, generator)
         generator.cache[key] = {"braids": {generator.highest.coords: eta_g},
@@ -884,8 +858,7 @@ def _derived_braid(diag, params, qp, x0, u, generator):
             raise NoKMatrixError("target module not reached from the generator")
         reached = {}
         for mod, eta, _ in todo:
-            composite = ribbon_compose(diag, qp, x0, eta, mod, eta_g,
-                                       generator)
+            composite = ribbon_compose(diag, qp, eta, mod, eta_g, generator)
             skipped = False
             for wt, _, embs in decompose(tensor(mod, generator)):
                 if wt.coords in braids or wt.coords in reached:
@@ -893,10 +866,9 @@ def _derived_braid(diag, params, qp, x0, u, generator):
                 if wt.pairing(two_rho) > bound:
                     skipped = True
                     continue
-                lifted = np.kron(np.eye(x0.dim), embs[0])
                 reached[wt.coords] = (
                     build_irrep(diag.datum, wt, qp),
-                    read_only(lifted.conj().T @ composite @ lifted))
+                    read_only(embs[0].conj().T @ composite @ embs[0]))
             if skipped:
                 stay.append((mod, eta, bound))
         braids.update((c, eta) for c, (_, eta) in reached.items())
@@ -905,14 +877,13 @@ def _derived_braid(diag, params, qp, x0, u, generator):
     return braids[u.highest.coords]
 
 
-def _trivial_projector(x0, u):
-    uu = tensor(u, u)
-    triv = [emb for wt, _, embs in decompose(uu) for emb in embs
+def _trivial_projector(u):
+    """The projector of u ox u onto its trivial isotypic component."""
+    triv = [emb for wt, _, embs in decompose(tensor(u, u)) for emb in embs
             if wt.is_zero()]
     if not triv:
         raise AmbiguityError("no trivial component in u ox u to fix the scale")
-    proj = sum(emb @ emb.conj().T for emb in triv)
-    return np.kron(np.eye(x0.dim), proj)
+    return sum(emb @ emb.conj().T for emb in triv)
 
 
 def _ribbon_unit_solutions(basis, composite, p0):

@@ -150,11 +150,10 @@ class CoidealRankOneFamily:
     def braid_on_tensor(self, m1, m2):
         """eta_{X0, m1 ox m2} by lifting the component braids through the
         isotypic embeddings (naturality)."""
-        dim = self.x0.dim * m1.dim * m2.dim
+        dim = m1.dim * m2.dim
         out = np.zeros((dim, dim), dtype=complex)
         for emb, eta in self.braid_components(m1, m2):
-            lift = np.kron(np.eye(self.x0.dim), emb)
-            out += lift @ eta @ lift.conj().T
+            out += emb @ eta @ emb.conj().T
         return out
 
     def braid_components(self, m1, m2):
@@ -170,17 +169,16 @@ class CoidealRankOneFamily:
         return comps
 
 
-def _component_match_residual(candidate, comps, x0_dim):
+def _component_match_residual(candidate, comps):
     """Match a composite against component braids up to per-component sign;
     includes the off-block leakage."""
     worst = 0.0
     reconstructed = np.zeros_like(candidate)
     for emb, eta in comps:
-        lift = np.kron(np.eye(x0_dim), emb)
-        block = lift.conj().T @ candidate @ lift
+        block = emb.conj().T @ candidate @ emb
         diff = min(np.linalg.norm(block - eta), np.linalg.norm(block + eta))
         worst = max(worst, diff / max(np.linalg.norm(eta), 1e-30))
-        reconstructed += lift @ block @ lift.conj().T
+        reconstructed += emb @ block @ emb.conj().T
     leak = np.linalg.norm(candidate - reconstructed)
     worst = max(worst, leak / max(np.linalg.norm(candidate), 1e-30))
     return worst
@@ -196,7 +194,7 @@ def octagon_characters(fam, m1):
     equal across calls, so their K-matrices are memo hits.  Returns (pairs,
     largest relative distance to the nearest closed form, number of
     eigenvalues left unsnapped)."""
-    b_mat = fam.x0.fuse(m1).generator_matrices()[("B", 1)]
+    b_mat = fam.x0.generator_matrices(m1)[("B", 1)]
     evals, evecs = np.linalg.eig(b_mat)
     lam = lambda_of_t(fam.t, fam.q)
     closed = [fam.params.s[1] if n == 0 else chi_n_value(n, lam, fam.q)
@@ -219,8 +217,7 @@ def check_octagon_coideal(fam, m1, m2):
     """(Delta ox id)(K) = R32 K13 Rtw23: the composite must decompose into
     the solved component braids of the fused object X0 (.) m1."""
     # the ribbon composite with the identity in place of K12
-    composite = ribbon_compose(fam.diag, fam.qp, fam.x0,
-                               np.eye(fam.x0.dim * m1.dim), m1,
+    composite = ribbon_compose(fam.diag, fam.qp, np.eye(m1.dim), m1,
                                fam.braid(m2), m2)
 
     # character components of X0 (.) m1 and their solved braids against m2
@@ -241,10 +238,9 @@ def check_ribbon_coideal(fam, m1, m2):
     """(id ox Delta)(K) = R32 K13 Rtw23 K12 against the component lifts."""
     eta_1 = fam.braid(m1)
     eta_2 = fam.braid(m2)
-    composite = ribbon_compose(fam.diag, fam.qp, fam.x0,
-                               eta_1, m1, eta_2, m2)
+    composite = ribbon_compose(fam.diag, fam.qp, eta_1, m1, eta_2, m2)
     comps = fam.braid_components(m1, m2)
-    return _component_match_residual(composite, comps, fam.x0.dim)
+    return _component_match_residual(composite, comps)
 
 
 def check_cylinder_coideal(fam, m1, m2):
@@ -252,7 +248,9 @@ def check_cylinder_coideal(fam, m1, m2):
     component braids; also the canonical equality of the two right sides."""
     theta_u, theta_v = fam.braid(m1), fam.braid(m2)
     theta_uv = fam.braid_on_tensor(m1, m2)
-    dims = [fam.x0.dim, m1.dim, m2.dim]
+    # the X0 leg has dimension 1; _cylinder_sides keeps it for the Vogan
+    # side, whose leg 0 is M_r
+    dims = [1, m1.dim, m2.dim]
     rhs1, rhs2 = _cylinder_sides(
         lambda legs, mat: op_on_legs(mat, dims, legs),
         theta_u, theta_v, m1, m2, lambda m: m)
@@ -552,7 +550,7 @@ def run_rank_one(q, r, levels=14):
         chi_mod = character_module(
             fam.diag, fam.params, fam.qp,
             Character({1: chi_n_value(n, lam0, q)}, {1: 0.0}))
-        b_mat = chi_mod.fuse(fam.v).generator_matrices()[("B", 1)]
+        b_mat = chi_mod.generator_matrices(fam.v)[("B", 1)]
         got = sorted(np.linalg.eigvals(b_mat).imag)
         want = sorted([chi_n_value(n + 1, lam0, q).imag,
                        chi_n_value(n - 1, lam0, q).imag])

@@ -187,6 +187,36 @@ def test_coideal_law_on_modules(v12, v1):
     assert res < 1e-8
 
 
+B2 = build_root_datum([("B", 2)])
+D_B2 = satake(B2, ())
+
+
+@pytest.mark.parametrize("q", [0.6, 0.9])
+@pytest.mark.parametrize("diag, s, weights", [
+    (D_SU2, None, [[1], [2], [3]]),
+    (D_SU2, 0.7j, [[1], [2], [3]]),
+    (D_SU3, None, [[1, 0], [0, 1], [1, 1]]),
+    (D_SU4_AIII, None, [[1, 0, 0], [0, 1, 0]]),
+    (D_SU4_AII, None, [[1, 0, 0], [0, 1, 0]]),
+    (D_B2, None, [[0, 1], [1, 0]]),
+], ids=["A1", "A1-s", "SU3", "AIII", "AII", "B2"])
+def test_counit_b_matrices_are_the_direct_action(q, diag, s, weights):
+    # (eps ox id) Delta(B_r) = B_r: the coproduct-tail route of the counit
+    # module gives the matrices of B_r themselves
+    qp = QParams(q)
+    params = no_parameter(diag, qp) if s is None \
+        else CoidealParams({1: q ** -2}, {1: s})
+    x0 = counit_module(diag, params, qp)
+    bgen = b_generators(diag, params, qp)
+    for coords in weights:
+        w = build_irrep(diag.datum, diag.datum.weight(coords), qp)
+        mats = x0.generator_matrices(w)
+        for r, b in bgen.items():
+            want = w.act(b)
+            assert np.linalg.norm(mats[("B", r)] - want) \
+                <= 1e-12 * np.linalg.norm(want), (coords, r)
+
+
 def test_omega0_properties():
     for diag in (D_SU2, D_SU3, D_SU4_AIII, D_SU4_AII):
         omega0, _ = omega0_gamma(diag, QP)  # internal assertions run
@@ -254,7 +284,7 @@ def test_kmatrix_octagon_and_ribbon(v12, v1):
     for u_mod in (v12, v1):
         eta_u = kmatrix_solve(D_SU2, params, QP, x0, u_mod, fuse_from=v12)
         # ribbon: eta at u ox v equals the composite
-        comp = ribbon_compose(D_SU2, QP, x0, eta_u, u_mod, eta_v, v12)
+        comp = ribbon_compose(D_SU2, QP, eta_u, u_mod, eta_v, v12)
         # derived braid at the tensor module via embeddings of components
         uv = tensor(u_mod, v12)
         from qsp.uqrep import decompose
@@ -262,13 +292,12 @@ def test_kmatrix_octagon_and_ribbon(v12, v1):
             model = build_irrep(A1, wt, QP)
             eta_m = kmatrix_solve(D_SU2, params, QP, x0, model, fuse_from=v12)
             for emb in embs:
-                lifted = np.kron(np.eye(x0.dim), emb)
-                got = lifted.conj().T @ comp @ lifted
+                got = emb.conj().T @ comp @ emb
                 diff = np.max(np.abs(got - eta_m))
                 assert diff < 1e-8, (u_mod.label, tuple(wt.coords), diff)
 
 
-def _tensor_power_braid(x0, u, generator, eta_g, params, qp):
+def _tensor_power_braid(u, generator, eta_g, params, qp):
     """Reference route: the ribbon composite on the tensor powers of the
     generator, restricted to the first copy of u in the first power that
     contains it."""
@@ -281,9 +310,8 @@ def _tensor_power_braid(x0, u, generator, eta_g, params, qp):
             emb = next((embs[0] for wt, _, embs in decompose(power)
                         if wt.coords == u.highest.coords), None)
         if emb is not None:
-            lifted = np.kron(np.eye(x0.dim), emb)
-            return lifted.conj().T @ eta_power @ lifted
-        eta_power = ribbon_compose(D_SU2, qp, x0, eta_power, power,
+            return emb.conj().T @ eta_power @ emb
+        eta_power = ribbon_compose(D_SU2, qp, eta_power, power,
                                    eta_g, generator)
         power = tensor(power, generator)
     raise AssertionError("target not reached")
@@ -299,7 +327,7 @@ def test_derived_kmatrix_matches_tensor_power_route(q, t):
     for twice_spin in range(2, 7):
         u = build_irrep(A1, A1.weight([twice_spin]), qp)
         got = kmatrix_solve(D_SU2, params, qp, x0, u, fuse_from=v)
-        want = _tensor_power_braid(x0, u, v, eta_v, params, qp)
+        want = _tensor_power_braid(u, v, eta_v, params, qp)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), \
             twice_spin
 

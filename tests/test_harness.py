@@ -117,7 +117,7 @@ def test_octagon_characters_lie_at_their_closed_form(q):
             m = fam.module(twice_spin)
             closed = [chi_n_value(n, lam, q)
                       for n in range(-twice_spin, twice_spin + 1, 2)]
-            b_mat = fam.x0.fuse(m).generator_matrices()[("B", 1)]
+            b_mat = fam.x0.generator_matrices(m)[("B", 1)]
             raw = sorted(np.linalg.eigvals(b_mat), key=lambda z: z.imag)
             for got, want in zip(raw, sorted(closed, key=lambda z: z.imag)):
                 assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
@@ -132,10 +132,9 @@ def test_octagon_characters_lie_at_their_closed_form(q):
 
 def _octagon_raw_characters(fam, m1, m2):
     """The octagon check with the raw eigenvalues of B as characters."""
-    composite = ribbon_compose(fam.diag, fam.qp, fam.x0,
-                               np.eye(fam.x0.dim * m1.dim), m1,
+    composite = ribbon_compose(fam.diag, fam.qp, np.eye(m1.dim), m1,
                                fam.braid(m2), m2)
-    b_mat = fam.x0.fuse(m1).generator_matrices()[("B", 1)]
+    b_mat = fam.x0.generator_matrices(m1)[("B", 1)]
     evals, evecs = np.linalg.eig(b_mat)
     worst = 0.0
     for c in range(len(evals)):
@@ -236,16 +235,15 @@ def test_coideal_cylinder_sides_match_braided_form(q, spins):
     fam = CoidealRankOneFamily(q, 0.3)
     m1, m2 = (fam.module(s) for s in spins)
     theta_u, theta_v = fam.braid(m1), fam.braid(m2)
-    dims = [fam.x0.dim, m1.dim, m2.dim]
+    dims = [1, m1.dim, m2.dim]
     rhs1, rhs2 = _cylinder_sides(
         lambda legs, mat: op_on_legs(mat, dims, legs),
         theta_u, theta_v, m1, m2, lambda m: m)
     for got, ref in ((rhs1, _cylinder_rhs1_ref), (rhs2, _cylinder_rhs2_ref)):
-        want = ref(theta_u, theta_v, m1, m2, fam.x0.dim, lambda m: m)
+        want = ref(theta_u, theta_v, m1, m2, 1, lambda m: m)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     # the first side is the ribbon composite of the coideal braids
-    ribbon = ribbon_compose(fam.diag, fam.qp, fam.x0, theta_u, m1,
-                            theta_v, m2)
+    ribbon = ribbon_compose(fam.diag, fam.qp, theta_u, m1, theta_v, m2)
     assert np.linalg.norm(rhs1 - ribbon) <= 1e-14 * np.linalg.norm(ribbon)
 
 
