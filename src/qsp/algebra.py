@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 
-# the most terms of a product or a map_symbols image: the tests reach 324,
-# theta_q on B4 with X = {2, 3, 4} passes it in seconds instead of hanging
+# the most terms of a product or a map_symbols image (the tests reach 324);
+# past it a formal expansion raises ResourceError instead of hanging.  No
+# coideal generator is expanded formally outside the tests.
 MAX_TERMS = 5000
 
 
@@ -260,44 +261,6 @@ def _star_symbol(datum, sym):
     if kind == "F":
         return AlgebraElement(datum, {(_k_sym((-datum.simple_root(r)).coords), ("E", r)): 1.0})
     raise InputError(f"unknown symbol {sym!r}")
-
-
-def push_k_right(element, qp):
-    """Normal form with all K symbols commuted to the right end of each
-    word, using K_w E_r = q^{(w, alpha_r)} E_r K_w (and the inverse power
-    for F_r).  Exact at numeric q; enables cancellation of equal elements
-    written with different K placements."""
-    datum = element.datum
-    out = AlgebraElement.zero(datum)
-    for word, coeff in element.terms.items():
-        body = []
-        k_weight = None
-        factor = coeff
-        for sym in word:
-            if sym[0] == "K":
-                w = datum.weight(sym[1])
-                k_weight = w if k_weight is None else k_weight + w
-            else:
-                if k_weight is not None:
-                    pair = k_weight.pairing(datum.simple_root(sym[1]))
-                    factor *= qp.qpow(pair if sym[0] == "E" else -pair)
-                body.append(sym)
-        if k_weight is not None and any(k_weight.coords):
-            body.append(("K", k_weight.coords))
-        out._add_term(tuple(body), factor)
-    return out
-
-
-def push_k_right_tensor(te, qp):
-    """Apply push_k_right to both legs of a TensorElement."""
-    out = TensorElement.zero(te.datum)
-    for (w1, w2), coeff in te.terms.items():
-        e1 = push_k_right(AlgebraElement(te.datum, {w1: 1.0}), qp)
-        e2 = push_k_right(AlgebraElement(te.datum, {w2: 1.0}), qp)
-        for w1b, c1 in e1.terms.items():
-            for w2b, c2 in e2.terms.items():
-                out._add((w1b, w2b), coeff * c1 * c2)
-    return out
 
 
 class TensorElement:

@@ -8,6 +8,21 @@ together with the subsystem generators E_s, F_s, K_s (s in X) and the
 Theta-fixed Cartan part.  theta_q is the quantum involution
 Ad(z) o T_{w_X} o psi o tau o omega.
 
+Every B_r is a matrix on a module, built by one formula: on a weight
+module W,
+
+    theta_q(F_r K_r) = -z^beta T E_{tau(r)} T^{-1},  beta = w_X(alpha_{tau(r)}),
+
+with T the braid operator of w_X on W (``lusztig.braid_word_on_module``),
+and on the module of a character chi,
+
+    (chi ox id) Delta(B_r) = chi(B_r) K_r^{-1} + F_r
+                             + chi(K_{kappa_r}) c_r theta_q(F_r K_r) K_r^{-1},
+
+kappa_r = -Theta(alpha_r) - alpha_r.  The counit gives B_r itself, and
+Delta(B_r) on m1 ox m2 is B_r on ``tensor(m1, m2)``.  No formal algebra
+element, coproduct or tail is formed.
+
 Star-invariance holds on the parameter class
 
     c_r > 0,  c_{tau(r)} c_r = q^{(Theta(alpha_r) - alpha_r, alpha_{tau(r)})},
@@ -25,12 +40,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (AlgebraElement, TensorElement, push_k_right,
-                      push_k_right_tensor)
 from .diagrams import classify_sets, hermitian_type
 from .errors import (
     AmbiguityError,
@@ -38,62 +50,13 @@ from .errors import (
     InputError,
     NoKMatrixError,
 )
-from .lusztig import braid_word_on_algebra
+from .lusztig import braid_word_on_module
 from .rmatrix import r21, rmat
-from .rootsys import (alpha_coefficients, nullspace_frac,
-                      positive_roots_closure, tau0)
-from .uqrep import (WeightModule, act_tensor, build_irrep, decompose,
-                    intertwiners, read_only, tensor, twist_module)
+from .rootsys import alpha_coefficients, nullspace_frac, tau0
+from .uqrep import (WeightModule, build_irrep, decompose, intertwiners,
+                    read_only, tensor, twist_module)
 
 SPAN_DEGREE_CAP = 6
-
-
-# ---------------------------------------------------------------------------
-# theta_q and the generators
-# ---------------------------------------------------------------------------
-
-def theta_q(diag, qp, element):
-    """Quantum analogue of the involution: Ad(z) o T_{w_X} o psi o tau o omega."""
-    datum = diag.datum
-
-    def omega_map(sym):
-        kind = sym[0]
-        if kind == "K":
-            return AlgebraElement(datum, {(("K", tuple(-Fraction(c) for c in sym[1])),): 1.0})
-        if kind == "E":
-            return -1 * AlgebraElement.f(datum, sym[1])
-        return -1 * AlgebraElement.e(datum, sym[1])
-
-    def tau_map(sym):
-        kind = sym[0]
-        if kind == "K":
-            w = diag.tau_weight(datum.weight(sym[1]))
-            return AlgebraElement.k(datum, w)
-        return AlgebraElement(datum, {((kind, diag.tau_of(sym[1])),): 1.0})
-
-    def psi_map(sym):
-        kind = sym[0]
-        if kind == "K":
-            return AlgebraElement(datum, {(sym,): 1.0})
-        r = sym[1]
-        if kind == "E":
-            return AlgebraElement.e(datum, r) * AlgebraElement.k_alpha(datum, r)
-        return AlgebraElement.k(datum, -1 * datum.simple_root(r)) \
-            * AlgebraElement.f(datum, r)
-
-    def ads_map(sym):
-        kind = sym[0]
-        if kind == "K":
-            return AlgebraElement(datum, {(sym,): 1.0})
-        z = diag.z(sym[1])
-        return (z if kind == "E" else np.conj(z)) \
-            * AlgebraElement(datum, {(sym,): 1.0})
-
-    element = element.map_symbols(omega_map)
-    element = element.map_symbols(tau_map)
-    element = element.map_symbols(psi_map)
-    element = braid_word_on_algebra(datum, qp, diag.wx_word().letters, element)
-    return element.map_symbols(ads_map)
 
 
 @dataclass(frozen=True)
@@ -137,19 +100,6 @@ def no_parameter(diag, qp):
             .pairing(datum.simple_root(diag.tau_of(r)))
         c[r] = qp.qpow(expo / 2)
     return CoidealParams(c, {r: 0.0 for r in diag.white})
-
-
-def b_generators(diag, params, qp):
-    """B_r = F_r + c_r theta_q(F_r K_r) K_r^{-1} + s_r K_r^{-1}, r white."""
-    _check_param_shape(diag, params)
-    datum = diag.datum
-    out = {}
-    for r in diag.white:
-        fk = AlgebraElement.f(datum, r) * AlgebraElement.k_alpha(datum, r)
-        mid = theta_q(diag, qp, fk) * AlgebraElement.k(datum, -1 * datum.simple_root(r))
-        out[r] = AlgebraElement.f(datum, r) + params.c[r] * mid \
-            + params.s.get(r, 0.0) * AlgebraElement.k(datum, -1 * datum.simple_root(r))
-    return out
 
 
 def star_exponent(diag, r):
@@ -235,26 +185,24 @@ def theta_fixed_basis(diag):
 # Span-membership test for star-invariance
 # ---------------------------------------------------------------------------
 
-def coideal_generator_elements(diag, params, qp):
-    """AlgebraElements generating the coideal: B_r, the X-subsystem
-    generators, and the Theta-fixed Cartan part (with inverses), plus the
-    coideal elements K_{alpha_{tau(r)} - alpha_r}."""
+def _generator_mats(x0, wmod):
+    """Matrices on wmod of the coideal generators under x0: B_r (r white,
+    first), the X-subsystem generators, the Theta-fixed Cartan part (with
+    inverses) and the coideal elements K_{alpha_{tau(r)} - alpha_r}."""
+    diag = x0.diag
     datum = diag.datum
-    gens = list(b_generators(diag, params, qp).values())
+    gens = [x0._b_matrix(r, wmod) for r in diag.white]
     for s in diag.X:
-        gens.append(AlgebraElement.e(datum, s))
-        gens.append(AlgebraElement.f(datum, s))
-        gens.append(AlgebraElement.k_alpha(datum, s))
-        gens.append(AlgebraElement.k(datum, -1 * datum.simple_root(s)))
+        alpha = datum.simple_root(s)
+        gens += [wmod.E[s], wmod.F[s], wmod.k_matrix(alpha),
+                 wmod.k_matrix(-1 * alpha)]
     for w in theta_fixed_basis(diag):
-        gens.append(AlgebraElement.k(datum, w))
-        gens.append(AlgebraElement.k(datum, -1 * w))
+        gens += [wmod.k_matrix(w), wmod.k_matrix(-1 * w)]
     for r in diag.white:
         tr = diag.tau_of(r)
         if tr > r:
             w = datum.simple_root(tr) - datum.simple_root(r)
-            gens.append(AlgebraElement.k(datum, w))
-            gens.append(AlgebraElement.k(datum, -1 * w))
+            gens += [wmod.k_matrix(w), wmod.k_matrix(-1 * w)]
     return gens
 
 
@@ -282,13 +230,12 @@ def star_membership(diag, params, qp, modules):
     """Least-squares distance of each pi(B_r)^dagger from the span of
     coideal-generator monomials of degree <= SPAN_DEGREE_CAP, evaluated on the
     direct sum of the given modules.  Returns {r: relative residual}."""
+    _check_param_shape(diag, params)
     window = direct_sum_module(modules) if len(modules) > 1 else modules[0]
-    gens = [window.act(g) for g in coideal_generator_elements(diag, params, qp)]
+    gens = _generator_mats(counit_module(diag, params, qp), window)
     span = _monomial_span(gens, window.dim)
-    bmats = {r: window.act(b) for r, b in
-             b_generators(diag, params, qp).items()}
     out = {}
-    for r, b in bmats.items():
+    for r, b in zip(diag.white, gens):
         target = b.conj().T
         dist = span.distance(target)
         out[r] = dist / max(np.linalg.norm(target), 1e-30)
@@ -297,21 +244,20 @@ def star_membership(diag, params, qp, modules):
 
 def coideal_law_residual(diag, params, qp, m1, m2):
     """Right-coideal property on modules: for every generator b, the matrix
-    of Delta(b) on m1 ox m2, reorganized as a map (second-leg entry pairs)
-    -> (first-leg entry pairs), has its range inside the span of evaluated
-    coideal monomials on m1.  Returns the worst relative residual."""
-    gens = [m1.act(g) for g in coideal_generator_elements(diag, params, qp)]
-    span = _monomial_span(gens, m1.dim)
-    datum = diag.datum
-    elements = list(b_generators(diag, params, qp).values())
+    of Delta(b) on m1 ox m2 (the action of b on ``tensor(m1, m2)``),
+    reorganized as a map (second-leg entry pairs) -> (first-leg entry
+    pairs), has its range inside the span of evaluated coideal monomials on
+    m1.  Returns the worst relative residual."""
+    _check_param_shape(diag, params)
+    x0 = counit_module(diag, params, qp)
+    span = _monomial_span(_generator_mats(x0, m1), m1.dim)
+    both = tensor(m1, m2)
+    mats = [x0._b_matrix(r, both) for r in diag.white]
     for s in diag.X:
-        elements.append(AlgebraElement.e(datum, s))
-        elements.append(AlgebraElement.f(datum, s))
-    for w in theta_fixed_basis(diag):
-        elements.append(AlgebraElement.k(datum, w))
+        mats += [both.E[s], both.F[s]]
+    mats += [both.k_matrix(w) for w in theta_fixed_basis(diag)]
     worst = 0.0
-    for b in elements:
-        mat = act_tensor(m1, m2, b.coproduct())
+    for mat in mats:
         reorg = mat.reshape(m1.dim, m2.dim, m1.dim, m2.dim) \
             .transpose(0, 2, 1, 3).reshape(m1.dim * m1.dim, m2.dim * m2.dim)
         dist = 0.0
@@ -370,128 +316,6 @@ class _IncrementalSpan:
     def distance(self, mat):
         vec = self._project_out(mat.reshape(-1))
         return np.linalg.norm(vec)
-
-
-# ---------------------------------------------------------------------------
-# omega_0 and the gamma twist
-# ---------------------------------------------------------------------------
-
-def rho_roots(datum, subset):
-    """Half the sum of the positive roots of the subsystem."""
-    acc = datum.zero_weight()
-    for beta in positive_roots_closure(datum, subset):
-        acc = acc + beta
-    return Fraction(1, 2) * acc
-
-
-def omega0_gamma(diag, qp):
-    """The weight omega_0 and the diagonal twist gamma = Ad(K_{omega_0}).
-
-    Returns (omega0, gamma) with gamma a map on AlgebraElements."""
-    datum = diag.datum
-    rho_x = rho_roots(datum, diag.X)
-    pair = {}
-    for r in datum.vertices:
-        if r in diag.X:
-            pair[r] = Fraction(0)
-        else:
-            tr = diag.tau_of(r)
-            a_r = datum.simple_root(r)
-            a_tr = datum.simple_root(tr)
-            val = (diag.theta(a_tr) - a_tr - diag.theta(a_r) + 2 * rho_x) \
-                .pairing(a_r)
-            pair[r] = val / 4
-    omega0 = datum.weight([pair[r] / datum.d[r - 1] for r in datum.vertices])
-    if diag.tau_weight(omega0).coords != omega0.coords:
-        raise ConsistencyError("omega_0 not tau-invariant")
-    if diag.theta(omega0).coords != (-omega0).coords:
-        raise ConsistencyError("Theta(omega_0) != -omega_0")
-
-    def gamma(element):
-        def img(sym):
-            kind = sym[0]
-            if kind == "K":
-                return AlgebraElement(datum, {(sym,): 1.0})
-            r = sym[1]
-            p = omega0.pairing(datum.simple_root(r))
-            scal = qp.qpow(p if kind == "E" else -p)
-            return scal * AlgebraElement(datum, {(sym,): 1.0})
-        return element.map_symbols(img)
-
-    return omega0, gamma
-
-
-def kolb_parameters(diag, qp):
-    """The reference solution c'_r = q^{(alpha_r, Theta(alpha_r) - 2 rho_X)/2},
-    s' = 0, whose gamma twist is the no-parameter coideal."""
-    datum = diag.datum
-    rho_x = rho_roots(datum, diag.X)
-    c = {}
-    for r in diag.white:
-        a = datum.simple_root(r)
-        c[r] = qp.qpow(a.pairing(diag.theta(a) - 2 * rho_x) / 2)
-    return CoidealParams(c, {r: 0.0 for r in diag.white})
-
-
-def gamma_twist_residual(diag, qp, module):
-    """Residual of gamma(B'_r) being proportional (by q^{-(omega0, alpha_r)})
-    to the no-parameter B_r on a module."""
-    omega0, gamma = omega0_gamma(diag, qp)
-    b_noparam = b_generators(diag, no_parameter(diag, qp), qp)
-    b_prime = b_generators(diag, kolb_parameters(diag, qp), qp)
-    worst = 0.0
-    for r in diag.white:
-        lhs = module.act(gamma(b_prime[r]))
-        scal = qp.qpow(-omega0.pairing(diag.datum.simple_root(r)))
-        rhs = module.act(b_noparam[r]) * scal
-        worst = max(worst, np.linalg.norm(lhs - rhs)
-                    / max(np.linalg.norm(rhs), 1e-30))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# coideal coproduct structure
-# ---------------------------------------------------------------------------
-
-@functools.cache
-def coideal_coproduct_parts(diag, params, qp, r):
-    """Split Delta(B_r) = B_r ox K_r^{-1} + 1 ox F_r + tail.
-
-    Everything is brought to the K-right normal form so that equal elements
-    written with different Cartan placements cancel.  The tail's first legs
-    are validated to contain only X-colored raising symbols and Cartan
-    symbols (the structural coideal property); a violation raises
-    ConsistencyError.  Memoised for the life of the process; callers must
-    not mutate the returned elements.
-    """
-    datum = diag.datum
-    b = push_k_right(b_generators(diag, params, qp)[r], qp)
-    delta = push_k_right_tensor(b.coproduct(), qp)
-    kinv = ("K", tuple((-1 * datum.simple_root(r)).coords))
-    head = TensorElement(datum, {(w, (kinv,)): c for w, c in b.terms.items()})
-    second = TensorElement(datum, {((), (("F", r),)): 1.0})
-    tail = delta - head - second
-    scale = max((abs(c) for c in delta.terms.values()), default=1.0)
-    cleaned = TensorElement(datum)
-    for (w1, w2), coeff in tail.terms.items():
-        if abs(coeff) < 1e-12 * scale:
-            continue
-        for sym in w1:
-            if sym[0] == "K":
-                continue
-            if sym[0] == "F" or sym[1] not in diag.X:
-                raise ConsistencyError(
-                    f"tail first leg {w1} escapes U_q(g_X)^+ K")
-        cleaned._add((w1, w2), coeff)
-    return head, second, cleaned
-
-
-def _leg1_k_weight(datum, word):
-    acc = datum.zero_weight()
-    for sym in word:
-        if sym[0] == "K":
-            acc = acc + datum.weight(sym[1])
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -620,61 +444,6 @@ def conjugate(diag, params, qp, t):
                              tp: qp.qpow(t) * params.c[tp]})
 
 
-def pi_t_images(diag, params, qp, t):
-    """pi_t on the generators, as AlgebraElements over the source coideal."""
-    h = hermitian_type(diag)
-    datum = diag.datum
-    bgen = b_generators(diag, params, qp)
-    chi = characters(diag, qp, t)
-    out = {}
-    for r in diag.white:
-        kinv = AlgebraElement.k(datum, -1 * datum.simple_root(r))
-        if h.kind == "SType" and r == h.distinguished:
-            out[("B", r)] = bgen[r] + (1j * t) * kinv
-        elif h.kind == "CType":
-            scal = chi.k_value(datum, qp,
-                               datum.simple_root(diag.tau_of(r))
-                               - datum.simple_root(r))
-            out[("B", r)] = scal * bgen[r] + (1 - scal) * AlgebraElement.f(datum, r)
-        else:
-            out[("B", r)] = bgen[r]
-    return out
-
-
-def pi_t_intertwining_residual(diag, params, qp, t, m1, m2):
-    """Residual of (pi_t ox id) Delta = Delta pi_t on the B-generators,
-    evaluated on m1 ox m2.
-
-    The left side applies pi_t to the first legs through the coideal
-    structure of Delta(B_r): the head picks up the pi_t image, the tail
-    scales term-by-term by q^{f(Cartan content of the first leg)}."""
-    datum = diag.datum
-    chi = characters(diag, qp, t)
-    params_t = conjugate(diag, params, qp, t)
-    b_new = b_generators(diag, params_t, qp)
-    images = pi_t_images(diag, params, qp, t)
-    worst = 0.0
-    for r in diag.white:
-        _, _, tail = coideal_coproduct_parts(diag, params, qp, r)
-        # (pi_t ox id) Delta(B_r)
-        img = images[("B", r)]
-        kinv = ("K", tuple((-1 * datum.simple_root(r)).coords))
-        lhs_tensor = TensorElement(datum, {(w, (kinv,)): c
-                                           for w, c in img.terms.items()})
-        lhs_tensor += TensorElement(datum, {((), (("F", r),)): 1.0})
-        scaled = TensorElement(datum)
-        for (w1, w2), coeff in tail.terms.items():
-            scal = chi.k_value(datum, qp, _leg1_k_weight(datum, w1))
-            scaled += TensorElement(datum, {(w1, w2): coeff * scal})
-        lhs_tensor += scaled
-        lhs = act_tensor(m1, m2, lhs_tensor)
-        # Delta(pi_t(B_r)) is the coproduct of the target-parameter generator
-        rhs = act_tensor(m1, m2, b_new[r].coproduct())
-        worst = max(worst, np.linalg.norm(lhs - rhs)
-                    / max(np.linalg.norm(rhs), 1e-30))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # coideal modules (characters tensored with weight modules) and K-matrices
 # ---------------------------------------------------------------------------
@@ -699,8 +468,8 @@ class CoidealModule:
         for r in self.diag.white:
             out[("B", r)] = self._b_matrix(r, wmod)
         for s in self.diag.X:
-            out[("E", s)] = wmod.act(AlgebraElement.e(datum, s))
-            out[("F", s)] = wmod.act(AlgebraElement.f(datum, s))
+            out[("E", s)] = wmod.E[s]
+            out[("F", s)] = wmod.F[s]
             out[("K", s)] = wmod.k_matrix(datum.simple_root(s))
         for i, w in enumerate(theta_fixed_basis(self.diag)):
             out[("Ktheta", i)] = self.chi.k_value(datum, qp, w) \
@@ -708,17 +477,44 @@ class CoidealModule:
         return out
 
     def _b_matrix(self, r, wmod):
-        datum, qp = self.diag.datum, self.qp
-        _, _, tail = coideal_coproduct_parts(self.diag, self.params, qp, r)
-        mat = self.chi.b_values.get(r, 0.0) \
-            * wmod.k_matrix(-1 * datum.simple_root(r))
-        mat = mat + wmod.act(AlgebraElement.f(datum, r))
-        for (w1, w2), coeff in tail.terms.items():
-            if any(sym[0] in ("E", "F") for sym in w1):
-                continue  # killed by the character
-            scal = self.chi.k_value(datum, qp, _leg1_k_weight(datum, w1))
-            mat = mat + coeff * scal * wmod.act(AlgebraElement(datum, {w2: 1.0}))
-        return mat
+        """(chi ox id) Delta(B_r) on wmod: chi(B_r) K_r^{-1} + F_r
+        + chi(K_{kappa_r}) c_r theta_q(F_r K_r) K_r^{-1}, where
+        theta_q(F_r K_r) = -z^beta T E_{tau(r)} T^{-1} (``_b_data``)."""
+        datum = self.diag.datum
+        letters, tr, z_beta, kappa = _b_data(self.diag, r)
+        kinv = wmod.k_matrix(-1 * datum.simple_root(r))
+        mat = self.chi.b_values.get(r, 0.0) * kinv + wmod.F[r]
+        scal = -z_beta * self.params.c[r] \
+            * self.chi.k_value(datum, self.qp, kappa)
+        return mat + scal * (_braided_e(wmod, letters, tr) @ kinv)
+
+
+@functools.cache
+def _b_data(diag, r):
+    """The diagram data of B_r, r white: (the w_X word, tau(r), z^beta,
+    kappa_r).  theta_q = Ad(z) o T_{w_X} o psi o tau o omega sends F_r K_r
+    to -z^beta T_{w_X}(E_{tau(r)}), of weight beta = w_X(alpha_{tau(r)})
+    = -Theta(alpha_r), with z^beta = prod_s z_s^{c_s} over
+    beta = sum_s c_s alpha_s; kappa_r = beta - alpha_r is the Cartan weight
+    the first leg of that term of Delta(B_r) carries.  Memoised per
+    diagram and vertex."""
+    datum = diag.datum
+    alpha = datum.simple_root(r)
+    beta = -1 * diag.theta(alpha)
+    z_beta = 1
+    for s, c in alpha_coefficients(beta, datum.vertices).items():
+        z_beta *= diag.z(s) ** int(c)
+    return tuple(diag.wx_word().letters), diag.tau_of(r), z_beta, beta - alpha
+
+
+def _braided_e(wmod, letters, s):
+    """T E_s T^{-1} on wmod, T the module braid operator of the word
+    ``letters`` (kept in wmod.cache)."""
+    key = ("braided E", letters, s)
+    if key not in wmod.cache:
+        t = braid_word_on_module(wmod, letters)
+        wmod.cache[key] = read_only(t @ wmod.E[s] @ np.linalg.inv(t))
+    return wmod.cache[key]
 
 
 def counit_module(diag, params, qp):
@@ -763,8 +559,12 @@ def kmatrix_solve(diag, params, qp, x0, u, fuse_from=None):
     ``u.cache`` under (diagram, parameters, QParams, character,
     ``fuse_from``), so a repeated input, also one built from fresh but
     equal objects, is a lookup (modules are keys by identity).  Errors are
-    not kept.
+    not kept.  InputError unless x0 is a module over the same diagram,
+    parameters and q as the arguments.
     """
+    if (x0.diag, x0.params, x0.qp) != (diag, params, qp):
+        raise InputError("x0 is a module over another coideal: its diagram, "
+                         "parameters or q differ from the arguments")
     key = ("kmatrix", diag, params, qp, x0.chi, fuse_from)
     if key not in u.cache:
         u.cache[key] = read_only(_solve(diag, params, qp, x0, u, fuse_from))
@@ -773,6 +573,7 @@ def kmatrix_solve(diag, params, qp, x0, u, fuse_from=None):
 
 def _solve(diag, params, qp, x0, u, fuse_from):
     """The uncached solve behind ``kmatrix_solve``."""
+    _check_param_shape(diag, params)
     sigma = tau_tau0_perm(diag)
     plain = x0.generator_matrices(u)
     twisted = x0.generator_matrices(twist_module(u, sigma))

@@ -13,7 +13,6 @@ from qsp.coideal import (
     characters,
     conjugate,
     no_parameter,
-    pi_t_intertwining_residual,
     star_membership,
 )
 from qsp.diagrams import hermitian_type, satake
@@ -44,6 +43,7 @@ from qsp.vogan10 import (
     e_matrix_component_scalars,
     fusion_check,
 )
+from formal_coideal import pi_t_intertwining_residual
 from test_vogan10 import e_matrix_block_symbolic
 
 A1 = build_root_datum([("A", 1)])

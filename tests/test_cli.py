@@ -148,20 +148,53 @@ def test_malformed_value_is_input_error(runner, su2_diagram, args):
     assert "Traceback" not in res.stderr
 
 
-def test_kmatrix_b4_stops_at_the_term_cap(tmp_path):
-    # theta_q's braid words on B4 with X = {2, 3, 4} grow past
-    # qsp.algebra.MAX_TERMS; a subprocess, so that the timeout bounds a hang
-    path = tmp_path / "b4.json"
-    path.write_text(json.dumps({"type": "B", "rank": 4, "X": [2, 3, 4]}))
+_KMATRIX_SWEEP = """
+import json, os, sys
+from click.testing import CliRunner
+from qsp.cli import main
+from qsp.diagrams import enumerate_admissible
+from qsp.rootsys import build_root_datum
+runner, out = CliRunner(), []
+for typ, ranks in (("A", (1, 2, 3, 4)), ("B", (2, 3, 4)), ("C", (2, 3, 4)),
+                   ("D", (4,))):
+    for rank in ranks:
+        datum = build_root_datum([(typ, rank)])
+        for diag in enumerate_admissible(datum):
+            path = os.path.join(sys.argv[1], "diagram.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(diag.to_json(), fh)
+            res = runner.invoke(main, [
+                "kmatrix", "--diagram", path, "--t", "0.3", "--q", "0.7",
+                "--rep", " ".join(["1"] + ["0"] * (rank - 1))])
+            crash = None if isinstance(res.exception, (SystemExit, type(None))) \
+                else repr(res.exception)
+            out.append([diag.to_json(), res.exit_code, res.stdout,
+                        res.stderr, crash])
+print(json.dumps(out))
+"""
+
+
+def test_kmatrix_keeps_the_contract_on_every_diagram_to_rank_four(tmp_path):
+    # every admissible diagram of A1-A4, B2-B4, C2-C4 and D4 on its first
+    # fundamental module: a solved braid or a reported ambiguity, never a
+    # traceback, a resource error or a hang (one subprocess, so that the
+    # timeout bounds a hang)
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(qsp.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-m", "qsp.cli", "kmatrix", "--diagram", str(path),
-         "--t", "0.3", "--rep", "1 0 0 0", "--q", "0.7"],
-        capture_output=True, text=True, timeout=10, env=env)
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr.startswith("resource error:")
-    assert len(proc.stderr.strip().splitlines()) == 1
+        [sys.executable, "-c", _KMATRIX_SWEEP, str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert len(runs) == 36
+    for diag, code, stdout, stderr, crash in runs:
+        assert crash is None and "Traceback" not in stderr, (diag, crash)
+        payload = json.loads(stdout)
+        if code == 0:
+            assert payload["residuals"]["twisted_intertwining"] < 1e-10, diag
+        else:
+            assert code == 1, (diag, code, stderr)
+            assert payload["error"]["type"] == "AmbiguityError", (diag, payload)
 
 
 def test_kmatrix_cmd(runner, su2_diagram):

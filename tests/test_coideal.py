@@ -12,28 +12,35 @@ import qsp
 from qsp.algebra import AlgebraElement
 from qsp.coideal import (
     CoidealParams,
-    b_generators,
+    character_module,
     character_relations_residual,
     characters,
-    coideal_coproduct_parts,
     coideal_law_residual,
     conjugate,
     counit_module,
-    gamma_twist_residual,
     kmatrix_solve,
     no_parameter,
-    omega0_gamma,
-    pi_t_intertwining_residual,
     ribbon_compose,
     star_membership,
     theta_fixed_basis,
-    theta_q,
     validate_star,
 )
 from qsp.diagrams import satake
 from qsp.errors import AmbiguityError, InputError
 from qsp.rootsys import build_root_datum
 from qsp.uqrep import QParams, build_irrep, decompose, tensor, trivial_module
+
+from formal_coideal import (
+    b_generators,
+    coideal_coproduct_parts,
+    formal_coideal_law_residual,
+    formal_star_membership,
+    gamma_twist_residual,
+    omega0_gamma,
+    pi_t_intertwining_residual,
+    tail_b_matrix,
+    theta_q,
+)
 
 A1 = build_root_datum([("A", 1)])
 A2 = build_root_datum([("A", 2)])
@@ -189,6 +196,12 @@ def test_coideal_law_on_modules(v12, v1):
 
 B2 = build_root_datum([("B", 2)])
 D_B2 = satake(B2, ())
+D_B3_X23 = satake(build_root_datum([("B", 3)]), (2, 3))
+D_C3_X13 = satake(build_root_datum([("C", 3)]), (1, 3))
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("q", [0.6, 0.9])
@@ -199,22 +212,69 @@ D_B2 = satake(B2, ())
     (D_SU4_AIII, None, [[1, 0, 0], [0, 1, 0]]),
     (D_SU4_AII, None, [[1, 0, 0], [0, 1, 0]]),
     (D_B2, None, [[0, 1], [1, 0]]),
-], ids=["A1", "A1-s", "SU3", "AIII", "AII", "B2"])
+    (D_B3_X23, None, [[1, 0, 0]]),
+    (D_C3_X13, None, [[1, 0, 0]]),
+], ids=["A1", "A1-s", "SU3", "AIII", "AII", "B2", "B3-X23", "C3-X13"])
 def test_counit_b_matrices_are_the_direct_action(q, diag, s, weights):
-    # (eps ox id) Delta(B_r) = B_r: the coproduct-tail route of the counit
-    # module gives the matrices of B_r themselves
+    # (eps ox id) Delta(B_r) = B_r: the module route of the counit module
+    # gives the matrices of the formal B_r, on irreps and on m ox m
     qp = QParams(q)
     params = no_parameter(diag, qp) if s is None \
         else CoidealParams({1: q ** -2}, {1: s})
     x0 = counit_module(diag, params, qp)
     bgen = b_generators(diag, params, qp)
-    for coords in weights:
-        w = build_irrep(diag.datum, diag.datum.weight(coords), qp)
+    first = build_irrep(diag.datum, diag.datum.weight(weights[0]), qp)
+    mods = [build_irrep(diag.datum, diag.datum.weight(coords), qp)
+            for coords in weights] + [tensor(first, first)]
+    for w in mods:
         mats = x0.generator_matrices(w)
         for r, b in bgen.items():
-            want = w.act(b)
-            assert np.linalg.norm(mats[("B", r)] - want) \
-                <= 1e-12 * np.linalg.norm(want), (coords, r)
+            assert _rel(mats[("B", r)], w.act(b)) <= 1e-13, (w.label, r)
+
+
+@pytest.mark.parametrize("q", [0.6, 0.9])
+@pytest.mark.parametrize("diag, s, weights", [
+    (D_SU2, 0.7j, [[1], [2]]),
+    (D_SU3, None, [[1, 0], [1, 1]]),
+    (D_SU4_AIII, None, [[1, 0, 0], [0, 1, 0]]),
+], ids=["A1-S", "SU3-C", "AIII-C"])
+def test_character_b_matrices_match_the_formal_tail(q, diag, s, weights):
+    # S- and C-type characters: chi(B_r) and chi(K_kappa) against the
+    # first-leg Cartan terms of the formal coproduct tail
+    qp = QParams(q)
+    params = no_parameter(diag, qp) if s is None \
+        else CoidealParams({1: q ** -2}, {1: s})
+    x0 = character_module(diag, params, qp, characters(diag, qp, 0.4))
+    first = build_irrep(diag.datum, diag.datum.weight(weights[0]), qp)
+    mods = [build_irrep(diag.datum, diag.datum.weight(coords), qp)
+            for coords in weights] + [tensor(first, first)]
+    for w in mods:
+        mats = x0.generator_matrices(w)
+        for r in diag.white:
+            assert _rel(mats[("B", r)], tail_b_matrix(x0, r, w)) <= 1e-13, \
+                (w.label, r)
+
+
+@pytest.mark.parametrize("diag, params, weights", [
+    (D_SU2, su2_params(0.5), [[1], [2]]),
+    (D_SU2, CoidealParams({1: 1.05 * Q ** -2}, {1: 0.5j}), [[1], [2]]),
+    (D_SU3, None, [[1, 0], [0, 1]]),
+    (D_SU4_AIII, None, [[1, 0, 0], [0, 1, 0]]),
+    (D_SU4_AII, None, [[1, 0, 0]]),
+    (D_B2, None, [[0, 1], [1, 0]]),
+    (D_C3_X13, None, [[1, 0, 0]]),
+], ids=["A1", "A1-off-class", "SU3", "AIII", "AII", "B2", "C3-X13"])
+def test_star_and_coideal_law_match_the_formal_route(diag, params, weights):
+    params = params or no_parameter(diag, QP)
+    mods = [build_irrep(diag.datum, diag.datum.weight(coords), QP)
+            for coords in weights]
+    got = star_membership(diag, params, QP, mods)
+    want = formal_star_membership(diag, params, QP, mods)
+    for r in diag.white:
+        assert abs(got[r] - want[r]) <= 1e-13 * max(want[r], 1.0), r
+    got = coideal_law_residual(diag, params, QP, mods[0], mods[-1])
+    want = formal_coideal_law_residual(diag, params, QP, mods[0], mods[-1])
+    assert abs(got - want) <= 1e-13 * max(want, 1.0)
 
 
 def test_omega0_properties():
@@ -246,6 +306,14 @@ def test_kmatrix_trivial_module():
     x0 = counit_module(D_SU2, params, QP)
     eta = kmatrix_solve(D_SU2, params, QP, x0, trivial_module(A1, QP))
     np.testing.assert_allclose(eta, [[1.0]], atol=1e-10)
+
+
+def test_kmatrix_rejects_a_module_over_other_parameters(v12):
+    # the linear system comes from x0: it must be the coideal of the
+    # arguments, not one with another s
+    x0 = counit_module(D_SU2, su2_params(1.5), QP)
+    with pytest.raises(InputError, match="another coideal"):
+        kmatrix_solve(D_SU2, su2_params(0.3), QP, x0, v12)
 
 
 def test_kmatrix_singular_values(v12):
