@@ -6,17 +6,18 @@ An AlgebraElement is a complex-linear combination of words in the symbols
 
 where ``coords`` is a tuple of Fractions (fundamental-weight coordinates of
 omega).  No normal ordering is attempted: the semantics of an element is its
-evaluation on weight modules.  The coproduct and antipode act symbol-wise
-and produce TensorElements / AlgebraElements.
+evaluation on weight modules (``WeightModule.act``).  The program uses
+formal elements only for the braid automorphisms of ``lusztig``, which the
+tests compare the module braid operators against.  The coproduct, antipode
+and *-structure are not formal here: Delta is written once, as matrices on
+modules, in ``uqrep.coproduct_terms``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import InputError, ResourceError
+from .errors import ResourceError
 
 # the most terms of a product or a map_symbols image (the tests reach 324);
 # past it a formal expansion raises ResourceError instead of hanging.  No
@@ -149,64 +150,6 @@ class AlgebraElement:
                                 f"{MAX_TERMS} terms")
         return self
 
-    # -- Hopf structure ----------------------------------------------------
-    def coproduct(self):
-        """Delta as a TensorElement; Delta(E) = E ox 1 + K ox E,
-        Delta(F) = F ox K^{-1} + 1 ox F, Delta(K) = K ox K."""
-        out = TensorElement.zero(self.datum)
-        for word, coeff in self.terms.items():
-            acc = TensorElement.unit(self.datum, coeff)
-            for sym in word:
-                acc = acc * _delta_symbol(self.datum, sym)
-            out += acc
-        return out
-
-    def antipode(self):
-        """S(E_r) = -K_r^{-1} E_r, S(F_r) = -F_r K_r, S(K) = K^{-1};
-        anti-homomorphism."""
-        datum = self.datum
-        out = AlgebraElement.zero(datum)
-        for word, coeff in self.terms.items():
-            acc = coeff * AlgebraElement.one(datum)
-            for sym in reversed(word):
-                acc = acc * _antipode_symbol(datum, sym)
-            for w, c in acc.terms.items():
-                out._add_term(w, c)
-        return out
-
-    def counit(self):
-        tot = 0.0
-        for word, coeff in self.terms.items():
-            if all(s[0] == "K" for s in word):
-                tot += coeff
-        return tot
-
-    def star(self, qp):
-        """*-structure: E_r* = F_r K_r, F_r* = K_r^{-1} E_r, K* = K;
-        antilinear anti-homomorphism.  Needs q only through nothing: the
-        images are q-free, so qp is accepted for interface symmetry."""
-        datum = self.datum
-        out = AlgebraElement.zero(datum)
-        for word, coeff in self.terms.items():
-            acc = np.conj(coeff) * AlgebraElement.one(datum)
-            for sym in reversed(word):
-                acc = acc * _star_symbol(datum, sym)
-            for w, c in acc.terms.items():
-                out._add_term(w, c)
-        return out
-
-    def adjoint_action(self, y):
-        """Ad_q(self)(y) = self_(1) y S(self_(2))."""
-        delta = self.coproduct()
-        out = AlgebraElement.zero(self.datum)
-        for (w1, w2), c in delta.terms.items():
-            x1 = AlgebraElement(self.datum, {w1: c})
-            x2 = AlgebraElement(self.datum, {w2: 1.0})
-            prod = x1 * y * x2.antipode()
-            for w, cc in prod.terms.items():
-                out._add_term(w, cc)
-        return out
-
     def __repr__(self):
         bits = []
         for word, coeff in sorted(self.terms.items(), key=lambda kv: str(kv[0])):
@@ -219,103 +162,3 @@ def _sym_str(sym):
     if sym[0] == "K":
         return "K[" + ",".join(str(c) for c in sym[1]) + "]"
     return f"{sym[0]}{sym[1]}"
-
-
-def _delta_symbol(datum, sym):
-    kind = sym[0]
-    if kind == "K":
-        return TensorElement(datum, {((sym,), (sym,)): 1.0})
-    r = sym[1]
-    kr = (_k_sym(datum.simple_root(r).coords),)
-    krinv = (_k_sym((-datum.simple_root(r)).coords),)
-    if kind == "E":
-        return TensorElement(datum, {((sym,), ()): 1.0, (kr, (sym,)): 1.0})
-    if kind == "F":
-        return TensorElement(datum, {((sym,), krinv): 1.0, ((), (sym,)): 1.0})
-    raise InputError(f"unknown symbol {sym!r}")
-
-
-def _antipode_symbol(datum, sym):
-    kind = sym[0]
-    if kind == "K":
-        return AlgebraElement(datum, {(("K", tuple(-Fraction(c) for c in sym[1])),): 1.0})
-    r = sym[1]
-    if kind == "E":
-        out = AlgebraElement(datum)
-        out.terms = {(_k_sym((-datum.simple_root(r)).coords), sym): -1.0}
-        return out
-    if kind == "F":
-        out = AlgebraElement(datum)
-        out.terms = {(sym, _k_sym(datum.simple_root(r).coords)): -1.0}
-        return out
-    raise InputError(f"unknown symbol {sym!r}")
-
-
-def _star_symbol(datum, sym):
-    kind = sym[0]
-    if kind == "K":
-        return AlgebraElement(datum, {(sym,): 1.0})
-    r = sym[1]
-    if kind == "E":
-        return AlgebraElement(datum, {(("F", r), _k_sym(datum.simple_root(r).coords)): 1.0})
-    if kind == "F":
-        return AlgebraElement(datum, {(_k_sym((-datum.simple_root(r)).coords), ("E", r)): 1.0})
-    raise InputError(f"unknown symbol {sym!r}")
-
-
-class TensorElement:
-    """Element of U ox U: dict (word1, word2) -> coefficient, with both legs
-    kept in canonical word form."""
-
-    __slots__ = ("datum", "terms")
-
-    def __init__(self, datum, terms=None):
-        self.datum = datum
-        self.terms = {}
-        for wp, coeff in (terms or {}).items():
-            self._add(wp, coeff)
-
-    def _add(self, wp, coeff):
-        wp = (normalize_word(wp[0]), normalize_word(wp[1]))
-        cur = self.terms.get(wp, 0.0) + coeff
-        if cur == 0:
-            self.terms.pop(wp, None)
-        else:
-            self.terms[wp] = cur
-
-    @classmethod
-    def zero(cls, datum):
-        return cls(datum, {})
-
-    @classmethod
-    def unit(cls, datum, coeff=1.0):
-        return cls(datum, {((), ()): coeff})
-
-    def __iadd__(self, other):
-        for wp, c in other.terms.items():
-            self._add(wp, c)
-        return self
-
-    def __add__(self, other):
-        out = TensorElement(self.datum)
-        out.terms = dict(self.terms)
-        out += other
-        return out
-
-    def __sub__(self, other):
-        out = TensorElement(self.datum)
-        out.terms = dict(self.terms)
-        for wp, c in other.terms.items():
-            out._add(wp, -c)
-        return out
-
-    def __mul__(self, other):
-        out = TensorElement.zero(self.datum)
-        for (a1, a2), c1 in self.terms.items():
-            for (b1, b2), c2 in other.terms.items():
-                out._add((a1 + b1, a2 + b2), c1 * c2)
-        return out
-
-    def __rmul__(self, scalar):
-        return TensorElement(self.datum,
-                             {wp: complex(scalar) * c for wp, c in self.terms.items()})

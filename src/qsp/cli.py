@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -53,19 +54,55 @@ def _emit(obj, out):
 
 def _run(fn, out):
     """fn(), or the error contract of ``errors.py``: one stderr line and
-    exit 2 or 3, or a failed JSON report and exit 1."""
-    try:
-        return fn()
-    except InputError as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
-    except ResourceError as exc:
-        click.echo(f"resource error: {exc}", err=True)
-        sys.exit(3)
-    except QspError as exc:
-        _emit({"pass": False, "error": {"type": type(exc).__name__,
-                                        "message": str(exc)}}, out)
+    exit 2 or 3, or a failed JSON report and exit 1.  Warnings raised on the
+    way are shown after fn returns or fails a check; on exit 2 or 3 they
+    are dropped, so that the error line stands alone."""
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result = fn()
+        except InputError as exc:
+            _error_line(2, f"input error: {exc}")
+        except ResourceError as exc:
+            _error_line(3, f"resource error: {exc}")
+        except OverflowError as exc:
+            _error_line(3, f"resource error: double precision overflows "
+                           f"({exc})")
+        except QspError as exc:
+            failure = exc
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if failure is not None:
+        _emit({"pass": False, "error": {"type": type(failure).__name__,
+                                        "message": str(failure)}}, out)
         sys.exit(1)
+    return result
+
+
+def _error_line(code, text):
+    click.echo(text, err=True)
+    sys.exit(code)
+
+
+def _read_json(path):
+    """The JSON value in a file; InputError when it cannot be read as one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: not a JSON file ({exc})") from None
+
+
+def _read_diagram(path):
+    """The Satake diagram in a JSON file; InputError on any value that does
+    not parse as one."""
+    obj = _read_json(path)
+    try:
+        return diagram_from_json(obj)
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
+        raise InputError(f"{path}: not a Satake diagram "
+                         f"({type(exc).__name__}: {exc})") from None
 
 
 def _numbers(text, option, kind=int, count=None):
@@ -106,11 +143,7 @@ def diagram():
 @click.option("--file", "path", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None)
 def diagram_check(path, out):
-    def go():
-        with open(path, encoding="utf-8") as fh:
-            diag = diagram_from_json(fh.read())
-        return diag
-    diag = _run(go, out)
+    diag = _run(lambda: _read_diagram(path), out)
     _emit({"admissible": True, "diagram": diag.to_json()}, out)
 
 
@@ -181,8 +214,7 @@ def coideal():
 @click.option("--out", default=None)
 def coideal_validate(diagram_path, c_str, s_str, q, out):
     def go():
-        with open(diagram_path, encoding="utf-8") as fh:
-            diag = diagram_from_json(fh.read())
+        diag = _read_diagram(diagram_path)
         qp = QParams(q)
         params = no_parameter(diag, qp)
         c, s = params.c, params.s
@@ -211,8 +243,7 @@ def coideal_validate(diagram_path, c_str, s_str, q, out):
 @click.option("--out", default=None)
 def kmatrix_cmd(diagram_path, t, rep_weight, q, out):
     def go():
-        with open(diagram_path, encoding="utf-8") as fh:
-            diag = diagram_from_json(fh.read())
+        diag = _read_diagram(diagram_path)
         qp = QParams(q)
         datum = diag.datum
         params = no_parameter(diag, qp)
@@ -274,8 +305,9 @@ def _config_int(cfg, key, default, least):
 @click.option("--out", default=None)
 def kz_psi_cmd(config, out):
     def go():
-        with open(config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = _read_json(config)
+        if not isinstance(cfg, dict):
+            raise InputError("a KZ configuration is a JSON object")
         if "a" in cfg:
             mats = [_parse_cmat(cfg, key)
                     for key in ("a", "b_plus", "b_minus")]
@@ -385,8 +417,7 @@ def verify_kz(q, out):
 @click.option("--out", default=None)
 def verify_appendix_b(diagram_path, q, out):
     def go():
-        with open(diagram_path, encoding="utf-8") as fh:
-            diag = diagram_from_json(fh.read())
+        diag = _read_diagram(diagram_path)
         if not diag.X:
             raise InputError("appendix-B checks need a nonempty blackened set")
         ctx = BraidContext(diag, QParams(q))
@@ -409,8 +440,7 @@ def verify_appendix_b(diagram_path, q, out):
 @click.option("--out", default=None)
 def verify_characters(diagram_path, t, q, out):
     def go():
-        with open(diagram_path, encoding="utf-8") as fh:
-            diag = diagram_from_json(fh.read())
+        diag = _read_diagram(diagram_path)
         qp = QParams(q)
         params = no_parameter(diag, qp)
         chi = characters(diag, qp, t)

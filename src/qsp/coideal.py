@@ -524,10 +524,6 @@ def counit_module(diag, params, qp):
     return CoidealModule(diag, params, qp, chi, label="eps")
 
 
-def character_module(diag, params, qp, chi, label="chi"):
-    return CoidealModule(diag, params, qp, chi, label=label)
-
-
 @functools.cache
 def tau_tau0_perm(diag):
     """The composite diagram automorphism tau tau_0 (memoised per diagram;

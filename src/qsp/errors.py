@@ -3,7 +3,8 @@
 How the CLI reports each class:
 
 * InputError: one ``input error: ...`` line on stderr, exit 2;
-* ResourceError: one ``resource error: ...`` line on stderr, exit 3;
+* ResourceError, and an OverflowError of double precision: one
+  ``resource error: ...`` line on stderr, exit 3;
 * every other QspError (NumericalDegeneracyError, ConsistencyError,
   NoKMatrixError, AmbiguityError, ResonanceError, AccuracyError,
   UnsupportedOracleError): the JSON report

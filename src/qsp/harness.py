@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coideal import (
+    CoidealModule,
     CoidealParams,
     Character,
-    character_module,
     counit_module,
     kmatrix_solve,
     ribbon_compose,
@@ -223,8 +223,8 @@ def check_octagon_coideal(fam, m1, m2):
     # character components of X0 (.) m1 and their solved braids against m2
     worst = 0.0
     for vec, chi in octagon_characters(fam, m1)[0]:
-        chi_mod = character_module(fam.diag, fam.params, fam.qp,
-                                   Character({1: chi}, {1: 0.0}))
+        chi_mod = CoidealModule(fam.diag, fam.params, fam.qp,
+                                Character({1: chi}, {1: 0.0}))
         eta_c = kmatrix_solve(fam.diag, fam.params, fam.qp, chi_mod, m2,
                               fuse_from=fam.v)
         lift = np.kron(vec.reshape(-1, 1), np.eye(m2.dim))
@@ -354,6 +354,8 @@ def check_cylinder_vogan(module, m1, m2, qp):
 
 def run_axioms(source, q, t=0.0, r=0.25, levels=14):
     start = time.time()
+    if not math.isfinite(t):
+        raise InputError("t must be a finite number")
     residuals = {}
     tols = {}
     info = {}
@@ -375,7 +377,7 @@ def run_axioms(source, q, t=0.0, r=0.25, levels=14):
         tols = {k: TOL_ALG for k in residuals}
     elif source == "kz":
         ts = split_tensors()
-        hbar = -1j * math.log(q) / math.pi
+        hbar = QParams(q).hbar
         lam = 1.0 if t == 0.0 else t
         res = verify_octagon_kz(ts, lam, 1, 1, hbar)
         residuals["eq:RTKZ"] = res["rtkz"]
@@ -420,7 +422,7 @@ def run_kz_suite(q):
     start = time.time()
     lams = (0.0, 1.0)
     ts = split_tensors()
-    hbar = -1j * math.log(q) / math.pi
+    hbar = QParams(q).hbar
     residuals = {}
     for lam in lams:
         a, bp, bm = kz_coeffs(ts, lam, 1, 1, hbar)
@@ -547,7 +549,7 @@ def run_rank_one(q, r, levels=14):
     fam = CoidealRankOneFamily(q, t0)
     worst = 0.0
     for n in (-1, 0, 1):
-        chi_mod = character_module(
+        chi_mod = CoidealModule(
             fam.diag, fam.params, fam.qp,
             Character({1: chi_n_value(n, lam0, q)}, {1: 0.0}))
         b_mat = chi_mod.generator_matrices(fam.v)[("B", 1)]

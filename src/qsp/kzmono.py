@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import AccuracyError, InputError, ResonanceError
+from .errors import AccuracyError, InputError, ResonanceError, ResourceError
+from .rmatrix import op_on_legs
 from .uqrep import intertwiners
 
 _EPS = np.finfo(float).eps
@@ -61,6 +62,8 @@ def _expm(a):
     a6 = a4 @ a2
     eta = max(np.linalg.norm(a6, 1) ** (1 / 6),
               np.linalg.norm(a4 @ a4, 1) ** (1 / 8))
+    if not math.isfinite(eta):
+        raise ResourceError("a matrix exponent overflows double precision")
     s = max(0, math.ceil(math.log2(eta / _THETA13))) if eta else 0
     if s:
         a, a2, a4, a6 = (a / 2 ** s, a2 / 4 ** s, a4 / 16 ** s,
@@ -626,7 +629,6 @@ def flatness_residuals(tensors, lam, spins, hbar):
     dims = [1] + [j2 + 1 for j2 in spins]
 
     def place(mat, *legs):
-        from .rmatrix import op_on_legs
         return op_on_legs(mat, dims, legs)
 
     def tau(i, j):

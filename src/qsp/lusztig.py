@@ -1,6 +1,6 @@
-"""Lusztig braid operators on the algebra and on modules, together with the
-extremal-vector elements Z^± and the constants e, d, a^+ attached to a
-parabolic subsystem.
+"""Lusztig braid operators on the algebra and on modules, and the
+appendix-B identities of a parabolic subsystem: the extremal-vector
+products Z^± as matrices on the X-subsystem irrep, and the constants e, d.
 
 Algebra side: T_r is the automorphism
 
@@ -25,13 +25,14 @@ import numpy as np
 
 from .algebra import AlgebraElement
 from .errors import InputError
-from .rootsys import beta_sequence, qfact, qint, restrict_datum, weyl_act
+from .rootsys import WeylWord, beta_sequence, qfact, qint, restrict_datum
 from .uqrep import QParams, build_irrep, kernel
 
 
 @dataclass(frozen=True)
 class BraidContext:
-    """Reduced word and beta enumeration for w_X of a Satake diagram."""
+    """A Satake diagram at a deformation parameter, with the stored reduced
+    word of its w_X."""
 
     diagram: object
     qp: QParams
@@ -44,20 +45,18 @@ class BraidContext:
     def word(self):
         return self.diagram.wx_word()
 
-    @property
-    def betas(self):
-        return beta_sequence(self.datum, self.word)
 
-    def exponents(self, varpi):
-        """(varpi, beta_k^vee) along the word; error when negative."""
-        out = []
-        for beta in self.betas:
-            m = varpi.pairing(beta.coroot())
-            if m.denominator != 1 or m < 0:
-                raise InputError(
-                    f"(varpi, beta^vee) = {m} is not a nonnegative integer")
-            out.append(int(m))
-        return out
+def word_exponents(word, varpi):
+    """(varpi, beta_k^vee) along a reduced word; InputError unless each is
+    a nonnegative integer."""
+    out = []
+    for beta in beta_sequence(word.datum, word):
+        m = varpi.pairing(beta.coroot())
+        if m.denominator != 1 or m < 0:
+            raise InputError(
+                f"(varpi, beta^vee) = {m} is not a nonnegative integer")
+        out.append(int(m))
+    return out
 
 
 def braid_on_algebra(datum, qp, r, element):
@@ -155,39 +154,23 @@ def braid_word_on_module(module, letters):
     return out
 
 
-def z_elements(ctx, varpi):
-    """(Z^-, Z^+) monomials for the stored reduced word of w_X."""
-    datum = ctx.datum
-    exps = ctx.exponents(varpi)
-    letters = ctx.word.letters
-    # Z^- = F_{r_M}^{m_M} ... F_{r_1}^{m_1}: leftmost factor is r_M
-    zminus = AlgebraElement.one(datum)
-    zplus = AlgebraElement.one(datum)
-    for k in range(len(letters) - 1, -1, -1):
-        zminus = zminus * _pow(AlgebraElement.f(datum, letters[k]), exps[k])
-        zplus = zplus * _pow(AlgebraElement.e(datum, letters[k]), exps[k])
-    return zminus, zplus
-
-
-def e_d_constants(ctx, varpi):
-    """e_varpi = d_{w_X varpi} = prod_k ([ (varpi, beta_k^vee) ]_{q_{r_k}}!)^2."""
-    datum, qp = ctx.datum, ctx.qp
-    exps = ctx.exponents(varpi)
+def e_d_constants(word, qp, varpi):
+    """e_varpi = d_{w varpi} = prod_k ([ (varpi, beta_k^vee) ]_{q_{r_k}}!)^2
+    along a reduced word of w (w_X for a BraidContext's ``word``)."""
     val = 1.0
-    for m, r in zip(exps, ctx.word.letters):
-        val *= qfact(m, qp.q_r(datum, r)) ** 2
+    for m, r in zip(word_exponents(word, varpi), word.letters):
+        val *= qfact(m, qp.q_r(word.datum, r)) ** 2
     return val, val
 
 
-def a_plus(ctx, r):
-    """a_r^+ = d_{alpha_r}^{-1/2}, with d computed at the X-dominant weight
-    w_X(alpha_r)."""
-    datum = ctx.datum
-    if r in ctx.diagram.X:
-        raise InputError("a_r^+ is defined for white vertices")
-    w = weyl_act(datum, ctx.word, datum.simple_root(r))
-    d, _ = e_d_constants(ctx, w)
-    return d ** -0.5
+def _ordered_powers(mats, letters, exps, dim):
+    """mats[r_M]^{m_M} ... mats[r_1]^{m_1} on a module of dimension dim,
+    multiplied from the left."""
+    out = np.eye(dim, dtype=complex)
+    for r, m in reversed(list(zip(letters, exps))):
+        for _ in range(m):
+            out = out @ mats[r]
+    return out
 
 
 def x_subsystem_module(ctx, varpi_sub_coords):
@@ -213,12 +196,13 @@ def verify_appB(ctx, varpi_sub_coords):
     module, letters, sub, _ = x_subsystem_module(ctx, varpi_sub_coords)
     qp_sub = module.qp
     varpi = module.highest
-    subctx = _SubContext(sub, letters, qp_sub)
-    exps = subctx.exponents(varpi)
+    word = WeylWord(sub, letters)
+    exps = word_exponents(word, varpi)
 
     t_mat = braid_word_on_module(module, letters)
-    zm, zp = subctx.z_elements(varpi)
-    zm_mat, zp_mat = module.act(zm), module.act(zp)
+    # Z^- = F_{r_M}^{m_M} ... F_{r_1}^{m_1}, and Z^+ likewise with E
+    zm_mat = _ordered_powers(module.F, letters, exps, module.dim)
+    zp_mat = _ordered_powers(module.E, letters, exps, module.dim)
     xi = np.zeros(module.dim, dtype=complex)
     xi[0] = 1.0
 
@@ -236,7 +220,7 @@ def verify_appB(ctx, varpi_sub_coords):
     res["T-inv"] = _vec_rel(np.linalg.solve(t_mat, xi) - (zm_mat @ xi) / qfacts,
                             xi)
     res["T+"] = _vec_rel(t_mat @ txi - (zp_mat @ txi) / qfacts, txi)
-    e_closed, d_closed = subctx.e_d_constants(varpi)
+    e_closed, d_closed = e_d_constants(word, qp_sub, varpi)
     res["e"] = _scalar_rel((zp_mat @ (zm_mat @ xi))[0], e_closed)
     zz = zm_mat @ (zp_mat @ txi)
     lead = np.argmax(np.abs(txi))
@@ -250,30 +234,3 @@ def _vec_rel(diff, ref):
 
 def _scalar_rel(got, want):
     return abs(got - want) / max(abs(want), 1e-30)
-
-
-class _SubContext:
-    """Braid context over a restricted datum with an explicit word."""
-
-    def __init__(self, datum, letters, qp):
-        self.datum = datum
-        self.qp = qp
-        self._letters = tuple(letters)
-
-    @property
-    def word(self):
-        from .rootsys import WeylWord
-        return WeylWord(self.datum, self._letters)
-
-    @property
-    def betas(self):
-        return beta_sequence(self.datum, self.word)
-
-    def exponents(self, varpi):
-        return BraidContext.exponents(self, varpi)
-
-    def z_elements(self, varpi):
-        return z_elements(self, varpi)
-
-    def e_d_constants(self, varpi):
-        return e_d_constants(self, varpi)

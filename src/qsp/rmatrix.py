@@ -14,16 +14,19 @@ F_{beta_k} = T F_{r_k} T^{-1}.
 One convention is built and pinned by two checks on the result: it acts by
 q^{-(wt xi, wt eta)} on (E-singular) ox (F-singular) vectors, which the
 quasi factor fixes, and it intertwines the coproduct with its opposite on
-every generator.  ``rmat(m, n)`` keeps its result, with a read-only matrix,
-in ``m.cache`` per n: a cached R-matrix is one that passed both checks.
+every generator, both taken as leg matrices from ``uqrep.coproduct_terms``,
+the one place the coproduct is written.  ``rmat(m, n)`` keeps its
+result, with a read-only matrix, in ``m.cache`` per n: a cached R-matrix
+is one that passed both checks.
 Tensor legs are moved by reshape and transpose, never by a permutation
 matrix: ``apply_on_legs`` applies an operator on some legs to a block of
 columns, and the YBE and hexagon checks apply R leg by leg to column
 blocks of the identity, so they never hold an N x N operator on a triple
 product beyond the R-matrices they compare against.
 
-Independent oracle: solve the intertwining linear system directly and pin
-the isotypic-block scalars by the same normalization.
+Independent oracle: solve the intertwining linear system, with Delta and
+Delta^op formed as dense matrices, and pin the isotypic-block scalars by
+the same normalization.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, TensorElement
 from .errors import ConsistencyError, UnsupportedOracleError
 from .lusztig import braid_on_module
 from .rootsys import beta_sequence, longest_element, qint
-from .uqrep import (act_tensor, decompose, read_only, ribbon_diag, tensor,
-                    word_matrix)
+from .uqrep import (casimir_scalar, coproduct_terms, decompose, kron_sum,
+                    read_only, ribbon_diag, tensor)
 
 _PIN_TOL = 1e-9
 
@@ -108,39 +110,32 @@ class RMatrix:
 
 
 def _intertwining_residual(mat, m, n):
-    """max over generators of ||R Delta(x) - Delta^op(x) R|| (relative).
+    """max over generators of ||R Delta(x) - Delta^op(x) R|| (relative),
+    with Delta^op on m ox n the flipped ``coproduct_terms(n, m, r)``.
 
     Each coproduct term a ox b is applied to the legs of R in turn, never
     formed as a dense Kronecker product."""
-    datum = m.datum
     dm, dn = m.dim, n.dim
     size = dm * dn
     worst = 0.0
-    for r in datum.vertices:
-        gens = [AlgebraElement.e(datum, r), AlgebraElement.f(datum, r),
-                AlgebraElement.k_alpha(datum, r)]
-        for g in gens:
+    for r in m.datum.vertices:
+        for delta, delta_op in zip(coproduct_terms(m, n, r),
+                                   coproduct_terms(n, m, r)):
             lhs = np.zeros((size, size), dtype=complex)
             rhs = np.zeros((size, size), dtype=complex)
-            for (w1, w2), coeff in g.coproduct().terms.items():
-                # R (a ox b), a = w1 on m, b = w2 on n
-                t = mat.reshape(size, dm, dn) @ word_matrix(n, w2)
-                t = (t.transpose(0, 2, 1) @ word_matrix(m, w1)) \
-                    .transpose(0, 2, 1)
-                lhs += coeff * t.reshape(size, size)
-                # (a' ox b') R for the flipped term, a' = w2 on m, b' = w1 on n
-                u = word_matrix(m, w2) @ mat.reshape(dm, dn * size)
-                u = word_matrix(n, w1) @ u.reshape(dm, dn, size)
-                rhs += coeff * u.reshape(size, size)
+            for a, b in delta:
+                # R (a ox b), a on m, b on n
+                t = mat.reshape(size, dm, dn) @ b
+                t = (t.transpose(0, 2, 1) @ a).transpose(0, 2, 1)
+                lhs += t.reshape(size, size)
+            for b, a in delta_op:
+                # (a ox b) R, a on m, b on n
+                u = a @ mat.reshape(dm, dn * size)
+                u = b @ u.reshape(dm, dn, size)
+                rhs += u.reshape(size, size)
             scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-30)
             worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
     return worst
-
-
-def _act_tensor_op(m, n, tensor_element):
-    """Evaluate the flipped element (Delta^op)."""
-    flipped = {(w2, w1): c for (w1, w2), c in tensor_element.terms.items()}
-    return act_tensor(m, n, TensorElement(tensor_element.datum, flipped))
 
 
 def _singular_indices(module):
@@ -208,14 +203,13 @@ def rmat_oracle(m, n):
     dec = decompose(tensor(m, n))
     if any(mult > 1 for _, mult, _ in dec):
         raise UnsupportedOracleError("tensor product is not multiplicity-free")
-    datum = m.datum
     dim = m.dim * n.dim
     rows = []
-    for r in datum.vertices:
-        for g in [AlgebraElement.e(datum, r), AlgebraElement.f(datum, r),
-                  AlgebraElement.k_alpha(datum, r)]:
-            d = act_tensor(m, n, g.coproduct())
-            dop = _act_tensor_op(m, n, g.coproduct())
+    for r in m.datum.vertices:
+        for delta, delta_op in zip(coproduct_terms(m, n, r),
+                                   coproduct_terms(n, m, r)):
+            d = kron_sum(delta)
+            dop = kron_sum([(a, b) for b, a in delta_op])
             # T d - dop T = 0 as linear operator on T (vectorized)
             rows.append(np.kron(np.eye(dim), d.T) - np.kron(dop, np.eye(dim)))
     system = np.vstack(rows)
@@ -325,7 +319,6 @@ def hexagon_residuals(m, n, p):
 def ribbon_residual(m, n):
     """|| R21 R Delta(v) - v ox v || with v the ribbon element acting by
     q^{(mu, mu + 2 rho)} per isotypic block."""
-    from .uqrep import casimir_scalar
     qp = m.qp
     r = rmat(m, n).matrix
     mn = tensor(m, n)

@@ -15,7 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -213,10 +213,16 @@ def build_root_datum(type_spec):
         comps.append((typ, int(rank)))
     if not comps:
         raise InputError("empty type specification")
+    return _assemble(comps, [x for typ, rk in comps
+                             for x in _symmetrizers(typ, rk)])
 
+
+def _assemble(comps, d):
+    """RootDatum of checked (type, rank) components, Bourbaki-ordered, with
+    the symmetrizers d; the Gram matrix of the fundamental weights follows
+    from the Cartan matrix and d."""
     n = sum(rk for _, rk in comps)
     cartan = [[0] * n for _ in range(n)]
-    d = []
     off = 0
     dets = []
     for typ, rk in comps:
@@ -224,7 +230,6 @@ def build_root_datum(type_spec):
         for i in range(rk):
             for j in range(rk):
                 cartan[off + i][off + j] = block[i][j]
-        d.extend(_symmetrizers(typ, rk))
         dets.append(int(_gauss_jordan(block)[2]))
         off += rk
 
@@ -584,8 +589,9 @@ def restrict_datum(datum, subset):
 
     Returns (subdatum, vertex_map, scale): ``vertex_map[sub_vertex]`` is the
     ambient vertex, and the ambient form restricted to the subsystem equals
-    ``scale`` times the subdatum form (the subdatum renormalizes short roots
-    to square length 2).
+    ``scale`` times the subdatum form.  The subdatum takes the ambient
+    symmetrizers of its vertices divided by their gcd, which is ``scale``,
+    so components of different root lengths keep their ratio.
     """
     subset = _validate_subset(datum, subset)
     if not subset:
@@ -612,14 +618,10 @@ def restrict_datum(datum, subset):
         typ, order = _identify_component(datum, comp)
         spec.append((typ, len(comp)))
         vertex_map.extend(order)
-    sub = build_root_datum(spec)
-    # length scale: ambient square length of the subsystem's short roots / 2
-    min_len = min(2 * datum.d[v - 1] for v in vertex_map)
-    scale = Fraction(min_len, 2)
-    for i, v in enumerate(vertex_map):
-        if Fraction(2 * datum.d[v - 1]) != scale * 2 * sub.d[i]:
-            raise InputError("subsystem length pattern does not match its type")
-    return sub, {i + 1: v for i, v in enumerate(vertex_map)}, scale
+    d = [datum.d[v - 1] for v in vertex_map]
+    scale = gcd(*d)
+    sub = _assemble(spec, [x // scale for x in d])
+    return sub, {i + 1: v for i, v in enumerate(vertex_map)}, Fraction(scale)
 
 
 def _identify_component(datum, comp):

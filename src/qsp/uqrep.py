@@ -12,6 +12,10 @@ the life of the process; ``tensor``, ``twist_module`` and ``decompose`` keep
 their results in the ``cache`` of their first argument, keyed by the
 partner module or the permutation.  Cached arrays are read-only.
 
+The coproduct is written once, in ``coproduct_terms``, as (first leg,
+second leg) matrix pairs; ``tensor`` sums their Kronecker products, and
+the R-matrix checks apply them leg by leg.
+
 Every SVD kernel the package takes goes through ``kernel`` (and
 ``intertwiners``, the kernel of a commutation system), except the one of
 ``rmatrix.rmat_oracle``, which stays an independent reference.
@@ -26,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, NumericalDegeneracyError, ResourceError
-from .rootsys import alpha_coefficients, weyl_dimension
+from .rootsys import alpha_coefficients, qbinom, weyl_dimension
 
 DIM_CAP_DEFAULT = 400
 # Relative cut on spanning-vector norms when quotienting the radical of the
@@ -162,15 +166,6 @@ def word_matrix(module, word):
     out = np.eye(module.dim, dtype=complex)
     for sym in word:
         out = out @ module.symbol_matrix(sym)
-    return out
-
-
-def act_tensor(m1, m2, tensor_element):
-    """Evaluate a TensorElement on m1 ox m2."""
-    n1, n2 = m1.dim, m2.dim
-    out = np.zeros((n1 * n2, n1 * n2), dtype=complex)
-    for (w1, w2), coeff in tensor_element.terms.items():
-        out += coeff * np.kron(word_matrix(m1, w1), word_matrix(m2, w2))
     return out
 
 
@@ -346,6 +341,29 @@ def trivial_module(datum, qp):
                         highest=datum.zero_weight(), label="trivial")
 
 
+def coproduct_terms(m1, m2, r):
+    """Delta(E_r), Delta(F_r) and Delta(K_r) on m1 ox m2, each a list of
+    (matrix on m1, matrix on m2) pairs:
+
+        Delta(E) = E ox 1 + K ox E,  Delta(F) = F ox K^{-1} + 1 ox F,
+        Delta(K) = K ox K.
+
+    This is the one place the package writes the coproduct."""
+    alpha = m1.datum.simple_root(r)
+    k1, k2 = np.diag(m1.k_diag(alpha)), np.diag(m2.k_diag(alpha))
+    k2inv = np.diag(m2.k_diag(-1 * alpha))
+    i1, i2 = np.eye(m1.dim), np.eye(m2.dim)
+    return ([(m1.E[r], i2), (k1, m2.E[r])],
+            [(m1.F[r], k2inv), (i1, m2.F[r])],
+            [(k1, k2)])
+
+
+def kron_sum(pairs):
+    """The sum of a ox b over (a, b) pairs, as one matrix."""
+    (a, b), *rest = pairs
+    return sum((np.kron(a, b) for a, b in rest), np.kron(a, b))
+
+
 def tensor(m1, m2, label=""):
     """Tensor product via the coproduct, product basis i-major."""
     key = ("tensor", m2, label)
@@ -357,11 +375,9 @@ def tensor(m1, m2, label=""):
     weights = [w1 + w2 for w1 in m1.weights for w2 in m2.weights]
     E, F = {}, {}
     for r in datum.vertices:
-        k1 = np.diag(m1.k_diag(datum.simple_root(r)))
-        k2inv = np.diag(m2.k_diag(-1 * datum.simple_root(r)))
-        i1, i2 = np.eye(m1.dim), np.eye(m2.dim)
-        E[r] = read_only(np.kron(m1.E[r], i2) + np.kron(k1, m2.E[r]))
-        F[r] = read_only(np.kron(m1.F[r], k2inv) + np.kron(i1, m2.F[r]))
+        delta_e, delta_f, _ = coproduct_terms(m1, m2, r)
+        E[r] = read_only(kron_sum(delta_e))
+        F[r] = read_only(kron_sum(delta_f))
     out = m1.cache[key] = WeightModule(
         datum, qp, weights, E, F, label=label or f"({m1.label})ox({m2.label})")
     return out
@@ -506,7 +522,6 @@ def relations_residual(module):
     """Relative residuals of the defining relations on the module."""
     datum, qp = module.datum, module.qp
     out = {}
-    n = module.dim
     for r in datum.vertices:
         er, fr = module.E[r], module.F[r]
         qr = qp.q_r(datum, r)
@@ -526,7 +541,6 @@ def relations_residual(module):
                 lhs = er @ module.F[s] - module.F[s] @ er
                 out[f"EF[{r},{s}]"] = np.linalg.norm(lhs) / max(
                     np.linalg.norm(er) * np.linalg.norm(module.F[s]), 1e-30)
-    del n
     return out
 
 
@@ -535,7 +549,6 @@ def _rel(diff, rhs):
 
 
 def _serre(module, r, s, mats):
-    from .rootsys import qbinom
     datum, qp = module.datum, module.qp
     n_max = 1 - datum.a(r, s)
     qr = qp.q_r(datum, r)

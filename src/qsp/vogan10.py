@@ -88,6 +88,8 @@ def build_Mr(r, qp, cap):
     if abs(np.imag(r)) > 1e-14:
         raise InputError("the lowest-weight parameter r must be real")
     r = float(np.real(r))
+    if not math.isfinite(r):
+        raise InputError("the lowest-weight parameter r must be finite")
     q = qp.q
     k = np.array([q ** (-r + 2 * n) for n in range(cap)], dtype=complex)
     h = np.array([-r + 2.0 * n for n in range(cap)])

@@ -4,7 +4,7 @@ the tests.
 Here B_r = F_r + c_r theta_q(F_r K_r) K_r^{-1} + s_r K_r^{-1} is a formal
 AlgebraElement: theta_q = Ad(z) o T_{w_X} o psi o tau o omega is expanded
 symbol by symbol through ``lusztig.braid_word_on_algebra``, Delta(B_r) is
-the formal coproduct, and its tail is split off in the K-right normal form.
+the formal coproduct of ``formal_algebra``, and its tail is split off in the K-right normal form.
 ``qsp.coideal`` computes the same matrices on modules from the module
 braid operators; the tests compare the two routes.  The formal expansion
 grows fast with the length of w_X, so only short words are practical here.
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qsp.algebra import AlgebraElement, TensorElement
+from qsp.algebra import AlgebraElement
 from qsp.coideal import (
     CoidealParams,
     _check_param_shape,
@@ -31,7 +31,8 @@ from qsp.diagrams import hermitian_type
 from qsp.errors import ConsistencyError
 from qsp.lusztig import braid_word_on_algebra
 from qsp.rootsys import positive_roots_closure
-from qsp.uqrep import act_tensor
+
+from formal_algebra import TensorElement, act_tensor, coproduct
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,7 @@ def formal_coideal_law_residual(diag, params, qp, m1, m2):
         elements.append(AlgebraElement.k(datum, w))
     worst = 0.0
     for b in elements:
-        mat = act_tensor(m1, m2, b.coproduct())
+        mat = act_tensor(m1, m2, coproduct(b))
         reorg = mat.reshape(m1.dim, m2.dim, m1.dim, m2.dim) \
             .transpose(0, 2, 1, 3).reshape(m1.dim * m1.dim, m2.dim * m2.dim)
         dist = 0.0
@@ -218,7 +219,7 @@ def coideal_coproduct_parts(diag, params, qp, r):
     """
     datum = diag.datum
     b = push_k_right(b_generators(diag, params, qp)[r], qp)
-    delta = push_k_right_tensor(b.coproduct(), qp)
+    delta = push_k_right_tensor(coproduct(b), qp)
     kinv = ("K", tuple((-1 * datum.simple_root(r)).coords))
     head = TensorElement(datum, {(w, (kinv,)): c for w, c in b.terms.items()})
     second = TensorElement(datum, {((), (("F", r),)): 1.0})
@@ -392,7 +393,7 @@ def pi_t_intertwining_residual(diag, params, qp, t, m1, m2):
         lhs_tensor += scaled
         lhs = act_tensor(m1, m2, lhs_tensor)
         # Delta(pi_t(B_r)) is the coproduct of the target-parameter generator
-        rhs = act_tensor(m1, m2, b_new[r].coproduct())
+        rhs = act_tensor(m1, m2, coproduct(b_new[r]))
         worst = max(worst, np.linalg.norm(lhs - rhs)
                     / max(np.linalg.norm(rhs), 1e-30))
     return worst

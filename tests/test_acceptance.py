@@ -143,7 +143,8 @@ def test_criterion_05_appendix_b_constants():
             worst = max(worst, max(verify_appB(ctx, coords).values()))
     # a_r^+ versus the definitional ratio on faithful modules
     from qsp.algebra import AlgebraElement
-    from qsp.lusztig import a_plus, braid_word_on_algebra, z_elements
+    from formal_algebra import a_plus, adjoint_action, z_elements
+    from qsp.lusztig import braid_word_on_algebra
     from qsp.rootsys import weyl_act
     ratio_worst = 0.0
     for X, tau, r in (((2,), [[1, 3]], 1), ((1, 3), None, 2)):
@@ -152,7 +153,7 @@ def test_criterion_05_appendix_b_constants():
                                         AlgebraElement.e(A3, r))
         varpi = weyl_act(A3, ctx.word, A3.simple_root(r))
         _, zplus = z_elements(ctx, varpi)
-        rhs_alg = zplus.adjoint_action(AlgebraElement.e(A3, r))
+        rhs_alg = adjoint_action(zplus, AlgebraElement.e(A3, r))
         for wt in ([1, 0, 0], [0, 1, 0]):
             m = build_irrep(A3, A3.weight(wt), QP)
             lhs = m.act(lhs_alg)

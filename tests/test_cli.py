@@ -412,6 +412,52 @@ def test_verify_appendix_b(runner, aiii_diagram):
     assert json.loads(res.output)["pass"]
 
 
+def test_verify_appendix_b_mixed_root_lengths(runner, tmp_path):
+    # X = {1, 3} in C3 is a short and a long A1
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps({"type": "C", "rank": 3, "X": [1, 3]}))
+    res = runner.invoke(main, ["verify", "appendixB", "--diagram",
+                               str(path), "--q", "0.7"])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    assert payload["pass"] and payload["parameters"]["X"] == [1, 3]
+
+
+@pytest.mark.parametrize("args, text, code", [
+    (["diagram", "check", "--file"], "{", 2),
+    (["kz", "psi", "--config"], "[1]", 2),
+    (["kmatrix", "--t", "0.3", "--q", "0.7", "--diagram"],
+     '{"type": "A", "rank": 2, "X": [5]}', 2),
+    (["vogan", "e-matrix", "--q", "0.8", "--levels", "24", "--r", "inf"],
+     None, 2),
+    (["verify", "kz", "--q", "0.0"], None, 2),
+    (["verify", "axioms", "--source", "kz", "--q", "-0.5"], None, 2),
+    (["verify", "axioms", "--source", "coideal", "--q", "0.7", "--t", "nan"],
+     None, 2),
+    (["verify", "rank-one", "--r", "0.25", "--levels", "20", "--q", "1e-200"],
+     None, 3),
+    # numpy warns on the way; the error line still stands alone
+    (["verify", "axioms", "--source", "kz", "--q", "0.7", "--t", "1e300"],
+     None, 3),
+])
+def test_inputs_past_the_contract_are_one_line_errors(tmp_path, args, text,
+                                                      code):
+    # inputs that once ended in a traceback: malformed JSON files, a
+    # non-finite r or t, q outside (0, 1) and double-precision overflow
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        args = args + [str(path)]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qsp.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "qsp.cli", *args],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (code, ""), proc.stderr
+    prefix = "input error:" if code == 2 else "resource error:"
+    assert proc.stderr.startswith(prefix), proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+
+
 def test_verify_characters(runner, su2_diagram):
     res = runner.invoke(main, ["verify", "characters", "--diagram",
                                su2_diagram, "--t", "0.3"])

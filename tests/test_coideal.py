@@ -11,8 +11,8 @@ import qsp
 
 from qsp.algebra import AlgebraElement
 from qsp.coideal import (
+    CoidealModule,
     CoidealParams,
-    character_module,
     character_relations_residual,
     characters,
     coideal_law_residual,
@@ -244,7 +244,7 @@ def test_character_b_matrices_match_the_formal_tail(q, diag, s, weights):
     qp = QParams(q)
     params = no_parameter(diag, qp) if s is None \
         else CoidealParams({1: q ** -2}, {1: s})
-    x0 = character_module(diag, params, qp, characters(diag, qp, 0.4))
+    x0 = CoidealModule(diag, params, qp, characters(diag, qp, 0.4))
     first = build_irrep(diag.datum, diag.datum.weight(weights[0]), qp)
     mods = [build_irrep(diag.datum, diag.datum.weight(coords), qp)
             for coords in weights] + [tensor(first, first)]

@@ -1,0 +1,70 @@
+"""The formal Hopf route stays off the program's verdict paths.
+
+An AST scan of ``src/qsp``: only ``lusztig`` imports ``qsp.algebra`` (for
+the braid automorphisms the tests compare against), no module defines,
+imports or names ``TensorElement`` or ``act_tensor`` (the formal coproduct
+lives in ``tests/formal_algebra.py``), and nothing imports from the tests.
+"""
+
+import ast
+from pathlib import Path
+
+import qsp
+
+SRC = Path(qsp.__file__).parent
+TEST_MODULES = {path.stem for path in Path(__file__).parent.glob("*.py")}
+FORMAL_NAMES = {"TensorElement", "act_tensor"}
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _imported_modules(tree):
+    """Absolute names of the modules an AST imports from, with the names it
+    takes from each."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(alias.name, ()) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"qsp.{base}" if base else "qsp"
+            out.append((base, tuple(alias.name for alias in node.names)))
+    return out
+
+
+def test_only_lusztig_imports_the_formal_algebra():
+    importers = set()
+    for name, tree in _trees().items():
+        for module, names in _imported_modules(tree):
+            if module == "qsp.algebra" or (module == "qsp"
+                                           and "algebra" in names):
+                importers.add(name)
+    assert importers == {"lusztig"}
+
+
+def test_no_formal_coproduct_in_the_program():
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            found = set()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found = {node.name}
+            elif isinstance(node, ast.Name):
+                found = {node.id}
+            elif isinstance(node, ast.Attribute):
+                found = {node.attr}
+            elif isinstance(node, ast.alias):
+                found = {node.name.split(".")[-1], node.asname}
+            assert not found & FORMAL_NAMES, (name, found)
+
+
+def test_the_program_imports_nothing_from_the_tests():
+    trees = _trees()
+    assert "uqrep" in trees and "lusztig" in trees
+    for name, tree in trees.items():
+        for module, _ in _imported_modules(tree):
+            top = module.split(".")[0]
+            assert top != "tests" and top not in TEST_MODULES, (name, module)

@@ -5,7 +5,7 @@ import pytest
 
 from qsp.coideal import (
     Character,
-    character_module,
+    CoidealModule,
     kmatrix_solve,
     ribbon_compose,
 )
@@ -139,8 +139,8 @@ def _octagon_raw_characters(fam, m1, m2):
     worst = 0.0
     for c in range(len(evals)):
         vec = evecs[:, c] / np.linalg.norm(evecs[:, c])
-        chi_mod = character_module(fam.diag, fam.params, fam.qp,
-                                   Character({1: complex(evals[c])}, {1: 0.0}))
+        chi_mod = CoidealModule(fam.diag, fam.params, fam.qp,
+                                Character({1: complex(evals[c])}, {1: 0.0}))
         eta_c = kmatrix_solve(fam.diag, fam.params, fam.qp, chi_mod, m2,
                               fuse_from=fam.v)
         lift = np.kron(vec.reshape(-1, 1), np.eye(m2.dim))

@@ -2,21 +2,21 @@ import numpy as np
 import pytest
 
 from qsp.algebra import MAX_TERMS, AlgebraElement
-from qsp.diagrams import satake
+from qsp.diagrams import enumerate_admissible, satake
 from qsp.errors import InputError, ResourceError
 from qsp.lusztig import (
     BraidContext,
-    a_plus,
     braid_on_algebra,
     braid_on_module,
     braid_word_on_algebra,
     braid_word_on_module,
     e_d_constants,
     verify_appB,
-    z_elements,
 )
 from qsp.rootsys import build_root_datum, restrict_datum
 from qsp.uqrep import QParams, build_irrep, trivial_module
+
+from formal_algebra import a_plus, adjoint_action, z_elements
 
 A1 = build_root_datum([("A", 1)])
 A2 = build_root_datum([("A", 2)])
@@ -33,6 +33,33 @@ def test_restrict_datum_identification():
     sub, vmap, scale = restrict_datum(B3, (1, 2))
     assert sub.components == (("A", 2),)
     assert scale == 2  # long-root A2 inside B3
+    # (type, X) -> (components, symmetrizers, scale); C3 {1, 3} and
+    # C5 {1, 3, 5} mix a short and a long A1
+    cases = {
+        ("B3", (1, 2)): ((("A", 2),), (1, 1), 2),
+        ("B3", (3,)): ((("A", 1),), (1,), 1),
+        ("C3", (3,)): ((("A", 1),), (1,), 2),
+        ("C3", (1, 2)): ((("A", 2),), (1, 1), 1),
+        ("B2", (1,)): ((("A", 1),), (1,), 2),
+        ("C2", (2,)): ((("A", 1),), (1,), 2),
+        ("A3", (1, 3)): ((("A", 1), ("A", 1)), (1, 1), 1),
+        ("D4", (1, 3, 4)): ((("A", 1),) * 3, (1, 1, 1), 1),
+        ("B3", (2, 3)): ((("B", 2),), (2, 1), 1),
+        ("C3", (1, 3)): ((("A", 1), ("A", 1)), (1, 2), 1),
+        ("C5", (1, 3, 5)): ((("A", 1),) * 3, (1, 1, 2), 1),
+    }
+    for (typ, X), (comps, d, want_scale) in cases.items():
+        datum = build_root_datum(typ)
+        sub, vmap, scale = restrict_datum(datum, X)
+        assert (sub.components, sub.d, scale) == (comps, d, want_scale)
+        assert sorted(vmap.values()) == list(X)
+        # the ambient form on the subsystem is scale times the sub form
+        for i in sub.vertices:
+            for j in sub.vertices:
+                ambient = datum.simple_root(vmap[i]).pairing(
+                    datum.simple_root(vmap[j]))
+                assert ambient == scale * sub.simple_root(i).pairing(
+                    sub.simple_root(j)), (typ, X, i, j)
 
 
 def test_braid_on_algebra_cartan_and_diagonal():
@@ -114,10 +141,10 @@ def test_z_elements_and_errors():
 
 def test_e_d_constants_trivial_and_qfact():
     ctx = _ctx(A3, (2,), [[1, 3]])
-    e, d = e_d_constants(ctx, A3.weight([0, 0, 0]))
+    e, d = e_d_constants(ctx.word, ctx.qp, A3.weight([0, 0, 0]))
     assert e == 1 and d == 1
     # exponent 2 on a single A1-string: ([2]_q!)^2 = (q + 1/q)^2
-    e, _ = e_d_constants(ctx, A3.weight([0, 2, 0]))
+    e, _ = e_d_constants(ctx.word, ctx.qp, A3.weight([0, 2, 0]))
     q = QP.q
     assert e == pytest.approx((q + 1 / q) ** 2, rel=1e-12)
 
@@ -131,7 +158,7 @@ def test_e_matches_module_scalar():
     xi = np.zeros(v.dim, dtype=complex)
     xi[0] = 1.0
     scal = (v.act(zp) @ (v.act(zm) @ xi))[0]
-    e, _ = e_d_constants(ctx, varpi)
+    e, _ = e_d_constants(ctx.word, ctx.qp, varpi)
     assert scal == pytest.approx(e, rel=1e-9)
 
 
@@ -157,7 +184,7 @@ def test_a_plus_against_definition():
     w = ctx.diagram
     varpi_dom = _restricted_dominant(ctx, r)
     zplus = _z_plus_for(ctx, varpi_dom)
-    rhs_alg = zplus.adjoint_action(AlgebraElement.e(datum, r))
+    rhs_alg = adjoint_action(zplus, AlgebraElement.e(datum, r))
     for wt in ([1, 0, 0], [0, 1, 0]):
         m = build_irrep(datum, datum.weight(wt), QP)
         lhs = m.act(lhs_alg)
@@ -200,6 +227,39 @@ def test_verify_appB_a2_subsystem():
     res = verify_appB(ctx, [1, 1])
     for key, val in res.items():
         assert val < 1e-8, (key, val)
+
+
+# (type, X) whose X-subsystem irreps pass the dimension cap: (type, X) ->
+# the levels that raise ResourceError
+_APPB_AT_THE_CAP = {("B4", (2, 3, 4)): (1, 2), ("D4", (1, 2, 3)): (2,),
+                    ("D4", (1, 2, 4)): (2,), ("D4", (2, 3, 4)): (2,)}
+
+
+def test_verify_appB_on_every_diagram_to_rank_four():
+    # every admissible diagram with nonempty X over A1-A4, B2-B4, C2-C4 and
+    # D4, at levels 1 and 2; C3 {1, 3} mixes a short and a long A1
+    qp = QParams(0.7)
+    seen, capped = 0, set()
+    for typ in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                "D4"):
+        datum = build_root_datum(typ)
+        for diag in enumerate_admissible(datum):
+            if not diag.X:
+                continue
+            seen += 1
+            rank = restrict_datum(datum, diag.X)[0].rank
+            for level in (1, 2):
+                try:
+                    res = verify_appB(BraidContext(diag, qp), [level] * rank)
+                except ResourceError as exc:
+                    assert "exceeds cap" in str(exc), (typ, diag.X, exc)
+                    capped.add((typ, diag.X, level))
+                    continue
+                for key, val in res.items():
+                    assert val <= 1e-8, (typ, diag.X, level, key, val)
+    assert seen == 19
+    assert capped == {(typ, X, level) for (typ, X), levels
+                      in _APPB_AT_THE_CAP.items() for level in levels}
 
 
 def test_algebra_elements_stop_at_the_term_cap():
