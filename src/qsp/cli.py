@@ -320,9 +320,7 @@ def kz_psi_cmd(config, out):
                 raise InputError("lambda must be a finite number")
             spins = [_config_int(cfg, key, 1, 0)
                      for key in ("spin2_1", "spin2_2")]
-            ts = split_tensors()
-            hbar = -1j * math.log(q) / math.pi
-            mats = kz_coeffs(ts, lam, *spins, hbar)
+            mats = kz_coeffs(split_tensors(), lam, *spins, QParams(q).hbar)
         kw = ({"series_order": _config_int(cfg, "series_order", None, 1)}
               if "series_order" in cfg else {})
         prob = MonodromyProblem(*mats, **kw)
@@ -331,18 +329,6 @@ def kz_psi_cmd(config, out):
                 "tail_bound": res.tail_bound,
                 "eig_condition": res.eig_condition}
     _emit(_run(go, out), out)
-
-
-@kz.command("verify")
-@click.option("--suite", default="su2")
-@click.option("--q", required=True, type=float)
-@click.option("--out", default=None)
-def kz_verify(suite, q, out):
-    if suite != "su2":
-        click.echo(f"unknown suite {suite!r}", err=True)
-        sys.exit(2)
-    rep_ = _run(lambda: run_kz_suite(q), out)
-    _exit_report(rep_, out)
 
 
 @main.group()

@@ -109,8 +109,8 @@ def star_exponent(diag, r):
     return (diag.theta(a) - a).pairing(datum.simple_root(diag.tau_of(r)))
 
 
-def validate_star(diag, params, qp, tol=1e-12):
-    """Star-invariance constraints; returns (ok, violations).
+def validate_star(diag, params, qp):
+    """Star-invariance constraints to 1e-12; returns (ok, violations).
 
     Positivity of c_r is enforced on every white vertex.  (On non-orbit
     representatives this is a normalization by a unitary Cartan
@@ -124,6 +124,7 @@ def validate_star(diag, params, qp, tol=1e-12):
         _check_param_shape(diag, params)
     except InputError as exc:
         return False, [str(exc)]
+    tol = 1e-12
     violations = []
     _, _, i_s, _ = classify_sets(diag)
     for r in diag.white:
@@ -291,10 +292,9 @@ def _monomial_span(gens, dim):
 class _IncrementalSpan:
     """Orthonormal basis of a subspace of matrices (vectorized)."""
 
-    def __init__(self, dim, tol=1e-10):
+    def __init__(self, dim):
         self.vectors = []
         self.dim = dim
-        self.tol = tol
 
     def _project_out(self, vec):
         for b in self.vectors:
@@ -308,7 +308,7 @@ class _IncrementalSpan:
             return False
         vec = self._project_out(vec / nrm0)
         nrm = np.linalg.norm(vec)
-        if nrm < self.tol:
+        if nrm < 1e-10:
             return False
         self.vectors.append(vec / nrm)
         return True
@@ -330,7 +330,6 @@ class Character:
 
     b_values: dict
     f_alpha: dict
-    t: float = 0.0
 
     def __hash__(self):
         return hash((tuple(sorted(self.b_values.items())),
@@ -358,12 +357,12 @@ def characters(diag, qp, t):
     if h.kind == "NonHermitian":
         if t != 0:
             raise InputError("non-Hermitian pair has only the counit")
-        return Character(b_values, f_alpha, 0.0)
+        return Character(b_values, f_alpha)
     if h.kind == "SType":
         b_values[h.distinguished] = 1j * t
-        return Character(b_values, f_alpha, t)
+        return Character(b_values, f_alpha)
     f_alpha[h.distinguished] = float(t)
-    return Character(b_values, f_alpha, t)
+    return Character(b_values, f_alpha)
 
 
 def character_relations_residual(diag, params, qp, chi):
@@ -458,7 +457,6 @@ class CoidealModule:
     params: CoidealParams
     qp: object
     chi: Character
-    label: str = ""
 
     def generator_matrices(self, wmod):
         """Matrices of B_r (r white), E_s/F_s/K_s (s in X) and the
@@ -521,7 +519,7 @@ def counit_module(diag, params, qp):
     """The restriction of the counit as a coideal module: chi(B_r) = s_r."""
     chi = Character({r: params.s.get(r, 0.0) for r in diag.white},
                     {r: 0.0 for r in diag.datum.vertices})
-    return CoidealModule(diag, params, qp, chi, label="eps")
+    return CoidealModule(diag, params, qp, chi)
 
 
 @functools.cache
@@ -750,10 +748,10 @@ def _projective_quadratic_roots(alpha, beta, gamma):
             ((-beta - disc) / (2 * alpha), 1.0)]
 
 
-def _is_nonscalar(mat, tol=1e-8):
+def _is_nonscalar(mat):
     lam = np.trace(mat) / mat.shape[0]
     return np.linalg.norm(mat - lam * np.eye(mat.shape[0])) \
-        > tol * max(np.linalg.norm(mat), 1.0)
+        > 1e-8 * max(np.linalg.norm(mat), 1.0)
 
 
 def _fix_gauge(eta):

@@ -1,4 +1,4 @@
-"""Satake and Vogan diagram data.
+"""Satake diagram data.
 
 A Satake diagram is an admissible pair (X, tau): a tau-stable proper subset
 X of vertices together with an involutive diagram automorphism tau acting on
@@ -105,29 +105,6 @@ class SatakeDiagram:
 
 
 @dataclass(frozen=True)
-class VoganDiagram:
-    """Pair (Y, mu): mu an involutive diagram automorphism, Y a mu-fixed
-    set of painted vertices (epsilon_r = -1 exactly on Y)."""
-
-    datum: RootDatum
-    Y: tuple
-    mu: tuple
-
-    def mu_of(self, r):
-        return self.mu[r - 1]
-
-    def epsilon(self, r):
-        return -1 if r in self.Y else 1
-
-    def n_weight(self, w):
-        """N: dual action of nu on weights (permutation by mu)."""
-        coords = [None] * self.datum.rank
-        for r in self.datum.vertices:
-            coords[self.mu_of(r) - 1] = w.coords[r - 1]
-        return self.datum.weight(coords)
-
-
-@dataclass(frozen=True)
 class HermitianClass:
     kind: str  # "NonHermitian" | "SType" | "CType"
     distinguished: int | None = None
@@ -163,11 +140,6 @@ def check_admissible(datum, X, tau):
                 violations.append(
                     f"(alpha_{r}, rho_X^vee) = {v} not integral at tau-fixed vertex")
     return (not violations), violations
-
-
-def theta_action(diag, mu):
-    """Involution Theta = -w_X o tau on a weight."""
-    return diag.theta(mu)
 
 
 def choose_z(datum, X, tau):
@@ -234,59 +206,6 @@ def enumerate_admissible(datum):
                 if ok:
                     out.append(satake(datum, X, perm))
     return out
-
-
-def check_vogan(datum, Y, mu):
-    """Is (Y, mu) a valid Vogan diagram (Y pointwise mu-fixed, not both
-    trivial)?"""
-    perm = _check_diagram_automorphism(datum, _as_perm(datum, mu))
-    Y = tuple(sorted(set(Y)))
-    if any(r not in datum.vertices for r in Y):
-        raise InputError("Y out of range")
-    if any(perm[r] != r for r in Y):
-        return False
-    if not Y and all(perm[r] == r for r in datum.vertices):
-        return False
-    return True
-
-
-def is_standard_vogan(datum, Y, mu):
-    """Standardness: at most one painted vertex per component, and on
-    mu-trivial components (varpi_r - varpi_s, varpi_s) <= 0 for all s."""
-    if not check_vogan(datum, Y, mu):
-        return False
-    perm = _as_perm(datum, mu)
-    Y = tuple(sorted(set(Y)))
-    comps = _component_partition(datum)
-    for comp in comps:
-        marked = [r for r in Y if r in comp]
-        if len(marked) > 1:
-            return False
-        if marked and all(perm[s] == s for s in comp):
-            r = marked[0]
-            wr = datum.fundamental_weight(r)
-            for s in comp:
-                ws = datum.fundamental_weight(s)
-                if (wr - ws).pairing(ws) > 0:
-                    return False
-    return True
-
-
-def vogan(datum, Y, mu=None):
-    perm = _check_diagram_automorphism(datum, _as_perm(datum, mu))
-    if not check_vogan(datum, Y, perm):
-        raise InputError("not a valid Vogan diagram")
-    return VoganDiagram(datum, tuple(sorted(set(Y))),
-                        tuple(perm[r] for r in datum.vertices))
-
-
-def _component_partition(datum):
-    comps = []
-    off = 0
-    for _, rk in datum.components:
-        comps.append(tuple(range(off + 1, off + rk + 1)))
-        off += rk
-    return comps
 
 
 def classify_sets(diag):

@@ -461,7 +461,7 @@ def run_rank_one(q, r, levels=14):
     residuals = {}
     info = {}
     tols = {}
-    hbar = -1j * math.log(q) / math.pi
+    hbar = qp.hbar
     ts = split_tensors()
 
     # (i) coideal braid vs KZ braid at matched parameters

@@ -13,13 +13,14 @@ The coefficient matrices for a symmetric pair are
     a = hbar (2 t^k_01 + C^k_1),  b_+ = hbar t_12,  b_- = hbar (t^k - t^m)_12
 
 acting on X0 ox V1 ox V2, with the splitting t = t^k + t^m induced by the
-involution.
+involution ``SIGMA`` (e -> -f, f -> -e, h -> -h), to which every
+involution of su2 is conjugate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +29,18 @@ from .rmatrix import op_on_legs
 from .uqrep import intertwiners
 
 _EPS = np.finfo(float).eps
+
+# the standard involution of sl2, as columns of images over (e, f, h)
+SIGMA = np.array([[0, -1, 0], [-1, 0, 0], [0, 0, -1]], dtype=complex)
+SIGMA.setflags(write=False)
+# Psi at MATCH_POINTS[0], the spread at the others; each series grows until
+# its tail bound at its farthest match point is below TAIL_TARGET
+MATCH_POINTS = (0.5, 0.4, 0.6)
+TAIL_TARGET = 1e-12
+# the start point and tolerances of mkz_consistency
+DELTA = 0.1
+RTOL = 1e-10
+ATOL = 1e-12
 
 # [13/13] Pade coefficients b_0, ..., b_13 of exp, and theta_13: the largest
 # eta of the scaled matrix at which that approximant meets double precision
@@ -137,13 +150,12 @@ def _herm_form(x, y):
 
 @dataclass
 class SymPairTensors:
-    """Split invariant tensors of sl2 for an involution sigma.
+    """Split invariant tensors of sl2 for the involution ``SIGMA``.
 
     ``plus_basis`` / ``minus_basis`` are orthonormal bases of the +-1 / -1
     eigenspaces as coefficient vectors over (e, f, h).
     """
 
-    sigma_mat: np.ndarray
     plus_basis: list
     minus_basis: list
     reps: dict = field(default_factory=dict)
@@ -160,7 +172,7 @@ class SymPairTensors:
     def sigma_matrix(self, j2):
         """Unitary implementing sigma on spin j, normalized to square to 1."""
         pairs = [(self.vec_matrix(vec, j2),
-                  self.vec_matrix(self.sigma_mat @ vec, j2))
+                  self.vec_matrix(SIGMA @ vec, j2))
                  for vec in np.eye(3)]
         basis = intertwiners(pairs, 1e-9)
         if len(basis) != 1:
@@ -196,68 +208,22 @@ class SymPairTensors:
         return out
 
     def character_values(self, lam):
-        """chi_lam on the +-eigenspace basis: determined by (f - e) -> i lam
-        for the standard involution; in general chi is the linear functional
-        with chi([k,k]) = 0 -- only defined when k is abelian."""
-        if len(self.plus_basis) != 1:
-            raise InputError("characters need an abelian fixed subalgebra")
-        vec = self.plus_basis[0]
-        # normalize against (f - e)/sqrt(2): chi(f - e) = i lam
+        """chi_lam on the +-eigenspace basis, fixed by chi(f - e) = i lam:
+        the fixed subalgebra of ``SIGMA`` is spanned by f - e."""
+        # normalize against (f - e)/sqrt(2)
         ref = np.array([-1.0, 1.0, 0.0]) / math.sqrt(2)
-        overlap = _herm_form(vec, ref)
-        if abs(abs(overlap) - 1) > 1e-10:
-            raise InputError("fixed subalgebra is not the standard one")
-        return [1j * lam / math.sqrt(2) * overlap]
+        return [1j * lam / math.sqrt(2) * _herm_form(self.plus_basis[0], ref)]
 
 
-def split_tensors(sigma_images=None):
-    """Build SymPairTensors from sigma given by images of (e, f, h) as
-    coefficient vectors over (e, f, h).  Default: the standard involution
-    e -> -f, f -> -e, h -> -h."""
-    if sigma_images is None:
-        sigma_images = {"e": [0, -1, 0], "f": [-1, 0, 0], "h": [0, 0, -1]}
-    cols = [np.array(sigma_images[k], dtype=complex) for k in ("e", "f", "h")]
-    sig = np.column_stack(cols)
-    if np.linalg.norm(sig @ sig - np.eye(3)) > 1e-12:
-        raise InputError("sigma is not involutive")
-    _check_lie_automorphism(sig)
-    _check_star_preserving(sig)
-    evals, evecs = np.linalg.eig(sig)
+def split_tensors():
+    """SymPairTensors of ``SIGMA``.  The eigenvectors are LAPACK's
+    (``np.linalg.eig``), orthonormalized for the invariant form; a
+    hand-written basis would move the last bits of every KZ coefficient."""
+    evals, evecs = np.linalg.eig(SIGMA)
     plus, minus = [], []
     for i in range(3):
         (plus if abs(evals[i] - 1) < 1e-9 else minus).append(evecs[:, i])
-    plus = _orthonormalize(plus)
-    minus = _orthonormalize(minus)
-    return SymPairTensors(sig, plus, minus)
-
-
-def _check_lie_automorphism(sig):
-    # brackets in the (e, f, h) coordinate algebra
-    def bracket(x, y):
-        e1, f1, h1 = x
-        e2, f2, h2 = y
-        return np.array([
-            2 * (h1 * e2 - e1 * h2) * -1,
-            -2 * (h1 * f2 - f1 * h2) * -1,
-            e1 * f2 - f1 * e2,
-        ])
-    # [h,e] = 2e, [h,f] = -2f, [e,f] = h
-    basis = np.eye(3)
-    for i in range(3):
-        for j in range(3):
-            lhs = sig @ bracket(basis[:, i], basis[:, j])
-            rhs = bracket(sig @ basis[:, i], sig @ basis[:, j])
-            if np.linalg.norm(lhs - rhs) > 1e-10:
-                raise InputError("sigma is not a Lie algebra automorphism")
-
-
-def _check_star_preserving(sig):
-    basis = np.eye(3)
-    for i in range(3):
-        lhs = _star_coeffs(sig @ basis[:, i])
-        rhs = sig @ _star_coeffs(basis[:, i])
-        if np.linalg.norm(lhs - rhs) > 1e-10:
-            raise InputError("sigma does not preserve the *-structure")
+    return SymPairTensors(_orthonormalize(plus), _orthonormalize(minus))
 
 
 def _orthonormalize(vecs):
@@ -318,18 +284,12 @@ def d_coeff(tensors, lam, j2a, j2b, hbar):
 class MonodromyProblem:
     """``series_order`` is the ceiling on each Frobenius series, which grows
     until its tail bound at its farthest match point is below
-    ``tail_target``.  ``delta``, ``rtol`` and ``atol`` feed only
-    ``mkz_consistency``."""
+    ``TAIL_TARGET``."""
 
     a: np.ndarray
     b_plus: np.ndarray
     b_minus: np.ndarray
     series_order: int = 200
-    match_points: tuple = (0.5, 0.4, 0.6)
-    delta: float = 0.1
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    tail_target: float = 1e-12
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=complex)
@@ -342,8 +302,6 @@ class MonodromyProblem:
         if not all(np.isfinite(m).all()
                    for m in (self.a, self.b_plus, self.b_minus)):
             raise InputError("coefficient matrices must be finite")
-        if not all(0 < p < 1 for p in self.match_points):
-            raise InputError("match points must lie in (0, 1)")
 
 
 @dataclass
@@ -351,22 +309,20 @@ class MonodromyResult:
     psi: np.ndarray
     spread: float
     tail_bound: float
-    resonance_a: list
-    resonance_b: list
     eig_condition: float
 
 
-def resonance_check(mat, tol=1e-6):
-    """Eigenvalue pairs (i, j, nearest) whose difference lies within tol of
-    a nonzero integer, in row-major order."""
+def resonance_check(mat):
+    """Eigenvalue pairs (i, j, nearest) whose difference lies within 1e-6
+    of a nonzero integer, in row-major order."""
     evals = np.linalg.eigvals(mat)
     diff = evals[:, None] - evals[None, :]
     nearest = np.round(diff.real)
-    hits = np.argwhere((nearest != 0) & (np.abs(diff - nearest) < tol))
+    hits = np.argwhere((nearest != 0) & (np.abs(diff - nearest) < 1e-6))
     return [(int(i), int(j), int(nearest[i, j])) for i, j in hits]
 
 
-def _sylvester_series(res_mat, terms, order, x=None, target=0.0):
+def _sylvester_series(res_mat, terms, order, x=None):
     """Frobenius coefficients c_0 = 1, c_1, c_2, ... solving
 
         m c_m - [res, c_m] = sum over (s, M, r) in terms of s M A_m,
@@ -377,8 +333,8 @@ def _sylvester_series(res_mat, terms, order, x=None, target=0.0):
     T = D + N, each order divides by m + d_j - d_i and then adds the finite
     Neumann series of X -> (N X - X N) / (m + d_j - d_i), which is nilpotent;
     N below roundoff (a normal residue) is dropped.  Without ``x``, runs to
-    c_order; with ``x``, stops once the tail bound at x is below ``target``
-    at two consecutive orders, and raises AccuracyError at order ``order``.
+    c_order; with ``x``, stops once the tail bound at x is below
+    ``TAIL_TARGET`` at two consecutive orders, and raises AccuracyError at order ``order``.
     Returns the coefficients in the Schur basis, and Z."""
     t, z = _schur(res_mat)
     n = t.shape[0]
@@ -411,7 +367,7 @@ def _sylvester_series(res_mat, terms, order, x=None, target=0.0):
                     break
         coeffs.append(c)
         if x is not None:
-            now = _tail_bound(coeffs, x) < target
+            now = _tail_bound(coeffs, x) < TAIL_TARGET
             if below and now:
                 return coeffs, z
             below = now
@@ -426,7 +382,7 @@ def _series_at_zero(problem, x=None):
     sum_{k<m} ((-1)^{m-1-k} b_- - b_+) c_k."""
     return _sylvester_series(
         problem.a, [(1.0, problem.b_minus, -1.0), (-1.0, problem.b_plus, 1.0)],
-        problem.series_order, x, problem.tail_target)
+        problem.series_order, x)
 
 
 def _series_at_one(problem, x=None):
@@ -434,7 +390,7 @@ def _series_at_one(problem, x=None):
     -sum_{k<m} (a + 2^{-(m-k)} b_-) c_k."""
     return _sylvester_series(
         problem.b_plus, [(-1.0, problem.a, 1.0), (-0.5, problem.b_minus, 0.5)],
-        problem.series_order, x, problem.tail_target)
+        problem.series_order, x)
 
 
 def _eval_series(coeffs, x):
@@ -479,17 +435,9 @@ _PSI_MEMO = {}
 
 
 def _psi_key(problem):
-    """Bytes of the coefficient matrices plus every scalar field."""
-    key = []
-    for f in fields(problem):
-        val = getattr(problem, f.name)
-        if isinstance(val, np.ndarray):
-            key.append((val.shape, val.tobytes()))
-        elif isinstance(val, (list, tuple)):
-            key.append(tuple(val))
-        else:
-            key.append(val)
-    return tuple(key)
+    """Bytes of the coefficient matrices and the series ceiling."""
+    mats = (problem.a, problem.b_plus, problem.b_minus)
+    return (*((m.shape, m.tobytes()) for m in mats), problem.series_order)
 
 
 def psi(problem):
@@ -505,7 +453,7 @@ def psi(problem):
     if res_a or res_b:
         raise ResonanceError(
             f"resonant residues: a -> {res_a}, b_+ -> {res_b}")
-    points = problem.match_points
+    points = MATCH_POINTS
     h0_vals, tail0 = _frobenius(problem, _series_at_zero, problem.a, points)
     h1_vals, tail1 = _frobenius(problem, _series_at_one, problem.b_plus,
                                 [1 - p for p in points])
@@ -517,8 +465,7 @@ def psi(problem):
     main.setflags(write=False)
     cond = max(np.linalg.cond(np.linalg.eig(m)[1])
                for m in (problem.a, problem.b_plus))
-    result = MonodromyResult(main, spread, max(tail0, tail1), res_a, res_b,
-                             cond)
+    result = MonodromyResult(main, spread, max(tail0, tail1), cond)
     _PSI_MEMO[key] = result
     return result
 
@@ -536,13 +483,12 @@ def mkz_consistency(problem, z_target=0.81):
     """Independent-route check by adaptive Runge-Kutta: integrate the
     square-root substituted form
     G'(z) = (a/2 / z + B(z)/(z-1)) G, B(z) = (b_+ + b_-)/2 + (b_+ - b_-)/(2 sqrt z),
-    from G(delta^2) = H_0(delta), and the original system from H_0(delta),
+    from G(DELTA^2) = H_0(DELTA), and the original system from H_0(DELTA),
     and compare them at w = sqrt(z_target)."""
     from scipy.integrate import solve_ivp
     a, bp, bm = problem.a, problem.b_plus, problem.b_minus
     n = a.shape[0]
-    delta = problem.delta
-    (h0,), _ = _frobenius(problem, _series_at_zero, a, [delta])
+    (h0,), _ = _frobenius(problem, _series_at_zero, a, [DELTA])
 
     tk = (bp + bm) / 2
     tm = (bp - bm) / 2
@@ -554,13 +500,13 @@ def mkz_consistency(problem, z_target=0.81):
 
     def solve(rhs, span):
         sol = solve_ivp(rhs, span, h0.reshape(-1), method="DOP853",
-                        rtol=problem.rtol, atol=problem.atol)
+                        rtol=RTOL, atol=ATOL)
         if not sol.success:
             raise AccuracyError(f"ODE integration failed: {sol.message}")
         return sol.y[:, -1].reshape(n, n)
 
-    g_end = solve(fn, (delta ** 2, z_target))
-    h_end = solve(_rhs_ode(problem), (delta, math.sqrt(z_target)))
+    g_end = solve(fn, (DELTA ** 2, z_target))
+    h_end = solve(_rhs_ode(problem), (DELTA, math.sqrt(z_target)))
     return np.linalg.norm(g_end - h_end) / max(np.linalg.norm(h_end), 1e-30)
 
 
@@ -568,20 +514,20 @@ def mkz_consistency(problem, z_target=0.81):
 # identity suites
 # ---------------------------------------------------------------------------
 
-def verify_eg(a, b_plus, b_minus, **kw):
+def verify_eg(a, b_plus, b_minus):
     """Residual of the eight-factor identity with c = -a - b_+ - b_-."""
     c = -a - b_plus - b_minus
-    psi_a = psi(MonodromyProblem(a, b_plus, b_minus, **kw)).psi
-    psi_c = psi(MonodromyProblem(c, b_plus, b_minus, **kw)).psi
-    psi_c_swap = psi(MonodromyProblem(c, b_minus, b_plus, **kw)).psi
-    psi_a_swap = psi(MonodromyProblem(a, b_minus, b_plus, **kw)).psi
+    psi_a = psi(MonodromyProblem(a, b_plus, b_minus)).psi
+    psi_c = psi(MonodromyProblem(c, b_plus, b_minus)).psi
+    psi_c_swap = psi(MonodromyProblem(c, b_minus, b_plus)).psi
+    psi_a_swap = psi(MonodromyProblem(a, b_minus, b_plus)).psi
     prod = np.linalg.inv(psi_a) @ _expm(1j * math.pi * b_plus) @ psi_c \
         @ _expm(1j * math.pi * c) @ np.linalg.inv(psi_c_swap) \
         @ _expm(1j * math.pi * b_minus) @ psi_a_swap @ _expm(1j * math.pi * a)
     return np.linalg.norm(prod - np.eye(a.shape[0]))
 
 
-def verify_octagon_kz(tensors, lam, j2a, j2b, hbar, **kw):
+def verify_octagon_kz(tensors, lam, j2a, j2b, hbar):
     """Residuals of the twisted-octagon identity and its sigma-octagon and
     ribbon rearrangements.  Returns {'rtkz':, 'octagon':, 'ribbon':,
     'sigma_conj':}."""
@@ -589,10 +535,10 @@ def verify_octagon_kz(tensors, lam, j2a, j2b, hbar, **kw):
     a02 = a02_coeff(tensors, lam, j2a, j2b, hbar)
     d = d_coeff(tensors, lam, j2a, j2b, hbar)
 
-    psi_a = psi(MonodromyProblem(a, bp, bm, **kw)).psi
-    psi_021 = psi(MonodromyProblem(a02, bp, bm, **kw)).psi
-    psi_a_sw = psi(MonodromyProblem(a, bm, bp, **kw)).psi
-    psi_021_sw = psi(MonodromyProblem(a02, bm, bp, **kw)).psi
+    psi_a = psi(MonodromyProblem(a, bp, bm)).psi
+    psi_021 = psi(MonodromyProblem(a02, bp, bm)).psi
+    psi_a_sw = psi(MonodromyProblem(a, bm, bp)).psi
+    psi_021_sw = psi(MonodromyProblem(a02, bm, bp)).psi
 
     epi = lambda m: _expm(1j * math.pi * m)  # noqa: E731
     emi = lambda m: _expm(-1j * math.pi * m)  # noqa: E731

@@ -182,7 +182,7 @@ def x_subsystem_module(ctx, varpi_sub_coords):
     sub, vmap, scale = restrict_datum(datum, ctx.diagram.X)
     inv = {v: k for k, v in vmap.items()}
     q_sub = ctx.qp.q ** float(scale)
-    qp_sub = QParams(q_sub, dim_cap=ctx.qp.dim_cap)
+    qp_sub = QParams(q_sub)
     module = build_irrep(sub, sub.weight(varpi_sub_coords), qp_sub)
     letters_sub = tuple(inv[r] for r in ctx.word.letters)
     return module, letters_sub, sub, scale

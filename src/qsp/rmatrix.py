@@ -101,7 +101,6 @@ def _quasi_factor(m, n):
 @dataclass
 class RMatrix:
     matrix: np.ndarray
-    source: tuple
     convention: str
 
     @property
@@ -186,7 +185,7 @@ def rmat(m, n):
             f"R-matrix on {m.label} ox {n.label} fails its checks: "
             f"normalization residual {norm:.3g}, intertwining residual "
             f"{inter:.3g} (tolerance {_PIN_TOL:g})")
-    out = m.cache[key] = RMatrix(mat, (m.label, n.label), "R")
+    out = m.cache[key] = RMatrix(mat, "R")
     return out
 
 
@@ -236,7 +235,7 @@ def rmat_oracle(m, n):
     resid = _normalization_residual(mat, m, n)
     if resid > 1e-7:
         raise ConsistencyError(f"oracle normalization residual {resid}")
-    return RMatrix(mat, (m.label, n.label), "oracle")
+    return RMatrix(mat, "oracle")
 
 
 _BLOCK_COLS = 64

@@ -340,9 +340,15 @@ def weight_from_json(datum, arr):
 
 
 def root_datum_from_json(obj):
+    """RootDatum of {"components": [[type, rank], ...]}.  A given "d" must
+    be the symmetrizers of those components."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    return build_root_datum([(t, r) for t, r in obj["components"]])
+    datum = build_root_datum([(t, r) for t, r in obj["components"]])
+    if "d" in obj and obj["d"] != list(datum.d):
+        raise InputError(f"d must be {list(datum.d)}, the symmetrizers of "
+                         "the components")
+    return datum
 
 
 @dataclass(frozen=True)
@@ -570,18 +576,19 @@ def tau0(datum):
 
 
 def diagram_automorphisms(datum):
-    """All permutations of the vertices preserving the Cartan matrix."""
-    n = datum.rank
+    """All permutations of the vertices preserving the Cartan matrix, in
+    lexicographic order of their images.  The images of vertices 1, 2, ...
+    are assigned in turn, and a partial assignment is kept only while its
+    Cartan entries match those of the vertices already assigned."""
     verts = datum.vertices
-    autos = []
-    for perm in itertools.permutations(verts):
-        mapping = dict(zip(verts, perm))
-        if all(datum.a(mapping[r], mapping[s]) == datum.a(r, s)
-               for r in verts for s in verts):
-            autos.append(mapping)
-        if n > 8:  # pragma: no cover - rank cap keeps this cheap
-            break
-    return autos
+    partial = [()]
+    for r in verts:
+        partial = [imgs + (img,) for imgs in partial for img in verts
+                   if img not in imgs and all(
+                       datum.a(img, imgs[s - 1]) == datum.a(r, s)
+                       and datum.a(imgs[s - 1], img) == datum.a(s, r)
+                       for s in range(1, r))]
+    return [dict(zip(verts, imgs)) for imgs in partial]
 
 
 def restrict_datum(datum, subset):

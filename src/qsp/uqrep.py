@@ -7,8 +7,8 @@ E_r* = F_r K_r, the radical is quotiented by a relative threshold, and the
 surviving vectors are orthonormalized by deterministic Gram-Schmidt in
 (level, lexicographic) order.
 
-``build_irrep`` is memoised on (datum, highest weight, QParams, label) for
-the life of the process; ``tensor``, ``twist_module`` and ``decompose`` keep
+``build_irrep`` is memoised on (datum, highest weight, QParams) for the
+life of the process; ``tensor``, ``twist_module`` and ``decompose`` keep
 their results in the ``cache`` of their first argument, keyed by the
 partner module or the permutation.  Cached arrays are read-only.
 
@@ -32,7 +32,8 @@ import numpy as np
 from .errors import InputError, NumericalDegeneracyError, ResourceError
 from .rootsys import alpha_coefficients, qbinom, weyl_dimension
 
-DIM_CAP_DEFAULT = 400
+# the largest module dimension build_irrep constructs
+DIM_CAP = 400
 # Relative cut on spanning-vector norms when quotienting the radical of the
 # invariant form.  Radical vectors computed in double precision have norm
 # ~sqrt(machine eps) ~ 1.5e-8 relative, so the cut must sit well above that
@@ -45,7 +46,6 @@ class QParams:
     """Deformation parameter 0 < q < 1 with hbar = -i ln(q)/pi."""
 
     q: float
-    dim_cap: int = DIM_CAP_DEFAULT
 
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
@@ -172,24 +172,24 @@ def word_matrix(module, word):
 _IRREPS = {}
 
 
-def build_irrep(datum, varpi, qp, label=""):
+def build_irrep(datum, varpi, qp):
     """Irreducible *-representation with highest weight varpi.
 
     Levels are processed in increasing height of varpi - wt; each weight
     space is spanned by F_r on the previous level, the Gram matrix computed
     through previously known E/F matrices, and the radical dropped at
     RANK_THRESHOLD relative to the largest vector norm.  The same
-    (datum, varpi, qp, label) returns the same module.
+    (datum, varpi, qp) returns the same module.
     """
-    key = (datum, varpi, qp, label)
+    key = (datum, varpi, qp)
     if key in _IRREPS:
         return _IRREPS[key]
     if not (varpi.is_dominant() and varpi.is_integral()):
         raise InputError("highest weight must be dominant integral")
     target_dim = weyl_dimension(datum, varpi)
-    if target_dim > qp.dim_cap:
+    if target_dim > DIM_CAP:
         raise ResourceError(
-            f"module dimension {target_dim} exceeds cap {qp.dim_cap}")
+            f"module dimension {target_dim} exceeds cap {DIM_CAP}")
 
     verts = datum.vertices
     weights = [varpi]
@@ -250,7 +250,7 @@ def build_irrep(datum, varpi, qp, label=""):
             idxs = list(range(base, base + len(coeffs)))
             new_level[wc] = idxs
             weights.extend(datum.weight(wc) for _ in coeffs)
-            if len(weights) > qp.dim_cap:
+            if len(weights) > DIM_CAP:
                 raise ResourceError("dimension cap exceeded during build")
             # grow matrices
             for r in verts:
@@ -285,7 +285,7 @@ def build_irrep(datum, varpi, qp, label=""):
     for mat in [*E.values(), *F.values()]:
         read_only(mat)
     mod = _IRREPS[key] = WeightModule(
-        datum, qp, weights, E, F, highest=varpi, label=label or f"V[{varpi}]",
+        datum, qp, weights, E, F, highest=varpi, label=f"V[{varpi}]",
         gram_diagnostics={"min_kept": min_kept, "max_dropped": max_drop})
     return mod
 
@@ -364,9 +364,9 @@ def kron_sum(pairs):
     return sum((np.kron(a, b) for a, b in rest), np.kron(a, b))
 
 
-def tensor(m1, m2, label=""):
+def tensor(m1, m2):
     """Tensor product via the coproduct, product basis i-major."""
-    key = ("tensor", m2, label)
+    key = ("tensor", m2)
     if key in m1.cache:
         return m1.cache[key]
     if m1.datum != m2.datum:
@@ -379,7 +379,7 @@ def tensor(m1, m2, label=""):
         E[r] = read_only(kron_sum(delta_e))
         F[r] = read_only(kron_sum(delta_f))
     out = m1.cache[key] = WeightModule(
-        datum, qp, weights, E, F, label=label or f"({m1.label})ox({m2.label})")
+        datum, qp, weights, E, F, label=f"({m1.label})ox({m2.label})")
     return out
 
 

@@ -40,6 +40,10 @@ from .errors import ConsistencyError, InputError, ResourceError
 from .rootsys import qfact
 from .uqrep import WeightModule, kernel, read_only, ribbon_diag
 
+# the most levels build_Mr truncates to: F and F^* are dense cap x cap
+# complex matrices, 32 cap^2 bytes together (134 MB at 2048)
+MAX_LEVELS = 2048
+
 
 def _phi(n, r, q):
     """F-ladder coefficient: F e_n = phi_n e_{n-1}; OverflowError when it
@@ -67,7 +71,6 @@ class TruncatedModule:
     f_mat: np.ndarray
     fstar: np.ndarray
     h_diag: np.ndarray
-    label: str = ""
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -82,9 +85,11 @@ def interior_indices(module, dv, margin):
 
 
 def build_Mr(r, qp, cap):
-    """Truncation of M_r to levels 0..cap-1."""
+    """Truncation of M_r to levels 0..cap-1, 2 <= cap <= MAX_LEVELS."""
     if cap < 2:
         raise InputError("truncation needs at least two levels")
+    if cap > MAX_LEVELS:
+        raise ResourceError(f"{cap} levels exceed the cap of {MAX_LEVELS}")
     if abs(np.imag(r)) > 1e-14:
         raise InputError("the lowest-weight parameter r must be real")
     r = float(np.real(r))
@@ -101,7 +106,7 @@ def build_Mr(r, qp, cap):
             raise ResourceError(
                 f"ladder coefficient at level {n} overflows double "
                 f"precision (q = {q}, {cap} levels)") from None
-    return TruncatedModule(r, qp, cap, k, f, f.conj().T, h, label=f"M[{r}]")
+    return TruncatedModule(r, qp, cap, k, f, f.conj().T, h)
 
 
 def relations_residual(module):
@@ -162,8 +167,7 @@ def coaction_tensor(module, v):
     out = module.cache[key] = TruncatedModule(
         module.r, module.qp, module.cap,
         *(read_only(arr) for arr in (np.kron(module.k_diag, kv), f, fstar,
-                                     _total_h(module, v))),
-        label=f"{module.label}(.)V")
+                                     _total_h(module, v))))
     return out
 
 

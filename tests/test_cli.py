@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -318,7 +319,8 @@ def test_kz_psi_bad_q_is_input_error(runner, tmp_path, cfg):
     ({"q": 0.7, "series_order": "20"}, "series_order must be a positive integer"),
     ({"q": 0.7, "lambda": "1"}, "lambda must be a finite number"),
     ({"q": 0.7, "spin2_1": "2"}, "spin2_1 must be a nonnegative integer"),
-], ids=["series-order-string", "lambda-string", "spin-string"])
+    ({"q": 1.5}, "q must lie in (0, 1)"),
+], ids=["series-order-string", "lambda-string", "spin-string", "q-past-one"])
 def test_kz_psi_bad_field_is_input_error(runner, tmp_path, cfg, message):
     path = tmp_path / "kz.json"
     path.write_text(json.dumps(cfg))
@@ -328,7 +330,7 @@ def test_kz_psi_bad_field_is_input_error(runner, tmp_path, cfg, message):
 
 
 def test_kz_verify(runner):
-    res = runner.invoke(main, ["kz", "verify", "--suite", "su2", "--q", "0.7"])
+    res = runner.invoke(main, ["verify", "kz", "--q", "0.7"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["pass"]
 
@@ -439,6 +441,17 @@ def test_verify_appendix_b_mixed_root_lengths(runner, tmp_path):
     # numpy warns on the way; the error line still stands alone
     (["verify", "axioms", "--source", "kz", "--q", "0.7", "--t", "1e300"],
      None, 3),
+    # symmetrizers that do not symmetrize the Cartan matrix, or are not
+    # positive integers
+    (["diagram", "check", "--file"],
+     '{"components": [["B", 2]], "d": [1, 1], "X": []}', 2),
+    (["diagram", "check", "--file"],
+     '{"components": [["A", 2]], "d": [1, "2"], "X": []}', 2),
+    # ladders past vogan10.MAX_LEVELS stop before anything is allocated
+    (["vogan", "e-matrix", "--r", "0.25", "--q", "0.99", "--levels",
+      "100000"], None, 3),
+    (["verify", "rank-one", "--q", "0.99", "--r", "0.25", "--levels",
+      "100000"], None, 3),
 ])
 def test_inputs_past_the_contract_are_one_line_errors(tmp_path, args, text,
                                                       code):
@@ -463,3 +476,29 @@ def test_verify_characters(runner, su2_diagram):
                                su2_diagram, "--t", "0.3"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["pass"]
+
+
+def _readme_commands():
+    """The command paths of the ``qsp ...`` lines in README.md's CLI
+    block: the words before the first option."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    paths = []
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words[:1] == ["qsp"]:
+            paths.append(list(itertools.takewhile(
+                lambda word: not word.startswith("-"), words[1:])))
+    return paths
+
+
+def test_readme_commands_exist(runner):
+    paths = _readme_commands()
+    assert len(paths) >= 10
+    for path in paths:
+        res = runner.invoke(main, [*path, "--help"])
+        assert res.exit_code == 0, (path, res.output)

@@ -3,7 +3,7 @@
 Every run, whatever its input, exits 0 or 1 with JSON on stdout, or 2
 (input) or 3 (resource) with one line on stderr, and ends within a
 subprocess timeout.  The inputs are drawn by Hypothesis: q, t, r, ladder
-levels and spins, the Satake diagrams that ``qsp diagram list`` gives for
+levels (also past ``vogan10.MAX_LEVELS``) and spins, the Satake diagrams that ``qsp diagram list`` gives for
 types A-D up to rank 5, and malformed JSON files.  The draws are
 derandomized and few, so the suite stays short and repeatable.
 """
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import qsp
 from qsp.cli import main
 from qsp.rootsys import _RANK_BOUNDS
+from qsp.vogan10 import MAX_LEVELS
 
 RUN_TIMEOUT = 60
 _ENV = dict(os.environ,
@@ -45,7 +46,8 @@ _NUMBER = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]))
 _Q = st.one_of(st.floats(0.0, 1.0),
                st.sampled_from([-0.5, 1.5, math.nan, math.inf]))
-_LEVELS = st.integers(-2, 400)
+_LEVELS = st.one_of(st.integers(-2, 400),
+                    st.integers(MAX_LEVELS + 1, 10 ** 6))
 _SPIN = st.integers(-1, 12)
 # JSON that is not a diagram or a KZ configuration: broken text, values of
 # the wrong kind, and objects with wrong or missing fields

@@ -2,16 +2,12 @@ import pytest
 
 from qsp.diagrams import (
     check_admissible,
-    check_vogan,
     choose_z,
     classify_sets,
     diagram_from_json,
     enumerate_admissible,
     hermitian_type,
-    is_standard_vogan,
     satake,
-    theta_action,
-    vogan,
 )
 from qsp.errors import InputError
 from qsp.rootsys import build_root_datum
@@ -42,15 +38,15 @@ def test_admissible_rejects():
 def test_theta_action():
     d = satake(A1, ())
     a = A1.simple_root(1)
-    assert theta_action(d, a).coords == (-a).coords
+    assert d.theta(a).coords == (-a).coords
 
     d2 = satake(A2, (), [[1, 2]])
-    assert theta_action(d2, A2.simple_root(1)).coords == (-A2.simple_root(2)).coords
+    assert d2.theta(A2.simple_root(1)).coords == (-A2.simple_root(2)).coords
 
     d3 = satake(A3, (1, 3))
     for r in A3.vertices:
         mu = A3.simple_root(r)
-        assert theta_action(d3, theta_action(d3, mu)).coords == mu.coords
+        assert d3.theta(d3.theta(mu)).coords == mu.coords
 
 
 def test_theta_involutive_on_all_enumerated():
@@ -95,31 +91,6 @@ def test_enumerate_counts():
 def test_enumerate_a2_contains_swap():
     diags = enumerate_admissible(A2)
     assert any(d.X == () and d.tau == (2, 1) for d in diags)
-
-
-def test_vogan_checks():
-    assert check_vogan(A1, (1,), None)
-    assert is_standard_vogan(A1, (1,), None)
-    assert check_vogan(A2, (), [[1, 2]])
-    assert not check_vogan(A2, (), None)  # both trivial
-    assert not check_vogan(A2, (1,), [[1, 2]])  # Y not mu-fixed
-    assert is_standard_vogan(A2, (1,), None)
-    assert not is_standard_vogan(A2, (1, 2), None)  # two marked in a component
-
-
-def test_vogan_standardness_weight_rule():
-    # marking the long root of G2 violates (w_r - w_s, w_s) <= 0
-    G2 = build_root_datum([("G", 2)])
-    assert check_vogan(G2, (2,), None)
-    assert is_standard_vogan(G2, (1,), None)
-    assert not is_standard_vogan(G2, (2,), None)
-
-
-def test_vogan_object():
-    v = vogan(A2, (), [[1, 2]])
-    assert v.epsilon(1) == 1
-    mu = A2.fundamental_weight(1)
-    assert v.n_weight(mu).coords == A2.fundamental_weight(2).coords
 
 
 def test_classify_sets_su2():

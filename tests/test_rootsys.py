@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qsp.errors import InputError
 from qsp.rootsys import (
+    _RANK_BOUNDS,
     _gauss_jordan,
     beta_sequence,
     build_root_datum,
@@ -18,6 +19,7 @@ from qsp.rootsys import (
     qbinom,
     qfact,
     qint,
+    restrict_datum,
     rho_check,
     root_datum_from_json,
     tau0,
@@ -246,6 +248,36 @@ def test_diagram_automorphisms():
     assert len(diagram_automorphisms(d4)) == 6  # S3 on the outer vertices
 
 
+def _automorphisms_by_permutation(datum):
+    """Every vertex permutation filtered by the Cartan matrix: the search
+    diagram_automorphisms replaced, kept as the reference."""
+    verts = datum.vertices
+    out = []
+    for perm in itertools.permutations(verts):
+        mapping = dict(zip(verts, perm))
+        if all(datum.a(mapping[r], mapping[s]) == datum.a(r, s)
+               for r in verts for s in verts):
+            out.append(mapping)
+    return out
+
+
+@pytest.mark.parametrize("spec,count", [
+    ("D4", 6), ("E6", 2), ("A1xA1xA1", 6), ("A4xA4", 8), ("B3xB3", 2),
+    ("E8", 1), ("A5xA5", 8), ("D4xD4xA1", 72)])
+def test_diagram_automorphism_counts(spec, count):
+    # A5xA5 and D4xD4xA1 have rank above 8, where the permutation loop
+    # once stopped after the identity
+    assert len(diagram_automorphisms(build_root_datum(spec))) == count
+
+
+def test_diagram_automorphisms_match_the_permutation_filter():
+    for typ, (lo, hi) in _RANK_BOUNDS.items():
+        for rank in range(lo, hi + 1):
+            datum = build_root_datum([(typ, rank)])
+            assert diagram_automorphisms(datum) \
+                == _automorphisms_by_permutation(datum), (typ, rank)
+
+
 def test_weyl_dimension():
     d = build_root_datum([("A", 1)])
     assert weyl_dimension(d, d.weight([1])) == 2
@@ -259,6 +291,11 @@ def test_json_roundtrip():
     d = build_root_datum([("B", 2), ("A", 1)])
     d2 = root_datum_from_json(d.to_json())
     assert d2 == d
+    # a "d" other than the symmetrizers of the components is refused: the
+    # sub-datum C3 {1, 3} keeps the ambient d = (1, 2) on A1 x A1
+    sub = restrict_datum(build_root_datum([("C", 3)]), (1, 3))[0]
+    with pytest.raises(InputError, match="d must be"):
+        root_datum_from_json(sub.to_json())
     mu = d.weight([F(1, 2), 2, -1])
     assert weight_from_json(d, mu.to_json()).coords == mu.coords
 

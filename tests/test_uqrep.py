@@ -88,7 +88,7 @@ def test_highest_weight_k_eigenvalue():
 
 def test_dim_cap():
     with pytest.raises(ResourceError):
-        build_irrep(A1, A1.weight([500]), QParams(0.7, dim_cap=100))
+        build_irrep(A1, A1.weight([500]), QParams(0.7))
 
 
 def test_tensor_with_trivial_is_identity():
@@ -117,7 +117,6 @@ def test_tensor_weights_add():
 def test_build_irrep_memoised_read_only():
     v = build_irrep(A2, A2.weight([1, 0]), QP)
     assert build_irrep(A2, A2.weight([1, 0]), QParams(0.7)) is v
-    assert build_irrep(A2, A2.weight([1, 0]), QP, label="f") is not v
     assert build_irrep(A2, A2.weight([1, 0]), QParams(0.6)) is not v
     with pytest.raises(ValueError):
         v.E[1][0, 0] = 1.0
