@@ -6,7 +6,7 @@ An AlgebraElement is a complex-linear combination of words in the symbols
 
 where ``coords`` is a tuple of Fractions (fundamental-weight coordinates of
 omega).  No normal ordering is attempted: the semantics of an element is its
-evaluation on weight modules (``WeightModule.act``).  The program uses
+evaluation on weight modules, which the tests carry out.  The program uses
 formal elements only for the braid automorphisms of ``lusztig``, which the
 tests compare the module braid operators against.  The coproduct, antipode
 and *-structure are not formal here: Delta is written once, as matrices on

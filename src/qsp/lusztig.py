@@ -115,15 +115,13 @@ def braid_on_module(module, r):
     qr = qp.q_r(datum, r)
     dim = module.dim
     er, fr = module.E[r], module.F[r]
-    alpha = datum.simple_root(r)
 
     # r-highest vectors: kernel of E_r within each weight space
     spaces = module.weight_spaces()
     columns = []
     images = []
     for wc, idxs in sorted(spaces.items(), key=lambda kv: kv[0]):
-        w = datum.weight(wc)
-        n_pair = w.pairing(alpha.coroot())
+        n_pair = wc[r - 1]  # (wt, alpha_r^vee) is the r-th coordinate
         if n_pair.denominator != 1 or n_pair < 0:
             continue
         n = int(n_pair)

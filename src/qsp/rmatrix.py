@@ -32,6 +32,7 @@ the same normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
@@ -44,12 +45,30 @@ from .uqrep import (casimir_scalar, coproduct_terms, decompose, kron_sum,
 _PIN_TOL = 1e-9
 
 
+def _numerators(module):
+    """The weights' coordinates as integer rows over one denominator."""
+    den = lcm(*[c.denominator for w in module.weights for c in w.coords])
+    return [[c.numerator * (den // c.denominator) for c in w.coords]
+            for w in module.weights], den
+
+
+def _pairings(m, n):
+    """(wt_i, wt_j) over m ox n as doubles.  One integer matrix product,
+    (numerators of m) G (numerators of n)^T, in exact integers over one
+    denominator; each entry is then divided once.  An int / int division is
+    correctly rounded at any size, so every entry is the double of the
+    exact pairing, the one ``float(Fraction)`` gives."""
+    (num_m, den_m), (num_n, den_n) = _numerators(m), _numerators(n)
+    den = den_m * den_n * m.datum.gram_den
+    gram_n = [[sum(g * y for g, y in zip(row, col)) for row in m.datum.gram_num]
+              for col in num_n]
+    return np.array([[sum(x * y for x, y in zip(row, col)) / den
+                      for col in gram_n] for row in num_m])
+
+
 def _cartan_factor(m, n, sign=-1):
-    pair = np.empty((m.dim, n.dim))
-    for i, wi in enumerate(m.weights):
-        for j, wj in enumerate(n.weights):
-            pair[i, j] = float(wi.pairing(wj))
-    return (m.qp.q ** (sign * pair)).reshape(-1)
+    """q^{sign (wt_i, wt_j)} on m ox n, flattened."""
+    return (m.qp.q ** (sign * _pairings(m, n))).reshape(-1)
 
 
 def _root_vector_mats(module):
@@ -113,27 +132,30 @@ def _intertwining_residual(mat, m, n):
     with Delta^op on m ox n the flipped ``coproduct_terms(n, m, r)``.
 
     Each coproduct term a ox b is applied to the legs of R in turn, never
-    formed as a dense Kronecker product."""
+    formed as a dense Kronecker product, on blocks of rows of both sides
+    that share their first-leg indices: no array of the size of R is
+    formed besides R."""
     dm, dn = m.dim, n.dim
     size = dm * dn
+    step = max(1, _BLOCK_COLS // dn)
     worst = 0.0
     for r in m.datum.vertices:
         for delta, delta_op in zip(coproduct_terms(m, n, r),
                                    coproduct_terms(n, m, r)):
-            lhs = np.zeros((size, size), dtype=complex)
-            rhs = np.zeros((size, size), dtype=complex)
-            for a, b in delta:
+            sq = np.zeros(3)  # squared norms of lhs, rhs and lhs - rhs
+            for i in range(0, dm, step):
+                rows = mat[i * dn:(i + step) * dn]
+                k = rows.shape[0]
                 # R (a ox b), a on m, b on n
-                t = mat.reshape(size, dm, dn) @ b
-                t = (t.transpose(0, 2, 1) @ a).transpose(0, 2, 1)
-                lhs += t.reshape(size, size)
-            for b, a in delta_op:
-                # (a ox b) R, a on m, b on n
-                u = a @ mat.reshape(dm, dn * size)
-                u = b @ u.reshape(dm, dn, size)
-                rhs += u.reshape(size, size)
-            scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-30)
-            worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
+                lhs = sum(((rows.reshape(k, dm, dn) @ b).transpose(0, 2, 1) @ a)
+                          .transpose(0, 2, 1).reshape(k, size) for a, b in delta)
+                # (a ox b) R: rows i.. of a on the first leg, b on the second
+                rhs = sum((b @ (a[i:i + step] @ mat.reshape(dm, dn * size))
+                           .reshape(-1, dn, size)).reshape(k, size)
+                          for b, a in delta_op)
+                sq += [np.linalg.norm(x) ** 2 for x in (lhs, rhs, lhs - rhs)]
+            lhs_n, rhs_n, diff_n = np.sqrt(sq)
+            worst = max(worst, diff_n / max(lhs_n, rhs_n, 1e-30))
     return worst
 
 

@@ -2,7 +2,11 @@
 
 Everything in this module is computed over exact rationals
 (``fractions.Fraction``); floating point enters only downstream, when a
-numeric deformation parameter is supplied.
+numeric deformation parameter is supplied.  The invariant form is integer
+arithmetic: the Gram matrix is kept as integers over one denominator, and a
+pairing divides once.  Data that depend only on the datum and a vertex
+subset (positive roots, w_X words, inverse sub-Cartan matrices) are computed
+once and kept, immutable, in the datum's ``cache``.
 
 Weights are stored in fundamental-weight coordinates, so the coordinate of a
 weight at vertex ``r`` is the Cartan pairing ``(mu, alpha_r^vee)``.  Simple
@@ -13,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 
 CLASSICAL_TYPES = "ABCDEFG"
 
@@ -142,14 +146,18 @@ class RootDatum:
     symmetrizers and the fundamental-weight Gram matrix.
 
     Vertices are numbered 1..rank across components, Bourbaki order within
-    each component.
+    each component.  ``cache`` keeps the per-subset data derived from the
+    datum; it takes no part in equality, hashing or repr.
     """
 
     components: tuple  # ((type, rank), ...)
     cartan: tuple      # rows of the Cartan matrix (a_rs)
     d: tuple           # symmetrizers d_r
     d_A: int           # index of Q in P (lcm of component determinants)
-    gram: tuple        # (varpi_r, varpi_s) as Fractions
+    gram_num: tuple    # (varpi_r, varpi_s) * gram_den, as ints
+    gram_den: int      # the common denominator of the Gram matrix
+    cache: dict = field(default_factory=dict, compare=False, hash=False,
+                        repr=False)
 
     @property
     def rank(self):
@@ -238,10 +246,12 @@ def _assemble(comps, d):
     b = [[Fraction(d[i] * cartan[i][j]) for j in range(n)] for i in range(n)]
     eye = [[Fraction(i == j) for j in range(n)] for i in range(n)]
     red, _, _ = _gauss_jordan([row + e for row, e in zip(b, eye)], n)
-    binv = [row[n:] for row in red]
-    gram = tuple(tuple(d[i] * binv[i][j] * d[j] for j in range(n)) for i in range(n))
+    gram = [[d[i] * red[i][n + j] * d[j] for j in range(n)] for i in range(n)]
+    den = lcm(*(g.denominator for row in gram for g in row))
+    gram_num = tuple(tuple(int(g * den) for g in row) for row in gram)
 
-    datum = RootDatum(tuple(comps), tuple(map(tuple, cartan)), tuple(d), d_A, gram)
+    datum = RootDatum(tuple(comps), tuple(map(tuple, cartan)), tuple(d), d_A,
+                      gram_num, den)
     _check_datum_invariants(datum)
     return datum
 
@@ -303,14 +313,23 @@ class Weight:
     def is_integral(self):
         return all(c.denominator == 1 for c in self.coords)
 
+    def scaled(self):
+        """(integer coordinates as a list, their common denominator).  Lists,
+        not tuples built from generators: this runs for every pairing, and
+        that churn would fill the interpreter's tuple free lists."""
+        den = lcm(*[c.denominator for c in self.coords])
+        return [c.numerator * (den // c.denominator) for c in self.coords], den
+
     def pairing(self, other):
-        """Invariant form (mu, nu); short roots have square length 2."""
+        """Invariant form (mu, nu), a Fraction; short roots have square
+        length 2.  Integer numerators over the Gram denominator, divided
+        once."""
         self._same(other)
-        g = self.datum.gram
-        return sum(self.coords[i] * g[i][j] * other.coords[j]
-                   for i in range(self.datum.rank)
-                   for j in range(self.datum.rank)
-                   if self.coords[i] and other.coords[j])
+        (a, da), (b, db) = self.scaled(), other.scaled()
+        g = self.datum.gram_num
+        total = sum(x * sum(gx * y for gx, y in zip(row, b) if y)
+                    for x, row in zip(a, g) if x)
+        return Fraction(total) / (da * db * self.datum.gram_den)
 
     def reflect(self, r):
         """s_r(mu) = mu - (mu, alpha_r^vee) alpha_r."""
@@ -333,10 +352,6 @@ class Weight:
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
-
-def weight_from_json(datum, arr):
-    return datum.weight([Fraction(s) for s in arr])
 
 
 def root_datum_from_json(obj):
@@ -385,39 +400,38 @@ def _validate_subset(datum, subset):
     return subset
 
 
+def _cached(datum, key, build):
+    """datum.cache[key], built by ``build()`` on the first call."""
+    val = datum.cache.get(key)
+    if val is None:
+        val = datum.cache[key] = build()
+    return val
+
+
 def longest_element(datum, subset=None):
     """Reduced word for the longest element w_X of the parabolic subsystem.
 
     Deterministic: the lexicographically smallest reduced word, found by
     greedily choosing the smallest admissible first letter (exchange
     property: s_r can start a reduced word of w iff w^{-1} alpha_r < 0).
+    Kept in the datum's cache per subset.
     """
     if subset is None:
         subset = datum.vertices
     subset = _validate_subset(datum, subset)
+    return _cached(datum, ("longest", subset),
+                   lambda: _longest_element(datum, subset))
+
+
+def _longest_element(datum, subset):
     if not subset:
         return WeylWord(datum, ())
-
-    # Represent w and w^{-1} by their action on simple roots of the subsystem.
-    pos = positive_roots_closure(datum, subset)
-    n_pos = len(pos)
-
-    # Track w^{-1} as image list of simple roots alpha_r, r in subset.
-    winv = {r: datum.simple_root(r) for r in subset}
-    # Start from w = w_X; we peel letters off the left. w_X sends every
-    # positive root of the subsystem to a negative one, so initially any
-    # r works;  maintain w explicitly as the composition of the remaining
-    # reflections by tracking w^{-1} = (already-emitted word applied to w_X).
-    # Simpler: build the word on the dominant-to-antidominant path but with
-    # lex-min letter choice at each step, which yields the lex-smallest
-    # reduced word of w_X^{-1} = w_X read in reverse; reverse at the end is
-    # unnecessary because we instead run the exchange test directly.
+    # Peel letters off the left of w_X, tracking the remaining element cur
+    # as the map alpha_r -> cur^{-1}(alpha_r); w_X is an involution, so it
+    # starts as the action of w_X itself.
     word = []
-    # current = remaining element, as map alpha_r -> current^{-1}(alpha_r)
-    # initialised with w_X computed via the antidominant path.
-    wx = _wx_matrix(datum, subset, pos)
-    cur_inv = dict(wx)  # w_X is an involution, so w_X^{-1} = w_X
-    for _ in range(n_pos):
+    cur_inv = _wx_matrix(datum, subset)
+    for _ in range(len(positive_roots_closure(datum, subset))):
         for r in subset:
             img = cur_inv[r]
             if _is_negative_on(img, subset):
@@ -431,7 +445,7 @@ def longest_element(datum, subset=None):
     return WeylWord(datum, tuple(word))
 
 
-def _wx_matrix(datum, subset, pos):
+def _wx_matrix(datum, subset):
     """Action of w_X on the simple roots of the subsystem: repeatedly reflect
     a strictly dominant weight of the subsystem to the antidominant chamber,
     recording the product."""
@@ -460,29 +474,48 @@ def _is_negative_on(weight, subset):
 
 
 def alpha_coefficients(weight, subset):
-    """Expand a weight supported on ZZ<alpha_r : r in subset>; None if not."""
+    """Expand a weight supported on ZZ<alpha_r : r in subset>; None if not.
+
+    Solves sum_t c_t alpha_t = weight in fundamental coordinates: the rows
+    in the subset form the sub-Cartan system, whose inverse (an integer
+    adjugate over its determinant, kept per subset in the datum's cache)
+    gives c; the other rows must then agree."""
     datum = weight.datum
-    sub = list(subset)
-    # Solve sum_t c_t alpha_t = weight in fundamental coordinates:
-    # coords[s] = sum_t c_t a_{s+1, t}; restrict to rows s in subset gives a
-    # square invertible system (Cartan matrix of the subsystem).
-    aug = [[datum.a(s, t) for t in sub] + [weight.coords[s - 1]] for s in sub]
-    coeffs = [row[-1] for row in _gauss_jordan(aug, len(sub))[0]]
-    # check consistency on the rows outside the subset
+    sub = tuple(subset)
+    adj, det = _cached(datum, ("sub_cartan_inv", sub),
+                       lambda: _sub_cartan_inverse(datum, sub))
+    num, den = weight.scaled()
+    # c_t = y_t / (det den), all in integers
+    y = [sum(x * num[s - 1] for x, s in zip(row, sub)) for row in adj]
     for s in datum.vertices:
-        if s in subset:
-            continue
-        val = sum(c * datum.a(s, t) for c, t in zip(coeffs, sub))
-        if val != weight.coords[s - 1]:
+        if s not in sub and sum(
+                c * datum.a(s, t) for c, t in zip(y, sub)) != num[s - 1] * det:
             return None
-    return dict(zip(sub, coeffs))
+    return {t: Fraction(c, det * den) for t, c in zip(sub, y)}
+
+
+def _sub_cartan_inverse(datum, sub):
+    """(adjugate, determinant) of the Cartan matrix restricted to sub, as
+    ints."""
+    k = len(sub)
+    aug = [[datum.a(s, t) for t in sub] + [int(i == j) for j in range(k)]
+           for i, s in enumerate(sub)]
+    red, _, det = _gauss_jordan(aug, k)
+    return (tuple(tuple(int(x * det) for x in row[k:]) for row in red),
+            int(det))
 
 
 def positive_roots_closure(datum, subset):
-    """All positive roots of the subsystem: orbit of the simple roots under
-    the subsystem reflections, intersected with the positive cone.  Brute
-    force; used as the independent oracle and for lengths."""
+    """All positive roots of the subsystem, as a tuple: orbit of the simple
+    roots under the subsystem reflections, intersected with the positive
+    cone.  Brute force, kept in the datum's cache per subset; used as the
+    independent oracle and for lengths."""
     subset = _validate_subset(datum, subset)
+    return _cached(datum, ("closure", subset),
+                   lambda: _positive_roots_closure(datum, subset))
+
+
+def _positive_roots_closure(datum, subset):
     seen = {}
     frontier = [datum.simple_root(r) for r in subset]
     for w in frontier:
@@ -502,19 +535,7 @@ def positive_roots_closure(datum, subset):
         if coeffs is not None and all(c >= 0 for c in coeffs.values()):
             out.append(w)
     out.sort(key=lambda w: (sum(alpha_coefficients(w, subset).values()), w.coords))
-    return out
-
-
-def positive_roots(datum, subset=None):
-    """Positive roots of the subsystem enumerated along the canonical reduced
-    word of w_X: beta_k = s_{r_1} ... s_{r_{k-1}} (alpha_{r_k})."""
-    if subset is None:
-        subset = datum.vertices
-    subset = _validate_subset(datum, subset)
-    if not subset:
-        return []
-    word = longest_element(datum, subset)
-    return beta_sequence(datum, word)
+    return tuple(out)
 
 
 def beta_sequence(datum, word):
@@ -658,5 +679,6 @@ def weyl_dimension(datum, varpi):
         num *= (varpi + rho).pairing(beta)
         den *= rho.pairing(beta)
     dim = num / den
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise ConsistencyError(f"Weyl dimension {dim} is not an integer")
     return int(dim)

@@ -111,25 +111,6 @@ class WeightModule:
             spaces.setdefault(w.coords, []).append(i)
         return spaces
 
-    def symbol_matrix(self, sym):
-        kind = sym[0]
-        if kind == "E":
-            return self.E[sym[1]]
-        if kind == "F":
-            return self.F[sym[1]]
-        if kind == "K":
-            return self.k_matrix(self.datum.weight(sym[1]))
-        raise InputError(f"unknown symbol {sym!r}")
-
-    def act(self, element):
-        """Evaluate an AlgebraElement."""
-        if element.datum != self.datum:
-            raise InputError("algebra element over a different datum")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for word, coeff in element.terms.items():
-            out += coeff * word_matrix(self, word)
-        return out
-
 
 def kernel(mat, rel):
     """Orthonormal kernel of ``mat`` and its singular values, as (basis, s).
@@ -159,14 +140,6 @@ def read_only(arr):
     """Mark an array that is cached and shared as read-only; returns it."""
     arr.flags.writeable = False
     return arr
-
-
-def word_matrix(module, word):
-    """Matrix of a word of generator symbols on a module."""
-    out = np.eye(module.dim, dtype=complex)
-    for sym in word:
-        out = out @ module.symbol_matrix(sym)
-    return out
 
 
 _IRREPS = {}
@@ -305,15 +278,16 @@ def _pair_f_vectors(datum, qp, weights, E, F, r, j, s, k):
     # K_r^{-1} F_s E_r e_k
     erk = E[r][:, k][:base]
     val = 0.0 + 0.0j
+    # (alpha_r, wt) = d_r wt_r: read off the coordinate, no pairing
+    d_r = datum.d[r - 1]
     if np.any(erk):
         fs_erk = F[s][:base, :base] @ erk
-        kinv = qp.qpow(-datum.simple_root(r).pairing(weights[j]))
+        kinv = qp.qpow(-d_r * weights[j].coords[r - 1])
         val += kinv * fs_erk[j]
     if r == s:
-        wk = weights[k]
         qr = qp.q_r(datum, r)
-        kr = qp.qpow(datum.simple_root(r).pairing(wk))
-        krinv_j = qp.qpow(-datum.simple_root(r).pairing(weights[j]))
+        kr = qp.qpow(d_r * weights[k].coords[r - 1])
+        krinv_j = qp.qpow(-d_r * weights[j].coords[r - 1])
         if j == k:
             val += krinv_j * (kr - 1.0 / kr) / (qr - 1.0 / qr)
     return val
@@ -327,18 +301,9 @@ def _e_on_f_vector(datum, qp, weights, E, F, r, s, k, base):
         out += F[s][:base, :base] @ erk
     if r == s:
         qr = qp.q_r(datum, r)
-        kr = qp.qpow(datum.simple_root(r).pairing(weights[k]))
+        kr = qp.qpow(datum.d[r - 1] * weights[k].coords[r - 1])
         out[k] += (kr - 1.0 / kr) / (qr - 1.0 / qr)
     return out
-
-
-def trivial_module(datum, qp):
-    verts = datum.vertices
-    z = np.zeros((1, 1), dtype=complex)
-    return WeightModule(datum, qp, [datum.zero_weight()],
-                        {r: z.copy() for r in verts},
-                        {r: z.copy() for r in verts},
-                        highest=datum.zero_weight(), label="trivial")
 
 
 def coproduct_terms(m1, m2, r):
@@ -505,17 +470,6 @@ def _grow_embedding(module, varpi, hw_vec, qp):
         images = np.column_stack([module.F[r] @ emb[:, j] for (r, j) in pairs])
         emb[:, nxt] = images @ w
     return emb
-
-
-def star_residual(module):
-    """max_r ||E_r^dagger - F_r K_r|| / max(||E_r||, 1)."""
-    worst = 0.0
-    for r in module.datum.vertices:
-        e = module.E[r]
-        frkr = module.F[r] @ module.k_matrix(module.datum.simple_root(r))
-        scale = max(np.linalg.norm(e), 1e-30)
-        worst = max(worst, np.linalg.norm(e.conj().T - frkr) / scale)
-    return worst
 
 
 def relations_residual(module):

@@ -17,7 +17,36 @@ from qsp.algebra import AlgebraElement, _k_sym, normalize_word
 from qsp.errors import InputError
 from qsp.lusztig import _pow, e_d_constants, word_exponents
 from qsp.rootsys import weyl_act
-from qsp.uqrep import word_matrix
+
+
+def symbol_matrix(module, sym):
+    """Matrix of one generator symbol on a module."""
+    kind = sym[0]
+    if kind == "E":
+        return module.E[sym[1]]
+    if kind == "F":
+        return module.F[sym[1]]
+    if kind == "K":
+        return module.k_matrix(module.datum.weight(sym[1]))
+    raise InputError(f"unknown symbol {sym!r}")
+
+
+def word_matrix(module, word):
+    """Matrix of a word of generator symbols on a module."""
+    out = np.eye(module.dim, dtype=complex)
+    for sym in word:
+        out = out @ symbol_matrix(module, sym)
+    return out
+
+
+def act(module, element):
+    """Evaluate an AlgebraElement on a module."""
+    if element.datum != module.datum:
+        raise InputError("algebra element over a different datum")
+    out = np.zeros((module.dim, module.dim), dtype=complex)
+    for word, coeff in element.terms.items():
+        out += coeff * word_matrix(module, word)
+    return out
 
 
 class TensorElement:

@@ -32,7 +32,7 @@ from qsp.errors import ConsistencyError
 from qsp.lusztig import braid_word_on_algebra
 from qsp.rootsys import positive_roots_closure
 
-from formal_algebra import TensorElement, act_tensor, coproduct
+from formal_algebra import TensorElement, act, act_tensor, coproduct
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +165,9 @@ def formal_star_membership(diag, params, qp, modules):
     """``qsp.coideal.star_membership`` with every generator evaluated from
     its formal AlgebraElement."""
     window = direct_sum_module(modules) if len(modules) > 1 else modules[0]
-    gens = [window.act(g) for g in coideal_generator_elements(diag, params, qp)]
+    gens = [act(window, g) for g in coideal_generator_elements(diag, params, qp)]
     span = _monomial_span(gens, window.dim)
-    bmats = {r: window.act(b) for r, b in
+    bmats = {r: act(window, b) for r, b in
              b_generators(diag, params, qp).items()}
     out = {}
     for r, b in bmats.items():
@@ -180,7 +180,7 @@ def formal_star_membership(diag, params, qp, modules):
 def formal_coideal_law_residual(diag, params, qp, m1, m2):
     """``qsp.coideal.coideal_law_residual`` with Delta(b) on m1 ox m2
     evaluated from the formal coproduct of each generator b."""
-    gens = [m1.act(g) for g in coideal_generator_elements(diag, params, qp)]
+    gens = [act(m1, g) for g in coideal_generator_elements(diag, params, qp)]
     span = _monomial_span(gens, m1.dim)
     datum = diag.datum
     elements = list(b_generators(diag, params, qp).values())
@@ -254,12 +254,12 @@ def tail_b_matrix(x0, r, wmod):
     _, _, tail = coideal_coproduct_parts(x0.diag, x0.params, qp, r)
     mat = x0.chi.b_values.get(r, 0.0) \
         * wmod.k_matrix(-1 * datum.simple_root(r))
-    mat = mat + wmod.act(AlgebraElement.f(datum, r))
+    mat = mat + act(wmod, AlgebraElement.f(datum, r))
     for (w1, w2), coeff in tail.terms.items():
         if any(sym[0] in ("E", "F") for sym in w1):
             continue  # killed by the character
         scal = x0.chi.k_value(datum, qp, _leg1_k_weight(datum, w1))
-        mat = mat + coeff * scal * wmod.act(AlgebraElement(datum, {w2: 1.0}))
+        mat = mat + coeff * scal * act(wmod, AlgebraElement(datum, {w2: 1.0}))
     return mat
 
 
@@ -332,9 +332,9 @@ def gamma_twist_residual(diag, qp, module):
     b_prime = b_generators(diag, kolb_parameters(diag, qp), qp)
     worst = 0.0
     for r in diag.white:
-        lhs = module.act(gamma(b_prime[r]))
+        lhs = act(module, gamma(b_prime[r]))
         scal = qp.qpow(-omega0.pairing(diag.datum.simple_root(r)))
-        rhs = module.act(b_noparam[r]) * scal
+        rhs = act(module, b_noparam[r]) * scal
         worst = max(worst, np.linalg.norm(lhs - rhs)
                     / max(np.linalg.norm(rhs), 1e-30))
     return worst

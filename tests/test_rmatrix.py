@@ -8,6 +8,7 @@ from qsp.algebra import AlgebraElement
 from qsp.errors import UnsupportedOracleError
 from qsp.lusztig import braid_word_on_algebra
 from qsp.rmatrix import (
+    _intertwining_residual,
     _root_vector_mats,
     apply_on_legs,
     hexagon_residuals,
@@ -19,7 +20,11 @@ from qsp.rmatrix import (
     ybe_residual,
 )
 from qsp.rootsys import beta_sequence, build_root_datum, longest_element
-from qsp.uqrep import QParams, build_irrep, decompose, tensor, trivial_module
+from qsp.uqrep import (QParams, build_irrep, coproduct_terms, decompose,
+                        kron_sum, tensor)
+
+from formal_algebra import act
+from module_helpers import trivial_module
 
 A1 = build_root_datum([("A", 1)])
 A2 = build_root_datum([("A", 2)])
@@ -263,6 +268,50 @@ def test_ybe_memory_is_column_blocks():
     assert peak / 2 ** 20 < 6.0
 
 
+def _dense_intertwining_residual(mat, m, n):
+    worst = 0.0
+    for r in m.datum.vertices:
+        for delta, delta_op in zip(coproduct_terms(m, n, r),
+                                   coproduct_terms(n, m, r)):
+            lhs = mat @ kron_sum(delta)
+            rhs = kron_sum([(a, b) for b, a in delta_op]) @ mat
+            scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-30)
+            worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("typ,left,right", [
+    ("A1", [1], [2]), ("A2", [1, 1], [1, 0]), ("B2", [0, 1], [1, 0]),
+    ("A3", [1, 0, 1], [1, 0, 0]),
+])
+def test_intertwining_residual_matches_dense_reference(typ, left, right):
+    # the row blocks against dense Kronecker products, on R and on R with
+    # one entry moved, which the check must see
+    datum = build_root_datum(typ)
+    m, n = V(datum, left, QParams(0.6)), V(datum, right, QParams(0.6))
+    mat = rmat(m, n).matrix
+    assert _intertwining_residual(mat, m, n) <= 1e-13
+    bad = mat.copy()
+    bad[1, 0] += 1e-3
+    want = _dense_intertwining_residual(bad, m, n)
+    assert want > 1e-6
+    assert abs(_intertwining_residual(bad, m, n) - want) <= 1e-12 * want
+
+
+def test_intertwining_residual_memory_is_row_blocks():
+    # on A3 adjoint ox adjoint (N = 225) R is 0.8 MB; whole-size sides and
+    # their products held about 3.9 MB beyond R
+    m = V(build_root_datum("A3"), [1, 0, 1], QParams(0.6))
+    mat = rmat(m, m).matrix
+    tracemalloc.start()
+    try:
+        _intertwining_residual(mat, m, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 < 1.5
+
+
 def test_r21_matches_permutation_matrix():
     v, w = V(A2, [1, 0]), V(A2, [1, 1])
     p = _leg_permutation([v.dim, w.dim], [1, 0])   # v ox w -> w ox v
@@ -302,7 +351,7 @@ def test_root_vectors_match_formal_braid_images(typ, coords):
         prefix = word.letters[:k]
         _, e_beta, f_beta = roots[k]
         for mat, gen in ((e_beta, AlgebraElement.e), (f_beta, AlgebraElement.f)):
-            want = m.act(braid_word_on_algebra(datum, m.qp, prefix,
+            want = act(m, braid_word_on_algebra(datum, m.qp, prefix,
                                                gen(datum, r)))
             assert np.max(np.abs(mat - want)) < 1e-12
 

@@ -14,7 +14,6 @@ from qsp.rootsys import (
     diagram_automorphisms,
     longest_element,
     nullspace_frac,
-    positive_roots,
     positive_roots_closure,
     qbinom,
     qfact,
@@ -23,7 +22,6 @@ from qsp.rootsys import (
     rho_check,
     root_datum_from_json,
     tau0,
-    weight_from_json,
     weyl_act,
     weyl_dimension,
 )
@@ -85,6 +83,15 @@ def test_pairing_normalization():
         assert short == 2
 
 
+def test_pairing_is_always_a_fraction():
+    # the zero weight pairs to Fraction 0, not to the int of an empty sum
+    d = build_root_datum([("B", 2)])
+    for mu, nu in [(d.zero_weight(), d.rho()), (d.rho(), d.zero_weight()),
+                   (d.zero_weight(), d.zero_weight()), (d.rho(), d.rho())]:
+        assert type(mu.pairing(nu)) is Fraction
+    assert d.zero_weight().pairing(d.rho()) == 0
+
+
 def test_pairing_integrality_on_lattices():
     for typ, rank in [("A", 3), ("B", 3), ("D", 4), ("G", 2)]:
         d = build_root_datum([(typ, rank)])
@@ -96,6 +103,12 @@ def test_pairing_integrality_on_lattices():
             for s in d.vertices:
                 v = d.fundamental_weight(r).pairing(d.fundamental_weight(s))
                 assert (v * d.d_A).denominator == 1
+
+
+def positive_roots(datum, subset):
+    """Positive roots of the subsystem along the canonical reduced word of
+    w_X: beta_k = s_{r_1} ... s_{r_{k-1}} (alpha_{r_k})."""
+    return beta_sequence(datum, longest_element(datum, subset))
 
 
 def test_positive_roots_a2_closure_oracle():
@@ -297,7 +310,7 @@ def test_json_roundtrip():
     with pytest.raises(InputError, match="d must be"):
         root_datum_from_json(sub.to_json())
     mu = d.weight([F(1, 2), 2, -1])
-    assert weight_from_json(d, mu.to_json()).coords == mu.coords
+    assert d.weight([F(s) for s in mu.to_json()]).coords == mu.coords
 
 
 def _leibniz_det(mat):
