@@ -72,11 +72,8 @@ class CoidealParams:
                      tuple(sorted(self.s.items()))))
 
     def replace(self, **upd):
-        c = dict(self.c)
-        s = dict(self.s)
-        c.update(upd.get("c", {}))
-        s.update(upd.get("s", {}))
-        return CoidealParams(c, s)
+        return CoidealParams({**self.c, **upd.get("c", {})},
+                             {**self.s, **upd.get("s", {})})
 
 
 def _check_param_shape(diag, params):
@@ -93,13 +90,8 @@ def _check_param_shape(diag, params):
 def no_parameter(diag, qp):
     """The distinguished solution: s = 0 and
     c_r = q^{(Theta(alpha_r) - alpha_r, alpha_{tau(r)}) / 2}."""
-    datum = diag.datum
-    c = {}
-    for r in diag.white:
-        expo = (diag.theta(datum.simple_root(r)) - datum.simple_root(r)) \
-            .pairing(datum.simple_root(diag.tau_of(r)))
-        c[r] = qp.qpow(expo / 2)
-    return CoidealParams(c, {r: 0.0 for r in diag.white})
+    return CoidealParams({r: qp.qpow(star_exponent(diag, r) / 2)
+                          for r in diag.white}, {r: 0.0 for r in diag.white})
 
 
 def star_exponent(diag, r):
@@ -157,7 +149,13 @@ def validate_star(diag, params, qp):
 
 def theta_fixed_basis(diag):
     """Primitive integer vectors spanning the Theta-fixed part of the weight
-    lattice (rational kernel of Theta - 1, cleared to primitive vectors)."""
+    lattice (rational kernel of Theta - 1, cleared to primitive vectors), as
+    a fresh list; the solve is memoised per diagram."""
+    return list(_theta_fixed_basis(diag))
+
+
+@functools.cache
+def _theta_fixed_basis(diag):
     datum = diag.datum
     n = datum.rank
     cols = []
@@ -169,17 +167,11 @@ def theta_fixed_basis(diag):
     basis = nullspace_frac(mat)
     out = []
     for vec in basis:
-        den = 1
-        for x in vec:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        den = math.lcm(*[x.denominator for x in vec])
         ints = [int(x * den) for x in vec]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, abs(x))
-        if g:
-            ints = [x // g for x in ints]
-        out.append(datum.weight(ints))
-    return out
+        g = math.gcd(*ints) or 1
+        out.append(datum.weight([x // g for x in ints]))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -210,27 +202,23 @@ def _generator_mats(x0, wmod):
 def direct_sum_module(modules):
     """Block-diagonal direct sum of weight modules over the same datum."""
     datum, qp = modules[0].datum, modules[0].qp
-    dims = [m.dim for m in modules]
-    total = sum(dims)
-    weights = [w for m in modules for w in m.weights]
+    ends = np.cumsum([0] + [m.dim for m in modules])
     E, F = {}, {}
     for r in datum.vertices:
-        e = np.zeros((total, total), dtype=complex)
-        f = np.zeros((total, total), dtype=complex)
-        off = 0
-        for m in modules:
-            e[off:off + m.dim, off:off + m.dim] = m.E[r]
-            f[off:off + m.dim, off:off + m.dim] = m.F[r]
-            off += m.dim
-        E[r], F[r] = e, f
-    return WeightModule(datum, qp, weights, E, F,
-                        label="+".join(m.label for m in modules))
+        E[r] = np.zeros((ends[-1], ends[-1]), dtype=complex)
+        F[r] = np.zeros_like(E[r])
+        for m, lo, hi in zip(modules, ends, ends[1:]):
+            E[r][lo:hi, lo:hi], F[r][lo:hi, lo:hi] = m.E[r], m.F[r]
+    return WeightModule(datum, qp, [w for m in modules for w in m.weights],
+                        E, F, label="+".join(m.label for m in modules))
 
 
 def star_membership(diag, params, qp, modules):
     """Least-squares distance of each pi(B_r)^dagger from the span of
     coideal-generator monomials of degree <= SPAN_DEGREE_CAP, evaluated on the
-    direct sum of the given modules.  Returns {r: relative residual}."""
+    direct sum of the given modules: the norm of its reorthogonalised
+    projection off the span, whose cuts are those of ``_IncrementalSpan``.
+    Returns {r: relative residual}."""
     _check_param_shape(diag, params)
     window = direct_sum_module(modules) if len(modules) > 1 else modules[0]
     gens = _generator_mats(counit_module(diag, params, qp), window)
@@ -248,7 +236,9 @@ def coideal_law_residual(diag, params, qp, m1, m2):
     of Delta(b) on m1 ox m2 (the action of b on ``tensor(m1, m2)``),
     reorganized as a map (second-leg entry pairs) -> (first-leg entry
     pairs), has its range inside the span of evaluated coideal monomials on
-    m1.  Returns the worst relative residual."""
+    m1: the Frobenius norm of all its columns projected off that span at
+    once (reorthogonalised, cuts as in ``_IncrementalSpan``) over the norm
+    of Delta(b).  Returns the worst relative residual."""
     _check_param_shape(diag, params)
     x0 = counit_module(diag, params, qp)
     span = _monomial_span(_generator_mats(x0, m1), m1.dim)
@@ -261,11 +251,8 @@ def coideal_law_residual(diag, params, qp, m1, m2):
     for mat in mats:
         reorg = mat.reshape(m1.dim, m2.dim, m1.dim, m2.dim) \
             .transpose(0, 2, 1, 3).reshape(m1.dim * m1.dim, m2.dim * m2.dim)
-        dist = 0.0
-        for col in range(reorg.shape[1]):
-            v = span._project_out(reorg[:, col])
-            dist += np.linalg.norm(v) ** 2
-        worst = max(worst, math.sqrt(dist) / max(np.linalg.norm(mat), 1e-30))
+        dist = np.linalg.norm(span._project_out(reorg))
+        worst = max(worst, dist / max(np.linalg.norm(mat), 1e-30))
     return worst
 
 
@@ -290,15 +277,21 @@ def _monomial_span(gens, dim):
 
 
 class _IncrementalSpan:
-    """Orthonormal basis of a subspace of matrices (vectorized)."""
+    """Orthonormal basis Q of a subspace of matrices (vectorized): the first
+    ``size`` columns of one dim^2 x capacity array, capacity doubled when
+    full.  Projection is reorthogonalised classical Gram-Schmidt, v - Q Q^H v
+    twice; ``add`` drops a matrix of norm < 1e-300 or relative remainder
+    < 1e-10."""
 
     def __init__(self, dim):
-        self.vectors = []
-        self.dim = dim
+        self.basis = np.zeros((dim * dim, 8), dtype=complex)
+        self.size = 0
 
     def _project_out(self, vec):
-        for b in self.vectors:
-            vec = vec - (b.conj() @ vec) * b
+        # Q^H v as conj(Q^T conj(v)), so Q is not copied; v may be a matrix
+        q = self.basis[:, :self.size]
+        for _ in range(2):
+            vec = vec - q @ (q.T @ vec.conj()).conj()
         return vec
 
     def add(self, mat):
@@ -310,12 +303,14 @@ class _IncrementalSpan:
         nrm = np.linalg.norm(vec)
         if nrm < 1e-10:
             return False
-        self.vectors.append(vec / nrm)
+        if self.size == self.basis.shape[1]:
+            self.basis = np.hstack([self.basis, np.zeros_like(self.basis)])
+        self.basis[:, self.size] = vec / nrm
+        self.size += 1
         return True
 
     def distance(self, mat):
-        vec = self._project_out(mat.reshape(-1))
-        return np.linalg.norm(vec)
+        return np.linalg.norm(self._project_out(mat.reshape(-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +352,10 @@ def characters(diag, qp, t):
     if h.kind == "NonHermitian":
         if t != 0:
             raise InputError("non-Hermitian pair has only the counit")
-        return Character(b_values, f_alpha)
-    if h.kind == "SType":
+    elif h.kind == "SType":
         b_values[h.distinguished] = 1j * t
-        return Character(b_values, f_alpha)
-    f_alpha[h.distinguished] = float(t)
+    else:
+        f_alpha[h.distinguished] = float(t)
     return Character(b_values, f_alpha)
 
 
@@ -462,9 +456,7 @@ class CoidealModule:
         """Matrices of B_r (r white), E_s/F_s/K_s (s in X) and the
         Theta-fixed K's on chi (.) wmod."""
         datum, qp = self.diag.datum, self.qp
-        out = {}
-        for r in self.diag.white:
-            out[("B", r)] = self._b_matrix(r, wmod)
+        out = {("B", r): self._b_matrix(r, wmod) for r in self.diag.white}
         for s in self.diag.X:
             out[("E", s)] = wmod.E[s]
             out[("F", s)] = wmod.F[s]

@@ -32,7 +32,6 @@ the same normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
@@ -45,25 +44,9 @@ from .uqrep import (casimir_scalar, coproduct_terms, decompose, kron_sum,
 _PIN_TOL = 1e-9
 
 
-def _numerators(module):
-    """The weights' coordinates as integer rows over one denominator."""
-    den = lcm(*[c.denominator for w in module.weights for c in w.coords])
-    return [[c.numerator * (den // c.denominator) for c in w.coords]
-            for w in module.weights], den
-
-
 def _pairings(m, n):
-    """(wt_i, wt_j) over m ox n as doubles.  One integer matrix product,
-    (numerators of m) G (numerators of n)^T, in exact integers over one
-    denominator; each entry is then divided once.  An int / int division is
-    correctly rounded at any size, so every entry is the double of the
-    exact pairing, the one ``float(Fraction)`` gives."""
-    (num_m, den_m), (num_n, den_n) = _numerators(m), _numerators(n)
-    den = den_m * den_n * m.datum.gram_den
-    gram_n = [[sum(g * y for g, y in zip(row, col)) for row in m.datum.gram_num]
-              for col in num_n]
-    return np.array([[sum(x * y for x, y in zip(row, col)) / den
-                      for col in gram_n] for row in num_m])
+    """(wt_i, wt_j) over m ox n as doubles (``WeightModule.pairings``)."""
+    return np.array(n.pairings(*m.numerators()))
 
 
 def _cartan_factor(m, n, sign=-1):

@@ -619,11 +619,18 @@ def restrict_datum(datum, subset):
     ambient vertex, and the ambient form restricted to the subsystem equals
     ``scale`` times the subdatum form.  The subdatum takes the ambient
     symmetrizers of its vertices divided by their gcd, which is ``scale``,
-    so components of different root lengths keep their ratio.
+    so components of different root lengths keep their ratio.  Kept in the
+    datum's cache per subset; each call gets its own copy of the vertex map.
     """
     subset = _validate_subset(datum, subset)
     if not subset:
         raise InputError("empty subset has no root datum")
+    sub, vertex_map, scale = _cached(datum, ("restrict", subset),
+                                     lambda: _restrict(datum, subset))
+    return sub, dict(vertex_map), scale
+
+
+def _restrict(datum, subset):
     # connected components of the induced diagram
     remaining = set(subset)
     comps = []
@@ -649,7 +656,7 @@ def restrict_datum(datum, subset):
     d = [datum.d[v - 1] for v in vertex_map]
     scale = gcd(*d)
     sub = _assemble(spec, [x // scale for x in d])
-    return sub, {i + 1: v for i, v in enumerate(vertex_map)}, Fraction(scale)
+    return sub, tuple(enumerate(vertex_map, 1)), Fraction(scale)
 
 
 def _identify_component(datum, comp):

@@ -94,16 +94,34 @@ class WeightModule:
     def k_matrix(self, omega):
         return np.diag(self.k_diag(omega).astype(complex))
 
+    def numerators(self):
+        """The weights' coordinates as integer rows over one denominator."""
+        den = math.lcm(*[c.denominator for w in self.weights for c in w.coords])
+        return [[c.numerator * (den // c.denominator) for c in w.coords]
+                for w in self.weights], den
+
+    def pairings(self, rows, den):
+        """[(x, wt_j) for every weight j] as doubles for each x in ``rows``
+        (integer coordinates over ``den``).  One exact integer product with
+        the Gram and weight numerators, each entry divided once: an
+        int / int division is correctly rounded at any size, so every entry
+        is the double ``float(Fraction)`` gives of the exact pairing."""
+        num, num_den = self.numerators()
+        den *= num_den * self.datum.gram_den
+        g_num = [[sum(g * y for g, y in zip(row, col))
+                  for row in self.datum.gram_num] for col in num]
+        return [[sum(x * y for x, y in zip(r, col)) / den for col in g_num]
+                for r in rows]
+
     def k_diag(self, omega):
-        """Read-only float diagonal of K_omega, from the exact pairings once
-        per omega."""
+        """Read-only float diagonal of K_omega from the exact pairings,
+        once per omega."""
         key = ("K", omega.coords)
-        diag = self.cache.get(key)
-        if diag is None:
-            diag = read_only(np.array([self.qp.qpow(omega.pairing(w))
-                                       for w in self.weights]))
-            self.cache[key] = diag
-        return diag
+        if key not in self.cache:
+            a, da = omega.scaled()
+            self.cache[key] = read_only(np.array(
+                [self.qp.q ** p for p in self.pairings([a], da)[0]]))
+        return self.cache[key]
 
     def weight_spaces(self):
         spaces = {}

@@ -18,6 +18,7 @@ import numpy as np
 
 from qsp.algebra import AlgebraElement
 from qsp.coideal import (
+    SPAN_DEGREE_CAP,
     CoidealParams,
     _check_param_shape,
     _monomial_span,
@@ -194,10 +195,75 @@ def formal_coideal_law_residual(diag, params, qp, m1, m2):
         mat = act_tensor(m1, m2, coproduct(b))
         reorg = mat.reshape(m1.dim, m2.dim, m1.dim, m2.dim) \
             .transpose(0, 2, 1, 3).reshape(m1.dim * m1.dim, m2.dim * m2.dim)
+        dist = np.linalg.norm(span._project_out(reorg))
+        worst = max(worst, dist / max(np.linalg.norm(mat), 1e-30))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# sequential span reference
+# ---------------------------------------------------------------------------
+
+class SequentialSpan:
+    """The span of ``qsp.coideal._IncrementalSpan`` built one vector at a
+    time: a list of orthonormal vectors, and a projection that subtracts
+    them one by one (modified Gram-Schmidt, once), with the same cuts."""
+
+    def __init__(self, dim):
+        self.vectors = []
+        self.dim = dim
+
+    def _project_out(self, vec):
+        for b in self.vectors:
+            vec = vec - (b.conj() @ vec) * b
+        return vec
+
+    def add(self, mat):
+        vec = mat.reshape(-1)
+        nrm0 = np.linalg.norm(vec)
+        if nrm0 < 1e-300:
+            return False
+        vec = self._project_out(vec / nrm0)
+        nrm = np.linalg.norm(vec)
+        if nrm < 1e-10:
+            return False
+        self.vectors.append(vec / nrm)
+        return True
+
+    def distance(self, mat):
+        vec = self._project_out(mat.reshape(-1))
+        return np.linalg.norm(vec)
+
+
+def sequential_monomial_span(gens, dim):
+    """``qsp.coideal._monomial_span`` on a ``SequentialSpan``: the same
+    degree-by-degree frontier up to SPAN_DEGREE_CAP."""
+    span = SequentialSpan(dim)
+    span.add(np.eye(dim, dtype=complex))
+    frontier = [np.eye(dim, dtype=complex)]
+    for _ in range(SPAN_DEGREE_CAP):
+        new_frontier = []
+        for mat in frontier:
+            for g in gens:
+                cand = mat @ g
+                if span.add(cand):
+                    new_frontier.append(cand)
+        if not new_frontier:
+            break
+        frontier = new_frontier
+    return span
+
+
+def sequential_law_residual(span, mats, d1, d2):
+    """The coideal law residual of ``mats`` on a d1 x d2 tensor product,
+    column by column against a ``SequentialSpan`` on the first leg."""
+    worst = 0.0
+    for mat in mats:
+        reorg = mat.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3) \
+            .reshape(d1 * d1, d2 * d2)
         dist = 0.0
         for col in range(reorg.shape[1]):
-            v = span._project_out(reorg[:, col])
-            dist += np.linalg.norm(v) ** 2
+            dist += np.linalg.norm(span._project_out(reorg[:, col])) ** 2
         worst = max(worst, math.sqrt(dist) / max(np.linalg.norm(mat), 1e-30))
     return worst
 

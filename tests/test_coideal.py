@@ -13,11 +13,14 @@ from qsp.algebra import AlgebraElement
 from qsp.coideal import (
     CoidealModule,
     CoidealParams,
+    _generator_mats,
+    _monomial_span,
     character_relations_residual,
     characters,
     coideal_law_residual,
     conjugate,
     counit_module,
+    direct_sum_module,
     kmatrix_solve,
     no_parameter,
     ribbon_compose,
@@ -39,6 +42,8 @@ from formal_coideal import (
     gamma_twist_residual,
     omega0_gamma,
     pi_t_intertwining_residual,
+    sequential_law_residual,
+    sequential_monomial_span,
     tail_b_matrix,
     theta_q,
 )
@@ -140,6 +145,14 @@ def test_theta_fixed_basis_su2_empty():
     basis = theta_fixed_basis(D_SU4_AII)
     for w in basis:
         assert D_SU4_AII.theta(w).coords == w.coords
+
+
+def test_theta_fixed_basis_is_a_fresh_list():
+    basis = theta_fixed_basis(D_SU4_AII)
+    again = theta_fixed_basis(D_SU4_AII)
+    assert basis and again == basis and again is not basis
+    basis.clear()
+    assert theta_fixed_basis(D_SU4_AII) == again
 
 
 def test_star_membership_su2(v12, v1):
@@ -277,6 +290,55 @@ def test_star_and_coideal_law_match_the_formal_route(diag, params, weights):
     got = coideal_law_residual(diag, params, QP, mods[0], mods[-1])
     want = formal_coideal_law_residual(diag, params, QP, mods[0], mods[-1])
     assert abs(got - want) <= 1e-13 * max(want, 1.0)
+
+
+@pytest.mark.parametrize("q", [0.6, 0.9])
+@pytest.mark.parametrize("diag, weights", [
+    (D_SU3, [[1, 0], [0, 1]]),
+    (D_SU4_AIII, [[1, 0, 0], [0, 1, 0]]),
+    (D_SU4_AII, [[1, 0, 0], [0, 1, 0]]),
+    (D_B2, [[0, 1], [1, 0]]),
+], ids=["SU3", "AIII", "AII", "B2"])
+def test_block_span_matches_the_sequential_reference(diag, weights, q):
+    # the benchmark's star and law windows: the block projection spans the
+    # same monomials as the one-vector-at-a-time reference and measures
+    # the same distances, on an orthonormal basis
+    qp = QParams(q)
+    par = no_parameter(diag, qp)
+    x0 = counit_module(diag, par, qp)
+    mods = [build_irrep(diag.datum, diag.datum.weight(c), qp) for c in weights]
+    window, first = direct_sum_module(mods), mods[0]
+    for mod in (window, first):
+        gens = _generator_mats(x0, mod)
+        span = _monomial_span(gens, mod.dim)
+        ref = sequential_monomial_span(gens, mod.dim)
+        assert span.size == len(ref.vectors) > 1
+        basis = span.basis[:, :span.size]
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(span.size)) \
+            <= 1e-13
+    gens = _generator_mats(x0, window)
+    ref = sequential_monomial_span(gens, window.dim)
+    got = star_membership(diag, par, qp, mods)
+    for r, b in zip(diag.white, gens):
+        want = ref.distance(b.conj().T) / np.linalg.norm(b)
+        assert abs(got[r] - want) <= 1e-12, r
+        assert got[r] < 1e-8
+    both = tensor(first, first)
+    mats = [x0._b_matrix(r, both) for r in diag.white]
+    mats += [m for s in diag.X for m in (both.E[s], both.F[s])]
+    mats += [both.k_matrix(w) for w in theta_fixed_basis(diag)]
+    ref = sequential_monomial_span(_generator_mats(x0, first), first.dim)
+    want = sequential_law_residual(ref, mats, first.dim, first.dim)
+    got = coideal_law_residual(diag, par, qp, first, first)
+    assert abs(got - want) <= 1e-12 and got < 1e-8
+    # a 5% change of c leaves the span on both routes
+    r = diag.white[0]
+    bad = par.replace(c={r: 1.05 * par.c[r]})
+    assert max(star_membership(diag, bad, qp, mods).values()) > 1e-3
+    gens = _generator_mats(counit_module(diag, bad, qp), window)
+    ref = sequential_monomial_span(gens, window.dim)
+    assert max(ref.distance(b.conj().T) / np.linalg.norm(b)
+               for b in gens[:len(diag.white)]) > 1e-3
 
 
 def test_omega0_properties():

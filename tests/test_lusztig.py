@@ -25,6 +25,18 @@ A3 = build_root_datum([("A", 3)])
 QP = QParams(0.7)
 
 
+def test_restrict_datum_cached_per_subset():
+    C3 = build_root_datum("C3")
+    sub, vmap, scale = restrict_datum(C3, (3, 1))
+    again, vmap2, _ = restrict_datum(C3, (1, 3, 1))
+    assert again is sub and vmap2 == vmap and vmap2 is not vmap
+    vmap[1] = 99
+    vmap.clear()
+    assert restrict_datum(C3, (1, 3)) == (sub, vmap2, scale)
+    assert restrict_datum(build_root_datum("C3"), (1, 3))[0] is not sub
+    assert restrict_datum(C3, (1, 2))[0] is not sub
+
+
 def test_restrict_datum_identification():
     sub, vmap, scale = restrict_datum(A3, (1, 3))
     assert sub.components == (("A", 1), ("A", 1))

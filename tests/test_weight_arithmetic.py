@@ -135,6 +135,28 @@ def test_cartan_factor_is_the_double_of_each_exact_pairing(typ, highest):
             assert _cartan_factor(m, n, sign).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("typ,highest", [
+    ("A1", ([1], [2])), ("A2", ([1, 0], [1, 1])), ("B2", ([0, 1], [1, 0])),
+    ("C2", ([1, 0], [0, 1])), ("A3", ([1, 0, 0], [0, 1, 0])),
+    ("G2", ([1, 0], [0, 1])),
+])
+def test_k_diag_is_the_double_of_each_exact_pairing(typ, highest):
+    datum = build_root_datum(typ)
+    gram = fraction_gram(datum)
+    omegas = _sample_weights(datum)
+    omegas += [-1 * w for w in omegas]
+    assert any(c < 0 for w in omegas for c in w.coords)
+    for q in (0.6, 0.95):
+        qp = QParams(q)
+        for h in highest:
+            m = build_irrep(datum, datum.weight(h), qp)
+            for omega in omegas:
+                want = np.array([qp.qpow(reference_pairing(gram, omega, w))
+                                 for w in m.weights])
+                assert m.k_diag(omega).tobytes() == want.tobytes(), \
+                    (h, omega.coords)
+
+
 def test_pairings_stay_exact_past_double_precision():
     # numerators and denominators far beyond 2^53: each entry is still the
     # correctly rounded double of the exact pairing
