@@ -6,7 +6,10 @@ system
 on (0, 1): Frobenius expansions H_0 ~ w^a at 0 and H_1 ~ (1-w)^{b_+} at 1,
 both convergent on all of (0, 1) and evaluated at the match points, and the
 connection matrix Psi = H_1(w)^{-1} H_0(w), checked to be independent of
-the match point.
+the match point.  Under w -> -w, swapping b_+ and b_- turns the series at 0
+into c_m -> (-1)^m c_m, bit for bit, so ``psi_pair`` gives both
+orientations from one series at 0 and one set of x^a factors.  Resonance
+is decided once per series, before its first order.
 
 The coefficient matrices for a symmetric pair are
 
@@ -159,6 +162,7 @@ class SymPairTensors:
     plus_basis: list
     minus_basis: list
     reps: dict = field(default_factory=dict)
+    sigmas: dict = field(default_factory=dict)
 
     def rep(self, j2):
         if j2 not in self.reps:
@@ -170,7 +174,10 @@ class SymPairTensors:
         return vec[0] * e + vec[1] * f + vec[2] * h
 
     def sigma_matrix(self, j2):
-        """Unitary implementing sigma on spin j, normalized to square to 1."""
+        """Unitary implementing sigma on spin j, normalized to square to 1;
+        kept per spin, read-only."""
+        if j2 in self.sigmas:
+            return self.sigmas[j2]
         pairs = [(self.vec_matrix(vec, j2),
                   self.vec_matrix(SIGMA @ vec, j2))
                  for vec in np.eye(3)]
@@ -178,7 +185,9 @@ class SymPairTensors:
         if len(basis) != 1:
             raise InputError("sigma does not integrate uniquely on this spin")
         s = basis[0]
-        return s / np.sqrt(np.trace(s @ s) / (j2 + 1))
+        self.sigmas[j2] = s = s / np.sqrt(np.trace(s @ s) / (j2 + 1))
+        s.setflags(write=False)
+        return s
 
     def pair_tensor(self, basis, j2a, j2b):
         """sum_i X_i^* ox X_i over a basis, on spin j2a ox spin j2b."""
@@ -335,12 +344,17 @@ def _sylvester_series(res_mat, terms, order, x=None):
     N below roundoff (a normal residue) is dropped.  Without ``x``, runs to
     c_order; with ``x``, stops once the tail bound at x is below
     ``TAIL_TARGET`` at two consecutive orders, and raises AccuracyError at order ``order``.
+    Resonance is decided once: |m + gap| < 1e-9 needs m = rint(-Re gap), so
+    the loop raises ResonanceError if it reaches the first such m >= 1.
     Returns the coefficients in the Schur basis, and Z."""
     t, z = _schur(res_mat)
     n = t.shape[0]
     zh = z.conj().T
     diag = np.diag(t)
     gap = diag[None, :] - diag[:, None]
+    near = np.rint(-gap.real)
+    hit = (near >= 1) & (np.abs(near + gap) < 1e-9)
+    resonant = int(near[hit].min()) if hit.any() else None
     nil = np.triu(t, 1)
     if np.linalg.norm(nil) <= n * _EPS * np.linalg.norm(t):
         nil = None
@@ -353,10 +367,10 @@ def _sylvester_series(res_mat, terms, order, x=None):
         for i, (mat, r) in enumerate(mats):
             sums[i] = r * sums[i] + coeffs[-1]
             rhs += mat @ sums[i]
-        denom = m + gap
-        if np.min(np.abs(denom)) < 1e-9:
+        if m == resonant:
             raise ResonanceError(
                 f"Sylvester denominator ~0 at order {m} (resonance)")
+        denom = m + gap
         c = rhs / denom
         if nil is not None:
             corr = c
@@ -367,7 +381,8 @@ def _sylvester_series(res_mat, terms, order, x=None):
                     break
         coeffs.append(c)
         if x is not None:
-            now = _tail_bound(coeffs, x) < TAIL_TARGET
+            norm = math.sqrt(np.vdot(c, c).real)  # |c|_F, as _tail_bound
+            now = norm * x ** m / (1 - x) < TAIL_TARGET
             if below and now:
                 return coeffs, z
             below = now
@@ -408,14 +423,17 @@ def _tail_bound(coeffs, x):
     return np.linalg.norm(coeffs[n]) * x ** n / (1 - x)
 
 
-def _frobenius(problem, series, residue, dists):
-    """Z (sum c_m x^m) Z^H x^residue at each distance x in ``dists`` from
-    the series' endpoint, and the tail bound at the farthest x."""
+def _frobenius(problem, series, residue, dists, signs=(1.0,)):
+    """Z (sum c_m (s x)^m) Z^H x^residue at each distance x in ``dists``
+    from the series' endpoint, one list per sign s in ``signs``, and the
+    tail bound at the farthest x.  At zero, s = -1 gives H_0 of the mirror
+    (a, b_-, b_+): its coefficients are (-1)^m c_m, bit for bit."""
     far = max(dists)
     coeffs, z = series(problem, far)
     zh = z.conj().T
-    vals = [z @ _eval_series(coeffs, x) @ zh @ _expm(math.log(x) * residue)
-            for x in dists]
+    powers = [_expm(math.log(x) * residue) for x in dists]
+    vals = [[z @ _eval_series(coeffs, s * x) @ zh @ power
+             for x, power in zip(dists, powers)] for s in signs]
     return vals, _tail_bound(coeffs, far)
 
 
@@ -445,29 +463,53 @@ def psi(problem):
     with the largest distance to Psi at the others as the spread; raises on
     resonance or accuracy failure.  Memoised for the life of the process on
     ``_psi_key``; the cached Psi is read-only."""
-    key = _psi_key(problem)
-    if key in _PSI_MEMO:
-        return _PSI_MEMO[key]
-    res_a = resonance_check(problem.a)
-    res_b = resonance_check(problem.b_plus)
-    if res_a or res_b:
-        raise ResonanceError(
-            f"resonant residues: a -> {res_a}, b_+ -> {res_b}")
-    points = MATCH_POINTS
-    h0_vals, tail0 = _frobenius(problem, _series_at_zero, problem.a, points)
-    h1_vals, tail1 = _frobenius(problem, _series_at_one, problem.b_plus,
-                                [1 - p for p in points])
-    psis = [np.linalg.solve(h1, h0) for h0, h1 in zip(h0_vals, h1_vals)]
-    main = psis[0]
-    spread = max((np.linalg.norm(x - main) for x in psis[1:]), default=0.0)
-    if spread > 1e-6:
-        raise AccuracyError(f"match-point spread {spread:.2e} exceeds 1e-6")
-    main.setflags(write=False)
-    cond = max(np.linalg.cond(np.linalg.eig(m)[1])
-               for m in (problem.a, problem.b_plus))
-    result = MonodromyResult(main, spread, max(tail0, tail1), cond)
-    _PSI_MEMO[key] = result
-    return result
+    return _connect([problem])[0]
+
+
+def psi_pair(a, b_plus, b_minus):
+    """``psi`` of (a, b_+, b_-) and of its mirror (a, b_-, b_+).  Under
+    w -> -w the mirror's series at zero is c_m -> (-1)^m c_m, bit for bit, so
+    one series at zero (at +-x), x^a and the checks of a serve both; each
+    keeps its own series at one."""
+    problem = MonodromyProblem(a, b_plus, b_minus)
+    return _connect([problem, MonodromyProblem(
+        problem.a, problem.b_minus, problem.b_plus, problem.series_order)])
+
+
+def _connect(problems):
+    """``psi`` of each problem, read from the memo or computed in order; a
+    second problem is the mirror of the first and shares its H_0."""
+    keys = [_psi_key(p) for p in problems]
+    todo = [i for i, key in enumerate(keys)
+            if key not in _PSI_MEMO and key not in keys[:i]]
+    a, h0 = problems[0].a, None
+    res_a = resonance_check(a) if todo else []
+    for i in todo:
+        bp = problems[i].b_plus
+        res_b = resonance_check(bp)
+        if res_a or res_b:
+            raise ResonanceError(
+                f"resonant residues: a -> {res_a}, b_+ -> {res_b}")
+        if h0 is None:
+            signs = [(1.0, -1.0)[j] for j in todo]  # the mirror at -x
+            vals, tail0 = _frobenius(problems[0], _series_at_zero, a,
+                                     MATCH_POINTS, signs)
+            h0 = dict(zip(todo, vals))
+            cond_a = np.linalg.cond(np.linalg.eig(a)[1])
+        (h1_vals,), tail1 = _frobenius(problems[i], _series_at_one, bp,
+                                       [1 - p for p in MATCH_POINTS])
+        psis = [np.linalg.solve(h1, x) for x, h1 in zip(h0[i], h1_vals)]
+        main = psis[0]
+        spread = max((np.linalg.norm(x - main) for x in psis[1:]),
+                     default=0.0)
+        if spread > 1e-6:
+            raise AccuracyError(
+                f"match-point spread {spread:.2e} exceeds 1e-6")
+        main.setflags(write=False)
+        cond = max(cond_a, np.linalg.cond(np.linalg.eig(bp)[1]))
+        _PSI_MEMO[keys[i]] = MonodromyResult(main, spread, max(tail0, tail1),
+                                             cond)
+    return [_PSI_MEMO[key] for key in keys]
 
 
 def psi_commuting_oracle(problem):
@@ -488,7 +530,7 @@ def mkz_consistency(problem, z_target=0.81):
     from scipy.integrate import solve_ivp
     a, bp, bm = problem.a, problem.b_plus, problem.b_minus
     n = a.shape[0]
-    (h0,), _ = _frobenius(problem, _series_at_zero, a, [DELTA])
+    ((h0,),), _ = _frobenius(problem, _series_at_zero, a, [DELTA])
 
     tk = (bp + bm) / 2
     tm = (bp - bm) / 2
@@ -517,10 +559,8 @@ def mkz_consistency(problem, z_target=0.81):
 def verify_eg(a, b_plus, b_minus):
     """Residual of the eight-factor identity with c = -a - b_+ - b_-."""
     c = -a - b_plus - b_minus
-    psi_a = psi(MonodromyProblem(a, b_plus, b_minus)).psi
-    psi_c = psi(MonodromyProblem(c, b_plus, b_minus)).psi
-    psi_c_swap = psi(MonodromyProblem(c, b_minus, b_plus)).psi
-    psi_a_swap = psi(MonodromyProblem(a, b_minus, b_plus)).psi
+    psi_a, psi_a_swap = (r.psi for r in psi_pair(a, b_plus, b_minus))
+    psi_c, psi_c_swap = (r.psi for r in psi_pair(c, b_plus, b_minus))
     prod = np.linalg.inv(psi_a) @ _expm(1j * math.pi * b_plus) @ psi_c \
         @ _expm(1j * math.pi * c) @ np.linalg.inv(psi_c_swap) \
         @ _expm(1j * math.pi * b_minus) @ psi_a_swap @ _expm(1j * math.pi * a)
@@ -533,12 +573,10 @@ def verify_octagon_kz(tensors, lam, j2a, j2b, hbar):
     'sigma_conj':}."""
     a, bp, bm = kz_coeffs(tensors, lam, j2a, j2b, hbar)
     a02 = a02_coeff(tensors, lam, j2a, j2b, hbar)
-    d = d_coeff(tensors, lam, j2a, j2b, hbar)
+    d = a + a02 + 2 * (hbar * tensors.t_k(j2a, j2b))  # as d_coeff forms it
 
-    psi_a = psi(MonodromyProblem(a, bp, bm)).psi
-    psi_021 = psi(MonodromyProblem(a02, bp, bm)).psi
-    psi_a_sw = psi(MonodromyProblem(a, bm, bp)).psi
-    psi_021_sw = psi(MonodromyProblem(a02, bm, bp)).psi
+    psi_a, psi_a_sw = (r.psi for r in psi_pair(a, bp, bm))
+    psi_021, psi_021_sw = (r.psi for r in psi_pair(a02, bp, bm))
 
     epi = lambda m: _expm(1j * math.pi * m)  # noqa: E731
     emi = lambda m: _expm(-1j * math.pi * m)  # noqa: E731

@@ -7,6 +7,7 @@ from scipy.linalg import expm, schur
 
 from qsp.errors import AccuracyError, InputError, ResonanceError
 from qsp.kzmono import (
+    _PSI_MEMO,
     ATOL,
     DELTA,
     MATCH_POINTS,
@@ -31,6 +32,7 @@ from qsp.kzmono import (
     mkz_consistency,
     psi,
     psi_commuting_oracle,
+    psi_pair,
     resonance_check,
     spin_matrices,
     split_tensors,
@@ -364,6 +366,84 @@ def test_series_order_ceiling_too_low_raises():
     with pytest.raises(AccuracyError, match="series_order"):
         psi(MonodromyProblem(a, bp, bm, series_order=20))
     assert psi(MonodromyProblem(a, bp, bm)).tail_bound < 1e-12
+
+
+def _mirror_cases():
+    for lam in (0.5, 2.0):
+        for j2a, j2b in ((1, 2), (3, 3)):
+            yield f"kz-lam{lam}-{j2a}x{j2b}", kz_coeffs(TS, lam, j2a, j2b,
+                                                        hbar_of(0.8))
+    # a non-normal a takes the scipy.linalg.schur route
+    rng = np.random.default_rng(11)
+    yield "nonnormal3", [_random_nonnormal(rng, 3) for _ in range(3)]
+
+
+def _same_result(got, want):
+    assert got.psi.tobytes() == want.psi.tobytes()
+    for name in ("spread", "tail_bound", "eig_condition"):
+        assert np.float64(getattr(got, name)).tobytes() \
+            == np.float64(getattr(want, name)).tobytes(), name
+
+
+@pytest.mark.parametrize("name,coeffs", list(_mirror_cases()),
+                         ids=[name for name, _ in _mirror_cases()])
+def test_psi_pair_is_psi_on_both_orientations_bit_for_bit(name, coeffs):
+    a, bp, bm = coeffs
+    _PSI_MEMO.clear()
+    singles = [psi(MonodromyProblem(a, bp, bm)),
+               psi(MonodromyProblem(a, bm, bp))]
+    _PSI_MEMO.clear()
+    pair = psi_pair(a, bp, bm)
+    for got, want in zip(pair, singles):
+        _same_result(got, want)
+    # psi on either orientation now reads the memo
+    assert psi(MonodromyProblem(a, bp, bm)) is pair[0]
+    assert psi(MonodromyProblem(a, bm, bp)) is pair[1]
+    assert all(x is y for x, y in zip(psi_pair(a, bp, bm), pair))
+    # with only the first orientation memoised, the mirror still comes from
+    # the series at zero evaluated at -x
+    _PSI_MEMO.clear()
+    first = psi(MonodromyProblem(a, bp, bm))
+    got = psi_pair(a, bp, bm)
+    assert got[0] is first
+    _same_result(got[1], singles[1])
+
+
+def _per_order_resonance(res_mat, order):
+    """The order at which the per-order check |m + gap| < 1e-9, run before
+    every order, stopped the series; None when it did not."""
+    t, _ = _schur(res_mat)
+    diag = np.diag(t)
+    gap = diag[None, :] - diag[:, None]
+    for m in range(1, order + 1):
+        if np.min(np.abs(m + gap)) < 1e-9:
+            return m
+    return None
+
+
+@pytest.mark.parametrize("shift", [1e-10, -1e-10, 1e-10j, 1e-8, -1e-8,
+                                   1e-8j])
+@pytest.mark.parametrize("base,order,near,far", [
+    ((0.0, 3.0), 10, 3, None),            # gap 3 + shift
+    ((0.0, 3.0), 2, None, None),          # ... past the last order
+    ((0.25, 3.25, 5.25), 10, 2, 2),       # an exact gap 2 comes first
+    ((0.0, 2.5, 5.5), 10, 3, 3)])         # exact gap 3, shifted 2.5, 5.5
+def test_resonance_order_matches_per_order_reference(shift, base, order,
+                                                     near, far):
+    # psi's resonance_check would refuse these residues first, so the
+    # series is called directly; the shift moves every entry but the first
+    a = np.diag([base[0]] + [x + shift for x in base[1:]])
+    rng = np.random.default_rng(7)
+    bp, bm = (0.1 * rng.normal(size=a.shape) for _ in range(2))
+    prob = MonodromyProblem(a, bp, bm, series_order=order)
+    want = _per_order_resonance(prob.a, order)
+    assert want == (near if abs(shift) < 1e-9 else far)
+    if want is None:
+        coeffs, _ = _series_at_zero(prob)
+        assert len(coeffs) == order + 1
+    else:
+        with pytest.raises(ResonanceError, match=f"at order {want} "):
+            _series_at_zero(prob)
 
 
 def test_match_points_inside_the_interval():
