@@ -30,7 +30,6 @@ from .errors import InputError, QspError, ResourceError
 from .harness import (
     Report,
     lambda_from_trace,
-    reports_to_json,
     run_axioms,
     run_kz_suite,
     run_rank_one,
@@ -39,7 +38,7 @@ from .kzmono import MonodromyProblem, psi as kz_psi, split_tensors, kz_coeffs
 from .lusztig import BraidContext, verify_appB
 from .rmatrix import rmat
 from .rootsys import build_root_datum, parse_type_string, restrict_datum
-from .uqrep import QParams, build_irrep, module_to_json, twist_module
+from .uqrep import QParams, build_irrep, mat_json, module_to_json, twist_module
 from .vogan10 import build_Mr, plain_block_eigenvalues, e_matrix_component_scalars
 
 
@@ -120,13 +119,10 @@ def _numbers(text, option, kind=int, count=None):
     return vals
 
 
-def _exit_report(reports, out):
-    payload = json.loads(reports_to_json(reports)) \
-        if isinstance(reports, list) else reports.to_json()
+def _exit_report(report, out):
+    payload = report.to_json()
     _emit(payload, out)
-    ok = all(r["pass"] for r in payload) if isinstance(payload, list) \
-        else payload["pass"]
-    sys.exit(0 if ok else 1)
+    sys.exit(0 if payload["pass"] else 1)
 
 
 @click.group()
@@ -190,12 +186,8 @@ def rmatrix_cmd(algebra, vw, ww, q, out):
         mw = build_irrep(datum, datum.weight(_numbers(ww, "w")), qp)
         r = rmat(mv, mw)
         return {"convention": r.convention,
-                "matrix": _cmat(r.matrix)}
+                "matrix": mat_json(r.matrix)}
     _emit(_run(go, out), out)
-
-
-def _cmat(m):
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
 @main.group()
@@ -264,7 +256,7 @@ def kmatrix_cmd(diagram_path, t, rep_weight, q, out):
             float(np.linalg.norm(eta @ twisted[k] - plain[k] @ eta))
             / max(float(np.linalg.norm(plain[k])), 1e-30)
             for k in plain)
-        return {"eta": _cmat(eta),
+        return {"eta": mat_json(eta),
                 "singular_values": sorted(
                     float(x) for x in np.linalg.svd(eta, compute_uv=False)),
                 "lambda_from_trace": lam,
@@ -325,7 +317,7 @@ def kz_psi_cmd(config, out):
               if "series_order" in cfg else {})
         prob = MonodromyProblem(*mats, **kw)
         res = kz_psi(prob)
-        return {"psi": _cmat(res.psi), "spread": res.spread,
+        return {"psi": mat_json(res.psi), "spread": res.spread,
                 "tail_bound": res.tail_bound,
                 "eig_condition": res.eig_condition}
     _emit(_run(go, out), out)

@@ -162,7 +162,7 @@ def choose_z(datum, X, tau):
 
 def satake(datum, X, tau=None, z_exp=None):
     """Construct a SatakeDiagram, validating admissibility."""
-    perm = _check_diagram_automorphism(datum, _as_perm(datum, tau))
+    perm = _as_perm(datum, tau)
     ok, violations = check_admissible(datum, X, perm)
     if not ok:
         raise InputError("not an admissible pair: " + "; ".join(violations))

@@ -128,8 +128,7 @@ def braid_on_module(module, r):
         kern, _ = kernel(er[:, idxs], 1e-9)
         for c in range(kern.shape[1]):
             hw = np.zeros(dim, dtype=complex)
-            for pos, i in enumerate(idxs):
-                hw[i] = kern[pos, c]
+            hw[idxs] = kern[:, c]
             # divided-power string: w_k = F^{(k)} w_0 = F w_{k-1} / [k]
             string = [hw]
             for k in range(1, n + 1):

@@ -105,10 +105,6 @@ class RMatrix:
     matrix: np.ndarray
     convention: str
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 def _intertwining_residual(mat, m, n):
     """max over generators of ||R Delta(x) - Delta^op(x) R|| (relative),

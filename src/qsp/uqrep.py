@@ -5,7 +5,10 @@ Modules are built from the highest weight by spanning F-monomials level by
 level; the invariant Hermitian form is accumulated through the adjoint law
 E_r* = F_r K_r, the radical is quotiented by a relative threshold, and the
 surviving vectors are orthonormalized by deterministic Gram-Schmidt in
-(level, lexicographic) order.
+(level, lexicographic) order.  Each weight space forms every F_s E_r e_k
+once, and both its Gram matrix and its new E columns read it.  E and F are
+sized by the Weyl dimension; a build that keeps more vectors than that
+stops with NumericalDegeneracyError.
 
 ``build_irrep`` is memoised on (datum, highest weight, QParams) for the
 life of the process; ``tensor``, ``twist_module`` and ``decompose`` keep
@@ -169,8 +172,9 @@ def build_irrep(datum, varpi, qp):
     Levels are processed in increasing height of varpi - wt; each weight
     space is spanned by F_r on the previous level, the Gram matrix computed
     through previously known E/F matrices, and the radical dropped at
-    RANK_THRESHOLD relative to the largest vector norm.  The same
-    (datum, varpi, qp) returns the same module.
+    RANK_THRESHOLD relative to the largest vector norm; a build that passes
+    the Weyl dimension stops there.  The same (datum, varpi, qp) returns the
+    same module.
     """
     key = (datum, varpi, qp)
     if key in _IRREPS:
@@ -184,37 +188,49 @@ def build_irrep(datum, varpi, qp):
 
     verts = datum.vertices
     weights = [varpi]
-    # per-level data: dict weight-coords -> list of basis indices
-    level_index = [{varpi.coords: [0]}]
-    # global matrices, grown dynamically
-    E = {r: np.zeros((1, 1), dtype=complex) for r in verts}
-    F = {r: np.zeros((1, 1), dtype=complex) for r in verts}
+    E = {r: np.zeros((target_dim, target_dim), dtype=complex) for r in verts}
+    F = {r: np.zeros((target_dim, target_dim), dtype=complex) for r in verts}
     min_kept, max_drop = math.inf, 0.0
     global_scale = 1.0
 
-    level = 0
-    while True:
-        prev = level_index[level]
-        # candidate weights at the next level
+    # the previous level: dict weight-coords -> list of basis indices
+    prev = {varpi.coords: [0]}
+    while prev:
+        # spanning lists (r, j) of the weights at the next level
         cand = {}
         for wc, idxs in prev.items():
             w = datum.weight(wc)
             for r in verts:
                 nw = w - datum.simple_root(r)
                 cand.setdefault(nw.coords, []).extend((r, j) for j in idxs)
-        cand = {wc: sorted(span) for wc, span in cand.items()}
-        new_level = {}
-        added = False
+        prev = {}
         for wc in sorted(cand, key=lambda c: tuple(map(float, c))):
-            span = cand[wc]
+            span = sorted(cand[wc])
             m = len(span)
-            gram = np.zeros((m, m), dtype=complex)
-            # <F_r e_j, F_s e_k> = <e_j, K_r^{-1} E_r F_s e_k>
-            #   = <e_j, K_r^{-1} F_s E_r e_k> + delta_rs <e_j, K_r^{-1} c(K_r) e_k>
-            for a, (r, j) in enumerate(span):
+            base = len(weights)
+            # y[r, b] = F_s E_r e_k for (s, k) = span[b], formed once (None
+            # when E_r e_k = 0); qint[b] = (k_s - k_s^-1, q_s - q_s^-1) on e_k
+            y = {}
+            for r in verts:
                 for b, (s, k) in enumerate(span):
-                    val = _pair_f_vectors(datum, qp, weights, E, F, r, j, s, k)
-                    gram[a, b] = val
+                    erk = E[r][:base, k]
+                    y[r, b] = F[s][:base, :base] @ erk if np.any(erk) else None
+            qint = []
+            for s, k in span:
+                ks = qp.qpow(datum.d[s - 1] * weights[k].coords[s - 1])
+                qs = qp.q_r(datum, s)
+                qint.append((ks - 1.0 / ks, qs - 1.0 / qs))
+            # <F_r e_j, F_s e_k> = <e_j, K_r^{-1} E_r F_s e_k>
+            #   = <e_j, K_r^{-1} F_s E_r e_k> + delta_rs <e_j, K_r^{-1} [K_r]_q e_k>
+            # with (alpha_r, wt_j) = d_r wt_j(r) read off the coordinate
+            gram = np.zeros((m, m), dtype=complex)
+            for a, (r, j) in enumerate(span):
+                kinv = qp.qpow(-datum.d[r - 1] * weights[j].coords[r - 1])
+                for b in range(m):
+                    if y[r, b] is not None:
+                        gram[a, b] += kinv * y[r, b][j]
+                num, den = qint[a]
+                gram[a, a] += kinv * num / den
             # deterministic Gram-Schmidt over the spanning list; the drop
             # threshold is relative to the largest vector norm seen so far
             # in the whole construction, so pure-radical weight spaces
@@ -236,37 +252,33 @@ def build_irrep(datum, varpi, qp):
                     max_drop = max(max_drop, norm / global_scale)
             if not coeffs:
                 continue
-            added = True
-            base = len(weights)
-            idxs = list(range(base, base + len(coeffs)))
-            new_level[wc] = idxs
+            new = len(coeffs)
             weights.extend(datum.weight(wc) for _ in coeffs)
-            if len(weights) > DIM_CAP:
-                raise ResourceError("dimension cap exceeded during build")
-            # grow matrices
-            for r in verts:
-                E[r] = _grow(E[r], len(weights))
-                F[r] = _grow(F[r], len(weights))
+            if len(weights) > target_dim:
+                raise NumericalDegeneracyError(
+                    f"built dimension {len(weights)} passes Weyl dimension "
+                    f"{target_dim}",
+                    {"min_kept": min_kept, "max_dropped": max_drop})
+            prev[wc] = list(range(base, base + new))
             cmat = np.array(coeffs).T  # span x new
             # F entries: F_s e_k = v_(s,k); <e_new_i, v_(s,k)> = (C^* G)_{i, (s,k)}
             proj = cmat.conj().T @ gram  # new x span
             for b, (s, k) in enumerate(span):
-                for i_new, gi in zip(idxs, range(len(coeffs))):
-                    F[s][i_new, k] += proj[gi, b]
+                F[s][base:base + new, k] += proj[:, b]
             # E entries: E_r e_new_i = sum_span C[(s,k),i] E_r F_s e_k
             for r in verts:
-                for gi, i_new in enumerate(idxs):
-                    vec = np.zeros(base, dtype=complex)
-                    for b, (s, k) in enumerate(span):
-                        if abs(cmat[b, gi]) == 0.0:
-                            continue
-                        vec += cmat[b, gi] * _e_on_f_vector(
-                            datum, qp, weights, E, F, r, s, k, base)
-                    E[r][:base, i_new] += vec
-        if not added:
-            break
-        level_index.append(new_level)
-        level += 1
+                cols = np.zeros((new, base), dtype=complex)
+                for b, (s, k) in enumerate(span):
+                    ef = np.zeros(base, dtype=complex)
+                    if y[r, b] is not None:
+                        ef += y[r, b]
+                    if r == s:
+                        num, den = qint[b]
+                        ef[k] += num / den
+                    for gi in range(new):
+                        if cmat[b, gi] != 0:
+                            cols[gi] += cmat[b, gi] * ef
+                E[r][:base, base:base + new] += cols.T
 
     dim = len(weights)
     if dim != target_dim:
@@ -279,49 +291,6 @@ def build_irrep(datum, varpi, qp):
         datum, qp, weights, E, F, highest=varpi, label=f"V[{varpi}]",
         gram_diagnostics={"min_kept": min_kept, "max_dropped": max_drop})
     return mod
-
-
-def _grow(mat, n):
-    old = mat.shape[0]
-    if old == n:
-        return mat
-    out = np.zeros((n, n), dtype=complex)
-    out[:old, :old] = mat
-    return out
-
-
-def _pair_f_vectors(datum, qp, weights, E, F, r, j, s, k):
-    """<F_r e_j, F_s e_k> via the adjoint law."""
-    base = len(weights)
-    # K_r^{-1} F_s E_r e_k
-    erk = E[r][:, k][:base]
-    val = 0.0 + 0.0j
-    # (alpha_r, wt) = d_r wt_r: read off the coordinate, no pairing
-    d_r = datum.d[r - 1]
-    if np.any(erk):
-        fs_erk = F[s][:base, :base] @ erk
-        kinv = qp.qpow(-d_r * weights[j].coords[r - 1])
-        val += kinv * fs_erk[j]
-    if r == s:
-        qr = qp.q_r(datum, r)
-        kr = qp.qpow(d_r * weights[k].coords[r - 1])
-        krinv_j = qp.qpow(-d_r * weights[j].coords[r - 1])
-        if j == k:
-            val += krinv_j * (kr - 1.0 / kr) / (qr - 1.0 / qr)
-    return val
-
-
-def _e_on_f_vector(datum, qp, weights, E, F, r, s, k, base):
-    """E_r F_s e_k as a vector over the first ``base`` basis vectors."""
-    out = np.zeros(base, dtype=complex)
-    erk = E[r][:base, k]
-    if np.any(erk):
-        out += F[s][:base, :base] @ erk
-    if r == s:
-        qr = qp.q_r(datum, r)
-        kr = qp.qpow(datum.d[r - 1] * weights[k].coords[r - 1])
-        out[k] += (kr - 1.0 / kr) / (qr - 1.0 / qr)
-    return out
 
 
 def coproduct_terms(m1, m2, r):
@@ -538,10 +507,11 @@ def module_to_json(module):
         "datum": module.datum.to_json(),
         "weights": [w.to_json() for w in module.weights],
         "q": module.qp.q,
-        "E": {str(r): _mat_json(module.E[r]) for r in module.datum.vertices},
-        "F": {str(r): _mat_json(module.F[r]) for r in module.datum.vertices},
+        "E": {str(r): mat_json(module.E[r]) for r in module.datum.vertices},
+        "F": {str(r): mat_json(module.F[r]) for r in module.datum.vertices},
     }
 
 
-def _mat_json(m):
+def mat_json(m):
+    """A complex matrix as JSON: rows of [re, im] pairs."""
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]

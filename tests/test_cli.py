@@ -63,6 +63,18 @@ def test_rep_build(runner, tmp_path):
     assert payload["E"]["1"][0][1] == [pytest.approx(0.7 ** 0.5), 0.0]
 
 
+def test_rep_build_overfull_is_a_json_report(runner):
+    # Weyl dimension 256 is under the cap: keeping too many vectors is a
+    # rank decision, reported as JSON with exit 1, not a resource limit
+    res = runner.invoke(main, ["rep", "build", "--algebra", "B2",
+                               "--weight", "3,3", "--q", "0.7"])
+    assert (res.exit_code, res.stderr) == (1, "")
+    payload = json.loads(res.stdout)
+    assert payload["pass"] is False
+    assert payload["error"]["type"] == "NumericalDegeneracyError"
+    assert "Weyl dimension 256" in payload["error"]["message"]
+
+
 def test_rmatrix_cmd(runner):
     res = runner.invoke(main, ["rmatrix", "--algebra", "A1", "--v", "1",
                                "--w", "1", "--q", "0.7"])

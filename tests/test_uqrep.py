@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qsp.algebra import AlgebraElement
-from qsp.errors import InputError, ResourceError
-from qsp.rootsys import build_root_datum, weyl_dimension
+from qsp.errors import InputError, NumericalDegeneracyError, ResourceError
+from qsp.rootsys import build_root_datum, parse_type_string, weyl_dimension
 from qsp.uqrep import (
     QParams,
     build_irrep,
@@ -76,6 +76,34 @@ def test_b2_module_relations():
     assert star_residual(m) < 1e-9
     for key, val in relations_residual(m).items():
         assert val < 1e-9, (key, val)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9])
+@pytest.mark.parametrize("typ, coords", [
+    ("A2", [2, 2]), ("C2", [2, 1]), ("G2", [1, 1]), ("A3", [1, 0, 1]),
+    ("D4", [1, 1, 0, 0])])
+def test_gram_path_at_weight_multiplicity_three_to_six(typ, coords, q):
+    # weight spaces of multiplicity 3-6: Gram matrices over spanning lists
+    # with several F_s E_r e_k per row and radicals inside one weight space
+    datum = build_root_datum(parse_type_string(typ))
+    w = datum.weight(coords)
+    m = build_irrep(datum, w, QParams(q))
+    assert m.dim == weyl_dimension(datum, w)
+    assert max(relations_residual(m).values()) < 1e-9
+    assert star_residual(m) < 1e-9
+
+
+@pytest.mark.parametrize("typ, coords", [("B2", [3, 3]), ("A2", [5, 5])])
+def test_overfull_build_is_a_rank_decision(typ, coords):
+    # Weyl dimensions 256 and 216 are under DIM_CAP; at q = 0.7 the radical
+    # cut keeps too many vectors, and the build stops once it passes the
+    # Weyl dimension, with the norms either side of the cut
+    datum = build_root_datum(parse_type_string(typ))
+    with pytest.raises(NumericalDegeneracyError,
+                       match="passes Weyl dimension") as info:
+        build_irrep(datum, datum.weight(coords), QParams(0.7))
+    diag = info.value.diagnostics
+    assert diag["max_dropped"] <= 1e-6 < diag["min_kept"]
 
 
 def test_highest_weight_k_eigenvalue():
