@@ -319,7 +319,8 @@ def kz_psi_cmd(config, out):
         res = kz_psi(prob)
         return {"psi": mat_json(res.psi), "spread": res.spread,
                 "tail_bound": res.tail_bound,
-                "eig_condition": res.eig_condition}
+                "eig_condition": res.eig_condition,
+                "orders": list(res.orders)}
     _emit(_run(go, out), out)
 
 

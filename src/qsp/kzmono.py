@@ -4,12 +4,12 @@ system
     H'(w) = ( b_- / (w+1) + a / w + b_+ / (w-1) ) H(w)
 
 on (0, 1): Frobenius expansions H_0 ~ w^a at 0 and H_1 ~ (1-w)^{b_+} at 1,
-both convergent on all of (0, 1) and evaluated at the match points, and the
-connection matrix Psi = H_1(w)^{-1} H_0(w), checked to be independent of
-the match point.  Under w -> -w, swapping b_+ and b_- turns the series at 0
-into c_m -> (-1)^m c_m, bit for bit, so ``psi_pair`` gives both
-orientations from one series at 0 and one set of x^a factors.  Resonance
-is decided once per series, before its first order.
+both convergent on all of (0, 1), and the connection matrix
+Psi = H_1(w)^{-1} H_0(w), checked to be independent of the match point w.
+The series of one ``psi`` or ``psi_pair`` advance together, one stacked
+product per order, and are summed at the match points as they run.  Under
+w -> -w, swapping b_+ and b_- turns the series at 0 into c_m -> (-1)^m c_m,
+bit for bit, so ``psi_pair`` sums one series at 0 at +-x for both.
 
 The coefficient matrices for a symmetric pair are
 
@@ -94,26 +94,6 @@ def _expm(a):
     if _hermitian(a):
         out = (out + out.conj().T) / 2
     return out
-
-
-def _schur(res):
-    """Complex Schur form res = Z T Z^H, as (T, Z).
-
-    A residue that is Hermitian or skew-Hermitian to roundoff is normal, so
-    its Schur form is its unitary eigendecomposition, taken from ``eigh``
-    with T diagonal.  Every KZ residue is hbar times a Hermitian matrix with
-    hbar imaginary (``kz_coeffs``) and takes this branch, which keeps
-    scipy.linalg out of every KZ computation.  Only a residue of neither
-    kind (a non-normal one, given directly to ``MonodromyProblem``) needs a
-    general Schur form, which numpy lacks; scipy is imported for it there."""
-    if _hermitian(res):
-        vals, z = np.linalg.eigh(res)
-        return np.diag(vals.astype(complex)), z
-    if _hermitian(1j * res):
-        vals, z = np.linalg.eigh(-1j * res)
-        return np.diag(1j * vals), z
-    from scipy.linalg import schur
-    return schur(res, output="complex")
 
 
 def spin_matrices(j2):
@@ -319,6 +299,7 @@ class MonodromyResult:
     spread: float
     tail_bound: float
     eig_condition: float
+    orders: tuple  # the stop orders of the series at 0 and at 1
 
 
 def resonance_check(mat):
@@ -331,110 +312,154 @@ def resonance_check(mat):
     return [(int(i), int(j), int(nearest[i, j])) for i, j in hits]
 
 
-def _sylvester_series(res_mat, terms, order, x=None):
-    """Frobenius coefficients c_0 = 1, c_1, c_2, ... solving
+_RESIDUE_MEMO = {}
+
+
+def _decompose(res):
+    """(T, Z, ``resonance_check``, eigenvector condition) of a residue, with
+    res = Z T Z^H its complex Schur form, T and Z read-only; memoised for the
+    life of the process on the residue's bytes.  A residue that is Hermitian
+    or skew-Hermitian to roundoff is normal: T is diagonal, from ``eigh``.
+    Every KZ residue is hbar times a Hermitian matrix with hbar imaginary
+    (``kz_coeffs``), which keeps scipy.linalg out of every KZ computation;
+    only a non-normal residue, given directly to ``MonodromyProblem``, needs
+    a general Schur form, which numpy lacks, and imports scipy for it."""
+    key = (res.shape, res.tobytes())
+    if key in _RESIDUE_MEMO:
+        return _RESIDUE_MEMO[key]
+    if _hermitian(res):
+        vals, z = np.linalg.eigh(res)
+        t = np.diag(vals.astype(complex))
+    elif _hermitian(1j * res):
+        vals, z = np.linalg.eigh(-1j * res)
+        t = np.diag(1j * vals)
+    else:
+        from scipy.linalg import schur
+        t, z = schur(res, output="complex")
+    t.setflags(write=False)
+    z.setflags(write=False)
+    _RESIDUE_MEMO[key] = dec = (t, z, resonance_check(res),
+                                np.linalg.cond(np.linalg.eig(res)[1]))
+    return dec
+
+
+def _sylvester_series(jobs, order):
+    """Frobenius series c_0 = 1, c_1, ... of a batch of jobs (T, Z, terms,
+    points) of one dimension, each solving
 
         m c_m - [res, c_m] = sum over (s, M, r) in terms of s M A_m,
         A_m = sum_{k<m} r^{m-1-k} c_k,
 
-    in the complex Schur basis res = Z T Z^H.  Each running sum is kept as
-    A_{m+1} = r A_m + c_m, so an order costs one product per term.  With
-    T = D + N, each order divides by m + d_j - d_i and then adds the finite
-    Neumann series of X -> (N X - X N) / (m + d_j - d_i), which is nilpotent;
-    N below roundoff (a normal residue) is dropped.  Without ``x``, runs to
-    c_order; with ``x``, stops once the tail bound at x is below
-    ``TAIL_TARGET`` at two consecutive orders, and raises AccuracyError at order ``order``.
-    Resonance is decided once: |m + gap| < 1e-9 needs m = rint(-Re gap), so
-    the loop raises ResonanceError if it reaches the first such m >= 1.
-    Returns the coefficients in the Schur basis, and Z."""
-    t, z = _schur(res_mat)
-    n = t.shape[0]
-    zh = z.conj().T
-    diag = np.diag(t)
-    gap = diag[None, :] - diag[:, None]
-    near = np.rint(-gap.real)
-    hit = (near >= 1) & (np.abs(near + gap) < 1e-9)
-    resonant = int(near[hit].min()) if hit.any() else None
-    nil = np.triu(t, 1)
-    if np.linalg.norm(nil) <= n * _EPS * np.linalg.norm(t):
-        nil = None
-    mats = [(s * (zh @ m @ z), r) for s, m, r in terms]
-    sums = [np.zeros((n, n), dtype=complex) for _ in terms]
-    coeffs = [np.eye(n, dtype=complex)]
-    below = False
-    for m in range(1, order + 1):
-        rhs = np.zeros((n, n), dtype=complex)
-        for i, (mat, r) in enumerate(mats):
-            sums[i] = r * sums[i] + coeffs[-1]
-            rhs += mat @ sums[i]
-        if m == resonant:
-            raise ResonanceError(
-                f"Sylvester denominator ~0 at order {m} (resonance)")
-        denom = m + gap
-        c = rhs / denom
-        if nil is not None:
-            corr = c
-            for _ in range(2 * n - 2):
-                corr = (nil @ corr - corr @ nil) / denom
-                c = c + corr
-                if np.linalg.norm(corr) <= _EPS * np.linalg.norm(c):
-                    break
-        coeffs.append(c)
-        if x is not None:
-            norm = math.sqrt(np.vdot(c, c).real)  # |c|_F, as _tail_bound
-            now = norm * x ** m / (1 - x) < TAIL_TARGET
-            if below and now:
-                return coeffs, z
-            below = now
-    if x is not None:
-        raise AccuracyError(f"series tail bound not reached at {x} by "
-                            f"order {order}; raise series_order")
-    return coeffs, z
-
-
-def _series_at_zero(problem, x=None):
-    """H_0 = (sum c_m w^m) w^a: the right-hand side is
-    sum_{k<m} ((-1)^{m-1-k} b_- - b_+) c_k."""
-    return _sylvester_series(
-        problem.a, [(1.0, problem.b_minus, -1.0), (-1.0, problem.b_plus, 1.0)],
-        problem.series_order, x)
-
-
-def _series_at_one(problem, x=None):
-    """H_1 = (sum c_m (1-w)^m) (1-w)^{b_+}: the right-hand side is
-    -sum_{k<m} (a + 2^{-(m-k)} b_-) c_k."""
-    return _sylvester_series(
-        problem.b_plus, [(-1.0, problem.a, 1.0), (-0.5, problem.b_minus, 0.5)],
-        problem.series_order, x)
-
-
-def _eval_series(coeffs, x):
-    out = coeffs[-1].copy()
-    for c in coeffs[-2::-1]:
-        out *= x
-        out += c
+    in the Schur basis res = Z T Z^H, summed at its points x as it runs:
+    S(x) = sum c_m x^m.  Each term keeps A_{m+1} = r A_m + c_m; one stacked
+    product per order serves every term of every series.  With T = D + N,
+    each order divides by m + d_j - d_i and adds the finite Neumann series
+    of X -> (N X - X N) / (m + d_j - d_i); N below roundoff is dropped.  A
+    series stops once |c_m|_F x^m / (1 - x) at its farthest |x| is below
+    ``TAIL_TARGET`` at two consecutive orders.  It fails with AccuracyError
+    at ``order``, or with ResonanceError on reaching the first m >= 1 with
+    |m + gap| < 1e-9, which needs m = rint(-Re gap); it then leaves the batch.
+    Returns, per job, its error or (its sums, stop order, tail bound)."""
+    n = jobs[0][0].shape[0]
+    mats, rates, gaps, nils, resonant = [], [], [], [], []
+    for t, z, terms, _ in jobs:
+        gap = np.diag(t)[None, :] - np.diag(t)[:, None]
+        near = np.rint(-gap.real)
+        hit = (near >= 1) & (np.abs(near + gap) < 1e-9)
+        resonant.append(int(near[hit].min()) if hit.any() else None)
+        nil = np.triu(t, 1)
+        normal = np.linalg.norm(nil) <= n * _EPS * np.linalg.norm(t)
+        nils.append(None if normal else nil)
+        gaps.append(gap)
+        mats.append([s * (z.conj().T @ m @ z) for s, m, _ in terms])
+        rates.append([[[r]] for _, _, r in terms])
+    mats, rates, gaps = np.array(mats), np.array(rates), np.array(gaps)
+    owner = np.repeat(np.arange(len(jobs)), [len(job[3]) for job in jobs])
+    fars = [max(abs(x) for x in job[3]) for job in jobs]
+    xs = np.array([x for job in jobs for x in job[3]])
+    sums, pw = np.zeros_like(mats), np.ones_like(xs)
+    c = np.tile(np.eye(n, dtype=complex), (len(jobs), 1, 1))
+    vals = np.zeros((len(xs), n, n), dtype=complex)
+    # buffers filled in place (at large n, fresh arrays cost more than the
+    # arithmetic); real views scale by real factors
+    prods, denom, part = (np.empty_like(x) for x in (sums, c, vals))
+    live = list(range(len(jobs)))  # the job at each batch position
+    out, below = [None] * len(jobs), [False] * len(jobs)
+    for m in range(order + 1):
+        if m:
+            np.multiply(sums.view(float), rates, out=sums.view(float))
+            sums += c[:, None]
+            np.matmul(mats, sums, out=prods)
+            np.add(gaps, m, out=denom)
+            prods.sum(axis=1, out=c)
+            c /= denom
+            for pos, j in enumerate(live):
+                if nils[j] is None:
+                    continue
+                corr = cj = c[pos]
+                for _ in range(2 * n - 2):
+                    corr = (nils[j] @ corr - corr @ nils[j]) / denom[pos]
+                    cj = cj + corr
+                    if np.linalg.norm(corr) <= _EPS * np.linalg.norm(cj):
+                        break
+                c[pos] = cj
+        np.take(c, owner, axis=0, out=part, mode="clip")  # unbuffered copy
+        np.multiply(part.view(float), pw[:, None, None], out=part.view(float))
+        vals += part
+        pw *= xs
+        for pos, j in enumerate(live):
+            norm = math.sqrt(np.vdot(c[pos], c[pos]).real)
+            tail = norm * fars[j] ** m / (1 - fars[j])
+            if below[j] and tail < TAIL_TARGET:
+                out[j] = ([vals[i] for i in np.flatnonzero(owner == pos)],
+                          m, tail)
+            elif m == order:
+                out[j] = AccuracyError(
+                    f"series tail bound not reached at {fars[j]} by order "
+                    f"{order}; raise series_order")
+            elif resonant[j] == m + 1:
+                out[j] = ResonanceError(
+                    f"Sylvester denominator ~0 at order {m + 1} (resonance)")
+            below[j] = tail < TAIL_TARGET
+        keep = [out[j] is None for j in live]
+        if not all(keep):
+            kept = np.array(keep)[owner]
+            owner = (np.cumsum(keep) - 1)[owner[kept]]
+            live = [j for j, k in zip(live, keep) if k]
+            if not live:
+                break
+            mats, rates, gaps, sums, c, prods, denom = (
+                x[keep] for x in (mats, rates, gaps, sums, c, prods, denom))
+            xs, pw, vals, part = (x[kept] for x in (xs, pw, vals, part))
     return out
 
 
-def _tail_bound(coeffs, x):
-    """Frobenius-norm tail estimate; unitary changes of basis leave it
-    unchanged."""
-    n = len(coeffs) - 1
-    return np.linalg.norm(coeffs[n]) * x ** n / (1 - x)
+def _job_at_zero(problem, points):
+    """H_0 = Z (sum c_m w^m) w^T Z^H at ``points``, with the right-hand side
+    sum_{k<m} ((-1)^{m-1-k} b_- - b_+) c_k; at -x, the mirror's H_0 at x."""
+    return (*_decompose(problem.a)[:2], [(1.0, problem.b_minus, -1.0),
+                                         (-1.0, problem.b_plus, 1.0)], points)
 
 
-def _frobenius(problem, series, residue, dists, signs=(1.0,)):
-    """Z (sum c_m (s x)^m) Z^H x^residue at each distance x in ``dists``
-    from the series' endpoint, one list per sign s in ``signs``, and the
-    tail bound at the farthest x.  At zero, s = -1 gives H_0 of the mirror
-    (a, b_-, b_+): its coefficients are (-1)^m c_m, bit for bit."""
-    far = max(dists)
-    coeffs, z = series(problem, far)
-    zh = z.conj().T
-    powers = [_expm(math.log(x) * residue) for x in dists]
-    vals = [[z @ _eval_series(coeffs, s * x) @ zh @ power
-             for x, power in zip(dists, powers)] for s in signs]
-    return vals, _tail_bound(coeffs, far)
+def _job_at_one(problem):
+    """H_1 = Z (sum c_m (1-w)^m) (1-w)^T Z^H at the match points: the
+    right-hand side is -sum_{k<m} (a + 2^{-(m-k)} b_-) c_k."""
+    return (*_decompose(problem.b_plus)[:2], [(-1.0, problem.a, 1.0),
+            (-0.5, problem.b_minus, 0.5)], [1 - p for p in MATCH_POINTS])
+
+
+def _solutions(job, found):
+    """Z S(x) |x|^T Z^H at each point x of a job, with the stop order and
+    tail bound, from its ``_sylvester_series`` result; raises its error, or
+    ResourceError if x^T overflows, as e^a from the Pade branch does."""
+    if isinstance(found, Exception):
+        raise found
+    (t, z, _, points), (sums, order, tail) = job, found
+    powers = {d: _expm(math.log(d) * t) for d in {abs(x) for x in points}}
+    if not all(np.isfinite(p).all() for p in powers.values()):
+        raise ResourceError("a matrix exponent overflows double precision")
+    return ([z @ s @ powers[abs(x)] @ z.conj().T
+             for x, s in zip(points, sums)], order, tail)
 
 
 def _rhs_ode(problem):
@@ -467,38 +492,39 @@ def psi(problem):
 
 
 def psi_pair(a, b_plus, b_minus):
-    """``psi`` of (a, b_+, b_-) and of its mirror (a, b_-, b_+).  Under
-    w -> -w the mirror's series at zero is c_m -> (-1)^m c_m, bit for bit, so
-    one series at zero (at +-x), x^a and the checks of a serve both; each
-    keeps its own series at one."""
+    """``psi`` of (a, b_+, b_-) and of its mirror (a, b_-, b_+), from one
+    series at zero, summed at +-x, and one series at one for each."""
     problem = MonodromyProblem(a, b_plus, b_minus)
     return _connect([problem, MonodromyProblem(
         problem.a, problem.b_minus, problem.b_plus, problem.series_order)])
 
 
 def _connect(problems):
-    """``psi`` of each problem, read from the memo or computed in order; a
-    second problem is the mirror of the first and shares its H_0."""
+    """``psi`` of each problem, from the memo or computed in one batch; a
+    second problem is the mirror of the first.  Errors are raised, and the
+    orientations before them memoised, in problem order."""
     keys = [_psi_key(p) for p in problems]
     todo = [i for i, key in enumerate(keys)
             if key not in _PSI_MEMO and key not in keys[:i]]
-    a, h0 = problems[0].a, None
-    res_a = resonance_check(a) if todo else []
-    for i in todo:
-        bp = problems[i].b_plus
-        res_b = resonance_check(bp)
-        if res_a or res_b:
+    if not todo:
+        return [_PSI_MEMO[key] for key in keys]
+    res_a, cond_a = _decompose(problems[0].a)[2:]
+    decs = [_decompose(problems[i].b_plus) for i in todo]
+    ready = next((k for k, dec in enumerate(decs) if res_a or dec[2]),
+                 len(todo))
+    jobs = [_job_at_zero(problems[0], [(1.0, -1.0)[i] * x for i in todo
+                                       for x in MATCH_POINTS])]  # mirror: -x
+    jobs += [_job_at_one(problems[i]) for i in todo[:ready]]
+    found = _sylvester_series(jobs, problems[0].series_order) if ready else []
+    for k, i in enumerate(todo):
+        if k == ready:
             raise ResonanceError(
-                f"resonant residues: a -> {res_a}, b_+ -> {res_b}")
-        if h0 is None:
-            signs = [(1.0, -1.0)[j] for j in todo]  # the mirror at -x
-            vals, tail0 = _frobenius(problems[0], _series_at_zero, a,
-                                     MATCH_POINTS, signs)
-            h0 = dict(zip(todo, vals))
-            cond_a = np.linalg.cond(np.linalg.eig(a)[1])
-        (h1_vals,), tail1 = _frobenius(problems[i], _series_at_one, bp,
-                                       [1 - p for p in MATCH_POINTS])
-        psis = [np.linalg.solve(h1, x) for x, h1 in zip(h0[i], h1_vals)]
+                f"resonant residues: a -> {res_a}, b_+ -> {decs[k][2]}")
+        if k == 0:
+            h0, order0, tail0 = _solutions(jobs[0], found[0])
+        h1_vals, order1, tail1 = _solutions(jobs[1 + k], found[1 + k])
+        psis = [np.linalg.solve(h1, x)
+                for x, h1 in zip(h0[len(MATCH_POINTS) * k:], h1_vals)]
         main = psis[0]
         spread = max((np.linalg.norm(x - main) for x in psis[1:]),
                      default=0.0)
@@ -506,9 +532,9 @@ def _connect(problems):
             raise AccuracyError(
                 f"match-point spread {spread:.2e} exceeds 1e-6")
         main.setflags(write=False)
-        cond = max(cond_a, np.linalg.cond(np.linalg.eig(bp)[1]))
-        _PSI_MEMO[keys[i]] = MonodromyResult(main, spread, max(tail0, tail1),
-                                             cond)
+        _PSI_MEMO[keys[i]] = MonodromyResult(
+            main, spread, max(tail0, tail1), max(cond_a, decs[k][3]),
+            (order0, order1))
     return [_PSI_MEMO[key] for key in keys]
 
 
@@ -530,7 +556,9 @@ def mkz_consistency(problem, z_target=0.81):
     from scipy.integrate import solve_ivp
     a, bp, bm = problem.a, problem.b_plus, problem.b_minus
     n = a.shape[0]
-    ((h0,),), _ = _frobenius(problem, _series_at_zero, a, [DELTA])
+    job = _job_at_zero(problem, [DELTA])
+    (h0,), _, _ = _solutions(job, *_sylvester_series([job],
+                                                      problem.series_order))
 
     tk = (bp + bm) / 2
     tm = (bp - bm) / 2
@@ -585,8 +613,9 @@ def verify_octagon_kz(tensors, lam, j2a, j2b, hbar):
         @ np.linalg.inv(psi_021_sw) @ epi(bm) @ psi_a_sw @ epi(a)
     res_rtkz = np.linalg.norm(lhs - epi(d))
 
-    oct_lhs = np.linalg.inv(psi_a) @ emi(bp) @ psi_021 @ emi(a02) \
-        @ np.linalg.inv(psi_021_sw) @ emi(bm) @ psi_a_sw
+    emi_bp, emi_bm = emi(bp), emi(bm)
+    oct_lhs = np.linalg.inv(psi_a) @ emi_bp @ psi_021 @ emi(a02) \
+        @ np.linalg.inv(psi_021_sw) @ emi_bm @ psi_a_sw
     res_oct = np.linalg.norm(oct_lhs - emi(d - a))
 
     rib_lhs = oct_lhs @ emi(a)
@@ -595,8 +624,8 @@ def verify_octagon_kz(tensors, lam, j2a, j2b, hbar):
     # sigma applied to the last leg versus the b_+ <-> b_- swap
     s = tensors.sigma_matrix(j2b)
     conj = np.kron(np.eye(j2a + 1), s)
-    swapped = np.linalg.inv(psi_021_sw) @ emi(bm) @ psi_a_sw
-    direct = conj @ (np.linalg.inv(psi_021) @ emi(bp) @ psi_a) \
+    swapped = np.linalg.inv(psi_021_sw) @ emi_bm @ psi_a_sw
+    direct = conj @ (np.linalg.inv(psi_021) @ emi_bp @ psi_a) \
         @ np.linalg.inv(conj)
     res_sigma = np.linalg.norm(swapped - direct)
     return {"rtkz": res_rtkz, "octagon": res_oct, "ribbon": res_rib,

@@ -113,7 +113,7 @@ _LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_import_leaves_scipy_integrate_out():
-    # kzmono runs on numpy alone: only a non-normal residue (kzmono._schur)
+    # kzmono runs on numpy alone: only a non-normal residue (kzmono._decompose)
     # and kzmono.mkz_consistency import scipy, when called
     assert _fresh_python(
         f"import sys, qsp.cli; print({_LOADED_SCIPY})") == "[]"
@@ -285,10 +285,14 @@ def test_kz_psi_from_config(runner, tmp_path):
     res = runner.invoke(main, ["kz", "psi", "--config", str(cfg)])
     assert res.exit_code == 0, res.output
     payload = json.loads(res.output)
-    assert set(payload) == {"psi", "spread", "tail_bound", "eig_condition"}
+    assert set(payload) == {"psi", "spread", "tail_bound", "eig_condition",
+                            "orders"}
     assert payload["spread"] < 1e-6
     assert payload["tail_bound"] < 1e-12
     assert payload["eig_condition"] >= 1.0
+    # the stop orders of the series at 0 and at 1, under the default ceiling
+    assert all(type(m) is int and 1 <= m <= 200 for m in payload["orders"])
+    assert len(payload["orders"]) == 2
 
 
 def test_kz_psi_inline_matrices(runner, tmp_path):

@@ -1,13 +1,14 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm, schur
 
-from qsp.errors import AccuracyError, InputError, ResonanceError
+from qsp.errors import (AccuracyError, InputError, ResonanceError,
+                        ResourceError)
 from qsp.kzmono import (
     _PSI_MEMO,
+    _RESIDUE_MEMO,
     ATOL,
     DELTA,
     MATCH_POINTS,
@@ -15,15 +16,15 @@ from qsp.kzmono import (
     SIGMA,
     TAIL_TARGET,
     MonodromyProblem,
-    _eval_series,
+    _decompose,
     _expm,
     _herm_form,
+    _job_at_one,
+    _job_at_zero,
+    _psi_key,
     _rhs_ode,
-    _schur,
-    _series_at_one,
-    _series_at_zero,
     _star_coeffs,
-    _tail_bound,
+    _sylvester_series,
     a02_coeff,
     d_coeff,
     flatness_residuals,
@@ -227,7 +228,8 @@ def _eigenbasis_series(res_mat, rhs_fn, order):
     return coeffs
 
 
-def _reference_series(prob):
+def _reference_series(prob, orders):
+    """Coefficients of the series at 0 and at 1 up to the given orders."""
     a, bp, bm = prob.a, prob.b_plus, prob.b_minus
 
     def rhs0(m, coeffs):
@@ -238,8 +240,16 @@ def _reference_series(prob):
         return sum(-(a + 2.0 ** (-(m - k)) * bm) @ coeffs[k]
                    for k in range(m))
 
-    return (_eigenbasis_series(a, rhs0, prob.series_order),
-            _eigenbasis_series(bp, rhs1, prob.series_order))
+    return (_eigenbasis_series(a, rhs0, orders[0]),
+            _eigenbasis_series(bp, rhs1, orders[1]))
+
+
+def _horner(coeffs, x):
+    """sum c_m x^m by Horner's rule."""
+    out = coeffs[-1].copy()
+    for c in coeffs[-2::-1]:
+        out = out * x + c
+    return out
 
 
 def _random_nonnormal(rng, n):
@@ -254,27 +264,37 @@ def _random_nonnormal(rng, n):
 def _problems():
     for j2a, j2b in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
         yield f"kz{j2a}x{j2b}", MonodromyProblem(
-            *kz_coeffs(TS, 0.8, j2a, j2b, hbar_of(0.7)), series_order=20)
+            *kz_coeffs(TS, 0.8, j2a, j2b, hbar_of(0.7)))
     rng = np.random.default_rng(11)
     for n in (3, 5, 8):
         yield f"nonnormal{n}", MonodromyProblem(
-            *[_random_nonnormal(rng, n) for _ in range(3)], series_order=20)
+            *[_random_nonnormal(rng, n) for _ in range(3)])
 
 
 @pytest.mark.parametrize("name,prob", list(_problems()),
                          ids=[name for name, _ in _problems()])
 def test_sylvester_series_matches_eigenbasis_reference(name, prob):
-    ref0, ref1 = _reference_series(prob)
-    for series, ref in ((_series_at_zero, ref0), (_series_at_one, ref1)):
-        coeffs, z = series(prob)
-        assert len(coeffs) == len(ref)
-        for got, want in zip(coeffs, ref):
+    # one batch: the series at 0 summed at +-x, the series at 1 at 1 - x
+    jobs = [_job_at_zero(prob, [s * x for s in (1.0, -1.0)
+                                for x in MATCH_POINTS]), _job_at_one(prob)]
+    found = _sylvester_series(jobs, prob.series_order)
+    assert not any(isinstance(f, Exception) for f in found)
+    refs = _reference_series(prob, [order for _, order, _ in found])
+    for (_, z, _, points), (sums, order, tail), ref in zip(jobs, found, refs):
+        assert len(sums) == len(points)
+        for x, got in zip(points, sums):
+            want = _horner(ref, x)
             back = z @ got @ z.conj().T
-            scale = max(np.linalg.norm(want), 1e-300)
-            assert np.linalg.norm(back - want) <= 1e-12 * scale
-            # the tail bound reads the Frobenius norm in the Schur basis
-            assert np.isclose(np.linalg.norm(got), np.linalg.norm(want),
-                              rtol=1e-12, atol=0)
+            assert np.linalg.norm(back - want) <= 1e-12 * np.linalg.norm(want)
+        # the stop rule and the tail bound read the Frobenius norm in the
+        # Schur basis
+        far = max(abs(x) for x in points)
+        tails = [np.linalg.norm(c) * far ** m / (1 - far)
+                 for m, c in enumerate(ref)]
+        assert np.isclose(tail, tails[-1], rtol=1e-12, atol=0)
+        below = [t < TAIL_TARGET for t in tails]
+        assert below[-2:] == [True, True]
+        assert not any(x and y for x, y in zip(below[:-2], below[1:-1]))
 
 
 def test_psi_memoised_read_only():
@@ -304,21 +324,21 @@ def test_tail_control_raises_when_impossible():
 
 def _ode_psi(problem):
     """The Runge-Kutta connection matrix the series evaluation replaced,
-    kept as the reference: Frobenius starts at order 40 and distance delta,
-    halved until the tail bound meets the target, then DOP853 from both ends
+    kept as the reference: each series summed at distance delta, halved
+    until it meets the tail target by order 40, then DOP853 from both ends
     through the sorted match points."""
     from scipy.integrate import solve_ivp
 
-    fixed = dataclasses.replace(problem, series_order=40)
     fn = _rhs_ode(problem)
 
-    def start(series, residue):
-        coeffs, z = series(fixed)
+    def start(job, residue):
         delta = DELTA
-        while _tail_bound(coeffs, delta) >= TAIL_TARGET:
+        while isinstance(found := _sylvester_series(
+                [(*job[:3], [delta])], 40)[0], AccuracyError):
             delta /= 2
-        return delta, z @ _eval_series(coeffs, delta) @ z.conj().T \
-            @ expm(math.log(delta) * residue)
+        (sums,), _, _ = found
+        z = job[1]
+        return delta, z @ sums @ z.conj().T @ expm(math.log(delta) * residue)
 
     def chain(w, h, points):
         out = {}
@@ -330,8 +350,8 @@ def _ode_psi(problem):
             out[p] = h
         return out
 
-    delta0, h0 = start(_series_at_zero, problem.a)
-    delta1, h1 = start(_series_at_one, problem.b_plus)
+    delta0, h0 = start(_job_at_zero(problem, [DELTA]), problem.a)
+    delta1, h1 = start(_job_at_one(problem), problem.b_plus)
     points = sorted(MATCH_POINTS)
     h0s = chain(delta0, h0, points)
     h1s = chain(1 - delta1, h1, points[::-1])
@@ -346,8 +366,7 @@ def _psi_cases():
                 *kz_coeffs(TS, 1.0, j2, j2, hbar_of(q)))
     for name, prob in _problems():
         if name.startswith("nonnormal"):
-            yield name, dataclasses.replace(
-                prob, series_order=MonodromyProblem.series_order)
+            yield name, prob
 
 
 @pytest.mark.parametrize("name,prob", list(_psi_cases()),
@@ -409,10 +428,42 @@ def test_psi_pair_is_psi_on_both_orientations_bit_for_bit(name, coeffs):
     _same_result(got[1], singles[1])
 
 
+def test_psi_pair_memoises_first_orientation_before_mirror_error():
+    # b_- is resonant, so only the mirror (a, b_-, b_+) fails its check
+    a, bp, bm = np.zeros((2, 2)), np.zeros((2, 2)), np.diag([0.0, 1.0])
+    first = MonodromyProblem(a, bp, bm)
+    _PSI_MEMO.clear()
+    with pytest.raises(ResonanceError, match=r"a -> \[\], "
+                       r"b_\+ -> \[\(0, 1, -1\), \(1, 0, 1\)\]"):
+        psi_pair(a, bp, bm)
+    res = _PSI_MEMO[_psi_key(first)]
+    assert psi(first) is res
+    assert np.linalg.norm(res.psi - psi_commuting_oracle(first)) < 1e-12
+    with pytest.raises(ResonanceError):
+        psi(MonodromyProblem(a, bm, bp))
+
+
+def test_psi_peak_memory_at_twice_spin_eight():
+    # no coefficient list is kept: the series are summed as they run
+    import tracemalloc
+
+    prob = MonodromyProblem(*kz_coeffs(TS, 1.0, 8, 8, hbar_of(0.75)))
+    _PSI_MEMO.clear()
+    _RESIDUE_MEMO.clear()
+    tracemalloc.start()
+    try:
+        res = psi(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.spread < 1e-6
+    assert peak <= 5e6, peak
+
+
 def _per_order_resonance(res_mat, order):
     """The order at which the per-order check |m + gap| < 1e-9, run before
     every order, stopped the series; None when it did not."""
-    t, _ = _schur(res_mat)
+    t = _decompose(res_mat)[0]
     diag = np.diag(t)
     gap = diag[None, :] - diag[:, None]
     for m in range(1, order + 1):
@@ -438,12 +489,14 @@ def test_resonance_order_matches_per_order_reference(shift, base, order,
     prob = MonodromyProblem(a, bp, bm, series_order=order)
     want = _per_order_resonance(prob.a, order)
     assert want == (near if abs(shift) < 1e-9 else far)
+    (found,) = _sylvester_series([_job_at_zero(prob, MATCH_POINTS)], order)
     if want is None:
-        coeffs, _ = _series_at_zero(prob)
-        assert len(coeffs) == order + 1
+        # no resonance: the series runs to its ceiling
+        assert isinstance(found, AccuracyError)
+        assert f"by order {order};" in str(found)
     else:
-        with pytest.raises(ResonanceError, match=f"at order {want} "):
-            _series_at_zero(prob)
+        assert isinstance(found, ResonanceError)
+        assert f"at order {want} " in str(found)
 
 
 def test_match_points_inside_the_interval():
@@ -614,6 +667,17 @@ def test_expm_matches_scipy_on_kz_exponents(q):
             _assert_expm_matches_scipy(scale * mat)
 
 
+def test_psi_exponent_overflow_is_a_resource_error():
+    # x^a from the diagonal Schur form of a overflows at the match points;
+    # the series at one, batched with the series at zero, overflows too, but
+    # x^a comes first, as it did when each series ran on its own
+    a, zero = np.diag([-2000.5, 0.0]), np.zeros((2, 2))
+    _PSI_MEMO.clear()
+    with np.errstate(all="ignore"), \
+            pytest.raises(ResourceError, match="overflows double precision"):
+        psi(MonodromyProblem(a, zero, zero))
+
+
 def test_expm_of_hermitian_is_hermitian():
     a = kz_coeffs(TS, 1.0, 2, 2, hbar_of(0.7))[0]
     out = _expm(1j * math.pi * a)
@@ -623,7 +687,7 @@ def test_expm_of_hermitian_is_hermitian():
 @pytest.mark.parametrize("q", [0.5, 0.75, 0.9])
 def test_schur_of_kz_residues_is_eigh(q):
     for res in _kz_residues(q):
-        t, z = _schur(res)
+        t, z = _decompose(res)[:2]
         n = res.shape[0]
         np.testing.assert_array_equal(t, np.diag(np.diag(t)))
         assert np.linalg.norm(z.conj().T @ z - np.eye(n)) <= 1e-14
@@ -636,7 +700,7 @@ def test_schur_of_nonnormal_residues_is_scipy():
         if not name.startswith("nonnormal"):
             continue
         for res in (prob.a, prob.b_plus, prob.b_minus):
-            t, z = _schur(res)
+            t, z = _decompose(res)[:2]
             want_t, want_z = schur(res, output="complex")
             np.testing.assert_array_equal(t, want_t)
             np.testing.assert_array_equal(z, want_z)
