@@ -55,7 +55,11 @@ _THETA13 = 5.371920351148152
 
 
 def _hermitian(mat):
-    """True when mat equals its conjugate transpose to roundoff."""
+    """True when mat equals its conjugate transpose to roundoff; a large mat
+    is scaled by a power of two first (exact), so that no norm overflows."""
+    scale = np.abs(mat).max(initial=0.0)
+    if scale > 1:
+        mat = mat * 2.0 ** -math.frexp(scale)[1]
     tol = mat.shape[0] * _EPS * np.linalg.norm(mat)
     return np.linalg.norm(mat - mat.conj().T) <= tol
 
@@ -343,6 +347,7 @@ def _decompose(res):
     return dec
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sylvester_series(jobs, order):
     """Frobenius series c_0 = 1, c_1, ... of a batch of jobs (T, Z, terms,
     points) of one dimension, each solving
@@ -356,10 +361,11 @@ def _sylvester_series(jobs, order):
     each order divides by m + d_j - d_i and adds the finite Neumann series
     of X -> (N X - X N) / (m + d_j - d_i); N below roundoff is dropped.  A
     series stops once |c_m|_F x^m / (1 - x) at its farthest |x| is below
-    ``TAIL_TARGET`` at two consecutive orders.  It fails with AccuracyError
-    at ``order``, or with ResonanceError on reaching the first m >= 1 with
-    |m + gap| < 1e-9, which needs m = rint(-Re gap); it then leaves the batch.
-    Returns, per job, its error or (its sums, stop order, tail bound)."""
+    ``TAIL_TARGET`` at two consecutive orders.  It fails with ResourceError
+    at the first order whose tail bound is not finite, with AccuracyError at
+    ``order``, or with ResonanceError at the first m >= 1 with |m + gap| <
+    1e-9 (m = rint(-Re gap)), and then leaves the batch.  Returns, per job,
+    its error or (its sums, stop order, tail bound)."""
     n = jobs[0][0].shape[0]
     mats, rates, gaps, nils, resonant = [], [], [], [], []
     for t, z, terms, _ in jobs:
@@ -410,7 +416,10 @@ def _sylvester_series(jobs, order):
         for pos, j in enumerate(live):
             norm = math.sqrt(np.vdot(c[pos], c[pos]).real)
             tail = norm * fars[j] ** m / (1 - fars[j])
-            if below[j] and tail < TAIL_TARGET:
+            if not math.isfinite(tail):
+                out[j] = ResourceError(
+                    f"series overflows double precision at order {m}")
+            elif below[j] and tail < TAIL_TARGET:
                 out[j] = ([vals[i] for i in np.flatnonzero(owner == pos)],
                           m, tail)
             elif m == order:
@@ -455,7 +464,8 @@ def _solutions(job, found):
     if isinstance(found, Exception):
         raise found
     (t, z, _, points), (sums, order, tail) = job, found
-    powers = {d: _expm(math.log(d) * t) for d in {abs(x) for x in points}}
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        powers = {d: _expm(math.log(d) * t) for d in {abs(x) for x in points}}
     if not all(np.isfinite(p).all() for p in powers.values()):
         raise ResourceError("a matrix exponent overflows double precision")
     return ([z @ s @ powers[abs(x)] @ z.conj().T

@@ -7,7 +7,8 @@ The module M_r is spanned by an orthonormal ladder e_0, e_1, ... with
     q^{1/2} (q^{-1} - q) F e_n = q^{-n} ((1-q^{2n})(1+q^{2r+2-2n}))^{1/2} e_{n-1},
 
 truncated at a level cap N; the top boundary rows of F^* are invalid and
-excluded from residual checks.
+excluded from residual checks.  The coaction is a *-homomorphism, so F^* is
+F^dagger on M_r and on every coaction product; it is formed where used.
 
 The braid is
 
@@ -40,8 +41,8 @@ from .errors import ConsistencyError, InputError, ResourceError
 from .rootsys import qfact
 from .uqrep import WeightModule, kernel, read_only, ribbon_diag
 
-# the most levels build_Mr truncates to: F and F^* are dense cap x cap
-# complex matrices, 32 cap^2 bytes together (134 MB at 2048)
+# the most levels build_Mr truncates to: F is a dense cap x cap complex
+# matrix, 16 cap^2 bytes (67 MB at 2048)
 MAX_LEVELS = 2048
 
 
@@ -59,17 +60,15 @@ def _phi(n, r, q):
 
 @dataclass
 class TruncatedModule:
-    """Level-capped lowest-weight module: K diagonal, F lowering, F^* the
-    adjoint of F on M_r and the coaction of F^* on a product (invalid on
-    the top boundary either way).  ``cache`` keeps the coaction products
-    and twist braids built from it."""
+    """Level-capped lowest-weight module, M_r or a coaction product over
+    it: K and H diagonal, F lowering; F^* is ``f_mat.conj().T`` (invalid on
+    the top boundary).  ``cache`` keeps the coaction products and twist
+    braids built from it."""
 
     r: float
     qp: object
-    cap: int
     k_diag: np.ndarray
     f_mat: np.ndarray
-    fstar: np.ndarray
     h_diag: np.ndarray
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -106,7 +105,7 @@ def build_Mr(r, qp, cap):
             raise ResourceError(
                 f"ladder coefficient at level {n} overflows double "
                 f"precision (q = {q}, {cap} levels)") from None
-    return TruncatedModule(r, qp, cap, k, f, f.conj().T, h)
+    return TruncatedModule(r, qp, k, f, h)
 
 
 def relations_residual(module):
@@ -114,7 +113,7 @@ def relations_residual(module):
     q = module.qp.q
     k = np.diag(module.k_diag)
     f = module.f_mat
-    fs = module.fstar
+    fs = f.conj().T
     idx = interior_indices(module, 1, 2)
     out = {}
 
@@ -151,24 +150,18 @@ def _total_h(module, v):
 
 
 def coaction_tensor(module, v):
-    """Action matrices on M ox V through the coaction, as a
-    TruncatedModule over the product space; built once per V and kept
-    read-only in ``module.cache``."""
+    """K, F and H on M ox V through the coaction, as a TruncatedModule
+    over the product space; built once per V and kept read-only in
+    ``module.cache``."""
     key = ("coaction", v)
-    if key in module.cache:
-        return module.cache[key]
-    kv = v.k_diag(v.datum.simple_root(1))
-    kv_inv = 1 / kv
-    eye_m = np.eye(module.dim)
-    f = np.kron(module.f_mat, np.diag(kv_inv)) + np.kron(eye_m, v.F[1])
-    # F^* viewed abstractly: F*_M ox K^{-1} + 1 ox K^{-1} E
-    fstar = np.kron(module.fstar, np.diag(kv_inv)) \
-        + np.kron(eye_m, kv_inv[:, None] * v.E[1])
-    out = module.cache[key] = TruncatedModule(
-        module.r, module.qp, module.cap,
-        *(read_only(arr) for arr in (np.kron(module.k_diag, kv), f, fstar,
-                                     _total_h(module, v))))
-    return out
+    if key not in module.cache:
+        kv = v.k_diag(v.datum.simple_root(1))
+        f = np.kron(module.f_mat, np.diag(1 / kv)) \
+            + np.kron(np.eye(module.dim), v.F[1])
+        module.cache[key] = TruncatedModule(module.r, module.qp, *(
+            read_only(arr) for arr in (np.kron(module.k_diag, kv), f,
+                                       _total_h(module, v))))
+    return module.cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +311,7 @@ def _braid_blocks(module, v, qp):
     per block; the products run on the stacked blocks."""
     q = qp.q
     legs_h, index = product_blocks(module, v)
-    kfs = module.k_diag[:, None] * module.fstar
+    kfs = module.k_diag[:, None] * module.f_mat.conj().T
     cartan = np.exp(np.log(q) * (-np.outer(*legs_h) / 2))
     cartan = cartan.reshape(-1).astype(complex)
 
@@ -409,7 +402,7 @@ def spin_half_block(q, u, w2, g, phi_w2):
 def _spin_half_blocks(module, q):
     """The twist braid on the 2x2 weight blocks m = 0 .. cap-2 of
     module ox V_{1/2}, stacked as an array of shape (cap-1, 2, 2)."""
-    n = np.arange(1, module.cap)   # m + 1
+    n = np.arange(1, module.dim)   # m + 1
     qn = q ** n.astype(float)
     phi = module.f_mat.diagonal(1).real
     b00, b01, b11 = spin_half_block(q, q ** module.r, qn * qn,
@@ -427,11 +420,11 @@ def plain_block_eigenvalues(module, v, qp):
     q = qp.q
     _require_spin_half(v, q)
     try:
-        top = q ** (module.r + 0.5 - 2 * module.cap)   # on e_{cap-1} ox e_+
+        top = q ** (module.r + 0.5 - 2 * module.dim)   # on e_{cap-1} ox e_+
     except OverflowError:
         raise ResourceError(
             f"the braid on the top level overflows double precision "
-            f"(q = {q}, {module.cap} levels)") from None
+            f"(q = {q}, {module.dim} levels)") from None
     h = _total_h(module, v).reshape(-1, 2)
     # twist_to_plain on a block: K_chi^{-1} is (-i, i) on (e_+, e_-)
     evals = np.linalg.eigvals(_spin_half_blocks(module, q)
@@ -457,7 +450,7 @@ def _transfers(module, q, sign):
     shape (cap-1, 2, 2).  Block -1 is e_0 ox e_- (phi_0 = 0)."""
     phi = np.concatenate(([0.0], module.f_mat.diagonal(1).real))
     t00, t01, t11 = spin_half_transfer(q, phi[:-1], phi[1:], sign)
-    out = np.zeros((module.cap - 1, 2, 2))
+    out = np.zeros((module.dim - 1, 2, 2))
     out[:, 0, 0] = t00
     out[:, 0, 1] = t01
     out[:, 1, 1] = t11
@@ -486,7 +479,7 @@ def e_matrix_component_scalars(module, v, qp):
     common factor at every step: O(levels), and finite at every level."""
     q = qp.q
     _require_spin_half(v, q)
-    if module.cap < 4:
+    if module.dim < 4:
         return {}, 0.0   # no level lies 3 below the cap
     h = _total_h(module, v).reshape(-1, 2)
     blocks = _spin_half_blocks(module, q)
@@ -497,7 +490,7 @@ def e_matrix_component_scalars(module, v, qp):
     # e_0 ox e_+ generates the quotient classes
     quot = quot_tw = np.array([1.0, 0.0])
     defect = 0.0
-    for m in range(module.cap - 4):   # blocks with no level in the top 3
+    for m in range(module.dim - 4):   # blocks with no level in the top 3
         sub, sub_tw = _normalised(plain[m] @ sub, twisted[m] @ sub_tw)
         if m:
             quot, quot_tw = _normalised(plain[m] @ quot, twisted[m] @ quot_tw)
@@ -522,7 +515,7 @@ def fusion_check(module, v, qp):
     taken on that block of at most dim V rows, and no coaction matrix on
     module ox V is formed.  ConsistencyError if F_M or F on V moves a
     weight by anything but -2."""
-    if module.cap < 3:
+    if module.dim < 3:
         raise InputError("truncation too small for a fusion check")
     f_v = v.F[1]
     for mat, h in ((module.f_mat, module.h_diag), (f_v, _h_vector(v))):

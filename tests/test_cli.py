@@ -454,7 +454,7 @@ def test_verify_appendix_b_mixed_root_lengths(runner, tmp_path):
      None, 2),
     (["verify", "rank-one", "--r", "0.25", "--levels", "20", "--q", "1e-200"],
      None, 3),
-    # numpy warns on the way; the error line still stands alone
+    # KZ coefficients past double precision
     (["verify", "axioms", "--source", "kz", "--q", "0.7", "--t", "1e300"],
      None, 3),
     # symmetrizers that do not symmetrize the Cartan matrix, or are not

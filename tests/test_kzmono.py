@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -673,9 +674,21 @@ def test_psi_exponent_overflow_is_a_resource_error():
     # x^a comes first, as it did when each series ran on its own
     a, zero = np.diag([-2000.5, 0.0]), np.zeros((2, 2))
     _PSI_MEMO.clear()
-    with np.errstate(all="ignore"), \
-            pytest.raises(ResourceError, match="overflows double precision"):
+    with pytest.raises(ResourceError, match="a matrix exponent overflows"):
         psi(MonodromyProblem(a, zero, zero))
+
+
+def test_kz_overflow_is_a_resource_error_without_warnings():
+    # lambda = 1e300 puts entries of 1e299 into a: the series at one
+    # overflows at its first order and stops there, and no floating-point
+    # warning (from kzmono or from numpy under it) comes before the error
+    coeffs = kz_coeffs(TS, 1e300, 1, 1, hbar_of(0.7))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ResourceError, match="series overflows double "
+                                                "precision at order 1$"):
+            verify_eg(*coeffs)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_expm_of_hermitian_is_hermitian():

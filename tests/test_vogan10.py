@@ -118,7 +118,8 @@ def test_boundary_rows_fail_without_mask():
     # is what makes the interior mask meaningful
     m = build_Mr(0.5, QP, 8)
     q = Q
-    lhs = m.fstar @ m.f_mat - q ** 2 * m.f_mat @ m.fstar
+    fs = m.f_mat.conj().T
+    lhs = fs @ m.f_mat - q ** 2 * m.f_mat @ fs
     rhs = (np.eye(m.dim) + np.diag(m.k_diag ** -2)) / (q - 1 / q)
     assert np.linalg.norm(lhs - rhs) > 1.0
 
@@ -195,8 +196,8 @@ def _component_scalars_dense_ref(module, v, qp):
     reference: the chains under alpha(F^*) on module ox V, unnormalised, and
     the braid applied as a (levels * dim V)^2 matrix."""
     braid = e_matrix(module, v, qp)
-    prod = coaction_tensor(module, v)
-    prod_tw = coaction_tensor(module, nu_module(v))
+    fs = coaction_tensor(module, v).f_mat.conj().T
+    fs_tw = coaction_tensor(module, nu_module(v)).f_mat.conj().T
     dim = module.dim * v.dim
     bottom = np.zeros(dim, dtype=complex)
     bottom[v.dim - 1] = 1.0
@@ -226,11 +227,11 @@ def _component_scalars_dense_ref(module, v, qp):
             vperp[i2] = np.conj(sub_chain[i1])
             lam = (vperp.conj() @ (braid @ quot_chain_tw)) \
                 / (vperp.conj() @ quot_chain)
-            quot_chain = prod.fstar @ quot_chain
-            quot_chain_tw = prod_tw.fstar @ quot_chain_tw
+            quot_chain = fs @ quot_chain
+            quot_chain_tw = fs_tw @ quot_chain_tw
         out[hval] = (mu, lam)
-        sub_chain = prod.fstar @ sub_chain
-        sub_chain_tw = prod_tw.fstar @ sub_chain_tw
+        sub_chain = fs @ sub_chain
+        sub_chain_tw = fs_tw @ sub_chain_tw
         first = False
     return out, defect
 
@@ -382,7 +383,8 @@ def nu_twist_residual(module, v, qp):
     prod = coaction_tensor(module, v)
     prod_tw = coaction_tensor(module, nu_module(v))
     pairs = [(np.diag(prod.k_diag), np.diag(prod_tw.k_diag)),
-             (prod.f_mat, prod_tw.f_mat), (prod.fstar, prod_tw.fstar)]
+             (prod.f_mat, prod_tw.f_mat),
+             (prod.f_mat.conj().T, prod_tw.f_mat.conj().T)]
     return _masked_commutator(e_matrix(module, v, qp), pairs,
                               interior_indices(module, v.dim, 3))
 
@@ -399,7 +401,7 @@ def plain_commutation_residual(module, v, qp):
     interior."""
     plain = twist_to_plain(e_matrix(module, v, qp), v)
     prod = coaction_tensor(module, v)
-    mats = (np.diag(prod.k_diag), prod.f_mat, prod.fstar)
+    mats = (np.diag(prod.k_diag), prod.f_mat, prod.f_mat.conj().T)
     return _masked_commutator(plain, [(mat, mat) for mat in mats],
                               interior_indices(module, v.dim, 3))
 
@@ -492,7 +494,7 @@ def test_fusion_rejects_a_stray_weight_shift(v):
     m = build_Mr(0.25, QP, 10)
     f_bad = m.f_mat.copy()
     f_bad[0, 3] = 1e-3   # moves a weight by -6: its row would be dropped
-    bad = type(m)(m.r, m.qp, m.cap, m.k_diag, f_bad, m.fstar, m.h_diag)
+    bad = type(m)(m.r, m.qp, m.k_diag, f_bad, m.h_diag)
     with pytest.raises(ConsistencyError):
         fusion_check(bad, v, QP)
 
@@ -504,7 +506,7 @@ def test_braid_is_built_once_and_read_only(v):
     prod = coaction_tensor(m, v)
     assert coaction_tensor(m, v) is prod
     for arr in (*blocks.index, *blocks.stacks, prod.k_diag, prod.f_mat,
-                prod.fstar, prod.h_diag):
+                prod.h_diag):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         blocks.stacks[-1][0, 0, 0] = 1.0
@@ -562,20 +564,24 @@ def _h_ref(v):
     return np.array([float(w.coords[0]) for w in v.weights])
 
 
-def _coaction_ref(k_m, f_m, fs_m, h_m, v):
-    """(k_diag, F, F^*, h_diag) on M ox V through the coaction."""
+def _coaction_ref(k_m, f_m, h_m, v):
+    """(k_diag, F, h_diag) on M ox V through the coaction."""
     kv = v.k_diag(v.datum.simple_root(1))
-    kv_inv = 1 / kv
-    eye_m = np.eye(len(k_m))
     k = np.kron(np.diag(k_m), np.diag(kv))
-    f = np.kron(f_m, np.diag(kv_inv)) + np.kron(eye_m, v.F[1])
-    fs = np.kron(fs_m, np.diag(kv_inv)) \
-        + np.kron(eye_m, np.diag(kv_inv) @ v.E[1])
+    f = np.kron(f_m, np.diag(1 / kv)) + np.kron(np.eye(len(k_m)), v.F[1])
     h = (h_m[:, None] + _h_ref(v)[None, :]).reshape(-1)
-    return np.diag(k).copy(), f, fs, h
+    return np.diag(k).copy(), f, h
 
 
-def _e_matrix_ref(k_m, f_m, fs_m, h_m, v, q):
+def _coaction_fstar_ref(fs_m, v):
+    """The coaction of F^* on M ox V, F^*_M ox K^{-1} + 1 ox K^{-1} E, from
+    F^*_M on M."""
+    kv_inv = np.diag(1 / v.k_diag(v.datum.simple_root(1)))
+    return np.kron(fs_m, kv_inv) \
+        + np.kron(np.eye(fs_m.shape[0]), kv_inv @ v.E[1])
+
+
+def _e_matrix_ref(k_m, f_m, h_m, v, q):
     """The dense factors a_series, cartan, b_series, cartan, 1 ox v^{-1},
     each checked to be exactly zero between the total-weight blocks, and
     their product taken block by block in the braid's order,
@@ -583,7 +589,7 @@ def _e_matrix_ref(k_m, f_m, fs_m, h_m, v, q):
     over the terms of one block in one fixed order (a dense BLAS product
     orders its sums by where an entry falls in its own blocking)."""
     dv, dm = v.dim, len(k_m)
-    kfs = np.diag(k_m) @ fs_m
+    kfs = np.diag(k_m) @ f_m.conj().T
     cartan = np.exp(np.log(q) * (-np.outer(h_m, _h_ref(v)) / 2)).reshape(-1)
     cartan = np.diag(cartan.astype(complex))
     a_series = np.eye(dm * dv, dtype=complex)
@@ -628,22 +634,49 @@ def test_vector_diagonals_match_dense_reference(q, levels):
     vh = build_irrep(A1, A1.weight([1]), qp)
     v1 = build_irrep(A1, A1.weight([2]), qp)
     m = build_Mr(0.25, qp, levels)
-    np.testing.assert_array_equal(m.fstar, m.f_mat.conj().T)
-    m_ref = (m.k_diag, m.f_mat, m.f_mat.conj().T, m.h_diag)
+    m_ref = (m.k_diag, m.f_mat, m.h_diag)
     for v in (vh, v1, tensor(vh, vh)):
         prod = coaction_tensor(m, v)
         prod_ref = _coaction_ref(*m_ref, v)
-        for got, want in zip((prod.k_diag, prod.f_mat, prod.fstar,
-                              prod.h_diag), prod_ref):
+        for got, want in zip((prod.k_diag, prod.f_mat, prod.h_diag),
+                             prod_ref):
             np.testing.assert_array_equal(got, want)
         braid = e_matrix(m, v, qp)
         np.testing.assert_array_equal(braid, _e_matrix_ref(*m_ref, v, q))
         np.testing.assert_array_equal(twist_to_plain(braid, v),
                                       _twist_to_plain_ref(braid, v))
-    # the braid on a coaction product uses the product's F^*
+    # the braid on a coaction product uses the product's F^dagger
     np.testing.assert_array_equal(
         e_matrix(coaction_tensor(m, vh), vh, qp),
         _e_matrix_ref(*_coaction_ref(*m_ref, vh), vh, q))
+
+
+@pytest.mark.parametrize("q", [0.2, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
+def test_coaction_fstar_is_adjoint_of_f(q):
+    # the coaction is a *-homomorphism: its formula for F^* on M ox V is the
+    # adjoint of the product's F, which is all a product stores
+    qp = QParams(q)
+    vh = build_irrep(A1, A1.weight([1]), qp)
+    for v in (vh, build_irrep(A1, A1.weight([2]), qp), tensor(vh, vh),
+              nu_module(vh)):
+        for r in (0.1, 0.25, 1.3):
+            m = build_Mr(r, qp, 12)
+            got = coaction_tensor(m, v).f_mat.conj().T
+            want = _coaction_fstar_ref(m.f_mat.conj().T, v)
+            assert np.linalg.norm(got - want) \
+                <= 1e-15 * np.linalg.norm(want), (q, r, v.label)
+
+
+def test_build_mr_stores_f_once():
+    # F at 1000 levels is 16 MB; a second dense matrix (F^*) doubles that
+    qp = QParams(0.95)
+    tracemalloc.start()
+    try:
+        build_Mr(0.1, qp, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 16 * 1000 ** 2
 
 
 @pytest.mark.parametrize("levels,dv,margin",
