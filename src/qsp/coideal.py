@@ -584,7 +584,7 @@ def _solve(diag, params, qp, x0, u, fuse_from):
     p0 = _trivial_projector(u)
 
     def composite(x, y):
-        return ribbon_compose(diag, qp, y, u, x, u)
+        return ribbon_compose(diag, y, u, x, u)
 
     candidates = _ribbon_unit_solutions(basis, composite, p0)
     if not candidates:
@@ -597,7 +597,7 @@ def _solve(diag, params, qp, x0, u, fuse_from):
     return _fix_gauge(eta)
 
 
-def ribbon_compose(diag, qp, eta_a, a_mod, eta_b, b_mod):
+def ribbon_compose(diag, eta_a, a_mod, eta_b, b_mod):
     """Braid at X0 (.) (A ox B) from the braids at A and B, on A ox B:
     R21(A, B) (1 ox eta^B) Rtw(A, sigma B) (eta^A ox 1)."""
     sigma = tau_tau0_perm(diag)
@@ -645,7 +645,7 @@ def _derived_braid(diag, params, qp, x0, u, generator):
             raise NoKMatrixError("target module not reached from the generator")
         reached = {}
         for mod, eta, _ in todo:
-            composite = ribbon_compose(diag, qp, eta, mod, eta_g, generator)
+            composite = ribbon_compose(diag, eta, mod, eta_g, generator)
             skipped = False
             for wt, _, embs in decompose(tensor(mod, generator)):
                 if wt.coords in braids or wt.coords in reached:

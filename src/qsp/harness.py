@@ -36,7 +36,7 @@ from .errors import InputError
 from .kzmono import kz_braid, split_tensors, verify_eg, verify_octagon_kz
 from .kzmono import flatness_residuals as kz_flatness
 from .kzmono import kz_coeffs
-from .rmatrix import op_on_legs, r21, rmat
+from .rmatrix import r21, rmat
 from .rootsys import build_root_datum
 from .uqrep import QParams, build_irrep, decompose, tensor
 from .vogan10 import (
@@ -217,8 +217,7 @@ def check_octagon_coideal(fam, m1, m2):
     """(Delta ox id)(K) = R32 K13 Rtw23: the composite must decompose into
     the solved component braids of the fused object X0 (.) m1."""
     # the ribbon composite with the identity in place of K12
-    composite = ribbon_compose(fam.diag, fam.qp, np.eye(m1.dim), m1,
-                               fam.braid(m2), m2)
+    composite = ribbon_compose(fam.diag, np.eye(m1.dim), m1, fam.braid(m2), m2)
 
     # character components of X0 (.) m1 and their solved braids against m2
     worst = 0.0
@@ -238,7 +237,7 @@ def check_ribbon_coideal(fam, m1, m2):
     """(id ox Delta)(K) = R32 K13 Rtw23 K12 against the component lifts."""
     eta_1 = fam.braid(m1)
     eta_2 = fam.braid(m2)
-    composite = ribbon_compose(fam.diag, fam.qp, eta_1, m1, eta_2, m2)
+    composite = ribbon_compose(fam.diag, eta_1, m1, eta_2, m2)
     comps = fam.braid_components(m1, m2)
     return _component_match_residual(composite, comps)
 
@@ -246,37 +245,23 @@ def check_ribbon_coideal(fam, m1, m2):
 def check_cylinder_coideal(fam, m1, m2):
     """Both cylinder twist equations, with theta_{U ox V} lifted from the
     component braids; also the canonical equality of the two right sides."""
-    theta_u, theta_v = fam.braid(m1), fam.braid(m2)
-    theta_uv = fam.braid_on_tensor(m1, m2)
-    # the X0 leg has dimension 1; _cylinder_sides keeps it for the Vogan
-    # side, whose leg 0 is M_r
-    dims = [1, m1.dim, m2.dim]
-    rhs1, rhs2 = _cylinder_sides(
-        lambda legs, mat: op_on_legs(mat, dims, legs),
-        theta_u, theta_v, m1, m2, lambda m: m)
     return _cylinder_residuals(
-        theta_uv, rhs1, rhs2,
+        *_cylinder_coideal(fam, m1, m2),
         lambda diff, ref: np.linalg.norm(diff) / max(np.linalg.norm(ref),
                                                      1e-30))
 
 
-def _cylinder_sides(place, theta_u, theta_v, m1, m2, twist):
-    """The right sides of both cylinder twist equations on X ox U ox V,
-    sU = twist(U), sV = twist(V), each factor put on its legs by
-    ``place(legs, mat)``:
-
-        rhs1 = R21(U, V)_23 theta^V_13 R(U, sV)_23 theta^U_12,
-        rhs2 = theta^U_12 R21(sU, V)_23 theta^V_13 R(sU, sV)_23.
-
-    These equal the braided forms (beta = P R, through X ox V ox U), as
-    P R(V, U) P^{-1} = R21(U, V) and P theta^V_12 P^{-1} = theta^V_13."""
-    tu, tv = twist(m1), twist(m2)
-    th_u, th_v = place((0, 1), theta_u), place((0, 2), theta_v)
-    rhs1 = place((1, 2), r21(m1, m2)) @ th_v \
-        @ place((1, 2), rmat(m1, tv).matrix) @ th_u
-    rhs2 = th_u @ place((1, 2), r21(tu, m2)) @ th_v \
-        @ place((1, 2), rmat(tu, tv).matrix)
-    return rhs1, rhs2
+def _cylinder_coideal(fam, m1, m2):
+    """theta_{U ox V} and the right sides of the cylinder twist equations
+    on U ox V (X0 is one-dimensional and sigma the identity): rhs1 is the
+    ribbon composite R21 (1 ox theta^V) R (theta^U ox 1), and
+    rhs2 = (theta^U ox 1) R21 (1 ox theta^V) R."""
+    theta_u, theta_v = fam.braid(m1), fam.braid(m2)
+    theta_uv = fam.braid_on_tensor(m1, m2)
+    rhs1 = ribbon_compose(fam.diag, theta_u, m1, theta_v, m2)
+    rhs2 = np.kron(theta_u, np.eye(m2.dim)) @ r21(m1, m2) \
+        @ np.kron(np.eye(m1.dim), theta_v) @ rmat(m1, m2).matrix
+    return theta_uv, rhs1, rhs2
 
 
 def _cylinder_residuals(theta_uv, rhs1, rhs2, ratio):
@@ -320,14 +305,26 @@ def _ribbon_vogan(module, m1, m2, qp):
 
 
 def _cylinder_vogan(module, m1, m2, qp):
-    """theta_{U ox V} and the two right sides of the cylinder twist
-    equations (``_cylinder_sides`` with nu as the twist), as WeightBlocks on
-    M ox U ox V."""
+    """theta_{U ox V} and the right sides of the cylinder twist equations,
+    as WeightBlocks on M ox U ox V, sU = nu(U), sV = nu(V):
+
+        rhs1 = R21(U, V)_23 E^V_13 R(U, sV)_23 E^U_12,
+        rhs2 = E^U_12 R21(sU, V)_23 E^V_13 R(sU, sV)_23,
+
+    the braided forms (beta = P R, through M ox V ox U) moved onto
+    M ox U ox V by P R(V, U) P^{-1} = R21(U, V), P E^V_12 P^{-1} = E^V_13."""
     legs_h, index = product_blocks(module, m1, m2)
-    rhs1, rhs2 = _cylinder_sides(
-        lambda legs, mat: leg_blocks(index, legs_h, [(legs, mat)]),
-        e_matrix(module, m1, qp), e_matrix(module, m2, qp), m1, m2,
-        nu_module)
+
+    def place(legs, mat):
+        return leg_blocks(index, legs_h, [(legs, mat)])
+
+    e_u = place((0, 1), e_matrix(module, m1, qp))
+    e_v = place((0, 2), e_matrix(module, m2, qp))
+    tu, tv = nu_module(m1), nu_module(m2)
+    rhs1 = place((1, 2), r21(m1, m2)) @ e_v \
+        @ place((1, 2), rmat(m1, tv).matrix) @ e_u
+    rhs2 = e_u @ place((1, 2), r21(tu, m2)) @ e_v \
+        @ place((1, 2), rmat(tu, tv).matrix)
     return braid_blocks(module, tensor(m1, m2), qp), rhs1, rhs2
 
 

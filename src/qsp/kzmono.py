@@ -611,7 +611,7 @@ def verify_octagon_kz(tensors, lam, j2a, j2b, hbar):
     'sigma_conj':}."""
     a, bp, bm = kz_coeffs(tensors, lam, j2a, j2b, hbar)
     a02 = a02_coeff(tensors, lam, j2a, j2b, hbar)
-    d = a + a02 + 2 * (hbar * tensors.t_k(j2a, j2b))  # as d_coeff forms it
+    d = d_coeff(tensors, lam, j2a, j2b, hbar)
 
     psi_a, psi_a_sw = (r.psi for r in psi_pair(a, bp, bm))
     psi_021, psi_021_sw = (r.psi for r in psi_pair(a02, bp, bm))

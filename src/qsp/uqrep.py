@@ -7,13 +7,15 @@ E_r* = F_r K_r, the radical is quotiented by a relative threshold, and the
 surviving vectors are orthonormalized by deterministic Gram-Schmidt in
 (level, lexicographic) order.  Each weight space forms every F_s E_r e_k
 once, and both its Gram matrix and its new E columns read it.  E and F are
-sized by the Weyl dimension; a build that keeps more vectors than that
-stops with NumericalDegeneracyError.
+sized by the Weyl dimension; a build that keeps more vectors than that,
+or whose E and F miss [E_r, F_r] = (K_r - K_r^-1)/(q_r - q_r^-1) by more
+than EF_TOL relative, stops with NumericalDegeneracyError.
 
 ``build_irrep`` is memoised on (datum, highest weight, QParams) for the
 life of the process; ``tensor``, ``twist_module`` and ``decompose`` keep
 their results in the ``cache`` of their first argument, keyed by the
-partner module or the permutation.  Cached arrays are read-only.
+partner module or the permutation; the identity permutation returns the
+module itself.  Cached arrays are read-only.
 
 The coproduct is written once, in ``coproduct_terms``, as (first leg,
 second leg) matrix pairs; ``tensor`` sums their Kronecker products, and
@@ -42,6 +44,8 @@ DIM_CAP = 400
 # ~sqrt(machine eps) ~ 1.5e-8 relative, so the cut must sit well above that
 # while staying far below any honest vector norm at desk scale.
 RANK_THRESHOLD = 1e-6
+# the relative residual of the [E_r, F_r] relation a built irrep must meet
+EF_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,8 @@ def build_irrep(datum, varpi, qp):
     space is spanned by F_r on the previous level, the Gram matrix computed
     through previously known E/F matrices, and the radical dropped at
     RANK_THRESHOLD relative to the largest vector norm; a build that passes
-    the Weyl dimension stops there.  The same (datum, varpi, qp) returns the
+    the Weyl dimension stops there, and one that misses [E_r, F_r] by more
+    than EF_TOL raises after it.  The same (datum, varpi, qp) returns the
     same module.
     """
     key = (datum, varpi, qp)
@@ -287,9 +292,15 @@ def build_irrep(datum, varpi, qp):
             {"min_kept": min_kept, "max_dropped": max_drop})
     for mat in [*E.values(), *F.values()]:
         read_only(mat)
-    mod = _IRREPS[key] = WeightModule(
+    mod = WeightModule(
         datum, qp, weights, E, F, highest=varpi, label=f"V[{varpi}]",
         gram_diagnostics={"min_kept": min_kept, "max_dropped": max_drop})
+    ef = max(_ef_residual(mod, r) for r in verts)
+    if not ef <= EF_TOL:
+        raise NumericalDegeneracyError(
+            f"built module misses [E_r, F_r] by {ef:.2g} relative",
+            {**mod.gram_diagnostics, "ef_residual": ef})
+    _IRREPS[key] = mod
     return mod
 
 
@@ -337,7 +348,10 @@ def tensor(m1, m2):
 
 def twist_module(module, perm):
     """Precompose the representation with a diagram automorphism:
-    pi^tw(E_r) = pi(E_{perm(r)}), weights permuted accordingly."""
+    pi^tw(E_r) = pi(E_{perm(r)}), weights permuted accordingly; the
+    identity permutation returns the module itself, with all it caches."""
+    if all(perm[r] == r for r in module.datum.vertices):
+        return module
     key = ("twist", tuple(sorted(perm.items())))
     if key in module.cache:
         return module.cache[key]
@@ -464,13 +478,8 @@ def relations_residual(module):
     datum, qp = module.datum, module.qp
     out = {}
     for r in datum.vertices:
-        er, fr = module.E[r], module.F[r]
-        qr = qp.q_r(datum, r)
-        kr = module.k_matrix(datum.simple_root(r))
-        krinv = module.k_matrix(-1 * datum.simple_root(r))
-        lhs = er @ fr - fr @ er
-        rhs = (kr - krinv) / (qr - 1.0 / qr)
-        out[f"EF[{r}]"] = _rel(lhs - rhs, rhs)
+        er = module.E[r]
+        out[f"EF[{r}]"] = _ef_residual(module, r)
         for s in datum.vertices:
             ks = module.k_matrix(datum.simple_root(s))
             lhs = ks @ er
@@ -483,6 +492,16 @@ def relations_residual(module):
                 out[f"EF[{r},{s}]"] = np.linalg.norm(lhs) / max(
                     np.linalg.norm(er) * np.linalg.norm(module.F[s]), 1e-30)
     return out
+
+
+def _ef_residual(module, r):
+    """Relative residual of [E_r, F_r] = (K_r - K_r^{-1})/(q_r - q_r^{-1}),
+    the right side formed from the diagonal of K_r."""
+    k = module.k_diag(module.datum.simple_root(r))
+    qr = module.qp.q_r(module.datum, r)
+    rhs = (k - 1.0 / k) / (qr - 1.0 / qr)
+    diff = module.E[r] @ module.F[r] - module.F[r] @ module.E[r]
+    return _rel(diff - np.diag(rhs), rhs)
 
 
 def _rel(diff, rhs):

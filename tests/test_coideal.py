@@ -30,6 +30,7 @@ from qsp.coideal import (
 )
 from qsp.diagrams import satake
 from qsp.errors import AmbiguityError, InputError
+from qsp.rmatrix import rmat
 from qsp.rootsys import build_root_datum
 from qsp.uqrep import QParams, build_irrep, decompose, tensor
 
@@ -416,7 +417,7 @@ def test_kmatrix_octagon_and_ribbon(v12, v1):
     for u_mod in (v12, v1):
         eta_u = kmatrix_solve(D_SU2, params, QP, x0, u_mod, fuse_from=v12)
         # ribbon: eta at u ox v equals the composite
-        comp = ribbon_compose(D_SU2, QP, eta_u, u_mod, eta_v, v12)
+        comp = ribbon_compose(D_SU2, eta_u, u_mod, eta_v, v12)
         # derived braid at the tensor module via embeddings of components
         uv = tensor(u_mod, v12)
         from qsp.uqrep import decompose
@@ -429,7 +430,22 @@ def test_kmatrix_octagon_and_ribbon(v12, v1):
                 assert diff < 1e-8, (u_mod.label, tuple(wt.coords), diff)
 
 
-def _tensor_power_braid(u, generator, eta_g, params, qp):
+def test_ribbon_compose_reuses_the_plain_r_matrix(monkeypatch, v12, v1):
+    # sigma = tau tau_0 is the identity on su2: the composite takes rmat on
+    # the module pair itself, not on a twisted copy of the second module
+    calls = []
+
+    def spy(m, n):
+        calls.append((m, n))
+        return rmat(m, n)
+
+    monkeypatch.setattr(qsp.coideal, "rmat", spy)
+    comp = ribbon_compose(D_SU2, np.eye(v1.dim), v1, np.eye(v12.dim), v12)
+    assert len(calls) == 1 and calls[0][0] is v1 and calls[0][1] is v12
+    assert comp.shape == (v1.dim * v12.dim,) * 2
+
+
+def _tensor_power_braid(u, generator, eta_g):
     """Reference route: the ribbon composite on the tensor powers of the
     generator, restricted to the first copy of u in the first power that
     contains it."""
@@ -443,8 +459,7 @@ def _tensor_power_braid(u, generator, eta_g, params, qp):
                         if wt.coords == u.highest.coords), None)
         if emb is not None:
             return emb.conj().T @ eta_power @ emb
-        eta_power = ribbon_compose(D_SU2, qp, eta_power, power,
-                                   eta_g, generator)
+        eta_power = ribbon_compose(D_SU2, eta_power, power, eta_g, generator)
         power = tensor(power, generator)
     raise AssertionError("target not reached")
 
@@ -459,7 +474,7 @@ def test_derived_kmatrix_matches_tensor_power_route(q, t):
     for twice_spin in range(2, 7):
         u = build_irrep(A1, A1.weight([twice_spin]), qp)
         got = kmatrix_solve(D_SU2, params, qp, x0, u, fuse_from=v)
-        want = _tensor_power_braid(u, v, eta_v, params, qp)
+        want = _tensor_power_braid(u, v, eta_v)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), \
             twice_spin
 

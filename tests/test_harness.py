@@ -16,7 +16,7 @@ from qsp.harness import (
     SNAP_REL,
     CoidealRankOneFamily,
     Report,
-    _cylinder_sides,
+    _cylinder_coideal,
     _cylinder_vogan,
     _octagon_vogan,
     _ribbon_vogan,
@@ -132,8 +132,7 @@ def test_octagon_characters_lie_at_their_closed_form(q):
 
 def _octagon_raw_characters(fam, m1, m2):
     """The octagon check with the raw eigenvalues of B as characters."""
-    composite = ribbon_compose(fam.diag, fam.qp, np.eye(m1.dim), m1,
-                               fam.braid(m2), m2)
+    composite = ribbon_compose(fam.diag, np.eye(m1.dim), m1, fam.braid(m2), m2)
     b_mat = fam.x0.generator_matrices(m1)[("B", 1)]
     evals, evecs = np.linalg.eig(b_mat)
     worst = 0.0
@@ -235,16 +234,23 @@ def test_coideal_cylinder_sides_match_braided_form(q, spins):
     fam = CoidealRankOneFamily(q, 0.3)
     m1, m2 = (fam.module(s) for s in spins)
     theta_u, theta_v = fam.braid(m1), fam.braid(m2)
-    dims = [1, m1.dim, m2.dim]
-    rhs1, rhs2 = _cylinder_sides(
-        lambda legs, mat: op_on_legs(mat, dims, legs),
-        theta_u, theta_v, m1, m2, lambda m: m)
+    theta_uv, rhs1, rhs2 = _cylinder_coideal(fam, m1, m2)
+    np.testing.assert_array_equal(theta_uv, fam.braid_on_tensor(m1, m2))
     for got, ref in ((rhs1, _cylinder_rhs1_ref), (rhs2, _cylinder_rhs2_ref)):
         want = ref(theta_u, theta_v, m1, m2, 1, lambda m: m)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     # the first side is the ribbon composite of the coideal braids
-    ribbon = ribbon_compose(fam.diag, fam.qp, theta_u, m1, theta_v, m2)
-    assert np.linalg.norm(rhs1 - ribbon) <= 1e-14 * np.linalg.norm(ribbon)
+    ribbon = ribbon_compose(fam.diag, theta_u, m1, theta_v, m2)
+    np.testing.assert_array_equal(rhs1, ribbon)
+    # the same products as the factors placed on X0 ox U ox V, whose X0
+    # leg has dimension 1
+    dims = [1, m1.dim, m2.dim]
+    th_u = op_on_legs(theta_u, dims, (0, 1))
+    th_v = op_on_legs(theta_v, dims, (0, 2))
+    r21_23 = op_on_legs(r21(m1, m2), dims, (1, 2))
+    r_23 = op_on_legs(rmat(m1, m2).matrix, dims, (1, 2))
+    np.testing.assert_array_equal(rhs1, r21_23 @ th_v @ r_23 @ th_u)
+    np.testing.assert_array_equal(rhs2, th_u @ r21_23 @ th_v @ r_23)
 
 
 def test_vogan_checks():

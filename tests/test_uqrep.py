@@ -13,6 +13,7 @@ from qsp.uqrep import (
     kernel,
     relations_residual,
     tensor,
+    twist_module,
 )
 
 from formal_algebra import act, act_tensor, antipode, coproduct, star
@@ -104,6 +105,29 @@ def test_overfull_build_is_a_rank_decision(typ, coords):
         build_irrep(datum, datum.weight(coords), QParams(0.7))
     diag = info.value.diagnostics
     assert diag["max_dropped"] <= 1e-6 < diag["min_kept"]
+
+
+def test_build_missing_the_ef_relation_is_a_degeneracy():
+    # at q = 0.2 the 64-dimensional A2 [3, 3] keeps the Weyl dimension but
+    # misses [E_r, F_r] = (K_r - K_r^-1)/(q_r - q_r^-1) by ~5e-8 relative;
+    # at q = 0.3 it meets the relation within 1e-9
+    with pytest.raises(NumericalDegeneracyError,
+                       match=r"misses \[E_r, F_r\]") as info:
+        build_irrep(A2, A2.weight([3, 3]), QParams(0.2))
+    assert info.value.diagnostics["ef_residual"] > 1e-9
+    m = build_irrep(A2, A2.weight([3, 3]), QParams(0.3))
+    assert m.dim == 64
+    assert max(relations_residual(m)[f"EF[{r}]"] for r in (1, 2)) <= 1e-9
+
+
+def test_identity_twist_is_the_module_itself():
+    for datum, coords in ((A1, [2]), (A2, [1, 0])):
+        m = build_irrep(datum, datum.weight(coords), QParams(0.65))
+        keys = list(m.cache)
+        assert twist_module(m, {r: r for r in datum.vertices}) is m
+        assert list(m.cache) == keys
+    flipped = twist_module(m, {1: 2, 2: 1})
+    assert flipped is not m and flipped is twist_module(m, {1: 2, 2: 1})
 
 
 def test_highest_weight_k_eigenvalue():
