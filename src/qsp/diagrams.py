@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .errors import InputError
 from .rootsys import (
     RootDatum,
+    _validate_subset,
     build_root_datum,
     diagram_automorphisms,
     longest_element,
@@ -115,10 +116,10 @@ def check_admissible(datum, X, tau):
     """Check conditions for (X, tau) to be an admissible pair.
 
     Returns (ok, violations).  Raises InputError if tau is not an involutive
-    diagram automorphism at all.
+    diagram automorphism at all, or if X names a vertex outside the datum.
     """
     perm = _check_diagram_automorphism(datum, _as_perm(datum, tau))
-    X = tuple(sorted(set(X)))
+    X = _validate_subset(datum, X)
     violations = []
     if set(X) == set(datum.vertices):
         violations.append("X = I is excluded")

@@ -409,12 +409,19 @@ def _cached(datum, key, build):
 
 
 def longest_element(datum, subset=None):
-    """Reduced word for the longest element w_X of the parabolic subsystem.
+    """Reduced word for the longest element w_X of the parabolic subsystem,
+    the lexicographically smallest one; kept in the datum's cache per
+    subset.
 
-    Deterministic: the lexicographically smallest reduced word, found by
-    greedily choosing the smallest admissible first letter (exchange
-    property: s_r can start a reduced word of w iff w^{-1} alpha_r < 0).
-    Kept in the datum's cache per subset.
+    A chamber walk: start from lambda = sum of varpi_r over r in X, reflect
+    by s_r for the smallest r in X with (lambda, alpha_r^vee) > 0, and stop
+    when there is none; the letters, in order, are the word.  Write
+    u = s_{r_k} ... s_{r_1} for the walk so far.  lambda is regular
+    dominant for X, so for t in X, (u lambda, alpha_t^vee) > 0 iff
+    l(s_t u) > l(u) iff l(s_t u w_X) < l(u w_X): s_t starts a reduced word
+    of u w_X = (s_{r_1} ... s_{r_k})^{-1} w_X, the part of w_X not yet
+    written.  Each step thus takes the smallest letter that can come next,
+    and the walk ends at u = w_X, where X has no such t left.
     """
     if subset is None:
         subset = datum.vertices
@@ -424,53 +431,14 @@ def longest_element(datum, subset=None):
 
 
 def _longest_element(datum, subset):
-    if not subset:
-        return WeylWord(datum, ())
-    # Peel letters off the left of w_X, tracking the remaining element cur
-    # as the map alpha_r -> cur^{-1}(alpha_r); w_X is an involution, so it
-    # starts as the action of w_X itself.
+    lam = datum.weight([int(r in subset) for r in datum.vertices])
     word = []
-    cur_inv = _wx_matrix(datum, subset)
-    for _ in range(len(positive_roots_closure(datum, subset))):
-        for r in subset:
-            img = cur_inv[r]
-            if _is_negative_on(img, subset):
-                break
-        else:
-            raise InputError("internal: no descent found")
-        word.append(r)
-        # cur <- s_r cur, so cur^{-1} <- cur^{-1} s_r and
-        # (cur^{-1} s_r)(alpha_t) = cur^{-1}(alpha_t - a_{rt} alpha_r).
-        cur_inv = {t: cur_inv[t] - datum.a(r, t) * cur_inv[r] for t in subset}
-    return WeylWord(datum, tuple(word))
-
-
-def _wx_matrix(datum, subset):
-    """Action of w_X on the simple roots of the subsystem: repeatedly reflect
-    a strictly dominant weight of the subsystem to the antidominant chamber,
-    recording the product."""
-    # images of alpha_r under the identity
-    images = {r: datum.simple_root(r) for r in subset}
-    # dominant regular weight for the subsystem: sum of fundamentals on subset
-    lam = datum.weight([1 if (r in subset) else 0 for r in datum.vertices])
     while True:
         r = next((r for r in subset if lam.coords[r - 1] > 0), None)
         if r is None:
-            break
+            return WeylWord(datum, tuple(word))
+        word.append(r)
         lam = lam.reflect(r)
-        images = {t: v.reflect(r) for t, v in images.items()}
-    return images
-
-
-def _is_negative_on(weight, subset):
-    """Is the weight a negative root of the subsystem (all alpha-coefficients
-    on the subset nonpositive, at least one negative)?  In fundamental
-    coordinates a root of the subsystem has support only on subset columns;
-    negativity is decided by the alpha-expansion."""
-    coeffs = alpha_coefficients(weight, subset)
-    if coeffs is None:
-        return False
-    return all(c <= 0 for c in coeffs.values()) and any(c < 0 for c in coeffs.values())
 
 
 def alpha_coefficients(weight, subset):
@@ -505,41 +473,25 @@ def _sub_cartan_inverse(datum, sub):
             int(det))
 
 
-def positive_roots_closure(datum, subset):
-    """All positive roots of the subsystem, as a tuple: orbit of the simple
-    roots under the subsystem reflections, intersected with the positive
-    cone.  Brute force, kept in the datum's cache per subset; used as the
-    independent oracle and for lengths."""
+def positive_roots(datum, subset):
+    """All positive roots of the subsystem, as a tuple sorted by (height,
+    coords): the beta sequence of the reduced word of w_X, which lists each
+    of them once.  Kept in the datum's cache per subset."""
     subset = _validate_subset(datum, subset)
-    return _cached(datum, ("closure", subset),
-                   lambda: _positive_roots_closure(datum, subset))
+    return _cached(datum, ("positive_roots", subset),
+                   lambda: _positive_roots(datum, subset))
 
 
-def _positive_roots_closure(datum, subset):
-    seen = {}
-    frontier = [datum.simple_root(r) for r in subset]
-    for w in frontier:
-        seen[w.coords] = w
-    while frontier:
-        new = []
-        for w in frontier:
-            for r in subset:
-                v = w.reflect(r)
-                if v.coords not in seen:
-                    seen[v.coords] = v
-                    new.append(v)
-        frontier = new
-    out = []
-    for w in seen.values():
-        coeffs = alpha_coefficients(w, subset)
-        if coeffs is not None and all(c >= 0 for c in coeffs.values()):
-            out.append(w)
-    out.sort(key=lambda w: (sum(alpha_coefficients(w, subset).values()), w.coords))
-    return tuple(out)
+def _positive_roots(datum, subset):
+    betas = beta_sequence(datum, longest_element(datum, subset))
+    return tuple(sorted(betas, key=lambda b: (
+        sum(alpha_coefficients(b, subset).values()), b.coords)))
 
 
 def beta_sequence(datum, word):
-    """beta_k enumeration attached to a reduced word."""
+    """beta_k = s_{r_1} ... s_{r_{k-1}} (alpha_{r_k}) along a word; for a
+    reduced word of w, the positive roots that w^{-1} makes negative, each
+    once."""
     betas = []
     for k, r in enumerate(word.letters):
         beta = datum.simple_root(r)
@@ -554,7 +506,7 @@ def rho_check(datum, subset):
     represented as a weight via the invariant form."""
     subset = _validate_subset(datum, subset)
     acc = datum.zero_weight()
-    for beta in positive_roots_closure(datum, subset):
+    for beta in positive_roots(datum, subset):
         acc = acc + beta.coroot()
     return Fraction(1, 2) * acc
 
@@ -682,7 +634,7 @@ def weyl_dimension(datum, varpi):
     rho = datum.rho()
     num = Fraction(1)
     den = Fraction(1)
-    for beta in positive_roots_closure(datum, datum.vertices):
+    for beta in positive_roots(datum, datum.vertices):
         num *= (varpi + rho).pairing(beta)
         den *= rho.pairing(beta)
     dim = num / den

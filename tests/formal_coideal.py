@@ -31,7 +31,7 @@ from qsp.coideal import (
 from qsp.diagrams import hermitian_type
 from qsp.errors import ConsistencyError
 from qsp.lusztig import braid_word_on_algebra
-from qsp.rootsys import positive_roots_closure
+from qsp.rootsys import positive_roots
 
 from formal_algebra import TensorElement, act, act_tensor, coproduct
 
@@ -336,7 +336,7 @@ def tail_b_matrix(x0, r, wmod):
 def rho_roots(datum, subset):
     """Half the sum of the positive roots of the subsystem."""
     acc = datum.zero_weight()
-    for beta in positive_roots_closure(datum, subset):
+    for beta in positive_roots(datum, subset):
         acc = acc + beta
     return Fraction(1, 2) * acc
 

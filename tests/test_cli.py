@@ -46,6 +46,14 @@ def test_diagram_check_invalid(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_diagram_check_names_an_out_of_range_vertex(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "A", "rank": 3, "X": [5]}))
+    res = runner.invoke(main, ["diagram", "check", "--file", str(bad)])
+    assert res.exit_code == 2
+    assert res.output.strip() == "input error: vertex 5 not in datum"
+
+
 def test_diagram_list(runner):
     res = runner.invoke(main, ["diagram", "list", "--type", "A", "--rank", "3"])
     assert res.exit_code == 0

@@ -35,6 +35,15 @@ def test_admissible_rejects():
         check_admissible(A2, (), {1: 1, 2: 1})  # not a bijection/involution
 
 
+@pytest.mark.parametrize("vertex", [5, 0, -1])
+def test_out_of_range_vertex_in_x_is_an_input_error(vertex):
+    for call in (lambda: check_admissible(A3, (vertex,), None),
+                 lambda: satake(A3, (vertex,)),
+                 lambda: choose_z(A3, (2, vertex), None)):
+        with pytest.raises(InputError, match=f"vertex {vertex} not in datum"):
+            call()
+
+
 def test_theta_action():
     d = satake(A1, ())
     a = A1.simple_root(1)

@@ -14,7 +14,7 @@ from qsp.rootsys import (
     diagram_automorphisms,
     longest_element,
     nullspace_frac,
-    positive_roots_closure,
+    positive_roots,
     qbinom,
     qfact,
     qint,
@@ -105,10 +105,27 @@ def test_pairing_integrality_on_lattices():
                 assert (v * d.d_A).denominator == 1
 
 
-def positive_roots(datum, subset):
-    """Positive roots of the subsystem along the canonical reduced word of
-    w_X: beta_k = s_{r_1} ... s_{r_{k-1}} (alpha_{r_k})."""
-    return beta_sequence(datum, longest_element(datum, subset))
+def orbit_positive_roots(datum, subset):
+    """Positive roots of the subsystem by orbit closure: reflect the simple
+    roots, in alpha coordinates, until nothing new appears, keep the
+    nonnegative ones and sort them by (height, fundamental coordinates).
+    Shares no code with the chamber walk."""
+    sub = tuple(subset)
+
+    def pair(v, s):
+        """(v, alpha_s^vee) for v in alpha coordinates on sub."""
+        return sum(x * datum.a(s, t) for x, t in zip(v, sub))
+
+    seen = set()
+    frontier = {tuple(int(s == r) for s in sub) for r in sub}
+    while frontier:
+        seen |= frontier
+        # s_r(v) = v - (v, alpha_r^vee) alpha_r
+        frontier = {v[:i] + (v[i] - pair(v, r),) + v[i + 1:]
+                    for v in frontier for i, r in enumerate(sub)} - seen
+    return [c for _, c in sorted(
+        (sum(v), tuple(F(pair(v, s)) for s in datum.vertices))
+        for v in seen if min(v) >= 0)]
 
 
 def test_positive_roots_a2_closure_oracle():
@@ -120,21 +137,74 @@ def test_positive_roots_a2_closure_oracle():
 
 def test_positive_roots_empty_and_rank_one_subset():
     d = build_root_datum([("A", 3)])
-    assert positive_roots(d, ()) == []
+    assert positive_roots(d, ()) == ()
     sub = positive_roots(d, (2,))
     assert len(sub) == 1 and sub[0].coords == d.simple_root(2).coords
 
 
+def _every_subset(datum):
+    return [s for k in range(datum.rank + 1)
+            for s in itertools.combinations(datum.vertices, k)]
+
+
+# |Phi^+| of each simple type to rank 5, and of E6 and E7
 @pytest.mark.parametrize("typ,rank,count", [
-    ("A", 3, 6), ("B", 3, 9), ("C", 3, 9), ("D", 4, 12), ("G", 2, 6), ("F", 4, 24),
+    ("A", 1, 1), ("A", 2, 3), ("A", 3, 6), ("A", 4, 10), ("A", 5, 15),
+    ("B", 2, 4), ("B", 3, 9), ("B", 4, 16), ("B", 5, 25),
+    ("C", 2, 4), ("C", 3, 9), ("C", 4, 16), ("C", 5, 25),
+    ("D", 3, 6), ("D", 4, 12), ("D", 5, 20),
+    ("E", 6, 36), ("E", 7, 63), ("F", 4, 24), ("G", 2, 6),
 ])
 def test_beta_enumeration_matches_closure(typ, rank, count):
+    # the sorted beta sequence of the walk's word against the orbit oracle,
+    # on every subset up to rank 5 and on the full set beyond
     d = build_root_datum([(typ, rank)])
-    closure = positive_roots_closure(d, d.vertices)
-    assert len(closure) == count
-    betas = positive_roots(d, d.vertices)
-    assert len(betas) == count
-    assert {b.coords for b in betas} == {w.coords for w in closure}
+    assert len(positive_roots(d, d.vertices)) == count
+    for subset in _every_subset(d) if rank <= 5 else [d.vertices]:
+        want = orbit_positive_roots(d, subset)
+        assert [b.coords for b in positive_roots(d, subset)] == want
+        assert len(longest_element(d, subset)) == len(want)
+
+
+def _reduced_words_of_longest(datum, subset):
+    """Every reduced word of w_X, by depth-first search over words: an
+    element w is kept as the integer matrix of its action on the simple
+    roots of X, and s_t extends a reduced word of w iff w(alpha_t) > 0.
+    The words that no letter extends are the reduced words of w_X."""
+    sub = tuple(subset)
+    k = len(sub)
+    out = []
+
+    def grow(word, mat):
+        ext = False
+        for j, t in enumerate(sub):
+            col = [mat[i][j] for i in range(k)]
+            if min(col) < 0:
+                continue
+            ext = True
+            # w s_t: column u of w s_t is w(alpha_u - a_{tu} alpha_t)
+            grow(word + (t,), [[mat[i][u] - datum.a(t, tu) * col[i]
+                                for u, tu in enumerate(sub)]
+                               for i in range(k)])
+        if not ext:
+            out.append(word)
+
+    grow((), [[int(i == j) for j in range(k)] for i in range(k)])
+    return out
+
+
+# Stanley's count of the reduced words of w_0 checks the enumeration
+@pytest.mark.parametrize("spec,w0_words", [
+    ("A1", 1), ("A2", 2), ("A3", 16), ("A4", 768), ("B2", 2), ("B3", 42),
+    ("C3", 42), ("D4", 2316), ("G2", 2),
+])
+def test_longest_word_is_the_smallest_reduced_word(spec, w0_words):
+    d = build_root_datum(spec)
+    for subset in _every_subset(d):
+        words = _reduced_words_of_longest(d, subset)
+        if subset == d.vertices:
+            assert len(words) == w0_words
+        assert longest_element(d, subset).letters == min(words)
 
 
 def test_longest_element_lengths():
@@ -151,7 +221,7 @@ def test_longest_element_negates_subset_roots():
     d = build_root_datum([("D", 4)])
     for subset in [(1, 2), (2, 3, 4), d.vertices]:
         w = longest_element(d, subset)
-        pos = positive_roots_closure(d, subset)
+        pos = [d.weight(c) for c in orbit_positive_roots(d, subset)]
         neg = {(-b).coords for b in pos}
         assert {weyl_act(d, w, b).coords for b in pos} == neg
 
@@ -159,7 +229,7 @@ def test_longest_element_negates_subset_roots():
 def test_reduced_word_inverts_length_many_roots():
     d = build_root_datum([("B", 3)])
     w = longest_element(d, d.vertices)
-    pos = positive_roots_closure(d, d.vertices)
+    pos = [d.weight(c) for c in orbit_positive_roots(d, d.vertices)]
     inverted = [b for b in pos
                 if _is_negative(weyl_act(d, w, b), d)]
     assert len(inverted) == len(w)
