@@ -146,8 +146,9 @@ def check_admissible(datum, X, tau):
 def choose_z(datum, X, tau):
     """Canonical unimodular phases: z_r = 1 at tau-fixed vertices and on X;
     on each 2-orbit the smaller-index representative r gets
-    z_r = i^{-2(alpha_r, rho_X^vee)} and z_{tau(r)} its conjugate."""
-    perm = _as_perm(datum, tau)
+    z_r = i^{-2(alpha_r, rho_X^vee)} and z_{tau(r)} its conjugate.
+    InputError if tau is not an involutive diagram automorphism."""
+    perm = _check_diagram_automorphism(datum, _as_perm(datum, tau))
     rho_x = rho_check(datum, X)
     exps = [0] * datum.rank
     for r in datum.vertices:

@@ -2,9 +2,10 @@
 
 How the CLI reports each class:
 
-* InputError: one ``input error: ...`` line on stderr, exit 2;
-* ResourceError, and an OverflowError of double precision: one
-  ``resource error: ...`` line on stderr, exit 3;
+* InputError, and an --out file that cannot be written: one
+  ``input error: ...`` line on stderr, exit 2;
+* ResourceError, an OverflowError of double precision and a MemoryError:
+  one ``resource error: ...`` line on stderr, exit 3;
 * every other QspError (NumericalDegeneracyError, ConsistencyError,
   NoKMatrixError, AmbiguityError, ResonanceError, AccuracyError,
   UnsupportedOracleError): the JSON report

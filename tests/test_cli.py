@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import types
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import qsp
 import qsp.errors
+import qsp.uqrep
 from qsp.cli import main
 
 
@@ -526,3 +529,96 @@ def test_readme_commands_exist(runner):
     for path in paths:
         res = runner.invoke(main, [*path, "--help"])
         assert res.exit_code == 0, (path, res.output)
+
+
+def _leaf_commands(group, path=()):
+    """The command paths of every subcommand registered under group."""
+    for name, cmd in group.commands.items():
+        if isinstance(cmd, click.Group):
+            yield from _leaf_commands(cmd, path + (name,))
+        else:
+            yield path + (name,)
+
+
+# minimal valid options per subcommand; None stands for the su2 diagram file,
+# "aiii.json" for the AIII diagram and "kz.json" for a KZ configuration
+_MINIMAL_ARGS = {
+    ("diagram", "check"): ["--file", None],
+    ("diagram", "list"): ["--type", "A", "--rank", "1"],
+    ("rep", "build"): ["--algebra", "A1", "--weight", "1", "--q", "0.7"],
+    ("rmatrix",): ["--algebra", "A1", "--v", "1", "--w", "1", "--q", "0.7"],
+    ("coideal", "validate"): ["--diagram", None, "--q", "0.7"],
+    ("kmatrix",): ["--diagram", None, "--t", "0.3", "--q", "0.7"],
+    ("kz", "psi"): ["--config", "kz.json"],
+    ("vogan", "e-matrix"): ["--r", "0.25", "--q", "0.7", "--levels", "10"],
+    ("verify", "rank-one"): ["--q", "0.7", "--r", "0.25", "--levels", "10"],
+    ("verify", "axioms"): ["--source", "coideal", "--q", "0.7"],
+    ("verify", "kz"): ["--q", "0.7"],
+    ("verify", "appendixB"): ["--diagram", "aiii.json", "--q", "0.7"],
+    ("verify", "characters"): ["--diagram", None, "--t", "0.3"],
+}
+
+
+def test_minimal_args_cover_every_command():
+    # a new subcommand has to join the table, and so the --out check below
+    assert sorted(_leaf_commands(main)) == sorted(_MINIMAL_ARGS)
+
+
+@pytest.mark.parametrize("path", sorted(_MINIMAL_ARGS), ids=" ".join)
+def test_unwritable_out_is_an_input_error(runner, tmp_path, su2_diagram,
+                                          aiii_diagram, path):
+    kz_config = tmp_path / "kz.json"
+    kz_config.write_text(json.dumps({"q": 0.7}))
+    files = {None: su2_diagram, "aiii.json": aiii_diagram,
+             "kz.json": str(kz_config)}
+    args = [files.get(a, a) for a in _MINIMAL_ARGS[path]]
+    out = tmp_path / "missing" / "x.json"
+    res = runner.invoke(main, [*path, *args, "--out", str(out)])
+    assert (res.exit_code, res.stdout) == (2, ""), res.stderr
+    assert res.stderr.startswith(f"input error: --out {out}: ")
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in res.stderr
+    assert not out.parent.exists()
+
+
+def test_memory_error_is_a_resource_error(runner, monkeypatch):
+    def fail(q):
+        raise MemoryError("Unable to allocate 56.4 GiB")
+    monkeypatch.setattr("qsp.cli.run_kz_suite", fail)
+    res = runner.invoke(main, ["verify", "kz", "--q", "0.7"])
+    assert (res.exit_code, res.stdout) == (3, "")
+    assert res.stderr == ("resource error: out of memory "
+                          "(Unable to allocate 56.4 GiB)\n")
+
+
+@pytest.mark.parametrize("cfg, dim", [
+    ({"q": 0.5, "spin2_1": 10 ** 9, "spin2_2": 1}, 2 * (10 ** 9 + 1)),
+    ({"q": 0.5, "spin2_1": 20, "spin2_2": 20}, 441),
+    ({"a": [[[0.0, 0.0]] * 401] * 401}, 401),
+], ids=["huge-spin", "spin-pair", "raw-matrices"])
+def test_kz_psi_past_the_dimension_cap_is_a_resource_error(runner, tmp_path,
+                                                           cfg, dim):
+    path = tmp_path / "kz.json"
+    cfg = dict(cfg)
+    if "a" in cfg:
+        cfg["b_plus"] = cfg["b_minus"] = cfg["a"]
+    path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["kz", "psi", "--config", str(path)])
+    assert (res.exit_code, res.stdout) == (3, "")
+    assert res.stderr == (f"resource error: KZ problem dimension {dim} "
+                          f"exceeds cap {qsp.uqrep.DIM_CAP}\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "appendixB", "--diagram", None, "--q", "0.7"],
+    ["verify", "characters", "--diagram", None, "--t", "0.3"],
+], ids=["appendixB", "characters"])
+def test_cli_reports_are_timed(runner, monkeypatch, aiii_diagram, args):
+    # a clock that advances 2.5 s per reading: the report spans two readings
+    clock = itertools.count(100.0, 2.5)
+    monkeypatch.setattr("qsp.cli.time", types.SimpleNamespace(
+        time=lambda: next(clock)))
+    res = runner.invoke(main, [aiii_diagram if a is None else a
+                               for a in args])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["runtime"] == 2.5

@@ -4,7 +4,8 @@ Every run, whatever its input, exits 0 or 1 with JSON on stdout, or 2
 (input) or 3 (resource) with one line on stderr, and ends within a
 subprocess timeout.  The inputs are drawn by Hypothesis: q, t, r, ladder
 levels (also past ``vogan10.MAX_LEVELS``) and spins, the Satake diagrams that ``qsp diagram list`` gives for
-types A-D up to rank 5, and malformed JSON files.  The draws are
+types A-D up to rank 5, malformed JSON files, and an ``--out`` file that
+can or cannot be written (an unwritable one is exit 2 or 3).  The draws are
 derandomized and few, so the suite stays short and repeatable.
 """
 
@@ -71,7 +72,12 @@ def _write(path, text):
     return str(path)
 
 
-def _run_cli(args):
+def _run_cli(args, out_path=None):
+    """Run qsp with args, and with --out out_path unless that is None."""
+    if out_path is not None:
+        args = [*args, "--out", str(out_path)]
+        if out_path.exists():
+            out_path.unlink()
     proc = subprocess.run([sys.executable, "-m", "qsp.cli", *args],
                           capture_output=True, text=True,
                           timeout=RUN_TIMEOUT, env=_ENV)
@@ -79,10 +85,17 @@ def _run_cli(args):
     assert code in (0, 1, 2, 3), (args, code, err)
     assert "Traceback" not in err, (args, err)
     if code in (0, 1):
+        if out_path is not None:
+            assert out == "", (args, out)
+            out = out_path.read_text(encoding="utf-8")
         json.loads(out)
     else:
         assert out == "" and len(err.strip().splitlines()) == 1, (args, err)
     return code
+
+
+# --out: none (stdout), a writable file, or one in a missing directory
+_OUT = st.sampled_from([None, "out.json", "missing/out.json"])
 
 
 def _rep(diag, spin):
@@ -99,9 +112,9 @@ _FUZZ = settings(max_examples=12, deadline=None, derandomize=True,
 @_FUZZ
 @given(diag=st.sampled_from(DIAGRAMS), command=st.sampled_from(
            ["kmatrix", "appendixB", "characters", "validate"]),
-       q=_Q, t=_NUMBER, spin=_SPIN)
+       q=_Q, t=_NUMBER, spin=_SPIN, out=_OUT)
 def test_diagram_commands_keep_the_contract(tmp_path, diag, command, q, t,
-                                            spin):
+                                            spin, out):
     path = _write(tmp_path / "diagram.json", json.dumps(diag))
     args = {
         "kmatrix": ["kmatrix", "--diagram", path, "--t", repr(t),
@@ -113,15 +126,15 @@ def test_diagram_commands_keep_the_contract(tmp_path, diag, command, q, t,
         "validate": ["coideal", "validate", "--diagram", path,
                      "--q", repr(q)],
     }[command]
-    _run_cli(args)
+    _run_cli(args, None if out is None else tmp_path / out)
 
 
 @_FUZZ
 @given(command=st.sampled_from(["rank-one", "e-matrix", "axioms", "kz"]),
        q=_Q, t=_NUMBER, r=_NUMBER, levels=_LEVELS,
-       source=st.sampled_from(["coideal", "kz", "vogan"]))
-def test_numeric_commands_keep_the_contract(command, q, t, r, levels,
-                                            source):
+       source=st.sampled_from(["coideal", "kz", "vogan"]), out=_OUT)
+def test_numeric_commands_keep_the_contract(tmp_path, command, q, t, r,
+                                            levels, source, out):
     args = {
         "rank-one": ["verify", "rank-one", "--q", repr(q), "--r", repr(r),
                      "--levels", str(levels)],
@@ -131,7 +144,7 @@ def test_numeric_commands_keep_the_contract(command, q, t, r, levels,
                    "--t", repr(t), "--r", repr(r)],
         "kz": ["verify", "kz", "--q", repr(q)],
     }[command]
-    _run_cli(args)
+    _run_cli(args, None if out is None else tmp_path / out)
 
 
 @_FUZZ

@@ -79,6 +79,16 @@ def test_choose_z_a3_orbit():
     assert diag.z(1) == 1j and diag.z(3) == -1j and diag.z(2) == 1
 
 
+@pytest.mark.parametrize("tau, message", [
+    ({1: 7}, "automorphism image out of range"),
+    ([[1, 2]], "map is not a diagram automorphism"),
+], ids=["image-out-of-range", "not-an-automorphism"])
+def test_choose_z_checks_tau(tau, message):
+    # a direct caller gets the checks satake makes before it calls choose_z
+    with pytest.raises(InputError, match=message):
+        choose_z(A3, (), tau)
+
+
 def test_z_equation_exact_on_enumeration():
     for datum in [A2, A3, build_root_datum([("D", 4)])]:
         from qsp.rootsys import rho_check
