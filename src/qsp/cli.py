@@ -38,9 +38,10 @@ from .harness import (
 from .kzmono import MonodromyProblem, psi as kz_psi, split_tensors, kz_coeffs
 from .lusztig import BraidContext, verify_appB
 from .rmatrix import rmat
-from .rootsys import build_root_datum, parse_type_string, restrict_datum
+from .rootsys import (build_root_datum, parse_type_string, restrict_datum,
+                      weyl_dimension)
 from .uqrep import (DIM_CAP, QParams, build_irrep, mat_json, module_to_json,
-                    twist_module)
+                    require_product_dim, twist_module)
 from .vogan10 import build_Mr, plain_block_eigenvalues, e_matrix_component_scalars
 
 
@@ -190,8 +191,11 @@ def rep_build(algebra, weight, q):
 def rmatrix_cmd(algebra, vw, ww, q):
     datum = build_root_datum(parse_type_string(algebra))
     qp = QParams(q)
-    mv = build_irrep(datum, datum.weight(_numbers(vw, "v")), qp)
-    mw = build_irrep(datum, datum.weight(_numbers(ww, "w")), qp)
+    weights = [datum.weight(_numbers(text, name))
+               for text, name in ((vw, "v"), (ww, "w"))]
+    # rmat checks the product too, but only once both irreps are built
+    require_product_dim(*(weyl_dimension(datum, w) for w in weights))
+    mv, mw = (build_irrep(datum, w, qp) for w in weights)
     r = rmat(mv, mw)
     return {"convention": r.convention, "matrix": mat_json(r.matrix)}
 

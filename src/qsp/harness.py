@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import leg_blocks, product_blocks
 from .coideal import (
     CoidealModule,
     CoidealParams,
@@ -47,10 +48,8 @@ from .vogan10 import (
     e_matrix_component_scalars,
     fusion_check,
     interior_indices,
-    leg_blocks,
     nu_module,
     plain_block_eigenvalues,
-    product_blocks,
 )
 
 TOL_ALG = 1e-9
@@ -287,20 +286,19 @@ def _masked_ratio(module, cut_dim):
 
 def _octagon_vogan(module, m1, m2, qp):
     """Both sides of the octagon on M ox U ox V, as WeightBlocks."""
-    legs_h, index = product_blocks(module, m1, m2)
+    index = product_blocks(module, m1, m2)
     lhs = braid_blocks(coaction_tensor(module, m1), m2, qp)
-    r32 = leg_blocks(index, legs_h, [((1, 2), r21(m1, m2))])
-    e13 = leg_blocks(index, legs_h, [((0, 2), e_matrix(module, m2, qp))])
-    rtw23 = leg_blocks(index, legs_h,
-                       [((1, 2), rmat(m1, nu_module(m2)).matrix)])
+    r32 = leg_blocks(index, [((1, 2), r21(m1, m2))])
+    e13 = leg_blocks(index, [((0, 2), e_matrix(module, m2, qp))])
+    rtw23 = leg_blocks(index, [((1, 2), rmat(m1, nu_module(m2)).matrix)])
     return lhs, r32 @ e13 @ rtw23
 
 
 def _ribbon_vogan(module, m1, m2, qp):
     """Both sides of the ribbon equation on M ox U ox V, as WeightBlocks."""
-    legs_h, index = product_blocks(module, m1, m2)
+    index = product_blocks(module, m1, m2)
     lhs = braid_blocks(module, tensor(m1, m2), qp)
-    e12 = leg_blocks(index, legs_h, [((0, 1), e_matrix(module, m1, qp))])
+    e12 = leg_blocks(index, [((0, 1), e_matrix(module, m1, qp))])
     return lhs, braid_blocks(coaction_tensor(module, m1), m2, qp) @ e12
 
 
@@ -313,10 +311,10 @@ def _cylinder_vogan(module, m1, m2, qp):
 
     the braided forms (beta = P R, through M ox V ox U) moved onto
     M ox U ox V by P R(V, U) P^{-1} = R21(U, V), P E^V_12 P^{-1} = E^V_13."""
-    legs_h, index = product_blocks(module, m1, m2)
+    index = product_blocks(module, m1, m2)
 
     def place(legs, mat):
-        return leg_blocks(index, legs_h, [(legs, mat)])
+        return leg_blocks(index, [(legs, mat)])
 
     e_u = place((0, 1), e_matrix(module, m1, qp))
     e_v = place((0, 2), e_matrix(module, m2, qp))

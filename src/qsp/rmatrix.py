@@ -11,18 +11,23 @@ r_1 ... r_N of w_0: with T = T_{r_1} ... T_{r_{k-1}} the product of the
 module braid operators, E_{beta_k} = T E_{r_k} T^{-1} and
 F_{beta_k} = T F_{r_k} T^{-1}.
 
+R and every factor of the quasi R-matrix preserve total weight, so R is
+built per total-weight block of m ox n (``qsp.blocks``): each term
+c_k E_beta^k ox F_beta^k is gathered on the blocks and the series are
+multiplied as stacked blocks.  ``RMatrix.matrix`` is the read-only dense
+matrix with the blocks scattered into it; a product past
+``uqrep.PRODUCT_DIM_CAP`` is refused before anything is allocated.
+
 One convention is built and pinned by two checks on the result: it acts by
 q^{-(wt xi, wt eta)} on (E-singular) ox (F-singular) vectors, which the
 quasi factor fixes, and it intertwines the coproduct with its opposite on
 every generator, both taken as leg matrices from ``uqrep.coproduct_terms``,
-the one place the coproduct is written.  ``rmat(m, n)`` keeps its
-result, with a read-only matrix, in ``m.cache`` per n: a cached R-matrix
-is one that passed both checks.
-Tensor legs are moved by reshape and transpose, never by a permutation
-matrix: ``apply_on_legs`` applies an operator on some legs to a block of
-columns, and the YBE and hexagon checks apply R leg by leg to column
-blocks of the identity, so they never hold an N x N operator on a triple
-product beyond the R-matrices they compare against.
+the one place the coproduct is written.  The intertwining check runs on the
+blocks of R and reports R's largest entry between them.  ``rmat(m, n)``
+keeps its result in ``m.cache`` per n: a cached R-matrix is one that passed
+both checks.  The YBE, hexagon and ribbon checks multiply their sides per
+block of the triple or double product, with no operator on the product
+formed; ``op_on_legs`` moves tensor legs by reshape and transpose.
 
 Independent oracle: solve the intertwining linear system, with Delta and
 Delta^op formed as dense matrices, and pin the isotypic-block scalars by
@@ -35,11 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import (WeightBlocks, leg_blocks, product_blocks, shape_runs,
+                     stack)
 from .errors import ConsistencyError, UnsupportedOracleError
 from .lusztig import braid_on_module
 from .rootsys import beta_sequence, longest_element, qint
 from .uqrep import (casimir_scalar, coproduct_terms, decompose, kron_sum,
-                    read_only, ribbon_diag, tensor)
+                    read_only, require_product_dim, ribbon_diag, tensor)
 
 _PIN_TOL = 1e-9
 
@@ -67,8 +74,10 @@ def _root_vector_mats(module):
     t = np.eye(module.dim, dtype=complex)
     out = []
     for k, (beta, r) in enumerate(zip(betas, word.letters)):
-        if k:
-            t = t @ braids[word.letters[k - 1]]
+        if not k:   # T = 1
+            out.append((beta, module.E[r], module.F[r]))
+            continue
+        t = t @ braids[word.letters[k - 1]]
         t_inv = np.linalg.inv(t)
         out.append((beta, t @ module.E[r] @ t_inv, t @ module.F[r] @ t_inv))
     module.cache["root_vectors"] = out
@@ -76,17 +85,24 @@ def _root_vector_mats(module):
 
 
 def _quasi_factor(m, n):
-    """Ordered product of per-root exponential series on m ox n."""
+    """Ordered product of per-root exponential series on m ox n, as
+    ``WeightBlocks``: every term E_beta^k ox F_beta^k keeps the total
+    weight, so its entries are gathered on the blocks."""
     qp = m.qp
+    index = product_blocks(m, n)
+    rows, cols, _ = index.entries
+    (ri, rj), (ci, cj) = divmod(rows, n.dim), divmod(cols, n.dim)
+    eye = np.eye(m.dim, dtype=complex)[ri, ci] \
+        * np.eye(n.dim, dtype=complex)[rj, cj]
+    total = None
     roots_m = _root_vector_mats(m)
     roots_n = _root_vector_mats(n)
-    total = np.eye(m.dim * n.dim, dtype=complex)
     # the beta_M factor sits leftmost; the opposite order breaks the
     # generator intertwining already for the two fundamentals of A2
     for (beta, e_m, _), (_, _, f_n) in reversed(list(zip(roots_m, roots_n))):
         qb = qp.qpow(beta.pairing(beta) / 2)
         coeff = 1.0
-        acc = np.eye(m.dim * n.dim, dtype=complex)
+        acc = eye.copy()
         e_pow = np.eye(m.dim, dtype=complex)
         f_pow = np.eye(n.dim, dtype=complex)
         for k in range(1, m.dim + n.dim + 1):
@@ -95,8 +111,9 @@ def _quasi_factor(m, n):
             if np.linalg.norm(e_pow) < 1e-300 or np.linalg.norm(f_pow) < 1e-300:
                 break
             coeff *= (1.0 / qb - qb) * qb ** (-(k - 1)) / qint(k, qb)
-            acc = acc + coeff * np.kron(e_pow, f_pow)
-        total = total @ acc
+            acc += coeff * (e_pow[ri, ci] * f_pow[rj, cj])
+        factor = WeightBlocks(index, acc)
+        total = factor if total is None else total @ factor
     return total
 
 
@@ -106,86 +123,112 @@ class RMatrix:
     convention: str
 
 
-def _intertwining_residual(mat, m, n):
-    """max over generators of ||R Delta(x) - Delta^op(x) R|| (relative),
-    with Delta^op on m ox n the flipped ``coproduct_terms(n, m, r)``.
+def _intertwining_residual(mat, index, m, n):
+    """(residual, off_block): the max over generators x of
+    ||R Delta(x) - Delta^op(x) R|| (relative) on the blocks ``index`` of
+    m ox n, with Delta^op on m ox n the flipped ``coproduct_terms(n, m, r)``,
+    and the largest entry of R outside the blocks.
 
-    Each coproduct term a ox b is applied to the legs of R in turn, never
-    formed as a dense Kronecker product, on blocks of rows of both sides
-    that share their first-leg indices: no array of the size of R is
-    formed besides R."""
-    dm, dn = m.dim, n.dim
-    size = dm * dn
-    step = max(1, _BLOCK_COLS // dn)
+    Delta(x) maps the block of weight mu to the block of mu + wt x, so on
+    each such pair the sides are R_{mu + wt x} Delta(x)_{mu + wt x, mu} and
+    Delta^op(x)_{mu + wt x, mu} R_mu, with every coproduct term a ox b
+    gathered on the pair's entries; the pairs of one shape are stacked."""
+    rows, cols, _ = index.entries
+    off = 0.0
+    if np.count_nonzero(mat) > np.count_nonzero(mat[rows, cols]):
+        outside = np.abs(mat)
+        outside[rows, cols] = 0.0
+        off = float(outside.max())
     worst = 0.0
     for r in m.datum.vertices:
-        for delta, delta_op in zip(coproduct_terms(m, n, r),
-                                   coproduct_terms(n, m, r)):
-            sq = np.zeros(3)  # squared norms of lhs, rhs and lhs - rhs
-            for i in range(0, dm, step):
-                rows = mat[i * dn:(i + step) * dn]
-                k = rows.shape[0]
-                # R (a ox b), a on m, b on n
-                lhs = sum(((rows.reshape(k, dm, dn) @ b).transpose(0, 2, 1) @ a)
-                          .transpose(0, 2, 1).reshape(k, size) for a, b in delta)
-                # (a ox b) R: rows i.. of a on the first leg, b on the second
-                rhs = sum((b @ (a[i:i + step] @ mat.reshape(dm, dn * size))
-                           .reshape(-1, dn, size)).reshape(k, size)
-                          for b, a in delta_op)
-                sq += [np.linalg.norm(x) ** 2 for x in (lhs, rhs, lhs - rhs)]
-            lhs_n, rhs_n, diff_n = np.sqrt(sq)
-            worst = max(worst, diff_n / max(lhs_n, rhs_n, 1e-30))
-    return worst
+        # alpha_r: column r of the Cartan matrix, over the keys' denominator
+        alpha = np.array([row[r - 1] * index.den for row in m.datum.cartan])
+        # zip stops before Delta(K_r): it is one scalar on each block, so
+        # only entries outside the blocks could break its intertwining
+        for delta, delta_op, shift in zip(coproduct_terms(m, n, r),
+                                          coproduct_terms(n, m, r),
+                                          (alpha, -alpha)):
+            tgt, src = index.shifted(shift)
+            # the entries of the pairs (tgt, src), then of the blocks tgt
+            # and src, in that order
+            e_rows, e_cols, _, at = index.pair_entries(
+                np.concatenate([tgt, tgt, src]),
+                np.concatenate([src, tgt, src]))
+            vals = mat[e_rows, e_cols]
+            n_pairs, n_d = len(tgt), at[len(tgt)]
+            (ri, rj), (ci, cj) = (divmod(e_rows[:n_d], n.dim),
+                                  divmod(e_cols[:n_d], n.dim))
+            d = sum(a[ri, ci] * b[rj, cj] for a, b in delta)
+            d_op = sum(a[ri, ci] * b[rj, cj] for b, a in delta_op)
+            lhs, rhs = np.empty_like(vals[:n_d]), np.empty_like(vals[:n_d])
+            for p, count, x, y in shape_runs(index.sizes[tgt],
+                                             index.sizes[src]):
+                np.matmul(stack(vals, at[n_pairs + p], count, x, x),
+                          stack(d, at[p], count, x, y),
+                          out=stack(lhs, at[p], count, x, y))
+                np.matmul(stack(d_op, at[p], count, x, y),
+                          stack(vals, at[2 * n_pairs + p], count, y, y),
+                          out=stack(rhs, at[p], count, x, y))
+            scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-30)
+            worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
+    return float(worst), off
 
 
-def _singular_indices(module):
-    """(E-singular indices, F-singular indices)."""
-    e_sing, f_sing = [], []
-    for i in range(module.dim):
-        if all(np.linalg.norm(module.E[r][:, i]) < 1e-10
-               for r in module.datum.vertices):
-            e_sing.append(i)
-        if all(np.linalg.norm(module.F[r][:, i]) < 1e-10
-               for r in module.datum.vertices):
-            f_sing.append(i)
-    return e_sing, f_sing
+def _killed(module, gens):
+    """Indices of the basis vectors that every matrix of ``gens`` (E or F)
+    kills, kept in the module's cache: the E- or F-singular vectors."""
+    key = ("killed", gens)
+    if key not in module.cache:
+        mats = np.array(list(getattr(module, gens).values()))
+        norms = np.sqrt((mats.real ** 2 + mats.imag ** 2).sum(axis=1))
+        module.cache[key] = np.flatnonzero(
+            (norms < 1e-10).all(axis=0)).tolist()
+    return module.cache[key]
+
+
+def _extremal_pairs(m, n):
+    """[(index in m ox n, q^{-(wt xi, wt eta)})] over E-singular xi in m and
+    F-singular eta in n."""
+    pairs = [(i * n.dim + j,
+              m.qp.qpow(-m.weights[i].pairing(n.weights[j])))
+             for i in _killed(m, "E") for j in _killed(n, "F")]
+    if not pairs:
+        raise ConsistencyError("no extremal vectors to pin the convention")
+    return pairs
 
 
 def _normalization_residual(mat, m, n):
     """Deviation from R(xi ox eta) = q^{-(wt xi, wt eta)} xi ox eta over all
     E-singular xi in m and F-singular eta in n."""
-    qp = m.qp
-    e_sing, _ = _singular_indices(m)
-    _, f_sing = _singular_indices(n)
-    if not e_sing or not f_sing:
-        raise ConsistencyError("no extremal vectors to pin the convention")
-    worst = 0.0
-    for i in e_sing:
-        for j in f_sing:
-            idx = i * n.dim + j
-            want = qp.qpow(-m.weights[i].pairing(n.weights[j]))
-            col = mat[:, idx].copy()
-            got = col[idx]
-            col[idx] = 0.0
-            dev = max(abs(got - want), np.max(np.abs(col)))
-            worst = max(worst, dev)
-    return worst
+    idx, want = map(list, zip(*_extremal_pairs(m, n)))
+    cols = mat[:, idx]
+    on = (idx, range(len(idx)))
+    dev = np.max(np.abs(cols[on] - want))
+    cols[on] = 0.0
+    return float(max(dev, np.max(np.abs(cols))))
 
 
 def rmat(m, n):
-    """R-matrix on m ox n: quasi factor times Cartan factor, checked
-    against the extremal normalization and the generator intertwining."""
+    """R-matrix on m ox n: quasi factor times Cartan factor, built on the
+    total-weight blocks and checked against the extremal normalization and
+    the generator intertwining."""
     key = ("rmat", n)
     if key in m.cache:
         return m.cache[key]
-    mat = read_only(_quasi_factor(m, n) * _cartan_factor(m, n))
+    require_product_dim(m.dim, n.dim)
+    quasi = _quasi_factor(m, n)
+    rows, cols, _ = quasi.layout.entries
+    mat = np.zeros((m.dim * n.dim,) * 2, dtype=complex)
+    mat[rows, cols] = quasi.data * _cartan_factor(m, n)[cols]
+    read_only(mat)
     norm = _normalization_residual(mat, m, n)
-    inter = _intertwining_residual(mat, m, n)
-    if not (norm < _PIN_TOL and inter < _PIN_TOL):
+    inter, off = _intertwining_residual(mat, quasi.layout, m, n)
+    if not (norm < _PIN_TOL and inter < _PIN_TOL and off < _PIN_TOL):
         raise ConsistencyError(
             f"R-matrix on {m.label} ox {n.label} fails its checks: "
             f"normalization residual {norm:.3g}, intertwining residual "
-            f"{inter:.3g} (tolerance {_PIN_TOL:g})")
+            f"{inter:.3g}, largest entry between weight blocks {off:.3g} "
+            f"(tolerance {_PIN_TOL:g})")
     out = m.cache[key] = RMatrix(mat, "R")
     return out
 
@@ -219,27 +262,17 @@ def rmat_oracle(m, n):
         raise ConsistencyError("intertwining system has no solution")
     basis = vh.conj().T[:, -null_dim:]
     # pin by the normalization on extremal vectors
-    e_sing, _ = _singular_indices(m)
-    _, f_sing = _singular_indices(n)
     eqs, rhs = [], []
-    qp = m.qp
-    for i in e_sing:
-        for j in f_sing:
-            idx = i * n.dim + j
-            want = qp.qpow(-m.weights[i].pairing(n.weights[j]))
-            for out in range(dim):
-                row = basis[out * dim + idx, :]
-                eqs.append(row)
-                rhs.append(want if out == idx else 0.0)
+    for idx, want in _extremal_pairs(m, n):
+        for out in range(dim):
+            eqs.append(basis[out * dim + idx, :])
+            rhs.append(want if out == idx else 0.0)
     sol, *_ = np.linalg.lstsq(np.array(eqs), np.array(rhs), rcond=None)
     mat = (basis @ sol).reshape(dim, dim)
     resid = _normalization_residual(mat, m, n)
     if resid > 1e-7:
         raise ConsistencyError(f"oracle normalization residual {resid}")
     return RMatrix(mat, "oracle")
-
-
-_BLOCK_COLS = 64
 
 
 def apply_on_legs(mat, x, dims, legs):
@@ -266,67 +299,50 @@ def op_on_legs(mat, dims, legs):
         dims, legs)
 
 
-def _column_blocks(n):
-    """(column slice, those columns of the n x n identity), in blocks of at
-    most _BLOCK_COLS columns."""
-    for start in range(0, n, _BLOCK_COLS):
-        cols = slice(start, min(start + _BLOCK_COLS, n))
-        block = np.zeros((n, cols.stop - start), dtype=complex)
-        block[cols] = np.eye(cols.stop - start)
-        yield cols, block
-
-
-def _relative(diff_sq, ref_norm):
-    return np.sqrt(diff_sq) / max(ref_norm, 1e-30)
+def _relative(diff, ref):
+    """||diff|| / ||ref|| for ``WeightBlocks``."""
+    return diff.norm() / max(ref.norm(), 1e-30)
 
 
 def ybe_residual(m):
     """||R12 R13 R23 - R23 R13 R12|| on m ox m ox m (relative), both sides
-    applied leg by leg to column blocks of the identity."""
+    multiplied per total-weight block of the triple product."""
     r = rmat(m, m).matrix
-    dims = [m.dim] * 3
-    diff_sq = ref_sq = 0.0
-    for _, x in _column_blocks(m.dim ** 3):
-        lhs = rhs = x
-        for legs in ((1, 2), (0, 2), (0, 1)):
-            lhs = apply_on_legs(r, lhs, dims, legs)
-        for legs in ((0, 1), (0, 2), (1, 2)):
-            rhs = apply_on_legs(r, rhs, dims, legs)
-        diff_sq += np.linalg.norm(lhs - rhs) ** 2
-        ref_sq += np.linalg.norm(lhs) ** 2
-    return _relative(diff_sq, np.sqrt(ref_sq))
+    index = product_blocks(m, m, m)
+    r12, r13, r23 = (leg_blocks(index, [(legs, r)])
+                     for legs in ((0, 1), (0, 2), (1, 2)))
+    lhs = r12 @ r13 @ r23
+    return _relative(lhs - r23 @ r13 @ r12, lhs)
 
 
 def hexagon_residuals(m, n, p):
     """Residuals of (Delta ox id)(R) = R13 R23 and (id ox Delta)(R) = R13 R12,
-    the right sides applied leg by leg to column blocks of the identity."""
-    dims = [m.dim, n.dim, p.dim]
-    lhs1 = rmat(tensor(m, n), p).matrix
-    lhs2 = rmat(m, tensor(n, p)).matrix
-    r12, r13, r23 = rmat(m, n).matrix, rmat(m, p).matrix, rmat(n, p).matrix
-    diff1 = diff2 = 0.0
-    for cols, x in _column_blocks(m.dim * n.dim * p.dim):
-        rhs1 = apply_on_legs(r13, apply_on_legs(r23, x, dims, (1, 2)),
-                             dims, (0, 2))
-        rhs2 = apply_on_legs(r13, apply_on_legs(r12, x, dims, (0, 1)),
-                             dims, (0, 2))
-        diff1 += np.linalg.norm(lhs1[:, cols] - rhs1) ** 2
-        diff2 += np.linalg.norm(lhs2[:, cols] - rhs2) ** 2
-    return (_relative(diff1, np.linalg.norm(lhs1)),
-            _relative(diff2, np.linalg.norm(lhs2)))
+    both sides per total-weight block of m ox n ox p."""
+    index = product_blocks(m, n, p)
+
+    def on(legs, a, b):
+        return leg_blocks(index, [(legs, rmat(a, b).matrix)])
+
+    lhs1 = on((0, 1, 2), tensor(m, n), p)
+    lhs2 = on((0, 1, 2), m, tensor(n, p))
+    r12, r13, r23 = on((0, 1), m, n), on((0, 2), m, p), on((1, 2), n, p)
+    return (_relative(lhs1 - r13 @ r23, lhs1),
+            _relative(lhs2 - r13 @ r12, lhs2))
 
 
 def ribbon_residual(m, n):
     """|| R21 R Delta(v) - v ox v || with v the ribbon element acting by
-    q^{(mu, mu + 2 rho)} per isotypic block."""
+    q^{(mu, mu + 2 rho)} per isotypic block, per total-weight block of
+    m ox n."""
     qp = m.qp
     r = rmat(m, n).matrix
-    mn = tensor(m, n)
-    delta_v = ribbon_diag(mn)
+    delta_v = ribbon_diag(tensor(m, n))
     if m.highest is None or n.highest is None:
         raise ConsistencyError("ribbon check needs irreducible factors")
     scal = qp.qpow(casimir_scalar(m.datum, m.highest)
                    + casimir_scalar(n.datum, n.highest))
-    lhs = r21(m, n) @ r @ delta_v
-    return np.linalg.norm(lhs - scal * np.eye(mn.dim)) / abs(scal)
-
+    index = product_blocks(m, n)
+    lhs = leg_blocks(index, [((1, 0), rmat(n, m).matrix)]) \
+        @ leg_blocks(index, [((0, 1), r)]) \
+        @ leg_blocks(index, [((0, 1), delta_v)])
+    return (lhs - scal * leg_blocks(index, [])).norm() / abs(scal)

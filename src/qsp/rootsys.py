@@ -483,22 +483,37 @@ def positive_roots(datum, subset):
 
 
 def _positive_roots(datum, subset):
-    betas = beta_sequence(datum, longest_element(datum, subset))
-    return tuple(sorted(betas, key=lambda b: (
-        sum(alpha_coefficients(b, subset).values()), b.coords)))
+    roots = sorted(_beta_roots(datum, longest_element(datum, subset)),
+                   key=lambda root: (sum(root[0]), root[1].coords))
+    return tuple(beta for _, beta in roots)
+
+
+def _beta_roots(datum, word):
+    """(coefficients in the simple roots, weight) of each beta_k along a
+    word.  The prefix product P = s_{r_1} ... s_{r_{k-1}} is carried as an
+    integer matrix on simple-root coordinates: beta_k is its column r_k,
+    and P s_{r_k} = P - beta_k (row r_k of the Cartan matrix), since
+    s_r(alpha_t) = alpha_t - a_{rt} alpha_r."""
+    n = datum.rank
+    cartan = datum.cartan
+    prefix = [[int(i == j) for j in range(n)] for i in range(n)]
+    out = []
+    for r in word.letters:
+        coeffs = [row[r - 1] for row in prefix]
+        for row, c in zip(prefix, coeffs):
+            if c:
+                for j, a in enumerate(cartan[r - 1]):
+                    row[j] -= c * a
+        out.append((coeffs, datum.weight(
+            [sum(c * a for c, a in zip(coeffs, row)) for row in cartan])))
+    return out
 
 
 def beta_sequence(datum, word):
     """beta_k = s_{r_1} ... s_{r_{k-1}} (alpha_{r_k}) along a word; for a
     reduced word of w, the positive roots that w^{-1} makes negative, each
     once."""
-    betas = []
-    for k, r in enumerate(word.letters):
-        beta = datum.simple_root(r)
-        for j in range(k - 1, -1, -1):
-            beta = beta.reflect(word.letters[j])
-        betas.append(beta)
-    return betas
+    return [beta for _, beta in _beta_roots(datum, word)]
 
 
 def rho_check(datum, subset):
@@ -630,7 +645,7 @@ def _identify_component(datum, comp):
 def weyl_dimension(datum, varpi):
     """Weyl dimension formula, exact."""
     if not varpi.is_dominant() or not varpi.is_integral():
-        raise InputError("weight not dominant integral")
+        raise InputError("highest weight must be dominant integral")
     rho = datum.rho()
     num = Fraction(1)
     den = Fraction(1)

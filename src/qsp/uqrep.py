@@ -39,6 +39,10 @@ from .rootsys import alpha_coefficients, qbinom, weyl_dimension
 
 # the largest module dimension build_irrep constructs
 DIM_CAP = 400
+# the largest tensor-product dimension N that rmat, tensor and intertwiners
+# form: each holds dense N x N complex matrices, 16 N^2 bytes (67 MB at
+# the cap)
+PRODUCT_DIM_CAP = 2048
 # Relative cut on spanning-vector norms when quotienting the radical of the
 # invariant form.  Radical vectors computed in double precision have norm
 # ~sqrt(machine eps) ~ 1.5e-8 relative, so the cut must sit well above that
@@ -151,10 +155,21 @@ def kernel(mat, rel):
     return vh.conj().T[:, keep], s
 
 
+def require_product_dim(*dims):
+    """ResourceError unless the product of dims is at most
+    PRODUCT_DIM_CAP; checked before a product is formed."""
+    size = math.prod(dims)
+    if size > PRODUCT_DIM_CAP:
+        raise ResourceError(f"tensor product dimension {size} exceeds cap "
+                            f"{PRODUCT_DIM_CAP}")
+
+
 def intertwiners(pairs, rel):
     """Basis of {X : X A = B X for every (A, B) in pairs}, square X, as a
-    list of matrices orthonormal in the Frobenius inner product."""
+    list of matrices orthonormal in the Frobenius inner product: the kernel
+    of a system with dim^2 columns, dim^2 at most PRODUCT_DIM_CAP."""
     dim = pairs[0][0].shape[0]
+    require_product_dim(dim, dim)
     eye = np.eye(dim)
     system = np.vstack([np.kron(eye, a.T) - np.kron(b, eye) for a, b in pairs])
     basis, _ = kernel(system, rel)
@@ -184,9 +199,7 @@ def build_irrep(datum, varpi, qp):
     key = (datum, varpi, qp)
     if key in _IRREPS:
         return _IRREPS[key]
-    if not (varpi.is_dominant() and varpi.is_integral()):
-        raise InputError("highest weight must be dominant integral")
-    target_dim = weyl_dimension(datum, varpi)
+    target_dim = weyl_dimension(datum, varpi)   # InputError unless dominant
     if target_dim > DIM_CAP:
         raise ResourceError(
             f"module dimension {target_dim} exceeds cap {DIM_CAP}")
@@ -313,9 +326,10 @@ def coproduct_terms(m1, m2, r):
 
     This is the one place the package writes the coproduct."""
     alpha = m1.datum.simple_root(r)
-    k1, k2 = np.diag(m1.k_diag(alpha)), np.diag(m2.k_diag(alpha))
-    k2inv = np.diag(m2.k_diag(-1 * alpha))
     i1, i2 = np.eye(m1.dim), np.eye(m2.dim)
+    # diagonal matrices as identity times diagonal, cheaper than np.diag
+    k1, k2 = i1 * m1.k_diag(alpha), i2 * m2.k_diag(alpha)
+    k2inv = i2 * m2.k_diag(-alpha)
     return ([(m1.E[r], i2), (k1, m2.E[r])],
             [(m1.F[r], k2inv), (i1, m2.F[r])],
             [(k1, k2)])
@@ -334,6 +348,7 @@ def tensor(m1, m2):
         return m1.cache[key]
     if m1.datum != m2.datum:
         raise InputError("tensor of modules over different data")
+    require_product_dim(m1.dim, m2.dim)
     datum, qp = m1.datum, m1.qp
     weights = [w1 + w2 for w1 in m1.weights for w2 in m2.weights]
     E, F = {}, {}

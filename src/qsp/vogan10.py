@@ -19,13 +19,12 @@ sum_n c_n X^n ox Y^n q^{-H ox H / 2}, c_n = (q^{-1}-q)^n q^{-n(n-1)/2}/[n]_q!,
 where (X, Y) = (F, E) for the flipped factor and (K F^*, F), with the sign
 twist from nu_q(F) = -F, for the twisted one.  Every factor preserves
 total weight, so the braid on any module ox V is block-diagonal in it.
-``braid_blocks`` builds it block by block (``WeightBlocks``: the blocks of
-one size stacked, every product one batched matmul) and keeps it in the
+``braid_blocks`` builds it block by block (``qsp.blocks.WeightBlocks``,
+keyed by the rounded H-eigenvalues of the ladder) and keeps it in the
 module's cache; ``e_matrix`` scatters these blocks into a dense matrix.
-``leg_blocks`` gathers the blocks of an operator acting on some legs of a
-product from its small factors (the axiom checks in ``qsp.harness`` are
-products of such operators on M ox U ox V, blocks of size at most 4), and
-``fusion_check`` takes the kernel of F per block.  On M_r ox V_{1/2} the
+The axiom checks in ``qsp.harness`` are products of such operators on
+M ox U ox V, gathered by ``qsp.blocks.leg_blocks`` (blocks of size at most
+4), and ``fusion_check`` takes the kernel of F per block.  On M_r ox V_{1/2} the
 blocks are 2x2, and the spectral data are read from their closed form,
 ``spin_half_block``.
 """
@@ -37,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import WeightBlocks, leg_blocks, product_blocks, shift_maxima
 from .errors import ConsistencyError, InputError, ResourceError
 from .rootsys import qfact
 from .uqrep import WeightModule, kernel, read_only, ribbon_diag
@@ -181,113 +181,6 @@ def _weight_groups(h):
     return groups
 
 
-@dataclass(frozen=True, eq=False)
-class WeightBlocks:
-    """An operator on a tensor product that preserves total weight, kept as
-    its weight blocks: ``index[k]`` is an integer array of shape
-    (count, size) whose rows are the indices of the blocks of one size, and
-    ``stacks[k]`` holds these blocks, shape (count, size, size).
-    ``off_block`` is the largest entry, outside the blocks, of the dense
-    factors the operator was gathered from: 0.0 when nothing was dropped.
-    Products and differences need both operands on the same blocks."""
-
-    index: tuple
-    stacks: tuple
-    off_block: float = 0.0
-
-    def _blockwise(self, op, other):
-        if len(self.index) != len(other.index) or not all(
-                np.array_equal(a, b) for a, b in zip(self.index, other.index)):
-            raise ConsistencyError("operators on different weight blocks")
-        stacks = tuple(op(a, b) for a, b in zip(self.stacks, other.stacks))
-        return WeightBlocks(self.index, stacks,
-                            max(self.off_block, other.off_block))
-
-    def __matmul__(self, other):
-        return self._blockwise(np.matmul, other)
-
-    def __sub__(self, other):
-        return self._blockwise(np.subtract, other)
-
-    def masked_norm(self, n_interior):
-        """Frobenius norm of the entries whose row and column indices are
-        both below n_interior."""
-        total = 0.0
-        for idx, blk in zip(self.index, self.stacks):
-            inside = idx < n_interior
-            entries = blk[inside[:, :, None] & inside[:, None, :]]
-            total += np.sum(np.abs(entries) ** 2)
-        return math.sqrt(total)
-
-    def dense(self):
-        """The operator as a dense matrix: the blocks scattered, zero
-        elsewhere."""
-        dim = sum(idx.size for idx in self.index)
-        out = np.zeros((dim, dim), dtype=complex)
-        for idx, blk in zip(self.index, self.stacks):
-            out[idx[:, :, None], idx[:, None, :]] = blk
-        return out
-
-
-def product_blocks(module, *vs):
-    """The legs of module ox vs[0] ox vs[1] ..., as the H-eigenvalues of each
-    leg's basis, and the total-weight blocks of the product, stacked by
-    size (increasing): one read-only integer array of shape (count, size)
-    per block size, each row the indices of one block."""
-    legs_h = [module.h_diag] + [_h_vector(v) for v in vs]
-    by_size = {}
-    for idx in _weight_groups(_product_h(*legs_h)).values():
-        by_size.setdefault(len(idx), []).append(idx)
-    return legs_h, tuple(read_only(np.array(by_size[size]))
-                         for size in sorted(by_size))
-
-
-def _shift_maxima(mat, h):
-    """{weight shift: largest |entry|} over the nonzero entries of mat, an
-    operator on a basis with H-eigenvalues h."""
-    rows, cols = np.nonzero(mat)
-    shifts = np.round(h[rows] - h[cols], 9)
-    vals = np.abs(mat[rows, cols])
-    return {s: float(vals[shifts == s].max())
-            for s in sorted(set(shifts.tolist()))}
-
-
-def leg_blocks(index, legs_h, factors):
-    """Weight blocks of the operator that acts by ``mat`` on the legs of
-    each (legs, mat) in ``factors`` (legs in order, as in ``op_on_legs``)
-    and as the identity on every other leg of the product whose legs have
-    the H-eigenvalues legs_h; ``index`` comes from ``product_blocks``.
-
-    No operator on the product is formed: the blocks are gathered from the
-    factors, and ``off_block`` is the largest entry of the product outside
-    the blocks (every combination of factor entries whose weight shifts do
-    not sum to 0), read from the nonzero entries of each factor."""
-    dims = [len(h) for h in legs_h]
-    acted = {leg for legs, _ in factors for leg in legs}
-    stacks = []
-    for idx in index:
-        digits = np.unravel_index(idx, dims)
-        blk = np.ones(idx.shape + idx.shape[-1:], dtype=complex)
-        for legs, mat in factors:
-            sub = np.ravel_multi_index([digits[leg] for leg in legs],
-                                       [dims[leg] for leg in legs])
-            blk = blk * mat[sub[:, :, None], sub[:, None, :]]
-        for leg in set(range(len(dims))) - acted:
-            blk = blk * (digits[leg][:, :, None] == digits[leg][:, None, :])
-        stacks.append(blk)
-    reach = {0.0: 1.0}   # total weight shift -> largest entry
-    for legs, mat in factors:
-        maxima = _shift_maxima(mat, _product_h(*[legs_h[i] for i in legs]))
-        nxt = {}
-        for s0, v0 in reach.items():
-            for s1, v1 in maxima.items():
-                key = _weight_key(s0 + s1)
-                nxt[key] = max(nxt.get(key, 0.0), v0 * v1)
-        reach = nxt
-    off = max((val for shift, val in reach.items() if shift != 0), default=0.0)
-    return WeightBlocks(index, tuple(stacks), off)
-
-
 def su2_series_coeff(n, q):
     """c_n = (q^{-1}-q)^n q^{-n(n-1)/2} / [n]_q!."""
     return (1 / q - q) ** n * q ** (-n * (n - 1) / 2) / qfact(n, q)
@@ -310,14 +203,14 @@ def _braid_blocks(module, v, qp):
     F^n ox E^n and (K F^*)^n ox F^n preserves total weight and is gathered
     per block; the products run on the stacked blocks."""
     q = qp.q
-    legs_h, index = product_blocks(module, v)
+    index = product_blocks(module, v)
     kfs = module.k_diag[:, None] * module.f_mat.conj().T
-    cartan = np.exp(np.log(q) * (-np.outer(*legs_h) / 2))
-    cartan = cartan.reshape(-1).astype(complex)
+    h_out = np.outer(module.h_diag, _h_vector(v))
+    cartan = np.exp(np.log(q) * (-h_out / 2))
+    cart = cartan.reshape(-1).astype(complex)[index.entries[1]]
 
-    a_series = [np.tile(np.eye(idx.shape[1], dtype=complex), (len(idx), 1, 1))
-                for idx in index]
-    b_series = [blk.copy() for blk in a_series]
+    a_series = leg_blocks(index, []).data
+    b_series = a_series.copy()
     f_pow, e_pow, kfs_pow, fv_pow = module.f_mat, v.E[1], kfs, v.F[1]
     off = 0.0
     for n in range(1, v.dim):
@@ -327,21 +220,17 @@ def _braid_blocks(module, v, qp):
             kfs_pow = kfs_pow @ kfs
             fv_pow = fv_pow @ v.F[1]
         c = su2_series_coeff(n, q)
-        term_a = leg_blocks(index, legs_h, [((0,), f_pow), ((1,), e_pow)])
-        term_b = leg_blocks(index, legs_h, [((0,), kfs_pow), ((1,), fv_pow)])
-        for a, b, ta, tb in zip(a_series, b_series, term_a.stacks,
-                                term_b.stacks):
-            a += c * ta
-            b += c * (-1) ** n * tb
+        term_a = leg_blocks(index, [((0,), f_pow), ((1,), e_pow)])
+        term_b = leg_blocks(index, [((0,), kfs_pow), ((1,), fv_pow)])
+        a_series += c * term_a.data
+        b_series += c * (-1) ** n * term_b.data
         off = max(off, term_a.off_block, term_b.off_block)
 
-    v_inv = leg_blocks(index, legs_h,
-                       [((1,), np.linalg.inv(ribbon_diag(v)))])
-    stacks = []
-    for idx, a, b, vi in zip(index, a_series, b_series, v_inv.stacks):
-        cart = cartan[idx][:, None, :]
-        stacks.append(read_only(np.matmul(np.matmul(a * cart, b) * cart, vi)))
-    return WeightBlocks(index, tuple(stacks), max(off, v_inv.off_block))
+    v_inv = leg_blocks(index, [((1,), np.linalg.inv(ribbon_diag(v)))])
+    # the Cartan factor scales the columns of each block
+    ab = WeightBlocks(index, a_series * cart) @ WeightBlocks(index, b_series)
+    out = WeightBlocks(index, ab.data * cart) @ v_inv
+    return WeightBlocks(index, read_only(out.data), max(off, out.off_block))
 
 
 def e_matrix(module, v, qp):
@@ -519,7 +408,8 @@ def fusion_check(module, v, qp):
         raise InputError("truncation too small for a fusion check")
     f_v = v.F[1]
     for mat, h in ((module.f_mat, module.h_diag), (f_v, _h_vector(v))):
-        stray = sorted(s for s in _shift_maxima(mat, h) if s != -2.0)
+        stray = sorted(s for s, in shift_maxima(mat, h[:, None])
+                       if s != -2.0)
         if stray:
             raise ConsistencyError(f"F moves weights by {stray}, not only -2")
     kv_inv = 1 / v.k_diag(v.datum.simple_root(1))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 
 import click
@@ -589,6 +590,23 @@ def test_memory_error_is_a_resource_error(runner, monkeypatch):
     assert (res.exit_code, res.stdout) == (3, "")
     assert res.stderr == ("resource error: out of memory "
                           "(Unable to allocate 56.4 GiB)\n")
+
+
+def test_rmatrix_past_the_product_cap_is_a_resource_error(runner,
+                                                          monkeypatch):
+    # two E8 adjoints: R would be 61504 x 61504, 56.4 GiB; the Weyl
+    # dimensions meet the cap before either irrep (11 s each) is built
+    def never(*args):
+        raise AssertionError("an irrep past the product cap was built")
+    monkeypatch.setattr("qsp.cli.build_irrep", never)
+    adjoint = "0,0,0,0,0,0,0,1"
+    start = time.perf_counter()
+    res = runner.invoke(main, ["rmatrix", "--algebra", "E8", "--v", adjoint,
+                               "--w", adjoint, "--q", "0.7"])
+    assert time.perf_counter() - start < 2.0
+    assert (res.exit_code, res.stdout) == (3, "")
+    assert res.stderr == (f"resource error: tensor product dimension 61504 "
+                          f"exceeds cap {qsp.uqrep.PRODUCT_DIM_CAP}\n")
 
 
 @pytest.mark.parametrize("cfg, dim", [

@@ -3,7 +3,9 @@
 An AST scan of ``src/qsp``: only ``lusztig`` imports ``qsp.algebra`` (for
 the braid automorphisms the tests compare against), no module defines,
 imports or names ``TensorElement`` or ``act_tensor`` (the formal coproduct
-lives in ``tests/formal_algebra.py``), and nothing imports from the tests.
+lives in ``tests/formal_algebra.py``), nothing imports from the tests, and
+one module, ``blocks``, defines the weight-block types that the R-matrix
+and the Vogan side share.
 """
 
 import ast
@@ -68,3 +70,14 @@ def test_the_program_imports_nothing_from_the_tests():
         for module, _ in _imported_modules(tree):
             top = module.split(".")[0]
             assert top != "tests" and top not in TEST_MODULES, (name, module)
+
+
+def test_one_weight_block_layer():
+    trees = _trees()
+    owners = {name for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and "Block" in node.name}
+    assert owners == {"blocks"}
+    for name in ("rmatrix", "vogan10"):
+        assert ("qsp.blocks", "WeightBlocks") in {
+            (module, taken) for module, names in _imported_modules(trees[name])
+            for taken in names}, name

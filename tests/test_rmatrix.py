@@ -7,7 +7,10 @@ import pytest
 from qsp.algebra import AlgebraElement
 from qsp.errors import UnsupportedOracleError
 from qsp.lusztig import braid_word_on_algebra
+from qsp.blocks import product_blocks
 from qsp.rmatrix import (
+    _PIN_TOL,
+    _cartan_factor,
     _intertwining_residual,
     _root_vector_mats,
     apply_on_legs,
@@ -19,9 +22,10 @@ from qsp.rmatrix import (
     rmat_oracle,
     ybe_residual,
 )
-from qsp.rootsys import beta_sequence, build_root_datum, longest_element
-from qsp.uqrep import (QParams, build_irrep, coproduct_terms, decompose,
-                        kron_sum, tensor)
+from qsp.rootsys import (beta_sequence, build_root_datum, longest_element,
+                         qint)
+from qsp.uqrep import (QParams, build_irrep, casimir_scalar, coproduct_terms,
+                        decompose, kron_sum, ribbon_diag, tensor)
 
 from formal_algebra import act
 from module_helpers import trivial_module
@@ -235,6 +239,48 @@ def _dense_hexagon_residuals(m, n, p):
     return res1, res2
 
 
+def _dense_ribbon_residual(m, n):
+    """Reference: R21 R Delta(v) multiplied densely."""
+    scal = m.qp.qpow(casimir_scalar(m.datum, m.highest)
+                     + casimir_scalar(n.datum, n.highest))
+    lhs = r21(m, n) @ rmat(m, n).matrix @ ribbon_diag(tensor(m, n))
+    return np.linalg.norm(lhs - scal * np.eye(m.dim * n.dim)) / abs(scal)
+
+
+def _dense_quasi_factor(m, n):
+    """Reference: the ordered product of the per-root series on the whole
+    of m ox n, every term a dense Kronecker product."""
+    qp = m.qp
+    total = np.eye(m.dim * n.dim, dtype=complex)
+    for (beta, e_m, _), (_, _, f_n) in reversed(list(zip(
+            _root_vector_mats(m), _root_vector_mats(n)))):
+        qb = qp.qpow(beta.pairing(beta) / 2)
+        coeff = 1.0
+        acc = np.eye(m.dim * n.dim, dtype=complex)
+        e_pow = np.eye(m.dim, dtype=complex)
+        f_pow = np.eye(n.dim, dtype=complex)
+        for k in range(1, m.dim + n.dim + 1):
+            e_pow = e_pow @ e_m
+            f_pow = f_pow @ f_n
+            if np.linalg.norm(e_pow) < 1e-300 or np.linalg.norm(f_pow) < 1e-300:
+                break
+            coeff *= (1.0 / qb - qb) * qb ** (-(k - 1)) / qint(k, qb)
+            acc = acc + coeff * np.kron(e_pow, f_pow)
+        total = total @ acc
+    return total
+
+
+@pytest.mark.parametrize("typ, coords", [
+    ("A3", [1, 0, 1]), ("A2", [2, 2]),
+], ids=["A3-adjoint", "A2-22"])
+def test_rmat_blocks_match_dense_quasi_factor(typ, coords):
+    # R built per total-weight block against every term on the whole space
+    m = V(build_root_datum(typ), coords, QParams(0.6))
+    got = rmat(m, m).matrix
+    want = _dense_quasi_factor(m, m) * _cartan_factor(m, m)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("q", [0.6, 0.9])
 @pytest.mark.parametrize("typ, coords", [
     ("A1", [1]),
@@ -252,11 +298,13 @@ def test_braid_checks_match_dense_reference(typ, coords, q):
     got = hexagon_residuals(m, m, m)
     want = _dense_hexagon_residuals(m, m, m)
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
+    assert abs(ribbon_residual(m, m) - _dense_ribbon_residual(m, m)) <= 1e-14
 
 
-def test_ybe_memory_is_column_blocks():
-    # on A2 adjoint ox 3 (N = 512) one dense embedded operator is 4 MB and
-    # the dense products peaked at 24 MB; the column blocks need about 2.5 MB
+def test_ybe_memory_is_weight_blocks():
+    # on A2 adjoint ox 3 (N = 512) one dense embedded operator is 4 MB, the
+    # dense products peaked at 24 MB and column blocks of the identity at
+    # 2.5 MB; the 37 weight blocks (15184 entries) need about 2.1 MB
     m = V(A2, [1, 1], QParams(0.6))
     rmat(m, m)
     tracemalloc.start()
@@ -265,7 +313,14 @@ def test_ybe_memory_is_column_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 2 ** 20 < 6.0
+    assert peak / 2 ** 20 < 2.5
+
+
+def test_ybe_on_the_a3_adjoint():
+    # N = 3375: the triple product has 147 weight blocks, the largest of
+    # size 183; the YBE check takes about 0.1 s on them
+    m = V(build_root_datum("A3"), [1, 0, 1], QParams(0.6))
+    assert ybe_residual(m) < 1e-10
 
 
 def _dense_intertwining_residual(mat, m, n):
@@ -285,31 +340,46 @@ def _dense_intertwining_residual(mat, m, n):
     ("A3", [1, 0, 1], [1, 0, 0]),
 ])
 def test_intertwining_residual_matches_dense_reference(typ, left, right):
-    # the row blocks against dense Kronecker products, on R and on R with
-    # one entry moved, which the check must see
+    # the check on the weight blocks against dense Kronecker products, on R
+    # and on R with one entry moved, which the check must see
     datum = build_root_datum(typ)
     m, n = V(datum, left, QParams(0.6)), V(datum, right, QParams(0.6))
     mat = rmat(m, n).matrix
-    assert _intertwining_residual(mat, m, n) <= 1e-13
+    index = product_blocks(m, n)
+    assert _intertwining_residual(mat, index, m, n)[0] <= 1e-13
+    assert _intertwining_residual(mat, index, m, n)[1] == 0.0
+    # an entry between two weight blocks: reported as off_block, past the
+    # tolerance that pins R
     bad = mat.copy()
     bad[1, 0] += 1e-3
+    assert _dense_intertwining_residual(bad, m, n) > 1e-6
+    assert _intertwining_residual(bad, index, m, n)[1] == pytest.approx(1e-3)
+    assert _intertwining_residual(bad, index, m, n)[1] > _PIN_TOL
+    # an entry inside the largest block: the block residual sees it
+    row, col = index.groups[-1][0, :2]
+    bad = mat.copy()
+    bad[row, col] += 1e-3
     want = _dense_intertwining_residual(bad, m, n)
     assert want > 1e-6
-    assert abs(_intertwining_residual(bad, m, n) - want) <= 1e-12 * want
+    got, off = _intertwining_residual(bad, index, m, n)
+    assert off == 0.0
+    assert abs(got - want) <= 1e-12 * want
 
 
-def test_intertwining_residual_memory_is_row_blocks():
+def test_intertwining_residual_memory_is_weight_blocks():
     # on A3 adjoint ox adjoint (N = 225) R is 0.8 MB; whole-size sides and
-    # their products held about 3.9 MB beyond R
+    # their products held about 3.9 MB beyond R and row blocks 1.1 MB; the
+    # block pairs, gathered in chunks, hold about 0.7 MB
     m = V(build_root_datum("A3"), [1, 0, 1], QParams(0.6))
     mat = rmat(m, m).matrix
+    index = product_blocks(m, m)
     tracemalloc.start()
     try:
-        _intertwining_residual(mat, m, m)
+        _intertwining_residual(mat, index, m, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 2 ** 20 < 1.5
+    assert peak / 2 ** 20 < 1.0
 
 
 def test_r21_matches_permutation_matrix():
@@ -365,6 +435,11 @@ def test_root_vectors_match_formal_braid_images(typ, coords):
 def test_braid_identities_high_rank(typ, rank, coords):
     m = V(build_root_datum([(typ, rank)]), coords)
     assert ybe_residual(m) < 1e-10
-    r1, r2 = hexagon_residuals(m, m, m)
-    assert r1 < 1e-10 and r2 < 1e-10
+    assert abs(ybe_residual(m) - _dense_ybe_residual(m)) <= 1e-14
+    hexagons = hexagon_residuals(m, m, m)
+    assert max(hexagons) < 1e-10
+    assert np.max(np.abs(np.subtract(
+        hexagons, _dense_hexagon_residuals(m, m, m)))) <= 1e-14
     assert ribbon_residual(m, m) < 1e-10
+    assert abs(ribbon_residual(m, m) - _dense_ribbon_residual(m, m)) \
+        <= 1e-12 * ribbon_residual(m, m)

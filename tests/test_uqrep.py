@@ -142,6 +142,20 @@ def test_dim_cap():
         build_irrep(A1, A1.weight([500]), QParams(0.7))
 
 
+def test_products_past_the_product_cap_are_refused(monkeypatch):
+    # V1 ox V1 has dimension 9: under a cap of 8 each product is refused
+    # before it is formed
+    import qsp.uqrep
+    from qsp.rmatrix import rmat
+    v1 = build_irrep(A1, A1.weight([2]), QParams(0.45))
+    monkeypatch.setattr(qsp.uqrep, "PRODUCT_DIM_CAP", 8)
+    for call in (lambda: tensor(v1, v1), lambda: rmat(v1, v1),
+                 lambda: intertwiners([(v1.E[1], v1.E[1])], 1e-9)):
+        with pytest.raises(ResourceError, match="dimension 9 exceeds cap 8"):
+            call()
+    assert not {("tensor", v1), ("blocks", v1), ("rmat", v1)} & set(v1.cache)
+
+
 def test_tensor_with_trivial_is_identity():
     v = build_irrep(A1, A1.weight([1]), QP)
     t = trivial_module(A1, QP)

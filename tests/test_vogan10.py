@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qsp.blocks import leg_blocks, product_blocks
 from qsp.errors import ConsistencyError, InputError, ResourceError
 from qsp.rootsys import build_root_datum
 from qsp.uqrep import QParams, build_irrep, kernel, ribbon_diag, tensor
@@ -15,10 +16,8 @@ from qsp.vogan10 import (
     e_matrix_component_scalars,
     fusion_check,
     interior_indices,
-    leg_blocks,
     nu_module,
     plain_block_eigenvalues,
-    product_blocks,
     relations_residual,
     spin_half_block,
     spin_half_transfer,
@@ -518,14 +517,14 @@ def test_braid_is_built_once_and_read_only(v):
 
 def test_leg_blocks_report_entries_between_blocks(v):
     m = build_Mr(0.25, QP, 6)
-    legs_h, index = product_blocks(m, v, v)
+    index = product_blocks(m, v, v)
     # E on the last leg alone raises the total weight: nothing of it lies
     # in a block, and the largest dropped entry is reported
-    raised = leg_blocks(index, legs_h, [((2,), v.E[1])])
+    raised = leg_blocks(index, [((2,), v.E[1])])
     assert raised.off_block == pytest.approx(Q ** 0.5)
     assert all(not blk.any() for blk in raised.stacks)
     # E ox F on the two V legs keeps it: nothing is dropped
-    kept = leg_blocks(index, legs_h, [((1,), v.E[1]), ((2,), v.F[1])])
+    kept = leg_blocks(index, [((1,), v.E[1]), ((2,), v.F[1])])
     assert kept.off_block == 0.0
     np.testing.assert_array_equal(
         kept.dense(), np.kron(np.eye(m.dim), np.kron(v.E[1], v.F[1])))
@@ -534,10 +533,10 @@ def test_leg_blocks_report_entries_between_blocks(v):
 def test_weight_blocks_need_the_same_blocks(v):
     m = build_Mr(0.25, QP, 6)
     v1 = build_irrep(A1, A1.weight([2]), QP)
-    legs_h, index = product_blocks(m, v, v)
-    on_vv = leg_blocks(index, legs_h, [])
-    legs_h, index = product_blocks(m, v, v1)
-    on_vv1 = leg_blocks(index, legs_h, [])
+    index = product_blocks(m, v, v)
+    on_vv = leg_blocks(index, [])
+    index = product_blocks(m, v, v1)
+    on_vv1 = leg_blocks(index, [])
     with pytest.raises(ConsistencyError):
         on_vv @ on_vv1
     with pytest.raises(ConsistencyError):
