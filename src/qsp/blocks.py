@@ -170,8 +170,10 @@ def shift_maxima(mat, keys):
     if not len(rows):
         return {}
     shifts = _rounded(keys[rows] - keys[cols])
-    codes = _codes(shifts)
     vals = np.abs(mat[rows, cols])
+    if not shifts.any():   # an operator that keeps the weight
+        return {(0,) * shifts.shape[1]: float(vals.max())}
+    codes = _codes(shifts)
     out = {}
     for code in set(codes.tolist()):
         hit = codes == code
