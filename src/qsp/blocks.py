@@ -126,12 +126,12 @@ class BlockIndex:
 
     def shifted(self, shift):
         """The pairs of blocks an operator moving the total weight by
-        ``shift`` (an integer key row) maps between: arrays (t, s) with
-        block_keys[t] = block_keys[s] + shift, sorted stably by the shape
-        (sizes[t], sizes[s])."""
+        ``shift`` (a key row) maps between: arrays (t, s) with
+        block_keys[t] = block_keys[s] + shift (rounded like the keys of a
+        ladder), sorted stably by the shape (sizes[t], sizes[s])."""
         n_blocks = len(self.sizes)
-        codes = _codes(np.concatenate([self.block_keys,
-                                       self.block_keys + shift])).tolist()
+        shifted = _rounded(self.block_keys + shift)
+        codes = _codes(np.concatenate([self.block_keys, shifted])).tolist()
         block_of = dict(zip(codes[:n_blocks], range(n_blocks)))
         tgt = [block_of.get(code, -1) for code in codes[n_blocks:]]
         src = [s for s in range(n_blocks) if tgt[s] >= 0]

@@ -141,18 +141,20 @@ class WeightModule:
         return spaces
 
 
-def kernel(mat, rel):
-    """Orthonormal kernel of ``mat`` and its singular values, as (basis, s).
+def null_mask(s, cols, rel):
+    """Which right singular vectors of a matrix with ``cols`` columns, or of
+    each in a stack, span its kernel, from its singular values s (last axis,
+    descending): s <= rel * max(s_max, 1), and all beyond the row count."""
+    wide = np.ones((*s.shape[:-1], cols - s.shape[-1]), dtype=bool)
+    return np.concatenate((s <= rel * np.maximum(s[..., :1], 1.0), wide), -1)
 
-    A singular value counts as zero when it is <= rel * max(s_max, 1); the
-    columns beyond the row count of a wide matrix are always in the kernel.
-    Tall and square matrices take the thin SVD, so the left singular vectors
-    that would be thrown away are never formed."""
+
+def kernel(mat, rel):
+    """Orthonormal kernel of ``mat``, cut by ``null_mask``, and its singular
+    values, as (basis, s); no unused left singular vector is formed."""
     rows, cols = mat.shape
     _, s, vh = np.linalg.svd(mat, full_matrices=rows < cols)
-    cut = rel * max(s[0] if len(s) else 0.0, 1.0)
-    keep = [i for i in range(cols) if i >= len(s) or s[i] <= cut]
-    return vh.conj().T[:, keep], s
+    return vh.conj().T[:, null_mask(s, cols, rel)], s
 
 
 def require_product_dim(*dims):

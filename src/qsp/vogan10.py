@@ -24,9 +24,9 @@ keyed by the rounded H-eigenvalues of the ladder) and keeps it in the
 module's cache; ``e_matrix`` scatters these blocks into a dense matrix.
 The axiom checks in ``qsp.harness`` are products of such operators on
 M ox U ox V, gathered by ``qsp.blocks.leg_blocks`` (blocks of size at most
-4), and ``fusion_check`` takes the kernel of F per block.  On M_r ox V_{1/2} the
-blocks are 2x2, and the spectral data are read from their closed form,
-``spin_half_block``.
+4), and ``fusion_check`` takes the kernel of F between neighbouring blocks.
+On M_r ox V_{1/2} the blocks are 2x2; the spectral data and the component
+scalars are read from their closed form, ``spin_half_block``.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import WeightBlocks, leg_blocks, product_blocks, shift_maxima
+from .blocks import (WeightBlocks, leg_blocks, product_blocks, shape_runs,
+                     shift_maxima, stack)
 from .errors import ConsistencyError, InputError, ResourceError
 from .rootsys import qfact
-from .uqrep import WeightModule, kernel, read_only, ribbon_diag
+from .uqrep import WeightModule, null_mask, read_only, ribbon_diag
 
 # the most levels build_Mr truncates to: F is a dense cap x cap complex
 # matrix, 16 cap^2 bytes (67 MB at 2048)
@@ -172,15 +173,6 @@ def _weight_key(hval):
     return round(float(hval), 9)
 
 
-def _weight_groups(h):
-    """Indices of a basis with H-eigenvalues h, grouped by weight (keyed by
-    ``_weight_key``, in order of first appearance)."""
-    groups = {}
-    for i, hval in enumerate(h.tolist()):
-        groups.setdefault(_weight_key(hval), []).append(i)
-    return groups
-
-
 def su2_series_coeff(n, q):
     """c_n = (q^{-1}-q)^n q^{-n(n-1)/2} / [n]_q!."""
     return (1 / q - q) ** n * q ** (-n * (n - 1) / 2) / qfact(n, q)
@@ -252,12 +244,6 @@ def nu_module(v):
     return v.cache[key]
 
 
-def weight_blocks(module, v):
-    """Total-weight spaces of module ox V as index lists, keyed by the
-    H-eigenvalue."""
-    return _weight_groups(_total_h(module, v))
-
-
 def _require_spin_half(v, q):
     """InputError unless V is the spin-1/2 irrep of U_q(sl2) in its basis
     (e_+, e_-), E e_- = q^{1/2} e_+ and F e_+ = q^{-1/2} e_-: the only V
@@ -289,15 +275,16 @@ def spin_half_block(q, u, w2, g, phi_w2):
 
 
 def _spin_half_blocks(module, q):
-    """The twist braid on the 2x2 weight blocks m = 0 .. cap-2 of
-    module ox V_{1/2}, stacked as an array of shape (cap-1, 2, 2)."""
+    """``spin_half_block`` on the weight blocks m = 0 .. cap-2 of
+    module ox V_{1/2}, as arrays (B00, B01, B11) over m: one evaluation for
+    both readers, as numpy's pow and expm1 differ from math's in the last
+    bit at some levels, and at the q = 0.05 wall of the chains one bit moves
+    a scalar by its own size."""
     n = np.arange(1, module.dim)   # m + 1
     qn = q ** n.astype(float)
     phi = module.f_mat.diagonal(1).real
-    b00, b01, b11 = spin_half_block(q, q ** module.r, qn * qn,
-                                    -np.expm1(2 * n * math.log(q)),
-                                    phi * qn * qn)
-    return np.stack([np.stack([b00, b01], -1), np.stack([-b01, b11], -1)], -2)
+    return spin_half_block(q, q ** module.r, qn * qn,
+                           -np.expm1(2 * n * math.log(q)), phi * qn * qn)
 
 
 def plain_block_eigenvalues(module, v, qp):
@@ -315,9 +302,10 @@ def plain_block_eigenvalues(module, v, qp):
             f"the braid on the top level overflows double precision "
             f"(q = {q}, {module.dim} levels)") from None
     h = _total_h(module, v).reshape(-1, 2)
+    b00, b01, b11 = _spin_half_blocks(module, q)
+    blocks = np.moveaxis(np.array([[b00, b01], [-b01, b11]]), -1, 0)
     # twist_to_plain on a block: K_chi^{-1} is (-i, i) on (e_+, e_-)
-    evals = np.linalg.eigvals(_spin_half_blocks(module, q)
-                              * np.array([-1j, 1j]))
+    evals = np.linalg.eigvals(blocks * np.array([-1j, 1j]))
     out = {_weight_key(h[0, 1]): [1j * q ** (-module.r - 1.5)]}
     for m, pair in enumerate(evals):
         out[_weight_key(h[m, 0])] = sorted(pair, key=lambda z: -abs(z))
@@ -334,23 +322,17 @@ def spin_half_transfer(q, phi_m, phi_next, sign):
     return phi_m / q, sign * q ** -0.5, q * phi_next
 
 
-def _transfers(module, q, sign):
-    """``spin_half_transfer`` for m = 0 .. cap-2, stacked as an array of
-    shape (cap-1, 2, 2).  Block -1 is e_0 ox e_- (phi_0 = 0)."""
-    phi = np.concatenate(([0.0], module.f_mat.diagonal(1).real))
-    t00, t01, t11 = spin_half_transfer(q, phi[:-1], phi[1:], sign)
-    out = np.zeros((module.dim - 1, 2, 2))
-    out[:, 0, 0] = t00
-    out[:, 0, 1] = t01
-    out[:, 1, 1] = t11
-    return out
+def _normalised(a, b, c, d):
+    """The vectors (a, b) and (c, d) divided by their largest entry, so that
+    their ratio is kept and no squared norm can overflow (0/0 gives nan)."""
+    scale = max(abs(a), abs(b), abs(c), abs(d)) or math.nan
+    return a / scale, b / scale, c / scale, d / scale
 
 
-def _normalised(a, b):
-    """a and b divided by one common factor, the largest entry of either,
-    so that their ratio is kept and no squared norm can overflow."""
-    scale = np.abs(np.concatenate((a, b))).max()
-    return a / scale, b / scale
+def _div(a, b):
+    """a / b as an array division: inf or nan where b is 0, where a float
+    division raises."""
+    return a / b if b else (a * math.inf if a else math.nan)
 
 
 def e_matrix_component_scalars(module, v, qp):
@@ -363,34 +345,41 @@ def e_matrix_component_scalars(module, v, qp):
     quotient are canonical.  Returns {weight: (mu, lam)} together with the
     worst parallelism defect, as ({...}, defect).
 
-    ``v`` must be V_{1/2}.  The chains run through the closed-form 2x2
-    blocks of ``spin_half_block``, both chains of a pair normalised by one
-    common factor at every step: O(levels), and finite at every level."""
+    ``v`` must be V_{1/2}.  The chains run in float arithmetic, one level per
+    step, through ``spin_half_transfer`` and the blocks of
+    ``spin_half_block``, both chains of a pair normalised by one common
+    factor at every step: O(levels), and finite at every level."""
     q = qp.q
     _require_spin_half(v, q)
     if module.dim < 4:
         return {}, 0.0   # no level lies 3 below the cap
-    h = _total_h(module, v).reshape(-1, 2)
-    blocks = _spin_half_blocks(module, q)
-    plain, twisted = _transfers(module, q, 1), _transfers(module, q, -1)
+    h = module.h_diag.tolist()
+    phi = [0.0, *module.f_mat.diagonal(1).real.tolist()]   # phi_0 = 0
+    b00, b01, b11 = (arr.tolist() for arr in _spin_half_blocks(module, q))
     # e_0 ox e_-, lowest for both actions, is its own block (block -1)
-    out = {_weight_key(h[0, 1]): (complex(q ** (-module.r - 1.5)), None)}
-    sub = sub_tw = np.array([0.0, 1.0])
+    out = {_weight_key(h[0] - 1.0): (complex(q ** (-module.r - 1.5)), None)}
+    s0, s1, w0, w1 = 0.0, 1.0, 0.0, 1.0   # the sub-lines, plain and twisted
     # e_0 ox e_+ generates the quotient classes
-    quot = quot_tw = np.array([1.0, 0.0])
+    p0, p1, pw0, pw1 = 1.0, 0.0, 1.0, 0.0
     defect = 0.0
     for m in range(module.dim - 4):   # blocks with no level in the top 3
-        sub, sub_tw = _normalised(plain[m] @ sub, twisted[m] @ sub_tw)
+        t00, t01, t11 = spin_half_transfer(q, phi[m], phi[m + 1], 1)
+        # the nu-twisted transfer differs in the sign of T01 alone
+        s0, s1, w0, w1 = _normalised(t00 * s0 + t01 * s1, t11 * s1,
+                                     t00 * w0 - t01 * w1, t11 * w1)
         if m:
-            quot, quot_tw = _normalised(plain[m] @ quot, twisted[m] @ quot_tw)
-        img = blocks[m] @ sub_tw
-        nrm2 = sub @ sub
-        mu = (sub @ img) / nrm2
-        defect = max(defect, np.linalg.norm(img - mu * sub) / math.sqrt(nrm2))
-        # annihilator of the sub-line, against canonical quotient reps
-        vperp = np.array([-sub[1], sub[0]])
-        lam = (vperp @ (blocks[m] @ quot_tw)) / (vperp @ quot)
-        out[_weight_key(h[m, 0])] = (complex(mu), complex(lam))
+            p0, p1, pw0, pw1 = _normalised(t00 * p0 + t01 * p1, t11 * p1,
+                                           t00 * pw0 - t01 * pw1, t11 * pw1)
+        c00, c01, c11 = b00[m], b01[m], b11[m]   # B10 = -B01
+        img0, img1 = c00 * w0 + c01 * w1, c11 * w1 - c01 * w0
+        nrm2 = s0 * s0 + s1 * s1
+        mu = _div(s0 * img0 + s1 * img1, nrm2)
+        defect = max(defect, _div(math.hypot(img0 - mu * s0, img1 - mu * s1),
+                                  math.sqrt(nrm2)))
+        # (-s1, s0) annihilates the sub-line; against canonical quotient reps
+        lam = _div(s0 * (c11 * pw1 - c01 * pw0) - s1 * (c00 * pw0 + c01 * pw1),
+                   s0 * p1 - s1 * p0)
+        out[_weight_key(h[m] + 1.0)] = (complex(mu), complex(lam))
     return out, defect
 
 
@@ -400,10 +389,12 @@ def fusion_check(module, v, qp):
     {weight: multiplicity}.
 
     F = F_M ox K^{-1} + 1 ox F lowers the weight by 2, so on the columns of
-    weight h only the rows of weight h - 2 can be nonzero: each kernel is
-    taken on that block of at most dim V rows, and no coaction matrix on
-    module ox V is formed.  ConsistencyError if F_M or F on V moves a
-    weight by anything but -2."""
+    weight h only the rows of weight h - 2 can be nonzero: F's entries are
+    gathered on the block pairs of ``BlockIndex.shifted(-2)``, 16 pairs at a
+    time (larger gathers raise the process's peak memory by up to 0.5 MB),
+    and their kernels taken by one SVD per pair shape; a block with none
+    below is all kernel.  No coaction matrix on module ox V is formed.
+    ConsistencyError if F_M or F on V moves a weight by anything but -2."""
     if module.dim < 3:
         raise InputError("truncation too small for a fusion check")
     f_v = v.F[1]
@@ -413,20 +404,24 @@ def fusion_check(module, v, qp):
         if stray:
             raise ConsistencyError(f"F moves weights by {stray}, not only -2")
     kv_inv = 1 / v.k_diag(v.datum.simple_root(1))
-    groups = weight_blocks(module, v)
-    n_interior = len(interior_indices(module, v.dim, 2))
-    out = {}
-    for hval, idx in groups.items():
-        if idx[-1] >= n_interior:
-            continue
-        x_col, a_col = np.divmod(np.array(idx), v.dim)
-        rows = np.array(groups.get(_weight_key(hval - 2), []), dtype=int)
-        x_row, a_row = np.divmod(rows[:, None], v.dim)
+    index = product_blocks(module, v)
+    first = index.members[index.starts]
+    last = index.members[index.starts + index.sizes - 1]
+    dims = np.where(last < len(interior_indices(module, v.dim, 2)),
+                    index.sizes, 0)
+    tgt, src = index.shifted(-2)
+    tgt, src = tgt[dims[src] > 0], src[dims[src] > 0]
+    at = np.concatenate(([0], np.cumsum(index.sizes[tgt] * index.sizes[src])))
+    f_blk = np.empty(at[-1], dtype=complex)
+    for c in range(0, len(src), 16):
+        rows, cols = index.pair_entries(tgt[c:c + 16], src[c:c + 16])[:2]
+        (xr, ar), (xc, ac) = divmod(rows, v.dim), divmod(cols, v.dim)
         # the entries of kron(F_M, diag(K^{-1})) + kron(1, F) there
-        f_blk = module.f_mat[x_row, x_col] \
-            * ((a_row == a_col) * kv_inv[a_col]) \
-            + (x_row == x_col) * f_v[a_row, a_col]
-        dim_ker = kernel(f_blk, 1e-9)[0].shape[1]
-        if dim_ker:
-            out[hval] = dim_ker
-    return out
+        f_blk[at[c]:at[c] + len(rows)] = module.f_mat[xr, xc] \
+            * ((ar == ac) * kv_inv[ac]) + (xr == xc) * f_v[ar, ac]
+    for p, count, a, b in shape_runs(index.sizes[tgt], index.sizes[src]):
+        sv = np.linalg.svd(stack(f_blk, at[p], count, a, b), compute_uv=False)
+        dims[src[p:p + count]] = null_mask(sv, b, 1e-9).sum(-1)
+    h = _total_h(module, v)
+    return {_weight_key(h[first[b]]): int(dims[b]) for b in
+            sorted(np.flatnonzero(dims).tolist(), key=first.__getitem__)}

@@ -3,6 +3,7 @@
 import numpy as np
 
 from qsp.uqrep import WeightModule
+from qsp.vogan10 import _total_h, _weight_key
 
 
 def trivial_module(datum, qp):
@@ -24,3 +25,18 @@ def star_residual(module):
         scale = max(np.linalg.norm(e), 1e-30)
         worst = max(worst, np.linalg.norm(e.conj().T - frkr) / scale)
     return worst
+
+
+def _weight_groups(h):
+    """Indices of a basis with H-eigenvalues h, grouped by weight (keyed by
+    ``_weight_key``, in order of first appearance)."""
+    groups = {}
+    for i, hval in enumerate(h.tolist()):
+        groups.setdefault(_weight_key(hval), []).append(i)
+    return groups
+
+
+def weight_blocks(module, v):
+    """Total-weight spaces of module ox V, a ladder of ``qsp.vogan10`` times
+    a weight module, as index lists keyed by the H-eigenvalue."""
+    return _weight_groups(_total_h(module, v))

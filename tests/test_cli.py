@@ -14,6 +14,7 @@ import qsp
 import qsp.errors
 import qsp.uqrep
 from qsp.cli import main
+from qsp.vogan10 import MAX_LEVELS
 
 
 @pytest.fixture()
@@ -177,6 +178,7 @@ _KMATRIX_SWEEP = """
 import json, os, sys
 from click.testing import CliRunner
 from qsp.cli import main
+from qsp.vogan10 import MAX_LEVELS
 from qsp.diagrams import enumerate_admissible
 from qsp.rootsys import build_root_datum
 runner, out = CliRunner(), []
@@ -406,6 +408,19 @@ def test_verify_rank_one_accepts_levels(runner, levels):
                                "--r", "0.1", "--levels", str(levels)])
     assert res.exit_code in (0, 1), res.stderr
     assert json.loads(res.stdout)["parameters"]["levels"] == levels
+
+
+def test_verify_rank_one_at_the_level_cap(runner):
+    # MAX_LEVELS is the documented ceiling of the probe: it passes there,
+    # every residual inside its tolerance
+    res = runner.invoke(main, ["verify", "rank-one", "--q", "0.95", "--r",
+                               "0.1", "--levels", str(MAX_LEVELS)])
+    assert res.exit_code == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["parameters"]["levels"] == MAX_LEVELS
+    assert payload["info"]["vogan-nonfinite-scalars"] == 0
+    for key, val in payload["residuals"].items():
+        assert val <= payload["tolerances"][key], key
 
 
 def test_verify_rank_one_stderr_stays_empty():

@@ -1,14 +1,20 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from module_helpers import weight_blocks
 from qsp.blocks import leg_blocks, product_blocks
 from qsp.errors import ConsistencyError, InputError, ResourceError
 from qsp.rootsys import build_root_datum
 from qsp.uqrep import QParams, build_irrep, kernel, ribbon_diag, tensor
 from qsp.vogan10 import (
     _h_vector,
+    _require_spin_half,
+    _spin_half_blocks,
+    _total_h,
+    _weight_key,
     braid_blocks,
     build_Mr,
     coaction_tensor,
@@ -22,7 +28,6 @@ from qsp.vogan10 import (
     spin_half_block,
     spin_half_transfer,
     su2_series_coeff,
-    weight_blocks,
 )
 
 A1 = build_root_datum([("A", 1)])
@@ -256,6 +261,107 @@ def test_component_scalars_match_dense_chains(q, levels):
         assert abs(defect - defect_ref) < 1e-12
 
 
+def _stacked_transfers(module, q, sign):
+    """``spin_half_transfer`` for m = 0 .. cap-2, stacked as an array of
+    shape (cap-1, 2, 2).  Block -1 is e_0 ox e_- (phi_0 = 0)."""
+    phi = np.concatenate(([0.0], module.f_mat.diagonal(1).real))
+    t00, t01, t11 = spin_half_transfer(q, phi[:-1], phi[1:], sign)
+    out = np.zeros((module.dim - 1, 2, 2))
+    out[:, 0, 0] = t00
+    out[:, 0, 1] = t01
+    out[:, 1, 1] = t11
+    return out
+
+
+def _component_scalars_block_ref(module, v, qp):
+    """The numpy block chains the float chains replaced, kept as the
+    reference: stacked (cap-1, 2, 2) blocks and transfers, one matrix-vector
+    product per chain and level, both chains of a pair scaled by their
+    largest entry."""
+    q = qp.q
+    _require_spin_half(v, q)
+    if module.dim < 4:
+        return {}, 0.0
+    h = _total_h(module, v).reshape(-1, 2)
+    b00, b01, b11 = _spin_half_blocks(module, q)
+    blocks = np.stack([np.stack([b00, b01], -1),
+                       np.stack([-b01, b11], -1)], -2)
+    plain = _stacked_transfers(module, q, 1)
+    twisted = _stacked_transfers(module, q, -1)
+
+    def normalised(a, b):
+        scale = np.abs(np.concatenate((a, b))).max()
+        return a / scale, b / scale
+
+    out = {_weight_key(h[0, 1]): (complex(q ** (-module.r - 1.5)), None)}
+    sub = sub_tw = np.array([0.0, 1.0])
+    quot = quot_tw = np.array([1.0, 0.0])
+    defect = 0.0
+    for m in range(module.dim - 4):
+        sub, sub_tw = normalised(plain[m] @ sub, twisted[m] @ sub_tw)
+        if m:
+            quot, quot_tw = normalised(plain[m] @ quot, twisted[m] @ quot_tw)
+        img = blocks[m] @ sub_tw
+        nrm2 = sub @ sub
+        mu = (sub @ img) / nrm2
+        defect = max(defect, np.linalg.norm(img - mu * sub) / math.sqrt(nrm2))
+        vperp = np.array([-sub[1], sub[0]])
+        lam = (vperp @ (blocks[m] @ quot_tw)) / (vperp @ quot)
+        out[_weight_key(h[m, 0])] = (complex(mu), complex(lam))
+    return out, defect
+
+
+def _fusion_block_ref(module, v):
+    """The per-block route the stacked kernels replaced, kept as the
+    reference: for each interior weight block, F's entries gathered on the
+    rows of weight h - 2 and one ``kernel`` taken."""
+    kv_inv = 1 / v.k_diag(v.datum.simple_root(1))
+    groups = weight_blocks(module, v)
+    n_interior = len(interior_indices(module, v.dim, 2))
+    out = {}
+    for hval, idx in groups.items():
+        if idx[-1] >= n_interior:
+            continue
+        x_col, a_col = np.divmod(np.array(idx), v.dim)
+        rows = np.array(groups.get(_weight_key(hval - 2), []), dtype=int)
+        x_row, a_row = np.divmod(rows[:, None], v.dim)
+        f_blk = module.f_mat[x_row, x_col] \
+            * ((a_row == a_col) * kv_inv[a_col]) \
+            + (x_row == x_col) * v.F[1][a_row, a_col]
+        dim_ker = kernel(f_blk, 1e-9)[0].shape[1]
+        if dim_ker:
+            out[hval] = dim_ker
+    return out
+
+
+# every point build_Mr accepts, and the stretch size; the scalars agree
+# relative to the larger of the reference and its closed form (a wall
+# scalar can be far off, even 0), the defect relative to the sub-line
+# scalar it is measured against
+@pytest.mark.parametrize("q,r,levels", [
+    *((q, r, lv) for q in (0.05, 0.3, 0.7, 0.95, 0.999)
+      for r in (0.1, 1.3, 5.0) for lv in (5, 60, 360)),
+    (0.95, 0.1, 2000)])
+def test_float_chains_and_stacked_kernels_match_block_routes(q, r, levels):
+    qp = QParams(q)
+    vh = build_irrep(A1, A1.weight([1]), qp)
+    try:
+        m = build_Mr(r, qp, levels)
+    except ResourceError:
+        pytest.skip("beyond double precision: build_Mr refuses")
+    got, defect = e_matrix_component_scalars(m, vh, qp)
+    want, defect_ref = _component_scalars_block_ref(m, vh, qp)
+    assert list(got) == list(want)
+    closed = (q ** (-r - 1.5), q ** (r + 0.5))
+    for h, pair in want.items():
+        for x, y, c in zip(got[h], pair, closed):
+            assert (x is None) == (y is None), h
+            if y is not None:
+                assert abs(x - y) <= 1e-13 * max(abs(y), c), h
+    assert abs(defect - defect_ref) <= 1e-13 * closed[0]
+    assert fusion_check(m, vh, qp) == _fusion_block_ref(m, vh)
+
+
 @pytest.mark.parametrize("q,levels", [
     *((q, lv) for q in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.999)
       for lv in (5, 20, 60, 360)),
@@ -277,6 +383,27 @@ def test_component_scalars_sweep(q, levels):
                 assert np.isfinite(lam)
                 assert abs(lam - q ** (r + 0.5)) < 1e-10, h
         assert defect < 1e-10
+
+
+@pytest.mark.parametrize("level", [1, 3, 5])
+def test_a_zero_coefficient_gives_nonfinite_scalars_not_an_error(v, level):
+    # a hand-made ladder with F e_level = 0 makes the chains divide by 0:
+    # the scalars come out inf or nan where the numpy block chains give
+    # them, and no ZeroDivisionError escapes
+    m = build_Mr(0.25, QP, 10)
+    f_mat = m.f_mat.copy()
+    f_mat[level - 1, level] = 0.0
+    bad = type(m)(m.r, m.qp, m.k_diag, f_mat, m.h_diag)
+    got, _ = e_matrix_component_scalars(bad, v, QP)
+    with np.errstate(all="ignore"):
+        want, _ = _component_scalars_block_ref(bad, v, QP)
+
+    def finite(scal):
+        return [np.isfinite(x) for pair in scal.values() for x in pair
+                if x is not None]
+
+    assert finite(got) == finite(want)
+    assert not all(finite(got))
 
 
 def test_block_data_need_spin_half(v):
@@ -426,7 +553,6 @@ def test_singular_values_match_moduli(v):
     # the moduli of the eigenvalues
     m = build_Mr(1.0, QP, 12)
     plain = twist_to_plain(e_matrix(m, v, QP), v)
-    from qsp.vogan10 import weight_blocks
     blocks = weight_blocks(m, v)
     interior = [h for h in sorted(blocks) if len(blocks[h]) == 2][:6]
     for h in interior:
@@ -476,17 +602,20 @@ def test_fusion_matches_dense_route(levels):
 
 
 def test_fusion_forms_no_coaction_matrix():
-    # the dense coaction F alone is 64 MB at 1000 levels
+    # the dense coaction F alone is 64 MB at 1000 levels; the stacked
+    # kernels and the float chains peak near 0.27 MB there, and per-block
+    # Python lists or one unchunked gather near 0.55 MB
     qp = QParams(0.95)
     vh = build_irrep(A1, A1.weight([1]), qp)
     m = build_Mr(0.1, qp, 1000)
-    tracemalloc.start()
-    try:
-        fusion_check(m, vh, qp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2 ** 20
+    for routine in (fusion_check, e_matrix_component_scalars):
+        tracemalloc.start()
+        try:
+            routine(m, vh, qp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.35 * 2 ** 20, routine.__name__
 
 
 def test_fusion_rejects_a_stray_weight_shift(v):

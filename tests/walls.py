@@ -9,6 +9,7 @@ leaves this table for a passing test.
 
 from dataclasses import dataclass
 
+from qsp.harness import run_axioms, run_rank_one
 from qsp.rmatrix import ribbon_residual
 from qsp.rootsys import build_root_datum
 from qsp.uqrep import QParams, build_irrep
@@ -19,6 +20,16 @@ def ribbon_on_v_v(typ, coords, q):
     datum = build_root_datum(typ)
     v = build_irrep(datum, datum.weight(list(coords)), QParams(q))
     return ribbon_residual(v, v)
+
+
+def vogan_axiom(key, q, levels):
+    """Residual ``key`` of ``run_axioms("vogan", q, r=0.1, levels=levels)``."""
+    return run_axioms("vogan", q, r=0.1, levels=levels).residuals[key]
+
+
+def rank_one(key, q, r, levels):
+    """Residual ``key`` of ``run_rank_one(q, r, levels)``."""
+    return run_rank_one(q, r, levels).residuals[key]
 
 
 @dataclass(frozen=True)
@@ -40,4 +51,18 @@ WALLS = (
          5.30e-10, 1e-10, "ROADMAP item 4"),
     Wall("ribbon-B3-vector-q0.4", ribbon_on_v_v, ("B3", (1, 0, 0), 0.4),
          4.91e-7, 1e-10, "ROADMAP item 4"),
+    Wall("vogan-EqRB2-q0.7-L30", vogan_axiom, ("EqRB2", 0.7, 30),
+         0.593, 1e-9, "ROADMAP item 2"),
+    Wall("vogan-EqRB2-q0.5-L20", vogan_axiom, ("EqRB2", 0.5, 20),
+         1.46e3, 1e-9, "ROADMAP item 2"),
+    Wall("vogan-cyl-tw-eq-q0.96-L160", vogan_axiom, ("cyl-tw-eq", 0.96, 160),
+         7.22e-6, 1e-9, "ROADMAP item 2"),
+    Wall("rank-one-trace-lambda-q0.999", rank_one,
+         ("trace-lambda[1.0]", 0.999, 0.25, 60), 1.23e-9, 1e-9,
+         "ROADMAP item 3"),
+    Wall("rank-one-vogan-scalars-q0.05", rank_one,
+         ("vogan-scalars", 0.05, 5.0, 60), 1.84e-7, 1e-10, "ROADMAP item 3"),
+    Wall("rank-one-vogan-coideal-sv-q0.05", rank_one,
+         ("vogan-coideal-sv", 0.05, 5.0, 60), 2.86e8, 1e-8,
+         "ROADMAP item 3"),
 )
