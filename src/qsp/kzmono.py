@@ -135,6 +135,17 @@ def _herm_form(x, y):
     return x[0] * ys[1] + x[1] * ys[0] + 2 * x[2] * ys[2]
 
 
+def _kept(method):
+    """Keep a method's matrices per argument tuple in self.kept, read-only."""
+    def kept(self, *args):
+        key = (method.__name__, *args)
+        if key not in self.kept:
+            self.kept[key] = method(self, *args)
+            self.kept[key].setflags(write=False)
+        return self.kept[key]
+    return kept
+
+
 @dataclass
 class SymPairTensors:
     """Split invariant tensors of sl2 for the involution ``SIGMA``.
@@ -145,23 +156,25 @@ class SymPairTensors:
 
     plus_basis: list
     minus_basis: list
-    reps: dict = field(default_factory=dict)
-    sigmas: dict = field(default_factory=dict)
+    kept: dict = field(default_factory=dict)
 
+    @_kept
     def rep(self, j2):
-        if j2 not in self.reps:
-            self.reps[j2] = spin_matrices(j2)
-        return self.reps[j2]
+        """The spin matrices composed with the *-automorphism
+        e -> (e+f)/2 + ih/2, f -> (e+f)/2 - ih/2, h -> i(e-f), exact in
+        floating point.  It takes f - e, which spans the fixed subalgebra k
+        of ``SIGMA``, to -ih: the basis is the k-weight basis."""
+        e, f, h = spin_matrices(j2)
+        half = (e + f) / 2
+        return np.array([half + 0.5j * h, half - 0.5j * h, 1j * (e - f)])
 
     def vec_matrix(self, vec, j2):
         e, f, h = self.rep(j2)
         return vec[0] * e + vec[1] * f + vec[2] * h
 
+    @_kept
     def sigma_matrix(self, j2):
-        """Unitary implementing sigma on spin j, normalized to square to 1;
-        kept per spin, read-only."""
-        if j2 in self.sigmas:
-            return self.sigmas[j2]
+        """Unitary implementing sigma on spin j, normalized to square to 1."""
         pairs = [(self.vec_matrix(vec, j2),
                   self.vec_matrix(SIGMA @ vec, j2))
                  for vec in np.eye(3)]
@@ -169,9 +182,7 @@ class SymPairTensors:
         if len(basis) != 1:
             raise InputError("sigma does not integrate uniquely on this spin")
         s = basis[0]
-        self.sigmas[j2] = s = s / np.sqrt(np.trace(s @ s) / (j2 + 1))
-        s.setflags(write=False)
-        return s
+        return s / np.sqrt(np.trace(s @ s) / (j2 + 1))
 
     def pair_tensor(self, basis, j2a, j2b):
         """sum_i X_i^* ox X_i over a basis, on spin j2a ox spin j2b."""
@@ -183,15 +194,19 @@ class SymPairTensors:
             out += np.kron(xs, x)
         return out
 
+    @_kept
     def t_full(self, j2a, j2b):
         return self.pair_tensor(self.plus_basis + self.minus_basis, j2a, j2b)
 
+    @_kept
     def t_k(self, j2a, j2b):
         return self.pair_tensor(self.plus_basis, j2a, j2b)
 
+    @_kept
     def t_m(self, j2a, j2b):
         return self.pair_tensor(self.minus_basis, j2a, j2b)
 
+    @_kept
     def casimir_k(self, j2):
         dim = j2 + 1
         out = np.zeros((dim, dim), dtype=complex)
@@ -209,14 +224,12 @@ class SymPairTensors:
 
 
 def split_tensors():
-    """SymPairTensors of ``SIGMA``.  The eigenvectors are LAPACK's
-    (``np.linalg.eig``), orthonormalized for the invariant form; a
-    hand-written basis would move the last bits of every KZ coefficient."""
-    evals, evecs = np.linalg.eig(SIGMA)
-    plus, minus = [], []
-    for i in range(3):
-        (plus if abs(evals[i] - 1) < 1e-9 else minus).append(evecs[:, i])
-    return SymPairTensors(_orthonormalize(plus), _orthonormalize(minus))
+    """SymPairTensors of ``SIGMA`` from its eigenvectors f - e (+1), e + f
+    and h (-1), written out and orthonormalized: in the k-weight basis a of
+    ``kz_coeffs`` is exactly diagonal, and b_+, b_- are exactly 0.0 between
+    different total k-weights."""
+    plus, e_f, h = np.array([[-1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=complex)
+    return SymPairTensors(_orthonormalize([plus]), _orthonormalize([e_f, h]))
 
 
 def _orthonormalize(vecs):
@@ -235,6 +248,7 @@ def _orthonormalize(vecs):
 # coefficient assembly
 # ---------------------------------------------------------------------------
 
+@_kept
 def leg_coeff(tensors, lam, j2):
     """2 t^k_0 + C^k on chi_lam ox V_j2, as a matrix on V_j2."""
     chi = tensors.character_values(lam)
@@ -309,11 +323,26 @@ class MonodromyResult:
 def resonance_check(mat):
     """Eigenvalue pairs (i, j, nearest) whose difference lies within 1e-6
     of a nonzero integer, in row-major order."""
-    evals = np.linalg.eigvals(mat)
+    return _resonant_pairs(np.linalg.eigvals(mat))
+
+
+def _resonant_pairs(evals):
     diff = evals[:, None] - evals[None, :]
     nearest = np.round(diff.real)
     hits = np.argwhere((nearest != 0) & (np.abs(diff - nearest) < 1e-6))
     return [(int(i), int(j), int(nearest[i, j])) for i, j in hits]
+
+
+def _blocks(pattern):
+    """Connected components of a square boolean pattern read as an
+    undirected graph, as sorted index arrays in the order of their smallest
+    index, which min-label propagation spreads over each."""
+    adj, lab = pattern | pattern.T, np.arange(len(pattern))
+    while True:
+        low = np.minimum(lab, np.where(adj, lab, len(lab)).min(axis=1))
+        if np.array_equal(low, lab):
+            return [np.flatnonzero(lab == k) for k in np.unique(lab)]
+        lab = np.minimum(low, low[low])
 
 
 _RESIDUE_MEMO = {}
@@ -323,27 +352,36 @@ def _decompose(res):
     """(T, Z, ``resonance_check``, eigenvector condition) of a residue, with
     res = Z T Z^H its complex Schur form, T and Z read-only; memoised for the
     life of the process on the residue's bytes.  A residue that is Hermitian
-    or skew-Hermitian to roundoff is normal: T is diagonal, from ``eigh``.
-    Every KZ residue is hbar times a Hermitian matrix with hbar imaginary
+    or skew-Hermitian to roundoff is normal: ``eigh`` on each connected
+    block of its own nonzero pattern gives T diagonal and Z unitary, with
+    the resonance pairs read off T and the condition of Z's blocks.  Every
+    KZ residue is hbar times a Hermitian matrix with hbar imaginary
     (``kz_coeffs``), which keeps scipy.linalg out of every KZ computation;
     only a non-normal residue, given directly to ``MonodromyProblem``, needs
     a general Schur form, which numpy lacks, and imports scipy for it."""
     key = (res.shape, res.tobytes())
     if key in _RESIDUE_MEMO:
         return _RESIDUE_MEMO[key]
-    if _hermitian(res):
-        vals, z = np.linalg.eigh(res)
-        t = np.diag(vals.astype(complex))
-    elif _hermitian(1j * res):
-        vals, z = np.linalg.eigh(-1j * res)
-        t = np.diag(1j * vals)
+    skew = not _hermitian(res)
+    if not skew or _hermitian(1j * res):
+        herm = -1j * res if skew else res
+        vals, z, cond = np.empty(len(res)), np.zeros_like(herm), 1.0
+        for idx in _blocks(res != 0):
+            if len(idx) == 1:
+                vals[idx], z[idx, idx] = herm[idx, idx].real, 1.0
+                continue
+            vals[idx], zb = np.linalg.eigh(herm[np.ix_(idx, idx)])
+            z[np.ix_(idx, idx)] = zb
+            cond = max(cond, np.linalg.cond(zb))
+        vals = 1j * vals if skew else vals.astype(complex)
+        t, found = np.diag(vals), (_resonant_pairs(vals), cond)
     else:
         from scipy.linalg import schur
         t, z = schur(res, output="complex")
+        found = (resonance_check(res), np.linalg.cond(np.linalg.eig(res)[1]))
     t.setflags(write=False)
     z.setflags(write=False)
-    _RESIDUE_MEMO[key] = dec = (t, z, resonance_check(res),
-                                np.linalg.cond(np.linalg.eig(res)[1]))
+    _RESIDUE_MEMO[key] = dec = (t, z, *found)
     return dec
 
 
@@ -357,7 +395,9 @@ def _sylvester_series(jobs, order):
 
     in the Schur basis res = Z T Z^H, summed at its points x as it runs:
     S(x) = sum c_m x^m.  Each term keeps A_{m+1} = r A_m + c_m; one stacked
-    product per order serves every term of every series.  With T = D + N,
+    product per order serves every term of every series, on a stack of the
+    connected blocks of the common nonzero pattern of every T and Z^H M Z
+    of the batch, padded with zeros to the largest block.  With T = D + N,
     each order divides by m + d_j - d_i and adds the finite Neumann series
     of X -> (N X - X N) / (m + d_j - d_i); N below roundoff is dropped.  A
     series stops once |c_m|_F x^m / (1 - x) at its farthest |x| is below
@@ -367,25 +407,38 @@ def _sylvester_series(jobs, order):
     1e-9 (m = rint(-Re gap)), and then leaves the batch.  Returns, per job,
     its error or (its sums, stop order, tail bound)."""
     n = jobs[0][0].shape[0]
-    mats, rates, gaps, nils, resonant = [], [], [], [], []
-    for t, z, terms, _ in jobs:
+    mats = [[s * (z.conj().T @ m @ z) for s, m, _ in terms]
+            for _, z, terms, _ in jobs]
+    blocks = _blocks(np.any([job[0] != 0 for job in jobs]
+                            + [m != 0 for terms in mats for m in terms], 0))
+    # the padded stack's indices: padding reads (and scatters to) row and
+    # column n of a zero-bordered matrix
+    size = max(map(len, blocks))
+    idx = np.array([[*block, *[n] * (size - len(block))] for block in blocks])
+    rows, cols = idx[:, :, None], idx[:, None, :]
+
+    def gather(mat):
+        return np.ascontiguousarray(np.pad(
+            mat, [(0, 0)] * (mat.ndim - 2) + [(0, 1)] * 2)[..., rows, cols])
+
+    rates, gaps, nils, resonant = [], [], [], []
+    for t, _, terms, _ in jobs:
         gap = np.diag(t)[None, :] - np.diag(t)[:, None]
         near = np.rint(-gap.real)
         hit = (near >= 1) & (np.abs(near + gap) < 1e-9)
         resonant.append(int(near[hit].min()) if hit.any() else None)
         nil = np.triu(t, 1)
         normal = np.linalg.norm(nil) <= n * _EPS * np.linalg.norm(t)
-        nils.append(None if normal else nil)
-        gaps.append(gap)
-        mats.append([s * (z.conj().T @ m @ z) for s, m, _ in terms])
-        rates.append([[[r]] for _, _, r in terms])
-    mats, rates, gaps = np.array(mats), np.array(rates), np.array(gaps)
+        nils.append(None if normal else gather(nil))
+        gaps.append(gather(gap))
+        rates.append([[[[r]]] for _, _, r in terms])
+    mats, rates, gaps = gather(np.array(mats)), np.array(rates), np.array(gaps)
     owner = np.repeat(np.arange(len(jobs)), [len(job[3]) for job in jobs])
     fars = [max(abs(x) for x in job[3]) for job in jobs]
     xs = np.array([x for job in jobs for x in job[3]])
     sums, pw = np.zeros_like(mats), np.ones_like(xs)
-    c = np.tile(np.eye(n, dtype=complex), (len(jobs), 1, 1))
-    vals = np.zeros((len(xs), n, n), dtype=complex)
+    c = np.tile(gather(np.eye(n, dtype=complex)), (len(jobs), 1, 1, 1))
+    vals = np.zeros((len(xs), *c.shape[1:]), dtype=complex)
     # buffers filled in place (at large n, fresh arrays cost more than the
     # arithmetic); real views scale by real factors
     prods, denom, part = (np.empty_like(x) for x in (sums, c, vals))
@@ -410,7 +463,7 @@ def _sylvester_series(jobs, order):
                         break
                 c[pos] = cj
         np.take(c, owner, axis=0, out=part, mode="clip")  # unbuffered copy
-        np.multiply(part.view(float), pw[:, None, None], out=part.view(float))
+        np.multiply(part.view(float).T, pw, out=part.view(float).T)
         vals += part
         pw *= xs
         for pos, j in enumerate(live):
@@ -420,8 +473,9 @@ def _sylvester_series(jobs, order):
                 out[j] = ResourceError(
                     f"series overflows double precision at order {m}")
             elif below[j] and tail < TAIL_TARGET:
-                out[j] = ([vals[i] for i in np.flatnonzero(owner == pos)],
-                          m, tail)
+                full = np.zeros((len(xs), n + 1, n + 1), dtype=complex)
+                full[:, rows, cols] = vals
+                out[j] = (list(full[owner == pos, :n, :n]), m, tail)
             elif m == order:
                 out[j] = AccuracyError(
                     f"series tail bound not reached at {fars[j]} by order "

@@ -283,8 +283,12 @@ def _spin_half_blocks(module, q):
     n = np.arange(1, module.dim)   # m + 1
     qn = q ** n.astype(float)
     phi = module.f_mat.diagonal(1).real
-    return spin_half_block(q, q ** module.r, qn * qn,
-                           -np.expm1(2 * n * math.log(q)), phi * qn * qn)
+    with np.errstate(all="ignore"):
+        blocks = spin_half_block(q, q ** module.r, qn * qn,
+                                 -np.expm1(2 * n * math.log(q)), phi * qn * qn)
+    if not np.isfinite(blocks).all():
+        raise ResourceError("the braid blocks overflow double precision")
+    return blocks
 
 
 def plain_block_eigenvalues(module, v, qp):

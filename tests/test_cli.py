@@ -133,9 +133,15 @@ def test_import_leaves_scipy_integrate_out():
 
 
 def test_run_all_leaves_scipy_out():
+    # the KZ block route (kzmono._blocks) and psi at twice-spin 8 x 8 too
     assert _fresh_python(
-        "import sys; from qsp import harness; "
+        "import sys; from qsp import harness, kzmono; "
         "assert all(r.passed for r in harness.run_all()); "
+        "assert harness.run_kz_suite(0.7).passed; "
+        "ts = kzmono.split_tensors(); "
+        "res = kzmono.psi(kzmono.MonodromyProblem(*kzmono.kz_coeffs("
+        "ts, 1.0, 8, 8, harness.QParams(0.75).hbar))); "
+        "assert res.spread < 1e-6; "
         f"print({_LOADED_SCIPY})") == "[]"
 
 
@@ -441,11 +447,14 @@ def test_verify_rank_one_stderr_stays_empty():
 
 def test_vogan_e_matrix_overflow_is_resource_error(runner):
     # the ladder overflows at 1000 levels for q = 0.7; at q = 0.05 the
-    # ladder fits 119 levels and the braid on the top level does not
-    for r, q, levels in (("0.25", "0.7", "1000"), ("0.1", "0.05", "119")):
+    # ladder fits 119 levels and the braid on the top level does not; at
+    # q = 1e-20, r = 15.4 the ladder fits and q^r underflows, so the braid
+    # blocks overflow
+    for r, q, levels in (("0.25", "0.7", "1000"), ("0.1", "0.05", "119"),
+                         ("15.4", "1e-20", "6")):
         res = runner.invoke(main, ["vogan", "e-matrix", "--r", r,
                                    "--q", q, "--levels", levels])
-        assert res.exit_code == 3
+        assert (res.exit_code, res.stdout) == (3, "")
         assert res.stderr.startswith("resource error:")
         assert len(res.stderr.strip().splitlines()) == 1
 

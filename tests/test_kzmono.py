@@ -7,6 +7,7 @@ from scipy.linalg import expm, schur
 
 from qsp.errors import (AccuracyError, InputError, ResonanceError,
                         ResourceError)
+from qsp.harness import TOL_ODE
 from qsp.kzmono import (
     _PSI_MEMO,
     _RESIDUE_MEMO,
@@ -19,9 +20,11 @@ from qsp.kzmono import (
     MonodromyProblem,
     _decompose,
     _expm,
+    _blocks,
     _herm_form,
     _job_at_one,
     _job_at_zero,
+    _orthonormalize,
     _psi_key,
     _rhs_ode,
     _star_coeffs,
@@ -31,6 +34,7 @@ from qsp.kzmono import (
     flatness_residuals,
     kz_braid,
     kz_coeffs,
+    leg_coeff,
     mkz_consistency,
     psi,
     psi_commuting_oracle,
@@ -41,6 +45,7 @@ from qsp.kzmono import (
     verify_eg,
     verify_octagon_kz,
 )
+from qsp.uqrep import intertwiners
 
 TS = split_tensors()
 
@@ -547,15 +552,30 @@ def test_flatness():
 def test_kz_braid_golden():
     # q^{-1/2} [[i sinh', cosh'], [-cosh', i sinh']] after composing with g,
     # with sinh' = (q^lam - q^-lam)/2; the bare exponential is the
-    # g-precomposed form with the same singular values
+    # g-precomposed form with the same singular values.  The closed form is
+    # in the standard basis of V_{1/2}: the braid is taken there through
+    # the leg rotation W_{1/2}
     q, lam = 0.7, 0.8
-    braid = kz_braid(TS, lam, 1, hbar_of(q))
+    w = _leg_rotation(1)
+    braid = w @ kz_braid(TS, lam, 1, hbar_of(q)) @ w.conj().T
     g = np.array([[0.0, 1.0], [-1.0, 0.0]])
     sh = (q ** lam - q ** -lam) / 2
     ch = (q ** lam + q ** -lam) / 2
     disp = q ** -0.5 * np.array([[1j * sh, ch], [-ch, 1j * sh]])
     got = braid @ g
     assert min(np.linalg.norm(got - disp), np.linalg.norm(got + disp)) < 1e-12
+
+
+def test_inner_sigma_in_the_k_weight_basis():
+    # harness.run_rank_one composes the KZ braid with diag(i, -i), which is
+    # g = [[0, 1], [-1, 0]] of the standard basis seen through W_{1/2}, and
+    # i times the implementation of sigma on V_{1/2}
+    w = _leg_rotation(1)
+    g = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    inner = np.diag([1j, -1j])
+    assert np.linalg.norm(w.conj().T @ g @ w - inner) < 1e-15
+    assert min(np.linalg.norm(1j * sign * TS.sigma_matrix(1) - inner)
+               for sign in (1, -1)) < 1e-15
 
 
 def test_kz_braid_lambda_zero():
@@ -620,6 +640,193 @@ def test_sigma_matrix_on_spin_zero():
     # every generator acts by 0, so the intertwining system is all zero and
     # its kernel is the whole 1 x 1 space
     np.testing.assert_array_equal(TS.sigma_matrix(0), [[1.0]])
+
+
+# the standard-basis assembly the k-weight basis replaced, kept as the
+# reference: the spin matrices of ``spin_matrices`` and LAPACK's eigenvectors
+# of SIGMA, orthonormalized for the invariant form
+
+def _standard_split():
+    evals, evecs = np.linalg.eig(SIGMA)
+    plus, minus = [], []
+    for i in range(3):
+        (plus if abs(evals[i] - 1) < 1e-9 else minus).append(evecs[:, i])
+    return _orthonormalize(plus), _orthonormalize(minus)
+
+
+def _standard_vec(vec, j2):
+    e, f, h = spin_matrices(j2)
+    return vec[0] * e + vec[1] * f + vec[2] * h
+
+
+def _standard_pair(basis, j2a, j2b):
+    return sum(np.kron(_standard_vec(_star_coeffs(v), j2a),
+                       _standard_vec(v, j2b)) for v in basis)
+
+
+def _standard_leg(lam, j2):
+    plus, _ = _standard_split()
+    ref = np.array([-1.0, 1.0, 0.0]) / math.sqrt(2)
+    chi = 1j * lam / math.sqrt(2) * _herm_form(plus[0], ref)
+    c = _herm_form(_star_coeffs(plus[0]), plus[0])
+    tk0 = (c * chi) * _standard_vec(plus[0], j2)
+    cas = _standard_vec(_star_coeffs(plus[0]), j2) @ _standard_vec(plus[0],
+                                                                    j2)
+    return 2 * tk0 + cas
+
+
+def _standard_coeffs(lam, j2a, j2b, hbar):
+    """a, b_+, b_-, a_02 and d in the standard basis."""
+    plus, minus = _standard_split()
+    da, db = j2a + 1, j2b + 1
+    a = hbar * np.kron(_standard_leg(lam, j2a), np.eye(db))
+    a02 = hbar * np.kron(np.eye(da), _standard_leg(lam, j2b))
+    tk = _standard_pair(plus, j2a, j2b)
+    tm = _standard_pair(minus, j2a, j2b)
+    return (a, hbar * _standard_pair(plus + minus, j2a, j2b),
+            hbar * (tk - tm), a02, a + a02 + 2 * hbar * tk)
+
+
+def _leg_rotation(j2):
+    """The unitary W with TS.rep(j2) = W^H spin_matrices(j2) W, from the
+    intertwiners, made exactly unitary by its polar factor."""
+    (w,) = intertwiners(list(zip(TS.rep(j2), spin_matrices(j2))), 1e-9)
+    u, _, vh = np.linalg.svd(w)
+    return u @ vh
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7, 2.0])
+def test_k_weight_coefficients_are_the_standard_ones_rotated(lam):
+    hbar = hbar_of(0.6)
+    for j2a in range(9):
+        wa = _leg_rotation(j2a)
+        braid = wa @ kz_braid(TS, lam, j2a, hbar) @ wa.conj().T
+        exponent = -1j * math.pi * hbar * _standard_leg(lam, j2a)
+        want = _expm(exponent)
+        # the reference's own roundoff grows with its exponent's norm (the
+        # relative condition number of exp), 23 at j2 = 8, lam = 0.7
+        assert np.linalg.norm(braid - want) <= 1e-14 * max(
+            1.0, np.linalg.norm(exponent, 1)) * np.linalg.norm(want)
+        for j2b in range(9):
+            w = np.kron(wa, _leg_rotation(j2b))
+            got = (*kz_coeffs(TS, lam, j2a, j2b, hbar),
+                   a02_coeff(TS, lam, j2a, j2b, hbar),
+                   d_coeff(TS, lam, j2a, j2b, hbar))
+            for mat, ref in zip(got, _standard_coeffs(lam, j2a, j2b, hbar)):
+                back = w @ mat @ w.conj().T
+                assert np.linalg.norm(back - ref) \
+                    <= 1e-14 * max(np.linalg.norm(ref), 1e-300), (j2a, j2b)
+
+
+def _k_weights(j2):
+    """The k-weights of the basis of spin j2, as integers: (f - e)/sqrt(2)
+    acts diagonally, by -i m/sqrt(2)."""
+    k = TS.vec_matrix(TS.plus_basis[0], j2)
+    np.testing.assert_array_equal(k, np.diag(np.diag(k)))
+    return np.rint((1j * math.sqrt(2) * np.diag(k)).real).astype(int)
+
+
+def test_split_tensors_are_written_out_eigenvectors():
+    for vecs, sign in ((TS.plus_basis, 1), (TS.minus_basis, -1)):
+        for v in vecs:
+            np.testing.assert_array_equal(SIGMA @ v, sign * v)
+    # rep is a *-representation of sl2 with f - e acting by -ih
+    for j2 in range(6):
+        e, f, h = TS.rep(j2)
+        np.testing.assert_array_equal(e.conj().T, f)
+        np.testing.assert_array_equal(f - e, -1j * spin_matrices(j2)[2])
+        np.testing.assert_allclose(h @ e - e @ h, 2 * e, atol=1e-12)
+        np.testing.assert_allclose(e @ f - f @ e, h, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 2.5])
+def test_kz_coefficients_are_exactly_k_weight_blocks(lam):
+    # the structure the block route of psi reads: a diagonal, and b_+, b_-
+    # exactly 0.0 between product vectors of different total k-weight
+    for j2a in range(9):
+        for j2b in range(9):
+            a, bp, bm = kz_coeffs(TS, lam, j2a, j2b, hbar_of(0.7))
+            total = np.add.outer(_k_weights(j2a), _k_weights(j2b)).ravel()
+            apart = total[:, None] != total[None, :]
+            assert np.count_nonzero(a - np.diag(np.diag(a))) == 0
+            for mat in (bp, bm, a02_coeff(TS, lam, j2a, j2b, hbar_of(0.7)),
+                        d_coeff(TS, lam, j2a, j2b, hbar_of(0.7))):
+                assert np.count_nonzero(mat[apart]) == 0, (j2a, j2b)
+
+
+def test_kz_tensors_are_kept_read_only():
+    ts = split_tensors()
+    for get, args in ((ts.t_full, (1, 2)), (ts.t_k, (2, 2)), (ts.t_m, (1, 3)),
+                      (ts.casimir_k, (3,)), (ts.sigma_matrix, (2,))):
+        mat = get(*args)
+        assert get(*args) is mat
+        assert not mat.flags.writeable
+    leg = leg_coeff(ts, 0.7, 2)
+    assert leg_coeff(ts, 0.7, 2) is leg and not leg.flags.writeable
+    assert all(not m.flags.writeable for m in ts.rep(2))
+
+
+def _components_reference(pattern):
+    """Connected components by breadth-first search."""
+    adj = pattern | pattern.T
+    seen, out = set(), []
+    for start in range(len(adj)):
+        if start in seen:
+            continue
+        comp, todo = {start}, [start]
+        while todo:
+            i = todo.pop()
+            for j in np.flatnonzero(adj[i]):
+                if int(j) not in comp:
+                    comp.add(int(j))
+                    todo.append(int(j))
+        seen |= comp
+        out.append(sorted(comp))
+    return out
+
+
+@pytest.mark.parametrize("n,density", [(1, 0.0), (7, 0.0), (12, 0.08),
+                                       (30, 0.03), (30, 0.3), (40, 1.0)])
+def test_blocks_are_connected_components(n, density):
+    rng = np.random.default_rng(n)
+    pattern = rng.random((n, n)) < density
+    got = [block.tolist() for block in _blocks(pattern)]
+    assert got == _components_reference(pattern)
+    # a path through every index, in shuffled order, is one block
+    perm = rng.permutation(n)
+    chain = np.zeros((n, n), dtype=bool)
+    chain[perm[:-1], perm[1:]] = True
+    assert [b.tolist() for b in _blocks(chain)] == [list(range(n))]
+
+
+def _fill_pattern(prob, seed):
+    """The problem conjugated by a random unitary U, which fills every zero
+    of the coefficients, so that it runs as one block; returns (U, U^H P U)."""
+    rng = np.random.default_rng(seed)
+    n = prob.a.shape[0]
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    mats = [u.conj().T @ m @ u for m in (prob.a, prob.b_plus, prob.b_minus)]
+    assert all(np.count_nonzero(m) == n * n for m in mats)
+    return u, MonodromyProblem(*mats, prob.series_order)
+
+
+@pytest.mark.parametrize("name,prob", list(_psi_cases()),
+                         ids=[name for name, _ in _psi_cases()])
+def test_block_route_is_the_one_block_route_conjugated(name, prob):
+    u, full = _fill_pattern(prob, len(name))
+    res, ref = psi(prob), psi(full)
+    want = u.conj().T @ res.psi @ u
+    assert np.linalg.norm(ref.psi - want) <= 1e-10 * np.linalg.norm(want)
+    assert res.orders == ref.orders
+    assert len(_blocks(full.a != 0)) == 1
+
+
+@pytest.mark.parametrize("q,lam,j2", [(0.5, 1.0, 4), (0.3, 0.5, 3)])
+def test_eg_identity_past_the_octagon_walls(q, lam, j2):
+    # the standard-basis route read eq:Eg 7.7e-3 and 3.6e-3 here; the
+    # octagon residuals at these points stay walls (tests/walls.py)
+    coeffs = kz_coeffs(TS, lam, j2, j2, hbar_of(q))
+    assert verify_eg(*coeffs) < TOL_ODE
 
 
 def _kz_residues(q):

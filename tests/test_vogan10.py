@@ -441,6 +441,18 @@ def test_top_singleton_overflow_is_resource_error():
                if x is not None)
 
 
+def test_overflowing_braid_blocks_are_a_resource_error():
+    # 6 levels pass build_Mr at q = 1e-20, r = 15.4, but u = q^r underflows
+    # and the blocks of spin_half_block overflow: both readers refuse them
+    # before any eigenvalue or float chain sees an infinity
+    qp = QParams(1e-20)
+    vh = build_irrep(A1, A1.weight([1]), qp)
+    m = build_Mr(15.4, qp, 6)
+    for reader in (plain_block_eigenvalues, e_matrix_component_scalars):
+        with pytest.raises(ResourceError, match="braid blocks overflow"):
+            reader(m, vh, qp)
+
+
 def test_symbolic_closed_form():
     # base case of the induction: the component scalars on block 0
     sub_defect, quot_defect = e_matrix_block_symbolic(0)

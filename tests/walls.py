@@ -9,7 +9,8 @@ leaves this table for a passing test.
 
 from dataclasses import dataclass
 
-from qsp.harness import run_axioms, run_rank_one
+from qsp.harness import TOL_ODE, run_axioms, run_rank_one
+from qsp.kzmono import split_tensors, verify_octagon_kz
 from qsp.rmatrix import ribbon_residual
 from qsp.rootsys import build_root_datum
 from qsp.uqrep import QParams, build_irrep
@@ -30,6 +31,13 @@ def vogan_axiom(key, q, levels):
 def rank_one(key, q, r, levels):
     """Residual ``key`` of ``run_rank_one(q, r, levels)``."""
     return run_rank_one(q, r, levels).residuals[key]
+
+
+def kz_octagon(key, q, lam, j2):
+    """Residual ``key`` of ``verify_octagon_kz`` on chi_lam ox V ox V, V of
+    twice-spin j2."""
+    hbar = QParams(q).hbar
+    return verify_octagon_kz(split_tensors(), lam, j2, j2, hbar)[key]
 
 
 @dataclass(frozen=True)
@@ -65,4 +73,14 @@ WALLS = (
     Wall("rank-one-vogan-coideal-sv-q0.05", rank_one,
          ("vogan-coideal-sv", 0.05, 5.0, 60), 2.86e8, 1e-8,
          "ROADMAP item 3"),
+    Wall("kz-ribbon-q0.5-lam1-4x4", kz_octagon, ("ribbon", 0.5, 1.0, 4),
+         4.03e-3, TOL_ODE, "ROADMAP item 4"),
+    Wall("kz-ribbon-q0.6-lam1-4x4", kz_octagon, ("ribbon", 0.6, 1.0, 4),
+         3.10e-6, TOL_ODE, "ROADMAP item 4"),
+    Wall("kz-ribbon-q0.5-lam2-3x3", kz_octagon, ("ribbon", 0.5, 2.0, 3),
+         9.87e-7, TOL_ODE, "ROADMAP item 4"),
+    Wall("kz-ribbon-q0.2-lam1-2x2", kz_octagon, ("ribbon", 0.2, 1.0, 2),
+         2.39e-7, TOL_ODE, "ROADMAP item 4"),
+    Wall("kz-ribbon-q0.3-lam0.5-3x3", kz_octagon, ("ribbon", 0.3, 0.5, 3),
+         1.22e-4, TOL_ODE, "ROADMAP item 4"),
 )
