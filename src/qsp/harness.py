@@ -478,9 +478,8 @@ def run_rank_one(q, r, levels=14):
         tols[f"trace-lambda[{lam}]"] = 1e-9
         # the braids agree as matrices up to the parity sign, not just in
         # singular values: compare eigenvalues of C with those of the
-        # monodromy braid composed with the inner implementation of sigma,
-        # in the k-weight basis of the KZ coefficients
-        g_inner = np.diag([1j, -1j])
+        # monodromy braid composed with the inner implementation of sigma
+        g_inner = np.diag([1j, -1j])  # in the k-weight basis
         ev_c = _sorted_eigs(c_mat)
         ev_k = _sorted_eigs(braid_kz @ g_inner)
         ev_km = _sorted_eigs(-braid_kz @ g_inner)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import AccuracyError, InputError, ResonanceError, ResourceError
 from .rmatrix import op_on_legs
-from .uqrep import intertwiners
+from .uqrep import intertwiners, read_only
 
 _EPS = np.finfo(float).eps
 
@@ -140,8 +140,7 @@ def _kept(method):
     def kept(self, *args):
         key = (method.__name__, *args)
         if key not in self.kept:
-            self.kept[key] = method(self, *args)
-            self.kept[key].setflags(write=False)
+            self.kept[key] = read_only(method(self, *args))
         return self.kept[key]
     return kept
 
@@ -160,10 +159,9 @@ class SymPairTensors:
 
     @_kept
     def rep(self, j2):
-        """The spin matrices composed with the *-automorphism
-        e -> (e+f)/2 + ih/2, f -> (e+f)/2 - ih/2, h -> i(e-f), exact in
-        floating point.  It takes f - e, which spans the fixed subalgebra k
-        of ``SIGMA``, to -ih: the basis is the k-weight basis."""
+        """The spin matrices composed with the *-automorphism e -> (e+f)/2 +
+        ih/2, f -> (e+f)/2 - ih/2, h -> i(e-f) (exact in floating point): it
+        takes f - e, which spans k, to -ih, so this is the k-weight basis."""
         e, f, h = spin_matrices(j2)
         half = (e + f) / 2
         return np.array([half + 0.5j * h, half - 0.5j * h, 1j * (e - f)])
@@ -334,9 +332,8 @@ def _resonant_pairs(evals):
 
 
 def _blocks(pattern):
-    """Connected components of a square boolean pattern read as an
-    undirected graph, as sorted index arrays in the order of their smallest
-    index, which min-label propagation spreads over each."""
+    """Connected components of a square boolean pattern as an undirected
+    graph, sorted index arrays by their smallest index (min-label spread)."""
     adj, lab = pattern | pattern.T, np.arange(len(pattern))
     while True:
         low = np.minimum(lab, np.where(adj, lab, len(lab)).min(axis=1))
@@ -379,9 +376,7 @@ def _decompose(res):
         from scipy.linalg import schur
         t, z = schur(res, output="complex")
         found = (resonance_check(res), np.linalg.cond(np.linalg.eig(res)[1]))
-    t.setflags(write=False)
-    z.setflags(write=False)
-    _RESIDUE_MEMO[key] = dec = (t, z, *found)
+    _RESIDUE_MEMO[key] = dec = (read_only(t), read_only(z), *found)
     return dec
 
 
@@ -395,9 +390,9 @@ def _sylvester_series(jobs, order):
 
     in the Schur basis res = Z T Z^H, summed at its points x as it runs:
     S(x) = sum c_m x^m.  Each term keeps A_{m+1} = r A_m + c_m; one stacked
-    product per order serves every term of every series, on a stack of the
-    connected blocks of the common nonzero pattern of every T and Z^H M Z
-    of the batch, padded with zeros to the largest block.  With T = D + N,
+    product per order serves every term of every series, on the connected
+    blocks of the nonzero pattern shared by every T and Z^H M Z, packed
+    first-fit into a stack padded to the largest block.  With T = D + N,
     each order divides by m + d_j - d_i and adds the finite Neumann series
     of X -> (N X - X N) / (m + d_j - d_i); N below roundoff is dropped.  A
     series stops once |c_m|_F x^m / (1 - x) at its farthest |x| is below
@@ -411,18 +406,23 @@ def _sylvester_series(jobs, order):
             for _, z, terms, _ in jobs]
     blocks = _blocks(np.any([job[0] != 0 for job in jobs]
                             + [m != 0 for terms in mats for m in terms], 0))
-    # the padded stack's indices: padding reads (and scatters to) row and
-    # column n of a zero-bordered matrix
-    size = max(map(len, blocks))
-    idx = np.array([[*block, *[n] * (size - len(block))] for block in blocks])
+    size, bins = max(map(len, blocks)), []
+    for block in sorted(blocks, key=len, reverse=True):  # first fit
+        fit = next((b for b in bins if len(b) + len(block) <= size), [])
+        if not fit:
+            bins.append(fit)
+        fit.extend(block)
+    idx = np.array([[*b, *[n] * (size - len(b))] for b in bins])
     rows, cols = idx[:, :, None], idx[:, None, :]
+    flat = np.where((rows < n) & (cols < n), rows * n + cols, n * n)
 
-    def gather(mat):
-        return np.ascontiguousarray(np.pad(
-            mat, [(0, 0)] * (mat.ndim - 2) + [(0, 1)] * 2)[..., rows, cols])
+    def gather(mat):  # padding reads a zero appended after the n^2 entries
+        return np.concatenate((mat.reshape(*mat.shape[:-2], n * n), np.zeros(
+            (*mat.shape[:-2], 1), mat.dtype)), -1).take(flat, axis=-1)
 
-    rates, gaps, nils, resonant = [], [], [], []
-    for t, _, terms, _ in jobs:
+    rates = np.array([[[[[r]]] for _, _, r in job[2]] for job in jobs])
+    gaps, nils, resonant = [], [], []
+    for t, *_ in jobs:
         gap = np.diag(t)[None, :] - np.diag(t)[:, None]
         near = np.rint(-gap.real)
         hit = (near >= 1) & (np.abs(near + gap) < 1e-9)
@@ -430,9 +430,8 @@ def _sylvester_series(jobs, order):
         nil = np.triu(t, 1)
         normal = np.linalg.norm(nil) <= n * _EPS * np.linalg.norm(t)
         nils.append(None if normal else gather(nil))
-        gaps.append(gather(gap))
-        rates.append([[[[r]]] for _, _, r in terms])
-    mats, rates, gaps = gather(np.array(mats)), np.array(rates), np.array(gaps)
+        gaps.append(gap)
+    mats, gaps = gather(np.array(mats)), gather(np.array(gaps))
     owner = np.repeat(np.arange(len(jobs)), [len(job[3]) for job in jobs])
     fars = [max(abs(x) for x in job[3]) for job in jobs]
     xs = np.array([x for job in jobs for x in job[3]])
@@ -473,9 +472,10 @@ def _sylvester_series(jobs, order):
                 out[j] = ResourceError(
                     f"series overflows double precision at order {m}")
             elif below[j] and tail < TAIL_TARGET:
-                full = np.zeros((len(xs), n + 1, n + 1), dtype=complex)
-                full[:, rows, cols] = vals
-                out[j] = (list(full[owner == pos, :n, :n]), m, tail)
+                full = np.zeros((len(xs), n * n + 1), dtype=complex)
+                full[:, flat] = vals
+                out[j] = (list(full[owner == pos, :-1].reshape(-1, n, n)), m,
+                          tail)
             elif m == order:
                 out[j] = AccuracyError(
                     f"series tail bound not reached at {fars[j]} by order "

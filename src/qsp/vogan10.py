@@ -274,6 +274,7 @@ def spin_half_block(q, u, w2, g, phi_w2):
             v_inv * w2 / u)
 
 
+@np.errstate(all="ignore")
 def _spin_half_blocks(module, q):
     """``spin_half_block`` on the weight blocks m = 0 .. cap-2 of
     module ox V_{1/2}, as arrays (B00, B01, B11) over m: one evaluation for
@@ -283,9 +284,8 @@ def _spin_half_blocks(module, q):
     n = np.arange(1, module.dim)   # m + 1
     qn = q ** n.astype(float)
     phi = module.f_mat.diagonal(1).real
-    with np.errstate(all="ignore"):
-        blocks = spin_half_block(q, q ** module.r, qn * qn,
-                                 -np.expm1(2 * n * math.log(q)), phi * qn * qn)
+    blocks = spin_half_block(q, q ** module.r, qn * qn,
+                             -np.expm1(2 * n * math.log(q)), phi * qn * qn)
     if not np.isfinite(blocks).all():
         raise ResourceError("the braid blocks overflow double precision")
     return blocks
