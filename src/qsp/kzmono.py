@@ -22,6 +22,7 @@ involution of su2 is conjugate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -137,6 +138,7 @@ def _herm_form(x, y):
 
 def _kept(method):
     """Keep a method's matrices per argument tuple in self.kept, read-only."""
+    @functools.wraps(method)
     def kept(self, *args):
         key = (method.__name__, *args)
         if key not in self.kept:
@@ -472,10 +474,10 @@ def _sylvester_series(jobs, order):
                 out[j] = ResourceError(
                     f"series overflows double precision at order {m}")
             elif below[j] and tail < TAIL_TARGET:
-                full = np.zeros((len(xs), n * n + 1), dtype=complex)
-                full[:, flat] = vals
-                out[j] = (list(full[owner == pos, :-1].reshape(-1, n, n)), m,
-                          tail)
+                mine = vals[owner == pos]
+                full = np.zeros((len(mine), n * n + 1), dtype=complex)
+                full[:, flat] = mine
+                out[j] = (list(full[:, :-1].reshape(-1, n, n)), m, tail)
             elif m == order:
                 out[j] = AccuracyError(
                     f"series tail bound not reached at {fars[j]} by order "

@@ -277,10 +277,10 @@ def spin_half_block(q, u, w2, g, phi_w2):
 @np.errstate(all="ignore")
 def _spin_half_blocks(module, q):
     """``spin_half_block`` on the weight blocks m = 0 .. cap-2 of
-    module ox V_{1/2}, as arrays (B00, B01, B11) over m: one evaluation for
-    both readers, as numpy's pow and expm1 differ from math's in the last
-    bit at some levels, and at the q = 0.05 wall of the chains one bit moves
-    a scalar by its own size."""
+    module ox V_{1/2}, as arrays (B00, B01, B11) over m, or ResourceError
+    if one overflows: one evaluation for both readers, as numpy's pow and
+    expm1 differ from math's in the last bit at some levels, and at the
+    q = 0.05 wall of the chains one bit moves a scalar by its own size."""
     n = np.arange(1, module.dim)   # m + 1
     qn = q ** n.astype(float)
     phi = module.f_mat.diagonal(1).real
