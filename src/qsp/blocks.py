@@ -1,16 +1,32 @@
-"""Operators that preserve total weight on a tensor product, kept as their
-weight blocks (Jantzen, Lectures on Quantum Groups, ch. 5): R, Delta(v),
-every factor of the quasi R-matrix and the twist braid.
+"""The one block layer of qsp: operators kept as their blocks.
 
-A leg is a ``WeightModule``, keyed by its exact weights (integer rows over
-one denominator, any rank), or a ladder of ``qsp.vogan10``, keyed by its
-H-eigenvalues (rank one, sums rounded to 9 digits).  ``product_blocks``
-groups the product basis by total weight into a ``BlockIndex``;
-``WeightBlocks`` keeps an operator as the flat array of its block entries,
-the blocks of one size contiguous and unpadded, so a product is one batched
-matmul per block size.  ``leg_blocks`` gathers the blocks of an operator
-on some legs from its small factors, and ``BlockIndex.shifted`` pairs the
-blocks that an operator moving the weight by a fixed shift maps between.
+R, Delta(v), every factor of the quasi R-matrix and the twist braid preserve
+total weight on a tensor product (Jantzen, Lectures on Quantum Groups,
+ch. 5); the 2-cyclotomic KZ coefficients commute with k, so they preserve
+total k-weight (Enriquez, Selecta Math. 2008).  A ``BlockIndex`` numbers
+its blocks by size, then by first appearance, and comes in two kinds:
+``product_blocks`` groups the basis of legs[0] ox legs[1] ox ... by total
+weight (a ``WeightModule`` leg is keyed by its exact weights, integer rows
+over one denominator; a ladder of ``qsp.vogan10`` by its H-eigenvalues,
+sums rounded to 9 digits), and ``pattern_blocks`` takes the connected
+components of a nonzero pattern, for the KZ matrices, which carry no
+weights.
+
+Each side keeps the stacking that is faster on its own blocks (one batched
+matmul; 2 cores, one BLAS thread).  The R-matrix and the Vogan side keep
+``WeightBlocks`` in per-size runs (``entries``): the blocks of one size
+contiguous and unpadded, one matmul per size.  On large products that took
+150 us against 411 us padded (A2 [2,2] ox [2,2]) and 3.2 ms against
+12.6 ms (A3 adjoint ox adjoint ox adjoint).  The KZ series gathers its
+blocks into padded first-fit slots (``packed``): they come in pairs of
+sizes 1, ..., D-1 plus one of size D, so they fill D slots exactly, and
+3 jobs x 2 terms took 15 us against 31 us in per-size runs at D = 4, 55 us
+against 92 us at D = 9.  Padded slots also win on small R products (largest
+block up to 13), so neither stacking wins everywhere; no size cut switches
+between them, which would be a second path on each side.  ``leg_blocks``
+gathers the blocks of an operator on some legs from its small factors, and
+``BlockIndex.shifted`` pairs the blocks that an operator moving the weight
+by a fixed shift maps between.
 """
 
 from __future__ import annotations
@@ -78,11 +94,12 @@ def shape_runs(a, b):
 
 @dataclass(frozen=True, eq=False)
 class BlockIndex:
-    """The total-weight blocks of a tensor product.  ``dims`` and ``keys``
-    are those of its legs, the keys over the common denominator ``den``.
-    Block b holds the basis indices members[starts[b]:starts[b] + sizes[b]],
-    increasing, and has the total weight block_keys[b]; the blocks are
-    numbered by size, then by first appearance."""
+    """The blocks of an operator on a tensor product.  ``dims`` and
+    ``keys`` are those of its legs, the keys over the common denominator
+    ``den``.  Block b holds the basis indices
+    members[starts[b]:starts[b] + sizes[b]], increasing, and has the key
+    block_keys[b] (its total weight, or for a pattern its smallest index);
+    the blocks are numbered by size, then by first appearance."""
 
     dims: tuple
     keys: tuple
@@ -95,10 +112,11 @@ class BlockIndex:
     @cached_property
     def groups(self):
         """The blocks of each size, increasing, as integer arrays of shape
-        (count, size) whose rows are their indices."""
-        return tuple(read_only(self.members[
-            self.starts[first:first + count, None] + np.arange(size)])
-            for first, count, size, _ in shape_runs(self.sizes, self.sizes))
+        (count, size) whose rows are their indices: read-only views of
+        ``members``."""
+        return tuple(self.members[self.starts[first]:][:count * size].reshape(
+            count, size) for first, count, size, _ in shape_runs(self.sizes,
+                                                                 self.sizes))
 
     @cached_property
     def entries(self):
@@ -110,6 +128,37 @@ class BlockIndex:
         spans = tuple((int(at[first]), count, size, size) for first, count,
                       size, _ in shape_runs(self.sizes, self.sizes))
         return read_only(rows), read_only(cols), spans
+
+    @cached_property
+    def packed(self):
+        """The blocks packed first-fit, largest first, into slots as wide as
+        the largest: the flat index row * N + col of every slot entry in an
+        N x N operator, shape (slots, width, width), N * N on the padding."""
+        n, width, slots = math.prod(self.dims), int(self.sizes[-1]), []
+        for block in itertools.chain(*(g.tolist() for g in self.groups[::-1])):
+            fit = next((s for s in slots if len(s) + len(block) <= width), [])
+            if not fit:
+                slots.append(fit)
+            fit.extend(block)
+        idx = np.array([s + [n] * (width - len(s)) for s in slots])
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        return read_only(np.where((rows < n) & (cols < n), rows * n + cols,
+                                  n * n))
+
+    def gather(self, mats):
+        """The ``packed`` slots of N x N operators mats (..., N, N); the
+        padding reads 0."""
+        lead = mats.shape[:-2]
+        return np.concatenate((mats.reshape(*lead, -1), np.zeros(
+            (*lead, 1), mats.dtype)), -1).take(self.packed, axis=-1)
+
+    def scatter(self, slots):
+        """The N x N operators whose ``packed`` slots are ``slots``, zero
+        outside the blocks."""
+        n, lead = math.prod(self.dims), slots.shape[:-3]
+        full = np.zeros((*lead, n * n + 1), dtype=slots.dtype)
+        full[..., self.packed] = slots
+        return full[..., :-1].reshape(*lead, n, n)
 
     def pair_entries(self, tgt, src):
         """(rows, cols, pair, at): the row and the column of every entry of
@@ -142,25 +191,40 @@ class BlockIndex:
                 np.array(src, dtype=np.intp))
 
 
-def product_blocks(*legs):
-    """The total-weight blocks of legs[0] ox legs[1] ox ..., as a
-    ``BlockIndex``: the basis grouped by total weight in one pass over it."""
-    pairs = [_leg_keys(leg) for leg in legs]
-    den = math.lcm(*[d for _, d in pairs])
-    keys = tuple(k if d == den else k * (den // d) for k, d in pairs)
-    total = _sum_keys(keys)
-    weights = {}   # total weight -> basis indices, by first appearance
+def _grouped(dims, keys, den, total):
+    """The ``BlockIndex`` of the basis grouped by equal rows of ``total``,
+    in one pass over it: its blocks by size, then by first appearance."""
+    weights = {}   # key -> basis indices, by first appearance
     for i, code in enumerate(_codes(total).tolist()):
         weights.setdefault(code, []).append(i)
-    # by size, then by first appearance (the sort is stable)
-    blocks = sorted(weights.values(), key=len)
+    blocks = sorted(weights.values(), key=len)   # stable
     sizes = np.array([len(block) for block in blocks])
     members = np.fromiter(itertools.chain.from_iterable(blocks),
                           dtype=np.intp, count=len(total))
     starts = np.cumsum(sizes) - sizes
-    return BlockIndex(tuple(len(k) for k in keys), keys, den,
-                      read_only(members), read_only(starts),
+    return BlockIndex(dims, keys, den, read_only(members), read_only(starts),
                       read_only(sizes), read_only(total[members[starts]]))
+
+
+def product_blocks(*legs):
+    """The total-weight blocks of legs[0] ox legs[1] ox ..., as a
+    ``BlockIndex``."""
+    pairs = [_leg_keys(leg) for leg in legs]
+    den = math.lcm(*[d for _, d in pairs])
+    keys = tuple(k if d == den else k * (den // d) for k, d in pairs)
+    return _grouped(tuple(len(k) for k in keys), keys, den, _sum_keys(keys))
+
+
+def pattern_blocks(pattern):
+    """The connected components of a square boolean pattern, read as an
+    undirected graph, as the ``BlockIndex`` of one leg keyed by the smallest
+    index of each component (min-label spread with pointer jumping)."""
+    adj, lab = pattern | pattern.T, np.arange(len(pattern))
+    while True:
+        low = np.minimum(lab, np.where(adj, lab, len(lab)).min(axis=1))
+        if np.array_equal(low, lab):
+            return _grouped((len(lab),), (lab[:, None],), 1, lab[:, None])
+        lab = np.minimum(low, low[low])
 
 
 def shift_maxima(mat, keys):
@@ -179,6 +243,18 @@ def shift_maxima(mat, keys):
         hit = codes == code
         out[tuple(shifts[hit][0].tolist())] = float(vals[hit].max())
     return out
+
+
+def moves_only_by(mat, keys, shift):
+    """True when every nonzero entry of mat, on a basis with the weight keys
+    ``keys``, moves the weight by ``shift`` as ``shift_maxima`` reads it:
+    its nonzero entries are counted in all and on the pairs of basis vectors
+    that ``shift`` joins, so that no index of them is formed."""
+    index = _grouped((len(keys),), (keys,), 1, _rounded(keys))
+    rows, cols = index.pair_entries(*index.shifted(shift))[:2]
+    band = (_rounded(keys[rows] - keys[cols]) == shift).all(axis=1)
+    return np.count_nonzero(mat[rows[band], cols[band]]) \
+        == np.count_nonzero(mat)
 
 
 def leg_blocks(index, factors):

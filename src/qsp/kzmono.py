@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import pattern_blocks
 from .errors import AccuracyError, InputError, ResonanceError, ResourceError
 from .rmatrix import op_on_legs
 from .uqrep import intertwiners, read_only
@@ -333,17 +334,6 @@ def _resonant_pairs(evals):
     return [(int(i), int(j), int(nearest[i, j])) for i, j in hits]
 
 
-def _blocks(pattern):
-    """Connected components of a square boolean pattern as an undirected
-    graph, sorted index arrays by their smallest index (min-label spread)."""
-    adj, lab = pattern | pattern.T, np.arange(len(pattern))
-    while True:
-        low = np.minimum(lab, np.where(adj, lab, len(lab)).min(axis=1))
-        if np.array_equal(low, lab):
-            return [np.flatnonzero(lab == k) for k in np.unique(lab)]
-        lab = np.minimum(low, low[low])
-
-
 _RESIDUE_MEMO = {}
 
 
@@ -351,9 +341,10 @@ def _decompose(res):
     """(T, Z, ``resonance_check``, eigenvector condition) of a residue, with
     res = Z T Z^H its complex Schur form, T and Z read-only; memoised for the
     life of the process on the residue's bytes.  A residue that is Hermitian
-    or skew-Hermitian to roundoff is normal: ``eigh`` on each connected
-    block of its own nonzero pattern gives T diagonal and Z unitary, with
-    the resonance pairs read off T and the condition of Z's blocks.  Every
+    or skew-Hermitian to roundoff is normal: one stacked ``eigh`` per block
+    size over the ``pattern_blocks`` of its own nonzero pattern gives T
+    diagonal and Z unitary, with the resonance pairs read off T and the
+    largest condition of Z's blocks, one stacked ``cond`` per size.  Every
     KZ residue is hbar times a Hermitian matrix with hbar imaginary
     (``kz_coeffs``), which keeps scipy.linalg out of every KZ computation;
     only a non-normal residue, given directly to ``MonodromyProblem``, needs
@@ -365,13 +356,11 @@ def _decompose(res):
     if not skew or _hermitian(1j * res):
         herm = -1j * res if skew else res
         vals, z, cond = np.empty(len(res)), np.zeros_like(herm), 1.0
-        for idx in _blocks(res != 0):
-            if len(idx) == 1:
-                vals[idx], z[idx, idx] = herm[idx, idx].real, 1.0
-                continue
-            vals[idx], zb = np.linalg.eigh(herm[np.ix_(idx, idx)])
-            z[np.ix_(idx, idx)] = zb
-            cond = max(cond, np.linalg.cond(zb))
+        for group in pattern_blocks(res != 0).groups:
+            rows, cols = group[:, :, None], group[:, None, :]
+            vals[group], zb = np.linalg.eigh(herm[rows, cols])
+            z[rows, cols] = zb
+            cond = max(cond, np.linalg.cond(zb).max())
         vals = 1j * vals if skew else vals.astype(complex)
         t, found = np.diag(vals), (_resonant_pairs(vals), cond)
     else:
@@ -392,11 +381,11 @@ def _sylvester_series(jobs, order):
 
     in the Schur basis res = Z T Z^H, summed at its points x as it runs:
     S(x) = sum c_m x^m.  Each term keeps A_{m+1} = r A_m + c_m; one stacked
-    product per order serves every term of every series, on the connected
-    blocks of the nonzero pattern shared by every T and Z^H M Z, packed
-    first-fit into a stack padded to the largest block.  With T = D + N,
-    each order divides by m + d_j - d_i and adds the finite Neumann series
-    of X -> (N X - X N) / (m + d_j - d_i); N below roundoff is dropped.  A
+    product per order serves every term of every series, on the padded
+    first-fit ``packed`` slots of the ``pattern_blocks`` of the nonzero
+    pattern shared by every T and Z^H M Z.  With T = D + N, each order
+    divides by m + d_j - d_i and adds the finite Neumann series of
+    X -> (N X - X N) / (m + d_j - d_i); N below roundoff is dropped.  A
     series stops once |c_m|_F x^m / (1 - x) at its farthest |x| is below
     ``TAIL_TARGET`` at two consecutive orders.  It fails with ResourceError
     at the first order whose tail bound is not finite, with AccuracyError at
@@ -406,22 +395,8 @@ def _sylvester_series(jobs, order):
     n = jobs[0][0].shape[0]
     mats = [[s * (z.conj().T @ m @ z) for s, m, _ in terms]
             for _, z, terms, _ in jobs]
-    blocks = _blocks(np.any([job[0] != 0 for job in jobs]
-                            + [m != 0 for terms in mats for m in terms], 0))
-    size, bins = max(map(len, blocks)), []
-    for block in sorted(blocks, key=len, reverse=True):  # first fit
-        fit = next((b for b in bins if len(b) + len(block) <= size), [])
-        if not fit:
-            bins.append(fit)
-        fit.extend(block)
-    idx = np.array([[*b, *[n] * (size - len(b))] for b in bins])
-    rows, cols = idx[:, :, None], idx[:, None, :]
-    flat = np.where((rows < n) & (cols < n), rows * n + cols, n * n)
-
-    def gather(mat):  # padding reads a zero appended after the n^2 entries
-        return np.concatenate((mat.reshape(*mat.shape[:-2], n * n), np.zeros(
-            (*mat.shape[:-2], 1), mat.dtype)), -1).take(flat, axis=-1)
-
+    index = pattern_blocks(np.any([job[0] != 0 for job in jobs] + [
+        m != 0 for terms in mats for m in terms], 0))
     rates = np.array([[[[[r]]] for _, _, r in job[2]] for job in jobs])
     gaps, nils, resonant = [], [], []
     for t, *_ in jobs:
@@ -431,14 +406,14 @@ def _sylvester_series(jobs, order):
         resonant.append(int(near[hit].min()) if hit.any() else None)
         nil = np.triu(t, 1)
         normal = np.linalg.norm(nil) <= n * _EPS * np.linalg.norm(t)
-        nils.append(None if normal else gather(nil))
+        nils.append(None if normal else index.gather(nil))
         gaps.append(gap)
-    mats, gaps = gather(np.array(mats)), gather(np.array(gaps))
+    mats, gaps = index.gather(np.array(mats)), index.gather(np.array(gaps))
     owner = np.repeat(np.arange(len(jobs)), [len(job[3]) for job in jobs])
     fars = [max(abs(x) for x in job[3]) for job in jobs]
     xs = np.array([x for job in jobs for x in job[3]])
     sums, pw = np.zeros_like(mats), np.ones_like(xs)
-    c = np.tile(gather(np.eye(n, dtype=complex)), (len(jobs), 1, 1, 1))
+    c = np.tile(index.gather(np.eye(n, dtype=complex)), (len(jobs), 1, 1, 1))
     vals = np.zeros((len(xs), *c.shape[1:]), dtype=complex)
     # buffers filled in place (at large n, fresh arrays cost more than the
     # arithmetic); real views scale by real factors
@@ -474,10 +449,7 @@ def _sylvester_series(jobs, order):
                 out[j] = ResourceError(
                     f"series overflows double precision at order {m}")
             elif below[j] and tail < TAIL_TARGET:
-                mine = vals[owner == pos]
-                full = np.zeros((len(mine), n * n + 1), dtype=complex)
-                full[:, flat] = mine
-                out[j] = (list(full[:, :-1].reshape(-1, n, n)), m, tail)
+                out[j] = (list(index.scatter(vals[owner == pos])), m, tail)
             elif m == order:
                 out[j] = AccuracyError(
                     f"series tail bound not reached at {fars[j]} by order "

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import (WeightBlocks, leg_blocks, product_blocks, shape_runs,
-                     shift_maxima, stack)
+from .blocks import (WeightBlocks, leg_blocks, moves_only_by, product_blocks,
+                     shape_runs, shift_maxima, stack)
 from .errors import ConsistencyError, InputError, ResourceError
 from .rootsys import qfact
 from .uqrep import WeightModule, null_mask, read_only, ribbon_diag
@@ -363,26 +363,22 @@ def e_matrix_component_scalars(module, v, qp):
     # e_0 ox e_-, lowest for both actions, is its own block (block -1)
     out = {_weight_key(h[0] - 1.0): (complex(q ** (-module.r - 1.5)), None)}
     s0, s1, w0, w1 = 0.0, 1.0, 0.0, 1.0   # the sub-lines, plain and twisted
-    # e_0 ox e_+ generates the quotient classes
-    p0, p1, pw0, pw1 = 1.0, 0.0, 1.0, 0.0
     defect = 0.0
     for m in range(module.dim - 4):   # blocks with no level in the top 3
         t00, t01, t11 = spin_half_transfer(q, phi[m], phi[m + 1], 1)
         # the nu-twisted transfer differs in the sign of T01 alone
         s0, s1, w0, w1 = _normalised(t00 * s0 + t01 * s1, t11 * s1,
                                      t00 * w0 - t01 * w1, t11 * w1)
-        if m:
-            p0, p1, pw0, pw1 = _normalised(t00 * p0 + t01 * p1, t11 * p1,
-                                           t00 * pw0 - t01 * pw1, t11 * pw1)
         c00, c01, c11 = b00[m], b01[m], b11[m]   # B10 = -B01
         img0, img1 = c00 * w0 + c01 * w1, c11 * w1 - c01 * w0
         nrm2 = s0 * s0 + s1 * s1
         mu = _div(s0 * img0 + s1 * img1, nrm2)
         defect = max(defect, _div(math.hypot(img0 - mu * s0, img1 - mu * s1),
                                   math.sqrt(nrm2)))
-        # (-s1, s0) annihilates the sub-line; against canonical quotient reps
-        lam = _div(s0 * (c11 * pw1 - c01 * pw0) - s1 * (c00 * pw0 + c01 * pw1),
-                   s0 * p1 - s1 * p0)
+        # (-s1, s0) annihilates the sub-line; e_0 ox e_+ generates the
+        # quotient classes, and T is upper triangular, so the plain and
+        # twisted quotient representatives stay (1, 0) at every level
+        lam = _div(-(s0 * c01) - s1 * c00, -s1)
         out[_weight_key(h[m] + 1.0)] = (complex(mu), complex(lam))
     return out, defect
 
@@ -403,8 +399,8 @@ def fusion_check(module, v, qp):
         raise InputError("truncation too small for a fusion check")
     f_v = v.F[1]
     for mat, h in ((module.f_mat, module.h_diag), (f_v, _h_vector(v))):
-        stray = sorted(s for s, in shift_maxima(mat, h[:, None])
-                       if s != -2.0)
+        stray = [] if moves_only_by(mat, h[:, None], -2.0) else sorted(
+            s for s, in shift_maxima(mat, h[:, None]) if s != -2.0)
         if stray:
             raise ConsistencyError(f"F moves weights by {stray}, not only -2")
     kv_inv = 1 / v.k_diag(v.datum.simple_root(1))

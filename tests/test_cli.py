@@ -126,14 +126,16 @@ _LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_import_leaves_scipy_integrate_out():
-    # kzmono runs on numpy alone: only a non-normal residue (kzmono._decompose)
-    # and kzmono.mkz_consistency import scipy, when called
+    # kzmono and its block layer (qsp.blocks) run on numpy alone: only a
+    # non-normal residue (kzmono._decompose) and kzmono.mkz_consistency
+    # import scipy, when called
     assert _fresh_python(
         f"import sys, qsp.cli; print({_LOADED_SCIPY})") == "[]"
 
 
 def test_run_all_leaves_scipy_out():
-    # the KZ block route (kzmono._blocks) and psi at twice-spin 8 x 8 too
+    # the KZ block route (blocks.pattern_blocks, numpy's min-label spread,
+    # not scipy.sparse.csgraph) and psi at twice-spin 8 x 8 too
     assert _fresh_python(
         "import sys; from qsp import harness, kzmono; "
         "assert all(r.passed for r in harness.run_all()); "

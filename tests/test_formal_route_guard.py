@@ -4,8 +4,9 @@ An AST scan of ``src/qsp``: only ``lusztig`` imports ``qsp.algebra`` (for
 the braid automorphisms the tests compare against), no module defines,
 imports or names ``TensorElement`` or ``act_tensor`` (the formal coproduct
 lives in ``tests/formal_algebra.py``), nothing imports from the tests, and
-one module, ``blocks``, defines the weight-block types that the R-matrix
-and the Vogan side share.
+one module, ``blocks``, defines the block types that the R-matrix, the
+Vogan side and the KZ engine share, while ``kzmono`` finds, packs, gathers
+and scatters no blocks of its own.
 """
 
 import ast
@@ -81,3 +82,16 @@ def test_one_weight_block_layer():
         assert ("qsp.blocks", "WeightBlocks") in {
             (module, taken) for module, names in _imported_modules(trees[name])
             for taken in names}, name
+    # the KZ engine takes its blocks, their packing, gather and scatter from
+    # qsp.blocks: it defines no function for any of them and calls none of
+    # the numpy routines its own block finder and per-block loop used
+    kz = trees["kzmono"]
+    assert ("qsp.blocks", ("pattern_blocks",)) in _imported_modules(kz)
+    words = ("block", "pack", "gather", "scatter", "component", "slot")
+    defined = {node.name for node in ast.walk(kz)
+               if isinstance(node, ast.FunctionDef)}
+    assert not {name for name in defined
+                if any(word in name.lower() for word in words)}, defined
+    named = {node.attr for node in ast.walk(kz)
+             if isinstance(node, ast.Attribute)}
+    assert not named & {"ix_", "flatnonzero", "unique", "minimum"}

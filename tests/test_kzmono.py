@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, schur
 
+from qsp.blocks import pattern_blocks
 from qsp.errors import (AccuracyError, InputError, ResonanceError,
                         ResourceError)
 from qsp.harness import TOL_ODE
@@ -20,12 +21,13 @@ from qsp.kzmono import (
     MonodromyProblem,
     _decompose,
     _expm,
-    _blocks,
     _herm_form,
+    _hermitian,
     _job_at_one,
     _job_at_zero,
     _orthonormalize,
     _psi_key,
+    _resonant_pairs,
     _rhs_ode,
     _star_coeffs,
     _sylvester_series,
@@ -785,13 +787,21 @@ def _components_reference(pattern):
     return out
 
 
+def _blocks(pattern):
+    """The blocks of ``pattern_blocks`` as index arrays, in their order."""
+    index = pattern_blocks(pattern)
+    return [index.members[start:start + size]
+            for start, size in zip(index.starts, index.sizes)]
+
+
 @pytest.mark.parametrize("n,density", [(1, 0.0), (7, 0.0), (12, 0.08),
                                        (30, 0.03), (30, 0.3), (40, 1.0)])
 def test_blocks_are_connected_components(n, density):
     rng = np.random.default_rng(n)
     pattern = rng.random((n, n)) < density
     got = [block.tolist() for block in _blocks(pattern)]
-    assert got == _components_reference(pattern)
+    # numbered by size, then by first appearance
+    assert got == sorted(_components_reference(pattern), key=len)
     # a path through every index, in shuffled order, is one block
     perm = rng.permutation(n)
     chain = np.zeros((n, n), dtype=bool)
@@ -913,6 +923,72 @@ def test_schur_of_kz_residues_is_eigh(q):
         assert np.linalg.norm(z.conj().T @ z - np.eye(n)) <= 1e-14
         back = z @ t @ z.conj().T
         assert np.linalg.norm(back - res) <= 1e-14 * np.linalg.norm(res)
+
+
+def _decompose_reference(res):
+    """(T, Z, resonance pairs, condition) of a normal residue by ``eigh`` on
+    each connected block of its nonzero pattern, one block at a time."""
+    skew = not _hermitian(res)
+    herm = -1j * res if skew else res
+    vals, z, cond = np.empty(len(res)), np.zeros_like(herm), 1.0
+    for idx in map(np.array, _components_reference(res != 0)):
+        if len(idx) == 1:
+            vals[idx], z[idx, idx] = herm[idx, idx].real, 1.0
+            continue
+        vals[idx], zb = np.linalg.eigh(herm[np.ix_(idx, idx)])
+        z[np.ix_(idx, idx)] = zb
+        cond = max(cond, np.linalg.cond(zb))
+    vals = 1j * vals if skew else vals.astype(complex)
+    return np.diag(vals), z, _resonant_pairs(vals), cond
+
+
+@pytest.mark.parametrize("q", [0.3, 0.75])
+def test_stacked_eigh_is_the_per_block_loop_bit_for_bit(q):
+    # every KZ residue (skew-Hermitian) and i times it (Hermitian)
+    for lam in (0.5, 1.0, 2.0):
+        for j2a in range(1, 9):
+            for j2b in range(j2a, 9):
+                for res in kz_coeffs(TS, lam, j2a, j2b, hbar_of(q)):
+                    for mat in (res, 1j * res):
+                        got, want = _decompose(mat), _decompose_reference(mat)
+                        for x, y in zip(got[:2], want[:2]):
+                            assert x.tobytes() == y.tobytes()
+                        assert got[2:] == want[2:]
+
+
+def _packed_reference(pattern):
+    """Flat gather indices of the connected blocks of a pattern, packed
+    first-fit, largest first, into slots padded to the largest block."""
+    n, blocks = len(pattern), _components_reference(pattern)
+    size, bins = max(map(len, blocks)), []
+    for block in sorted(blocks, key=len, reverse=True):
+        fit = next((b for b in bins if len(b) + len(block) <= size), [])
+        if not fit:
+            bins.append(fit)
+        fit.extend(block)
+    idx = np.array([[*b, *[n] * (size - len(b))] for b in bins])
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    return np.where((rows < n) & (cols < n), rows * n + cols, n * n)
+
+
+def test_packed_slots_of_the_psi_pair_batch():
+    # the 8 x 8 psi_pair batch: the series at 0 and at 1 of both orientations
+    a, bp, bm = kz_coeffs(TS, 1.0, 8, 8, hbar_of(0.75))
+    prob = MonodromyProblem(a, bp, bm)
+    mirror = MonodromyProblem(a, bm, bp)
+    jobs = [_job_at_zero(prob, [s * x for s in (1.0, -1.0)
+                                for x in MATCH_POINTS]),
+            _job_at_one(prob), _job_at_one(mirror)]
+    mats = [s * (z.conj().T @ m @ z) for _, z, terms, _ in jobs
+            for s, m, _ in terms]
+    pattern = np.any([t != 0 for t, *_ in jobs] + [m != 0 for m in mats], 0)
+    index = pattern_blocks(pattern)
+    want = _packed_reference(pattern)
+    assert index.packed.dtype == want.dtype
+    np.testing.assert_array_equal(index.packed, want)
+    assert index.packed.shape == (9, 9, 9)   # 17 blocks fill 9 slots
+    for mat in mats:
+        np.testing.assert_array_equal(index.scatter(index.gather(mat)), mat)
 
 
 def test_schur_of_nonnormal_residues_is_scipy():

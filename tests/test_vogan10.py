@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -635,8 +636,14 @@ def test_fusion_rejects_a_stray_weight_shift(v):
     f_bad = m.f_mat.copy()
     f_bad[0, 3] = 1e-3   # moves a weight by -6: its row would be dropped
     bad = type(m)(m.r, m.qp, m.k_diag, f_bad, m.h_diag)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match=r"by \[-6\.0\], not only"):
         fusion_check(bad, v, QP)
+    # one stray entry in F on V, keeping its weight (a zero shift)
+    f_v = v.F[1].copy()
+    f_v[0, 0] = 1e-3
+    bad_v = dataclasses.replace(v, F={**v.F, 1: f_v}, cache={})
+    with pytest.raises(ConsistencyError, match=r"by \[0\.0\], not only"):
+        fusion_check(m, bad_v, QP)
 
 
 def test_braid_is_built_once_and_read_only(v):
