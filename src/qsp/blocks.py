@@ -4,27 +4,25 @@ R, Delta(v), every factor of the quasi R-matrix and the twist braid preserve
 total weight on a tensor product (Jantzen, Lectures on Quantum Groups,
 ch. 5); the 2-cyclotomic KZ coefficients commute with k, so they preserve
 total k-weight (Enriquez, Selecta Math. 2008).  A ``BlockIndex`` numbers
-its blocks by size, then by first appearance, and comes in two kinds:
-``product_blocks`` groups the basis of legs[0] ox legs[1] ox ... by total
-weight (a ``WeightModule`` leg is keyed by its exact weights, integer rows
+its blocks by size, then by first appearance.  ``product_blocks`` keys them
+by total weight (a ``WeightModule`` leg by its exact weights, integer rows
 over one denominator; a ladder of ``qsp.vogan10`` by its H-eigenvalues,
-sums rounded to 9 digits), and ``pattern_blocks`` takes the connected
+sums rounded to 9 digits); ``pattern_blocks`` takes the connected
 components of a nonzero pattern, for the KZ matrices, which carry no
 weights.
 
-Each side keeps the stacking that is faster on its own blocks (one batched
+Each side keeps the stacking that is faster on its blocks (one batched
 matmul; 2 cores, one BLAS thread).  The R-matrix and the Vogan side keep
-``WeightBlocks`` in per-size runs (``entries``): the blocks of one size
-contiguous and unpadded, one matmul per size.  On large products that took
-150 us against 411 us padded (A2 [2,2] ox [2,2]) and 3.2 ms against
-12.6 ms (A3 adjoint ox adjoint ox adjoint).  The KZ series gathers its
-blocks into padded first-fit slots (``packed``): they come in pairs of
-sizes 1, ..., D-1 plus one of size D, so they fill D slots exactly, and
-3 jobs x 2 terms took 15 us against 31 us in per-size runs at D = 4, 55 us
-against 92 us at D = 9.  Padded slots also win on small R products (largest
-block up to 13), so neither stacking wins everywhere; no size cut switches
-between them, which would be a second path on each side.  ``leg_blocks``
-gathers the blocks of an operator on some legs from its small factors, and
+``WeightBlocks`` in per-size runs (``entries``), unpadded, one matmul per
+size: 150 us against 411 us padded on A2 [2,2] ox [2,2], 3.2 ms against
+12.6 ms on A3 adjoint ox adjoint ox adjoint.  The KZ series gathers into
+padded first-fit slots (``packed``): its blocks come in pairs of sizes
+1, ..., D-1 plus one of size D, so they fill D slots exactly; 3 jobs x 2
+terms took 15 us against 31 us in per-size runs at D = 4, 55 us against
+92 us at D = 9.  Padded slots also win on small R products (largest block
+up to 13), so neither stacking wins everywhere, and no size cut switches
+between them: that would be a second path on each side.  ``leg_blocks``
+gathers the blocks of an operator on some legs from its small factors;
 ``BlockIndex.shifted`` pairs the blocks that an operator moving the weight
 by a fixed shift maps between.
 """
