@@ -83,8 +83,8 @@ def test_one_weight_block_layer():
             (module, taken) for module, names in _imported_modules(trees[name])
             for taken in names}, name
     # the KZ engine takes its blocks, their packing, gather and scatter from
-    # qsp.blocks: it defines no function for any of them and calls none of
-    # the numpy routines its own block finder and per-block loop used
+    # qsp.blocks: it defines no function for any of them and names none of
+    # the numpy routines a block finder or a per-block loop is built from
     kz = trees["kzmono"]
     assert ("qsp.blocks", ("pattern_blocks",)) in _imported_modules(kz)
     words = ("block", "pack", "gather", "scatter", "component", "slot")
