@@ -244,15 +244,16 @@ def shift_maxima(mat, keys):
 
 
 def moves_only_by(mat, keys, shift):
-    """True when every nonzero entry of mat, on a basis with the weight keys
-    ``keys``, moves the weight by ``shift`` as ``shift_maxima`` reads it:
-    its nonzero entries are counted in all and on the pairs of basis vectors
-    that ``shift`` joins, so that no index of them is formed."""
+    """True when every nonzero entry of the complex mat, on a basis with the
+    weight keys ``keys``, moves the weight by ``shift`` as ``shift_maxima``
+    reads it: the nonzero real and imaginary parts (an entry is zero exactly
+    when both are) are counted in all and on the pairs of basis vectors that
+    ``shift`` joins, so that no index of them is formed."""
     index = _grouped((len(keys),), (keys,), 1, _rounded(keys))
     rows, cols = index.pair_entries(*index.shifted(shift))[:2]
     band = (_rounded(keys[rows] - keys[cols]) == shift).all(axis=1)
-    return np.count_nonzero(mat[rows[band], cols[band]]) \
-        == np.count_nonzero(mat)
+    return np.count_nonzero(mat[rows[band], cols[band]].view(float)) \
+        == np.count_nonzero(mat.view(float))
 
 
 def leg_blocks(index, factors):
@@ -306,10 +307,6 @@ class WeightBlocks:
     layout: BlockIndex
     data: np.ndarray
     off_block: float = 0.0
-
-    @property
-    def index(self):
-        return self.layout.groups
 
     @property
     def stacks(self):

@@ -31,7 +31,7 @@ import numpy as np
 from .blocks import pattern_blocks
 from .errors import AccuracyError, InputError, ResonanceError, ResourceError
 from .rmatrix import op_on_legs
-from .uqrep import intertwiners, read_only
+from .uqrep import intertwiners, read_only, relative
 
 _EPS = np.finfo(float).eps
 
@@ -56,14 +56,15 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA13 = 5.371920351148152
 
 
-def _hermitian(mat):
-    """True when mat equals its conjugate transpose to roundoff; a large mat
-    is scaled by a power of two first (exact), so that no norm overflows."""
+def _hermitian(mat, sign=1):
+    """True when mat equals sign times its conjugate transpose to roundoff
+    (sign -1: skew-Hermitian); a large mat is scaled by a power of two first
+    (exact), so that no norm overflows."""
     scale = np.abs(mat).max(initial=0.0)
     if scale > 1:
         mat = mat * 2.0 ** -math.frexp(scale)[1]
     tol = mat.shape[0] * _EPS * np.linalg.norm(mat)
-    return np.linalg.norm(mat - mat.conj().T) <= tol
+    return np.linalg.norm(mat - sign * mat.conj().T) <= tol
 
 
 def _expm(a):
@@ -353,7 +354,7 @@ def _decompose(res):
     if key in _RESIDUE_MEMO:
         return _RESIDUE_MEMO[key]
     skew = not _hermitian(res)
-    if not skew or _hermitian(1j * res):
+    if not skew or _hermitian(res, -1):
         herm = -1j * res if skew else res
         vals, z, cond = np.empty(len(res)), np.zeros_like(herm), 1.0
         for group in pattern_blocks(res != 0).groups:
@@ -615,7 +616,7 @@ def mkz_consistency(problem, z_target=0.81):
 
     g_end = solve(fn, (DELTA ** 2, z_target))
     h_end = solve(_rhs_ode(problem), (DELTA, math.sqrt(z_target)))
-    return np.linalg.norm(g_end - h_end) / max(np.linalg.norm(h_end), 1e-30)
+    return relative(g_end - h_end, h_end)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import AlgebraElement
 from .errors import InputError
 from .rootsys import WeylWord, beta_sequence, qfact, qint, restrict_datum
-from .uqrep import QParams, build_irrep, kernel
+from .uqrep import QParams, build_irrep, kernel, relative
 
 
 @dataclass(frozen=True)
@@ -213,20 +213,16 @@ def verify_appB(ctx, varpi_sub_coords):
 
     txi = t_mat @ xi
     res = {}
-    res["T-"] = _vec_rel(txi - pref * signs / qfacts * (zm_mat @ xi), txi)
-    res["T-inv"] = _vec_rel(np.linalg.solve(t_mat, xi) - (zm_mat @ xi) / qfacts,
-                            xi)
-    res["T+"] = _vec_rel(t_mat @ txi - (zp_mat @ txi) / qfacts, txi)
+    res["T-"] = relative(txi - pref * signs / qfacts * (zm_mat @ xi), txi)
+    res["T-inv"] = relative(
+        np.linalg.solve(t_mat, xi) - (zm_mat @ xi) / qfacts, xi)
+    res["T+"] = relative(t_mat @ txi - (zp_mat @ txi) / qfacts, txi)
     e_closed, d_closed = e_d_constants(word, qp_sub, varpi)
     res["e"] = _scalar_rel((zp_mat @ (zm_mat @ xi))[0], e_closed)
     zz = zm_mat @ (zp_mat @ txi)
     lead = np.argmax(np.abs(txi))
     res["d"] = _scalar_rel(zz[lead] / txi[lead], d_closed)
     return res
-
-
-def _vec_rel(diff, ref):
-    return float(np.linalg.norm(diff) / max(np.linalg.norm(ref), 1e-30))
 
 
 def _scalar_rel(got, want):

@@ -23,11 +23,12 @@ q^{-(wt xi, wt eta)} on (E-singular) ox (F-singular) vectors, which the
 quasi factor fixes, and it intertwines the coproduct with its opposite on
 every generator, both taken as leg matrices from ``uqrep.coproduct_terms``,
 the one place the coproduct is written.  The intertwining check runs on the
-blocks of R and reports R's largest entry between them.  ``rmat(m, n)``
-keeps its result in ``m.cache`` per n: a cached R-matrix is one that passed
-both checks.  The YBE, hexagon and ribbon checks multiply their sides per
-block of the triple or double product, with no operator on the product
-formed; ``op_on_legs`` moves tensor legs by reshape and transpose.
+blocks of R; R is scattered from them, so it has no entry between them.
+``rmat(m, n)`` keeps its result in ``m.cache`` per n: a cached R-matrix is
+one that passed both checks.  The YBE, hexagon and ribbon checks multiply
+their sides per block of the triple or double product, with no operator on
+the product formed, R21 among them as R(n, m) gathered on the legs in
+reversed order; ``op_on_legs`` moves tensor legs by reshape and transpose.
 
 Independent oracle: solve the intertwining linear system, with Delta and
 Delta^op formed as dense matrices, and pin the isotypic-block scalars by
@@ -46,7 +47,8 @@ from .errors import ConsistencyError, UnsupportedOracleError
 from .lusztig import braid_on_module
 from .rootsys import beta_sequence, longest_element, qint
 from .uqrep import (casimir_scalar, coproduct_terms, decompose, kron_sum,
-                    read_only, require_product_dim, ribbon_diag, tensor)
+                    read_only, relative, require_product_dim, ribbon_diag,
+                    tensor)
 
 _PIN_TOL = 1e-9
 
@@ -124,21 +126,14 @@ class RMatrix:
 
 
 def _intertwining_residual(mat, index, m, n):
-    """(residual, off_block): the max over generators x of
-    ||R Delta(x) - Delta^op(x) R|| (relative) on the blocks ``index`` of
-    m ox n, with Delta^op on m ox n the flipped ``coproduct_terms(n, m, r)``,
-    and the largest entry of R outside the blocks.
+    """The max over generators x of ||R Delta(x) - Delta^op(x) R||
+    (relative) on the blocks ``index`` of m ox n, with Delta^op on m ox n
+    the flipped ``coproduct_terms(n, m, r)``.
 
     Delta(x) maps the block of weight mu to the block of mu + wt x, so on
     each such pair the sides are R_{mu + wt x} Delta(x)_{mu + wt x, mu} and
     Delta^op(x)_{mu + wt x, mu} R_mu, with every coproduct term a ox b
     gathered on the pair's entries; the pairs of one shape are stacked."""
-    rows, cols, _ = index.entries
-    off = 0.0
-    if np.count_nonzero(mat) > np.count_nonzero(mat[rows, cols]):
-        outside = np.abs(mat)
-        outside[rows, cols] = 0.0
-        off = float(outside.max())
     worst = 0.0
     for r in m.datum.vertices:
         # alpha_r: column r of the Cartan matrix, over the keys' denominator
@@ -171,7 +166,7 @@ def _intertwining_residual(mat, index, m, n):
                           out=stack(rhs, at[p], count, x, y))
             scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-30)
             worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
-    return float(worst), off
+    return float(worst)
 
 
 def _killed(module, gens):
@@ -217,18 +212,16 @@ def rmat(m, n):
         return m.cache[key]
     require_product_dim(m.dim, n.dim)
     quasi = _quasi_factor(m, n)
-    rows, cols, _ = quasi.layout.entries
-    mat = np.zeros((m.dim * n.dim,) * 2, dtype=complex)
-    mat[rows, cols] = quasi.data * _cartan_factor(m, n)[cols]
-    read_only(mat)
+    cols = quasi.layout.entries[1]
+    mat = read_only(WeightBlocks(
+        quasi.layout, quasi.data * _cartan_factor(m, n)[cols]).dense())
     norm = _normalization_residual(mat, m, n)
-    inter, off = _intertwining_residual(mat, quasi.layout, m, n)
-    if not (norm < _PIN_TOL and inter < _PIN_TOL and off < _PIN_TOL):
+    inter = _intertwining_residual(mat, quasi.layout, m, n)
+    if not (norm < _PIN_TOL and inter < _PIN_TOL):
         raise ConsistencyError(
             f"R-matrix on {m.label} ox {n.label} fails its checks: "
             f"normalization residual {norm:.3g}, intertwining residual "
-            f"{inter:.3g}, largest entry between weight blocks {off:.3g} "
-            f"(tolerance {_PIN_TOL:g})")
+            f"{inter:.3g} (tolerance {_PIN_TOL:g})")
     out = m.cache[key] = RMatrix(mat, "R")
     return out
 
@@ -299,11 +292,6 @@ def op_on_legs(mat, dims, legs):
         dims, legs)
 
 
-def _relative(diff, ref):
-    """||diff|| / ||ref|| for ``WeightBlocks``."""
-    return diff.norm() / max(ref.norm(), 1e-30)
-
-
 def ybe_residual(m):
     """||R12 R13 R23 - R23 R13 R12|| on m ox m ox m (relative), both sides
     multiplied per total-weight block of the triple product."""
@@ -312,7 +300,7 @@ def ybe_residual(m):
     r12, r13, r23 = (leg_blocks(index, [(legs, r)])
                      for legs in ((0, 1), (0, 2), (1, 2)))
     lhs = r12 @ r13 @ r23
-    return _relative(lhs - r23 @ r13 @ r12, lhs)
+    return relative((lhs - r23 @ r13 @ r12).data, lhs.data)
 
 
 def hexagon_residuals(m, n, p):
@@ -326,8 +314,8 @@ def hexagon_residuals(m, n, p):
     lhs1 = on((0, 1, 2), tensor(m, n), p)
     lhs2 = on((0, 1, 2), m, tensor(n, p))
     r12, r13, r23 = on((0, 1), m, n), on((0, 2), m, p), on((1, 2), n, p)
-    return (_relative(lhs1 - r13 @ r23, lhs1),
-            _relative(lhs2 - r13 @ r12, lhs2))
+    return (relative((lhs1 - r13 @ r23).data, lhs1.data),
+            relative((lhs2 - r13 @ r12).data, lhs2.data))
 
 
 def ribbon_residual(m, n):

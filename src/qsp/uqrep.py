@@ -501,7 +501,7 @@ def relations_residual(module):
             ks = module.k_matrix(datum.simple_root(s))
             lhs = ks @ er
             rhs = qp.qpow(datum.simple_root(s).pairing(datum.simple_root(r))) * (er @ ks)
-            out[f"KE[{s},{r}]"] = _rel(lhs - rhs, rhs)
+            out[f"KE[{s},{r}]"] = relative(lhs - rhs, rhs)
             if r != s:
                 out[f"SerreE[{r},{s}]"] = _serre(module, r, s, module.E)
                 out[f"SerreF[{r},{s}]"] = _serre(module, r, s, module.F)
@@ -518,11 +518,12 @@ def _ef_residual(module, r):
     qr = module.qp.q_r(module.datum, r)
     rhs = (k - 1.0 / k) / (qr - 1.0 / qr)
     diff = module.E[r] @ module.F[r] - module.F[r] @ module.E[r]
-    return _rel(diff - np.diag(rhs), rhs)
+    return relative(diff - np.diag(rhs), rhs)
 
 
-def _rel(diff, rhs):
-    return np.linalg.norm(diff) / max(np.linalg.norm(rhs), 1e-30)
+def relative(diff, ref):
+    """||diff|| / ||ref||, the Frobenius norms; 1e-30 bounds ||ref|| below."""
+    return float(np.linalg.norm(diff) / max(np.linalg.norm(ref), 1e-30))
 
 
 def _serre(module, r, s, mats):

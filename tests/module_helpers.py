@@ -1,7 +1,10 @@
-"""Modules and residuals that only the tests use."""
+"""Modules, residuals and suite runs that only the tests use."""
+
+import json
 
 import numpy as np
 
+from qsp.harness import run_axioms, run_kz_suite, run_rank_one
 from qsp.uqrep import WeightModule
 from qsp.vogan10 import _total_h, _weight_key
 
@@ -40,3 +43,20 @@ def weight_blocks(module, v):
     """Total-weight spaces of module ox V, a ladder of ``qsp.vogan10`` times
     a weight module, as index lists keyed by the H-eigenvalue."""
     return _weight_groups(_total_h(module, v))
+
+
+def run_all(q=0.7, r=0.25, levels=14):
+    """The reports of the five suites: the coideal, KZ and Vogan axioms, the
+    KZ suite and the rank-one probe."""
+    return [
+        run_axioms("coideal", q, t=0.3),
+        run_axioms("kz", q, t=1.0),
+        run_axioms("vogan", q, r=r, levels=levels),
+        run_kz_suite(q),
+        run_rank_one(q, r, levels),
+    ]
+
+
+def reports_to_json(reports):
+    return json.dumps([rep.to_json() for rep in reports],
+                      indent=2, sort_keys=True)

@@ -135,10 +135,13 @@ def test_import_leaves_scipy_integrate_out():
 
 def test_run_all_leaves_scipy_out():
     # the KZ block route (blocks.pattern_blocks, numpy's min-label spread,
-    # not scipy.sparse.csgraph) and psi at twice-spin 8 x 8 too
+    # not scipy.sparse.csgraph) and psi at twice-spin 8 x 8 too; the five
+    # suites through the tests' run_all
     assert _fresh_python(
-        "import sys; from qsp import harness, kzmono; "
-        "assert all(r.passed for r in harness.run_all()); "
+        f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r}); "
+        "from module_helpers import run_all; "
+        "from qsp import harness, kzmono; "
+        "assert all(r.passed for r in run_all()); "
         "assert harness.run_kz_suite(0.7).passed; "
         "ts = kzmono.split_tensors(); "
         "res = kzmono.psi(kzmono.MonodromyProblem(*kzmono.kz_coeffs("

@@ -6,17 +6,35 @@ imports or names ``TensorElement`` or ``act_tensor`` (the formal coproduct
 lives in ``tests/formal_algebra.py``), nothing imports from the tests, and
 one module, ``blocks``, defines the block types that the R-matrix, the
 Vogan side and the KZ engine share, while ``kzmono`` finds, packs, gathers
-and scatters no blocks of its own.
+and scatters no blocks of its own.  Every public top-level function or
+class of ``src/qsp`` has a user: the program outside its own body, the
+benchmark (``perfbench/*.py``, read only), or the CLI as a registered
+command; the few kept for the tests alone are named in ``TEST_ONLY_API``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import qsp
 
 SRC = Path(qsp.__file__).parent
+BENCH = SRC.parent.parent / "perfbench"
 TEST_MODULES = {path.stem for path in Path(__file__).parent.glob("*.py")}
 FORMAL_NAMES = {"TensorElement", "act_tensor"}
+# public API with no user in the program, the benchmark or the CLI, and why
+# it stays
+TEST_ONLY_API = {
+    "coideal.conjugate": "the chi_t action on the parameters, which the "
+                         "tests check as a group action and compose with "
+                         "the pi_t intertwining",
+    "uqrep.relations_residual": "the tests' check of the U_q relations on "
+                                "every built irrep",
+    "vogan10.relations_residual": "the tests' check of the relations on "
+                                  "the truncated ladders",
+    "lusztig.braid_word_on_algebra": "named only as a string by the "
+                                     "benchmark's tracer, which wraps it",
+}
 
 
 def _trees():
@@ -95,3 +113,40 @@ def test_one_weight_block_layer():
     named = {node.attr for node in ast.walk(kz)
              if isinstance(node, ast.Attribute)}
     assert not named & {"ix_", "flatnonzero", "unique", "minimum"}
+
+
+def _names(tree):
+    """How often an AST reads each name, as a plain name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _is_cli_command(module, node):
+    """A function of ``qsp.cli`` registered by a decorator (``_command``,
+    ``click.group`` or ``main.group``)."""
+    return module == "cli" and any(
+        isinstance(dec, ast.Call) and getattr(
+            dec.func, "id", getattr(dec.func, "attr", None)) in (
+            "_command", "group", "command") for dec in node.decorator_list)
+
+
+def test_every_public_definition_has_a_user():
+    trees = _trees()
+    bench = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bench |= set(_names(tree)) | {alias.name for node in ast.walk(tree)
+                                      if isinstance(node, ast.ImportFrom)
+                                      for alias in node.names}
+    assert "kz_coeffs" in bench   # the benchmark was read
+    program = sum((_names(tree) for tree in trees.values()), Counter())
+    unused = {f"{module}.{node.name}" for module, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and not _is_cli_command(module, node)
+              and node.name not in bench
+              # read nowhere but inside its own body
+              and program[node.name] == _names(node)[node.name]}
+    assert unused == set(TEST_ONLY_API), sorted(unused ^ set(TEST_ONLY_API))

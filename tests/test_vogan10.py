@@ -652,7 +652,7 @@ def test_braid_is_built_once_and_read_only(v):
     assert braid_blocks(m, v, QP) is blocks
     prod = coaction_tensor(m, v)
     assert coaction_tensor(m, v) is prod
-    for arr in (*blocks.index, *blocks.stacks, prod.k_diag, prod.f_mat,
+    for arr in (*blocks.layout.groups, *blocks.stacks, prod.k_diag, prod.f_mat,
                 prod.h_diag):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
