@@ -64,7 +64,8 @@ def _hermitian(mat, sign=1):
     if scale > 1:
         mat = mat * 2.0 ** -math.frexp(scale)[1]
     tol = mat.shape[0] * _EPS * np.linalg.norm(mat)
-    return np.linalg.norm(mat - sign * mat.conj().T) <= tol
+    adj = mat.conj().T
+    return np.linalg.norm(mat - adj if sign > 0 else mat + adj) <= tol
 
 
 def _expm(a):
