@@ -251,8 +251,8 @@ def kmatrix_cmd(diagram_path, t, rep_weight, q):
     if eta.shape[0] == 2:
         lam = lambda_from_trace(eta, q)[0]
     sigma = tau_tau0_perm(diag)
-    plain = x0.generator_matrices(target)
-    twisted = x0.generator_matrices(twist_module(target, sigma))
+    plain, tw = x0.generator_matrices(target), twist_module(target, sigma)
+    twisted = plain if tw is target else x0.generator_matrices(tw)
     resid = max(
         float(np.linalg.norm(eta @ twisted[k] - plain[k] @ eta))
         / max(float(np.linalg.norm(plain[k])), 1e-30)

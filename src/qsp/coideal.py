@@ -54,7 +54,7 @@ from .lusztig import braid_word_on_module
 from .rmatrix import r21, rmat
 from .rootsys import alpha_coefficients, nullspace_frac, tau0
 from .uqrep import (WeightModule, build_irrep, decompose, intertwiners,
-                    read_only, tensor, twist_module)
+                    kron, read_only, tensor, twist_module)
 
 SPAN_DEGREE_CAP = 6
 
@@ -561,8 +561,8 @@ def _solve(diag, params, qp, x0, u, fuse_from):
     """The uncached solve behind ``kmatrix_solve``."""
     _check_param_shape(diag, params)
     sigma = tau_tau0_perm(diag)
-    plain = x0.generator_matrices(u)
-    twisted = x0.generator_matrices(twist_module(u, sigma))
+    plain, tw = x0.generator_matrices(u), twist_module(u, sigma)
+    twisted = plain if tw is u else x0.generator_matrices(tw)
     pairs = [(twisted[k], plain[k]) for k in plain]
     basis = intertwiners(pairs, 1e-8)
     if not basis:
@@ -602,8 +602,8 @@ def ribbon_compose(diag, eta_a, a_mod, eta_b, b_mod):
     R21(A, B) (1 ox eta^B) Rtw(A, sigma B) (eta^A ox 1)."""
     sigma = tau_tau0_perm(diag)
     rtw = rmat(a_mod, twist_module(b_mod, sigma)).matrix
-    return r21(a_mod, b_mod) @ np.kron(np.eye(a_mod.dim), eta_b) \
-        @ rtw @ np.kron(eta_a, np.eye(b_mod.dim))
+    return r21(a_mod, b_mod) @ kron(np.eye(a_mod.dim), eta_b) \
+        @ rtw @ kron(eta_a, np.eye(b_mod.dim))
 
 
 def _derived_braid(diag, params, qp, x0, u, generator):

@@ -38,7 +38,7 @@ from .kzmono import flatness_residuals as kz_flatness
 from .kzmono import kz_coeffs
 from .rmatrix import r21, rmat
 from .rootsys import build_root_datum
-from .uqrep import QParams, build_irrep, decompose, relative, tensor
+from .uqrep import QParams, build_irrep, decompose, kron, relative, tensor
 from .vogan10 import (
     braid_blocks,
     build_Mr,
@@ -224,7 +224,7 @@ def check_octagon_coideal(fam, m1, m2):
                                 Character({1: chi}, {1: 0.0}))
         eta_c = kmatrix_solve(fam.diag, fam.params, fam.qp, chi_mod, m2,
                               fuse_from=fam.v)
-        lift = np.kron(vec.reshape(-1, 1), np.eye(m2.dim))
+        lift = kron(vec.reshape(-1, 1), np.eye(m2.dim))
         block = lift.conj().T @ composite @ lift
         diff = min(np.linalg.norm(block - eta_c), np.linalg.norm(block + eta_c))
         worst = max(worst, diff / max(np.linalg.norm(eta_c), 1e-30))
@@ -254,8 +254,8 @@ def _cylinder_coideal(fam, m1, m2):
     theta_u, theta_v = fam.braid(m1), fam.braid(m2)
     theta_uv = fam.braid_on_tensor(m1, m2)
     rhs1 = ribbon_compose(fam.diag, theta_u, m1, theta_v, m2)
-    rhs2 = np.kron(theta_u, np.eye(m2.dim)) @ r21(m1, m2) \
-        @ np.kron(np.eye(m1.dim), theta_v) @ rmat(m1, m2).matrix
+    rhs2 = kron(theta_u, np.eye(m2.dim)) @ r21(m1, m2) \
+        @ kron(np.eye(m1.dim), theta_v) @ rmat(m1, m2).matrix
     return theta_uv, rhs1, rhs2
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .blocks import pattern_blocks
 from .errors import AccuracyError, InputError, ResonanceError, ResourceError
 from .rmatrix import op_on_legs
-from .uqrep import intertwiners, read_only, relative
+from .uqrep import intertwiners, kron, read_only, relative
 
 _EPS = np.finfo(float).eps
 
@@ -194,7 +194,7 @@ class SymPairTensors:
         for vec in basis:
             xs = self.vec_matrix(_star_coeffs(vec), j2a)
             x = self.vec_matrix(vec, j2b)
-            out += np.kron(xs, x)
+            out += kron(xs, x)
         return out
 
     @_kept
@@ -267,7 +267,7 @@ def kz_coeffs(tensors, lam, j2a, j2b, hbar):
     """(a, b_+, b_-) on chi_lam ox V_a ox V_b."""
     if abs(np.real(hbar)) > 1e-14:
         raise InputError("hbar must be purely imaginary")
-    a = hbar * np.kron(leg_coeff(tensors, lam, j2a), np.eye(j2b + 1))
+    a = hbar * kron(leg_coeff(tensors, lam, j2a), np.eye(j2b + 1))
     b_plus = hbar * tensors.t_full(j2a, j2b)
     b_minus = hbar * (tensors.t_k(j2a, j2b) - tensors.t_m(j2a, j2b))
     return a, b_plus, b_minus
@@ -275,7 +275,7 @@ def kz_coeffs(tensors, lam, j2a, j2b, hbar):
 
 def a02_coeff(tensors, lam, j2a, j2b, hbar):
     """hbar (2 t^k_02 + C^k_2) on chi ox V_a ox V_b."""
-    return hbar * np.kron(np.eye(j2a + 1), leg_coeff(tensors, lam, j2b))
+    return hbar * kron(np.eye(j2a + 1), leg_coeff(tensors, lam, j2b))
 
 
 def d_coeff(tensors, lam, j2a, j2b, hbar):
@@ -663,7 +663,7 @@ def verify_octagon_kz(tensors, lam, j2a, j2b, hbar):
 
     # sigma applied to the last leg versus the b_+ <-> b_- swap
     s = tensors.sigma_matrix(j2b)
-    conj = np.kron(np.eye(j2a + 1), s)
+    conj = kron(np.eye(j2a + 1), s)
     swapped = np.linalg.inv(psi_021_sw) @ emi_bm @ psi_a_sw
     direct = conj @ (np.linalg.inv(psi_021) @ emi_bp @ psi_a) \
         @ np.linalg.inv(conj)

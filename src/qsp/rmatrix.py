@@ -46,9 +46,9 @@ from .blocks import (WeightBlocks, leg_blocks, product_blocks, shape_runs,
 from .errors import ConsistencyError, UnsupportedOracleError
 from .lusztig import braid_on_module
 from .rootsys import beta_sequence, longest_element, qint
-from .uqrep import (casimir_scalar, coproduct_terms, decompose, kron_sum,
-                    read_only, relative, require_product_dim, ribbon_diag,
-                    tensor)
+from .uqrep import (casimir_scalar, coproduct_terms, decompose, kron,
+                    kron_sum, read_only, relative, require_product_dim,
+                    ribbon_diag, tensor)
 
 _PIN_TOL = 1e-9
 
@@ -247,7 +247,7 @@ def rmat_oracle(m, n):
             d = kron_sum(delta)
             dop = kron_sum([(a, b) for b, a in delta_op])
             # T d - dop T = 0 as linear operator on T (vectorized)
-            rows.append(np.kron(np.eye(dim), d.T) - np.kron(dop, np.eye(dim)))
+            rows.append(kron(np.eye(dim), d.T) - kron(dop, np.eye(dim)))
     system = np.vstack(rows)
     _, s, vh = np.linalg.svd(system)
     null_dim = int(np.sum(s < 1e-8 * s[0]))

@@ -15,11 +15,15 @@ than EF_TOL relative, stops with NumericalDegeneracyError.
 life of the process; ``tensor``, ``twist_module`` and ``decompose`` keep
 their results in the ``cache`` of their first argument, keyed by the
 partner module or the permutation; the identity permutation returns the
-module itself.  Cached arrays are read-only.
+module itself.  Cached arrays are read-only.  ``decompose`` grows each
+embedding through the transport maps of its model irrep (``_transport``:
+level indices, (r, j) pairs and span pseudo-inverses), kept in the
+model's ``cache``.
 
 The coproduct is written once, in ``coproduct_terms``, as (first leg,
 second leg) matrix pairs; ``tensor`` sums their Kronecker products, and
-the R-matrix checks apply them leg by leg.
+the R-matrix checks apply them leg by leg.  Every Kronecker product of the
+package is ``kron``: one broadcast product, with np.kron's bytes.
 
 Every SVD kernel the package takes goes through ``kernel`` (and
 ``intertwiners``, the kernel of a commutation system), except the one of
@@ -166,6 +170,15 @@ def require_product_dim(*dims):
                             f"{PRODUCT_DIM_CAP}")
 
 
+def kron(a, b):
+    """np.kron of two matrices, or of two vectors, as one broadcast product:
+    the same multiplies, so the same bytes, without np.kron's set-up."""
+    if a.ndim == 1:
+        return (a[:, None] * b).reshape(-1)
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
 def intertwiners(pairs, rel):
     """Basis of {X : X A = B X for every (A, B) in pairs}, square X, as a
     list of matrices orthonormal in the Frobenius inner product: the kernel
@@ -173,7 +186,7 @@ def intertwiners(pairs, rel):
     dim = pairs[0][0].shape[0]
     require_product_dim(dim, dim)
     eye = np.eye(dim)
-    system = np.vstack([np.kron(eye, a.T) - np.kron(b, eye) for a, b in pairs])
+    system = np.vstack([kron(eye, a.T) - kron(b, eye) for a, b in pairs])
     basis, _ = kernel(system, rel)
     return [basis[:, i].reshape(dim, dim) for i in range(basis.shape[1])]
 
@@ -340,7 +353,7 @@ def coproduct_terms(m1, m2, r):
 def kron_sum(pairs):
     """The sum of a ox b over (a, b) pairs, as one matrix."""
     (a, b), *rest = pairs
-    return sum((np.kron(a, b) for a, b in rest), np.kron(a, b))
+    return sum((kron(a, b) for a, b in rest), kron(a, b))
 
 
 def tensor(m1, m2):
@@ -472,22 +485,34 @@ def _grow_embedding(module, varpi, hw_vec, qp):
     is spanned by F-images of the previous one, so a pseudo-inverse of the
     span map transports the embedding."""
     model = build_irrep(module.datum, varpi, qp)
-    datum = module.datum
     emb = np.zeros((module.dim, model.dim), dtype=complex)
     emb[:, 0] = hw_vec
-    levels = {}
-    for i, w in enumerate(model.weights):
-        ht = sum(alpha_coefficients(varpi - w, datum.vertices).values())
-        levels.setdefault(ht, []).append(i)
-    heights = sorted(levels)
-    for ha, hb in zip(heights, heights[1:]):
-        prev, nxt = levels[ha], levels[hb]
-        pairs = [(r, j) for r in datum.vertices for j in prev]
-        span = np.array([[model.F[r][i, j] for (r, j) in pairs] for i in nxt])
-        w = np.linalg.pinv(span)  # pairs x nxt; e_i = sum_pairs w[p,i] F_r e_j
+    for nxt, pairs, w in _transport(model):
         images = np.column_stack([module.F[r] @ emb[:, j] for (r, j) in pairs])
         emb[:, nxt] = images @ w
     return emb
+
+
+def _transport(model):
+    """The transport maps of an irrep, kept in its cache: per level below
+    the top, (its indices, the (r, j) pairs F_r e_j from the level above,
+    the pseudo-inverse of the span map, pairs x indices)."""
+    key = ("transport",)
+    if key not in model.cache:
+        top, datum, levels = model.highest, model.datum, {}
+        for i, w in enumerate(model.weights):
+            ht = sum(alpha_coefficients(top - w, datum.vertices).values())
+            levels.setdefault(ht, []).append(i)
+        heights = sorted(levels)
+        maps = []
+        for ha, hb in zip(heights, heights[1:]):
+            prev, nxt = levels[ha], levels[hb]
+            pairs = [(r, j) for r in datum.vertices for j in prev]
+            span = np.array([[model.F[r][i, j] for (r, j) in pairs]
+                             for i in nxt])
+            maps.append((nxt, pairs, read_only(np.linalg.pinv(span))))
+        model.cache[key] = tuple(maps)
+    return model.cache[key]
 
 
 def relations_residual(module):

@@ -40,7 +40,7 @@ from .blocks import (WeightBlocks, leg_blocks, moves_only_by, product_blocks,
                      shape_runs, shift_maxima, stack)
 from .errors import ConsistencyError, InputError, ResourceError
 from .rootsys import qfact
-from .uqrep import WeightModule, null_mask, read_only, ribbon_diag
+from .uqrep import WeightModule, kron, null_mask, read_only, ribbon_diag
 
 # the most levels build_Mr truncates to: F is a dense cap x cap complex
 # matrix, 16 cap^2 bytes (67 MB at 2048)
@@ -157,10 +157,10 @@ def coaction_tensor(module, v):
     key = ("coaction", v)
     if key not in module.cache:
         kv = v.k_diag(v.datum.simple_root(1))
-        f = np.kron(module.f_mat, np.diag(1 / kv)) \
-            + np.kron(np.eye(module.dim), v.F[1])
+        f = kron(module.f_mat, np.diag(1 / kv)) \
+            + kron(np.eye(module.dim), v.F[1])
         module.cache[key] = TruncatedModule(module.r, module.qp, *(
-            read_only(arr) for arr in (np.kron(module.k_diag, kv), f,
+            read_only(arr) for arr in (kron(module.k_diag, kv), f,
                                        _total_h(module, v))))
     return module.cache[key]
 

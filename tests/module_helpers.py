@@ -5,7 +5,8 @@ import json
 import numpy as np
 
 from qsp.harness import run_axioms, run_kz_suite, run_rank_one
-from qsp.uqrep import WeightModule
+from qsp.rootsys import alpha_coefficients
+from qsp.uqrep import WeightModule, build_irrep
 from qsp.vogan10 import _total_h, _weight_key
 
 
@@ -60,3 +61,26 @@ def run_all(q=0.7, r=0.25, levels=14):
 def reports_to_json(reports):
     return json.dumps([rep.to_json() for rep in reports],
                       indent=2, sort_keys=True)
+
+
+def reference_grow_embedding(module, varpi, hw_vec, qp):
+    """``uqrep._grow_embedding`` before its transport maps were kept per
+    model irrep: the level split, the (r, j) pairs and the pseudo-inverse of
+    each span map are formed again on every call."""
+    model = build_irrep(module.datum, varpi, qp)
+    datum = module.datum
+    emb = np.zeros((module.dim, model.dim), dtype=complex)
+    emb[:, 0] = hw_vec
+    levels = {}
+    for i, w in enumerate(model.weights):
+        ht = sum(alpha_coefficients(varpi - w, datum.vertices).values())
+        levels.setdefault(ht, []).append(i)
+    heights = sorted(levels)
+    for ha, hb in zip(heights, heights[1:]):
+        prev, nxt = levels[ha], levels[hb]
+        pairs = [(r, j) for r in datum.vertices for j in prev]
+        span = np.array([[model.F[r][i, j] for (r, j) in pairs] for i in nxt])
+        w = np.linalg.pinv(span)
+        images = np.column_stack([module.F[r] @ emb[:, j] for (r, j) in pairs])
+        emb[:, nxt] = images @ w
+    return emb

@@ -493,6 +493,19 @@ def test_kmatrix_solve_memo_returns_same_read_only_array(v12, v1):
         assert not first.flags.writeable
 
 
+def test_kmatrix_solve_forms_the_generators_once_when_the_twist_is_trivial(
+        v12, monkeypatch):
+    # tau tau_0 is the identity on A1, so the twisted module is v12 itself
+    calls = []
+    real = CoidealModule.generator_matrices
+    monkeypatch.setattr(CoidealModule, "generator_matrices",
+                        lambda self, w: calls.append(w) or real(self, w))
+    params = su2_params(0.55)
+    x0 = counit_module(D_SU2, params, QP)
+    kmatrix_solve(D_SU2, params, QP, x0, v12)
+    assert calls == [v12]
+
+
 _BRAIDS_SCRIPT = """
 import json, sys
 from qsp.coideal import (CoidealParams, _derived_braid, counit_module,

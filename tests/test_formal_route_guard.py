@@ -6,7 +6,8 @@ imports or names ``TensorElement`` or ``act_tensor`` (the formal coproduct
 lives in ``tests/formal_algebra.py``), nothing imports from the tests, and
 one module, ``blocks``, defines the block types that the R-matrix, the
 Vogan side and the KZ engine share, while ``kzmono`` finds, packs, gathers
-and scatters no blocks of its own.  Every public top-level function or
+and scatters no blocks of its own.  No module calls ``np.kron``: every
+Kronecker product goes through ``uqrep.kron``.  Every public top-level function or
 class of ``src/qsp`` has a user: the program outside its own body, the
 benchmark (``perfbench/*.py``, read only), or the CLI as a registered
 command; the few kept for the tests alone are named in ``TEST_ONLY_API``.
@@ -113,6 +114,16 @@ def test_one_weight_block_layer():
     named = {node.attr for node in ast.walk(kz)
              if isinstance(node, ast.Attribute)}
     assert not named & {"ix_", "flatnonzero", "unique", "minimum"}
+
+
+def test_every_kronecker_product_goes_through_uqrep_kron():
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "kron"
+                        and getattr(node.value, "id", None) in ("np", "numpy")
+                        ), name
+        assert not any(module == "numpy" and "kron" in names
+                       for module, names in _imported_modules(tree)), name
 
 
 def _names(tree):

@@ -11,13 +11,15 @@ from qsp.uqrep import (
     decompose,
     intertwiners,
     kernel,
+    kron,
     relations_residual,
     tensor,
     twist_module,
 )
 
 from formal_algebra import act, act_tensor, antipode, coproduct, star
-from module_helpers import star_residual, trivial_module
+from module_helpers import (reference_grow_embedding, star_residual,
+                            trivial_module)
 
 A1 = build_root_datum([("A", 1)])
 A2 = build_root_datum([("A", 2)])
@@ -246,6 +248,72 @@ def test_decompose_with_multiplicity():
     assert got == [((1,), 2), ((3,), 1)]
     u = np.hstack([emb for _, _, embs in dec for emb in embs])
     np.testing.assert_allclose(u.conj().T @ u, np.eye(m.dim), atol=1e-8)
+
+
+def _kron_factors():
+    """(a, b) pairs for the Kronecker kernel: real and complex identities,
+    the octagon lift's column vector, 1 x 1 factors, negative entries (whose
+    products with zeros are signed zeros), non-contiguous transposes and
+    vectors."""
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    neg = -np.abs(rng.normal(size=(2, 3)))
+    col = (rng.normal(size=4) - 1j * rng.normal(size=4)).reshape(-1, 1)
+    return [(np.eye(3), c), (c, np.eye(2)), (np.eye(2), np.eye(4) * 1j),
+            (col, np.eye(3)), (np.ones((1, 1)), c), (c, np.full((1, 1), -2j)),
+            (np.array([[-0.0]]), np.array([[1.5]])), (neg, np.eye(2)),
+            (np.eye(3), neg), (neg, -np.eye(2) * 1j), (c.T, neg.T),
+            (np.eye(4), c.T), (rng.normal(size=5), -rng.normal(size=3)),
+            (np.array([-1.0, 0.0]), np.array([0.5, -2.0, 0.0]))]
+
+
+def test_kron_is_np_kron_bit_for_bit():
+    for a, b in _kron_factors():
+        got, want = kron(a, b), np.kron(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _embedding_cases():
+    """(module, q) for A1 V1/2 ox V_j, twice-spins 1-8 at q = 0.6 and 0.9,
+    the A2 products [1,0] ox [0,1] and [1,1] ox [1,0], and (V1/2)^{ox 3}."""
+    for q in (0.6, 0.9):
+        qp = QParams(q)
+        half = build_irrep(A1, A1.weight([1]), qp)
+        for j in range(1, 9):
+            yield tensor(half, build_irrep(A1, A1.weight([j]), qp)), qp
+    pairs = [((1, 0), (0, 1)), ((1, 1), (1, 0))]
+    for a, b in pairs:
+        yield tensor(build_irrep(A2, A2.weight(list(a)), QP),
+                     build_irrep(A2, A2.weight(list(b)), QP)), QP
+    v = build_irrep(A1, A1.weight([1]), QP)
+    yield tensor(tensor(v, v), v), QP
+
+
+def test_embeddings_match_the_per_call_transport_bit_for_bit():
+    for module, qp in _embedding_cases():
+        for varpi, _, embs in decompose(module):
+            for emb in embs:
+                want = reference_grow_embedding(module, varpi, emb[:, 0], qp)
+                assert emb.tobytes() == want.tobytes(), (module.label, varpi)
+
+
+def test_transport_maps_are_kept_per_model_irrep(monkeypatch):
+    qp = QParams(0.615)
+    v, w = (build_irrep(A1, A1.weight([j]), qp) for j in (1, 2))
+    decompose(tensor(v, w))
+    model = build_irrep(A1, A1.weight([3]), qp)
+    maps = model.cache[("transport",)]
+    assert all(not pinv.flags.writeable for _, _, pinv in maps)
+    calls = []
+    real = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    # V1 ox V1/2 holds the same model irreps V3/2 and V1/2
+    dec = decompose(tensor(w, v))
+    assert [tuple(wt.coords) for wt, _, _ in dec] == [(3,), (1,)]
+    assert calls == []
+    assert model.cache[("transport",)] is maps
 
 
 def test_casimir_values():
