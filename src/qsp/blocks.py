@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ResourceError
 from .uqrep import WeightModule, read_only
 
 
@@ -345,11 +345,14 @@ class WeightBlocks:
 
     def masked_norm(self, n_interior):
         """Frobenius norm of the entries whose row and column indices are
-        both below n_interior."""
+        both below n_interior; ResourceError if it overflows."""
         rows, cols, spans = self.layout.entries
         inside = (rows < n_interior) & (cols < n_interior)
-        return math.sqrt(sum(np.sum(np.abs(stack(self.data, *span)[
+        out = math.sqrt(sum(np.sum(np.abs(stack(self.data, *span)[
             stack(inside, *span)]) ** 2) for span in spans))
+        if not math.isfinite(out):
+            raise ResourceError("a masked norm overflows double precision")
+        return out
 
     def dense(self):
         """The operator as a dense matrix: the blocks scattered, zero

@@ -23,7 +23,7 @@ from .coideal import (
     counit_module,
     kmatrix_solve,
     no_parameter,
-    tau_tau0_perm,
+    twisted_pairs,
     validate_star,
 )
 from .diagrams import diagram_from_json, enumerate_admissible
@@ -41,7 +41,7 @@ from .rmatrix import rmat
 from .rootsys import (build_root_datum, parse_type_string, restrict_datum,
                       weyl_dimension)
 from .uqrep import (DIM_CAP, QParams, build_irrep, mat_json, module_to_json,
-                    require_product_dim, twist_module)
+                    require_product_dim)
 from .vogan10 import build_Mr, plain_block_eigenvalues, e_matrix_component_scalars
 
 
@@ -250,13 +250,9 @@ def kmatrix_cmd(diagram_path, t, rep_weight, q):
     lam = None
     if eta.shape[0] == 2:
         lam = lambda_from_trace(eta, q)[0]
-    sigma = tau_tau0_perm(diag)
-    plain, tw = x0.generator_matrices(target), twist_module(target, sigma)
-    twisted = plain if tw is target else x0.generator_matrices(tw)
-    resid = max(
-        float(np.linalg.norm(eta @ twisted[k] - plain[k] @ eta))
-        / max(float(np.linalg.norm(plain[k])), 1e-30)
-        for k in plain)
+    resid = max(float(np.linalg.norm(eta @ tw - plain @ eta))
+                / max(float(np.linalg.norm(plain)), 1e-30)
+                for tw, plain in twisted_pairs(x0, target))
     return {"eta": mat_json(eta),
             "singular_values": sorted(
                 float(x) for x in np.linalg.svd(eta, compute_uv=False)),

@@ -522,6 +522,16 @@ def tau_tau0_perm(diag):
     return {r: diag.tau_of(t0[r]) for r in diag.datum.vertices}
 
 
+def twisted_pairs(x0, u):
+    """The twisted intertwining system eta pi^tw(b) = pi(b) eta of the
+    braid at X0 (.) u, as (pi^tw(b), pi(b)) per generator b, the twist
+    being tau tau_0; pi^tw is pi itself when the twist fixes u."""
+    plain = x0.generator_matrices(u)
+    tw = twist_module(u, tau_tau0_perm(x0.diag))
+    twisted = plain if tw is u else x0.generator_matrices(tw)
+    return [(twisted[k], plain[k]) for k in plain]
+
+
 def kmatrix_solve(diag, params, qp, x0, u, fuse_from=None):
     """Solve for the braid eta at X0 (.) u, an operator on u (X0 is a
     one-dimensional character module).
@@ -560,10 +570,7 @@ def kmatrix_solve(diag, params, qp, x0, u, fuse_from=None):
 def _solve(diag, params, qp, x0, u, fuse_from):
     """The uncached solve behind ``kmatrix_solve``."""
     _check_param_shape(diag, params)
-    sigma = tau_tau0_perm(diag)
-    plain, tw = x0.generator_matrices(u), twist_module(u, sigma)
-    twisted = plain if tw is u else x0.generator_matrices(tw)
-    pairs = [(twisted[k], plain[k]) for k in plain]
+    pairs = twisted_pairs(x0, u)
     basis = intertwiners(pairs, 1e-8)
     if not basis:
         raise NoKMatrixError("twisted intertwining system has no solution")

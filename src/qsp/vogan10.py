@@ -20,11 +20,12 @@ where (X, Y) = (F, E) for the flipped factor and (K F^*, F), with the sign
 twist from nu_q(F) = -F, for the twisted one.  Every factor preserves
 total weight, so the braid on any module ox V is block-diagonal in it.
 ``braid_blocks`` builds it block by block (``qsp.blocks.WeightBlocks``,
-keyed by the rounded H-eigenvalues of the ladder) and keeps it in the
-module's cache; ``e_matrix`` scatters these blocks into a dense matrix.
-The axiom checks in ``qsp.harness`` are products of such operators on
-M ox U ox V, gathered by ``qsp.blocks.leg_blocks`` (blocks of size at most
-4), and ``fusion_check`` takes the kernel of F between neighbouring blocks.
+keyed by the rounded H-eigenvalues of the ladder), raises ResourceError
+when a block overflows, and keeps it in the module's cache; ``e_matrix``
+scatters these blocks into a dense matrix.  ``qsp.harness.vogan_axioms``
+multiplies such operators on M ox U ox V, each factor gathered once by
+``qsp.blocks.leg_blocks`` on one product index (blocks of size at most 4),
+and ``fusion_check`` takes the kernel of F between neighbouring blocks.
 On M_r ox V_{1/2} the blocks are 2x2; the spectral data and the component
 scalars are read from their closed form, ``spin_half_block``.
 """
@@ -187,6 +188,7 @@ def braid_blocks(module, v, qp):
     return module.cache[key]
 
 
+@np.errstate(all="ignore")
 def _braid_blocks(module, v, qp):
     """R21_tilde = (sum c_n F^n ox E^n) q^{-H ox H/2} and
     (id ox nu)(R_tilde) = (sum c_n (-1)^n (K F^*)^n ox F^n) q^{-H ox H/2};
@@ -222,6 +224,9 @@ def _braid_blocks(module, v, qp):
     # the Cartan factor scales the columns of each block
     ab = WeightBlocks(index, a_series * cart) @ WeightBlocks(index, b_series)
     out = WeightBlocks(index, ab.data * cart) @ v_inv
+    # the ladder powers overflow at small q and many levels
+    if not np.isfinite(out.data).all():
+        raise ResourceError("the braid blocks overflow double precision")
     return WeightBlocks(index, read_only(out.data), max(off, out.off_block))
 
 

@@ -4,10 +4,14 @@ import json
 
 import numpy as np
 
-from qsp.harness import run_axioms, run_kz_suite, run_rank_one
+from qsp.blocks import leg_blocks, product_blocks
+from qsp.harness import (_cylinder_residuals, run_axioms, run_kz_suite,
+                         run_rank_one)
+from qsp.rmatrix import rmat
 from qsp.rootsys import alpha_coefficients
-from qsp.uqrep import WeightModule, build_irrep
-from qsp.vogan10 import _total_h, _weight_key
+from qsp.uqrep import WeightModule, build_irrep, tensor
+from qsp.vogan10 import (_total_h, _weight_key, braid_blocks, coaction_tensor,
+                         e_matrix, interior_indices, nu_module)
 
 
 def trivial_module(datum, qp):
@@ -84,3 +88,60 @@ def reference_grow_embedding(module, varpi, hw_vec, qp):
         images = np.column_stack([module.F[r] @ emb[:, j] for (r, j) in pairs])
         emb[:, nxt] = images @ w
     return emb
+
+
+# ``harness.vogan_axioms`` before its single assembly: three builders, each
+# on its own product index and placing its factors again.
+
+def reference_octagon_vogan(module, m1, m2, qp):
+    """Both sides of the octagon on M ox U ox V, as WeightBlocks; R32 is
+    R(V, U) on the legs (2, 1)."""
+    index = product_blocks(module, m1, m2)
+    lhs = braid_blocks(coaction_tensor(module, m1), m2, qp)
+    r32 = leg_blocks(index, [((2, 1), rmat(m2, m1).matrix)])
+    e13 = leg_blocks(index, [((0, 2), e_matrix(module, m2, qp))])
+    rtw23 = leg_blocks(index, [((1, 2), rmat(m1, nu_module(m2)).matrix)])
+    return lhs, r32 @ e13 @ rtw23
+
+
+def reference_ribbon_vogan(module, m1, m2, qp):
+    """Both sides of the ribbon equation on M ox U ox V, as WeightBlocks."""
+    index = product_blocks(module, m1, m2)
+    lhs = braid_blocks(module, tensor(m1, m2), qp)
+    e12 = leg_blocks(index, [((0, 1), e_matrix(module, m1, qp))])
+    return lhs, braid_blocks(coaction_tensor(module, m1), m2, qp) @ e12
+
+
+def reference_cylinder_vogan(module, m1, m2, qp):
+    """theta_{U ox V} and the right sides of both cylinder twist equations,
+    as WeightBlocks on M ox U ox V, sU = nu(U), sV = nu(V)."""
+    index = product_blocks(module, m1, m2)
+
+    def place(legs, mat):
+        return leg_blocks(index, [(legs, mat)])
+
+    e_u = place((0, 1), e_matrix(module, m1, qp))
+    e_v = place((0, 2), e_matrix(module, m2, qp))
+    tu, tv = nu_module(m1), nu_module(m2)
+    rhs1 = place((2, 1), rmat(m2, m1).matrix) @ e_v \
+        @ place((1, 2), rmat(m1, tv).matrix) @ e_u
+    rhs2 = e_u @ place((2, 1), rmat(m2, tu).matrix) @ e_v \
+        @ place((1, 2), rmat(tu, tv).matrix)
+    return braid_blocks(module, tensor(m1, m2), qp), rhs1, rhs2
+
+
+def reference_vogan_axioms(module, m1, m2, qp):
+    """(residuals, sides) as the three builders above give them."""
+    n_interior = len(interior_indices(module, m1.dim * m2.dim, 4))
+
+    def ratio(diff, ref):
+        return diff.masked_norm(n_interior) / max(
+            ref.masked_norm(n_interior), 1e-30)
+
+    sides = [reference_octagon_vogan(module, m1, m2, qp),
+             reference_ribbon_vogan(module, m1, m2, qp)]
+    residuals = {key: ratio(lhs - rhs, rhs)
+                 for key, (lhs, rhs) in zip(("EqOct2", "EqRB2"), sides)}
+    cyl = reference_cylinder_vogan(module, m1, m2, qp)
+    residuals.update(_cylinder_residuals(*cyl, ratio))
+    return residuals, [*sides[0], *sides[1], *cyl]

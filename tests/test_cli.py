@@ -509,6 +509,11 @@ def test_verify_appendix_b_mixed_root_lengths(runner, tmp_path):
       "100000"], None, 3),
     (["verify", "rank-one", "--q", "0.99", "--r", "0.25", "--levels",
       "100000"], None, 3),
+    # Vogan axiom sides past double precision, once NaN or Infinity in JSON
+    (["verify", "axioms", "--source", "vogan", "--q", "1e-5", "--r", "0.25"],
+     None, 3),
+    (["verify", "axioms", "--source", "vogan", "--q", "3e-5", "--r", "0.25"],
+     None, 3),
 ])
 def test_inputs_past_the_contract_are_one_line_errors(tmp_path, args, text,
                                                       code):

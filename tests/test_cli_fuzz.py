@@ -1,8 +1,8 @@
 """Fuzz of the CLI error contract (``qsp.errors``).
 
-Every run, whatever its input, exits 0 or 1 with JSON on stdout, or 2
-(input) or 3 (resource) with one line on stderr, and ends within a
-subprocess timeout.  The inputs are drawn by Hypothesis: q, t, r, ladder
+Every run, whatever its input, exits 0 or 1 with strict JSON (no NaN or
+Infinity) on stdout, or 2 (input) or 3 (resource) with one line on
+stderr, and ends within a subprocess timeout.  The inputs are drawn by Hypothesis: q, t, r, ladder
 levels (also past ``vogan10.MAX_LEVELS``) and spins, the Satake diagrams that ``qsp diagram list`` gives for
 types A-D up to rank 5, malformed JSON files, and an ``--out`` file that
 can or cannot be written (an unwritable one is exit 2 or 3).  The draws are
@@ -72,6 +72,11 @@ def _write(path, text):
     return str(path)
 
 
+def _reject_constant(name):
+    """``parse_constant`` for json.loads: NaN and Infinity are not JSON."""
+    raise AssertionError(f"{name} in the JSON output")
+
+
 def _run_cli(args, out_path=None):
     """Run qsp with args, and with --out out_path unless that is None."""
     if out_path is not None:
@@ -88,7 +93,7 @@ def _run_cli(args, out_path=None):
         if out_path is not None:
             assert out == "", (args, out)
             out = out_path.read_text(encoding="utf-8")
-        json.loads(out)
+        json.loads(out, parse_constant=_reject_constant)
     else:
         assert out == "" and len(err.strip().splitlines()) == 1, (args, err)
     return code

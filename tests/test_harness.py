@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,10 @@ from qsp.coideal import (
     kmatrix_solve,
     ribbon_compose,
 )
+from module_helpers import reference_vogan_axioms
+from qsp.blocks import WeightBlocks
 from qsp.errors import InputError, ResourceError
+import qsp.harness
 import qsp.vogan10
 from qsp.harness import (
     AXIOM_MIN_LEVELS,
@@ -17,9 +21,6 @@ from qsp.harness import (
     CoidealRankOneFamily,
     Report,
     _cylinder_coideal,
-    _cylinder_vogan,
-    _octagon_vogan,
-    _ribbon_vogan,
     check_cylinder_coideal,
     check_octagon_coideal,
     check_ribbon_coideal,
@@ -321,8 +322,7 @@ def test_vogan_blocks_match_dense_reference(q, levels):
     v = build_irrep(datum, datum.weight([1]), qp)
     for r in (0.1, 1.3):
         m = build_Mr(r, qp, levels)
-        blocks = [*_octagon_vogan(m, v, v, qp), *_ribbon_vogan(m, v, v, qp),
-                  *_cylinder_vogan(m, v, v, qp)]
+        blocks = vogan_axioms(m, v, v, qp)[1]
         dense = [*_octagon_dense(m, v, v, qp), *_ribbon_dense(m, v, v, qp),
                  *_cylinder_dense(m, v, v, qp)]
         for got, want in zip(blocks, dense):
@@ -376,7 +376,7 @@ def test_vogan_cylinder_on_unequal_modules_matches_dense_reference(q, spins):
     datum = build_root_datum([("A", 1)])
     m1, m2 = (build_irrep(datum, datum.weight([s]), qp) for s in spins)
     m = build_Mr(0.25, qp, 14)
-    for got, want in zip(_cylinder_vogan(m, m1, m2, qp),
+    for got, want in zip(vogan_axioms(m, m1, m2, qp)[1][4:],
                          _cylinder_dense(m, m1, m2, qp)):
         assert got.off_block == 0.0
         assert np.linalg.norm(got.dense() - want) \
@@ -385,6 +385,64 @@ def test_vogan_cylinder_on_unequal_modules_matches_dense_reference(q, spins):
     want = _vogan_residuals_dense(m, m1, m2, qp)
     for key in ("cyl-tw-eq", "cyl-tw-eq-2", "cyl-rhs-agree"):
         assert abs(got[key] - want[key]) <= max(0.01 * want[key], 1e-15), key
+
+
+_SPIN_PAIRS = [(1, 1), (1, 2), (2, 1), (1, 3)]
+
+
+@pytest.mark.parametrize("q", [0.5, 0.7, 0.83, 0.95, 0.97])
+def test_vogan_axioms_match_the_three_builders_bit_for_bit(q):
+    # one product index and each factor placed once, against the three
+    # builders it replaced; where they gave NaN it raises ResourceError
+    qp = QParams(q)
+    datum = build_root_datum([("A", 1)])
+    raised = []
+    for spins in _SPIN_PAIRS:
+        m1, m2 = (build_irrep(datum, datum.weight([s]), qp) for s in spins)
+        for r, levels in itertools.product((0.1, 0.25, 1.3), (5, 14, 60, 80)):
+            m = build_Mr(r, qp, levels)
+            try:
+                got, sides = vogan_axioms(m, m1, m2, qp)
+            except ResourceError:
+                raised.append((spins, r, levels))
+                continue
+            want, ref_sides = reference_vogan_axioms(m, m1, m2, qp)
+            assert list(got.items()) == list(want.items())
+            assert len(sides) == len(ref_sides) == 7
+            for side, ref in zip(sides, ref_sides):
+                assert side.data.tobytes() == ref.data.tobytes()
+                assert side.off_block == ref.off_block
+    assert raised == ([((1, 3), r, 80) for r in (0.1, 0.25, 1.3)]
+                      if q == 0.5 else [])
+
+
+def test_vogan_axioms_place_each_factor_once(monkeypatch):
+    qp = QParams(0.9)
+    datum = build_root_datum([("A", 1)])
+    v = build_irrep(datum, datum.weight([1]), qp)
+    m = build_Mr(0.25, qp, 20)
+    vogan_axioms(m, v, v, qp)   # builds and keeps the braids
+    calls = []
+
+    def counting(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for name in ("product_blocks", "leg_blocks", "e_matrix"):
+        monkeypatch.setattr(qsp.harness, name,
+                            counting(name, getattr(qsp.harness, name)))
+    monkeypatch.setattr(WeightBlocks, "__matmul__",
+                        counting("matmul", WeightBlocks.__matmul__))
+    vogan_axioms(m, v, v, qp)
+    assert {name: calls.count(name) for name in set(calls)} == {
+        "product_blocks": 1, "leg_blocks": 6, "e_matrix": 2, "matmul": 7}
+
+
+@pytest.mark.parametrize("q, levels", [(0.5, 200), (0.5, 280)])
+def test_vogan_axioms_past_double_precision_raise_resource_error(q, levels):
+    # at 200 levels the masked norms overflow, at 280 the braid blocks;
+    # neither is a NaN residual or a RuntimeWarning
+    with pytest.raises(ResourceError, match="overflow"):
+        run_axioms("vogan", q, r=0.1, levels=levels)
 
 
 def test_axiom_suites_pass():
