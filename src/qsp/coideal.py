@@ -418,25 +418,6 @@ def character_relations_residual(diag, params, qp, chi):
     return res
 
 
-def conjugate(diag, params, qp, t):
-    """chi_t-conjugation of the parameters (a group action in t).
-
-    S-type: s_p -> s_p + i t at the distinguished vertex.
-    C-type: c_p -> q^{-t} c_p and c_{tau(p)} -> q^{t} c_{tau(p)}."""
-    h = hermitian_type(diag)
-    if h.kind == "NonHermitian":
-        if t != 0:
-            raise InputError("non-Hermitian pair admits no conjugation")
-        return params
-    if h.kind == "SType":
-        p = h.distinguished
-        return params.replace(s={p: params.s.get(p, 0.0) + 1j * t})
-    p = h.distinguished
-    tp = diag.tau_of(p)
-    return params.replace(c={p: qp.qpow(-t) * params.c[p],
-                             tp: qp.qpow(t) * params.c[tp]})
-
-
 # ---------------------------------------------------------------------------
 # coideal modules (characters tensored with weight modules) and K-matrices
 # ---------------------------------------------------------------------------

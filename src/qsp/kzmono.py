@@ -350,7 +350,8 @@ def _decompose(res):
     KZ residue is hbar times a Hermitian matrix with hbar imaginary
     (``kz_coeffs``), which keeps scipy.linalg out of every KZ computation;
     only a non-normal residue, given directly to ``MonodromyProblem``, needs
-    a general Schur form, which numpy lacks, and imports scipy for it."""
+    a general Schur form, which numpy lacks, and imports scipy for it (an
+    optional install: without it, ResourceError)."""
     key = (res.shape, res.tobytes())
     if key in _RESIDUE_MEMO:
         return _RESIDUE_MEMO[key]
@@ -366,7 +367,11 @@ def _decompose(res):
         vals = 1j * vals if skew else vals.astype(complex)
         t, found = np.diag(vals), (_resonant_pairs(vals), cond)
     else:
-        from scipy.linalg import schur
+        try:
+            from scipy.linalg import schur
+        except ImportError:
+            raise ResourceError("a non-normal residue needs scipy for its "
+                                "Schur form; install scipy") from None
         t, z = schur(res, output="complex")
         found = (resonance_check(res), np.linalg.cond(np.linalg.eig(res)[1]))
     _RESIDUE_MEMO[key] = dec = (read_only(t), read_only(z), *found)

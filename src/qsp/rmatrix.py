@@ -58,14 +58,14 @@ def _pairings(m, n):
     return np.array(n.pairings(*m.numerators()))
 
 
-def _cartan_factor(m, n, sign=-1):
-    """q^{sign (wt_i, wt_j)} on m ox n, flattened."""
-    return (m.qp.q ** (sign * _pairings(m, n))).reshape(-1)
+def _cartan_factor(m, n):
+    """q^{-(wt_i, wt_j)} on m ox n, flattened."""
+    return (m.qp.q ** -_pairings(m, n)).reshape(-1)
 
 
 def _root_vector_mats(module):
-    """(beta_k, E_beta_k, F_beta_k) along the canonical w_0 word, kept in
-    the module's cache."""
+    """(beta_k, E_beta_k, F_beta_k) along the canonical w_0 word, kept
+    read-only in the module's cache."""
     cached = module.cache.get("root_vectors")
     if cached is not None:
         return cached
@@ -81,8 +81,9 @@ def _root_vector_mats(module):
             continue
         t = t @ braids[word.letters[k - 1]]
         t_inv = np.linalg.inv(t)
-        out.append((beta, t @ module.E[r] @ t_inv, t @ module.F[r] @ t_inv))
-    module.cache["root_vectors"] = out
+        out.append((beta, read_only(t @ module.E[r] @ t_inv),
+                    read_only(t @ module.F[r] @ t_inv)))
+    out = module.cache["root_vectors"] = tuple(out)
     return out
 
 
@@ -176,8 +177,8 @@ def _killed(module, gens):
     if key not in module.cache:
         mats = np.array(list(getattr(module, gens).values()))
         norms = np.sqrt((mats.real ** 2 + mats.imag ** 2).sum(axis=1))
-        module.cache[key] = np.flatnonzero(
-            (norms < 1e-10).all(axis=0)).tolist()
+        module.cache[key] = tuple(np.flatnonzero(
+            (norms < 1e-10).all(axis=0)).tolist())
     return module.cache[key]
 
 

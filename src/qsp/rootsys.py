@@ -545,13 +545,6 @@ def qfact(n, q):
     return out
 
 
-def qbinom(m, n, q):
-    """Gaussian binomial [m choose n]_q."""
-    if n < 0 or n > m:
-        raise InputError("q-binomial out of range")
-    return qfact(m, q) / (qfact(n, q) * qfact(m - n, q))
-
-
 def tau0(datum):
     """Diagram automorphism characterized by alpha_{tau0(r)} = -w_0 alpha_r."""
     w0 = longest_element(datum, datum.vertices)

@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, NumericalDegeneracyError, ResourceError
-from .rootsys import alpha_coefficients, qbinom, weyl_dimension
+from .rootsys import alpha_coefficients, weyl_dimension
 
 # the largest module dimension build_irrep constructs
 DIM_CAP = 400
@@ -515,27 +515,6 @@ def _transport(model):
     return model.cache[key]
 
 
-def relations_residual(module):
-    """Relative residuals of the defining relations on the module."""
-    datum, qp = module.datum, module.qp
-    out = {}
-    for r in datum.vertices:
-        er = module.E[r]
-        out[f"EF[{r}]"] = _ef_residual(module, r)
-        for s in datum.vertices:
-            ks = module.k_matrix(datum.simple_root(s))
-            lhs = ks @ er
-            rhs = qp.qpow(datum.simple_root(s).pairing(datum.simple_root(r))) * (er @ ks)
-            out[f"KE[{s},{r}]"] = relative(lhs - rhs, rhs)
-            if r != s:
-                out[f"SerreE[{r},{s}]"] = _serre(module, r, s, module.E)
-                out[f"SerreF[{r},{s}]"] = _serre(module, r, s, module.F)
-                lhs = er @ module.F[s] - module.F[s] @ er
-                out[f"EF[{r},{s}]"] = np.linalg.norm(lhs) / max(
-                    np.linalg.norm(er) * np.linalg.norm(module.F[s]), 1e-30)
-    return out
-
-
 def _ef_residual(module, r):
     """Relative residual of [E_r, F_r] = (K_r - K_r^{-1})/(q_r - q_r^{-1}),
     the right side formed from the diagonal of K_r."""
@@ -549,19 +528,6 @@ def _ef_residual(module, r):
 def relative(diff, ref):
     """||diff|| / ||ref||, the Frobenius norms; 1e-30 bounds ||ref|| below."""
     return float(np.linalg.norm(diff) / max(np.linalg.norm(ref), 1e-30))
-
-
-def _serre(module, r, s, mats):
-    datum, qp = module.datum, module.qp
-    n_max = 1 - datum.a(r, s)
-    qr = qp.q_r(datum, r)
-    acc = np.zeros_like(mats[r])
-    for n in range(n_max + 1):
-        coeff = (-1) ** n * qbinom(n_max, n, qr)
-        acc = acc + coeff * np.linalg.matrix_power(mats[r], n_max - n) \
-            @ mats[s] @ np.linalg.matrix_power(mats[r], n)
-    scale = max(np.linalg.norm(mats[r]) ** n_max * np.linalg.norm(mats[s]), 1e-30)
-    return np.linalg.norm(acc) / scale
 
 
 def module_to_json(module):

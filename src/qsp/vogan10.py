@@ -110,28 +110,6 @@ def build_Mr(r, qp, cap):
     return TruncatedModule(r, qp, k, f, h)
 
 
-def relations_residual(module):
-    """Residuals of the three defining relations on the interior."""
-    q = module.qp.q
-    k = np.diag(module.k_diag)
-    f = module.f_mat
-    fs = f.conj().T
-    idx = interior_indices(module, 1, 2)
-    out = {}
-
-    def cut(m):
-        return m[np.ix_(idx, idx)]
-
-    lhs = k @ f - q ** -2 * f @ k
-    out["KF"] = np.linalg.norm(cut(lhs))
-    lhs = k @ fs - q ** 2 * fs @ k
-    out["KF*"] = np.linalg.norm(cut(lhs))
-    lhs = fs @ f - q ** 2 * f @ fs
-    rhs = (np.eye(module.dim) + np.diag(module.k_diag ** -2)) / (q - 1 / q)
-    out["F*F"] = np.linalg.norm(cut(lhs - rhs)) / np.linalg.norm(cut(rhs))
-    return out
-
-
 def _h_vector(v):
     """H-eigenvalues of the basis of V."""
     return np.array([float(w.coords[0]) for w in v.weights])

@@ -23,13 +23,12 @@ from qsp.coideal import (
     _check_param_shape,
     _monomial_span,
     characters,
-    conjugate,
     direct_sum_module,
     no_parameter,
     theta_fixed_basis,
 )
 from qsp.diagrams import hermitian_type
-from qsp.errors import ConsistencyError
+from qsp.errors import ConsistencyError, InputError
 from qsp.lusztig import braid_word_on_algebra
 from qsp.rootsys import positive_roots
 
@@ -409,6 +408,25 @@ def gamma_twist_residual(diag, qp, module):
 # ---------------------------------------------------------------------------
 # the conjugation pi_t
 # ---------------------------------------------------------------------------
+
+def conjugate(diag, params, qp, t):
+    """chi_t-conjugation of the parameters (a group action in t).
+
+    S-type: s_p -> s_p + i t at the distinguished vertex.
+    C-type: c_p -> q^{-t} c_p and c_{tau(p)} -> q^{t} c_{tau(p)}."""
+    h = hermitian_type(diag)
+    if h.kind == "NonHermitian":
+        if t != 0:
+            raise InputError("non-Hermitian pair admits no conjugation")
+        return params
+    if h.kind == "SType":
+        p = h.distinguished
+        return params.replace(s={p: params.s.get(p, 0.0) + 1j * t})
+    p = h.distinguished
+    tp = diag.tau_of(p)
+    return params.replace(c={p: qp.qpow(-t) * params.c[p],
+                             tp: qp.qpow(t) * params.c[tp]})
+
 
 def pi_t_images(diag, params, qp, t):
     """pi_t on the generators, as AlgebraElements over the source coideal."""

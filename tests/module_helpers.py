@@ -5,22 +5,25 @@ import json
 import numpy as np
 
 from qsp.blocks import leg_blocks, product_blocks
+from qsp.errors import InputError
 from qsp.harness import (_cylinder_residuals, run_axioms, run_kz_suite,
                          run_rank_one)
 from qsp.rmatrix import rmat
-from qsp.rootsys import alpha_coefficients
-from qsp.uqrep import WeightModule, build_irrep, tensor
+from qsp.rootsys import alpha_coefficients, qfact
+from qsp.uqrep import (WeightModule, _ef_residual, build_irrep, read_only,
+                       relative, tensor)
 from qsp.vogan10 import (_total_h, _weight_key, braid_blocks, coaction_tensor,
                          e_matrix, interior_indices, nu_module)
 
 
 def trivial_module(datum, qp):
-    """The one-dimensional module of weight zero."""
+    """The one-dimensional module of weight zero, its E and F read-only as
+    on every module the program builds."""
     verts = datum.vertices
     z = np.zeros((1, 1), dtype=complex)
     return WeightModule(datum, qp, [datum.zero_weight()],
-                        {r: z.copy() for r in verts},
-                        {r: z.copy() for r in verts},
+                        {r: read_only(z.copy()) for r in verts},
+                        {r: read_only(z.copy()) for r in verts},
                         highest=datum.zero_weight(), label="trivial")
 
 
@@ -33,6 +36,72 @@ def star_residual(module):
         scale = max(np.linalg.norm(e), 1e-30)
         worst = max(worst, np.linalg.norm(e.conj().T - frkr) / scale)
     return worst
+
+
+# The defining relations of U_q on a weight module and of the truncated
+# ladders of ``qsp.vogan10``, as residuals.
+
+def relations_residual(module):
+    """Relative residuals of the defining relations on the module."""
+    datum, qp = module.datum, module.qp
+    out = {}
+    for r in datum.vertices:
+        er = module.E[r]
+        out[f"EF[{r}]"] = _ef_residual(module, r)
+        for s in datum.vertices:
+            ks = module.k_matrix(datum.simple_root(s))
+            lhs = ks @ er
+            rhs = qp.qpow(datum.simple_root(s).pairing(datum.simple_root(r))) * (er @ ks)
+            out[f"KE[{s},{r}]"] = relative(lhs - rhs, rhs)
+            if r != s:
+                out[f"SerreE[{r},{s}]"] = _serre(module, r, s, module.E)
+                out[f"SerreF[{r},{s}]"] = _serre(module, r, s, module.F)
+                lhs = er @ module.F[s] - module.F[s] @ er
+                out[f"EF[{r},{s}]"] = np.linalg.norm(lhs) / max(
+                    np.linalg.norm(er) * np.linalg.norm(module.F[s]), 1e-30)
+    return out
+
+
+def _serre(module, r, s, mats):
+    datum, qp = module.datum, module.qp
+    n_max = 1 - datum.a(r, s)
+    qr = qp.q_r(datum, r)
+    acc = np.zeros_like(mats[r])
+    for n in range(n_max + 1):
+        coeff = (-1) ** n * qbinom(n_max, n, qr)
+        acc = acc + coeff * np.linalg.matrix_power(mats[r], n_max - n) \
+            @ mats[s] @ np.linalg.matrix_power(mats[r], n)
+    scale = max(np.linalg.norm(mats[r]) ** n_max * np.linalg.norm(mats[s]), 1e-30)
+    return np.linalg.norm(acc) / scale
+
+
+def qbinom(m, n, q):
+    """Gaussian binomial [m choose n]_q."""
+    if n < 0 or n > m:
+        raise InputError("q-binomial out of range")
+    return qfact(m, q) / (qfact(n, q) * qfact(m - n, q))
+
+
+def ladder_relations_residual(module):
+    """Residuals of the three defining relations on the interior."""
+    q = module.qp.q
+    k = np.diag(module.k_diag)
+    f = module.f_mat
+    fs = f.conj().T
+    idx = interior_indices(module, 1, 2)
+    out = {}
+
+    def cut(m):
+        return m[np.ix_(idx, idx)]
+
+    lhs = k @ f - q ** -2 * f @ k
+    out["KF"] = np.linalg.norm(cut(lhs))
+    lhs = k @ fs - q ** 2 * fs @ k
+    out["KF*"] = np.linalg.norm(cut(lhs))
+    lhs = fs @ f - q ** 2 * f @ fs
+    rhs = (np.eye(module.dim) + np.diag(module.k_diag ** -2)) / (q - 1 / q)
+    out["F*F"] = np.linalg.norm(cut(lhs - rhs)) / np.linalg.norm(cut(rhs))
+    return out
 
 
 def _weight_groups(h):

@@ -11,7 +11,6 @@ from qsp.coideal import (
     CoidealParams,
     character_relations_residual,
     characters,
-    conjugate,
     no_parameter,
     star_membership,
 )
@@ -36,7 +35,7 @@ from qsp.kzmono import flatness_residuals as kz_flatness
 from qsp.lusztig import BraidContext, verify_appB
 from qsp.rmatrix import ribbon_residual, rmat, ybe_residual
 from qsp.rootsys import build_root_datum
-from qsp.uqrep import QParams, build_irrep, relations_residual
+from qsp.uqrep import QParams, build_irrep
 from qsp.vogan10 import (
     build_Mr,
     e_matrix,
@@ -44,8 +43,8 @@ from qsp.vogan10 import (
     fusion_check,
 )
 from formal_algebra import act
-from formal_coideal import pi_t_intertwining_residual
-from module_helpers import star_residual
+from formal_coideal import conjugate, pi_t_intertwining_residual
+from module_helpers import relations_residual, star_residual
 from test_vogan10 import e_matrix_block_symbolic
 
 A1 = build_root_datum([("A", 1)])

@@ -111,13 +111,18 @@ def test_rmatrix_cmd_g2_finishes():
     assert len(json.loads(proc.stdout)["matrix"]) == 49
 
 
-def _fresh_python(code):
-    """stdout of ``code`` in a fresh interpreter (so that no other test's
-    import counts)."""
+def _python(code):
+    """``code`` run in a fresh interpreter (so that no other test's import
+    counts)."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(qsp.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env)
+
+
+def _fresh_python(code):
+    """stdout of ``code`` in a fresh interpreter, which must exit 0."""
+    proc = _python(code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -148,6 +153,42 @@ def test_run_all_leaves_scipy_out():
         "ts, 1.0, 8, 8, harness.QParams(0.75).hbar))); "
         "assert res.spread < 1e-6; "
         f"print({_LOADED_SCIPY})") == "[]"
+
+
+def _without_scipy(code):
+    """``code`` run in a fresh interpreter in which scipy cannot be
+    imported: ``sys.modules["scipy"]`` is None before qsp is imported."""
+    return _python("import sys; sys.modules['scipy'] = None\n" + code)
+
+
+def test_the_program_runs_without_scipy(tmp_path):
+    # scipy is a test dependency: the suites, psi and the CLI run without
+    # it, and the one route that needs it is a resource error
+    proc = _without_scipy(
+        "import qsp.cli\n"
+        "from qsp import harness, kzmono\n"
+        "assert harness.run_rank_one(0.7, 0.25).passed\n"
+        "assert harness.run_axioms('coideal', 0.7, t=0.3).passed\n"
+        "assert harness.run_axioms('kz', 0.7, t=1.0).passed\n"
+        "assert harness.run_axioms('vogan', 0.7, r=0.25, levels=14).passed\n"
+        "assert harness.run_kz_suite(0.7).passed\n"
+        "res = kzmono.psi(kzmono.MonodromyProblem(*kzmono.kz_coeffs("
+        "kzmono.split_tensors(), 1.0, 8, 8, harness.QParams(0.75).hbar)))\n"
+        "assert res.spread < 1e-6\n"
+        "print('ok')\n")
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+    # a non-normal residue needs scipy.linalg.schur
+    path = tmp_path / "nonnormal.json"
+    path.write_text(json.dumps({
+        "a": [[[0.1, 0.0], [0.3, 0.0]], [[0.0, 0.0], [0.2, 0.0]]],
+        "b_plus": [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.1, 0.0]]],
+        "b_minus": [[[0.05, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.05, 0.0]]]}))
+    proc = _without_scipy("from qsp.cli import main\n"
+                          f"main(['kz', 'psi', '--config', {str(path)!r}])\n")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("resource error: ")
+    assert "scipy" in proc.stderr
 
 
 def test_coideal_validate(runner, su2_diagram):

@@ -18,7 +18,6 @@ from qsp.coideal import (
     character_relations_residual,
     characters,
     coideal_law_residual,
-    conjugate,
     counit_module,
     direct_sum_module,
     kmatrix_solve,
@@ -38,6 +37,7 @@ from formal_algebra import act
 from formal_coideal import (
     b_generators,
     coideal_coproduct_parts,
+    conjugate,
     formal_coideal_law_residual,
     formal_star_membership,
     gamma_twist_residual,

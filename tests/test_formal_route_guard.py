@@ -10,7 +10,9 @@ and scatters no blocks of its own.  No module calls ``np.kron``: every
 Kronecker product goes through ``uqrep.kron``.  Every public top-level function or
 class of ``src/qsp`` has a user: the program outside its own body, the
 benchmark (``perfbench/*.py``, read only), or the CLI as a registered
-command; the few kept for the tests alone are named in ``TEST_ONLY_API``.
+command; the one kept for the tests alone is named in ``TEST_ONLY_API``.
+scipy is imported only inside the bodies of ``kzmono._decompose`` and
+``kzmono.mkz_consistency``.
 """
 
 import ast
@@ -26,16 +28,12 @@ FORMAL_NAMES = {"TensorElement", "act_tensor"}
 # public API with no user in the program, the benchmark or the CLI, and why
 # it stays
 TEST_ONLY_API = {
-    "coideal.conjugate": "the chi_t action on the parameters, which the "
-                         "tests check as a group action and compose with "
-                         "the pi_t intertwining",
-    "uqrep.relations_residual": "the tests' check of the U_q relations on "
-                                "every built irrep",
-    "vogan10.relations_residual": "the tests' check of the relations on "
-                                  "the truncated ladders",
     "lusztig.braid_word_on_algebra": "named only as a string by the "
                                      "benchmark's tracer, which wraps it",
 }
+# scipy is a test dependency: the two routes that need it import it in
+# their bodies, (module, top-level function)
+SCIPY_ROUTES = {("kzmono", "_decompose"), ("kzmono", "mkz_consistency")}
 
 
 def _trees():
@@ -56,6 +54,16 @@ def _imported_modules(tree):
                 base = f"qsp.{base}" if base else "qsp"
             out.append((base, tuple(alias.name for alias in node.names)))
     return out
+
+
+def test_only_two_routes_import_scipy():
+    found = set()
+    for name, tree in _trees().items():
+        for node in tree.body:
+            for module, _ in _imported_modules(node):
+                if module.split(".")[0] == "scipy":
+                    found.add((name, getattr(node, "name", None)))
+    assert found == SCIPY_ROUTES
 
 
 def test_only_lusztig_imports_the_formal_algebra():

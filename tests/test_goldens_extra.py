@@ -66,9 +66,7 @@ def test_f4_split_and_rank_one_restricted():
 
 def test_g2_fundamental_irrep():
     datum = build_root_datum([("G", 2)])
-    from qsp.uqrep import relations_residual
-
-    from module_helpers import star_residual
+    from module_helpers import relations_residual, star_residual
     m = build_irrep(datum, datum.weight([1, 0]), QParams(0.6))
     assert m.dim == 7
     assert star_residual(m) < 1e-9

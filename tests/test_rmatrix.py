@@ -398,6 +398,49 @@ def test_rmat_and_decompose_cached_read_only():
         dec[0][2][0][0, 0] = 0.0
 
 
+def _writable_arrays(obj, path, seen, out):
+    """Append to ``out`` the path of every writable ndarray reachable from
+    obj through tuples, lists and dict keys and values; a module met on the
+    way (anything with a ``cache`` dict) is walked through its cache once."""
+    if isinstance(obj, np.ndarray):
+        if obj.flags.writeable:
+            out.append(path)
+    elif isinstance(obj, dict):
+        for n, (key, val) in enumerate(obj.items()):
+            _writable_arrays(key, f"{path}/key{n}", seen, out)
+            _writable_arrays(val, f"{path}/{n}", seen, out)
+    elif isinstance(obj, (tuple, list)):
+        for n, val in enumerate(obj):
+            _writable_arrays(val, f"{path}/{n}", seen, out)
+    cache = getattr(obj, "cache", None)
+    if isinstance(cache, dict) and id(obj) not in seen:
+        seen.add(id(obj))
+        label = getattr(obj, "label", type(obj).__name__)
+        _writable_arrays(cache, f"{label}.cache", seen, out)
+
+
+def test_every_cached_array_is_read_only():
+    from qsp.coideal import CoidealParams, counit_module, kmatrix_solve
+    from qsp.diagrams import satake
+    from qsp.vogan10 import braid_blocks, build_Mr
+
+    v, w = V(A2, [1, 0]), V(A2, [0, 1])
+    rmat(v, w)
+    decompose(tensor(v, w))
+    diag, params = satake(A1, ()), CoidealParams({1: 0.7 ** -2}, {1: 0.3j})
+    u = V(A1, [1])
+    kmatrix_solve(diag, params, QP, counit_module(diag, params, QP), u)
+    ladder = build_Mr(0.25, QP, 10)
+    braid_blocks(ladder, u, QP)
+    seen, out = set(), []
+    for module in (v, w, u, ladder):
+        _writable_arrays(module, "module", seen, out)
+    assert out == []
+    # v ox w and the model irrep of its third component at least are reached
+    # too (and whatever earlier calls left in the caches)
+    assert len(seen) >= 6
+
+
 @pytest.mark.parametrize("typ, coords", [
     ("A2", [1, 1]),
     ("B2", [0, 1]),

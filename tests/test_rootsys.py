@@ -15,7 +15,6 @@ from qsp.rootsys import (
     longest_element,
     nullspace_frac,
     positive_roots,
-    qbinom,
     qfact,
     qint,
     restrict_datum,
@@ -25,6 +24,8 @@ from qsp.rootsys import (
     weyl_act,
     weyl_dimension,
 )
+
+from module_helpers import qbinom
 
 F = Fraction
 

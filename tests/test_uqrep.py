@@ -12,14 +12,13 @@ from qsp.uqrep import (
     intertwiners,
     kernel,
     kron,
-    relations_residual,
     tensor,
     twist_module,
 )
 
 from formal_algebra import act, act_tensor, antipode, coproduct, star
-from module_helpers import (reference_grow_embedding, star_residual,
-                            trivial_module)
+from module_helpers import (reference_grow_embedding, relations_residual,
+                            star_residual, trivial_module)
 
 A1 = build_root_datum([("A", 1)])
 A2 = build_root_datum([("A", 2)])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from module_helpers import weight_blocks
+from module_helpers import ladder_relations_residual, weight_blocks
 from qsp.blocks import leg_blocks, product_blocks
 from qsp.errors import ConsistencyError, InputError, ResourceError
 from qsp.rootsys import build_root_datum
@@ -25,7 +25,6 @@ from qsp.vogan10 import (
     interior_indices,
     nu_module,
     plain_block_eigenvalues,
-    relations_residual,
     spin_half_block,
     spin_half_transfer,
     su2_series_coeff,
@@ -114,7 +113,7 @@ def test_build_mr_basics():
 def test_relations_interior():
     for r in (0.25, 1.0, 3.0):
         m = build_Mr(r, QP, 14)
-        res = relations_residual(m)
+        res = ladder_relations_residual(m)
         assert max(res.values()) < 1e-12, (r, res)
 
 

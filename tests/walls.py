@@ -59,6 +59,10 @@ WALLS = (
          5.30e-10, 1e-10, "ROADMAP item 4"),
     Wall("ribbon-B3-vector-q0.4", ribbon_on_v_v, ("B3", (1, 0, 0), 0.4),
          4.91e-7, 1e-10, "ROADMAP item 4"),
+    Wall("ribbon-A2-22-q0.6", ribbon_on_v_v, ("A2", (2, 2), 0.6),
+         1.58e-5, 1e-10, "ROADMAP item 13"),
+    Wall("ribbon-A2-22-q0.7", ribbon_on_v_v, ("A2", (2, 2), 0.7),
+         3.59e-8, 1e-10, "ROADMAP item 13"),
     Wall("vogan-EqRB2-q0.7-L30", vogan_axiom, ("EqRB2", 0.7, 30),
          0.593, 1e-9, "ROADMAP item 2"),
     Wall("vogan-EqRB2-q0.5-L20", vogan_axiom, ("EqRB2", 0.5, 20),
