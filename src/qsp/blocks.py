@@ -37,20 +37,23 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, ResourceError
-from .uqrep import WeightModule, read_only
+from .rootsys import kept, read_only
+from .uqrep import WeightModule
 
 
 def _leg_keys(leg):
     """(keys, den): the weights of a leg's basis as rows over den, exact
-    integers for a weight module and the H-eigenvalues over 1 for a
-    ladder; kept in the module's cache."""
+    integers for a weight module (kept in its cache) and the H-eigenvalues
+    over 1 for a ladder."""
     if not isinstance(leg, WeightModule):
         return leg.h_diag[:, None], 1
-    key = ("weight_keys",)
-    if key not in leg.cache:
-        rows, den = leg.numerators()
-        leg.cache[key] = (read_only(np.array(rows, dtype=np.int64)), den)
-    return leg.cache[key]
+    return _weight_keys(leg)
+
+
+@kept(lambda leg: ("weight_keys",))
+def _weight_keys(leg):
+    rows, den = leg.numerators()
+    return np.array(rows, dtype=np.int64), den
 
 
 def _rounded(keys):

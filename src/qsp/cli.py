@@ -139,8 +139,8 @@ def _numbers(text, option, kind=int, count=None):
         raise InputError(f"--{option}: {text!r} is not a list of "
                          f"{kind.__name__} values") from None
     if count is not None and len(vals) != count:
-        raise InputError(f"--{option} needs one value per white vertex "
-                         f"({count}), got {len(vals)}")
+        raise InputError(f"--{option} needs a list of length {count}, got "
+                         f"{len(vals)}")
     return vals
 
 
@@ -179,7 +179,7 @@ def rep():
 @click.option("--q", required=True, type=float)
 def rep_build(algebra, weight, q):
     datum = build_root_datum(parse_type_string(algebra))
-    coords = _numbers(weight, "weight")
+    coords = _numbers(weight, "weight", count=datum.rank)
     return module_to_json(build_irrep(datum, datum.weight(coords), QParams(q)))
 
 
@@ -191,7 +191,7 @@ def rep_build(algebra, weight, q):
 def rmatrix_cmd(algebra, vw, ww, q):
     datum = build_root_datum(parse_type_string(algebra))
     qp = QParams(q)
-    weights = [datum.weight(_numbers(text, name))
+    weights = [datum.weight(_numbers(text, name, count=datum.rank))
                for text, name in ((vw, "v"), (ww, "w"))]
     # rmat checks the product too, but only once both irreps are built
     require_product_dim(*(weyl_dimension(datum, w) for w in weights))
@@ -244,7 +244,8 @@ def kmatrix_cmd(diagram_path, t, rep_weight, q):
     if diag.datum.rank == 1:
         params = CoidealParams({1: q ** -2}, {1: 1j * t})
     x0 = counit_module(diag, params, qp)
-    target = build_irrep(datum, datum.weight(_numbers(rep_weight, "rep")), qp)
+    target = build_irrep(datum, datum.weight(
+        _numbers(rep_weight, "rep", count=datum.rank)), qp)
     fund = build_irrep(datum, datum.fundamental_weight(1), qp)
     eta = kmatrix_solve(diag, params, qp, x0, target, fuse_from=fund)
     lam = None

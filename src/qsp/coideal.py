@@ -52,9 +52,9 @@ from .errors import (
 )
 from .lusztig import braid_word_on_module
 from .rmatrix import r21, rmat
-from .rootsys import alpha_coefficients, nullspace_frac, tau0
+from .rootsys import alpha_coefficients, kept, nullspace_frac, read_only, tau0
 from .uqrep import (WeightModule, build_irrep, decompose, intertwiners,
-                    kron, read_only, tensor, twist_module)
+                    kron, tensor, twist_module)
 
 SPAN_DEGREE_CAP = 6
 
@@ -478,14 +478,12 @@ def _b_data(diag, r):
     return tuple(diag.wx_word().letters), diag.tau_of(r), z_beta, beta - alpha
 
 
+@kept(lambda wmod, letters, s: ("braided E", letters, s))
 def _braided_e(wmod, letters, s):
     """T E_s T^{-1} on wmod, T the module braid operator of the word
     ``letters`` (kept in wmod.cache)."""
-    key = ("braided E", letters, s)
-    if key not in wmod.cache:
-        t = braid_word_on_module(wmod, letters)
-        wmod.cache[key] = read_only(t @ wmod.E[s] @ np.linalg.inv(t))
-    return wmod.cache[key]
+    t = braid_word_on_module(wmod, letters)
+    return t @ wmod.E[s] @ np.linalg.inv(t)
 
 
 def counit_module(diag, params, qp):
@@ -533,7 +531,7 @@ def kmatrix_solve(diag, params, qp, x0, u, fuse_from=None):
     positive (or, when it vanishes, the determinant).
 
     The solve runs once per process: the read-only braid is kept in
-    ``u.cache`` under (diagram, parameters, QParams, character,
+    ``u.cache`` (``_solve``) under (diagram, parameters, QParams, character,
     ``fuse_from``), so a repeated input, also one built from fresh but
     equal objects, is a lookup (modules are keys by identity).  Errors are
     not kept.  InputError unless x0 is a module over the same diagram,
@@ -542,14 +540,13 @@ def kmatrix_solve(diag, params, qp, x0, u, fuse_from=None):
     if (x0.diag, x0.params, x0.qp) != (diag, params, qp):
         raise InputError("x0 is a module over another coideal: its diagram, "
                          "parameters or q differ from the arguments")
-    key = ("kmatrix", diag, params, qp, x0.chi, fuse_from)
-    if key not in u.cache:
-        u.cache[key] = read_only(_solve(diag, params, qp, x0, u, fuse_from))
-    return u.cache[key]
+    return _solve(u, diag, params, qp, x0, fuse_from)
 
 
-def _solve(diag, params, qp, x0, u, fuse_from):
-    """The uncached solve behind ``kmatrix_solve``."""
+@kept(lambda u, diag, params, qp, x0, fuse_from:
+      ("kmatrix", diag, params, qp, x0.chi, fuse_from))
+def _solve(u, diag, params, qp, x0, fuse_from):
+    """The solve behind ``kmatrix_solve``."""
     _check_param_shape(diag, params)
     pairs = twisted_pairs(x0, u)
     basis = intertwiners(pairs, 1e-8)
@@ -605,23 +602,19 @@ def _derived_braid(diag, params, qp, x0, u, generator):
     skipped; there are finitely many below that bound, so the search ends,
     with the target or with no pending module left to expand.
 
-    The table lives in ``generator.cache`` under (diagram, parameters,
-    QParams, character), so a later call extends it instead of
-    restarting from g.  It holds the braids by highest weight and a pending
-    list of (module, braid, bound or None): the modules not yet expanded,
-    and those whose components were skipped, with the bound that skipped
-    them.  A later call with a higher bound expands those again, so a lower
-    target asked for first never cuts off a higher one."""
+    The table (``_fusion_table``) is kept in ``generator.cache`` under
+    (diagram, parameters, QParams, character), so a later call extends it
+    instead of restarting from g.  It holds the braids by highest weight
+    and a pending list of (module, braid, bound or None): the modules not
+    yet expanded, and those whose components were skipped, with the bound
+    that skipped them.  A later call with a higher bound expands those
+    again, so a lower target asked for first never cuts off a higher
+    one."""
     if u.highest is None or generator.highest is None:
         raise AmbiguityError("derived braids need irreducible modules")
     two_rho = 2 * diag.datum.rho()
     bound = (u.highest + generator.highest).pairing(two_rho)
-    key = ("braids", diag, params, qp, x0.chi)
-    if key not in generator.cache:
-        eta_g = kmatrix_solve(diag, params, qp, x0, generator)
-        generator.cache[key] = {"braids": {generator.highest.coords: eta_g},
-                                "pending": [(generator, eta_g, None)]}
-    table = generator.cache[key]
+    table = _fusion_table(generator, diag, params, qp, x0)
     braids = table["braids"]
     eta_g = braids[generator.highest.coords]
     while u.highest.coords not in braids:
@@ -650,6 +643,17 @@ def _derived_braid(diag, params, qp, x0, u, generator):
         table["pending"] = stay + [(mod, eta, None)
                                    for mod, eta in reached.values()]
     return braids[u.highest.coords]
+
+
+@kept(lambda generator, diag, params, qp, x0:
+      ("braids", diag, params, qp, x0.chi))
+def _fusion_table(generator, diag, params, qp, x0):
+    """The fusion table of ``_derived_braid``, with the generator's braid
+    and the generator pending: the one kept value that grows after it is
+    stored, as each call adds braids and rewrites the pending list."""
+    eta_g = kmatrix_solve(diag, params, qp, x0, generator)
+    return {"braids": {generator.highest.coords: eta_g},
+            "pending": [(generator, eta_g, None)]}
 
 
 def _trivial_projector(u):

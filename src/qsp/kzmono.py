@@ -22,7 +22,6 @@ involution of su2 is conjugate.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +30,8 @@ import numpy as np
 from .blocks import pattern_blocks
 from .errors import AccuracyError, InputError, ResonanceError, ResourceError
 from .rmatrix import op_on_legs
-from .uqrep import intertwiners, kron, read_only, relative
+from .rootsys import kept, read_only
+from .uqrep import intertwiners, kron, relative
 
 _EPS = np.finfo(float).eps
 
@@ -139,30 +139,20 @@ def _herm_form(x, y):
     return x[0] * ys[1] + x[1] * ys[0] + 2 * x[2] * ys[2]
 
 
-def _kept(method):
-    """Keep a method's matrices per argument tuple in self.kept, read-only."""
-    @functools.wraps(method)
-    def kept(self, *args):
-        key = (method.__name__, *args)
-        if key not in self.kept:
-            self.kept[key] = read_only(method(self, *args))
-        return self.kept[key]
-    return kept
-
-
 @dataclass
 class SymPairTensors:
     """Split invariant tensors of sl2 for the involution ``SIGMA``.
 
     ``plus_basis`` / ``minus_basis`` are orthonormal bases of the +-1 / -1
-    eigenspaces as coefficient vectors over (e, f, h).
+    eigenspaces as coefficient vectors over (e, f, h); ``cache`` keeps the
+    matrices derived from them per spin.
     """
 
     plus_basis: list
     minus_basis: list
-    kept: dict = field(default_factory=dict)
+    cache: dict = field(default_factory=dict)
 
-    @_kept
+    @kept(lambda ts, j2: ("rep", j2))
     def rep(self, j2):
         """The spin matrices composed with the *-automorphism e -> (e+f)/2 +
         ih/2, f -> (e+f)/2 - ih/2, h -> i(e-f) (exact in floating point): it
@@ -175,7 +165,7 @@ class SymPairTensors:
         e, f, h = self.rep(j2)
         return vec[0] * e + vec[1] * f + vec[2] * h
 
-    @_kept
+    @kept(lambda ts, j2: ("sigma_matrix", j2))
     def sigma_matrix(self, j2):
         """Unitary implementing sigma on spin j, normalized to square to 1."""
         pairs = [(self.vec_matrix(vec, j2),
@@ -197,19 +187,19 @@ class SymPairTensors:
             out += kron(xs, x)
         return out
 
-    @_kept
+    @kept(lambda ts, j2a, j2b: ("t_full", j2a, j2b))
     def t_full(self, j2a, j2b):
         return self.pair_tensor(self.plus_basis + self.minus_basis, j2a, j2b)
 
-    @_kept
+    @kept(lambda ts, j2a, j2b: ("t_k", j2a, j2b))
     def t_k(self, j2a, j2b):
         return self.pair_tensor(self.plus_basis, j2a, j2b)
 
-    @_kept
+    @kept(lambda ts, j2a, j2b: ("t_m", j2a, j2b))
     def t_m(self, j2a, j2b):
         return self.pair_tensor(self.minus_basis, j2a, j2b)
 
-    @_kept
+    @kept(lambda ts, j2: ("casimir_k", j2))
     def casimir_k(self, j2):
         dim = j2 + 1
         out = np.zeros((dim, dim), dtype=complex)
@@ -251,7 +241,7 @@ def _orthonormalize(vecs):
 # coefficient assembly
 # ---------------------------------------------------------------------------
 
-@_kept
+@kept(lambda tensors, lam, j2: ("leg_coeff", lam, j2))
 def leg_coeff(tensors, lam, j2):
     """2 t^k_0 + C^k on chi_lam ox V_j2, as a matrix on V_j2."""
     chi = tensors.character_values(lam)

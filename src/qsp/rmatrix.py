@@ -24,11 +24,12 @@ quasi factor fixes, and it intertwines the coproduct with its opposite on
 every generator, both taken as leg matrices from ``uqrep.coproduct_terms``,
 the one place the coproduct is written.  The intertwining check runs on the
 blocks of R; R is scattered from them, so it has no entry between them.
-``rmat(m, n)`` keeps its result in ``m.cache`` per n: a cached R-matrix is
-one that passed both checks.  The YBE, hexagon and ribbon checks multiply
-their sides per block of the triple or double product, with no operator on
-the product formed, R21 among them as R(n, m) gathered on the legs in
-reversed order; ``op_on_legs`` moves tensor legs by reshape and transpose.
+``rmat(m, n)`` is kept in ``m.cache`` per n (``rootsys.kept``): a kept
+R-matrix is one that passed both checks.  The YBE, hexagon and ribbon
+checks multiply their sides per block of the triple or double product,
+with no operator on the product formed, R21 among them as R(n, m)
+gathered on the legs in reversed order; ``op_on_legs`` moves tensor legs
+by reshape and transpose.
 
 Independent oracle: solve the intertwining linear system, with Delta and
 Delta^op formed as dense matrices, and pin the isotypic-block scalars by
@@ -45,10 +46,10 @@ from .blocks import (WeightBlocks, leg_blocks, product_blocks, shape_runs,
                      stack)
 from .errors import ConsistencyError, UnsupportedOracleError
 from .lusztig import braid_on_module
-from .rootsys import beta_sequence, longest_element, qint
+from .rootsys import beta_sequence, kept, longest_element, qint, read_only
 from .uqrep import (casimir_scalar, coproduct_terms, decompose, kron,
-                    kron_sum, read_only, relative, require_product_dim,
-                    ribbon_diag, tensor)
+                    kron_sum, relative, require_product_dim, ribbon_diag,
+                    tensor)
 
 _PIN_TOL = 1e-9
 
@@ -63,12 +64,10 @@ def _cartan_factor(m, n):
     return (m.qp.q ** -_pairings(m, n)).reshape(-1)
 
 
+@kept(lambda module: "root_vectors")
 def _root_vector_mats(module):
     """(beta_k, E_beta_k, F_beta_k) along the canonical w_0 word, kept
     read-only in the module's cache."""
-    cached = module.cache.get("root_vectors")
-    if cached is not None:
-        return cached
     datum = module.datum
     word = longest_element(datum, datum.vertices)
     betas = beta_sequence(datum, word)
@@ -81,10 +80,8 @@ def _root_vector_mats(module):
             continue
         t = t @ braids[word.letters[k - 1]]
         t_inv = np.linalg.inv(t)
-        out.append((beta, read_only(t @ module.E[r] @ t_inv),
-                    read_only(t @ module.F[r] @ t_inv)))
-    out = module.cache["root_vectors"] = tuple(out)
-    return out
+        out.append((beta, t @ module.E[r] @ t_inv, t @ module.F[r] @ t_inv))
+    return tuple(out)
 
 
 def _quasi_factor(m, n):
@@ -170,16 +167,13 @@ def _intertwining_residual(mat, index, m, n):
     return float(worst)
 
 
+@kept(lambda module, gens: ("killed", gens))
 def _killed(module, gens):
     """Indices of the basis vectors that every matrix of ``gens`` (E or F)
     kills, kept in the module's cache: the E- or F-singular vectors."""
-    key = ("killed", gens)
-    if key not in module.cache:
-        mats = np.array(list(getattr(module, gens).values()))
-        norms = np.sqrt((mats.real ** 2 + mats.imag ** 2).sum(axis=1))
-        module.cache[key] = tuple(np.flatnonzero(
-            (norms < 1e-10).all(axis=0)).tolist())
-    return module.cache[key]
+    mats = np.array(list(getattr(module, gens).values()))
+    norms = np.sqrt((mats.real ** 2 + mats.imag ** 2).sum(axis=1))
+    return tuple(np.flatnonzero((norms < 1e-10).all(axis=0)).tolist())
 
 
 def _extremal_pairs(m, n):
@@ -204,13 +198,11 @@ def _normalization_residual(mat, m, n):
     return float(max(dev, np.max(np.abs(cols))))
 
 
+@kept(lambda m, n: ("rmat", n))
 def rmat(m, n):
     """R-matrix on m ox n: quasi factor times Cartan factor, built on the
     total-weight blocks and checked against the extremal normalization and
     the generator intertwining."""
-    key = ("rmat", n)
-    if key in m.cache:
-        return m.cache[key]
     require_product_dim(m.dim, n.dim)
     quasi = _quasi_factor(m, n)
     cols = quasi.layout.entries[1]
@@ -223,8 +215,7 @@ def rmat(m, n):
             f"R-matrix on {m.label} ox {n.label} fails its checks: "
             f"normalization residual {norm:.3g}, intertwining residual "
             f"{inter:.3g} (tolerance {_PIN_TOL:g})")
-    out = m.cache[key] = RMatrix(mat, "R")
-    return out
+    return RMatrix(mat, "R")
 
 
 def r21(m, n):
@@ -269,28 +260,18 @@ def rmat_oracle(m, n):
     return RMatrix(mat, "oracle")
 
 
-def apply_on_legs(mat, x, dims, legs):
-    """(mat on the given legs, in order, ox 1 on the rest) @ x for an N x k
-    block x, N = prod(dims): one contraction of mat's input legs with those
-    legs of x, then the output legs moved back into place.  The embedded
-    N x N operator is never formed."""
-    n_legs = len(legs)
-    sizes = [dims[i] for i in legs]
-    t = np.tensordot(mat.reshape(sizes + sizes),
-                     x.reshape(list(dims) + [-1]),
-                     axes=(list(range(n_legs, 2 * n_legs)), list(legs)))
-    return np.moveaxis(t, list(range(n_legs)), list(legs)) \
-        .reshape(x.shape[0], -1)
-
-
 def op_on_legs(mat, dims, legs):
     """The dense N x N operator mat ox 1 on the given legs (a subset, in
-    order) of a tensor product with the given leg dimensions: apply_on_legs
-    on the identity."""
-    n = int(np.prod(dims))
-    return apply_on_legs(
-        mat, np.eye(n, dtype=np.result_type(mat.dtype, np.float64)),
-        dims, legs)
+    order) of a tensor product with the given leg dimensions, N = prod(dims):
+    mat's input legs contracted with those legs of the identity, then the
+    output legs moved back into place."""
+    n, n_legs = int(np.prod(dims)), len(legs)
+    sizes = [dims[i] for i in legs]
+    eye = np.eye(n, dtype=np.result_type(mat.dtype, np.float64))
+    t = np.tensordot(mat.reshape(sizes + sizes),
+                     eye.reshape(list(dims) + [-1]),
+                     axes=(list(range(n_legs, 2 * n_legs)), list(legs)))
+    return np.moveaxis(t, list(range(n_legs)), list(legs)).reshape(n, -1)
 
 
 def ybe_residual(m):

@@ -8,6 +8,11 @@ pairing divides once.  Data that depend only on the datum and a vertex
 subset (positive roots, w_X words, inverse sub-Cartan matrices) are computed
 once and kept, immutable, in the datum's ``cache``.
 
+``kept`` is the package's one way to keep derived data: every per-object
+cache of qsp (a datum's, a module's, a ladder's, the KZ tensors') is filled
+by a function it decorates, which keys the entry and makes its arrays
+read-only (``read_only``).
+
 Weights are stored in fundamental-weight coordinates, so the coordinate of a
 weight at vertex ``r`` is the Cartan pairing ``(mu, alpha_r^vee)``.  Simple
 roots are the columns of the Cartan matrix in these coordinates.
@@ -15,11 +20,14 @@ roots are the columns of the Cartan matrix in these coordinates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+
+import numpy as np
 
 from .errors import ConsistencyError, InputError
 
@@ -400,12 +408,34 @@ def _validate_subset(datum, subset):
     return subset
 
 
-def _cached(datum, key, build):
-    """datum.cache[key], built by ``build()`` on the first call."""
-    val = datum.cache.get(key)
-    if val is None:
-        val = datum.cache[key] = build()
-    return val
+def read_only(value):
+    """Mark every ndarray in value, also inside tuples and lists, read-only;
+    returns value."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            read_only(item)
+    return value
+
+
+_MISSING = object()
+
+
+def kept(key):
+    """Decorator: ``fn(owner, *args)`` is built on the first call, stored
+    with its arrays read-only in ``owner.cache[key(owner, *args)]``, and
+    looked up there afterwards.  Errors are not kept."""
+    def keep(fn):
+        @functools.wraps(fn)
+        def lookup(owner, *args):
+            k = key(owner, *args)
+            val = owner.cache.get(k, _MISSING)
+            if val is _MISSING:
+                val = owner.cache[k] = read_only(fn(owner, *args))
+            return val
+        return lookup
+    return keep
 
 
 def longest_element(datum, subset=None):
@@ -425,11 +455,10 @@ def longest_element(datum, subset=None):
     """
     if subset is None:
         subset = datum.vertices
-    subset = _validate_subset(datum, subset)
-    return _cached(datum, ("longest", subset),
-                   lambda: _longest_element(datum, subset))
+    return _longest_element(datum, _validate_subset(datum, subset))
 
 
+@kept(lambda datum, subset: ("longest", subset))
 def _longest_element(datum, subset):
     lam = datum.weight([int(r in subset) for r in datum.vertices])
     word = []
@@ -450,8 +479,7 @@ def alpha_coefficients(weight, subset):
     gives c; the other rows must then agree."""
     datum = weight.datum
     sub = tuple(subset)
-    adj, det = _cached(datum, ("sub_cartan_inv", sub),
-                       lambda: _sub_cartan_inverse(datum, sub))
+    adj, det = _sub_cartan_inverse(datum, sub)
     num, den = weight.scaled()
     # c_t = y_t / (det den), all in integers
     y = [sum(x * num[s - 1] for x, s in zip(row, sub)) for row in adj]
@@ -462,6 +490,7 @@ def alpha_coefficients(weight, subset):
     return {t: Fraction(c, det * den) for t, c in zip(sub, y)}
 
 
+@kept(lambda datum, sub: ("sub_cartan_inv", sub))
 def _sub_cartan_inverse(datum, sub):
     """(adjugate, determinant) of the Cartan matrix restricted to sub, as
     ints."""
@@ -477,11 +506,10 @@ def positive_roots(datum, subset):
     """All positive roots of the subsystem, as a tuple sorted by (height,
     coords): the beta sequence of the reduced word of w_X, which lists each
     of them once.  Kept in the datum's cache per subset."""
-    subset = _validate_subset(datum, subset)
-    return _cached(datum, ("positive_roots", subset),
-                   lambda: _positive_roots(datum, subset))
+    return _positive_roots(datum, _validate_subset(datum, subset))
 
 
+@kept(lambda datum, subset: ("positive_roots", subset))
 def _positive_roots(datum, subset):
     roots = sorted(_beta_roots(datum, longest_element(datum, subset)),
                    key=lambda root: (sum(root[0]), root[1].coords))
@@ -585,11 +613,11 @@ def restrict_datum(datum, subset):
     subset = _validate_subset(datum, subset)
     if not subset:
         raise InputError("empty subset has no root datum")
-    sub, vertex_map, scale = _cached(datum, ("restrict", subset),
-                                     lambda: _restrict(datum, subset))
+    sub, vertex_map, scale = _restrict(datum, subset)
     return sub, dict(vertex_map), scale
 
 
+@kept(lambda datum, subset: ("restrict", subset))
 def _restrict(datum, subset):
     # connected components of the induced diagram
     remaining = set(subset)

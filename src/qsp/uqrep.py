@@ -12,10 +12,10 @@ or whose E and F miss [E_r, F_r] = (K_r - K_r^-1)/(q_r - q_r^-1) by more
 than EF_TOL relative, stops with NumericalDegeneracyError.
 
 ``build_irrep`` is memoised on (datum, highest weight, QParams) for the
-life of the process; ``tensor``, ``twist_module`` and ``decompose`` keep
-their results in the ``cache`` of their first argument, keyed by the
-partner module or the permutation; the identity permutation returns the
-module itself.  Cached arrays are read-only.  ``decompose`` grows each
+life of the process (``functools.cache``); ``tensor``, ``twist_module``
+and ``decompose`` are ``rootsys.kept`` in the ``cache`` of their first
+argument, keyed by the partner module or the permutation; the identity
+permutation returns the module itself.  ``decompose`` grows each
 embedding through the transport maps of its model irrep (``_transport``:
 level indices, (r, j) pairs and span pseudo-inverses), kept in the
 model's ``cache``.
@@ -32,6 +32,7 @@ Every SVD kernel the package takes goes through ``kernel`` (and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, NumericalDegeneracyError, ResourceError
-from .rootsys import alpha_coefficients, weyl_dimension
+from .rootsys import alpha_coefficients, kept, read_only, weyl_dimension
 
 # the largest module dimension build_irrep constructs
 DIM_CAP = 400
@@ -128,15 +129,12 @@ class WeightModule:
         return [[sum(x * y for x, y in zip(r, col)) / den for col in g_num]
                 for r in rows]
 
+    @kept(lambda m, omega: ("K", omega.coords))
     def k_diag(self, omega):
         """Read-only float diagonal of K_omega from the exact pairings,
         once per omega."""
-        key = ("K", omega.coords)
-        if key not in self.cache:
-            a, da = omega.scaled()
-            self.cache[key] = read_only(np.array(
-                [self.qp.q ** p for p in self.pairings([a], da)[0]]))
-        return self.cache[key]
+        a, da = omega.scaled()
+        return np.array([self.qp.q ** p for p in self.pairings([a], da)[0]])
 
     def weight_spaces(self):
         spaces = {}
@@ -191,15 +189,7 @@ def intertwiners(pairs, rel):
     return [basis[:, i].reshape(dim, dim) for i in range(basis.shape[1])]
 
 
-def read_only(arr):
-    """Mark an array that is cached and shared as read-only; returns it."""
-    arr.flags.writeable = False
-    return arr
-
-
-_IRREPS = {}
-
-
+@functools.cache
 def build_irrep(datum, varpi, qp):
     """Irreducible *-representation with highest weight varpi.
 
@@ -211,9 +201,6 @@ def build_irrep(datum, varpi, qp):
     than EF_TOL raises after it.  The same (datum, varpi, qp) returns the
     same module.
     """
-    key = (datum, varpi, qp)
-    if key in _IRREPS:
-        return _IRREPS[key]
     target_dim = weyl_dimension(datum, varpi)   # InputError unless dominant
     if target_dim > DIM_CAP:
         raise ResourceError(
@@ -328,7 +315,6 @@ def build_irrep(datum, varpi, qp):
         raise NumericalDegeneracyError(
             f"built module misses [E_r, F_r] by {ef:.2g} relative",
             {**mod.gram_diagnostics, "ef_residual": ef})
-    _IRREPS[key] = mod
     return mod
 
 
@@ -356,11 +342,9 @@ def kron_sum(pairs):
     return sum((kron(a, b) for a, b in rest), kron(a, b))
 
 
+@kept(lambda m1, m2: ("tensor", m2))
 def tensor(m1, m2):
     """Tensor product via the coproduct, product basis i-major."""
-    key = ("tensor", m2)
-    if key in m1.cache:
-        return m1.cache[key]
     if m1.datum != m2.datum:
         raise InputError("tensor of modules over different data")
     require_product_dim(m1.dim, m2.dim)
@@ -371,9 +355,8 @@ def tensor(m1, m2):
         delta_e, delta_f, _ = coproduct_terms(m1, m2, r)
         E[r] = read_only(kron_sum(delta_e))
         F[r] = read_only(kron_sum(delta_f))
-    out = m1.cache[key] = WeightModule(
-        datum, qp, weights, E, F, label=f"({m1.label})ox({m2.label})")
-    return out
+    return WeightModule(datum, qp, weights, E, F,
+                        label=f"({m1.label})ox({m2.label})")
 
 
 def twist_module(module, perm):
@@ -382,9 +365,11 @@ def twist_module(module, perm):
     identity permutation returns the module itself, with all it caches."""
     if all(perm[r] == r for r in module.datum.vertices):
         return module
-    key = ("twist", tuple(sorted(perm.items())))
-    if key in module.cache:
-        return module.cache[key]
+    return _twist(module, perm)
+
+
+@kept(lambda module, perm: ("twist", tuple(sorted(perm.items()))))
+def _twist(module, perm):
     dat = module.datum
 
     def tw(w):
@@ -393,12 +378,10 @@ def twist_module(module, perm):
             coords[perm[r] - 1] = w.coords[r - 1]
         return dat.weight(coords)
 
-    out = module.cache[key] = WeightModule(
-        dat, module.qp, [tw(w) for w in module.weights],
-        {r: module.E[perm[r]] for r in dat.vertices},
-        {r: module.F[perm[r]] for r in dat.vertices},
-        highest=None, label=module.label + "^tw")
-    return out
+    return WeightModule(dat, module.qp, [tw(w) for w in module.weights],
+                        {r: module.E[perm[r]] for r in dat.vertices},
+                        {r: module.F[perm[r]] for r in dat.vertices},
+                        highest=None, label=module.label + "^tw")
 
 
 def casimir_scalar(datum, varpi):
@@ -420,15 +403,13 @@ def ribbon_diag(module):
     return out
 
 
+@kept(lambda module: ("decompose",))
 def decompose(module):
     """Orthogonal isotypic decomposition: a tuple of (varpi, multiplicity,
     embeddings), one read-only isometric embedding V_varpi -> module of
     shape dim(module) x dim(V_varpi) per copy.  Highest-weight vectors are
     the kernel of the E_r at relative cut 1e-8; a singular value between
     that cut and its square root raises NumericalDegeneracyError."""
-    key = ("decompose",)
-    if key in module.cache:
-        return module.cache[key]
     datum, qp = module.datum, module.qp
     tol = 1e-8
     spaces = module.weight_spaces()
@@ -465,13 +446,11 @@ def decompose(module):
         if embeddings:
             sub_dim = embeddings[0].shape[1]
             total += sub_dim * len(embeddings)
-            out.append((w, len(embeddings),
-                        tuple(read_only(emb) for emb in embeddings)))
+            out.append((w, len(embeddings), tuple(embeddings)))
     if total != module.dim:
         raise NumericalDegeneracyError(
             f"decomposition dimensions {total} != {module.dim}", {})
-    out = module.cache[key] = tuple(out)
-    return out
+    return tuple(out)
 
 
 def _height_key(module, coords):
@@ -493,26 +472,24 @@ def _grow_embedding(module, varpi, hw_vec, qp):
     return emb
 
 
+@kept(lambda model: ("transport",))
 def _transport(model):
     """The transport maps of an irrep, kept in its cache: per level below
     the top, (its indices, the (r, j) pairs F_r e_j from the level above,
     the pseudo-inverse of the span map, pairs x indices)."""
-    key = ("transport",)
-    if key not in model.cache:
-        top, datum, levels = model.highest, model.datum, {}
-        for i, w in enumerate(model.weights):
-            ht = sum(alpha_coefficients(top - w, datum.vertices).values())
-            levels.setdefault(ht, []).append(i)
-        heights = sorted(levels)
-        maps = []
-        for ha, hb in zip(heights, heights[1:]):
-            prev, nxt = levels[ha], levels[hb]
-            pairs = [(r, j) for r in datum.vertices for j in prev]
-            span = np.array([[model.F[r][i, j] for (r, j) in pairs]
-                             for i in nxt])
-            maps.append((nxt, pairs, read_only(np.linalg.pinv(span))))
-        model.cache[key] = tuple(maps)
-    return model.cache[key]
+    top, datum, levels = model.highest, model.datum, {}
+    for i, w in enumerate(model.weights):
+        ht = sum(alpha_coefficients(top - w, datum.vertices).values())
+        levels.setdefault(ht, []).append(i)
+    heights = sorted(levels)
+    maps = []
+    for ha, hb in zip(heights, heights[1:]):
+        prev, nxt = levels[ha], levels[hb]
+        pairs = [(r, j) for r in datum.vertices for j in prev]
+        span = np.array([[model.F[r][i, j] for (r, j) in pairs]
+                         for i in nxt])
+        maps.append((nxt, pairs, np.linalg.pinv(span)))
+    return tuple(maps)
 
 
 def _ef_residual(module, r):

@@ -21,8 +21,9 @@ twist from nu_q(F) = -F, for the twisted one.  Every factor preserves
 total weight, so the braid on any module ox V is block-diagonal in it.
 ``braid_blocks`` builds it block by block (``qsp.blocks.WeightBlocks``,
 keyed by the rounded H-eigenvalues of the ladder), raises ResourceError
-when a block overflows, and keeps it in the module's cache; ``e_matrix``
-scatters these blocks into a dense matrix.  ``qsp.harness.vogan_axioms``
+when a block overflows, and is ``rootsys.kept`` in the module's cache, as
+are ``coaction_tensor`` and ``nu_module``; ``e_matrix`` scatters these
+blocks into a dense matrix.  ``qsp.harness.vogan_axioms``
 multiplies such operators on M ox U ox V, each factor gathered once by
 ``qsp.blocks.leg_blocks`` on one product index (blocks of size at most 4),
 and ``fusion_check`` takes the kernel of F between neighbouring blocks.
@@ -40,8 +41,8 @@ import numpy as np
 from .blocks import (WeightBlocks, leg_blocks, moves_only_by, product_blocks,
                      shape_runs, shift_maxima, stack)
 from .errors import ConsistencyError, InputError, ResourceError
-from .rootsys import qfact
-from .uqrep import WeightModule, kron, null_mask, read_only, ribbon_diag
+from .rootsys import kept, qfact, read_only
+from .uqrep import WeightModule, kron, null_mask, ribbon_diag
 
 # the most levels build_Mr truncates to: F is a dense cap x cap complex
 # matrix, 16 cap^2 bytes (67 MB at 2048)
@@ -129,19 +130,15 @@ def _total_h(module, v):
     return _product_h(module.h_diag, _h_vector(v))
 
 
+@kept(lambda module, v: ("coaction", v))
 def coaction_tensor(module, v):
     """K, F and H on M ox V through the coaction, as a TruncatedModule
     over the product space; built once per V and kept read-only in
     ``module.cache``."""
-    key = ("coaction", v)
-    if key not in module.cache:
-        kv = v.k_diag(v.datum.simple_root(1))
-        f = kron(module.f_mat, np.diag(1 / kv)) \
-            + kron(np.eye(module.dim), v.F[1])
-        module.cache[key] = TruncatedModule(module.r, module.qp, *(
-            read_only(arr) for arr in (kron(module.k_diag, kv), f,
-                                       _total_h(module, v))))
-    return module.cache[key]
+    kv = v.k_diag(v.datum.simple_root(1))
+    f = kron(module.f_mat, np.diag(1 / kv)) + kron(np.eye(module.dim), v.F[1])
+    return TruncatedModule(module.r, module.qp, *read_only(
+        [kron(module.k_diag, kv), f, _total_h(module, v)]))
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +154,13 @@ def su2_series_coeff(n, q):
     return (1 / q - q) ** n * q ** (-n * (n - 1) / 2) / qfact(n, q)
 
 
+@kept(lambda module, v, qp: ("braid", v, qp))
+@np.errstate(all="ignore")
 def braid_blocks(module, v, qp):
     """The twist braid on module ox V as ``WeightBlocks``, built once per
-    (V, qp) and kept read-only in ``module.cache``."""
-    key = ("braid", v, qp)
-    if key not in module.cache:
-        module.cache[key] = _braid_blocks(module, v, qp)
-    return module.cache[key]
+    (V, qp) and kept read-only in ``module.cache``:
 
-
-@np.errstate(all="ignore")
-def _braid_blocks(module, v, qp):
-    """R21_tilde = (sum c_n F^n ox E^n) q^{-H ox H/2} and
+    R21_tilde = (sum c_n F^n ox E^n) q^{-H ox H/2} and
     (id ox nu)(R_tilde) = (sum c_n (-1)^n (K F^*)^n ox F^n) q^{-H ox H/2};
     both series terminate by nilpotency on V.  The last factor is the
     inverse ribbon scalar on V (blockwise for reducible V).  Every term
@@ -214,17 +206,14 @@ def e_matrix(module, v, qp):
     return braid_blocks(module, v, qp).dense()
 
 
+@kept(lambda v: ("nu",))
 def nu_module(v):
     """The Vogan involution on su2 modules: E -> -E, F -> -F, K -> K; built
     once per module and kept in ``v.cache``, so the R-matrices against it
     are kept too."""
-    key = ("nu",)
-    if key not in v.cache:
-        v.cache[key] = WeightModule(
-            v.datum, v.qp, list(v.weights), {1: read_only(-v.E[1])},
-            {1: read_only(-v.F[1])}, highest=v.highest,
-            label=v.label + "^nu")
-    return v.cache[key]
+    return WeightModule(v.datum, v.qp, list(v.weights),
+                        {1: read_only(-v.E[1])}, {1: read_only(-v.F[1])},
+                        highest=v.highest, label=v.label + "^nu")
 
 
 def _require_spin_half(v, q):

@@ -9,9 +9,9 @@ from qsp.errors import InputError
 from qsp.harness import (_cylinder_residuals, run_axioms, run_kz_suite,
                          run_rank_one)
 from qsp.rmatrix import rmat
-from qsp.rootsys import alpha_coefficients, qfact
-from qsp.uqrep import (WeightModule, _ef_residual, build_irrep, read_only,
-                       relative, tensor)
+from qsp.rootsys import alpha_coefficients, qfact, read_only
+from qsp.uqrep import (WeightModule, _ef_residual, build_irrep, relative,
+                       tensor)
 from qsp.vogan10 import (_total_h, _weight_key, braid_blocks, coaction_tensor,
                          e_matrix, interior_indices, nu_module)
 

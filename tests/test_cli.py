@@ -215,13 +215,20 @@ def test_coideal_validate_reports_complex_c(runner, su2_diagram):
     ["coideal", "validate", "--diagram", None, "--c", "abc", "--q", "0.7"],
     ["coideal", "validate", "--diagram", None, "--c", "1,2,3", "--q", "0.7"],
     ["coideal", "validate", "--diagram", None, "--s", "0,0", "--q", "0.7"],
+    ["rep", "build", "--algebra", "A2", "--weight", "1", "--q", "0.6"],
+    ["rmatrix", "--algebra", "A2", "--v", "1", "--w", "1,0", "--q", "0.6"],
+    ["kmatrix", "--diagram", "AIII", "--t", "0.3", "--q", "0.6"],
 ], ids=["rep-weight", "rmatrix-v", "kmatrix-rep", "coideal-c",
-        "coideal-c-length", "coideal-s-length"])
-def test_malformed_value_is_input_error(runner, su2_diagram, args):
-    # None stands for the su2 diagram file
-    res = runner.invoke(main, [su2_diagram if a is None else a for a in args])
+        "coideal-c-length", "coideal-s-length", "rep-weight-length",
+        "rmatrix-v-length", "kmatrix-rep-length"])
+def test_malformed_value_is_input_error(runner, su2_diagram, aiii_diagram,
+                                        args):
+    # None stands for the su2 diagram file, AIII for the A3 one
+    files = {None: su2_diagram, "AIII": aiii_diagram}
+    res = runner.invoke(main, [files.get(a, a) for a in args])
     assert (res.exit_code, res.stdout) == (2, "")
-    assert res.stderr.startswith("input error:")
+    # the message names the option
+    assert res.stderr.startswith("input error: --")
     assert len(res.stderr.strip().splitlines()) == 1
     assert "Traceback" not in res.stderr
 

@@ -13,6 +13,7 @@ from qsp.algebra import AlgebraElement
 from qsp.coideal import (
     CoidealModule,
     CoidealParams,
+    _fusion_table,
     _generator_mats,
     _monomial_span,
     character_relations_residual,
@@ -25,10 +26,11 @@ from qsp.coideal import (
     ribbon_compose,
     star_membership,
     theta_fixed_basis,
+    twisted_pairs,
     validate_star,
 )
 from qsp.diagrams import satake
-from qsp.errors import AmbiguityError, InputError
+from qsp.errors import AmbiguityError, InputError, NoKMatrixError
 from qsp.rmatrix import rmat
 from qsp.rootsys import build_root_datum
 from qsp.uqrep import QParams, build_irrep, decompose, tensor
@@ -558,6 +560,37 @@ def test_braid_table_extends_in_any_order():
                 continue
             assert np.linalg.norm(eta - cold[s]) \
                 <= 1e-12 * np.linalg.norm(cold[s]), (order, s)
+
+
+def _fused(typ, x, tau, target):
+    """The no-parameter coideal of a Satake diagram at q = 0.6, its counit
+    module, the generator V(omega_2) and the irrep ``target``."""
+    datum, qp = build_root_datum(typ), QParams(0.6)
+    diag = satake(datum, x, tau)
+    params = no_parameter(diag, qp)
+    return (diag, params, qp, counit_module(diag, params, qp),
+            build_irrep(datum, datum.fundamental_weight(2), qp),
+            build_irrep(datum, datum.weight(target), qp))
+
+
+def test_derived_braid_keeps_a_skipped_module_pending():
+    # V(omega_2) ox V(omega_2) on A3 has components above the bound of
+    # V[2,0,0]: they are skipped, and their module stays pending with it
+    diag, params, qp, x0, gen, u = _fused("A3", (2,), [[1, 3]], [2, 0, 0])
+    eta = kmatrix_solve(diag, params, qp, x0, u, fuse_from=gen)
+    assert max(np.linalg.norm(eta @ tw - plain @ eta) / np.linalg.norm(plain)
+               for tw, plain in twisted_pairs(x0, u)) <= 1e-10
+    pending = _fusion_table(gen, diag, params, qp, x0)["pending"]
+    assert any(bound is not None for _, _, bound in pending)
+
+
+def test_derived_braid_reports_an_unreachable_target():
+    # the tensor powers of V(omega_2), the vector representation of
+    # so(5) = sp(4), never contain the spin module V[1,1]; the search skips
+    # components above the bound until no pending module is left
+    diag, params, qp, x0, gen, u = _fused("C2", (1,), None, [1, 1])
+    with pytest.raises(NoKMatrixError, match="not reached"):
+        kmatrix_solve(diag, params, qp, x0, u, fuse_from=gen)
 
 
 def test_characters_and_relations():

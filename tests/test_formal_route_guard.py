@@ -12,7 +12,9 @@ class of ``src/qsp`` has a user: the program outside its own body, the
 benchmark (``perfbench/*.py``, read only), or the CLI as a registered
 command; the one kept for the tests alone is named in ``TEST_ONLY_API``.
 scipy is imported only inside the bodies of ``kzmono._decompose`` and
-``kzmono.mkz_consistency``.
+``kzmono.mkz_consistency``.  No statement stores into a ``.cache`` or
+``.kept`` dict by subscript outside ``rootsys.kept``, the one way to keep
+derived data.
 """
 
 import ast
@@ -169,3 +171,24 @@ def test_every_public_definition_has_a_user():
               # read nowhere but inside its own body
               and program[node.name] == _names(node)[node.name]}
     assert unused == set(TEST_ONLY_API), sorted(unused ^ set(TEST_ONLY_API))
+
+
+def test_only_rootsys_kept_stores_into_a_cache():
+    trees = _trees()
+    inside_kept = {id(node) for fn in trees["rootsys"].body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "kept"
+                   for node in ast.walk(fn)}
+    stores = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if id(node) in inside_kept or not isinstance(
+                    node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            stores += [(name, node.lineno) for target in targets
+                       for sub in ast.walk(target)
+                       if isinstance(sub, ast.Subscript)
+                       and isinstance(sub.value, ast.Attribute)
+                       and sub.value.attr in ("cache", "kept")]
+    assert stores == []

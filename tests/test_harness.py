@@ -346,14 +346,16 @@ def test_vogan_axioms_need_an_interior():
 
 
 def test_vogan_axioms_build_each_braid_once(monkeypatch):
+    # a braid build indexes its product once; on the Vogan axioms nothing
+    # else in vogan10 does
     built = []
-    build = qsp.vogan10._braid_blocks
+    index = qsp.vogan10.product_blocks
 
-    def counting(module, v, qp):
-        built.append((module.dim, v.dim))
-        return build(module, v, qp)
+    def counting(*legs):
+        built.append(tuple(leg.dim for leg in legs))
+        return index(*legs)
 
-    monkeypatch.setattr(qsp.vogan10, "_braid_blocks", counting)
+    monkeypatch.setattr(qsp.vogan10, "product_blocks", counting)
     run_axioms("vogan", 0.96, levels=20, r=0.5)
     # M ox V, (M ox V) ox V and M ox (V ox V)
     assert sorted(built) == [(20, 2), (20, 4), (40, 2)]

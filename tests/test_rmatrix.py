@@ -12,7 +12,6 @@ from qsp.rmatrix import (
     _cartan_factor,
     _intertwining_residual,
     _root_vector_mats,
-    apply_on_legs,
     hexagon_residuals,
     op_on_legs,
     r21,
@@ -193,24 +192,6 @@ def test_op_on_legs_matches_permutation_matrix():
             want = _permutation_op_on_legs(mat, dims, legs)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), legs
-
-
-def test_apply_on_legs_matches_permutation_matrix():
-    rng = np.random.default_rng(2)
-    dims = [3, 4, 5]
-    n = int(np.prod(dims))
-    for k in range(1, len(dims) + 1):
-        for legs in itertools.permutations(range(len(dims)), k):
-            d = int(np.prod([dims[i] for i in legs]))
-            mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            want_op = _permutation_op_on_legs(mat, dims, legs)
-            for cols in (1, 7):
-                x = rng.normal(size=(n, cols)) + 1j * rng.normal(size=(n, cols))
-                want = want_op @ x
-                got = apply_on_legs(mat, x, dims, legs)
-                assert got.shape == (n, cols)
-                err = np.linalg.norm(got - want) / np.linalg.norm(want)
-                assert err < 1e-13, (legs, cols, err)
 
 
 def _dense_ybe_residual(m):
@@ -422,6 +403,8 @@ def _writable_arrays(obj, path, seen, out):
 def test_every_cached_array_is_read_only():
     from qsp.coideal import CoidealParams, counit_module, kmatrix_solve
     from qsp.diagrams import satake
+    from qsp.kzmono import leg_coeff, split_tensors
+    from qsp.rootsys import positive_roots, restrict_datum
     from qsp.vogan10 import braid_blocks, build_Mr
 
     v, w = V(A2, [1, 0]), V(A2, [0, 1])
@@ -432,13 +415,21 @@ def test_every_cached_array_is_read_only():
     kmatrix_solve(diag, params, QP, counit_module(diag, params, QP), u)
     ladder = build_Mr(0.25, QP, 10)
     braid_blocks(ladder, u, QP)
+    datum = build_root_datum("B3")
+    restrict_datum(datum, (2, 3))
+    positive_roots(datum, (1, 2))
+    tensors = split_tensors()
+    leg_coeff(tensors, 0.7, 2)
+    tensors.t_full(1, 2)
+    tensors.sigma_matrix(2)
     seen, out = set(), []
-    for module in (v, w, u, ladder):
-        _writable_arrays(module, "module", seen, out)
+    for owner in (v, w, u, ladder, datum, tensors):
+        _writable_arrays(owner, "owner", seen, out)
     assert out == []
+    assert datum.cache and tensors.cache
     # v ox w and the model irrep of its third component at least are reached
     # too (and whatever earlier calls left in the caches)
-    assert len(seen) >= 6
+    assert len(seen) >= 8
 
 
 @pytest.mark.parametrize("typ, coords", [
