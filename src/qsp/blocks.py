@@ -21,10 +21,10 @@ padded first-fit slots (``packed``): its blocks come in pairs of sizes
 terms took 15 us against 31 us in per-size runs at D = 4, 55 us against
 92 us at D = 9.  Padded slots also win on small R products (largest block
 up to 13), so neither stacking wins everywhere, and no size cut switches
-between them: that would be a second path on each side.  ``leg_blocks``
-gathers the blocks of an operator on some legs from its small factors;
-``BlockIndex.shifted`` pairs the blocks that an operator moving the weight
-by a fixed shift maps between.
+between them: that would be a second path on each side.  There is one
+gather from the factors on some legs, ``leg_entries``, and one rank-one
+q-exponential series, ``series_blocks``; ``BlockIndex.shifted`` pairs the
+blocks that an operator moving the weight by a fixed shift maps between.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, ResourceError
-from .rootsys import kept, read_only
+from .rootsys import kept, qint, read_only
 from .uqrep import WeightModule
 
 
@@ -259,24 +259,43 @@ def moves_only_by(mat, keys, shift):
         == np.count_nonzero(mat.view(float))
 
 
-def leg_blocks(index, factors):
-    """Weight blocks of the operator that acts by ``mat`` on the legs of
-    each (legs, mat) in ``factors`` (legs in order, as in ``op_on_legs``)
-    and as the identity on every other leg of the product of ``index``.
+def leg_entries(dims, rows, cols, factors):
+    """Entries (rows, cols) of the operator on the product of legs of
+    dimensions ``dims`` (first leg major) that acts by ``mat`` on the legs
+    of each (legs, mat) in ``factors`` (legs in order) and as the identity
+    on every other leg."""
+    return _leg_entries(dims, np.unravel_index(rows, dims),
+                        np.unravel_index(cols, dims), factors)
 
-    No operator on the product is formed: the blocks are gathered from the
-    factors, and ``off_block`` is the largest entry of the product outside
-    the blocks (every combination of factor entries whose weight shifts do
-    not sum to 0), read from the nonzero entries of each factor."""
+
+def _leg_entries(dims, rdig, cdig, factors):
+    """``leg_entries`` on the digits of its rows and columns."""
+    data = np.ones(np.broadcast(rdig[0], cdig[0]).shape,
+                   np.result_type(float, *(mat for _, mat in factors)))
+    for legs, mat in factors:
+        data *= mat[_on_legs(rdig, dims, legs), _on_legs(cdig, dims, legs)]
+    for leg in set(range(len(dims))) - {leg for legs, _ in factors
+                                        for leg in legs}:
+        data[rdig[leg] != cdig[leg]] = 0.0
+    return data
+
+
+def _on_legs(digits, dims, legs):
+    """The index on the product of ``legs`` (in order) of the digits."""
+    out = digits[legs[0]]
+    for leg in legs[1:]:
+        out = out * dims[leg] + digits[leg]
+    return out
+
+
+def leg_blocks(index, factors):
+    """The blocks of the operator of ``leg_entries`` on the product of
+    ``index``, gathered without forming it; ``off_block`` is its largest
+    entry outside the blocks (every combination of factor entries whose
+    weight shifts do not sum to 0), read from the nonzero factor entries."""
     rows, cols, _ = index.entries
-    dims = index.dims
-    rdig, cdig = np.unravel_index(rows, dims), np.unravel_index(cols, dims)
-    data = np.ones(rows.shape, dtype=complex)
     reach = {(0,) * index.keys[0].shape[1]: 1.0}   # total shift -> largest
     for legs, mat in factors:
-        sub = [dims[leg] for leg in legs]
-        data *= mat[np.ravel_multi_index([rdig[leg] for leg in legs], sub),
-                    np.ravel_multi_index([cdig[leg] for leg in legs], sub)]
         maxima = shift_maxima(mat, _sum_keys([index.keys[i] for i in legs]))
         nxt = {}
         for s0, v0 in reach.items():
@@ -284,12 +303,32 @@ def leg_blocks(index, factors):
                 key = tuple(_rounded(np.add(s0, s1)).tolist())
                 nxt[key] = max(nxt.get(key, 0.0), v0 * v1)
         reach = nxt
-    for leg in set(range(len(dims))) - {leg for legs, _ in factors
-                                        for leg in legs}:
-        data *= rdig[leg] == cdig[leg]
     off = max((val for shift, val in reach.items() if any(shift)),
               default=0.0)
-    return WeightBlocks(index, data, off)
+    return WeightBlocks(index, leg_entries(index.dims, rows, cols, factors),
+                        off)
+
+
+def series_blocks(index, x, y, q_b):
+    """The blocks of sum_k c_k x^k ox y^k on the two legs of ``index`` (x
+    and y move the weight oppositely), c_0 = 1 and c_k = c_{k-1}
+    (q_b^{-1} - q_b) q_b^{-(k-1)} / [k]_{q_b}, up to the first vanishing
+    power of y, then of x, and at most len(x) + len(y) terms."""
+    rows, cols, _ = index.entries
+    on = (index.dims, np.unravel_index(rows, index.dims),
+          np.unravel_index(cols, index.dims))
+    acc = (rows == cols).astype(complex)   # the term k = 0
+    coeff = 1.0
+    for k in range(1, len(x) + len(y) + 1):
+        y_pow = y if k == 1 else y_pow @ y
+        if np.linalg.norm(y_pow) < 1e-300:
+            break
+        x_pow = x if k == 1 else x_pow @ x
+        if np.linalg.norm(x_pow) < 1e-300:
+            break
+        coeff *= (1 / q_b - q_b) * q_b ** -(k - 1) / qint(k, q_b)
+        acc += coeff * _leg_entries(*on, [((0,), x_pow), ((1,), y_pow)])
+    return WeightBlocks(index, acc)
 
 
 def stack(data, start, count, rows, cols):

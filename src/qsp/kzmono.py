@@ -619,14 +619,20 @@ def mkz_consistency(problem, z_target=0.81):
 # identity suites
 # ---------------------------------------------------------------------------
 
+def _twisted_octagon(psis, e_plus, e_c, e_minus):
+    """Psi_a^{-1} e_+ Psi_c e_c Psi_{c,sw}^{-1} e_- Psi_{a,sw}, multiplied
+    left to right, from psis = ((Psi_a, Psi_{a,sw}), (Psi_c, Psi_{c,sw}))."""
+    (psi_a, psi_a_sw), (psi_c, psi_c_sw) = psis
+    return np.linalg.inv(psi_a) @ e_plus @ psi_c @ e_c \
+        @ np.linalg.inv(psi_c_sw) @ e_minus @ psi_a_sw
+
+
 def verify_eg(a, b_plus, b_minus):
     """Residual of the eight-factor identity with c = -a - b_+ - b_-."""
     c = -a - b_plus - b_minus
-    psi_a, psi_a_swap = (r.psi for r in psi_pair(a, b_plus, b_minus))
-    psi_c, psi_c_swap = (r.psi for r in psi_pair(c, b_plus, b_minus))
-    prod = np.linalg.inv(psi_a) @ _expm(1j * math.pi * b_plus) @ psi_c \
-        @ _expm(1j * math.pi * c) @ np.linalg.inv(psi_c_swap) \
-        @ _expm(1j * math.pi * b_minus) @ psi_a_swap @ _expm(1j * math.pi * a)
+    psis = [[r.psi for r in psi_pair(x, b_plus, b_minus)] for x in (a, c)]
+    exps = [_expm(1j * math.pi * x) for x in (b_plus, c, b_minus, a)]
+    prod = _twisted_octagon(psis, *exps[:3]) @ exps[3]
     return np.linalg.norm(prod - np.eye(a.shape[0]))
 
 
@@ -638,19 +644,17 @@ def verify_octagon_kz(tensors, lam, j2a, j2b, hbar):
     a02 = a02_coeff(tensors, lam, j2a, j2b, hbar)
     d = d_coeff(tensors, lam, j2a, j2b, hbar)
 
-    psi_a, psi_a_sw = (r.psi for r in psi_pair(a, bp, bm))
-    psi_021, psi_021_sw = (r.psi for r in psi_pair(a02, bp, bm))
+    psis = [[r.psi for r in psi_pair(x, bp, bm)] for x in (a, a02)]
+    (psi_a, psi_a_sw), (psi_021, psi_021_sw) = psis
 
     epi = lambda m: _expm(1j * math.pi * m)  # noqa: E731
     emi = lambda m: _expm(-1j * math.pi * m)  # noqa: E731
 
-    lhs = np.linalg.inv(psi_a) @ epi(bp) @ psi_021 @ epi(a02) \
-        @ np.linalg.inv(psi_021_sw) @ epi(bm) @ psi_a_sw @ epi(a)
+    lhs = _twisted_octagon(psis, epi(bp), epi(a02), epi(bm)) @ epi(a)
     res_rtkz = np.linalg.norm(lhs - epi(d))
 
     emi_bp, emi_bm = emi(bp), emi(bm)
-    oct_lhs = np.linalg.inv(psi_a) @ emi_bp @ psi_021 @ emi(a02) \
-        @ np.linalg.inv(psi_021_sw) @ emi_bm @ psi_a_sw
+    oct_lhs = _twisted_octagon(psis, emi_bp, emi(a02), emi_bm)
     res_oct = np.linalg.norm(oct_lhs - emi(d - a))
 
     rib_lhs = oct_lhs @ emi(a)

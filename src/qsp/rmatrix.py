@@ -1,21 +1,18 @@
 """R-matrices on pairs of weight modules.
 
-Construction: the quasi factor, an ordered product over positive roots,
-
-    Qt = prod_k  sum_n  (q_b^{-1}-q_b)^n q_b^{-n(n-1)/2} / [n]_{q_b}!
-                 (E_{beta_k})^n ox (F_{beta_k})^n,
-
-composed with the Cartan factor q^{-(wt ox wt)}.  The root vectors are
+Construction: the quasi factor, an ordered product over positive roots
+of the series Qt_k = sum_n c_n (E_{beta_k})^n ox (F_{beta_k})^n of
+``blocks.series_blocks`` at q_b = q^{(beta_k, beta_k)/2}, composed with
+the Cartan factor q^{-(wt ox wt)}.  The root vectors are
 computed on the module itself along the canonical reduced word
 r_1 ... r_N of w_0: with T = T_{r_1} ... T_{r_{k-1}} the product of the
 module braid operators, E_{beta_k} = T E_{r_k} T^{-1} and
 F_{beta_k} = T F_{r_k} T^{-1}.
 
 R and every factor of the quasi R-matrix preserve total weight, so R is
-built per total-weight block of m ox n (``qsp.blocks``): each term
-c_k E_beta^k ox F_beta^k is gathered on the blocks and the series are
-multiplied as stacked blocks.  ``RMatrix.matrix`` is the read-only dense
-matrix with the blocks scattered into it; a product past
+built per total-weight block of m ox n (``qsp.blocks``): the series are
+gathered and multiplied as stacked blocks.  ``RMatrix.matrix`` is the
+read-only dense matrix with the blocks scattered into it; a product past
 ``uqrep.PRODUCT_DIM_CAP`` is refused before anything is allocated.
 
 One convention is built and pinned by two checks on the result: it acts by
@@ -28,8 +25,8 @@ blocks of R; R is scattered from them, so it has no entry between them.
 R-matrix is one that passed both checks.  The YBE, hexagon and ribbon
 checks multiply their sides per block of the triple or double product,
 with no operator on the product formed, R21 among them as R(n, m)
-gathered on the legs in reversed order; ``op_on_legs`` moves tensor legs
-by reshape and transpose.
+gathered on the legs in reversed order; ``op_on_legs`` is
+``blocks.leg_entries`` at every entry.
 
 Independent oracle: solve the intertwining linear system, with Delta and
 Delta^op formed as dense matrices, and pin the isotypic-block scalars by
@@ -42,11 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (WeightBlocks, leg_blocks, product_blocks, shape_runs,
-                     stack)
+from .blocks import (WeightBlocks, leg_blocks, leg_entries, product_blocks,
+                     series_blocks, shape_runs, stack)
 from .errors import ConsistencyError, UnsupportedOracleError
 from .lusztig import braid_on_module
-from .rootsys import beta_sequence, kept, longest_element, qint, read_only
+from .rootsys import beta_sequence, kept, longest_element, read_only
 from .uqrep import (casimir_scalar, coproduct_terms, decompose, kron,
                     kron_sum, relative, require_product_dim, ribbon_diag,
                     tensor)
@@ -85,34 +82,16 @@ def _root_vector_mats(module):
 
 
 def _quasi_factor(m, n):
-    """Ordered product of per-root exponential series on m ox n, as
-    ``WeightBlocks``: every term E_beta^k ox F_beta^k keeps the total
-    weight, so its entries are gathered on the blocks."""
-    qp = m.qp
+    """Ordered product of the per-root series (``blocks.series_blocks``)
+    on m ox n, as ``WeightBlocks``."""
     index = product_blocks(m, n)
-    rows, cols, _ = index.entries
-    (ri, rj), (ci, cj) = divmod(rows, n.dim), divmod(cols, n.dim)
-    eye = np.eye(m.dim, dtype=complex)[ri, ci] \
-        * np.eye(n.dim, dtype=complex)[rj, cj]
     total = None
-    roots_m = _root_vector_mats(m)
-    roots_n = _root_vector_mats(n)
     # the beta_M factor sits leftmost; the opposite order breaks the
     # generator intertwining already for the two fundamentals of A2
-    for (beta, e_m, _), (_, _, f_n) in reversed(list(zip(roots_m, roots_n))):
-        qb = qp.qpow(beta.pairing(beta) / 2)
-        coeff = 1.0
-        acc = eye.copy()
-        e_pow = np.eye(m.dim, dtype=complex)
-        f_pow = np.eye(n.dim, dtype=complex)
-        for k in range(1, m.dim + n.dim + 1):
-            e_pow = e_pow @ e_m
-            f_pow = f_pow @ f_n
-            if np.linalg.norm(e_pow) < 1e-300 or np.linalg.norm(f_pow) < 1e-300:
-                break
-            coeff *= (1.0 / qb - qb) * qb ** (-(k - 1)) / qint(k, qb)
-            acc += coeff * (e_pow[ri, ci] * f_pow[rj, cj])
-        factor = WeightBlocks(index, acc)
+    for (beta, e_m, _), (_, _, f_n) in reversed(list(zip(
+            _root_vector_mats(m), _root_vector_mats(n)))):
+        factor = series_blocks(index, e_m, f_n,
+                               m.qp.qpow(beta.pairing(beta) / 2))
         total = factor if total is None else total @ factor
     return total
 
@@ -149,10 +128,11 @@ def _intertwining_residual(mat, index, m, n):
                 np.concatenate([src, tgt, src]))
             vals = mat[e_rows, e_cols]
             n_pairs, n_d = len(tgt), at[len(tgt)]
-            (ri, rj), (ci, cj) = (divmod(e_rows[:n_d], n.dim),
-                                  divmod(e_cols[:n_d], n.dim))
-            d = sum(a[ri, ci] * b[rj, cj] for a, b in delta)
-            d_op = sum(a[ri, ci] * b[rj, cj] for b, a in delta_op)
+            on = (index.dims, e_rows[:n_d], e_cols[:n_d])
+            d = sum(leg_entries(*on, [((0,), a), ((1,), b)])
+                    for a, b in delta)
+            d_op = sum(leg_entries(*on, [((0,), a), ((1,), b)])
+                       for b, a in delta_op)
             lhs, rhs = np.empty_like(vals[:n_d]), np.empty_like(vals[:n_d])
             for p, count, x, y in shape_runs(index.sizes[tgt],
                                              index.sizes[src]):
@@ -263,15 +243,9 @@ def rmat_oracle(m, n):
 def op_on_legs(mat, dims, legs):
     """The dense N x N operator mat ox 1 on the given legs (a subset, in
     order) of a tensor product with the given leg dimensions, N = prod(dims):
-    mat's input legs contracted with those legs of the identity, then the
-    output legs moved back into place."""
-    n, n_legs = int(np.prod(dims)), len(legs)
-    sizes = [dims[i] for i in legs]
-    eye = np.eye(n, dtype=np.result_type(mat.dtype, np.float64))
-    t = np.tensordot(mat.reshape(sizes + sizes),
-                     eye.reshape(list(dims) + [-1]),
-                     axes=(list(range(n_legs, 2 * n_legs)), list(legs)))
-    return np.moveaxis(t, list(range(n_legs)), list(legs)).reshape(n, -1)
+    ``blocks.leg_entries`` at every row and column."""
+    idx = np.arange(int(np.prod(dims)))
+    return leg_entries(dims, idx[:, None], idx, [(legs, mat)])
 
 
 def ybe_residual(m):

@@ -14,11 +14,11 @@ The braid is
 
     E = R21_tilde (id ox nu_q)(R_tilde) (1 ox v^{-1}),
 
-with both R-factors given by the rank-one series
-sum_n c_n X^n ox Y^n q^{-H ox H / 2}, c_n = (q^{-1}-q)^n q^{-n(n-1)/2}/[n]_q!,
-where (X, Y) = (F, E) for the flipped factor and (K F^*, F), with the sign
-twist from nu_q(F) = -F, for the twisted one.  Every factor preserves
-total weight, so the braid on any module ox V is block-diagonal in it.
+with both R-factors the rank-one series sum_n c_n X^n ox Y^n q^{-H ox H/2}
+of ``blocks.series_blocks`` (c_n by its running product), where
+(X, Y) = (F, E) for the flipped factor and (K F^*, -F) for the twisted one,
+from nu_q(F) = -F.  Every factor preserves total weight, so the braid on
+any module ox V is block-diagonal in it.
 ``braid_blocks`` builds it block by block (``qsp.blocks.WeightBlocks``,
 keyed by the rounded H-eigenvalues of the ladder), raises ResourceError
 when a block overflows, and is ``rootsys.kept`` in the module's cache, as
@@ -38,10 +38,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import (WeightBlocks, leg_blocks, moves_only_by, product_blocks,
-                     shape_runs, shift_maxima, stack)
+from .blocks import (WeightBlocks, leg_blocks, leg_entries, moves_only_by,
+                     product_blocks, series_blocks, shape_runs, shift_maxima,
+                     stack)
 from .errors import ConsistencyError, InputError, ResourceError
-from .rootsys import kept, qfact, read_only
+from .rootsys import kept, read_only
 from .uqrep import WeightModule, kron, null_mask, ribbon_diag
 
 # the most levels build_Mr truncates to: F is a dense cap x cap complex
@@ -116,18 +117,9 @@ def _h_vector(v):
     return np.array([float(w.coords[0]) for w in v.weights])
 
 
-def _product_h(*legs_h):
-    """H-eigenvalues of the product basis (first leg major) of legs whose
-    bases have the H-eigenvalues legs_h."""
-    out = legs_h[0]
-    for h in legs_h[1:]:
-        out = (out[:, None] + h[None, :]).reshape(-1)
-    return out
-
-
 def _total_h(module, v):
-    """H-eigenvalues of the basis of module ox V."""
-    return _product_h(module.h_diag, _h_vector(v))
+    """H-eigenvalues of the basis of module ox V (first leg major)."""
+    return (module.h_diag[:, None] + _h_vector(v)[None, :]).reshape(-1)
 
 
 @kept(lambda module, v: ("coaction", v))
@@ -149,11 +141,6 @@ def _weight_key(hval):
     return round(float(hval), 9)
 
 
-def su2_series_coeff(n, q):
-    """c_n = (q^{-1}-q)^n q^{-n(n-1)/2} / [n]_q!."""
-    return (1 / q - q) ** n * q ** (-n * (n - 1) / 2) / qfact(n, q)
-
-
 @kept(lambda module, v, qp: ("braid", v, qp))
 @np.errstate(all="ignore")
 def braid_blocks(module, v, qp):
@@ -161,43 +148,25 @@ def braid_blocks(module, v, qp):
     (V, qp) and kept read-only in ``module.cache``:
 
     R21_tilde = (sum c_n F^n ox E^n) q^{-H ox H/2} and
-    (id ox nu)(R_tilde) = (sum c_n (-1)^n (K F^*)^n ox F^n) q^{-H ox H/2};
-    both series terminate by nilpotency on V.  The last factor is the
-    inverse ribbon scalar on V (blockwise for reducible V).  Every term
-    F^n ox E^n and (K F^*)^n ox F^n preserves total weight and is gathered
-    per block; the products run on the stacked blocks."""
+    (id ox nu)(R_tilde) = (sum c_n (K F^*)^n ox (-F)^n) q^{-H ox H/2},
+    both ``blocks.series_blocks``; they terminate by nilpotency on V.  The
+    last factor is the inverse ribbon scalar on V (blockwise for reducible
+    V).  The products run on the stacked blocks."""
     q = qp.q
     index = product_blocks(module, v)
     kfs = module.k_diag[:, None] * module.f_mat.conj().T
-    h_out = np.outer(module.h_diag, _h_vector(v))
-    cartan = np.exp(np.log(q) * (-h_out / 2))
-    cart = cartan.reshape(-1).astype(complex)[index.entries[1]]
-
-    a_series = leg_blocks(index, []).data
-    b_series = a_series.copy()
-    f_pow, e_pow, kfs_pow, fv_pow = module.f_mat, v.E[1], kfs, v.F[1]
-    off = 0.0
-    for n in range(1, v.dim):
-        if n > 1:
-            f_pow = f_pow @ module.f_mat
-            e_pow = e_pow @ v.E[1]
-            kfs_pow = kfs_pow @ kfs
-            fv_pow = fv_pow @ v.F[1]
-        c = su2_series_coeff(n, q)
-        term_a = leg_blocks(index, [((0,), f_pow), ((1,), e_pow)])
-        term_b = leg_blocks(index, [((0,), kfs_pow), ((1,), fv_pow)])
-        a_series += c * term_a.data
-        b_series += c * (-1) ** n * term_b.data
-        off = max(off, term_a.off_block, term_b.off_block)
-
+    cart = np.exp(np.log(q) * (-np.outer(module.h_diag, _h_vector(v)) / 2)) \
+        .reshape(-1).astype(complex)[index.entries[1]]
+    a_series = series_blocks(index, module.f_mat, v.E[1], q)
+    b_series = series_blocks(index, kfs, -v.F[1], q)
     v_inv = leg_blocks(index, [((1,), np.linalg.inv(ribbon_diag(v)))])
     # the Cartan factor scales the columns of each block
-    ab = WeightBlocks(index, a_series * cart) @ WeightBlocks(index, b_series)
+    ab = WeightBlocks(index, a_series.data * cart) @ b_series
     out = WeightBlocks(index, ab.data * cart) @ v_inv
     # the ladder powers overflow at small q and many levels
     if not np.isfinite(out.data).all():
         raise ResourceError("the braid blocks overflow double precision")
-    return WeightBlocks(index, read_only(out.data), max(off, out.off_block))
+    return WeightBlocks(index, read_only(out.data), out.off_block)
 
 
 def e_matrix(module, v, qp):
@@ -387,10 +356,11 @@ def fusion_check(module, v, qp):
     f_blk = np.empty(at[-1], dtype=complex)
     for c in range(0, len(src), 16):
         rows, cols = index.pair_entries(tgt[c:c + 16], src[c:c + 16])[:2]
-        (xr, ar), (xc, ac) = divmod(rows, v.dim), divmod(cols, v.dim)
         # the entries of kron(F_M, diag(K^{-1})) + kron(1, F) there
-        f_blk[at[c]:at[c] + len(rows)] = module.f_mat[xr, xc] \
-            * ((ar == ac) * kv_inv[ac]) + (xr == xc) * f_v[ar, ac]
+        f_blk[at[c]:at[c] + len(rows)] = leg_entries(
+            index.dims, rows, cols,
+            [((0,), module.f_mat), ((1,), np.diag(kv_inv))]) \
+            + leg_entries(index.dims, rows, cols, [((1,), f_v)])
     for p, count, a, b in shape_runs(index.sizes[tgt], index.sizes[src]):
         sv = np.linalg.svd(stack(f_blk, at[p], count, a, b), compute_uv=False)
         dims[src[p:p + count]] = null_mask(sv, b, 1e-9).sum(-1)

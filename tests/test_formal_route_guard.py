@@ -14,7 +14,9 @@ command; the one kept for the tests alone is named in ``TEST_ONLY_API``.
 scipy is imported only inside the bodies of ``kzmono._decompose`` and
 ``kzmono.mkz_consistency``.  No statement stores into a ``.cache`` or
 ``.kept`` dict by subscript outside ``rootsys.kept``, the one way to keep
-derived data.
+derived data.  Only ``blocks`` decodes a product index into its legs: no
+other module calls ``divmod``, ``np.divmod``, ``np.unravel_index``,
+``np.ravel_multi_index`` or ``np.tensordot``.
 """
 
 import ast
@@ -192,3 +194,25 @@ def test_only_rootsys_kept_stores_into_a_cache():
                        and isinstance(sub.value, ast.Attribute)
                        and sub.value.attr in ("cache", "kept")]
     assert stores == []
+
+
+# the calls that decode or contract the legs of a product index
+INDEX_CALLS = {"divmod", "np.divmod", "np.unravel_index",
+               "np.ravel_multi_index", "np.tensordot"}
+
+
+def test_only_blocks_decodes_a_product_index():
+    found = []
+
+    def visit(name, node, line):   # line: that of the innermost statement
+        line = node.lineno if isinstance(node, ast.stmt) else line
+        if isinstance(node, ast.Call) and ast.unparse(
+                node.func).replace("numpy.", "np.") in INDEX_CALLS:
+            found.append((name, line))
+        for child in ast.iter_child_nodes(node):
+            visit(name, child, line)
+
+    for name, tree in _trees().items():
+        if name != "blocks":
+            visit(name, tree, None)
+    assert sorted(set(found)) == []

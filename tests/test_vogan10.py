@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from module_helpers import ladder_relations_residual, weight_blocks
-from qsp.blocks import leg_blocks, product_blocks
+from qsp.blocks import leg_blocks, product_blocks, series_blocks
 from qsp.errors import ConsistencyError, InputError, ResourceError
-from qsp.rootsys import build_root_datum
-from qsp.uqrep import QParams, build_irrep, kernel, ribbon_diag, tensor
+from qsp.rootsys import build_root_datum, qfact, qint
+from qsp.uqrep import (QParams, WeightModule, build_irrep, kernel, ribbon_diag,
+                       tensor)
 from qsp.vogan10 import (
     _h_vector,
     _require_spin_half,
@@ -27,7 +28,6 @@ from qsp.vogan10 import (
     plain_block_eigenvalues,
     spin_half_block,
     spin_half_transfer,
-    su2_series_coeff,
 )
 
 A1 = build_root_datum([("A", 1)])
@@ -744,12 +744,13 @@ def _e_matrix_ref(k_m, f_m, h_m, v, q):
     e_pow = np.eye(dv, dtype=complex)
     kfs_pow = np.eye(dm, dtype=complex)
     fv_pow = np.eye(dv, dtype=complex)
+    c = 1.0
     for n in range(1, dv):
         f_pow = f_pow @ f_m
         e_pow = e_pow @ v.E[1]
         kfs_pow = kfs_pow @ kfs
         fv_pow = fv_pow @ v.F[1]
-        c = su2_series_coeff(n, q)
+        c *= (1 / q - q) * q ** -(n - 1) / qint(n, q)
         a_series += c * np.kron(f_pow, e_pow)
         b_series += c * (-1) ** n * np.kron(kfs_pow, fv_pow)
     v_inv = np.kron(np.eye(dm), np.linalg.inv(ribbon_diag(v)))
@@ -795,6 +796,39 @@ def test_vector_diagonals_match_dense_reference(q, levels):
     np.testing.assert_array_equal(
         e_matrix(coaction_tensor(m, vh), vh, qp),
         _e_matrix_ref(*_coaction_ref(*m_ref, vh), vh, q))
+
+
+def _closed_form_coeff(n, q):
+    """c_n = (q^{-1} - q)^n q^{-n(n-1)/2} / [n]_q!, the closed form of the
+    running coefficient of ``series_blocks``."""
+    return (1 / q - q) ** n * q ** (-n * (n - 1) / 2) / qfact(n, q)
+
+
+def _spin_module(j2, qp):
+    """V_j of U_q(sl2) on the ladder v_0, ..., v_{j2} of weights j2 - 2k,
+    E v_k = sqrt([k] [j2 - k + 1]) v_{k-1} and F = E^T: closed form, so that
+    it exists at every q (``build_irrep`` stops at small q)."""
+    e = np.diag(np.sqrt([qint(k, qp.q) * qint(j2 - k + 1, qp.q)
+                         for k in range(1, j2 + 1)]), 1).astype(complex)
+    return WeightModule(A1, qp, [A1.weight([j2 - 2 * k])
+                                 for k in range(j2 + 1)],
+                        {1: e}, {1: e.T.copy()}, label=f"V{j2}")
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.6, 0.9, 0.99])
+def test_series_blocks_match_the_closed_form_sum(q):
+    # sum_n c_n E^n ox F^n on V_j ox V_j, n up to 8 at twice-spin 8
+    qp = QParams(q)
+    for j2 in range(9):
+        v = _spin_module(j2, qp)
+        got = series_blocks(product_blocks(v, v), v.E[1], v.F[1], q).dense()
+        want = np.eye(v.dim ** 2, dtype=complex)
+        e_pow, f_pow = np.eye(v.dim), np.eye(v.dim)
+        for n in range(1, v.dim):
+            e_pow, f_pow = e_pow @ v.E[1], f_pow @ v.F[1]
+            want += _closed_form_coeff(n, q) * np.kron(e_pow, f_pow)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), \
+            (j2, np.linalg.norm(got - want) / np.linalg.norm(want))
 
 
 @pytest.mark.parametrize("q", [0.2, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
