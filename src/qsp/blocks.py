@@ -317,7 +317,8 @@ def series_blocks(index, x, y, q_b):
     rows, cols, _ = index.entries
     on = (index.dims, np.unravel_index(rows, index.dims),
           np.unravel_index(cols, index.dims))
-    acc = (rows == cols).astype(complex)   # the term k = 0
+    acc = _leg_entries(*on, [((0,), np.eye(len(x), dtype=complex)),
+                             ((1,), np.eye(len(y), dtype=complex))])
     coeff = 1.0
     for k in range(1, len(x) + len(y) + 1):
         y_pow = y if k == 1 else y_pow @ y
