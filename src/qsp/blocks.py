@@ -5,9 +5,9 @@ total weight on a tensor product (Jantzen, Lectures on Quantum Groups,
 ch. 5); the 2-cyclotomic KZ coefficients commute with k, so they preserve
 total k-weight (Enriquez, Selecta Math. 2008).  A ``BlockIndex`` numbers
 its blocks by size, then by first appearance.  ``product_blocks`` keys them
-by total weight (a ``WeightModule`` leg by its exact weights, integer rows
-over one denominator; a ladder of ``qsp.vogan10`` by its H-eigenvalues,
-sums rounded to 9 digits); ``pattern_blocks`` takes the connected
+by total weight, every leg by its exact ``numerators()``: integer rows
+over one denominator (a ladder of ``qsp.vogan10`` by its integer levels,
+the weight plus r); ``pattern_blocks`` takes the connected
 components of a nonzero pattern, for the KZ matrices, which carry no
 weights.
 
@@ -38,27 +38,14 @@ import numpy as np
 
 from .errors import ConsistencyError, ResourceError
 from .rootsys import kept, qint, read_only
-from .uqrep import WeightModule
-
-
-def _leg_keys(leg):
-    """(keys, den): the weights of a leg's basis as rows over den, exact
-    integers for a weight module (kept in its cache) and the H-eigenvalues
-    over 1 for a ladder."""
-    if not isinstance(leg, WeightModule):
-        return leg.h_diag[:, None], 1
-    return _weight_keys(leg)
 
 
 @kept(lambda leg: ("weight_keys",))
 def _weight_keys(leg):
+    """(keys, den): the exact weights of a leg's basis, integer rows over
+    den."""
     rows, den = leg.numerators()
     return np.array(rows, dtype=np.int64), den
-
-
-def _rounded(keys):
-    """Float keys rounded to 9 digits; integer keys unchanged."""
-    return np.round(keys, 9) if keys.dtype.kind == "f" else keys
 
 
 def _sum_keys(keys):
@@ -67,7 +54,7 @@ def _sum_keys(keys):
     out = keys[0]
     for k in keys[1:]:
         out = (out[:, None, :] + k[None, :, :]).reshape(-1, k.shape[1])
-    return _rounded(out)
+    return out
 
 
 def _codes(keys):
@@ -177,11 +164,11 @@ class BlockIndex:
     def shifted(self, shift):
         """The pairs of blocks an operator moving the total weight by
         ``shift`` (a key row) maps between: arrays (t, s) with
-        block_keys[t] = block_keys[s] + shift (rounded like the keys of a
-        ladder), sorted stably by the shape (sizes[t], sizes[s])."""
+        block_keys[t] = block_keys[s] + shift, sorted stably by the shape
+        (sizes[t], sizes[s])."""
         n_blocks = len(self.sizes)
-        shifted = _rounded(self.block_keys + shift)
-        codes = _codes(np.concatenate([self.block_keys, shifted])).tolist()
+        codes = _codes(np.concatenate([self.block_keys,
+                                       self.block_keys + shift])).tolist()
         block_of = dict(zip(codes[:n_blocks], range(n_blocks)))
         tgt = [block_of.get(code, -1) for code in codes[n_blocks:]]
         src = [s for s in range(n_blocks) if tgt[s] >= 0]
@@ -210,7 +197,7 @@ def _grouped(dims, keys, den, total):
 def product_blocks(*legs):
     """The total-weight blocks of legs[0] ox legs[1] ox ..., as a
     ``BlockIndex``."""
-    pairs = [_leg_keys(leg) for leg in legs]
+    pairs = [_weight_keys(leg) for leg in legs]
     den = math.lcm(*[d for _, d in pairs])
     keys = tuple(k if d == den else k * (den // d) for k, d in pairs)
     return _grouped(tuple(len(k) for k in keys), keys, den, _sum_keys(keys))
@@ -234,7 +221,7 @@ def shift_maxima(mat, keys):
     rows, cols = np.nonzero(mat)
     if not len(rows):
         return {}
-    shifts = _rounded(keys[rows] - keys[cols])
+    shifts = keys[rows] - keys[cols]
     vals = np.abs(mat[rows, cols])
     if not shifts.any():   # an operator that keeps the weight
         return {(0,) * shifts.shape[1]: float(vals.max())}
@@ -252,24 +239,28 @@ def moves_only_by(mat, keys, shift):
     reads it: the nonzero real and imaginary parts (an entry is zero exactly
     when both are) are counted in all and on the pairs of basis vectors that
     ``shift`` joins, so that no index of them is formed."""
-    index = _grouped((len(keys),), (keys,), 1, _rounded(keys))
+    index = _grouped((len(keys),), (keys,), 1, keys)
     rows, cols = index.pair_entries(*index.shifted(shift))[:2]
-    band = (_rounded(keys[rows] - keys[cols]) == shift).all(axis=1)
+    band = (keys[rows] - keys[cols] == shift).all(axis=1)
     return np.count_nonzero(mat[rows[band], cols[band]].view(float)) \
         == np.count_nonzero(mat.view(float))
 
 
-def leg_entries(dims, rows, cols, factors):
-    """Entries (rows, cols) of the operator on the product of legs of
-    dimensions ``dims`` (first leg major) that acts by ``mat`` on the legs
-    of each (legs, mat) in ``factors`` (legs in order) and as the identity
-    on every other leg."""
-    return _leg_entries(dims, np.unravel_index(rows, dims),
-                        np.unravel_index(cols, dims), factors)
+def leg_entries(dims, rows, cols, *terms):
+    """Entries (rows, cols) of the sum, in order, of the operators on the
+    product of legs of dimensions ``dims`` (first leg major), one per term,
+    that act by ``mat`` on the legs of each (legs, mat) in the term (legs in
+    order) and as the identity on every other leg; rows and cols are
+    decoded once."""
+    on = (dims, np.unravel_index(rows, dims), np.unravel_index(cols, dims))
+    out = _leg_entries(*on, terms[0])
+    for factors in terms[1:]:
+        out = out + _leg_entries(*on, factors)
+    return out
 
 
 def _leg_entries(dims, rdig, cdig, factors):
-    """``leg_entries`` on the digits of its rows and columns."""
+    """One term of ``leg_entries`` on the digits of its rows and columns."""
     data = np.ones(np.broadcast(rdig[0], cdig[0]).shape,
                    np.result_type(float, *(mat for _, mat in factors)))
     for legs, mat in factors:
@@ -288,25 +279,20 @@ def _on_legs(digits, dims, legs):
     return out
 
 
-def leg_blocks(index, factors):
-    """The blocks of the operator of ``leg_entries`` on the product of
-    ``index``, gathered without forming it; ``off_block`` is its largest
-    entry outside the blocks (every combination of factor entries whose
-    weight shifts do not sum to 0), read from the nonzero factor entries."""
+def leg_blocks(index, legs=(), mat=None):
+    """The blocks of the operator on the product of ``index`` that acts by
+    ``mat`` on ``legs`` (in order) and as the identity on every other leg
+    (the identity when mat is None), gathered without forming it;
+    ``off_block`` is its largest entry that moves the weight, read from the
+    nonzero entries of mat."""
     rows, cols, _ = index.entries
-    reach = {(0,) * index.keys[0].shape[1]: 1.0}   # total shift -> largest
-    for legs, mat in factors:
-        maxima = shift_maxima(mat, _sum_keys([index.keys[i] for i in legs]))
-        nxt = {}
-        for s0, v0 in reach.items():
-            for s1, v1 in maxima.items():
-                key = tuple(_rounded(np.add(s0, s1)).tolist())
-                nxt[key] = max(nxt.get(key, 0.0), v0 * v1)
-        reach = nxt
-    off = max((val for shift, val in reach.items() if any(shift)),
+    if mat is None:
+        return WeightBlocks(index, leg_entries(index.dims, rows, cols, []))
+    maxima = shift_maxima(mat, _sum_keys([index.keys[i] for i in legs]))
+    off = max((val for shift, val in maxima.items() if any(shift)),
               default=0.0)
-    return WeightBlocks(index, leg_entries(index.dims, rows, cols, factors),
-                        off)
+    return WeightBlocks(index, leg_entries(index.dims, rows, cols,
+                                           [(legs, mat)]), off)
 
 
 def series_blocks(index, x, y, q_b):

@@ -288,7 +288,7 @@ def vogan_axioms(module, m1, m2, qp):
     index = product_blocks(module, m1, m2)
 
     def place(legs, mat):
-        return leg_blocks(index, [(legs, mat)])
+        return leg_blocks(index, legs, mat)
 
     su, sv = nu_module(m1), nu_module(m2)
     e_u = place((0, 1), e_matrix(module, m1, qp))

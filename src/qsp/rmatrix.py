@@ -129,10 +129,10 @@ def _intertwining_residual(mat, index, m, n):
             vals = mat[e_rows, e_cols]
             n_pairs, n_d = len(tgt), at[len(tgt)]
             on = (index.dims, e_rows[:n_d], e_cols[:n_d])
-            d = sum(leg_entries(*on, [((0,), a), ((1,), b)])
-                    for a, b in delta)
-            d_op = sum(leg_entries(*on, [((0,), a), ((1,), b)])
-                       for b, a in delta_op)
+            d = leg_entries(*on, *([((0,), a), ((1,), b)]
+                                   for a, b in delta))
+            d_op = leg_entries(*on, *([((0,), a), ((1,), b)]
+                                      for b, a in delta_op))
             lhs, rhs = np.empty_like(vals[:n_d]), np.empty_like(vals[:n_d])
             for p, count, x, y in shape_runs(index.sizes[tgt],
                                              index.sizes[src]):
@@ -253,7 +253,7 @@ def ybe_residual(m):
     multiplied per total-weight block of the triple product."""
     r = rmat(m, m).matrix
     index = product_blocks(m, m, m)
-    r12, r13, r23 = (leg_blocks(index, [(legs, r)])
+    r12, r13, r23 = (leg_blocks(index, legs, r)
                      for legs in ((0, 1), (0, 2), (1, 2)))
     lhs = r12 @ r13 @ r23
     return relative((lhs - r23 @ r13 @ r12).data, lhs.data)
@@ -265,7 +265,7 @@ def hexagon_residuals(m, n, p):
     index = product_blocks(m, n, p)
 
     def on(legs, a, b):
-        return leg_blocks(index, [(legs, rmat(a, b).matrix)])
+        return leg_blocks(index, legs, rmat(a, b).matrix)
 
     lhs1 = on((0, 1, 2), tensor(m, n), p)
     lhs2 = on((0, 1, 2), m, tensor(n, p))
@@ -286,7 +286,6 @@ def ribbon_residual(m, n):
     scal = qp.qpow(casimir_scalar(m.datum, m.highest)
                    + casimir_scalar(n.datum, n.highest))
     index = product_blocks(m, n)
-    lhs = leg_blocks(index, [((1, 0), rmat(n, m).matrix)]) \
-        @ leg_blocks(index, [((0, 1), r)]) \
-        @ leg_blocks(index, [((0, 1), delta_v)])
-    return (lhs - scal * leg_blocks(index, [])).norm() / abs(scal)
+    lhs = leg_blocks(index, (1, 0), rmat(n, m).matrix) \
+        @ leg_blocks(index, (0, 1), r) @ leg_blocks(index, (0, 1), delta_v)
+    return (lhs - scal * leg_blocks(index)).norm() / abs(scal)

@@ -20,7 +20,7 @@ of ``blocks.series_blocks`` (c_n by its running product), where
 from nu_q(F) = -F.  Every factor preserves total weight, so the braid on
 any module ox V is block-diagonal in it.
 ``braid_blocks`` builds it block by block (``qsp.blocks.WeightBlocks``,
-keyed by the rounded H-eigenvalues of the ladder), raises ResourceError
+keyed by the integer levels of the ladder), raises ResourceError
 when a block overflows, and is ``rootsys.kept`` in the module's cache, as
 are ``coaction_tensor`` and ``nu_module``; ``e_matrix`` scatters these
 blocks into a dense matrix.  ``qsp.harness.vogan_axioms``
@@ -66,19 +66,24 @@ def _phi(n, r, q):
 class TruncatedModule:
     """Level-capped lowest-weight module, M_r or a coaction product over
     it: K and H diagonal, F lowering; F^* is ``f_mat.conj().T`` (invalid on
-    the top boundary).  ``cache`` keeps the coaction products and twist
-    braids built from it."""
+    the top boundary).  ``levels`` are the weights plus r, exact integers.
+    ``cache`` keeps the coaction products and twist braids built from it."""
 
     r: float
     qp: object
     k_diag: np.ndarray
     f_mat: np.ndarray
     h_diag: np.ndarray
+    levels: np.ndarray
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self):
         return len(self.k_diag)
+
+    def numerators(self):
+        """The levels as integer rows over 1, like ``WeightModule``'s."""
+        return self.levels[:, None], 1
 
 
 def interior_indices(module, dv, margin):
@@ -109,7 +114,7 @@ def build_Mr(r, qp, cap):
             raise ResourceError(
                 f"ladder coefficient at level {n} overflows double "
                 f"precision (q = {q}, {cap} levels)") from None
-    return TruncatedModule(r, qp, k, f, h)
+    return TruncatedModule(r, qp, k, f, h, 2 * np.arange(cap))
 
 
 def _h_vector(v):
@@ -124,13 +129,15 @@ def _total_h(module, v):
 
 @kept(lambda module, v: ("coaction", v))
 def coaction_tensor(module, v):
-    """K, F and H on M ox V through the coaction, as a TruncatedModule
-    over the product space; built once per V and kept read-only in
-    ``module.cache``."""
+    """K, F, H and the levels on M ox V through the coaction, as a
+    TruncatedModule over the product space; built once per V and kept
+    read-only in ``module.cache``."""
     kv = v.k_diag(v.datum.simple_root(1))
     f = kron(module.f_mat, np.diag(1 / kv)) + kron(np.eye(module.dim), v.F[1])
+    wts = np.array([w.coords[0] for w in v.weights], dtype=np.int64)
     return TruncatedModule(module.r, module.qp, *read_only(
-        [kron(module.k_diag, kv), f, _total_h(module, v)]))
+        [kron(module.k_diag, kv), f, _total_h(module, v),
+         (module.levels[:, None] + wts).reshape(-1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +166,7 @@ def braid_blocks(module, v, qp):
         .reshape(-1).astype(complex)[index.entries[1]]
     a_series = series_blocks(index, module.f_mat, v.E[1], q)
     b_series = series_blocks(index, kfs, -v.F[1], q)
-    v_inv = leg_blocks(index, [((1,), np.linalg.inv(ribbon_diag(v)))])
+    v_inv = leg_blocks(index, (1,), np.linalg.inv(ribbon_diag(v)))
     # the Cartan factor scales the columns of each block
     ab = WeightBlocks(index, a_series.data * cart) @ b_series
     out = WeightBlocks(index, ab.data * cart) @ v_inv
@@ -339,13 +346,13 @@ def fusion_check(module, v, qp):
     if module.dim < 3:
         raise InputError("truncation too small for a fusion check")
     f_v = v.F[1]
-    for mat, h in ((module.f_mat, module.h_diag), (f_v, _h_vector(v))):
-        stray = [] if moves_only_by(mat, h[:, None], -2.0) else sorted(
-            s for s, in shift_maxima(mat, h[:, None]) if s != -2.0)
+    index = product_blocks(module, v)   # keys: M by levels, V by weights
+    for mat, keys in zip((module.f_mat, f_v), index.keys):
+        stray = [] if moves_only_by(mat, keys, -2) else sorted(
+            float(s) for s, in shift_maxima(mat, keys) if s != -2)
         if stray:
             raise ConsistencyError(f"F moves weights by {stray}, not only -2")
     kv_inv = 1 / v.k_diag(v.datum.simple_root(1))
-    index = product_blocks(module, v)
     first = index.members[index.starts]
     last = index.members[index.starts + index.sizes - 1]
     dims = np.where(last < len(interior_indices(module, v.dim, 2)),
@@ -359,8 +366,7 @@ def fusion_check(module, v, qp):
         # the entries of kron(F_M, diag(K^{-1})) + kron(1, F) there
         f_blk[at[c]:at[c] + len(rows)] = leg_entries(
             index.dims, rows, cols,
-            [((0,), module.f_mat), ((1,), np.diag(kv_inv))]) \
-            + leg_entries(index.dims, rows, cols, [((1,), f_v)])
+            [((0,), module.f_mat), ((1,), np.diag(kv_inv))], [((1,), f_v)])
     for p, count, a, b in shape_runs(index.sizes[tgt], index.sizes[src]):
         sv = np.linalg.svd(stack(f_blk, at[p], count, a, b), compute_uv=False)
         dims[src[p:p + count]] = null_mask(sv, b, 1e-9).sum(-1)

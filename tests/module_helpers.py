@@ -1,5 +1,6 @@
 """Modules, residuals and suite runs that only the tests use."""
 
+import itertools
 import json
 
 import numpy as np
@@ -104,19 +105,17 @@ def ladder_relations_residual(module):
     return out
 
 
-def _weight_groups(h):
-    """Indices of a basis with H-eigenvalues h, grouped by weight (keyed by
-    ``_weight_key``, in order of first appearance)."""
-    groups = {}
-    for i, hval in enumerate(h.tolist()):
-        groups.setdefault(_weight_key(hval), []).append(i)
-    return groups
-
-
 def weight_blocks(module, v):
     """Total-weight spaces of module ox V, a ladder of ``qsp.vogan10`` times
-    a weight module, as index lists keyed by the H-eigenvalue."""
-    return _weight_groups(_total_h(module, v))
+    a weight module, as index lists grouped by the exact level plus weight
+    and keyed by the H-eigenvalue (``_weight_key``), in order of first
+    appearance."""
+    groups = {}
+    for i, (level, w) in enumerate(itertools.product(module.levels.tolist(),
+                                                     v.weights)):
+        groups.setdefault(level + w.coords[0], []).append(i)
+    h = _total_h(module, v)
+    return {_weight_key(h[idx[0]]): idx for idx in groups.values()}
 
 
 def run_all(q=0.7, r=0.25, levels=14):
@@ -167,9 +166,9 @@ def reference_octagon_vogan(module, m1, m2, qp):
     R(V, U) on the legs (2, 1)."""
     index = product_blocks(module, m1, m2)
     lhs = braid_blocks(coaction_tensor(module, m1), m2, qp)
-    r32 = leg_blocks(index, [((2, 1), rmat(m2, m1).matrix)])
-    e13 = leg_blocks(index, [((0, 2), e_matrix(module, m2, qp))])
-    rtw23 = leg_blocks(index, [((1, 2), rmat(m1, nu_module(m2)).matrix)])
+    r32 = leg_blocks(index, (2, 1), rmat(m2, m1).matrix)
+    e13 = leg_blocks(index, (0, 2), e_matrix(module, m2, qp))
+    rtw23 = leg_blocks(index, (1, 2), rmat(m1, nu_module(m2)).matrix)
     return lhs, r32 @ e13 @ rtw23
 
 
@@ -177,7 +176,7 @@ def reference_ribbon_vogan(module, m1, m2, qp):
     """Both sides of the ribbon equation on M ox U ox V, as WeightBlocks."""
     index = product_blocks(module, m1, m2)
     lhs = braid_blocks(module, tensor(m1, m2), qp)
-    e12 = leg_blocks(index, [((0, 1), e_matrix(module, m1, qp))])
+    e12 = leg_blocks(index, (0, 1), e_matrix(module, m1, qp))
     return lhs, braid_blocks(coaction_tensor(module, m1), m2, qp) @ e12
 
 
@@ -187,7 +186,7 @@ def reference_cylinder_vogan(module, m1, m2, qp):
     index = product_blocks(module, m1, m2)
 
     def place(legs, mat):
-        return leg_blocks(index, [(legs, mat)])
+        return leg_blocks(index, legs, mat)
 
     e_u = place((0, 1), e_matrix(module, m1, qp))
     e_v = place((0, 2), e_matrix(module, m2, qp))

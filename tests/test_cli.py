@@ -450,6 +450,15 @@ def test_verify_rank_one(runner, tmp_path):
     assert payload["info"]["matching_hypotheses"] == ["r+1"]
 
 
+def test_verify_rank_one_on_a_rounding_boundary(runner):
+    # -r + 2n + wt lands on a 9-digit rounding boundary at this r: the
+    # weight blocks are those of the exact levels, two lowest weights
+    res = runner.invoke(main, ["verify", "rank-one", "--q", "0.9", "--r",
+                               "3.0000000005", "--levels", "20"])
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.stdout)["info"]["fusion"]) == 2
+
+
 @pytest.mark.parametrize("levels", [3, 4])
 def test_verify_rank_one_too_few_levels(runner, levels):
     res = runner.invoke(main, ["verify", "rank-one", "--q", "0.7",

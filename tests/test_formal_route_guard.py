@@ -16,7 +16,9 @@ scipy is imported only inside the bodies of ``kzmono._decompose`` and
 ``.kept`` dict by subscript outside ``rootsys.kept``, the one way to keep
 derived data.  Only ``blocks`` decodes a product index into its legs: no
 other module calls ``divmod``, ``np.divmod``, ``np.unravel_index``,
-``np.ravel_multi_index`` or ``np.tensordot``.
+``np.ravel_multi_index`` or ``np.tensordot``.  ``blocks`` keys every leg
+by exact integers: it calls no ``round``, ``np.round`` or ``np.around`` and
+imports nothing from ``qsp.uqrep``.
 """
 
 import ast
@@ -216,3 +218,19 @@ def test_only_blocks_decodes_a_product_index():
         if name != "blocks":
             visit(name, tree, None)
     assert sorted(set(found)) == []
+
+
+ROUNDING_CALLS = {"round", "np.round", "np.around"}
+
+
+def test_blocks_keys_legs_by_exact_weights():
+    tree = _trees()["blocks"]
+    found = [("call", node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(
+                 node.func).replace("numpy.", "np.") in ROUNDING_CALLS]
+    found += [("import", node.lineno) for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and any(module == "qsp.uqrep" or (module == "qsp"
+                                                and "uqrep" in names)
+                      for module, names in _imported_modules(node))]
+    assert found == []

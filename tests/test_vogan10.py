@@ -8,6 +8,7 @@ import pytest
 from module_helpers import ladder_relations_residual, weight_blocks
 from qsp.blocks import leg_blocks, product_blocks, series_blocks
 from qsp.errors import ConsistencyError, InputError, ResourceError
+from qsp.harness import run_axioms, run_rank_one
 from qsp.rootsys import build_root_datum, qfact, qint
 from qsp.uqrep import (QParams, WeightModule, build_irrep, kernel, ribbon_diag,
                        tensor)
@@ -314,16 +315,18 @@ def _component_scalars_block_ref(module, v, qp):
 def _fusion_block_ref(module, v):
     """The per-block route the stacked kernels replaced, kept as the
     reference: for each interior weight block, F's entries gathered on the
-    rows of weight h - 2 and one ``kernel`` taken."""
+    rows of weight h - 2 (by the exact levels) and one ``kernel`` taken."""
     kv_inv = 1 / v.k_diag(v.datum.simple_root(1))
     groups = weight_blocks(module, v)
+    level = np.add.outer(module.levels,
+                         [int(w.coords[0]) for w in v.weights]).reshape(-1)
     n_interior = len(interior_indices(module, v.dim, 2))
     out = {}
     for hval, idx in groups.items():
         if idx[-1] >= n_interior:
             continue
         x_col, a_col = np.divmod(np.array(idx), v.dim)
-        rows = np.array(groups.get(_weight_key(hval - 2), []), dtype=int)
+        rows = np.flatnonzero(level == level[idx[0]] - 2)
         x_row, a_row = np.divmod(rows[:, None], v.dim)
         f_blk = module.f_mat[x_row, x_col] \
             * ((a_row == a_col) * kv_inv[a_col]) \
@@ -393,7 +396,7 @@ def test_a_zero_coefficient_gives_nonfinite_scalars_not_an_error(v, level):
     m = build_Mr(0.25, QP, 10)
     f_mat = m.f_mat.copy()
     f_mat[level - 1, level] = 0.0
-    bad = type(m)(m.r, m.qp, m.k_diag, f_mat, m.h_diag)
+    bad = dataclasses.replace(m, f_mat=f_mat, cache={})
     got, _ = e_matrix_component_scalars(bad, v, QP)
     with np.errstate(all="ignore"):
         want, _ = _component_scalars_block_ref(bad, v, QP)
@@ -634,7 +637,7 @@ def test_fusion_rejects_a_stray_weight_shift(v):
     m = build_Mr(0.25, QP, 10)
     f_bad = m.f_mat.copy()
     f_bad[0, 3] = 1e-3   # moves a weight by -6: its row would be dropped
-    bad = type(m)(m.r, m.qp, m.k_diag, f_bad, m.h_diag)
+    bad = dataclasses.replace(m, f_mat=f_bad, cache={})
     with pytest.raises(ConsistencyError, match=r"by \[-6\.0\], not only"):
         fusion_check(bad, v, QP)
     # one stray entry in F on V, keeping its weight (a zero shift)
@@ -667,27 +670,49 @@ def test_leg_blocks_report_entries_between_blocks(v):
     index = product_blocks(m, v, v)
     # E on the last leg alone raises the total weight: nothing of it lies
     # in a block, and the largest dropped entry is reported
-    raised = leg_blocks(index, [((2,), v.E[1])])
+    raised = leg_blocks(index, (2,), v.E[1])
     assert raised.off_block == pytest.approx(Q ** 0.5)
     assert all(not blk.any() for blk in raised.stacks)
-    # E ox F on the two V legs keeps it: nothing is dropped
-    kept = leg_blocks(index, [((1,), v.E[1]), ((2,), v.F[1])])
-    assert kept.off_block == 0.0
-    np.testing.assert_array_equal(
-        kept.dense(), np.kron(np.eye(m.dim), np.kron(v.E[1], v.F[1])))
 
 
 def test_weight_blocks_need_the_same_blocks(v):
     m = build_Mr(0.25, QP, 6)
     v1 = build_irrep(A1, A1.weight([2]), QP)
     index = product_blocks(m, v, v)
-    on_vv = leg_blocks(index, [])
+    on_vv = leg_blocks(index)
     index = product_blocks(m, v, v1)
-    on_vv1 = leg_blocks(index, [])
+    on_vv1 = leg_blocks(index)
     with pytest.raises(ConsistencyError):
         on_vv @ on_vv1
     with pytest.raises(ConsistencyError):
         on_vv - on_vv1
+
+
+# r at which -r + 2n + wt lands on a 9-digit rounding boundary: keys of H
+# rounded to 9 digits would split a weight block in two there
+BOUNDARY_R = [5e-10, 2.5e-9, 0.1234567895, 3.0000000005, 7.4999999995]
+
+
+@pytest.mark.parametrize("r", BOUNDARY_R)
+def test_ladder_blocks_are_keyed_by_exact_levels(r):
+    qp = QParams(0.9)
+    vh = build_irrep(A1, A1.weight([1]), qp)
+    m = build_Mr(r, qp, 20)
+    index = product_blocks(m, vh, vh)
+    # levels 0, 2, ..., 38 plus -2, 0 or 2 from the V legs: one block for
+    # each even number from -2 to 40
+    assert index.block_keys.dtype.kind == "i"
+    assert sorted(index.block_keys[:, 0].tolist()) == list(range(-2, 41, 2))
+    assert fusion_check(m, vh, qp) == _fusion_block_ref(m, vh)
+
+
+@pytest.mark.parametrize("r", BOUNDARY_R)
+def test_vogan_suites_pass_on_a_rounding_boundary(r):
+    assert run_axioms("vogan", 0.9, r=r, levels=20).passed
+    rep = run_rank_one(0.9, r, 20)
+    assert rep.passed
+    assert rep.info["fusion"] == {str(round(-r - 1, 9)): 1,
+                                  str(round(-r + 1, 9)): 1}
 
 
 def test_fusion_weights_are_omega_r_pm_1(v):
