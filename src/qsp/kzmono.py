@@ -6,10 +6,10 @@ system
 on (0, 1): Frobenius expansions H_0 ~ w^a at 0 and H_1 ~ (1-w)^{b_+} at 1,
 both convergent on all of (0, 1), and the connection matrix
 Psi = H_1(w)^{-1} H_0(w), checked to be independent of the match point w.
-The series of one ``psi`` or ``psi_pair`` advance together, one stacked
-product per order, and are summed at the match points as they run.  Under
-w -> -w, swapping b_+ and b_- turns the series at 0 into c_m -> (-1)^m c_m,
-bit for bit, so ``psi_pair`` sums one series at 0 at +-x for both.
+All series of one ``psi`` or ``psi_pairs`` call advance together, one
+stacked product per order, and are summed at the match points as they run.
+Under w -> -w, swapping b_+ and b_- turns the series at 0 into (-1)^m c_m,
+bit for bit, so ``psi_pairs`` sums one series at 0 per residue at +-x.
 
 The coefficient matrices for a symmetric pair are
 
@@ -387,13 +387,19 @@ def _sylvester_series(jobs, order):
     ``TAIL_TARGET`` at two consecutive orders.  It fails with ResourceError
     at the first order whose tail bound is not finite, with AccuracyError at
     ``order``, or with ResonanceError at the first m >= 1 with |m + gap| <
-    1e-9 (m = rint(-Re gap)), and then leaves the batch.  Returns, per job,
-    its error or (its sums, stop order, tail bound)."""
+    1e-9 (m = rint(-Re gap)), and then leaves the batch.  Returns the
+    ``BlockIndex`` and, per job, its error or (its sums as packed slots,
+    stop order, tail bound)."""
     n = jobs[0][0].shape[0]
-    mats = [[s * (z.conj().T @ m @ z) for s, m, _ in terms]
-            for _, z, terms, _ in jobs]
-    index = pattern_blocks(np.any([job[0] != 0 for job in jobs] + [
-        m != 0 for terms in mats for m in terms], 0))
+
+    def rotated(job):   # s Z^H M Z of each term
+        return [s * (job[1].conj().T @ m @ job[1]) for s, m, _ in job[2]]
+
+    # the union pattern first; each term is then formed again and gathered
+    # into its slots at once, so that no dense matrix per job is kept
+    index = pattern_blocks(np.any([m != 0 for job in jobs
+                                   for m in [job[0], *rotated(job)]], 0))
+    mats = np.array([[index.gather(m) for m in rotated(job)] for job in jobs])
     rates = np.array([[[[[r]]] for _, _, r in job[2]] for job in jobs])
     gaps, nils, resonant = [], [], []
     for t, *_ in jobs:
@@ -404,8 +410,8 @@ def _sylvester_series(jobs, order):
         nil = np.triu(t, 1)
         normal = np.linalg.norm(nil) <= n * _EPS * np.linalg.norm(t)
         nils.append(None if normal else index.gather(nil))
-        gaps.append(gap)
-    mats, gaps = index.gather(np.array(mats)), index.gather(np.array(gaps))
+        gaps.append(index.gather(gap))
+    gaps = np.array(gaps)
     owner = np.repeat(np.arange(len(jobs)), [len(job[3]) for job in jobs])
     fars = [max(abs(x) for x in job[3]) for job in jobs]
     xs = np.array([x for job in jobs for x in job[3]])
@@ -446,7 +452,7 @@ def _sylvester_series(jobs, order):
                 out[j] = ResourceError(
                     f"series overflows double precision at order {m}")
             elif below[j] and tail < TAIL_TARGET:
-                out[j] = (list(index.scatter(vals[owner == pos])), m, tail)
+                out[j] = (vals[owner == pos], m, tail)
             elif m == order:
                 out[j] = AccuracyError(
                     f"series tail bound not reached at {fars[j]} by order "
@@ -465,7 +471,7 @@ def _sylvester_series(jobs, order):
             mats, rates, gaps, sums, c, prods, denom = (
                 x[keep] for x in (mats, rates, gaps, sums, c, prods, denom))
             xs, pw, vals, part = (x[kept] for x in (xs, pw, vals, part))
-    return out
+    return index, out
 
 
 def _job_at_zero(problem, points):
@@ -482,10 +488,11 @@ def _job_at_one(problem):
             (-0.5, problem.b_minus, 0.5)], [1 - p for p in MATCH_POINTS])
 
 
-def _solutions(job, found):
+def _solutions(job, found, index):
     """Z S(x) |x|^T Z^H at each point x of a job, with the stop order and
-    tail bound, from its ``_sylvester_series`` result; raises its error, or
-    ResourceError if x^T overflows, as e^a from the Pade branch does."""
+    tail bound, from its ``_sylvester_series`` result, each sum scattered
+    from its slots in turn; raises its error, or ResourceError if x^T
+    overflows, as e^a from the Pade branch does."""
     if isinstance(found, Exception):
         raise found
     (t, z, _, points), (sums, order, tail) = job, found
@@ -493,7 +500,7 @@ def _solutions(job, found):
         powers = {d: _expm(math.log(d) * t) for d in {abs(x) for x in points}}
     if not all(np.isfinite(p).all() for p in powers.values()):
         raise ResourceError("a matrix exponent overflows double precision")
-    return ([z @ s @ powers[abs(x)] @ z.conj().T
+    return ([z @ index.scatter(s) @ powers[abs(x)] @ z.conj().T
              for x, s in zip(points, sums)], order, tail)
 
 
@@ -526,40 +533,51 @@ def psi(problem):
     return _connect([problem])[0]
 
 
-def psi_pair(a, b_plus, b_minus):
-    """``psi`` of (a, b_+, b_-) and of its mirror (a, b_-, b_+), from one
-    series at zero, summed at +-x, and one series at one for each."""
-    problem = MonodromyProblem(a, b_plus, b_minus)
-    return _connect([problem, MonodromyProblem(
-        problem.a, problem.b_minus, problem.b_plus, problem.series_order)])
+def psi_pairs(residues, b_plus, b_minus):
+    """[``psi`` of (x, b_+, b_-), ``psi`` of its mirror (x, b_-, b_+)] for
+    each residue x, from one batch: one series at zero per residue, summed
+    at +-x, and one series at one per orientation."""
+    found = _connect([MonodromyProblem(x, *b) for x in residues
+                      for b in ((b_plus, b_minus), (b_minus, b_plus))])
+    return [found[i:i + 2] for i in range(0, len(found), 2)]
 
 
 def _connect(problems):
-    """``psi`` of each problem, from the memo or computed in one batch; a
-    second problem is the mirror of the first.  Errors are raised, and the
-    orientations before them memoised, in problem order."""
+    """``psi`` of each problem, from the memo or computed in one
+    ``_sylvester_series`` batch; problems 2i and 2i + 1 are a residue's two
+    orientations, and the series at zero of the first, summed at -x, serves
+    the second.  The batch stops before the first orientation with a
+    resonant residue.  Errors are raised, and the orientations before them
+    memoised, in problem order."""
     keys = [_psi_key(p) for p in problems]
     todo = [i for i, key in enumerate(keys)
             if key not in _PSI_MEMO and key not in keys[:i]]
     if not todo:
         return [_PSI_MEMO[key] for key in keys]
-    res_a, cond_a = _decompose(problems[0].a)[2:]
+    at_zero = [_decompose(problems[i].a)[2:] for i in todo]
     decs = [_decompose(problems[i].b_plus) for i in todo]
-    ready = next((k for k, dec in enumerate(decs) if res_a or dec[2]),
+    ready = next((k for k, dec in enumerate(decs) if at_zero[k][0] or dec[2]),
                  len(todo))
-    jobs = [_job_at_zero(problems[0], [(1.0, -1.0)[i] * x for i in todo
-                                       for x in MATCH_POINTS])]  # mirror: -x
-    jobs += [_job_at_one(problems[i]) for i in todo[:ready]]
-    found = _sylvester_series(jobs, problems[0].series_order) if ready else []
+    live = todo[:ready]
+    hosts = sorted({i // 2 for i in live})   # the pairs with a series at zero
+    jobs = [_job_at_one(problems[i]) for i in live]
+    jobs += [_job_at_zero(problems[2 * h], [(1.0, -1.0)[i % 2] * x
+                                            for i in live if i // 2 == h
+                                            for x in MATCH_POINTS])
+             for h in hosts]   # a mirror's points are -x
+    index, found = (_sylvester_series(jobs, problems[0].series_order)
+                    if live else (None, []))
     for k, i in enumerate(todo):
         if k == ready:
-            raise ResonanceError(
-                f"resonant residues: a -> {res_a}, b_+ -> {decs[k][2]}")
-        if k == 0:
-            h0, order0, tail0 = _solutions(jobs[0], found[0])
-        h1_vals, order1, tail1 = _solutions(jobs[1 + k], found[1 + k])
-        psis = [np.linalg.solve(h1, x)
-                for x, h1 in zip(h0[len(MATCH_POINTS) * k:], h1_vals)]
+            raise ResonanceError(f"resonant residues: a -> {at_zero[k][0]}, "
+                                 f"b_+ -> {decs[k][2]}")
+        if k and todo[k - 1] // 2 == i // 2:   # the mirror of the last
+            h0 = h0[len(MATCH_POINTS):]
+        else:
+            h = len(live) + hosts.index(i // 2)
+            h0, order0, tail0 = _solutions(jobs[h], found[h], index)
+        h1_vals, order1, tail1 = _solutions(jobs[k], found[k], index)
+        psis = [np.linalg.solve(h1, x) for x, h1 in zip(h0, h1_vals)]
         main = psis[0]
         spread = max((np.linalg.norm(x - main) for x in psis[1:]),
                      default=0.0)
@@ -568,7 +586,7 @@ def _connect(problems):
                 f"match-point spread {spread:.2e} exceeds 1e-6")
         main.setflags(write=False)
         _PSI_MEMO[keys[i]] = MonodromyResult(
-            main, spread, max(tail0, tail1), max(cond_a, decs[k][3]),
+            main, spread, max(tail0, tail1), max(at_zero[k][1], decs[k][3]),
             (order0, order1))
     return [_PSI_MEMO[key] for key in keys]
 
@@ -592,8 +610,8 @@ def mkz_consistency(problem, z_target=0.81):
     a, bp, bm = problem.a, problem.b_plus, problem.b_minus
     n = a.shape[0]
     job = _job_at_zero(problem, [DELTA])
-    (h0,), _, _ = _solutions(job, *_sylvester_series([job],
-                                                      problem.series_order))
+    index, (found,) = _sylvester_series([job], problem.series_order)
+    (h0,), _, _ = _solutions(job, found, index)
 
     tk = (bp + bm) / 2
     tm = (bp - bm) / 2
@@ -619,20 +637,23 @@ def mkz_consistency(problem, z_target=0.81):
 # identity suites
 # ---------------------------------------------------------------------------
 
-def _twisted_octagon(psis, e_plus, e_c, e_minus):
+def _twisted_octagon(factors, e_plus, e_c, e_minus):
     """Psi_a^{-1} e_+ Psi_c e_c Psi_{c,sw}^{-1} e_- Psi_{a,sw}, multiplied
-    left to right, from psis = ((Psi_a, Psi_{a,sw}), (Psi_c, Psi_{c,sw}))."""
-    (psi_a, psi_a_sw), (psi_c, psi_c_sw) = psis
-    return np.linalg.inv(psi_a) @ e_plus @ psi_c @ e_c \
-        @ np.linalg.inv(psi_c_sw) @ e_minus @ psi_a_sw
+    left to right, from factors = (Psi_a^{-1}, Psi_c, Psi_{c,sw}^{-1},
+    Psi_{a,sw})."""
+    inv_a, psi_c, inv_c_sw, psi_a_sw = factors
+    return inv_a @ e_plus @ psi_c @ e_c @ inv_c_sw @ e_minus @ psi_a_sw
 
 
 def verify_eg(a, b_plus, b_minus):
     """Residual of the eight-factor identity with c = -a - b_+ - b_-."""
     c = -a - b_plus - b_minus
-    psis = [[r.psi for r in psi_pair(x, b_plus, b_minus)] for x in (a, c)]
+    (psi_a, psi_a_sw), (psi_c, psi_c_sw) = (
+        [r.psi for r in pair] for pair in psi_pairs((a, c), b_plus, b_minus))
+    factors = (np.linalg.inv(psi_a), psi_c, np.linalg.inv(psi_c_sw),
+               psi_a_sw)
     exps = [_expm(1j * math.pi * x) for x in (b_plus, c, b_minus, a)]
-    prod = _twisted_octagon(psis, *exps[:3]) @ exps[3]
+    prod = _twisted_octagon(factors, *exps[:3]) @ exps[3]
     return np.linalg.norm(prod - np.eye(a.shape[0]))
 
 
@@ -644,17 +665,19 @@ def verify_octagon_kz(tensors, lam, j2a, j2b, hbar):
     a02 = a02_coeff(tensors, lam, j2a, j2b, hbar)
     d = d_coeff(tensors, lam, j2a, j2b, hbar)
 
-    psis = [[r.psi for r in psi_pair(x, bp, bm)] for x in (a, a02)]
-    (psi_a, psi_a_sw), (psi_021, psi_021_sw) = psis
+    (psi_a, psi_a_sw), (psi_021, psi_021_sw) = (
+        [r.psi for r in pair] for pair in psi_pairs((a, a02), bp, bm))
+    inv_021_sw = np.linalg.inv(psi_021_sw)  # each inverse is formed once
+    factors = (np.linalg.inv(psi_a), psi_021, inv_021_sw, psi_a_sw)
 
     epi = lambda m: _expm(1j * math.pi * m)  # noqa: E731
     emi = lambda m: _expm(-1j * math.pi * m)  # noqa: E731
 
-    lhs = _twisted_octagon(psis, epi(bp), epi(a02), epi(bm)) @ epi(a)
+    lhs = _twisted_octagon(factors, epi(bp), epi(a02), epi(bm)) @ epi(a)
     res_rtkz = np.linalg.norm(lhs - epi(d))
 
     emi_bp, emi_bm = emi(bp), emi(bm)
-    oct_lhs = _twisted_octagon(psis, emi_bp, emi(a02), emi_bm)
+    oct_lhs = _twisted_octagon(factors, emi_bp, emi(a02), emi_bm)
     res_oct = np.linalg.norm(oct_lhs - emi(d - a))
 
     rib_lhs = oct_lhs @ emi(a)
@@ -663,7 +686,7 @@ def verify_octagon_kz(tensors, lam, j2a, j2b, hbar):
     # sigma applied to the last leg versus the b_+ <-> b_- swap
     s = tensors.sigma_matrix(j2b)
     conj = kron(np.eye(j2a + 1), s)
-    swapped = np.linalg.inv(psi_021_sw) @ emi_bm @ psi_a_sw
+    swapped = inv_021_sw @ emi_bm @ psi_a_sw
     direct = conj @ (np.linalg.inv(psi_021) @ emi_bp @ psi_a) \
         @ np.linalg.inv(conj)
     res_sigma = np.linalg.norm(swapped - direct)

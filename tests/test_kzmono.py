@@ -8,6 +8,7 @@ from scipy.linalg import expm, schur
 from qsp.blocks import pattern_blocks
 from qsp.errors import (AccuracyError, InputError, ResonanceError,
                         ResourceError)
+from qsp import kzmono
 from qsp.harness import TOL_ODE
 from qsp.kzmono import (
     _PSI_MEMO,
@@ -40,7 +41,7 @@ from qsp.kzmono import (
     mkz_consistency,
     psi,
     psi_commuting_oracle,
-    psi_pair,
+    psi_pairs,
     resonance_check,
     spin_matrices,
     split_tensors,
@@ -285,14 +286,14 @@ def test_sylvester_series_matches_eigenbasis_reference(name, prob):
     # one batch: the series at 0 summed at +-x, the series at 1 at 1 - x
     jobs = [_job_at_zero(prob, [s * x for s in (1.0, -1.0)
                                 for x in MATCH_POINTS]), _job_at_one(prob)]
-    found = _sylvester_series(jobs, prob.series_order)
+    index, found = _sylvester_series(jobs, prob.series_order)
     assert not any(isinstance(f, Exception) for f in found)
     refs = _reference_series(prob, [order for _, order, _ in found])
     for (_, z, _, points), (sums, order, tail), ref in zip(jobs, found, refs):
         assert len(sums) == len(points)
         for x, got in zip(points, sums):
             want = _horner(ref, x)
-            back = z @ got @ z.conj().T
+            back = z @ index.scatter(got) @ z.conj().T
             assert np.linalg.norm(back - want) <= 1e-12 * np.linalg.norm(want)
         # the stop rule and the tail bound read the Frobenius norm in the
         # Schur basis
@@ -341,12 +342,13 @@ def _ode_psi(problem):
 
     def start(job, residue):
         delta = DELTA
-        while isinstance(found := _sylvester_series(
-                [(*job[:3], [delta])], 40)[0], AccuracyError):
+        while isinstance((found := _sylvester_series(
+                [(*job[:3], [delta])], 40))[1][0], AccuracyError):
             delta /= 2
-        (sums,), _, _ = found
+        index, [((sums,), _, _)] = found
         z = job[1]
-        return delta, z @ sums @ z.conj().T @ expm(math.log(delta) * residue)
+        return delta, z @ index.scatter(sums) @ z.conj().T @ expm(
+            math.log(delta) * residue)
 
     def chain(w, h, points):
         out = {}
@@ -406,10 +408,12 @@ def _mirror_cases():
 
 
 def _same_result(got, want):
+    # all five fields of MonodromyResult, bit for bit
     assert got.psi.tobytes() == want.psi.tobytes()
     for name in ("spread", "tail_bound", "eig_condition"):
         assert np.float64(getattr(got, name)).tobytes() \
             == np.float64(getattr(want, name)).tobytes(), name
+    assert got.orders == want.orders
 
 
 @pytest.mark.parametrize("name,coeffs", list(_mirror_cases()),
@@ -420,18 +424,18 @@ def test_psi_pair_is_psi_on_both_orientations_bit_for_bit(name, coeffs):
     singles = [psi(MonodromyProblem(a, bp, bm)),
                psi(MonodromyProblem(a, bm, bp))]
     _PSI_MEMO.clear()
-    pair = psi_pair(a, bp, bm)
+    (pair,) = psi_pairs([a], bp, bm)
     for got, want in zip(pair, singles):
         _same_result(got, want)
     # psi on either orientation now reads the memo
     assert psi(MonodromyProblem(a, bp, bm)) is pair[0]
     assert psi(MonodromyProblem(a, bm, bp)) is pair[1]
-    assert all(x is y for x, y in zip(psi_pair(a, bp, bm), pair))
+    assert all(x is y for x, y in zip(psi_pairs([a], bp, bm)[0], pair))
     # with only the first orientation memoised, the mirror still comes from
     # the series at zero evaluated at -x
     _PSI_MEMO.clear()
     first = psi(MonodromyProblem(a, bp, bm))
-    got = psi_pair(a, bp, bm)
+    (got,) = psi_pairs([a], bp, bm)
     assert got[0] is first
     _same_result(got[1], singles[1])
 
@@ -443,7 +447,7 @@ def test_psi_pair_memoises_first_orientation_before_mirror_error():
     _PSI_MEMO.clear()
     with pytest.raises(ResonanceError, match=r"a -> \[\], "
                        r"b_\+ -> \[\(0, 1, -1\), \(1, 0, 1\)\]"):
-        psi_pair(a, bp, bm)
+        psi_pairs([a], bp, bm)
     res = _PSI_MEMO[_psi_key(first)]
     assert psi(first) is res
     assert np.linalg.norm(res.psi - psi_commuting_oracle(first)) < 1e-12
@@ -451,21 +455,110 @@ def test_psi_pair_memoises_first_orientation_before_mirror_error():
         psi(MonodromyProblem(a, bm, bp))
 
 
-def test_psi_peak_memory_at_twice_spin_eight():
-    # no coefficient list is kept: the series are summed as they run
+def _pairs_cases():
+    # the mirror cases with c = -a - b_+ - b_-, then the (a, c) and (a, a02)
+    # batches of verify_eg and verify_octagon_kz
+    for name, (a, bp, bm) in _mirror_cases():
+        yield f"{name}-a,c", (a, -a - bp - bm), bp, bm
+    for j2 in range(1, 5):
+        a, bp, bm = kz_coeffs(TS, 1.0, j2, j2, hbar_of(0.8))
+        yield f"kz{j2}x{j2}-a,c", (a, -a - bp - bm), bp, bm
+        yield f"kz{j2}x{j2}-a,a02", (
+            a, a02_coeff(TS, 1.0, j2, j2, hbar_of(0.8))), bp, bm
+
+
+@pytest.mark.parametrize("name,residues,bp,bm", list(_pairs_cases()),
+                         ids=[case[0] for case in _pairs_cases()])
+def test_psi_pairs_is_one_residue_at_a_time_bit_for_bit(name, residues, bp,
+                                                         bm):
+    singles = []
+    for x in residues:
+        _PSI_MEMO.clear()
+        singles += psi_pairs([x], bp, bm)
+    _PSI_MEMO.clear()
+    pairs = psi_pairs(residues, bp, bm)
+    assert len(pairs) == len(singles) == 2
+    for got, want in zip(pairs, singles):
+        assert len(got) == 2
+        for x, y in zip(got, want):
+            _same_result(x, y)
+    # a warm memo returns the same results
+    again = psi_pairs(residues, bp, bm)
+    assert all(x is y for p, q in zip(again, pairs) for x, y in zip(p, q))
+
+
+def test_psi_pairs_memoises_first_residue_before_resonant_second():
+    a, resonant = np.zeros((2, 2)), np.diag([0.0, 1.0])
+    bp, bm = np.diag([0.1, 0.3]), np.diag([-0.2, 0.05])
+    _PSI_MEMO.clear()
+    with pytest.raises(ResonanceError, match=r"a -> \[\(0, 1, -1\), "
+                       r"\(1, 0, 1\)\], b_\+ -> \[\]"):
+        psi_pairs([a, resonant], bp, bm)
+    assert len(_PSI_MEMO) == 2
+    for prob in (MonodromyProblem(a, bp, bm), MonodromyProblem(a, bm, bp)):
+        res = _PSI_MEMO[_psi_key(prob)]
+        assert psi(prob) is res
+        assert np.linalg.norm(res.psi - psi_commuting_oracle(prob)) < 1e-12
+    for b in ((bp, bm), (bm, bp)):
+        assert _psi_key(MonodromyProblem(resonant, *b)) not in _PSI_MEMO
+
+
+def test_each_kz_identity_runs_one_series_batch(monkeypatch):
+    # the jobs per _sylvester_series call: a series at zero per residue and
+    # a series at one per orientation not yet memoised
+    series, calls = kzmono._sylvester_series, []
+
+    def counted(jobs, order):
+        calls.append(len(jobs))
+        return series(jobs, order)
+
+    def jobs_of(fn, *args):
+        calls.clear()
+        fn(*args)
+        return list(calls)
+
+    monkeypatch.setattr(kzmono, "_sylvester_series", counted)
+    point = (TS, 1.0, 2, 2, hbar_of(0.8))
+    coeffs = kz_coeffs(*point)
+    _PSI_MEMO.clear()
+    assert jobs_of(verify_eg, *coeffs) == [6]
+    _PSI_MEMO.clear()
+    assert jobs_of(verify_octagon_kz, *point) == [6]
+    # after verify_eg, only a02's pair is left: its series at zero and its
+    # two series at one
+    _PSI_MEMO.clear()
+    assert jobs_of(verify_eg, *coeffs) == [6]
+    assert jobs_of(verify_octagon_kz, *point) == [3]
+    assert jobs_of(verify_eg, *coeffs) == []
+    assert jobs_of(verify_octagon_kz, *point) == []
+
+
+def _cold_peak(fn, *args):
+    """The tracemalloc peak of fn(*args) with both memos empty."""
     import tracemalloc
 
-    prob = MonodromyProblem(*kz_coeffs(TS, 1.0, 8, 8, hbar_of(0.75)))
     _PSI_MEMO.clear()
     _RESIDUE_MEMO.clear()
     tracemalloc.start()
     try:
-        res = psi(prob)
+        res = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return res, peak
+
+
+def test_psi_peak_memory_at_twice_spin_eight():
+    # no coefficient list is kept: the series are summed as they run, and a
+    # batch keeps its matrices and sums only in packed slots
+    coeffs = kz_coeffs(TS, 1.0, 8, 8, hbar_of(0.75))
+    res, peak = _cold_peak(psi, MonodromyProblem(*coeffs))
     assert res.spread < 1e-6
     assert peak <= 5e6, peak
+    # the six series of verify_eg in one batch
+    residual, peak = _cold_peak(verify_eg, *coeffs)
+    assert math.isfinite(residual)
+    assert peak <= 6.0e6, peak
 
 
 def _per_order_resonance(res_mat, order):
@@ -497,7 +590,8 @@ def test_resonance_order_matches_per_order_reference(shift, base, order,
     prob = MonodromyProblem(a, bp, bm, series_order=order)
     want = _per_order_resonance(prob.a, order)
     assert want == (near if abs(shift) < 1e-9 else far)
-    (found,) = _sylvester_series([_job_at_zero(prob, MATCH_POINTS)], order)
+    _, (found,) = _sylvester_series([_job_at_zero(prob, MATCH_POINTS)],
+                                    order)
     if want is None:
         # no resonance: the series runs to its ceiling
         assert isinstance(found, AccuracyError)
@@ -972,7 +1066,8 @@ def _packed_reference(pattern):
 
 
 def test_packed_slots_of_the_psi_pair_batch():
-    # the 8 x 8 psi_pair batch: the series at 0 and at 1 of both orientations
+    # the 8 x 8 batch of psi_pairs on one residue: the series at 0 and at 1
+    # of both orientations
     a, bp, bm = kz_coeffs(TS, 1.0, 8, 8, hbar_of(0.75))
     prob = MonodromyProblem(a, bp, bm)
     mirror = MonodromyProblem(a, bm, bp)
